@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race scenarios bless bench bench-record bench-compare profile obs blame stress stress-smoke trace flight
+.PHONY: check vet build test race scenarios bless bench bench-record bench-compare bench-e2e-test profile obs blame stress stress-smoke trace flight
 
 # check runs exactly what CI runs.
 check: vet build race scenarios
@@ -54,6 +54,11 @@ bench-record:
 # allocs/op regression against the latest committed snapshot.
 bench-compare:
 	$(GO) run ./cmd/sdabench -compare -q
+
+# bench-e2e-test runs the end-to-end benchmark's own tests. bench/ is a
+# separate Go module (repro/bench), so `go test ./...` at the root skips it.
+bench-e2e-test:
+	cd bench && $(GO) test ./...
 
 # profile captures CPU and heap profiles plus an execution trace of the
 # guarded benchmark subset. Inspect with: go tool pprof cpu.pprof

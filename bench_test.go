@@ -16,6 +16,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/obs/serve"
+	"repro/internal/rng"
 	isda "repro/internal/sda"
 	"repro/internal/sim"
 	"repro/internal/simtime"
@@ -385,6 +386,44 @@ func BenchmarkBurstArrival(b *testing.B) {
 		eng.Run()
 	}
 	b.ReportMetric(burst, "events/op")
+}
+
+// BenchmarkRNGChoose measures one placement draw at fleet scale: n=4
+// distinct nodes out of 5000, which still consumes 5000 generator draws.
+// The steady state must report 0 allocs/op.
+func BenchmarkRNGChoose(b *testing.B) {
+	b.ReportAllocs()
+	s := rng.NewStream(1)
+	for i := 0; i < b.N; i++ {
+		_ = s.Choose(5000, 4)
+	}
+}
+
+// streamSink keeps BenchmarkRNGNewStream's streams escaping, as a
+// driver's do.
+var streamSink *rng.Stream
+
+// BenchmarkRNGNewStream measures seeding one stream, which a workload
+// driver does once per node: exactly 1 alloc/op.
+func BenchmarkRNGNewStream(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		streamSink = rng.NewStream(uint64(i))
+	}
+}
+
+// BenchmarkRNGExp measures one exponential draw, the interarrival and
+// service-time primitive: 0 allocs/op.
+func BenchmarkRNGExp(b *testing.B) {
+	b.ReportAllocs()
+	s := rng.NewStream(1)
+	sum := 0.0
+	for i := 0; i < b.N; i++ {
+		sum += s.Exp(1)
+	}
+	if sum < 0 {
+		b.Fatal("negative exponential draw")
+	}
 }
 
 // BenchmarkStrategyAssignment measures the per-subtask cost of each PSP

@@ -7,26 +7,119 @@
 // processes statistically, each consumer receives its own Stream derived
 // deterministically from a master seed via a SplitMix64 sequence. Changing
 // one consumer's draw pattern therefore never perturbs another's.
+//
+// A Stream is math/rand's additive lagged-Fibonacci generator, owned
+// rather than wrapped: the state lives inline in the Stream, and every
+// draw is bit for bit what rand.New(rand.NewSource(s)) gives for the
+// stream's SplitMix64-derived seed s (see TestStreamMatchesMathRand), so
+// every recorded result stays valid.
 package rng
 
 import (
 	"math"
-	"math/rand"
+	"math/bits"
+)
+
+// Parameters of math/rand's generator (src/math/rand/rng.go).
+const (
+	rngLen   = 607
+	rngTap   = 273
+	rngMask  = 1<<63 - 1
+	int32max = 1<<31 - 1
 )
 
 // Stream is a deterministic pseudo-random stream with the distribution
 // helpers the simulation model needs. It is not safe for concurrent use;
 // the simulator is single-threaded by design.
+//
+// The pointer fields come first so the garbage collector scans only the
+// head of the ~5 KB object, not the generator state.
 type Stream struct {
-	r *rand.Rand
-	// permBuf backs Choose; reused across calls so per-task placement
-	// draws do not allocate.
-	permBuf []int
+	// chooseBuf backs Choose's result; reused across calls so per-task
+	// placement draws do not allocate.
+	chooseBuf []int
+	// chooseMul[i] is the fastmod multiplier for the divisor i+1 (see
+	// Choose). Entries depend only on i, so the table only ever grows.
+	chooseMul []uint64
+
+	tap, feed int
+	vec       [rngLen]int64
 }
 
 // NewStream returns a stream seeded with seed.
 func NewStream(seed uint64) *Stream {
-	return &Stream{r: rand.New(rand.NewSource(int64(splitmix64(&seed))))}
+	s := new(Stream)
+	s.seed(int64(splitmix64(&seed)))
+	return s
+}
+
+// seed initialises the generator exactly as math/rand's rngSource.Seed.
+func (s *Stream) seed(seed int64) {
+	s.tap = 0
+	s.feed = rngLen - rngTap
+
+	seed %= int32max
+	if seed < 0 {
+		seed += int32max
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+
+	// math/rand steps the Lehmer generator x ← 48271·x mod (2³¹−1) 20
+	// times, then three times per word, so word i starts at step 21+3i.
+	// Multiplying by a power of 48271 jumps straight there, which splits
+	// the serial chain into two independent ones, for the even and the
+	// odd words, that the CPU overlaps.
+	even := lehmerMul(uint64(seed), lehmerA21)
+	odd := lehmerMul(even, lehmerA3)
+	for i := 0; i+1 < rngLen; i += 2 {
+		s.vec[i] = seedWord(even) ^ rngCooked[i]
+		s.vec[i+1] = seedWord(odd) ^ rngCooked[i+1]
+		even = lehmerMul(even, lehmerA6)
+		odd = lehmerMul(odd, lehmerA6)
+	}
+	s.vec[rngLen-1] = seedWord(even) ^ rngCooked[rngLen-1] // rngLen is odd
+}
+
+// seedWord packs the Lehmer value x and its two successors into one
+// state word, as math/rand's seeding loop does.
+func seedWord(x uint64) int64 {
+	mid := lehmerStep(x)
+	lo := lehmerStep(mid)
+	return int64(x)<<40 ^ int64(mid)<<20 ^ int64(lo)
+}
+
+// Powers of math/rand's seeding multiplier 48271, modulo 2³¹−1.
+const (
+	lehmerA   = 48271
+	lehmerA3  = 1291394886
+	lehmerA6  = 407355683
+	lehmerA21 = 638022372
+)
+
+// lehmerStep returns 48271·x mod (2³¹−1) for x in [1, 2³¹−2] with a
+// Mersenne-prime reduction. math/rand evaluates its seeding step with
+// Schrage's method instead; both give the residue in [1, 2³¹−2].
+func lehmerStep(x uint64) uint64 {
+	t := x * lehmerA // < 2⁴⁷
+	t = t&int32max + t>>31
+	if t >= int32max {
+		t -= int32max
+	}
+	return t
+}
+
+// lehmerMul returns x·c mod (2³¹−1) for x, c in [1, 2³¹−2]; the wider
+// product needs a second fold.
+func lehmerMul(x, c uint64) uint64 {
+	t := x * c // < 2⁶²
+	t = t&int32max + t>>31
+	t = t&int32max + t>>31 // ≤ 2³¹
+	if t >= int32max {
+		t -= int32max
+	}
+	return t
 }
 
 // Splitter derives statistically independent child streams from one master
@@ -61,8 +154,63 @@ func splitmix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// int63 advances the generator and returns a non-negative 63-bit value,
+// as math/rand's Int63.
+func (s *Stream) int63() int64 {
+	s.tap--
+	if s.tap < 0 {
+		s.tap += rngLen
+	}
+	s.feed--
+	if s.feed < 0 {
+		s.feed += rngLen
+	}
+	x := s.vec[s.feed] + s.vec[s.tap]
+	s.vec[s.feed] = x
+	return x & rngMask
+}
+
+// int31 returns a non-negative 31-bit value, as math/rand's Int31.
+func (s *Stream) int31() int32 { return int32(s.int63() >> 32) }
+
+// int31n returns a uniform value in [0, n) for n > 0 with math/rand's
+// Int31n rejection scheme.
+func (s *Stream) int31n(n int32) int32 {
+	if n&(n-1) == 0 {
+		return s.int31() & (n - 1)
+	}
+	max := int32(1<<31 - 1 - (1<<31)%uint32(n))
+	v := s.int31()
+	for v > max {
+		v = s.int31()
+	}
+	return v % n
+}
+
+// int63n returns a uniform value in [0, n) for n > 0 with math/rand's
+// Int63n rejection scheme.
+func (s *Stream) int63n(n int64) int64 {
+	if n&(n-1) == 0 {
+		return s.int63() & (n - 1)
+	}
+	max := int64(1<<63 - 1 - (1<<63)%uint64(n))
+	v := s.int63()
+	for v > max {
+		v = s.int63()
+	}
+	return v % n
+}
+
 // Float64 returns a uniform draw in [0, 1).
-func (s *Stream) Float64() float64 { return s.r.Float64() }
+func (s *Stream) Float64() float64 {
+	for {
+		// Int63 can lie close enough to 2⁶³ that the quotient rounds to
+		// 1.0; math/rand draws again then, and so must this stream.
+		if f := float64(s.int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
 
 // Exp returns an exponential draw with the given mean.
 // Exp panics if mean is not positive, because a non-positive mean is a
@@ -72,7 +220,7 @@ func (s *Stream) Exp(mean float64) float64 {
 		panic("rng: exponential mean must be positive")
 	}
 	// Inverse-CDF; 1-U in (0,1] avoids log(0).
-	return -mean * math.Log(1-s.r.Float64())
+	return -mean * math.Log(1-s.Float64())
 }
 
 // Uniform returns a uniform draw in [lo, hi). It accepts lo == hi (a
@@ -81,7 +229,7 @@ func (s *Stream) Uniform(lo, hi float64) float64 {
 	if lo > hi {
 		panic("rng: uniform bounds inverted")
 	}
-	return lo + (hi-lo)*s.r.Float64()
+	return lo + (hi-lo)*s.Float64()
 }
 
 // LogUniform returns a draw whose logarithm is uniform on
@@ -96,45 +244,131 @@ func (s *Stream) LogUniform(lo, hi float64) float64 {
 }
 
 // IntN returns a uniform integer in [0, n). n must be positive.
-func (s *Stream) IntN(n int) int { return s.r.Intn(n) }
+func (s *Stream) IntN(n int) int {
+	if n <= 0 {
+		panic("rng: IntN argument must be positive")
+	}
+	if n <= int32max {
+		return int(s.int31n(int32(n)))
+	}
+	return int(s.int63n(int64(n)))
+}
 
 // IntRange returns a uniform integer in the closed interval [lo, hi].
 func (s *Stream) IntRange(lo, hi int) int {
 	if lo > hi {
 		panic("rng: int range inverted")
 	}
-	return lo + s.r.Intn(hi-lo+1)
+	return lo + s.IntN(hi-lo+1)
 }
 
 // Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
-
-// Choose returns k distinct integers drawn uniformly from [0, n) in random
-// order. It panics if k > n, which would indicate an impossible request
-// such as placing more parallel subtasks than there are nodes.
-//
-// The returned slice aliases a per-stream scratch buffer and is only
-// valid until the next Choose call on the same stream; callers that need
-// to keep it must copy. The underlying draws are exactly those of Perm
-// (the inside-out Fisher–Yates of math/rand), so Choose consumes the same
-// random numbers it always has.
-func (s *Stream) Choose(n, k int) []int {
-	if k > n {
-		panic("rng: cannot choose more elements than available")
-	}
-	if cap(s.permBuf) < n {
-		s.permBuf = make([]int, n)
-	}
-	m := s.permBuf[:n]
-	// Mirror math/rand's Perm loop exactly, including the i=0 iteration:
-	// Intn(1) still consumes a draw, so starting at i=1 would shift every
-	// subsequent random number.
+func (s *Stream) Perm(n int) []int {
+	m := make([]int, n)
+	// The i=0 iteration swaps m[0] with itself but still consumes a draw,
+	// exactly as math/rand's Perm does.
 	for i := 0; i < n; i++ {
-		j := s.r.Intn(i + 1)
+		j := s.IntN(i + 1)
 		m[i] = m[j]
 		m[j] = i
 	}
-	return m[:k]
+	return m
+}
+
+// Choose returns k distinct integers drawn uniformly from [0, n) in random
+// order. It panics if k < 0 or k > n, which would indicate an impossible
+// request such as placing more parallel subtasks than there are nodes.
+//
+// The returned slice aliases a per-stream scratch buffer and is only
+// valid until the next Choose call on the same stream; callers that need
+// to keep it must copy. The result is Perm(n)[:k] and Choose consumes
+// exactly Perm(n)'s n draws, i=0 included, so the rest of the stream is
+// unchanged by how Choose computes it:
+//
+//   - Positions ≥ k of the inside-out shuffle never flow back into
+//     positions < k, so only a k-long prefix is kept: after the first k
+//     steps, step i just records i at position j when j < k.
+//   - Int31n(i+1)'s rejection bound and modulus come from Lemire's
+//     fastmod with a per-stream multiplier table instead of two
+//     hardware divides per draw.
+//   - The generator runs in segments that end where tap or feed wraps
+//     (or after the draws still needed), so the per-draw index updates
+//     need no wrap checks. A draw Int31n rejects simply does not advance
+//     i, exactly as math/rand's retry loop consumes it.
+func (s *Stream) Choose(n, k int) []int {
+	if k < 0 {
+		panic("rng: cannot choose a negative number of elements")
+	}
+	if k > n {
+		panic("rng: cannot choose more elements than available")
+	}
+	if n > int32max {
+		panic("rng: Choose population exceeds 2³¹−1")
+	}
+	if cap(s.chooseBuf) < k {
+		s.chooseBuf = make([]int, k)
+	}
+	m := s.chooseBuf[:k]
+	mul := s.growChooseTable(n)
+
+	tap, feed := s.tap, s.feed
+	for i := 0; i < n; {
+		// int63's recurrence, seg draws at a time: step q (descending,
+		// i.e. in draw order) sets fs[q] += ts[q]. The two windows may
+		// overlap; walking q in draw order keeps the sequential result.
+		if tap == 0 {
+			tap = rngLen
+		}
+		if feed == 0 {
+			feed = rngLen
+		}
+		seg := min(tap, feed, n-i)
+		fs := s.vec[feed-seg : feed]
+		ts := s.vec[tap-seg : tap]
+		tap -= seg
+		feed -= seg
+		for q := seg - 1; q >= 0; q-- {
+			x := fs[q] + ts[q]
+			fs[q] = x
+			v := uint64(x) << 1 >> 33 // Int31: bits 32..62
+			d := uint64(i + 1)
+			// Int31n accepts v <= 2³¹−1 − 2³¹ mod d, a bound of at least
+			// 2³¹−d, so only draws above that need the exact bound.
+			if v > 1<<31-d && v > int32max-fastmod(1<<31, mul[i], d) {
+				continue
+			}
+			j := int(fastmod(v, mul[i], d))
+			if i < k {
+				m[i] = m[j]
+				m[j] = i
+			} else if j < k {
+				m[j] = i
+			}
+			i++
+		}
+	}
+	s.tap, s.feed = tap, feed
+	return m
+}
+
+// growChooseTable extends the fastmod multiplier table to cover the
+// divisors 1..n and returns it.
+func (s *Stream) growChooseTable(n int) []uint64 {
+	if old := len(s.chooseMul); old < n {
+		s.chooseMul = append(s.chooseMul, make([]uint64, n-old)...)
+		for d := old + 1; d <= n; d++ {
+			s.chooseMul[d-1] = math.MaxUint64/uint64(d) + 1
+		}
+	}
+	return s.chooseMul
+}
+
+// fastmod returns a mod d for a, d < 2³² given mul = ⌊(2⁶⁴−1)/d⌋+1
+// (Lemire, Kaser & Kurz 2019, "Faster remainder by direct computation").
+// For d = 1 mul wraps to 0 and the result is 0, as it must be.
+func fastmod(a, mul, d uint64) uint64 {
+	hi, _ := bits.Mul64(mul*a, d)
+	return hi
 }
 
 // PoissonProcess generates the arrival instants of a Poisson process with

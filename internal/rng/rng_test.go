@@ -3,6 +3,7 @@ package rng
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -33,22 +34,37 @@ func TestSplitterIndependentChildren(t *testing.T) {
 }
 
 func TestSplitterDeterminism(t *testing.T) {
-	s1 := NewSplitter(99)
-	s2 := NewSplitter(99)
-	for i := 0; i < 10; i++ {
-		if s1.Seed() != NewSplitter(99).state && s1.Seed() == 0 {
-			t.Fatal("unreachable sanity branch")
-		}
-		_ = i
-	}
-	a := NewSplitter(123)
-	b := NewSplitter(123)
+	// Same master seed: identical child seeds and identical child streams.
+	a, b := NewSplitter(123), NewSplitter(123)
 	for i := 0; i < 5; i++ {
-		if a.Seed() != b.Seed() {
-			t.Fatalf("splitter diverged at child %d", i)
+		if as, bs := a.Seed(), b.Seed(); as != bs {
+			t.Fatalf("child seed %d diverged: %d vs %d", i, as, bs)
+		}
+		ac, bc := a.Stream(), b.Stream()
+		for j := 0; j < 20; j++ {
+			if av, bv := ac.Float64(), bc.Float64(); av != bv {
+				t.Fatalf("child stream %d draw %d diverged: %v vs %v", i, j, av, bv)
+			}
 		}
 	}
-	_ = s2
+
+	// Different master seeds: child seeds and draws diverge.
+	c, d := NewSplitter(99), NewSplitter(100)
+	for i := 0; i < 5; i++ {
+		if cs, ds := c.Seed(), d.Seed(); cs == ds {
+			t.Fatalf("child seed %d coincides across master seeds: %d", i, cs)
+		}
+	}
+	cc, dc := c.Stream(), d.Stream()
+	same := 0
+	for j := 0; j < 100; j++ {
+		if cc.Float64() == dc.Float64() {
+			same++
+		}
+	}
+	if same > 2 {
+		t.Errorf("streams of different master seeds coincide on %d of 100 draws", same)
+	}
 }
 
 func TestExpMean(t *testing.T) {
@@ -190,6 +206,16 @@ func TestChoosePanicsWhenImpossible(t *testing.T) {
 		}
 	}()
 	NewStream(1).Choose(2, 3)
+}
+
+func TestChoosePanicsOnNegativeK(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "rng: ") {
+			t.Errorf("Choose(2,-1) panic = %q, want an rng: message", msg)
+		}
+	}()
+	NewStream(1).Choose(2, -1)
 }
 
 func TestPoissonProcessIncreasing(t *testing.T) {
