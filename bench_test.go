@@ -16,11 +16,13 @@ import (
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/obs/serve"
+	"repro/internal/procmgr"
 	"repro/internal/rng"
 	isda "repro/internal/sda"
 	"repro/internal/sim"
 	"repro/internal/simtime"
 	"repro/internal/task"
+	"repro/internal/workload"
 )
 
 // benchOptions is the fidelity used by the per-figure benchmarks.
@@ -423,6 +425,73 @@ func BenchmarkRNGExp(b *testing.B) {
 	}
 	if sum < 0 {
 		b.Fatal("negative exponential draw")
+	}
+}
+
+// --- DAG global tasks -------------------------------------------------------
+
+// dagBenchSpec is the DAG family of the end-to-end dag-abort workload:
+// three-stage fork-join pipelines with fan-out 4 and stage-skipping edges
+// at probability 0.3 (three in ten decompose into a cluster), on the
+// Table 1 six-node system.
+func dagBenchSpec() workload.Spec {
+	s := workload.Baseline(nil)
+	s.DagFactory = workload.ForkJoinDag{Stages: 3, Fanout: 4, CrossProb: 0.3}
+	return s
+}
+
+// BenchmarkDagBuild measures drawing one global DAG task: the factory's
+// vertices and edges, pex stamping and the critical-path deadline.
+func BenchmarkDagBuild(b *testing.B) {
+	b.ReportAllocs()
+	spec := dagBenchSpec()
+	s := rng.NewStream(1)
+	for i := 0; i < b.N; i++ {
+		if _, err := spec.NewGlobalDag(s, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDagSubmit measures the process manager's DAG path: SubmitDag
+// of one DAG on an idle six-node manager (EQF, DIV-1, process-manager
+// abort), drained to completion — decomposition, releases, cluster
+// bookkeeping, completions and the deadline timer. The DAGs are drawn in
+// batches with the timer stopped, so only the manager is measured.
+func BenchmarkDagSubmit(b *testing.B) {
+	b.ReportAllocs()
+	spec := dagBenchSpec()
+	eng := des.New()
+	nodes := make([]*node.Node, spec.K)
+	for i := range nodes {
+		nodes[i] = node.New(i, eng)
+	}
+	m := procmgr.New(eng, nodes, isda.EQF{}, isda.MustDiv(1), procmgr.WithPMAbort())
+	s := rng.NewStream(1)
+	const batch = 256
+	dags := make([]*task.Dag, batch)
+	budget := make([]simtime.Duration, batch) // relative end-to-end deadline
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % batch
+		if j == 0 {
+			b.StopTimer()
+			for k := range dags {
+				d, err := spec.NewGlobalDag(s, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				dags[k], budget[k] = d, d.Root().RealDeadline.Sub(0)
+			}
+			b.StartTimer()
+		}
+		d := dags[j]
+		d.Root().RealDeadline = eng.Now().Add(budget[j])
+		if err := m.SubmitDag(d); err != nil {
+			b.Fatal(err)
+		}
+		eng.Run()
+		dags[j] = nil
 	}
 }
 

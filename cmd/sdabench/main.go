@@ -41,10 +41,11 @@ import (
 
 // defaultBench selects the benchmarks that guard the hot paths: the DES
 // kernel (event churn, batch bursts), the node queue, the random-number
-// streams, end-to-end simulation throughput, and the strategy/parse/plan
-// micro-benchmarks. The per-figure experiment benchmarks are excluded to
-// keep the smoke run short; pass -bench '.' for everything.
-const defaultBench = "BenchmarkEngineEventChurn|BenchmarkNodeQueueChurn|BenchmarkBurstArrival|BenchmarkRNG|BenchmarkSimulation|BenchmarkStrategyAssignment|BenchmarkEQFAssignment|BenchmarkTaskParse|BenchmarkPlan"
+// streams, DAG task construction and submission, end-to-end simulation
+// throughput, and the strategy/parse/plan micro-benchmarks. The
+// per-figure experiment benchmarks are excluded to keep the smoke run
+// short; pass -bench '.' for everything.
+const defaultBench = "BenchmarkEngineEventChurn|BenchmarkNodeQueueChurn|BenchmarkBurstArrival|BenchmarkRNG|BenchmarkDagBuild|BenchmarkDagSubmit|BenchmarkSimulation|BenchmarkStrategyAssignment|BenchmarkEQFAssignment|BenchmarkTaskParse|BenchmarkPlan"
 
 // Measurement is one benchmark's recorded metrics, keyed the way `go test
 // -bench` prints them ("ns/op", "B/op", "allocs/op", "events/op", ...).

@@ -25,6 +25,13 @@ import (
 // withdraws every live subtask and marks the not-yet-released successors
 // aborted without recording them — exactly the tree semantics, where
 // unreleased serial stages of an aborted task never reach the recorder.
+//
+// Like the tree path, the DAG path keeps its bookkeeping off the heap:
+// dagRun records are pooled on the manager, their control blocks come
+// from a slab sized to the decomposition at submission (so pointers stay
+// stable), and cluster group bookkeeping lives in per-run slices indexed
+// by vertex id. The DAG, its vertices and their tasks are never pooled:
+// recorders, the oracle and spans key state by their identity.
 
 // DagRecorder is an optional extension of Recorder. A recorder that also
 // implements it is told about every DAG submission before the first
@@ -91,7 +98,7 @@ func (m *Manager) SubmitDag(d *task.Dag) error {
 	if m.dagRec != nil {
 		m.dagRec.RecordDagSubmit(d, root)
 	}
-	r := &dagRun{m: m, dag: d, root: root}
+	r := m.acquireDagRun(d, root, ctrlCount(st))
 	if m.pmAbort {
 		m.eng.SetDomain(des.DomainNone)
 		ev, err := m.eng.AtCall(root.RealDeadline, dagDeadlineFired, r)
@@ -108,14 +115,26 @@ func (m *Manager) SubmitDag(d *task.Dag) error {
 	if m.onRel != nil {
 		m.onRel(root, root, root.RealDeadline)
 	}
-	r.releaseStruct(&dagCtrl{run: r, s: st}, now, root.RealDeadline, root.RealDeadline, false, nil)
+	r.releaseStruct(r.newCtrl(dagCtrl{s: st}), now, root.RealDeadline, root.RealDeadline, false, nil)
 	return nil
+}
+
+// ctrlCount returns the number of control blocks a run of the
+// decomposition s needs: one per structure node plus one per cluster
+// member.
+func ctrlCount(s *task.Structure) int {
+	n := 1 + len(s.Members)
+	for _, c := range s.Children {
+		n += ctrlCount(c)
+	}
+	return n
 }
 
 // dagDeadlineFired is the pm-abort timer callback for DAG tasks.
 func dagDeadlineFired(x any) { x.(*dagRun).abortAll() }
 
-// dagRun tracks one in-flight DAG task. It mirrors run.
+// dagRun tracks one in-flight DAG task. It mirrors run, including the
+// pooling: see acquireDagRun and retire.
 type dagRun struct {
 	m       *Manager
 	dag     *task.Dag
@@ -125,6 +144,80 @@ type dagRun struct {
 	over    bool
 	reap    []*node.Item
 	seenBuf []int
+	ctrls   []dagCtrl // slab: one ctrl per structure node and cluster member
+
+	// Cluster group bookkeeping. Clusters of one DAG have disjoint
+	// members, so one slice indexed by vertex id serves them all; each
+	// cluster's pending counts are carved from the pending arena.
+	groupOf []int // per vertex id: the vertex's group within its cluster
+	pending []int
+
+	// releasing counts releaseGroup frames in progress. A submission
+	// inside one can synchronously end the run (a hopeless local-abort
+	// resubmission aborts it), after which the frame still submits the
+	// group's remaining members; the run must not be recycled under it.
+	releasing int
+	// orphaned is set when a vertex was submitted after the run ended.
+	// Its node will still call back into the run, so the run is never
+	// recycled.
+	orphaned bool
+}
+
+// acquireDagRun returns a run for d, recycled from the manager's pool
+// when one is free, with its ctrl slab sized to ctrls so newCtrl never
+// reallocates (pointer stability).
+func (m *Manager) acquireDagRun(d *task.Dag, root *task.Task, ctrls int) *dagRun {
+	var r *dagRun
+	if k := len(m.dagPool); k > 0 {
+		r = m.dagPool[k-1]
+		m.dagPool[k-1] = nil
+		m.dagPool = m.dagPool[:k-1]
+	} else {
+		r = &dagRun{m: m}
+	}
+	r.dag, r.root, r.over = d, root, false
+	if cap(r.ctrls) < ctrls {
+		r.ctrls = make([]dagCtrl, 0, ctrls)
+	}
+	r.ctrls = r.ctrls[:0]
+	n := d.Len()
+	if cap(r.groupOf) < n {
+		r.groupOf = make([]int, n)
+		r.pending = make([]int, 0, n)
+	}
+	r.groupOf = r.groupOf[:n]
+	r.pending = r.pending[:0]
+	return r
+}
+
+// retire recycles a finished or aborted run unless a releaseGroup frame
+// is still running on it (that frame retires it on exit) or it has
+// orphaned vertices. Callers must not touch the run afterwards except to
+// unwind; the slab keeps its stale contents until the next acquire, so an
+// unwinding frame never reads freed state.
+func (r *dagRun) retire() {
+	if r.releasing > 0 || r.orphaned {
+		return
+	}
+	m := r.m
+	r.dag, r.root = nil, nil
+	r.timer = des.Event{}
+	r.live = r.live[:0]
+	r.reap = r.reap[:0]
+	m.dagPool = append(m.dagPool, r)
+}
+
+// newCtrl places c in the run's slab and returns its stable address.
+func (r *dagRun) newCtrl(c dagCtrl) *dagCtrl {
+	if len(r.ctrls) == cap(r.ctrls) {
+		// The slab is sized to the decomposition at submission and each
+		// structure node and cluster member is released at most once;
+		// overflow is a bug.
+		panic("procmgr: DAG ctrl slab overflow")
+	}
+	c.run = r
+	r.ctrls = append(r.ctrls, c)
+	return &r.ctrls[len(r.ctrls)-1]
 }
 
 // dagCtrl is the control block for one node of the decomposition tree, or
@@ -146,9 +239,8 @@ type dagCtrl struct {
 	boost bool
 
 	// Cluster state (s.Kind == StructCluster).
-	down       map[*task.DagNode]simtime.Duration
+	down       []simtime.Duration // Structure.MemberDown: per vertex id, task.NotMember outside
 	groups     [][]*task.DagNode
-	groupOf    map[*task.DagNode]int
 	pending    []int // per group: unfinished in-cluster predecessors
 	unfinished int   // members not yet finished
 
@@ -188,7 +280,7 @@ func (r *dagRun) releaseStruct(c *dagCtrl, now simtime.Time, budget simtime.Time
 		c.remaining = len(c.s.Children)
 		a := r.m.psp.AssignParallel(now, budget, len(c.s.Children))
 		for i, child := range c.s.Children {
-			cc := &dagCtrl{run: r, s: child, parent: c, stageIdx: i}
+			cc := r.newCtrl(dagCtrl{s: child, parent: c, stageIdx: i})
 			r.releaseStruct(cc, now, a.Virtual, budget, boost || a.Boost, pred)
 		}
 	case task.StructCluster:
@@ -208,7 +300,7 @@ func (r *dagRun) releaseDagStage(c *dagCtrl, now simtime.Time, pred *task.Task) 
 	}
 	dl := r.m.ssp.AssignSerial(now, c.vdl, pexs)
 	r.m.putPex(pexs)
-	cc := &dagCtrl{run: r, s: c.s.Children[i], parent: c, stageIdx: i}
+	cc := r.newCtrl(dagCtrl{s: c.s.Children[i], parent: c, stageIdx: i})
 	r.releaseStruct(cc, now, dl, c.vdl, c.boost, pred)
 }
 
@@ -218,18 +310,20 @@ func (r *dagRun) releaseCluster(c *dagCtrl, now simtime.Time, pred *task.Task) {
 	st := c.s
 	c.down = st.MemberDown()
 	c.groups = st.ClusterGroups()
-	c.groupOf = make(map[*task.DagNode]int, len(st.Members))
 	for gi, g := range c.groups {
 		for _, mb := range g {
-			c.groupOf[mb] = gi
+			r.groupOf[mb.ID()] = gi
 		}
 	}
-	c.pending = make([]int, len(c.groups))
+	at := len(r.pending)
+	r.pending = r.pending[:at+len(c.groups)]
+	c.pending = r.pending[at:len(r.pending):len(r.pending)]
 	for gi, g := range c.groups {
 		// All group members share one predecessor set; count its in-cluster
 		// part off the first member.
+		c.pending[gi] = 0
 		for _, p := range g[0].Preds() {
-			if _, in := c.down[p]; in {
+			if c.down[p.ID()] != task.NotMember {
 				c.pending[gi]++
 			}
 		}
@@ -251,16 +345,22 @@ func (r *dagRun) releaseGroup(c *dagCtrl, gi int, now simtime.Time, pred *task.T
 		return
 	}
 	g := c.groups[gi]
-	pexs := sda.ClusterStagePexs(g, c.down)
+	pexs := sda.ClusterStagePexs(r.m.pexScratch(), g, c.down)
 	dl := r.m.ssp.AssignSerial(now, c.vdl, pexs)
+	r.m.putPex(pexs)
+	r.releasing++
 	if len(g) > 1 {
 		a := r.m.psp.AssignParallel(now, dl, len(g))
 		for _, mb := range g {
 			r.releaseMember(c, mb, now, a.Virtual, dl, c.boost || a.Boost, pred)
 		}
-		return
+	} else {
+		r.releaseMember(c, g[0], now, dl, c.vdl, c.boost, pred)
 	}
-	r.releaseMember(c, g[0], now, dl, c.vdl, c.boost, pred)
+	r.releasing--
+	if r.over {
+		r.retire()
+	}
 }
 
 // releaseMember submits one cluster vertex with a freshly assigned virtual
@@ -276,7 +376,7 @@ func (r *dagRun) releaseMember(c *dagCtrl, mb *task.DagNode, now, vdl, parentBud
 	if pred != nil {
 		r.m.cause("pred", pred, t, r.root)
 	}
-	r.submitDagLeaf(&dagCtrl{run: r, parent: c, member: mb}, t)
+	r.submitDagLeaf(r.newCtrl(dagCtrl{parent: c, member: mb}), t)
 }
 
 // ItemDone implements node.Hooks: the vertex finished service.
@@ -299,6 +399,9 @@ func (c *dagCtrl) ItemLocalAbort(ab *node.Item, at simtime.Time) {
 
 // submitDagLeaf sends a vertex subtask to its node.
 func (r *dagRun) submitDagLeaf(c *dagCtrl, t *task.Task) {
+	if r.over {
+		r.orphaned = true
+	}
 	c.t = t
 	nd := r.m.nodes[t.Node]
 	it := nd.AcquireItem(t)
@@ -333,10 +436,10 @@ func (r *dagRun) memberFinished(cl *dagCtrl, mb *task.DagNode, at simtime.Time) 
 	// may hold several successors of mb).
 	seen := r.seenBuf[:0]
 	for _, s := range mb.Succs() {
-		if _, in := cl.down[s]; !in {
+		if cl.down[s.ID()] == task.NotMember {
 			continue
 		}
-		gi := cl.groupOf[s]
+		gi := r.groupOf[s.ID()]
 		dup := false
 		for _, x := range seen {
 			if x == gi {
@@ -426,9 +529,10 @@ func (r *dagRun) resubmit(c *dagCtrl, t *task.Task, it *node.Item, now simtime.T
 func (r *dagRun) reassign(c *dagCtrl, now simtime.Time) (simtime.Time, bool) {
 	if c.member != nil {
 		cl := c.parent
-		g := cl.groups[cl.groupOf[c.member]]
-		pexs := sda.ClusterStagePexs(g, cl.down)
+		g := cl.groups[r.groupOf[c.member.ID()]]
+		pexs := sda.ClusterStagePexs(r.m.pexScratch(), g, cl.down)
 		dl := r.m.ssp.AssignSerial(now, cl.vdl, pexs)
+		r.m.putPex(pexs)
 		if len(g) > 1 {
 			a := r.m.psp.AssignParallel(now, dl, len(g))
 			return a.Virtual, cl.boost || a.Boost
@@ -458,15 +562,19 @@ func (r *dagRun) reassign(c *dagCtrl, now simtime.Time) (simtime.Time, bool) {
 	}
 }
 
-// complete closes out a successfully finished DAG run.
+// complete closes out a successfully finished DAG run. The run is
+// retired before the recorders fire; callers up the completion chain must
+// not touch it afterwards.
 func (r *dagRun) complete(at simtime.Time) {
 	r.over = true
-	r.root.Finish = at
-	r.m.eng.Cancel(r.timer)
-	missed := at.After(r.root.RealDeadline)
-	r.m.rec.RecordGlobal(r.root, missed)
-	if dr := r.m.dagOutcome; dr != nil {
-		dr.RecordDagOutcome(r.dag, r.root, missed)
+	m, d, root := r.m, r.dag, r.root
+	root.Finish = at
+	m.eng.Cancel(r.timer)
+	r.retire()
+	missed := at.After(root.RealDeadline)
+	m.rec.RecordGlobal(root, missed)
+	if dr := m.dagOutcome; dr != nil {
+		dr.RecordDagOutcome(d, root, missed)
 	}
 }
 
@@ -500,17 +608,19 @@ func (r *dagRun) abortAll() {
 		r.m.nodes[it.Task.Node].RecycleItem(it)
 	}
 	r.reap = r.reap[:0]
-	r.live = nil
-	for _, n := range r.dag.Nodes() {
+	r.live = r.live[:0]
+	m, d, root := r.m, r.dag, r.root
+	for _, n := range d.Nodes() {
 		// Never released: no virtual deadline was ever assigned.
 		if t := n.Task; !t.Finished() && t.VirtualDeadline.IsNever() {
 			t.Aborted = true
-			r.m.cause("abort", r.root, t, r.root)
+			m.cause("abort", root, t, root)
 		}
 	}
-	r.root.Aborted = true
-	r.m.rec.RecordGlobal(r.root, true)
-	if dr := r.m.dagOutcome; dr != nil {
-		dr.RecordDagOutcome(r.dag, r.root, true)
+	root.Aborted = true
+	r.retire()
+	m.rec.RecordGlobal(root, true)
+	if dr := m.dagOutcome; dr != nil {
+		dr.RecordDagOutcome(d, root, true)
 	}
 }

@@ -290,6 +290,52 @@ func TestSubmitDagHopelessResubmitAborts(t *testing.T) {
 	}
 }
 
+// TestSubmitDagAbortMidGroupNotRecycled covers the one way a DAG run can
+// end while a release is still in progress. The sibling group {b, c} is
+// released after the cluster deadline: b is local-aborted the moment it
+// reaches its idle node, its resubmission is hopeless and aborts the run,
+// and the release then still submits c, which queues behind a long local
+// task and calls back much later. The run must stay out of the pool, or
+// that late callback would land in whichever DAG reused it.
+func TestSubmitDagAbortMidGroupNotRecycled(t *testing.T) {
+	eng, _, m, rec := rig(t, 4, sda.SerialUD{}, sda.UD{}, nil, node.WithLocalAbort())
+	first := task.MustParseDag("a@0:5 b@1:1 c@2:1 d@1:1 e@2:1 f@0:1 ; a>b a>c b>d b>e c>d c>e d>f e>f a>f")
+	first.Name = "first"
+	first.Root().RealDeadline = 2
+	blocker := task.MustSimple("L", 2, 100)
+	blocker.RealDeadline = 1e6
+	if err := m.SubmitLocal(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SubmitDag(first); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(6)
+	if g, ok := rec.find("global", "first"); !ok || !g.missed {
+		t.Fatalf("first global record = %+v, want missed", g)
+	}
+	if len(m.dagPool) != 0 {
+		t.Fatalf("run with a vertex still queued was recycled (pool %d)", len(m.dagPool))
+	}
+
+	second := task.MustParseDag("x@3:200")
+	second.Name = "second"
+	second.Root().RealDeadline = eng.Now().Add(1000)
+	if err := m.SubmitDag(second); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run() // c's late local abort fires at t=100, mid second run
+	if g, ok := rec.find("global", "second"); !ok || g.missed || g.finish != 206 {
+		t.Fatalf("second global record = %+v, want hit at 206", g)
+	}
+	if n := rec.count("global"); n != 2 {
+		t.Errorf("global records = %d, want 2", n)
+	}
+	if len(m.dagPool) != 1 {
+		t.Errorf("pool after the second run = %d, want 1", len(m.dagPool))
+	}
+}
+
 func TestSubmitDagErrors(t *testing.T) {
 	_, _, m, _ := rig(t, 1, sda.SerialUD{}, sda.UD{}, nil)
 	if err := m.SubmitDag(nil); err == nil {

@@ -217,6 +217,7 @@ type Manager struct {
 	// The engine is single-goroutine, so plain slices suffice.
 	localPool []*localRun
 	runPool   []*run
+	dagPool   []*dagRun
 	pexBuf    []simtime.Duration
 }
 

@@ -93,11 +93,11 @@ func planCluster(s *task.Structure, ar simtime.Time, deadline simtime.Time, ssp 
 		// cluster.
 		release := ar
 		for _, p := range g[0].Preds() {
-			if _, in := down[p]; in {
+			if down[p.ID()] != task.NotMember {
 				release = release.Max(p.Task.VirtualDeadline)
 			}
 		}
-		pexs := ClusterStagePexs(g, down)
+		pexs := ClusterStagePexs(nil, g, down)
 		dl := ssp.AssignSerial(release, deadline, pexs)
 		if len(g) > 1 {
 			a := psp.AssignParallel(release, dl, len(g))
@@ -116,44 +116,46 @@ func planCluster(s *task.Structure, ar simtime.Time, deadline simtime.Time, ssp 
 	}
 }
 
-// ClusterStagePexs returns the SSP strategy's view of the remaining
-// "stages" when the sibling group g of a cluster becomes executable: the
-// group's own predicted execution time (the max over members, as for a
-// parallel composition) followed by the per-vertex chain of the heaviest
-// predicted path through the group's in-cluster successors. down must be
-// the cluster's Structure.MemberDown map; its key set defines cluster
-// membership. The process manager uses the same view online, at actual
-// release instants.
-func ClusterStagePexs(g []*task.DagNode, down map[*task.DagNode]simtime.Duration) []simtime.Duration {
+// ClusterStagePexs appends to dst the SSP strategy's view of the
+// remaining "stages" when the sibling group g of a cluster becomes
+// executable: the group's own predicted execution time (the max over
+// members, as for a parallel composition) followed by the per-vertex chain
+// of the heaviest predicted path through the group's in-cluster
+// successors. down must be the cluster's Structure.MemberDown slice; its
+// entries other than task.NotMember define cluster membership. Passing a
+// reused dst makes the call allocation-free. The process manager uses the
+// same view online, at actual release instants.
+func ClusterStagePexs(dst []simtime.Duration, g []*task.DagNode, down []simtime.Duration) []simtime.Duration {
 	var groupPex simtime.Duration
 	for _, m := range g {
 		groupPex = groupPex.Max(m.Task.Pex)
 	}
-	pexs := []simtime.Duration{groupPex}
+	dst = append(dst, groupPex)
 	// Follow the heaviest remaining chain: from the group, repeatedly step
 	// to the in-cluster successor with the largest down-weight (smallest
 	// id on ties, for determinism).
-	cur := bestSucc(g, down)
-	for cur != nil {
-		pexs = append(pexs, cur.Task.Pex)
-		cur = bestSucc([]*task.DagNode{cur}, down)
+	var cur *task.DagNode
+	for _, m := range g {
+		cur = bestSucc(cur, m, down)
 	}
-	return pexs
+	for cur != nil {
+		dst = append(dst, cur.Task.Pex)
+		cur = bestSucc(nil, cur, down)
+	}
+	return dst
 }
 
-// bestSucc picks the in-cluster successor of any node in from with the
-// heaviest remaining predicted path, or nil if none exists.
-func bestSucc(from []*task.DagNode, down map[*task.DagNode]simtime.Duration) *task.DagNode {
-	var best *task.DagNode
-	for _, v := range from {
-		for _, s := range v.Succs() {
-			w, in := down[s]
-			if !in {
-				continue
-			}
-			if best == nil || w > down[best] || (w == down[best] && s.ID() < best.ID()) {
-				best = s
-			}
+// bestSucc returns whichever of best and the in-cluster successors of v
+// has the heaviest remaining predicted path (smallest id on ties); best
+// may be nil, and the result is nil if neither yields a candidate.
+func bestSucc(best, v *task.DagNode, down []simtime.Duration) *task.DagNode {
+	for _, s := range v.Succs() {
+		w := down[s.ID()]
+		if w == task.NotMember {
+			continue
+		}
+		if best == nil || w > down[best.ID()] || (w == down[best.ID()] && s.ID() < best.ID()) {
+			best = s
 		}
 	}
 	return best

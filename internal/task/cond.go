@@ -57,15 +57,16 @@ const BranchProbTol = 1e-9
 type CondDag struct {
 	dag *Dag
 	// probs[n.id] is non-nil iff vertex n is conditional; it then holds
-	// one probability per out-edge, parallel to n.Succs().
-	probs map[int][]float64
+	// one probability per out-edge, parallel to n.Succs(). The slice grows
+	// on demand, so vertices added after NewCondDag need no bookkeeping.
+	probs [][]float64
 }
 
 // NewCondDag wraps a DAG with (initially empty) conditional annotations.
 // The CondDag shares the underlying graph; callers must not add vertices
 // or edges after marking branch points (Validate re-checks arity).
 func NewCondDag(d *Dag) *CondDag {
-	return &CondDag{dag: d, probs: make(map[int][]float64)}
+	return &CondDag{dag: d}
 }
 
 // Dag returns the underlying full graph (every vertex, every edge).
@@ -93,6 +94,9 @@ func (cd *CondDag) SetBranch(n *DagNode, probs []float64) error {
 	}
 	cp := make([]float64, len(probs))
 	copy(cp, probs)
+	if n.id >= len(cd.probs) {
+		cd.probs = append(cd.probs, make([][]float64, n.id+1-len(cd.probs))...)
+	}
 	cd.probs[n.id] = cp
 	return nil
 }
@@ -116,28 +120,46 @@ func checkBranchProbs(name string, probs []float64) error {
 // n.Succs()) and whether n is a conditional branch point. The slice is
 // owned by the CondDag; callers must not mutate it.
 func (cd *CondDag) Branch(n *DagNode) ([]float64, bool) {
-	p, ok := cd.probs[n.id]
-	return p, ok
+	p := cd.branch(n.id)
+	return p, p != nil
+}
+
+// branch returns the branch probabilities of the vertex with the given
+// id, or nil if it is unconditional.
+func (cd *CondDag) branch(id int) []float64 {
+	if id < len(cd.probs) {
+		return cd.probs[id]
+	}
+	return nil
 }
 
 // Conditional reports whether vertex n is a conditional branch point.
-func (cd *CondDag) Conditional(n *DagNode) bool {
-	_, ok := cd.probs[n.id]
-	return ok
-}
+func (cd *CondDag) Conditional(n *DagNode) bool { return cd.branch(n.id) != nil }
 
 // CondCount returns the number of conditional branch points.
-func (cd *CondDag) CondCount() int { return len(cd.probs) }
+func (cd *CondDag) CondCount() int {
+	n := 0
+	for _, p := range cd.probs {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // Validate checks the underlying DAG and every branch annotation: arity
 // still matches the out-edge count (edges added after SetBranch are a
 // structural error), probabilities in (0, 1], sums within BranchProbTol
-// of 1.
+// of 1. Branch points are checked in vertex id order, so when several
+// are bad the error always names the one with the smallest id.
 func (cd *CondDag) Validate() error {
 	if err := cd.dag.Validate(); err != nil {
 		return err
 	}
 	for id, probs := range cd.probs {
+		if probs == nil {
+			continue
+		}
 		n := cd.dag.nodes[id]
 		if len(probs) != len(n.succs) {
 			return fmt.Errorf("%w: %q has %d out-edges but %d probabilities",
@@ -177,12 +199,19 @@ func (cd *CondDag) realize(topo []*DagNode, choose func(n *DagNode, probs []floa
 		if !active[v.id] {
 			continue
 		}
-		if probs, ok := cd.probs[v.id]; ok {
+		if probs := cd.branch(v.id); probs != nil {
 			taken[v.id] = choose(v, probs)
 		}
 	}
 
 	out := NewDag(cd.dag.Name)
+	live := 0
+	for _, on := range active {
+		if on {
+			live++
+		}
+	}
+	out.Grow(live, 0)
 	clone := make([]*DagNode, n)
 	for _, v := range cd.dag.nodes { // id order keeps realizations canonical
 		if !active[v.id] {

@@ -101,6 +101,40 @@ func TestCondValidateDetectsLateEdges(t *testing.T) {
 	}
 }
 
+// TestCondValidateErrorIsDeterministic breaks two branch points of one
+// graph at once: Validate must report the same one — the smaller vertex
+// id — on every call, not whichever a map iteration happens to visit
+// first.
+func TestCondValidateErrorIsDeterministic(t *testing.T) {
+	d := MustParseDag("p q a b c ; p>a q>b")
+	p, q := d.Nodes()[0], d.Nodes()[1]
+	cd := NewCondDag(d)
+	// Mark q first, so insertion order cannot explain a stable answer.
+	for _, n := range []*DagNode{q, p} {
+		if err := cd.SetBranch(n, []float64{1}); err != nil {
+			t.Fatalf("SetBranch(%s): %v", n.Task.Name, err)
+		}
+	}
+	d.MustAddEdge(q, d.Nodes()[4])
+	d.MustAddEdge(p, d.Nodes()[4])
+	first := cd.Validate()
+	if !errors.Is(first, ErrBranchArity) {
+		t.Fatalf("Validate = %v, want ErrBranchArity", first)
+	}
+	want := `task: branch probabilities must cover every out-edge: "p" has 2 out-edges but 1 probabilities`
+	if first.Error() != want {
+		t.Fatalf("Validate = %q, want %q", first, want)
+	}
+	for i := 0; i < 200; i++ {
+		if err := cd.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate = %v, want %q", i, err, want)
+		}
+	}
+	if cd.CondCount() != 2 {
+		t.Errorf("CondCount = %d, want 2", cd.CondCount())
+	}
+}
+
 func TestRealizationsDiamond(t *testing.T) {
 	cd := condDiamond(t, 0.3)
 	reals, err := cd.Realizations(0)

@@ -149,7 +149,7 @@ func (cd *CondDag) String() string {
 		}
 		edges := make([]edge, 0, d.edges)
 		for _, n := range d.nodes {
-			probs := cd.probs[n.id]
+			probs := cd.branch(n.id)
 			for si, s := range n.succs {
 				pr := -1.0
 				if probs != nil {

@@ -3,7 +3,7 @@ package task
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/simtime"
 )
@@ -47,25 +47,70 @@ func (n *DagNode) ID() int { return n.id }
 
 // Preds returns the node's direct predecessors. The slice is owned by the
 // DAG; callers must not mutate it.
-func (n *DagNode) Preds() []*DagNode { return n.preds }
+func (n *DagNode) Preds() []*DagNode { return n.preds[:len(n.preds):len(n.preds)] }
 
 // Succs returns the node's direct successors. The slice is owned by the
 // DAG; callers must not mutate it.
-func (n *DagNode) Succs() []*DagNode { return n.succs }
+func (n *DagNode) Succs() []*DagNode { return n.succs[:len(n.succs):len(n.succs)] }
 
 // Dag is a precedence DAG over simple subtasks. Build one with NewDag,
 // AddTask and AddEdge (or ParseDag / FromTree) and check it with Validate.
+//
+// Vertices and adjacency lists are carved from per-DAG chunks rather than
+// allocated one by one; Grow sizes the chunks up front when the shape is
+// known. A DAG's vertices are never shared with or recycled into another
+// DAG, so their identity is stable for the DAG's whole life.
 type Dag struct {
 	Name string
 
 	nodes []*DagNode
 	edges int
 
-	root *Task // lazily built accounting root, see Root
+	spare []DagNode  // unused vertex records, handed out by AddTask
+	adj   []*DagNode // adjacency arena; preds and succs lists are carved from it
+
+	root *Task      // lazily built accounting root, see Root
+	topo []*DagNode // memoized topological order, see TopoOrder; nil when stale
 }
 
 // NewDag returns an empty DAG.
 func NewDag(name string) *Dag { return &Dag{Name: name} }
+
+// Grow reserves room for at least nodes more vertices and edges more
+// edges, so that adding them allocates no vertex records or adjacency
+// lists. It is only a hint; building past it stays correct.
+func (d *Dag) Grow(nodes, edges int) {
+	if nodes > 0 {
+		d.nodes = slices.Grow(d.nodes, nodes)
+		if len(d.spare) < nodes {
+			d.spare = make([]DagNode, nodes)
+		}
+	}
+	// Each edge adds one successor and one predecessor entry, and a list
+	// of final length L occupies under 4L arena entries once its doublings
+	// are counted, so 8 entries per edge always suffice.
+	if need := 8 * edges; edges > 0 && cap(d.adj)-len(d.adj) < need {
+		d.adj = make([]*DagNode, 0, need)
+	}
+}
+
+// appendAdj appends v to list, an adjacency list of d. A full list moves
+// to twice its capacity carved from the adjacency arena, so lists share a
+// few large allocations instead of growing one by one. Carved lists are
+// capacity-capped: one list can never append into another's entries.
+func (d *Dag) appendAdj(list []*DagNode, v *DagNode) []*DagNode {
+	if len(list) < cap(list) {
+		return append(list, v)
+	}
+	size := max(2, 2*cap(list))
+	if cap(d.adj)-len(d.adj) < size {
+		d.adj = make([]*DagNode, 0, max(64, 4*size))
+	}
+	i := len(d.adj)
+	d.adj = d.adj[:i+size]
+	grown := append(d.adj[i:i:i+size], list...)
+	return append(grown, v)
+}
 
 // AddTask appends a simple subtask as a new DAG vertex. Node names need
 // not be unique in general, but ParseDag/String round trips require them
@@ -77,9 +122,15 @@ func (d *Dag) AddTask(t *Task) (*DagNode, error) {
 	if !t.IsSimple() {
 		return nil, fmt.Errorf("%w: %q", ErrNotSimple, t.Name)
 	}
-	n := &DagNode{Task: t, dag: d, id: len(d.nodes)}
+	if len(d.spare) == 0 {
+		d.spare = make([]DagNode, max(4, len(d.nodes)))
+	}
+	n := &d.spare[0]
+	d.spare = d.spare[1:]
+	*n = DagNode{Task: t, dag: d, id: len(d.nodes)}
 	d.nodes = append(d.nodes, n)
 	d.root = nil
+	d.topo = nil
 	return n, nil
 }
 
@@ -109,9 +160,10 @@ func (d *Dag) AddEdge(from, to *DagNode) error {
 			return fmt.Errorf("%w: %q -> %q", ErrDupEdge, from.Task.Name, to.Task.Name)
 		}
 	}
-	from.succs = append(from.succs, to)
-	to.preds = append(to.preds, from)
+	from.succs = d.appendAdj(from.succs, to)
+	to.preds = d.appendAdj(to.preds, from)
 	d.edges++
+	d.topo = nil
 	return nil
 }
 
@@ -156,39 +208,46 @@ func (d *Dag) Sinks() []*DagNode {
 
 // TopoOrder returns the vertices in a deterministic topological order
 // (Kahn's algorithm, smallest id first among the ready set), or ErrCycle.
+// The order is computed once and memoized until the next AddTask or
+// AddEdge, so Validate, Decompose and the path and shape queries share
+// it. The slice is owned by the DAG; callers must not mutate it.
 func (d *Dag) TopoOrder() ([]*DagNode, error) {
-	indeg := make([]int, len(d.nodes))
-	for _, n := range d.nodes {
-		indeg[n.id] = len(n.preds)
+	if d.topo != nil || len(d.nodes) == 0 {
+		return d.topo, nil
+	}
+	n := len(d.nodes)
+	sc := getScratch(n)
+	defer putScratch(sc)
+	indeg := sc.ints[:n]
+	for _, v := range d.nodes {
+		indeg[v.id] = len(v.preds)
 	}
 	// The ready set is kept sorted by id; graphs here are small (tens of
 	// nodes), so the O(n log n) insertions are immaterial.
-	var ready []int
-	for _, n := range d.nodes {
-		if indeg[n.id] == 0 {
-			ready = append(ready, n.id)
+	ready := sc.ints[n:n]
+	for _, v := range d.nodes {
+		if indeg[v.id] == 0 {
+			ready = append(ready, v.id) // ids ascend: already sorted
 		}
 	}
-	sort.Ints(ready)
-	out := make([]*DagNode, 0, len(d.nodes))
+	out := make([]*DagNode, 0, n)
 	for len(ready) > 0 {
 		id := ready[0]
 		ready = ready[1:]
-		n := d.nodes[id]
-		out = append(out, n)
-		for _, s := range n.succs {
+		v := d.nodes[id]
+		out = append(out, v)
+		for _, s := range v.succs {
 			indeg[s.id]--
 			if indeg[s.id] == 0 {
-				i := sort.SearchInts(ready, s.id)
-				ready = append(ready, 0)
-				copy(ready[i+1:], ready[i:])
-				ready[i] = s.id
+				i, _ := slices.BinarySearch(ready, s.id)
+				ready = slices.Insert(ready, i, s.id)
 			}
 		}
 	}
-	if len(out) != len(d.nodes) {
+	if len(out) != n {
 		return nil, ErrCycle
 	}
+	d.topo = out
 	return out, nil
 }
 
@@ -215,44 +274,28 @@ func (d *Dag) Validate() error {
 	return nil
 }
 
-// longestPath runs the longest-path DP over a topological order with the
-// given per-node weight, returning the per-node "down" values (weight of
-// the heaviest path starting at each node, inclusive) and the maximum.
-func (d *Dag) longestPath(topo []*DagNode, weight func(*Task) simtime.Duration) ([]simtime.Duration, simtime.Duration) {
-	down := make([]simtime.Duration, len(d.nodes))
-	var longest simtime.Duration
-	for i := len(topo) - 1; i >= 0; i-- {
-		n := topo[i]
-		var best simtime.Duration
-		for _, s := range n.succs {
-			best = best.Max(down[s.id])
-		}
-		down[n.id] = weight(n.Task) + best
-		longest = longest.Max(down[n.id])
-	}
-	return down, longest
-}
-
 // CriticalPath returns the execution time of the longest path through the
 // DAG — the generalization of the tree CriticalPath (sum over series, max
 // over parallel branches).
 func (d *Dag) CriticalPath() simtime.Duration {
-	topo, err := d.TopoOrder()
-	if err != nil {
-		return 0
-	}
-	_, cp := d.longestPath(topo, func(t *Task) simtime.Duration { return t.Exec })
-	return cp
+	return d.longestPath(func(t *Task) simtime.Duration { return t.Exec })
 }
 
 // PredictedCriticalPath is CriticalPath over Pex instead of Exec.
 func (d *Dag) PredictedCriticalPath() simtime.Duration {
+	return d.longestPath(func(t *Task) simtime.Duration { return t.Pex })
+}
+
+// longestPath returns the weight of the heaviest path through the DAG,
+// or 0 for a cyclic graph: the cluster DP with every vertex a member.
+func (d *Dag) longestPath(weight func(*Task) simtime.Duration) simtime.Duration {
 	topo, err := d.TopoOrder()
 	if err != nil {
 		return 0
 	}
-	_, pcp := d.longestPath(topo, func(t *Task) simtime.Duration { return t.Pex })
-	return pcp
+	sc := getScratch(len(d.nodes))
+	defer putScratch(sc)
+	return memberDown(topo, weight, sc.dur[:len(d.nodes)])
 }
 
 // TotalWork returns the sum of execution times over all vertices.
@@ -325,6 +368,7 @@ func (d *Dag) Width() int {
 // placement.
 func (d *Dag) Clone() *Dag {
 	c := NewDag(d.Name)
+	c.Grow(len(d.nodes), d.edges)
 	for _, n := range d.nodes {
 		c.MustAddTask(n.Task.Clone())
 	}

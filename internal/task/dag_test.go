@@ -54,6 +54,62 @@ func TestDagCycleDetected(t *testing.T) {
 	}
 }
 
+// TestTopoOrderMemoInvalidated checks that the memoized topological order
+// never outlives a structural change: an edge that reorders the graph, a
+// new vertex, and finally an edge that closes a cycle, each added after
+// the order (and everything sharing it) was computed.
+func TestTopoOrderMemoInvalidated(t *testing.T) {
+	order := func(d *Dag) string {
+		t.Helper()
+		topo, err := d.TopoOrder()
+		if err != nil {
+			t.Fatalf("TopoOrder: %v", err)
+		}
+		var names []string
+		for _, n := range topo {
+			names = append(names, n.Task.Name)
+		}
+		return strings.Join(names, " ")
+	}
+	d := NewDag("memo")
+	a := d.MustAddTask(MustSimple("a", 0, 1))
+	b := d.MustAddTask(MustSimple("b", 0, 2))
+	if got := order(d); got != "a b" {
+		t.Fatalf("TopoOrder = %q, want \"a b\"", got)
+	}
+	if got := d.CriticalPath(); got != 2 {
+		t.Fatalf("CriticalPath = %v, want 2", got)
+	}
+	d.MustAddEdge(b, a)
+	if got := order(d); got != "b a" {
+		t.Errorf("after b>a: TopoOrder = %q, want \"b a\"", got)
+	}
+	if got := d.CriticalPath(); got != 3 {
+		t.Errorf("after b>a: CriticalPath = %v, want 3", got)
+	}
+	c := d.MustAddTask(MustSimple("c", 0, 4))
+	if got := order(d); got != "b a c" {
+		t.Errorf("after AddTask: TopoOrder = %q, want \"b a c\"", got)
+	}
+	if _, err := d.Decompose(); err != nil {
+		t.Fatalf("Decompose: %v", err)
+	}
+	d.MustAddEdge(a, c)
+	d.MustAddEdge(c, b) // b > a > c > b
+	if _, err := d.TopoOrder(); !errors.Is(err, ErrCycle) {
+		t.Errorf("after closing a cycle: TopoOrder = %v, want ErrCycle", err)
+	}
+	if err := d.Validate(); !errors.Is(err, ErrCycle) {
+		t.Errorf("after closing a cycle: Validate = %v, want ErrCycle", err)
+	}
+	if _, err := d.Decompose(); !errors.Is(err, ErrCycle) {
+		t.Errorf("after closing a cycle: Decompose = %v, want ErrCycle", err)
+	}
+	if got := d.CriticalPath(); got != 0 {
+		t.Errorf("after closing a cycle: CriticalPath = %v, want 0", got)
+	}
+}
+
 // diamond builds a@0:1 -> {b@1:2, c@2:4} -> d@0:1.
 func diamond(t *testing.T) *Dag {
 	t.Helper()
@@ -363,7 +419,7 @@ func TestMemberDown(t *testing.T) {
 	down := st.MemberDown()
 	want := map[string]simtime.Duration{"a": 5, "b": 10, "c": 4, "d": 8}
 	for _, m := range st.Members {
-		if got := down[m]; got != want[m.Task.Name] {
+		if got := down[m.ID()]; got != want[m.Task.Name] {
 			t.Errorf("down[%s] = %v, want %v", m.Task.Name, got, want[m.Task.Name])
 		}
 	}

@@ -2,7 +2,8 @@ package task
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/simtime"
 )
@@ -67,6 +68,11 @@ type Structure struct {
 // is deterministic: serial stages appear in precedence order, parallel
 // branches in order of their smallest vertex id, cluster members in the
 // DAG's canonical topological order.
+//
+// The structure nodes, child lists and cluster member lists are carved
+// from a few arenas sized to the DAG, and the walks run on pooled scratch
+// indexed by vertex id, so a decomposition costs a handful of allocations
+// whatever its shape.
 func (d *Dag) Decompose() (*Structure, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -75,31 +81,95 @@ func (d *Dag) Decompose() (*Structure, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.decompose(topo), nil
+	n := len(d.nodes)
+	sc := getScratch(n)
+	dc := decomposer{
+		n:  n,
+		sc: sc,
+		// A decomposition tree over n vertices has at most 2n-1 nodes.
+		structs: make([]Structure, 0, 2*n),
+		kids:    make([]*Structure, 0, 2*n),
+		bounds:  sc.bounds[:0],
+	}
+	st := dc.decompose(topo)
+	sc.bounds = dc.bounds[:0] // keep any growth for the next user
+	putScratch(sc)
+	return st, nil
+}
+
+// decomposer carries one decomposition's arenas and scratch. The arenas
+// only ever grow by carving fresh capacity-capped sub-slices, so nothing
+// handed out is overwritten; an exhausted arena falls back to the heap.
+type decomposer struct {
+	n       int // vertices in the DAG
+	sc      *scratch
+	structs []Structure
+	kids    []*Structure
+	nodes   []*DagNode
+	bounds  []int // stack of split points; see decompose
+}
+
+func (dc *decomposer) newStruct(s Structure) *Structure {
+	if len(dc.structs) == cap(dc.structs) {
+		p := new(Structure)
+		*p = s
+		return p
+	}
+	dc.structs = append(dc.structs, s)
+	return &dc.structs[len(dc.structs)-1]
+}
+
+// carveKids returns an empty child list with room for k children.
+func (dc *decomposer) carveKids(k int) []*Structure {
+	if len(dc.kids)+k > cap(dc.kids) {
+		return make([]*Structure, 0, k)
+	}
+	i := len(dc.kids)
+	dc.kids = dc.kids[:i+k]
+	return dc.kids[i : i : i+k]
+}
+
+// carveNodes returns a vertex list of length k.
+func (dc *decomposer) carveNodes(k int) []*DagNode {
+	if len(dc.nodes)+k > cap(dc.nodes) {
+		// Cluster members and parallel parts together rarely exceed 2n.
+		dc.nodes = make([]*DagNode, 0, max(k, 2*dc.n))
+	}
+	i := len(dc.nodes)
+	dc.nodes = dc.nodes[:i+k]
+	return dc.nodes[i : i+k : i+k]
 }
 
 // decompose recursively decomposes the induced subgraph whose vertices
 // are topo (a topological order of that subgraph).
-func (d *Dag) decompose(topo []*DagNode) *Structure {
+//
+// Split points are pushed onto dc.bounds before the children recurse and
+// popped afterwards; the children push above them, so the parent re-reads
+// its own entries by index after every recursive call.
+func (dc *decomposer) decompose(topo []*DagNode) *Structure {
 	if len(topo) == 1 {
-		return &Structure{Kind: StructLeaf, Node: topo[0]}
+		return dc.newStruct(Structure{Kind: StructLeaf, Node: topo[0]})
 	}
-	member := make([]bool, len(d.nodes))
-	for _, n := range topo {
-		member[n.id] = true
-	}
+	sc := dc.sc
+	member := sc.markSet(topo)
 
 	// Parallel split: weakly connected components of the induced subgraph
 	// are mutually independent, exactly like the branches of a parallel
 	// composition.
-	if parts := d.components(topo, member); len(parts) > 1 {
-		children := make([]*Structure, len(parts))
-		for i, part := range parts {
+	base := len(dc.bounds)
+	if parts, k := dc.components(topo, member); k > 1 {
+		children := dc.carveKids(k)
+		for i := 0; i < k; i++ {
+			lo := 0
+			if i > 0 {
+				lo = dc.bounds[base+i-1]
+			}
 			// A connected component can never itself split in parallel, so
 			// no flattening is needed here.
-			children[i] = d.decompose(part)
+			children = append(children, dc.decompose(parts[lo:dc.bounds[base+i]]))
 		}
-		return &Structure{Kind: StructParallel, Children: children}
+		dc.bounds = dc.bounds[:base]
+		return dc.newStruct(Structure{Kind: StructParallel, Children: children})
 	}
 
 	// Serial split: scan every prefix of the topological order. A cut P|Q
@@ -110,15 +180,13 @@ func (d *Dag) decompose(topo []*DagNode) *Structure {
 	// of P precedes each vertex of Q in every topological order), so one
 	// scan finds all stage boundaries and yields the fully flattened
 	// serial chain.
-	cuts := d.serialCuts(topo, member)
-	if len(cuts) > 0 {
-		bounds := make([]int, 0, len(cuts)+2)
-		bounds = append(bounds, 0)
-		bounds = append(bounds, cuts...)
-		bounds = append(bounds, len(topo))
-		children := make([]*Structure, 0, len(bounds)-1)
-		for i := 0; i+1 < len(bounds); i++ {
-			cs := d.decompose(topo[bounds[i]:bounds[i+1]])
+	if cuts := dc.serialCuts(topo, member); cuts > 0 {
+		dc.bounds = append(dc.bounds, len(topo))
+		children := dc.carveKids(cuts + 1)
+		lo := 0
+		for i := 0; i <= cuts; i++ {
+			hi := dc.bounds[base+i]
+			cs := dc.decompose(topo[lo:hi])
 			if cs.Kind == StructSerial {
 				// Defensive flattening; stages between consecutive cuts are
 				// serial-irreducible, so this should not trigger.
@@ -126,102 +194,129 @@ func (d *Dag) decompose(topo []*DagNode) *Structure {
 			} else {
 				children = append(children, cs)
 			}
+			lo = hi
 		}
-		return &Structure{Kind: StructSerial, Children: children}
+		dc.bounds = dc.bounds[:base]
+		return dc.newStruct(Structure{Kind: StructSerial, Children: children})
 	}
 
-	members := make([]*DagNode, len(topo))
+	members := dc.carveNodes(len(topo))
 	copy(members, topo)
-	return &Structure{Kind: StructCluster, Members: members}
+	return dc.newStruct(Structure{Kind: StructCluster, Members: members})
 }
 
-// components splits the induced subgraph into weakly connected
-// components, each returned in topological order, components ordered by
-// their smallest vertex id.
-func (d *Dag) components(topo []*DagNode, member []bool) [][]*DagNode {
-	comp := make(map[*DagNode]int, len(topo))
-	n := 0
+// components splits the induced subgraph (the vertices stamped member)
+// into weakly connected components. When there is more than one, it
+// returns the vertices regrouped by component — each component in
+// topological order, components ordered by their smallest vertex id — and
+// pushes each component's end offset onto dc.bounds. It returns the
+// number of components.
+func (dc *decomposer) components(topo []*DagNode, member uint32) ([]*DagNode, int) {
+	sc := dc.sc
+	seen := sc.next()
+	k := int32(0)
 	for _, start := range topo {
-		if _, seen := comp[start]; seen {
+		if sc.seen[start.id] == seen {
 			continue
 		}
-		queue := []*DagNode{start}
-		comp[start] = n
+		queue := append(sc.queue[:0], start)
+		sc.seen[start.id] = seen
+		sc.comp[start.id] = k
 		for len(queue) > 0 {
 			v := queue[0]
 			queue = queue[1:]
 			for _, lists := range [2][]*DagNode{v.preds, v.succs} {
 				for _, nb := range lists {
-					if !member[nb.id] {
+					if sc.mark[nb.id] != member || sc.seen[nb.id] == seen {
 						continue
 					}
-					if _, seen := comp[nb]; !seen {
-						comp[nb] = n
-						queue = append(queue, nb)
-					}
+					sc.seen[nb.id] = seen
+					sc.comp[nb.id] = k
+					queue = append(queue, nb)
 				}
 			}
 		}
-		n++
+		k++
 	}
-	parts := make([][]*DagNode, n)
-	minID := make([]int, n)
+	if k == 1 {
+		return nil, 1
+	}
+	// Components are discovered in topological order of their first
+	// vertex, not by smallest id: rank them by minimum id (an insertion
+	// sort — there are few), then bucket the vertices, keeping topological
+	// order within each component.
+	minID := sc.ints[:k]
 	for i := range minID {
 		minID[i] = int(^uint(0) >> 1)
 	}
 	for _, v := range topo {
-		c := comp[v]
-		parts[c] = append(parts[c], v)
-		if v.id < minID[c] {
+		if c := sc.comp[v.id]; v.id < minID[c] {
 			minID[c] = v.id
 		}
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	order := sc.ints[k : 2*k] // order[r] = component of rank r
+	for c := range order {
+		order[c] = c
+		for r := c; r > 0 && minID[order[r]] < minID[order[r-1]]; r-- {
+			order[r], order[r-1] = order[r-1], order[r]
+		}
 	}
-	sort.Slice(order, func(i, j int) bool { return minID[order[i]] < minID[order[j]] })
-	out := make([][]*DagNode, n)
-	for i, c := range order {
-		out[i] = parts[c]
+	// Reuse minID as the per-component write offset, by rank.
+	off := minID
+	size := sc.ints[2*k : 3*k]
+	clear(size)
+	for _, v := range topo {
+		size[sc.comp[v.id]]++
 	}
-	return out
+	at := 0
+	for _, c := range order {
+		off[c] = at
+		at += size[c]
+		dc.bounds = append(dc.bounds, at)
+	}
+	parts := dc.carveNodes(len(topo))
+	for _, v := range topo {
+		c := sc.comp[v.id]
+		parts[off[c]] = v
+		off[c]++
+	}
+	return parts, int(k)
 }
 
-// serialCuts returns every prefix length p of topo such that the cut
-// topo[:p] | topo[p:] is a valid serial boundary of the induced
-// subgraph, in increasing order.
-func (d *Dag) serialCuts(topo []*DagNode, member []bool) []int {
+// serialCuts pushes onto dc.bounds every prefix length p of topo such
+// that the cut topo[:p] | topo[p:] is a valid serial boundary of the
+// induced subgraph (the vertices stamped member), in increasing order,
+// and returns how many it pushed.
+func (dc *decomposer) serialCuts(topo []*DagNode, member uint32) int {
+	sc := dc.sc
+	inP := sc.next() // sc.inP[id] == inP: the vertex is in the prefix P
 	m := len(topo)
-	inP := make([]bool, len(d.nodes))
-	isSinkP := make([]bool, len(d.nodes))
-	isSourceQ := make([]bool, len(d.nodes))
-	var cuts []int
+	cuts := 0
 	for p := 1; p < m; p++ {
-		inP[topo[p-1].id] = true
+		sc.inP[topo[p-1].id] = inP
 		sinksP, sourcesQ := 0, 0
 		for i, v := range topo {
 			if i < p {
 				sink := true
 				for _, s := range v.succs {
-					if member[s.id] && inP[s.id] {
+					if sc.mark[s.id] == member && sc.inP[s.id] == inP {
 						sink = false
 						break
 					}
 				}
-				isSinkP[v.id] = sink
+				sc.sinkP[v.id] = sink
 				if sink {
 					sinksP++
 				}
 			} else {
 				src := true
 				for _, q := range v.preds {
-					if member[q.id] && !inP[q.id] {
+					if sc.mark[q.id] == member && sc.inP[q.id] != inP {
 						src = false
 						break
 					}
 				}
-				isSourceQ[v.id] = src
+				sc.srcQ[v.id] = src
 				if src {
 					sourcesQ++
 				}
@@ -232,11 +327,11 @@ func (d *Dag) serialCuts(topo []*DagNode, member []bool) []int {
 	scan:
 		for _, v := range topo[:p] {
 			for _, s := range v.succs {
-				if !member[s.id] || inP[s.id] {
+				if sc.mark[s.id] != member || sc.inP[s.id] == inP {
 					continue
 				}
 				crossing++
-				if !isSinkP[v.id] || !isSourceQ[s.id] {
+				if !sc.sinkP[v.id] || !sc.srcQ[s.id] {
 					valid = false
 					break scan
 				}
@@ -245,7 +340,8 @@ func (d *Dag) serialCuts(topo []*DagNode, member []bool) []int {
 		// Distinct edges within sinks(P) x sources(Q) matching the product
 		// count means the crossing set is the full bipartite graph.
 		if valid && crossing == sinksP*sourcesQ {
-			cuts = append(cuts, p)
+			dc.bounds = append(dc.bounds, p)
+			cuts++
 		}
 	}
 	return cuts
@@ -281,48 +377,59 @@ func (s *Structure) path(weight func(*Task) simtime.Duration) simtime.Duration {
 		}
 		return longest
 	case StructCluster:
-		_, longest := longestMemberPath(s.Members, weight)
+		sc := getScratch(s.Members[0].dag.Len())
+		longest := memberDown(s.Members, weight, sc.dur[:s.Members[0].dag.Len()])
+		putScratch(sc)
 		return longest
 	default:
 		return 0
 	}
 }
 
-// longestMemberPath runs the longest-path DP over the member-induced
-// subgraph (members in topological order), returning the per-member
-// "down" weights (heaviest path starting at each member, inclusive,
-// keyed by vertex) and the overall maximum.
-func longestMemberPath(members []*DagNode, weight func(*Task) simtime.Duration) (map[*DagNode]simtime.Duration, simtime.Duration) {
-	in := make(map[*DagNode]bool, len(members))
-	for _, v := range members {
-		in[v] = true
+// NotMember marks the entries of a MemberDown slice that belong to
+// vertices outside the cluster. Weights are validated non-negative, so no
+// member's entry can take this value.
+const NotMember simtime.Duration = -math.MaxFloat64
+
+// memberDown runs the longest-path DP over the member-induced subgraph
+// (members in topological order). It fills down, indexed by vertex id
+// over the whole DAG, with each member's heaviest path starting at it
+// (inclusive) and every other entry with NotMember, and returns the
+// overall maximum.
+func memberDown(members []*DagNode, weight func(*Task) simtime.Duration, down []simtime.Duration) simtime.Duration {
+	for i := range down {
+		down[i] = NotMember
 	}
-	down := make(map[*DagNode]simtime.Duration, len(members))
 	var longest simtime.Duration
 	for i := len(members) - 1; i >= 0; i-- {
 		v := members[i]
 		var best simtime.Duration
 		for _, s := range v.succs {
-			if in[s] {
-				best = best.Max(down[s])
+			// In-cluster successors come later in topological order, so
+			// their entries are already final.
+			if w := down[s.id]; w != NotMember {
+				best = best.Max(w)
 			}
 		}
-		down[v] = weight(v.Task) + best
-		longest = longest.Max(down[v])
+		down[v.id] = weight(v.Task) + best
+		longest = longest.Max(down[v.id])
 	}
-	return down, longest
+	return longest
 }
 
 // MemberDown returns the cluster's per-member heaviest remaining Pex
 // path (the member's own Pex plus the heaviest Pex path through its
-// in-cluster successors). Deadline assignment uses it to budget the
-// stages that follow a vertex inside an irreducible cluster. Panics
+// in-cluster successors), indexed by vertex id over the whole DAG;
+// entries of vertices outside the cluster hold NotMember, so the slice
+// also answers cluster membership. Deadline assignment uses it to budget
+// the stages that follow a vertex inside an irreducible cluster. Panics
 // unless s is a cluster.
-func (s *Structure) MemberDown() map[*DagNode]simtime.Duration {
+func (s *Structure) MemberDown() []simtime.Duration {
 	if s.Kind != StructCluster {
 		panic("task: MemberDown on non-cluster structure")
 	}
-	down, _ := longestMemberPath(s.Members, func(t *Task) simtime.Duration { return t.Pex })
+	down := make([]simtime.Duration, s.Members[0].dag.Len())
+	memberDown(s.Members, func(t *Task) simtime.Duration { return t.Pex }, down)
 	return down
 }
 
@@ -333,44 +440,76 @@ func (s *Structure) MemberDown() map[*DagNode]simtime.Duration {
 // to the same successors, so deadline assignment treats them like the
 // branches of a parallel composition. Groups are ordered by the
 // topological position of their first member, members within a group by
-// topological order. Panics unless s is a cluster.
+// topological order. The groups share one backing array. Panics unless s
+// is a cluster.
 func (s *Structure) ClusterGroups() [][]*DagNode {
 	if s.Kind != StructCluster {
 		panic("task: ClusterGroups on non-cluster structure")
 	}
-	in := make(map[*DagNode]bool, len(s.Members))
-	for _, v := range s.Members {
-		in[v] = true
-	}
-	sig := func(v *DagNode) string {
-		var ids []int
-		for _, p := range v.preds {
-			if in[p] {
-				ids = append(ids, p.id)
+	members := s.Members
+	m := len(members)
+	sc := getScratch(members[0].dag.Len())
+	defer putScratch(sc)
+	in := sc.markSet(members)
+
+	// A member's signature is its sorted in-cluster predecessor ids
+	// followed by its sorted in-cluster successor ids, packed into sig;
+	// member i's signature is sig[at[i]:at[i+1]], split after npred[i].
+	// Two members share a group iff both lists are equal.
+	sig := sc.ints[:0]
+	aux := sc.aux[:4*m+1]
+	at, npred, gid := aux[:m+1], aux[m+1:2*m+1], aux[2*m+1:3*m+1]
+	reps := aux[3*m+1 : 3*m+1 : 4*m+1] // reps[g]: index of group g's first member
+	for i, v := range members {
+		at[i] = len(sig)
+		sig = appendInCluster(sig, v.preds, sc.mark, in)
+		npred[i] = len(sig) - at[i]
+		sig = appendInCluster(sig, v.succs, sc.mark, in)
+		at[i+1] = len(sig)
+		gid[i] = -1
+		for g, j := range reps {
+			if npred[j] == npred[i] && slices.Equal(sig[at[j]:at[j+1]], sig[at[i]:at[i+1]]) {
+				gid[i] = g
+				break
 			}
 		}
-		sort.Ints(ids)
-		key := fmt.Sprint(ids, "|")
-		ids = ids[:0]
-		for _, c := range v.succs {
-			if in[c] {
-				ids = append(ids, c.id)
-			}
+		if gid[i] < 0 {
+			gid[i] = len(reps)
+			reps = append(reps, i)
 		}
-		sort.Ints(ids)
-		return key + fmt.Sprint(ids)
 	}
-	index := make(map[string]int)
-	var groups [][]*DagNode
-	for _, v := range s.Members {
-		k := sig(v)
-		i, ok := index[k]
-		if !ok {
-			i = len(groups)
-			index[k] = i
-			groups = append(groups, nil)
-		}
-		groups[i] = append(groups[i], v)
+	sc.ints = sig[:cap(sig)] // keep any growth for the next user
+
+	// Pack the groups into one backing array: group order is first
+	// appearance, member order topological, exactly as appending would
+	// produce.
+	groups := make([][]*DagNode, len(reps))
+	backing := make([]*DagNode, m)
+	size := at[:len(reps)] // the signatures are no longer needed
+	clear(size)
+	for _, g := range gid {
+		size[g]++
+	}
+	off := 0
+	for g := range groups {
+		groups[g] = backing[off : off : off+size[g]]
+		off += size[g]
+	}
+	for i, v := range members {
+		groups[gid[i]] = append(groups[gid[i]], v)
 	}
 	return groups
+}
+
+// appendInCluster appends the ids of the vertices of vs stamped in,
+// sorted ascending.
+func appendInCluster(dst []int, vs []*DagNode, mark []uint32, in uint32) []int {
+	start := len(dst)
+	for _, v := range vs {
+		if mark[v.id] == in {
+			dst = append(dst, v.id)
+		}
+	}
+	slices.Sort(dst[start:])
+	return dst
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/rng"
 	"repro/internal/simtime"
@@ -126,7 +127,7 @@ func (f ConditionalDag) template(stream *rng.Stream, k int, relayDraw, branchDra
 		if st%2 == 0 {
 			// Relay stage: one vertex, any node.
 			nodes := stream.Choose(k, 1)
-			leaf, err := task.NewSimple(fmt.Sprintf("r%d", st), nodes[0], relayDraw(stream))
+			leaf, err := task.NewSimple(indexedName("r", st), nodes[0], relayDraw(stream))
 			if err != nil {
 				return nil, err
 			}
@@ -151,7 +152,7 @@ func (f ConditionalDag) template(stream *rng.Stream, k int, relayDraw, branchDra
 		exits = exits[:0]
 		for g := range gates {
 			gnodes := stream.Choose(k, 1)
-			gleaf, err := task.NewSimple(fmt.Sprintf("g%d_%d", st, g), gnodes[0], branchDraw(stream))
+			gleaf, err := task.NewSimple(indexedName("g", st, g), gnodes[0], branchDraw(stream))
 			if err != nil {
 				return nil, err
 			}
@@ -165,7 +166,7 @@ func (f ConditionalDag) template(stream *rng.Stream, k int, relayDraw, branchDra
 			}
 			mnodes := stream.Choose(k, f.Width)
 			for w := 0; w < f.Width; w++ {
-				mleaf, err := task.NewSimple(fmt.Sprintf("m%d_%d_%d", st, g, w), mnodes[w], branchDraw(stream))
+				mleaf, err := task.NewSimple(indexedName("m", st, g, w), mnodes[w], branchDraw(stream))
 				if err != nil {
 					return nil, err
 				}
@@ -184,6 +185,20 @@ func (f ConditionalDag) template(stream *rng.Stream, k int, relayDraw, branchDra
 		}
 	}
 	return cd, nil
+}
+
+// indexedName returns prefix followed by the indices joined with "_", as
+// "m1_0_2" for ("m", 1, 0, 2).
+func indexedName(prefix string, idx ...int) string {
+	b := make([]byte, 0, 16)
+	b = append(b, prefix...)
+	for i, x := range idx {
+		if i > 0 {
+			b = append(b, '_')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return string(b)
 }
 
 // NewDag implements DagFactory: build the template and draw one

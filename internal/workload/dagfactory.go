@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/rng"
 	"repro/internal/task"
@@ -31,6 +32,25 @@ var (
 	_ DagFactory = ForkJoinDag{}
 )
 
+// vertexNames holds "v0", "v1", ... for the vertex counts the shipped
+// factories draw, so building a DAG allocates no name strings.
+var vertexNames = func() []string {
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = "v" + strconv.Itoa(i)
+	}
+	return names
+}()
+
+// vertexName returns the name of the id-th vertex of a generated DAG,
+// "v<id>".
+func vertexName(id int) string {
+	if id < len(vertexNames) {
+		return vertexNames[id]
+	}
+	return "v" + strconv.Itoa(id)
+}
+
 // LayeredDag builds random layered DAGs: Layers layers whose widths are
 // uniform on [MinWidth, MaxWidth], every vertex of layer i wired to at
 // least one vertex of layer i-1, and each remaining (prev, next) pair
@@ -57,7 +77,7 @@ func (f LayeredDag) NewDag(stream *rng.Stream, k int, draw ExecSampler) (*task.D
 		nodes := stream.Choose(k, width)
 		layer := make([]*task.DagNode, width)
 		for i := range layer {
-			leaf, err := task.NewSimple(fmt.Sprintf("v%d", id), nodes[i], draw(stream))
+			leaf, err := task.NewSimple(vertexName(id), nodes[i], draw(stream))
 			if err != nil {
 				return nil, err
 			}
@@ -128,50 +148,37 @@ type ForkJoinDag struct {
 	CrossProb float64 // probability of each stage-skipping edge, in [0, 1]
 }
 
-// parallelStage mirrors SerialParallel's alternation.
-func (f ForkJoinDag) parallelStage(i int) bool { return i%2 == 1 }
-
 // NewDag implements DagFactory.
 func (f ForkJoinDag) NewDag(stream *rng.Stream, k int, draw ExecSampler) (*task.Dag, error) {
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
 	d := task.NewDag("")
-	stages := make([][]*task.DagNode, f.Stages)
-	id := 0
-	for i := range stages {
-		width := 1
-		if f.parallelStage(i) {
-			width = f.Fanout
-		}
-		nodes := stream.Choose(k, width)
-		stage := make([]*task.DagNode, width)
-		for j := range stage {
-			leaf, err := task.NewSimple(fmt.Sprintf("v%d", id), nodes[j], draw(stream))
+	d.Grow(f.stageStart(f.Stages), f.maxEdges())
+	for i := 0; i < f.Stages; i++ {
+		nodes := stream.Choose(k, f.width(i))
+		for _, nd := range nodes {
+			leaf, err := task.NewSimple(vertexName(d.Len()), nd, draw(stream))
 			if err != nil {
 				return nil, err
 			}
-			id++
-			n, err := d.AddTask(leaf)
-			if err != nil {
+			if _, err := d.AddTask(leaf); err != nil {
 				return nil, err
 			}
-			stage[j] = n
 		}
 		if i > 0 {
-			for _, p := range stages[i-1] {
-				for _, n := range stage {
+			for _, p := range f.stage(d, i-1) {
+				for _, n := range f.stage(d, i) {
 					if err := d.AddEdge(p, n); err != nil {
 						return nil, err
 					}
 				}
 			}
 		}
-		stages[i] = stage
 	}
 	for i := 0; i+2 < f.Stages; i++ {
-		for _, p := range stages[i] {
-			for _, n := range stages[i+2] {
+		for _, p := range f.stage(d, i) {
+			for _, n := range f.stage(d, i+2) {
 				if stream.Float64() < f.CrossProb {
 					if err := d.AddEdge(p, n); err != nil {
 						return nil, err
@@ -181,6 +188,33 @@ func (f ForkJoinDag) NewDag(stream *rng.Stream, k int, draw ExecSampler) (*task.
 		}
 	}
 	return d, nil
+}
+
+// stageStart returns the id of the first vertex of stage i. Odd stages
+// fan out, mirroring SerialParallel's alternation, so the stages before i
+// are i/2 parallel stages of Fanout vertices and single vertices
+// otherwise. stageStart(Stages) is the vertex count.
+func (f ForkJoinDag) stageStart(i int) int { return i - i/2 + i/2*f.Fanout }
+
+// width returns the number of vertices in stage i.
+func (f ForkJoinDag) width(i int) int { return f.stageStart(i+1) - f.stageStart(i) }
+
+// stage returns the vertices of stage i of a DAG under construction;
+// vertices are added stage by stage, so every stage is an id range.
+func (f ForkJoinDag) stage(d *task.Dag, i int) []*task.DagNode {
+	return d.Nodes()[f.stageStart(i):f.stageStart(i+1)]
+}
+
+// maxEdges returns the edge count with every skip edge present.
+func (f ForkJoinDag) maxEdges() int {
+	n := 0
+	for i := 1; i < f.Stages; i++ {
+		n += f.width(i-1) * f.width(i)
+		if i >= 2 {
+			n += f.width(i-2) * f.width(i)
+		}
+	}
+	return n
 }
 
 // ExpectedWork implements DagFactory.

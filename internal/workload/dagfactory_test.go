@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -332,6 +333,29 @@ func TestNetworkPipelineNodePlacement(t *testing.T) {
 				}
 				seen[n.Node] = true
 			})
+		}
+	}
+}
+
+// TestVertexNamesMatchFormat pins the strconv-built vertex names to the
+// fmt formats they replaced, inside and beyond the cached range.
+func TestVertexNamesMatchFormat(t *testing.T) {
+	for id := 0; id < 200; id++ {
+		if got, want := vertexName(id), fmt.Sprintf("v%d", id); got != want {
+			t.Fatalf("vertexName(%d) = %q, want %q", id, got, want)
+		}
+	}
+	for st := 0; st < 12; st++ {
+		for g := 0; g < 12; g++ {
+			if got, want := indexedName("r", st), fmt.Sprintf("r%d", st); got != want {
+				t.Fatalf("indexedName = %q, want %q", got, want)
+			}
+			if got, want := indexedName("g", st, g), fmt.Sprintf("g%d_%d", st, g); got != want {
+				t.Fatalf("indexedName = %q, want %q", got, want)
+			}
+			if got, want := indexedName("m", st, g, 10+g), fmt.Sprintf("m%d_%d_%d", st, g, 10+g); got != want {
+				t.Fatalf("indexedName = %q, want %q", got, want)
+			}
 		}
 	}
 }
