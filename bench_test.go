@@ -7,6 +7,7 @@ package sda_test
 // cmd/sdaexp.
 
 import (
+	"io"
 	"runtime"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/obs/serve"
+	"repro/internal/obs/tracetree"
 	"repro/internal/procmgr"
 	"repro/internal/rng"
 	isda "repro/internal/sda"
@@ -257,6 +259,78 @@ func BenchmarkSimulationBlameOff(b *testing.B) { benchSimulationBlame(b, false) 
 // publish cadence — a windowed attribution analysis every
 // serve.DefaultEvery sampler ticks.
 func BenchmarkSimulationBlameOn(b *testing.B) { benchSimulationBlame(b, true) }
+
+// --- telemetry export -------------------------------------------------------
+
+// observedMerge runs the cell whose telemetry the export benchmarks
+// render: Table 1, DIV-1, load 0.5, four observed replications — the
+// observed-blame end-to-end workload at a tenth of its duration.
+func observedMerge(b *testing.B) *obs.Merged {
+	b.Helper()
+	cfg := sim.Default()
+	cfg.PSP = isda.MustDiv(1)
+	cfg.Spec.Load = 0.5
+	cfg.Duration = 5000
+	cfg.Replications = 4
+	cfg.Seed = 1
+	cfg.Obs = obs.Options{Enabled: true}
+	res, err := sim.Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Obs
+}
+
+// observedRecords is the span and edge stream trace-tree assembly reads.
+func observedRecords(b *testing.B) []obs.Record {
+	b.Helper()
+	snap := observedMerge(b).Snapshot()
+	return append(append([]obs.Record(nil), snap.Spans...), snap.Edges...)
+}
+
+// BenchmarkObsMergedExport measures Merged.ExportDir of a 4-replication
+// observed run: one snapshot of the fold, the span, edge and exemplar
+// JSONL, the Prometheus exposition, the dashboard and the summary.
+func BenchmarkObsMergedExport(b *testing.B) {
+	m := observedMerge(b)
+	dir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.ExportDir(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTracetreeBuild measures assembling the trace forest of a
+// 4-replication observed run from its spans and causal edges.
+func BenchmarkTracetreeBuild(b *testing.B) {
+	recs := observedRecords(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if f := tracetree.Build(recs); len(f.Trees) == 0 {
+			b.Fatal("no trace trees")
+		}
+	}
+}
+
+// BenchmarkTracetreeWrite measures rendering that forest: the tree JSONL
+// and the Chrome trace-event document, into io.Discard.
+func BenchmarkTracetreeWrite(b *testing.B) {
+	f := tracetree.Build(observedRecords(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.WriteTrees(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.WriteChrome(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkSimulationHighLoad stresses the queues at load 0.9.
 func BenchmarkSimulationHighLoad(b *testing.B) {

@@ -41,11 +41,12 @@ import (
 
 // defaultBench selects the benchmarks that guard the hot paths: the DES
 // kernel (event churn, batch bursts), the node queue, the random-number
-// streams, DAG task construction and submission, end-to-end simulation
+// streams, DAG task construction and submission, the telemetry export
+// layers (merged export, trace-tree build and write), end-to-end simulation
 // throughput, and the strategy/parse/plan micro-benchmarks. The
 // per-figure experiment benchmarks are excluded to keep the smoke run
 // short; pass -bench '.' for everything.
-const defaultBench = "BenchmarkEngineEventChurn|BenchmarkNodeQueueChurn|BenchmarkBurstArrival|BenchmarkRNG|BenchmarkDagBuild|BenchmarkDagSubmit|BenchmarkSimulation|BenchmarkStrategyAssignment|BenchmarkEQFAssignment|BenchmarkTaskParse|BenchmarkPlan"
+const defaultBench = "BenchmarkEngineEventChurn|BenchmarkNodeQueueChurn|BenchmarkBurstArrival|BenchmarkRNG|BenchmarkDagBuild|BenchmarkDagSubmit|BenchmarkObsMergedExport|BenchmarkTracetree|BenchmarkSimulation|BenchmarkStrategyAssignment|BenchmarkEQFAssignment|BenchmarkTaskParse|BenchmarkPlan"
 
 // Measurement is one benchmark's recorded metrics, keyed the way `go test
 // -bench` prints them ("ns/op", "B/op", "allocs/op", "events/op", ...).

@@ -51,10 +51,10 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("sdascen", flag.ContinueOnError)
 	var (
-		dir     = fs.String("dir", "testdata/scenarios", "directory holding scenario *.json files")
-		bless   = fs.Bool("bless", false, "rewrite the golden hash registry from this run")
-		list    = fs.Bool("list", false, "list scenarios and exit")
-		verbose = fs.Bool("v", false, "print per-scenario metrics")
+		dir      = fs.String("dir", "testdata/scenarios", "directory holding scenario *.json files")
+		bless    = fs.Bool("bless", false, "rewrite the golden hash registry from this run")
+		list     = fs.Bool("list", false, "list scenarios and exit")
+		verbose  = fs.Bool("v", false, "print per-scenario metrics")
 		obsDir   = fs.String("obs", "", "run with telemetry and export spans/metrics/timeseries/dashboard per scenario into this directory")
 		obsSpans = fs.Int("obs-max-spans", 0, "per-run span retention budget (0 = default 65536); evicted spans are counted, aggregates stay exact")
 

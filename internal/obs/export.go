@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -17,57 +19,78 @@ const (
 )
 
 // ExportDir writes the full telemetry export into dir (created if
-// missing): the span log as JSONL, the instrument catalog in Prometheus
-// text exposition format, the sampled time series as CSV, the SVG
-// dashboard, and the human-readable summary. The dashboard is skipped —
-// not an error — when the run produced nothing to plot. It returns the
-// paths written.
+// missing): the span and edge logs as JSONL, the instrument catalog in
+// Prometheus text exposition format, the sampled time series as CSV, the
+// SVG dashboard, and the human-readable summary. The dashboard is
+// skipped — not an error — when the run produced nothing to plot. It
+// returns the paths written.
 func (t *Telemetry) ExportDir(dir string) ([]string, error) {
+	files := []exportFile{
+		{SpansFile, t.WriteSpans},
+		{EdgesFile, t.WriteEdges},
+		{MetricsFile, t.WritePrometheus},
+		{TimeSeriesFile, t.WriteCSV},
+	}
+	if svg, err := t.Dashboard(); err == nil {
+		files = append(files, exportFile{DashboardFile, writeString(svg)})
+	}
+	files = append(files, exportFile{SummaryFile, writeString(t.Summary())})
+	return exportFiles(dir, files)
+}
+
+// exportFile is one file of an export bundle and the function that
+// renders it.
+type exportFile struct {
+	name  string
+	write func(w io.Writer) error
+}
+
+// writeString renders a precomputed document.
+func writeString(doc string) func(w io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := io.WriteString(w, doc)
+		return err
+	}
+}
+
+// exportBufSize is the write buffer of every exported file: JSONL
+// writers emit one short line per record, so unbuffered files would cost
+// a system call per span.
+const exportBufSize = 64 << 10
+
+// exportFiles creates dir if missing and writes each file through a
+// buffered writer, in order, stopping at the first failure. It returns
+// the paths written so far.
+func exportFiles(dir string, files []exportFile) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	var paths []string
-	write := func(name string, fn func(f *os.File) error) error {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return fmt.Errorf("obs: export %s: %w", name, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
+	paths := make([]string, 0, len(files))
+	for _, ef := range files {
+		path := filepath.Join(dir, ef.name)
+		if err := writeFile(path, ef.write); err != nil {
+			return paths, fmt.Errorf("obs: export %s: %w", ef.name, err)
 		}
 		paths = append(paths, path)
-		return nil
-	}
-	if err := write(SpansFile, func(f *os.File) error { return t.WriteSpans(f) }); err != nil {
-		return paths, err
-	}
-	if err := write(EdgesFile, func(f *os.File) error { return t.WriteEdges(f) }); err != nil {
-		return paths, err
-	}
-	if err := write(MetricsFile, func(f *os.File) error { return t.WritePrometheus(f) }); err != nil {
-		return paths, err
-	}
-	if err := write(TimeSeriesFile, func(f *os.File) error { return t.WriteCSV(f) }); err != nil {
-		return paths, err
-	}
-	if svg, err := t.Dashboard(); err == nil {
-		if err := write(DashboardFile, func(f *os.File) error {
-			_, werr := f.WriteString(svg)
-			return werr
-		}); err != nil {
-			return paths, err
-		}
-	}
-	if err := write(SummaryFile, func(f *os.File) error {
-		_, werr := f.WriteString(t.Summary())
-		return werr
-	}); err != nil {
-		return paths, err
 	}
 	return paths, nil
+}
+
+// writeFile creates path and renders it through a buffered writer,
+// flushing and closing with their errors checked.
+func writeFile(path string, render func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriterSize(f, exportBufSize)
+	if err := render(bw); err != nil {
+		f.Close()
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

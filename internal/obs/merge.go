@@ -3,8 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -261,18 +259,15 @@ func (m *Merged) Trimmed() uint64 {
 }
 
 // Snapshot returns the current aggregate (nil before shard 0 folds). The
-// returned snapshot is a copy sharing immutable backing arrays; callers
-// may read it freely while more shards fold.
+// returned snapshot is a deep copy that shares no backing array or map
+// with the fold, so callers may read it freely while more shards fold.
 func (m *Merged) Snapshot() *Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.agg == nil {
 		return nil
 	}
-	cp := *m.agg
-	cp.Spans = append([]Record(nil), m.agg.Spans...)
-	cp.Edges = append([]Record(nil), m.agg.Edges...)
-	return &cp
+	return m.agg.clone()
 }
 
 // --- merged exports ----------------------------------------------------------
@@ -297,12 +292,7 @@ func (m *Merged) WriteSpans(w io.Writer) error {
 	if s == nil {
 		return fmt.Errorf("obs: merged spans before any shard folded")
 	}
-	for i := range s.Spans {
-		if err := WriteRecord(w, s.Spans[i]); err != nil {
-			return fmt.Errorf("obs: write merged span %d: %w", i, err)
-		}
-	}
-	return nil
+	return writeRecords(w, s.Spans, "merged span")
 }
 
 // WriteEdges writes the merged causal-edge log as JSONL, in
@@ -312,12 +302,7 @@ func (m *Merged) WriteEdges(w io.Writer) error {
 	if s == nil {
 		return fmt.Errorf("obs: merged edges before any shard folded")
 	}
-	for i := range s.Edges {
-		if err := WriteRecord(w, s.Edges[i]); err != nil {
-			return fmt.Errorf("obs: write merged edge %d: %w", i, err)
-		}
-	}
-	return nil
+	return writeRecords(w, s.Edges, "merged edge")
 }
 
 // WriteExemplars writes the merged exemplar selection as JSONL.
@@ -326,9 +311,15 @@ func (m *Merged) WriteExemplars(w io.Writer) error {
 	if s == nil {
 		return fmt.Errorf("obs: merged exemplars before any shard folded")
 	}
-	for i, rec := range s.Exemplars.Records() {
-		if err := WriteRecord(w, rec); err != nil {
-			return fmt.Errorf("obs: write merged exemplar %d: %w", i, err)
+	return writeRecords(w, s.Exemplars.Records(), "merged exemplar")
+}
+
+// writeRecords writes recs as JSONL, naming the failing record by what
+// and index.
+func writeRecords(w io.Writer, recs []Record, what string) error {
+	for i := range recs {
+		if err := WriteRecord(w, recs[i]); err != nil {
+			return fmt.Errorf("obs: write %s %d: %w", what, i, err)
 		}
 	}
 	return nil
@@ -462,60 +453,24 @@ func (s *Snapshot) Dashboard() (string, error) {
 const ExemplarsFile = "exemplars.jsonl"
 
 // ExportDir writes the merged telemetry export into dir (created if
-// missing): the merged span log and exemplars as JSONL, the merged
-// instrument catalog in Prometheus format, the quantile-band SVG
-// dashboard, and the human-readable summary. It returns the paths
-// written.
+// missing): the merged span log, edge log and exemplars as JSONL, the
+// merged instrument catalog in Prometheus format, the quantile-band SVG
+// dashboard, and the human-readable summary. Every file comes from one
+// Snapshot of the fold. It returns the paths written.
 func (m *Merged) ExportDir(dir string) ([]string, error) {
 	s := m.Snapshot()
 	if s == nil {
 		return nil, fmt.Errorf("obs: merged export before any shard folded")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	var paths []string
-	write := func(name string, fn func(f *os.File) error) error {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return fmt.Errorf("obs: export %s: %w", name, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		paths = append(paths, path)
-		return nil
-	}
-	if err := write(SpansFile, func(f *os.File) error { return m.WriteSpans(f) }); err != nil {
-		return paths, err
-	}
-	if err := write(EdgesFile, func(f *os.File) error { return m.WriteEdges(f) }); err != nil {
-		return paths, err
-	}
-	if err := write(ExemplarsFile, func(f *os.File) error { return m.WriteExemplars(f) }); err != nil {
-		return paths, err
-	}
-	if err := write(MetricsFile, func(f *os.File) error { return s.Registry.WritePrometheus(f) }); err != nil {
-		return paths, err
+	files := []exportFile{
+		{SpansFile, func(w io.Writer) error { return writeRecords(w, s.Spans, "merged span") }},
+		{EdgesFile, func(w io.Writer) error { return writeRecords(w, s.Edges, "merged edge") }},
+		{ExemplarsFile, func(w io.Writer) error { return writeRecords(w, s.Exemplars.Records(), "merged exemplar") }},
+		{MetricsFile, s.Registry.WritePrometheus},
 	}
 	if svg, err := s.Dashboard(); err == nil {
-		if err := write(DashboardFile, func(f *os.File) error {
-			_, werr := f.WriteString(svg)
-			return werr
-		}); err != nil {
-			return paths, err
-		}
+		files = append(files, exportFile{DashboardFile, writeString(svg)})
 	}
-	if err := write(SummaryFile, func(f *os.File) error {
-		_, werr := f.WriteString(s.Summary())
-		return werr
-	}); err != nil {
-		return paths, err
-	}
-	return paths, nil
+	files = append(files, exportFile{SummaryFile, writeString(s.Summary())})
+	return exportFiles(dir, files)
 }

@@ -140,3 +140,53 @@ func TestMergedDuplicateShardRejected(t *testing.T) {
 		t.Fatalf("duplicate replication index must be rejected")
 	}
 }
+
+// TestMergedSnapshotIsolatedFromLaterFolds holds the aggregate after
+// shard 0 and reads it while another goroutine folds shards 1-3: the
+// snapshot must share nothing the fold writes (run under -race), and
+// its rendering must not change.
+func TestMergedSnapshotIsolatedFromLaterFolds(t *testing.T) {
+	shards := shardSnapshots(t, 4, 1<<16)
+	m := obs.NewMerged()
+	if err := m.Add(shards[0]); err != nil {
+		t.Fatal(err)
+	}
+	held := m.Snapshot()
+	render := func() string {
+		var b strings.Builder
+		if err := held.Registry.WritePrometheus(&b); err != nil {
+			t.Error(err)
+		}
+		for _, rec := range held.Exemplars.Records() {
+			if err := obs.WriteRecord(&b, rec); err != nil {
+				t.Error(err)
+			}
+		}
+		return b.String() + held.Summary()
+	}
+	want := render()
+	done := make(chan error, 1)
+	go func() {
+		for _, s := range shards[1:] {
+			if err := m.Add(s); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < 20; i++ {
+		if got := render(); got != want {
+			t.Fatalf("held snapshot changed while shards folded")
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := render(); got != want {
+		t.Fatalf("held snapshot changed after shards folded")
+	}
+	if m.Shards() != 4 {
+		t.Fatalf("folded %d shards, want 4", m.Shards())
+	}
+}

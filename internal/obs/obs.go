@@ -154,12 +154,12 @@ type Telemetry struct {
 	// predecessor still resolves; entries retire when the owning global
 	// task does. edges is a ring bounded by MaxSpans. injectID marks an
 	// open chaos-burst window (see BeginInject).
-	lastSpan     map[*task.Task]uint64
-	edges        []Record
-	estart       int
-	injectID     uint64
-	edgeUnspan   *Counter // edges dropped: endpoint task never spanned
-	edgeEvicted  *Counter // edges dropped: ring at the MaxSpans budget
+	lastSpan    map[*task.Task]uint64
+	edges       []edge
+	estart      int
+	injectID    uint64
+	edgeUnspan  *Counter // edges dropped: endpoint task never spanned
+	edgeEvicted *Counter // edges dropped: ring at the MaxSpans budget
 
 	ex *exemplarStore
 
@@ -439,35 +439,50 @@ func (t *Telemetry) RecordCause(kind string, from, to, root *task.Task) {
 	t.addEdge(kind, fid, tid, t.lastSpan[root], t.now(), to.Name)
 }
 
-// addEdge appends one edge record to the bounded edge ring, evicting the
-// oldest edge once the MaxSpans budget is reached.
-func (t *Telemetry) addEdge(kind string, from, to, root uint64, at float64, label string) {
-	rec := Record{
+// edge is the in-memory form of one causal edge: the span ids it links
+// and the instant it fired. It becomes an edge Record only on export.
+type edge struct {
+	kind, label    string
+	from, to, root uint64
+	at             float64
+}
+
+// record converts the edge to its serialized form for replication rep,
+// storing the firing instant in *at.
+func (e *edge) record(rep int, at *float64) Record {
+	*at = e.at
+	return Record{
 		Schema: SchemaVersion,
 		Type:   "edge",
-		Kind:   kind,
-		Task:   label,
+		Kind:   e.kind,
+		Task:   e.label,
 		Node:   -1,
-		ID:     to,
-		Root:   root,
-		Rep:    t.rep,
-		At:     F(at),
-		From:   from,
+		ID:     e.to,
+		Root:   e.root,
+		Rep:    rep,
+		At:     at,
+		From:   e.from,
 	}
+}
+
+// addEdge records one edge in the bounded edge ring, evicting the
+// oldest edge once the MaxSpans budget is reached.
+func (t *Telemetry) addEdge(kind string, from, to, root uint64, at float64, label string) {
+	e := edge{kind: kind, label: label, from: from, to: to, root: root, at: at}
 	if len(t.edges) < t.opts.MaxSpans {
-		t.edges = append(t.edges, rec)
+		t.edges = append(t.edges, e)
 		return
 	}
-	t.edges[t.estart] = rec
+	t.edges[t.estart] = e
 	t.estart = (t.estart + 1) % len(t.edges)
 	t.edgeEvicted.Inc()
 }
 
 // Edges returns the retained causal-edge records, oldest first.
 func (t *Telemetry) Edges() []Record {
-	out := make([]Record, 0, len(t.edges))
-	for i := 0; i < len(t.edges); i++ {
-		out = append(out, t.edges[(t.estart+i)%len(t.edges)])
+	out := make([]Record, len(t.edges))
+	for i := range out {
+		out[i] = t.edges[(t.estart+i)%len(t.edges)].record(t.rep, new(float64))
 	}
 	return out
 }

@@ -135,7 +135,8 @@ func TestSamplerArmStopsAtHorizon(t *testing.T) {
 	if err := s.arm(eng, 200); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run() // drains: the chain must terminate at the horizon
+	// Drain: the chain must terminate at the horizon.
+	eng.Run()
 	if got := s.Ticks(); got != 4 { // ticks at 50, 100, 150, 200
 		t.Fatalf("ticks = %d, want 4", got)
 	}

@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"sync"
 
+	"repro/internal/obs/jsonenc"
 	"repro/internal/task"
 )
 
@@ -88,18 +91,107 @@ type Record struct {
 func F(v float64) *float64 { return &v }
 
 // WriteRecord writes one Record as a JSON line, stamping the current
-// schema version when the caller left Schema zero.
+// schema version when the caller left Schema zero. The line is encoded
+// by AppendRecord into a pooled buffer, so a stream of calls allocates
+// nothing per record.
 func WriteRecord(w io.Writer, rec Record) error {
 	if rec.Schema == 0 {
 		rec.Schema = SchemaVersion
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
+	bp := lineBufs.Get().(*[]byte)
+	b, err := AppendRecord((*bp)[:0], &rec)
+	if err == nil {
+		b = append(b, '\n')
+		_, err = w.Write(b)
 	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
+	*bp = b
+	lineBufs.Put(bp)
 	return err
+}
+
+// lineBufs recycles WriteRecord's line buffers.
+var lineBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+// recordFloatKeys are the JSON keys of Record's optional float fields,
+// in field order; recordFloats lists the fields in the same order.
+var recordFloatKeys = [...]string{
+	`,"start":`, `,"end":`, `,"at":`, `,"vdl":`, `,"real_dl":`,
+	`,"slack":`, `,"exec":`, `,"pex":`, `,"lateness":`,
+}
+
+func recordFloats(rec *Record) [len(recordFloatKeys)]*float64 {
+	return [...]*float64{
+		rec.Start, rec.End, rec.At, rec.VDL, rec.RealDL,
+		rec.Slack, rec.Exec, rec.Pex, rec.Lateness,
+	}
+}
+
+// AppendRecord appends the JSON encoding of rec to dst: byte for byte
+// what json.Marshal(rec) writes, field order, omitempty rules, string
+// escaping and float formatting included, but without reflection. Like
+// json.Marshal it fails on a NaN or infinite float field; dst is then
+// returned at its original length. AppendRecord does not stamp the
+// schema version (WriteRecord does).
+func AppendRecord(dst []byte, rec *Record) ([]byte, error) {
+	mark := len(dst)
+	dst = append(dst, '{')
+	if rec.Schema != 0 {
+		dst = append(dst, `"schema":`...)
+		dst = strconv.AppendInt(dst, int64(rec.Schema), 10)
+		dst = append(dst, ',')
+	}
+	dst = append(dst, `"type":`...)
+	dst = jsonenc.String(dst, rec.Type)
+	dst = append(dst, `,"kind":`...)
+	dst = jsonenc.String(dst, rec.Kind)
+	dst = append(dst, `,"task":`...)
+	dst = jsonenc.String(dst, rec.Task)
+	dst = append(dst, `,"node":`...)
+	dst = strconv.AppendInt(dst, int64(rec.Node), 10)
+	if rec.ID != 0 {
+		dst = append(dst, `,"id":`...)
+		dst = strconv.AppendUint(dst, rec.ID, 10)
+	}
+	if rec.Root != 0 {
+		dst = append(dst, `,"root":`...)
+		dst = strconv.AppendUint(dst, rec.Root, 10)
+	}
+	if rec.Rep != 0 {
+		dst = append(dst, `,"rep":`...)
+		dst = strconv.AppendInt(dst, int64(rec.Rep), 10)
+	}
+	if rec.From != 0 {
+		dst = append(dst, `,"from":`...)
+		dst = strconv.AppendUint(dst, rec.From, 10)
+	}
+	for i, v := range recordFloats(rec) {
+		if v == nil {
+			continue
+		}
+		dst = append(dst, recordFloatKeys[i]...)
+		var err error
+		if dst, err = jsonenc.Float(dst, *v); err != nil {
+			return dst[:mark], fmt.Errorf("obs: encode record: %w", err)
+		}
+	}
+	if rec.Missed {
+		dst = append(dst, `,"missed":true`...)
+	}
+	if rec.Aborted {
+		dst = append(dst, `,"aborted":true`...)
+	}
+	if rec.Boost {
+		dst = append(dst, `,"boost":true`...)
+	}
+	if rec.Depth != 0 {
+		dst = append(dst, `,"depth":`...)
+		dst = strconv.AppendInt(dst, int64(rec.Depth), 10)
+	}
+	if rec.Width != 0 {
+		dst = append(dst, `,"width":`...)
+		dst = strconv.AppendInt(dst, int64(rec.Width), 10)
+	}
+	return append(dst, '}'), nil
 }
 
 // DecodeRecord parses one JSONL line. Input written before the schema
@@ -170,10 +262,20 @@ type span struct {
 	width  int // DAG root spans only
 }
 
+// spanFloats backs the optional float fields of one span Record:
+// start, vdl, slack, exec, pex, real_dl, end, lateness.
+type spanFloats [8]float64
+
 // record converts the span to its serialized form. Still-open spans omit
 // End and Lateness; aborted spans keep End (the abort instant) but omit
 // Lateness, because a withdrawal has no completion to judge.
-func (s *span) record() Record {
+func (s *span) record() Record { return s.recordIn(new(spanFloats)) }
+
+// recordIn is record with the float fields stored in *v — one
+// allocation per Record instead of one per field, or none when the
+// caller encodes the Record at once and keeps v on its stack.
+func (s *span) recordIn(v *spanFloats) Record {
+	v[0], v[1], v[2], v[3], v[4] = s.start, s.vdl, s.slack, s.exec, s.pex
 	rec := Record{
 		Schema:  SchemaVersion,
 		Type:    "span",
@@ -183,11 +285,11 @@ func (s *span) record() Record {
 		ID:      s.id,
 		Root:    s.root,
 		Rep:     s.rep,
-		Start:   F(s.start),
-		VDL:     F(s.vdl),
-		Slack:   F(s.slack),
-		Exec:    F(s.exec),
-		Pex:     F(s.pex),
+		Start:   &v[0],
+		VDL:     &v[1],
+		Slack:   &v[2],
+		Exec:    &v[3],
+		Pex:     &v[4],
 		Missed:  s.missed,
 		Aborted: s.abort,
 		Boost:   s.boost,
@@ -195,16 +297,15 @@ func (s *span) record() Record {
 		Width:   s.width,
 	}
 	if s.hasRDL {
-		rec.RealDL = F(s.realDL)
+		v[5] = s.realDL
+		rec.RealDL = &v[5]
 	}
 	if !s.open {
-		rec.End = F(s.end)
-		if !s.abort {
-			judge := s.vdl
-			if s.hasRDL {
-				judge = s.realDL
-			}
-			rec.Lateness = F(s.end - judge)
+		v[6] = s.end
+		rec.End = &v[6]
+		if late, ok := s.lateness(); ok {
+			v[7] = late
+			rec.Lateness = &v[7]
 		}
 	}
 	return rec
@@ -229,8 +330,9 @@ func (s *span) lateness() (float64, bool) {
 // written without End/Lateness. When the ring has wrapped, only the
 // latest MaxSpans spans remain; DroppedSpans counts the evicted ones.
 func (t *Telemetry) WriteSpans(w io.Writer) error {
+	var v spanFloats
 	for i := 0; i < t.rlen; i++ {
-		if err := WriteRecord(w, t.ring[t.slot(i)].record()); err != nil {
+		if err := WriteRecord(w, t.ring[t.slot(i)].recordIn(&v)); err != nil {
 			return fmt.Errorf("obs: write span %d: %w", i, err)
 		}
 	}
@@ -240,8 +342,9 @@ func (t *Telemetry) WriteSpans(w io.Writer) error {
 // WriteEdges writes the retained causal-edge log, oldest first, as
 // JSONL.
 func (t *Telemetry) WriteEdges(w io.Writer) error {
+	var at float64
 	for i := 0; i < len(t.edges); i++ {
-		if err := WriteRecord(w, t.edges[(t.estart+i)%len(t.edges)]); err != nil {
+		if err := WriteRecord(w, t.edges[(t.estart+i)%len(t.edges)].record(t.rep, &at)); err != nil {
 			return fmt.Errorf("obs: write edge %d: %w", i, err)
 		}
 	}

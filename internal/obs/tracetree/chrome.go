@@ -1,11 +1,13 @@
 package tracetree
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
+
+	"repro/internal/obs"
+	"repro/internal/obs/jsonenc"
 )
 
 // Chrome trace-event export. The forest renders as one Perfetto-loadable
@@ -30,17 +32,127 @@ import (
 // one simulation time unit reads as 1ms, with microsecond resolution
 // preserved).
 
+// chromeEvent is one trace event. Its encoding (appendChromeEvent)
+// is what json.Marshal writes for the struct with JSON keys name, cat,
+// ph, ts, dur, pid, tid, id, bp, args — name, cat, dur, id, bp and args
+// omitted when empty.
 type chromeEvent struct {
-	Name string         `json:"name,omitempty"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	ID   string         `json:"id,omitempty"`
-	BP   string         `json:"bp,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+	name   string // event name; with anonID set, the kind of an unnamed span
+	anonID uint64 // nonzero: the name renders as "<name>#<anonID>"
+	cat    string
+	ph     string
+	ts     float64
+	dur    float64
+	pid    int
+	tid    int
+	id     uint64 // async/flow id, rendered as a decimal string; 0 = absent
+	bp     string
+	args   chromeArgs
+}
+
+// argsKind selects which keys an event's "args" object carries.
+type argsKind uint8
+
+const (
+	noArgs        argsKind = iota
+	spanArgs               // id, kind; root, missed, aborted when set
+	nameArgs               // process_name metadata: name
+	sortIndexArgs          // process_sort_index metadata: sort_index
+)
+
+// chromeArgs is an event's "args" object. It renders its keys in
+// sorted order, the order json.Marshal gives a map's keys.
+type chromeArgs struct {
+	kind            argsKind
+	id, root        uint64
+	spanKind        string
+	missed, aborted bool
+	name            string
+	sortIndex       int
+}
+
+// spanArgsOf returns the args of a span's slice or async event.
+func spanArgsOf(sp *obs.Record) chromeArgs {
+	return chromeArgs{
+		kind: spanArgs, id: sp.ID, root: sp.Root, spanKind: sp.Kind,
+		missed: sp.Missed, aborted: sp.Aborted,
+	}
+}
+
+// appendChromeEvent appends ev's JSON object to dst. It fails on a NaN
+// or infinite timestamp, as json.Marshal would.
+func appendChromeEvent(dst []byte, ev *chromeEvent) ([]byte, error) {
+	dst = append(dst, '{')
+	if ev.name != "" || ev.anonID != 0 {
+		dst = append(dst, `"name":`...)
+		dst = jsonenc.String(dst, ev.name)
+		if ev.anonID != 0 {
+			dst = append(dst[:len(dst)-1], '#')
+			dst = strconv.AppendUint(dst, ev.anonID, 10)
+			dst = append(dst, '"')
+		}
+		dst = append(dst, ',')
+	}
+	if ev.cat != "" {
+		dst = append(dst, `"cat":`...)
+		dst = jsonenc.String(dst, ev.cat)
+		dst = append(dst, ',')
+	}
+	dst = append(dst, `"ph":`...)
+	dst = jsonenc.String(dst, ev.ph)
+	dst = append(dst, `,"ts":`...)
+	var err error
+	if dst, err = jsonenc.Float(dst, ev.ts); err != nil {
+		return dst, err
+	}
+	if ev.dur != 0 {
+		dst = append(dst, `,"dur":`...)
+		if dst, err = jsonenc.Float(dst, ev.dur); err != nil {
+			return dst, err
+		}
+	}
+	dst = append(dst, `,"pid":`...)
+	dst = strconv.AppendInt(dst, int64(ev.pid), 10)
+	dst = append(dst, `,"tid":`...)
+	dst = strconv.AppendInt(dst, int64(ev.tid), 10)
+	if ev.id != 0 {
+		dst = append(dst, `,"id":"`...)
+		dst = strconv.AppendUint(dst, ev.id, 10)
+		dst = append(dst, '"')
+	}
+	if ev.bp != "" {
+		dst = append(dst, `,"bp":`...)
+		dst = jsonenc.String(dst, ev.bp)
+	}
+	a := &ev.args
+	switch a.kind {
+	case spanArgs:
+		dst = append(dst, `,"args":{`...)
+		if a.aborted {
+			dst = append(dst, `"aborted":true,`...)
+		}
+		dst = append(dst, `"id":`...)
+		dst = strconv.AppendUint(dst, a.id, 10)
+		dst = append(dst, `,"kind":`...)
+		dst = jsonenc.String(dst, a.spanKind)
+		if a.missed {
+			dst = append(dst, `,"missed":true`...)
+		}
+		if a.root != 0 {
+			dst = append(dst, `,"root":`...)
+			dst = strconv.AppendUint(dst, a.root, 10)
+		}
+		dst = append(dst, '}')
+	case nameArgs:
+		dst = append(dst, `,"args":{"name":`...)
+		dst = jsonenc.String(dst, a.name)
+		dst = append(dst, '}')
+	case sortIndexArgs:
+		dst = append(dst, `,"args":{"sort_index":`...)
+		dst = strconv.AppendInt(dst, int64(a.sortIndex), 10)
+		dst = append(dst, '}')
+	}
+	return append(dst, '}'), nil
 }
 
 const tsScale = 1000 // simulation units → microseconds (1 unit = 1ms)
@@ -127,58 +239,48 @@ func (f *Forest) WriteChrome(w io.Writer) error {
 		return err
 	}
 
-	// Synthetic workloads leave task names empty; label slices by kind
-	// and span id so Perfetto still shows something clickable.
-	label := func(n *Node) string {
-		if n.Span.Task != "" {
-			return n.Span.Task
-		}
-		return fmt.Sprintf("%s#%d", n.Span.Kind, n.Span.ID)
-	}
-
 	usedPid := make(map[int]string)
 	for _, n := range f.all {
-		sp := n.Span
+		sp := &n.Span
 		if sp.Start == nil {
 			continue
 		}
-		args := map[string]any{"id": sp.ID, "kind": sp.Kind}
-		if sp.Root != 0 {
-			args["root"] = sp.Root
-		}
-		if sp.Missed {
-			args["missed"] = true
-		}
-		if sp.Aborted {
-			args["aborted"] = true
+		// Synthetic workloads leave task names empty; label slices by
+		// kind and span id so Perfetto still shows something clickable.
+		name, anonID := sp.Task, uint64(0)
+		if name == "" {
+			name, anonID = sp.Kind, sp.ID
 		}
 		pid, tid := l.track(n)
 		if sp.Node >= 0 {
-			usedPid[pid] = fmt.Sprintf("rep%d/node%d", sp.Rep, sp.Node)
+			if _, ok := usedPid[pid]; !ok {
+				usedPid[pid] = fmt.Sprintf("rep%d/node%d", sp.Rep, sp.Node)
+			}
 			if sp.End == nil {
 				continue // still open at the horizon: no duration to draw
 			}
-			if err := ew.emit(chromeEvent{
-				Name: label(n), Cat: sp.Kind, Ph: "X",
-				Ts: *sp.Start * tsScale, Dur: (*sp.End - *sp.Start) * tsScale,
-				Pid: pid, Tid: tid, Args: args,
+			if err := ew.emit(&chromeEvent{
+				name: name, anonID: anonID, cat: sp.Kind, ph: "X",
+				ts: *sp.Start * tsScale, dur: (*sp.End - *sp.Start) * tsScale,
+				pid: pid, tid: tid, args: spanArgsOf(sp),
 			}); err != nil {
 				return err
 			}
 			continue
 		}
-		usedPid[pid] = fmt.Sprintf("rep%d/globals", sp.Rep)
-		id := strconv.FormatUint(sp.ID, 10)
-		if err := ew.emit(chromeEvent{
-			Name: label(n), Cat: sp.Kind, Ph: "b",
-			Ts: *sp.Start * tsScale, Pid: pid, Tid: 0, ID: id, Args: args,
+		if _, ok := usedPid[pid]; !ok {
+			usedPid[pid] = fmt.Sprintf("rep%d/globals", sp.Rep)
+		}
+		if err := ew.emit(&chromeEvent{
+			name: name, anonID: anonID, cat: sp.Kind, ph: "b",
+			ts: *sp.Start * tsScale, pid: pid, tid: 0, id: sp.ID, args: spanArgsOf(sp),
 		}); err != nil {
 			return err
 		}
 		if sp.End != nil {
-			if err := ew.emit(chromeEvent{
-				Name: label(n), Cat: sp.Kind, Ph: "e",
-				Ts: *sp.End * tsScale, Pid: pid, Tid: 0, ID: id,
+			if err := ew.emit(&chromeEvent{
+				name: name, anonID: anonID, cat: sp.Kind, ph: "e",
+				ts: *sp.End * tsScale, pid: pid, tid: 0, id: sp.ID,
 			}); err != nil {
 				return err
 			}
@@ -203,16 +305,15 @@ func (f *Forest) WriteChrome(w io.Writer) error {
 			}
 			fp, ft := l.track(from)
 			tp, tt := l.track(to)
-			id := strconv.Itoa(flow)
-			if err := ew.emit(chromeEvent{
-				Name: lk.Kind, Cat: "causal", Ph: "s",
-				Ts: sTs * tsScale, Pid: fp, Tid: ft, ID: id,
+			if err := ew.emit(&chromeEvent{
+				name: lk.Kind, cat: "causal", ph: "s",
+				ts: sTs * tsScale, pid: fp, tid: ft, id: uint64(flow),
 			}); err != nil {
 				return err
 			}
-			if err := ew.emit(chromeEvent{
-				Name: lk.Kind, Cat: "causal", Ph: "f", BP: "e",
-				Ts: lk.At * tsScale, Pid: tp, Tid: tt, ID: id,
+			if err := ew.emit(&chromeEvent{
+				name: lk.Kind, cat: "causal", ph: "f", bp: "e",
+				ts: lk.At * tsScale, pid: tp, tid: tt, id: uint64(flow),
 			}); err != nil {
 				return err
 			}
@@ -225,15 +326,15 @@ func (f *Forest) WriteChrome(w io.Writer) error {
 	}
 	sort.Ints(pids)
 	for _, pid := range pids {
-		if err := ew.emit(chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": usedPid[pid]},
+		if err := ew.emit(&chromeEvent{
+			name: "process_name", ph: "M", pid: pid,
+			args: chromeArgs{kind: nameArgs, name: usedPid[pid]},
 		}); err != nil {
 			return err
 		}
-		if err := ew.emit(chromeEvent{
-			Name: "process_sort_index", Ph: "M", Pid: pid,
-			Args: map[string]any{"sort_index": pid},
+		if err := ew.emit(&chromeEvent{
+			name: "process_sort_index", ph: "M", pid: pid,
+			args: chromeArgs{kind: sortIndexArgs, sortIndex: pid},
 		}); err != nil {
 			return err
 		}
@@ -241,34 +342,48 @@ func (f *Forest) WriteChrome(w io.Writer) error {
 	return ew.close()
 }
 
-// eventWriter streams the traceEvents array without holding every
-// encoded event in memory.
+// eventWriter streams the traceEvents array, encoding events into one
+// buffer it hands to w in chunks, so neither the whole document nor a
+// write per event is needed.
 type eventWriter struct {
 	w     io.Writer
+	buf   []byte
 	wrote bool
 }
 
+// chromeChunk is the buffered size at which eventWriter writes through.
+const chromeChunk = 32 << 10
+
 func (e *eventWriter) open() error {
-	_, err := io.WriteString(e.w, `{"displayTimeUnit":"ms","traceEvents":[`)
-	return err
+	e.buf = append(e.buf[:0], `{"displayTimeUnit":"ms","traceEvents":[`...)
+	return nil
 }
 
-func (e *eventWriter) emit(ev chromeEvent) error {
-	b, err := json.Marshal(ev)
+func (e *eventWriter) emit(ev *chromeEvent) error {
+	mark := len(e.buf)
+	if e.wrote {
+		e.buf = append(e.buf, ",\n"...)
+	}
+	b, err := appendChromeEvent(e.buf, ev)
 	if err != nil {
+		e.buf = b[:mark]
 		return fmt.Errorf("tracetree: marshal chrome event: %w", err)
 	}
-	if e.wrote {
-		if _, err := io.WriteString(e.w, ",\n"); err != nil {
-			return err
-		}
-	}
+	e.buf = b
 	e.wrote = true
-	_, err = e.w.Write(b)
+	if len(e.buf) >= chromeChunk {
+		return e.flush()
+	}
+	return nil
+}
+
+func (e *eventWriter) flush() error {
+	_, err := e.w.Write(e.buf)
+	e.buf = e.buf[:0]
 	return err
 }
 
 func (e *eventWriter) close() error {
-	_, err := io.WriteString(e.w, "]}\n")
-	return err
+	e.buf = append(e.buf, "]}\n"...)
+	return e.flush()
 }

@@ -19,12 +19,13 @@
 package tracetree
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"repro/internal/obs"
+	"repro/internal/obs/jsonenc"
 )
 
 // Link is one non-structural causal edge inside a tree: kind pred,
@@ -257,81 +258,122 @@ func (f *Forest) TreesForTask(name string) []*Tree {
 
 // --- deterministic JSONL export --------------------------------------------
 
-type nodeJSON struct {
-	ID       uint64     `json:"id"`
-	Kind     string     `json:"kind"`
-	Task     string     `json:"task"`
-	Node     int        `json:"node"`
-	Start    float64    `json:"start"`
-	End      *float64   `json:"end,omitempty"`
-	Missed   bool       `json:"missed,omitempty"`
-	Aborted  bool       `json:"aborted,omitempty"`
-	Children []nodeJSON `json:"children,omitempty"`
-}
-
-type linkJSON struct {
-	Kind string  `json:"kind"`
-	From uint64  `json:"from"`
-	To   uint64  `json:"to"`
-	At   float64 `json:"at"`
-}
-
-type treeJSON struct {
-	Rep   int        `json:"rep"`
-	Root  uint64     `json:"root"`
-	Task  string     `json:"task"`
-	Spans int        `json:"spans"`
-	Tree  nodeJSON   `json:"tree"`
-	Links []linkJSON `json:"links,omitempty"`
-}
-
-func toNodeJSON(n *Node) nodeJSON {
-	sp := n.Span
-	out := nodeJSON{
-		ID:      sp.ID,
-		Kind:    sp.Kind,
-		Task:    sp.Task,
-		Node:    sp.Node,
-		Missed:  sp.Missed,
-		Aborted: sp.Aborted,
-		End:     sp.End,
+// appendTree appends one tree as a JSON line: an object with keys rep,
+// root, task, spans, tree (the nested span nodes) and links (omitted
+// when empty) — the bytes json.Marshal writes for that document.
+func appendTree(dst []byte, t *Tree) ([]byte, error) {
+	dst = append(dst, `{"rep":`...)
+	dst = strconv.AppendInt(dst, int64(t.Rep), 10)
+	dst = append(dst, `,"root":`...)
+	dst = strconv.AppendUint(dst, t.Root.Span.ID, 10)
+	dst = append(dst, `,"task":`...)
+	dst = jsonenc.String(dst, t.Root.Span.Task)
+	dst = append(dst, `,"spans":`...)
+	dst = strconv.AppendInt(dst, int64(t.Spans), 10)
+	dst = append(dst, `,"tree":`...)
+	dst, err := appendNode(dst, t.Root)
+	if err != nil {
+		return dst, err
 	}
+	for i, l := range t.Links {
+		if i == 0 {
+			dst = append(dst, `,"links":[`...)
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"kind":`...)
+		dst = jsonenc.String(dst, l.Kind)
+		dst = append(dst, `,"from":`...)
+		dst = strconv.AppendUint(dst, l.From, 10)
+		dst = append(dst, `,"to":`...)
+		dst = strconv.AppendUint(dst, l.To, 10)
+		dst = append(dst, `,"at":`...)
+		if dst, err = jsonenc.Float(dst, l.At); err != nil {
+			return dst, err
+		}
+		dst = append(dst, '}')
+	}
+	if len(t.Links) > 0 {
+		dst = append(dst, ']')
+	}
+	return append(dst, "}\n"...), nil
+}
+
+// appendNode appends one span node and its subtree: keys id, kind, task,
+// node, start, end (absent while open), missed and aborted (absent when
+// false) and children (absent on leaves).
+func appendNode(dst []byte, n *Node) ([]byte, error) {
+	sp := &n.Span
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendUint(dst, sp.ID, 10)
+	dst = append(dst, `,"kind":`...)
+	dst = jsonenc.String(dst, sp.Kind)
+	dst = append(dst, `,"task":`...)
+	dst = jsonenc.String(dst, sp.Task)
+	dst = append(dst, `,"node":`...)
+	dst = strconv.AppendInt(dst, int64(sp.Node), 10)
+	start := 0.0
 	if sp.Start != nil {
-		out.Start = *sp.Start
+		start = *sp.Start
 	}
-	for _, c := range n.Children {
-		out.Children = append(out.Children, toNodeJSON(c))
+	dst = append(dst, `,"start":`...)
+	dst, err := jsonenc.Float(dst, start)
+	if err != nil {
+		return dst, err
 	}
-	return out
+	if sp.End != nil {
+		dst = append(dst, `,"end":`...)
+		if dst, err = jsonenc.Float(dst, *sp.End); err != nil {
+			return dst, err
+		}
+	}
+	if sp.Missed {
+		dst = append(dst, `,"missed":true`...)
+	}
+	if sp.Aborted {
+		dst = append(dst, `,"aborted":true`...)
+	}
+	for i, c := range n.Children {
+		if i == 0 {
+			dst = append(dst, `,"children":[`...)
+		} else {
+			dst = append(dst, ',')
+		}
+		if dst, err = appendNode(dst, c); err != nil {
+			return dst, err
+		}
+	}
+	if len(n.Children) > 0 {
+		dst = append(dst, ']')
+	}
+	return append(dst, '}'), nil
 }
 
 // WriteTree writes one tree as a single JSON line.
 func WriteTree(w io.Writer, t *Tree) error {
-	tj := treeJSON{
-		Rep:   t.Rep,
-		Root:  t.Root.Span.ID,
-		Task:  t.Root.Span.Task,
-		Spans: t.Spans,
-		Tree:  toNodeJSON(t.Root),
-	}
-	for _, l := range t.Links {
-		tj.Links = append(tj.Links, linkJSON{Kind: l.Kind, From: l.From, To: l.To, At: l.At})
-	}
-	b, err := json.Marshal(tj)
-	if err != nil {
-		return fmt.Errorf("tracetree: marshal tree %d/%d: %w", t.Rep, t.Root.Span.ID, err)
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
+	_, err := writeTree(w, nil, t)
 	return err
+}
+
+// writeTree encodes t into buf (reused across calls) and writes it,
+// returning the buffer for the next call.
+func writeTree(w io.Writer, buf []byte, t *Tree) ([]byte, error) {
+	buf, err := appendTree(buf[:0], t)
+	if err != nil {
+		return buf, fmt.Errorf("tracetree: marshal tree %d/%d: %w", t.Rep, t.Root.Span.ID, err)
+	}
+	_, err = w.Write(buf)
+	return buf, err
 }
 
 // WriteTrees writes the forest as JSONL: one tree per line, trees in
 // (replication, root id) order, children nested by span id. The output
 // is a pure function of the input records.
 func (f *Forest) WriteTrees(w io.Writer) error {
+	var buf []byte
 	for _, t := range f.Trees {
-		if err := WriteTree(w, t); err != nil {
+		var err error
+		if buf, err = writeTree(w, buf, t); err != nil {
 			return err
 		}
 	}

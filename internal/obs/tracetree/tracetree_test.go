@@ -270,7 +270,7 @@ func TestChromeOccupancyLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
+		TraceEvents []refChromeEvent `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
