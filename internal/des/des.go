@@ -434,6 +434,16 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// Next returns the instant of the earliest pending event; ok is false when
+// the calendar is empty. A wall-clock driver uses it to sleep until the
+// model next has something to do.
+func (e *Engine) Next() (at simtime.Time, ok bool) {
+	if !e.prune() {
+		return 0, false
+	}
+	return e.heap[0].at, true
+}
+
 // RunUntil executes events in order until the calendar is exhausted or the
 // next event lies strictly after the horizon. The clock finishes at the
 // horizon (or at the last event if the calendar drains first).

@@ -450,3 +450,34 @@ func TestCalendarLenCountsTombstones(t *testing.T) {
 		t.Errorf("after drain: calendar %d pending %d, want 0/0", e.CalendarLen(), e.Pending())
 	}
 }
+
+// TestNext checks the next-event peek: it skips cancelled events, reports
+// an empty calendar, and neither fires nor advances anything.
+func TestNext(t *testing.T) {
+	e := New()
+	if _, ok := e.Next(); ok {
+		t.Fatal("Next on an empty calendar reports an event")
+	}
+	fired := 0
+	early, err := e.At(3, func() { fired++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.At(5, func() { fired++ }); err != nil {
+		t.Fatal(err)
+	}
+	if at, ok := e.Next(); !ok || at != 3 {
+		t.Errorf("Next = %v, %v; want 3, true", at, ok)
+	}
+	e.Cancel(early)
+	if at, ok := e.Next(); !ok || at != 5 {
+		t.Errorf("Next after cancel = %v, %v; want 5, true", at, ok)
+	}
+	if fired != 0 || e.Now() != 0 || e.Pending() != 1 {
+		t.Errorf("peek changed state: fired %d now %v pending %d", fired, e.Now(), e.Pending())
+	}
+	e.Run()
+	if _, ok := e.Next(); ok || fired != 1 {
+		t.Errorf("after drain: Next ok=%v fired=%d, want false, 1", ok, fired)
+	}
+}

@@ -70,10 +70,10 @@ func driveFaults(t *testing.T, seed uint64, withCrashes bool) *faultRun {
 		tk.VirtualDeadline = eng.Now().Add(simtime.Duration(stream.Uniform(0.5, 6)))
 		tk.RealDeadline = tk.VirtualDeadline
 		it := NewItem(tk)
-		it.OnDone = func(done *Item, _ simtime.Time) {
+		it.Hooks = onDone(func(done *Item, _ simtime.Time) {
 			r.done[done]++
 			r.work += float64(exec)
-		}
+		})
 		if err := n.Submit(it); err != nil {
 			t.Errorf("submit: %v", err)
 			return

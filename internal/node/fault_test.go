@@ -14,7 +14,7 @@ func TestSetRateSlowsService(t *testing.T) {
 	n.SetRate(0.5)
 	var doneAt simtime.Time
 	it := mkItem(t, "a", 100, 4)
-	it.OnDone = func(_ *Item, at simtime.Time) { doneAt = at }
+	it.Hooks = onDone(func(_ *Item, at simtime.Time) { doneAt = at })
 	if err := n.Submit(it); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestSetRateMidServiceKeepsCompletedWork(t *testing.T) {
 	n := New(0, eng)
 	it := mkItem(t, "a", 100, 4)
 	var doneAt simtime.Time
-	it.OnDone = func(_ *Item, at simtime.Time) { doneAt = at }
+	it.Hooks = onDone(func(_ *Item, at simtime.Time) { doneAt = at })
 	if err := n.Submit(it); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestCrashLosesStretchAndRestartResumes(t *testing.T) {
 	n := New(0, eng)
 	var doneAt simtime.Time
 	it := mkItem(t, "a", 100, 4)
-	it.OnDone = func(_ *Item, at simtime.Time) { doneAt = at }
+	it.Hooks = onDone(func(_ *Item, at simtime.Time) { doneAt = at })
 	if err := n.Submit(it); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestCrashHoldsQueueUntilRestart(t *testing.T) {
 	n.Crash()
 	var doneAt simtime.Time
 	it := mkItem(t, "a", 100, 1)
-	it.OnDone = func(_ *Item, at simtime.Time) { doneAt = at }
+	it.Hooks = onDone(func(_ *Item, at simtime.Time) { doneAt = at })
 	if err := n.Submit(it); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestCrashMultiServer(t *testing.T) {
 	done := 0
 	for i, ex := range []simtime.Duration{4, 6} {
 		it := mkItem(t, string(rune('a'+i)), 100, ex)
-		it.OnDone = func(_ *Item, _ simtime.Time) { done++ }
+		it.Hooks = onDone(func(_ *Item, _ simtime.Time) { done++ })
 		if err := n.Submit(it); err != nil {
 			t.Fatal(err)
 		}

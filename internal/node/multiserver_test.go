@@ -17,7 +17,7 @@ func TestMultiServerParallelService(t *testing.T) {
 	var finishes []simtime.Time
 	for i := 0; i < 2; i++ {
 		it := mkItem(t, "j", 10, 4)
-		it.OnDone = func(_ *Item, at simtime.Time) { finishes = append(finishes, at) }
+		it.Hooks = onDone(func(_ *Item, at simtime.Time) { finishes = append(finishes, at) })
 		if err := n.Submit(it); err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestMultiServerThirdJobWaits(t *testing.T) {
 		}
 	}
 	it := mkItem(t, "third", 10, 1)
-	it.OnDone = func(_ *Item, at simtime.Time) { third = at }
+	it.Hooks = onDone(func(_ *Item, at simtime.Time) { third = at })
 	if err := n.Submit(it); err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestMMCTheory(t *testing.T) {
 		tk.RealDeadline = tk.VirtualDeadline
 		tk.Arrival = eng.Now()
 		it := NewItem(tk)
-		it.OnDone = func(done *Item, at simtime.Time) {
+		it.Hooks = onDone(func(done *Item, at simtime.Time) {
 			wait := float64(at.Sub(done.Task.Arrival)) - float64(done.Task.Exec)
 			totalWait += wait
 			count++
-		}
+		})
 		if err := n.Submit(it); err != nil {
 			t.Error(err)
 		}

@@ -14,7 +14,7 @@
 //     queued item or kills the one in service.
 //   - Local-scheduler abortion (WithLocalAbort): at dispatch the node
 //     discards any item whose *virtual* deadline has already passed and
-//     notifies the owner via the item's OnLocalAbort callback.
+//     notifies the owner through the item's Hooks.ItemLocalAbort.
 //
 // # Hot path
 //
@@ -77,11 +77,9 @@ func (s ItemState) String() string {
 	}
 }
 
-// Hooks receives an item's life-cycle callbacks. It is the
-// allocation-free alternative to the OnDone/OnLocalAbort closure fields:
-// the owner stores one pooled record per item and the node calls through
-// the interface, so no per-item closures are built. When both Hooks and
-// the closure fields are set, Hooks wins.
+// Hooks receives an item's life-cycle callbacks. The owner stores one
+// pooled record per item and the node calls through the interface, so no
+// per-item closures are built.
 type Hooks interface {
 	// ItemDone is invoked when service completes, before the node picks
 	// its next item.
@@ -104,14 +102,8 @@ type Hooks interface {
 type Item struct {
 	Task *task.Task
 
-	// OnDone is invoked when service completes, before the node picks its
-	// next item. Optional; prefer Hooks on hot paths.
-	OnDone func(it *Item, at simtime.Time)
-	// OnLocalAbort is invoked when the local scheduler discards the item
-	// because its virtual deadline expired (local-abort mode only).
-	// Optional; prefer Hooks on hot paths.
-	OnLocalAbort func(it *Item, at simtime.Time)
-	// Hooks receives both callbacks through one interface value. Optional.
+	// Hooks receives the item's completion and local-abort callbacks.
+	// Optional.
 	Hooks Hooks
 
 	state     ItemState
@@ -458,8 +450,6 @@ func (n *Node) RecycleItem(it *Item) {
 	it.gen++
 	it.state = 0
 	it.Task = nil
-	it.OnDone = nil
-	it.OnLocalAbort = nil
 	it.Hooks = nil
 	it.service = des.Event{}
 	it.remaining = 0
@@ -696,8 +686,6 @@ func (n *Node) dispatch() {
 			}
 			if it.Hooks != nil {
 				it.Hooks.ItemLocalAbort(it, now)
-			} else if it.OnLocalAbort != nil {
-				it.OnLocalAbort(it, now)
 			}
 			continue
 		}
@@ -735,10 +723,23 @@ func (n *Node) complete(it *Item) {
 	}
 	if it.Hooks != nil {
 		it.Hooks.ItemDone(it, now)
-	} else if it.OnDone != nil {
-		it.OnDone(it, now)
 	}
 	n.dispatch()
+}
+
+// EndService completes the service of an in-service item now, as if its
+// service demand had just been met: the owner's ItemDone fires and the
+// node picks its next item. It reports false, doing nothing, when it is
+// not in service at n — for instance because it was removed since. An
+// owner that runs an item's work outside the model (the live runtime)
+// gives the item an unbounded execution time and ends it here.
+func (n *Node) EndService(it *Item) bool {
+	if it == nil || it.owner != n || it.state != StateServing {
+		return false
+	}
+	n.eng.Cancel(it.service)
+	n.complete(it)
+	return true
 }
 
 // --- waiting-queue heap -----------------------------------------------------

@@ -24,7 +24,7 @@ func TestServeSingleItem(t *testing.T) {
 	n := New(0, eng)
 	var doneAt simtime.Time
 	it := mkItem(t, "a", 10, 2)
-	it.OnDone = func(_ *Item, at simtime.Time) { doneAt = at }
+	it.Hooks = onDone(func(_ *Item, at simtime.Time) { doneAt = at })
 	if err := n.Submit(it); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestEDFOrder(t *testing.T) {
 	var order []string
 	submit := func(name string, vdl simtime.Time) {
 		it := mkItem(t, name, vdl, 1)
-		it.OnDone = func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) }
+		it.Hooks = onDone(func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) })
 		if err := n.Submit(it); err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestEDFTieBreakFIFO(t *testing.T) {
 	var order []string
 	for _, name := range []string{"hold", "a", "b", "c"} {
 		it := mkItem(t, name, 7, 1)
-		it.OnDone = func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) }
+		it.Hooks = onDone(func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) })
 		if err := n.Submit(it); err != nil {
 			t.Fatal(err)
 		}
@@ -94,12 +94,12 @@ func TestPriorityBoostBeatsEarlierDeadline(t *testing.T) {
 	n := New(0, eng)
 	var order []string
 	hold := mkItem(t, "hold", 1, 1)
-	hold.OnDone = func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) }
+	hold.Hooks = onDone(func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) })
 	local := mkItem(t, "local", 2, 1) // very urgent local
-	local.OnDone = func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) }
+	local.Hooks = onDone(func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) })
 	global := mkItem(t, "global", 50, 1) // far deadline but boosted
 	global.Task.PriorityBoost = true
-	global.OnDone = func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) }
+	global.Hooks = onDone(func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) })
 	for _, it := range []*Item{hold, local, global} {
 		if err := n.Submit(it); err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestFIFOPolicy(t *testing.T) {
 		vdl  simtime.Time
 	}{{"hold", 9}, {"a", 100}, {"b", 1}} {
 		it := mkItem(t, tc.name, tc.vdl, 1)
-		it.OnDone = func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) }
+		it.Hooks = onDone(func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) })
 		if err := n.Submit(it); err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestRemoveQueuedItem(t *testing.T) {
 	blocker := mkItem(t, "blocker", 1, 5)
 	victim := mkItem(t, "victim", 2, 1)
 	served := false
-	victim.OnDone = func(*Item, simtime.Time) { served = true }
+	victim.Hooks = onDone(func(*Item, simtime.Time) { served = true })
 	if err := n.Submit(blocker); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestRemoveServingItemFreesServer(t *testing.T) {
 	long := mkItem(t, "long", 1, 100)
 	next := mkItem(t, "next", 2, 1)
 	var nextDone simtime.Time
-	next.OnDone = func(_ *Item, at simtime.Time) { nextDone = at }
+	next.Hooks = onDone(func(_ *Item, at simtime.Time) { nextDone = at })
 	if err := n.Submit(long); err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +250,10 @@ func TestLocalAbortDiscardsExpired(t *testing.T) {
 	var aborted []string
 	var served []string
 	for _, it := range []*Item{blocker, expired, fresh} {
-		it.OnLocalAbort = func(i *Item, _ simtime.Time) { aborted = append(aborted, i.Task.Name) }
-		it.OnDone = func(i *Item, _ simtime.Time) { served = append(served, i.Task.Name) }
+		it.Hooks = funcHooks{
+			done:       func(i *Item, _ simtime.Time) { served = append(served, i.Task.Name) },
+			localAbort: func(i *Item, _ simtime.Time) { aborted = append(aborted, i.Task.Name) },
+		}
 		if err := n.Submit(it); err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +277,7 @@ func TestNoLocalAbortByDefault(t *testing.T) {
 	late := mkItem(t, "late", 5, 1)
 	var served []string
 	for _, it := range []*Item{blocker, late} {
-		it.OnDone = func(i *Item, _ simtime.Time) { served = append(served, i.Task.Name) }
+		it.Hooks = onDone(func(i *Item, _ simtime.Time) { served = append(served, i.Task.Name) })
 		if err := n.Submit(it); err != nil {
 			t.Fatal(err)
 		}
@@ -295,17 +297,19 @@ func TestLocalAbortResubmitAllowed(t *testing.T) {
 	victim := mkItem(t, "victim", 5, 1)
 	victim.Task.RealDeadline = 100
 	resubmitted := false
-	victim.OnLocalAbort = func(i *Item, at simtime.Time) {
-		if !resubmitted {
-			resubmitted = true
-			i.Task.VirtualDeadline = 60 // fresh virtual deadline
-			if err := n.Submit(i); err != nil {
-				t.Errorf("resubmit: %v", err)
-			}
-		}
-	}
 	done := false
-	victim.OnDone = func(*Item, simtime.Time) { done = true }
+	victim.Hooks = funcHooks{
+		done: func(*Item, simtime.Time) { done = true },
+		localAbort: func(i *Item, at simtime.Time) {
+			if !resubmitted {
+				resubmitted = true
+				i.Task.VirtualDeadline = 60 // fresh virtual deadline
+				if err := n.Submit(i); err != nil {
+					t.Errorf("resubmit: %v", err)
+				}
+			}
+		},
+	}
 	if err := n.Submit(blocker); err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +369,7 @@ func TestZeroExecItem(t *testing.T) {
 	n := New(0, eng)
 	done := false
 	it := mkItem(t, "instant", 5, 0)
-	it.OnDone = func(*Item, simtime.Time) { done = true }
+	it.Hooks = onDone(func(*Item, simtime.Time) { done = true })
 	if err := n.Submit(it); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func TestLLFOrder(t *testing.T) {
 	var order []string
 	submit := func(name string, vdl simtime.Time, ex simtime.Duration) {
 		it := mkItem(t, name, vdl, ex)
-		it.OnDone = func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) }
+		it.Hooks = onDone(func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) })
 		if err := n.Submit(it); err != nil {
 			t.Fatal(err)
 		}
@@ -37,12 +37,12 @@ func TestLLFBoostBand(t *testing.T) {
 	n := New(0, eng, WithPolicy(LLF{}))
 	var order []string
 	hold := mkItem(t, "hold", 1, 1)
-	hold.OnDone = func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) }
+	hold.Hooks = onDone(func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) })
 	urgent := mkItem(t, "urgent", 2, 0.5)
-	urgent.OnDone = func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) }
+	urgent.Hooks = onDone(func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) })
 	boosted := mkItem(t, "boosted", 100, 5)
 	boosted.Task.PriorityBoost = true
-	boosted.OnDone = func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) }
+	boosted.Hooks = onDone(func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) })
 	for _, it := range []*Item{hold, urgent, boosted} {
 		if err := n.Submit(it); err != nil {
 			t.Fatal(err)
@@ -60,7 +60,7 @@ func TestSJFOrder(t *testing.T) {
 	var order []string
 	submit := func(name string, ex simtime.Duration) {
 		it := mkItem(t, name, 5, ex) // same deadline: SJF ignores it anyway
-		it.OnDone = func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) }
+		it.Hooks = onDone(func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) })
 		if err := n.Submit(it); err != nil {
 			t.Fatal(err)
 		}

@@ -28,8 +28,6 @@ func TestAcquireRecycleRoundTrip(t *testing.T) {
 	t1 := mustTask(t, "first", 3)
 	it := n.AcquireItem(t1)
 	gen := it.Generation()
-	it.OnDone = func(*Item, simtime.Time) {}
-	it.OnLocalAbort = func(*Item, simtime.Time) {}
 	it.Hooks = nopHooks{}
 	it.state = StateDone // pretend it ran
 	it.remaining = 1
@@ -46,7 +44,7 @@ func TestAcquireRecycleRoundTrip(t *testing.T) {
 	if it2.Task != t2 {
 		t.Fatalf("Task = %v, want %v", it2.Task, t2)
 	}
-	if it2.OnDone != nil || it2.OnLocalAbort != nil || it2.Hooks != nil {
+	if it2.Hooks != nil {
 		t.Fatal("recycled item leaked callbacks from previous incarnation")
 	}
 	if it2.State() != StateNew || it2.index != -1 {
@@ -61,6 +59,27 @@ type nopHooks struct{}
 
 func (nopHooks) ItemDone(*Item, simtime.Time)       {}
 func (nopHooks) ItemLocalAbort(*Item, simtime.Time) {}
+
+// funcHooks adapts plain functions to Hooks; a nil function ignores its
+// callback.
+type funcHooks struct {
+	done, localAbort func(*Item, simtime.Time)
+}
+
+func (h funcHooks) ItemDone(it *Item, at simtime.Time) {
+	if h.done != nil {
+		h.done(it, at)
+	}
+}
+
+func (h funcHooks) ItemLocalAbort(it *Item, at simtime.Time) {
+	if h.localAbort != nil {
+		h.localAbort(it, at)
+	}
+}
+
+// onDone returns Hooks calling f on service completion.
+func onDone(f func(*Item, simtime.Time)) Hooks { return funcHooks{done: f} }
 
 // TestStaleRefRejected checks generation-tagged handles: a ref taken
 // before recycling must resolve to nil afterwards — even once the item is
@@ -180,14 +199,13 @@ func TestPoolAliasingProperty(t *testing.T) {
 			tk.VirtualDeadline = tk.RealDeadline
 			it := n.AcquireItem(tk)
 			// Fresh incarnation must be pristine.
-			if it.OnDone != nil || it.OnLocalAbort != nil || it.Hooks != nil {
+			if it.Hooks != nil {
 				t.Fatalf("round %d: acquired item leaked callbacks", round)
 			}
 			if it.State() != StateNew || it.remaining != tk.Exec {
 				t.Fatalf("round %d: acquired item state %v remaining %v", round, it.State(), it.remaining)
 			}
-			it.OnDone = finish
-			it.OnLocalAbort = abort
+			it.Hooks = funcHooks{done: finish, localAbort: abort}
 			live = append(live, it)
 			if err := n.Submit(it); err != nil {
 				t.Fatal(err)

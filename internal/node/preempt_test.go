@@ -15,14 +15,14 @@ func TestPreemptionSuspendsAndResumes(t *testing.T) {
 	record := func(i *Item, at simtime.Time) { finishes[i.Task.Name] = at }
 
 	long := mkItem(t, "long", 100, 10)
-	long.OnDone = record
+	long.Hooks = onDone(record)
 	if err := n.Submit(long); err != nil {
 		t.Fatal(err)
 	}
 	// At t=4, an urgent item arrives and must preempt.
 	if _, err := eng.At(4, func() {
 		urgent := mkItem(t, "urgent", 5, 2)
-		urgent.OnDone = record
+		urgent.Hooks = onDone(record)
 		if err := n.Submit(urgent); err != nil {
 			t.Error(err)
 		}
@@ -49,13 +49,13 @@ func TestNoPreemptionByDefault(t *testing.T) {
 	var finishes = map[string]simtime.Time{}
 	record := func(i *Item, at simtime.Time) { finishes[i.Task.Name] = at }
 	long := mkItem(t, "long", 100, 10)
-	long.OnDone = record
+	long.Hooks = onDone(record)
 	if err := n.Submit(long); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.At(4, func() {
 		urgent := mkItem(t, "urgent", 5, 2)
-		urgent.OnDone = record
+		urgent.Hooks = onDone(record)
 		if err := n.Submit(urgent); err != nil {
 			t.Error(err)
 		}
@@ -74,13 +74,13 @@ func TestPreemptionLowerPriorityDoesNotPreempt(t *testing.T) {
 	var finishes = map[string]simtime.Time{}
 	record := func(i *Item, at simtime.Time) { finishes[i.Task.Name] = at }
 	first := mkItem(t, "first", 5, 10)
-	first.OnDone = record
+	first.Hooks = onDone(record)
 	if err := n.Submit(first); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.At(4, func() {
 		later := mkItem(t, "later", 50, 1)
-		later.OnDone = record
+		later.Hooks = onDone(record)
 		if err := n.Submit(later); err != nil {
 			t.Error(err)
 		}
@@ -100,13 +100,13 @@ func TestPreemptionChain(t *testing.T) {
 	var order []string
 	record := func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) }
 	a := mkItem(t, "a", 100, 10)
-	a.OnDone = record
+	a.Hooks = onDone(record)
 	if err := n.Submit(a); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.At(2, func() {
 		b := mkItem(t, "b", 50, 10)
-		b.OnDone = record
+		b.Hooks = onDone(record)
 		if err := n.Submit(b); err != nil {
 			t.Error(err)
 		}
@@ -115,7 +115,7 @@ func TestPreemptionChain(t *testing.T) {
 	}
 	if _, err := eng.At(5, func() {
 		c := mkItem(t, "c", 10, 2)
-		c.OnDone = record
+		c.Hooks = onDone(record)
 		if err := n.Submit(c); err != nil {
 			t.Error(err)
 		}
@@ -176,14 +176,14 @@ func TestPreemptionBoostBand(t *testing.T) {
 	var order []string
 	record := func(i *Item, _ simtime.Time) { order = append(order, i.Task.Name) }
 	local := mkItem(t, "local", 5, 10)
-	local.OnDone = record
+	local.Hooks = onDone(record)
 	if err := n.Submit(local); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.At(1, func() {
 		global := mkItem(t, "global", 100, 1)
 		global.Task.PriorityBoost = true
-		global.OnDone = record
+		global.Hooks = onDone(record)
 		if err := n.Submit(global); err != nil {
 			t.Error(err)
 		}

@@ -45,8 +45,10 @@ func TestConservationUnderRandomOps(t *testing.T) {
 				tk.VirtualDeadline = eng.Now().Add(simtime.Duration(stream.Uniform(0.5, 6)))
 				tk.RealDeadline = tk.VirtualDeadline
 				it := NewItem(tk)
-				it.OnDone = func(*Item, simtime.Time) { done++ }
-				it.OnLocalAbort = func(*Item, simtime.Time) { localAborted++ }
+				it.Hooks = funcHooks{
+					done:       func(*Item, simtime.Time) { done++ },
+					localAbort: func(*Item, simtime.Time) { localAborted++ },
+				}
 				if err := n.Submit(it); err != nil {
 					t.Errorf("submit: %v", err)
 					return

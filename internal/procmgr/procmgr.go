@@ -286,9 +286,8 @@ func (m *Manager) pexScratch() []simtime.Duration { return m.pexBuf[:0] }
 
 func (m *Manager) putPex(p []simtime.Duration) { m.pexBuf = p[:0] }
 
-// localRun tracks one in-flight local task: the pooled counterpart of the
-// per-task OnDone closure and abort timer the manager used to allocate.
-// It implements node.Hooks.
+// localRun tracks one in-flight local task: its pooled completion hooks
+// and abort timer. It implements node.Hooks.
 type localRun struct {
 	m     *Manager
 	t     *task.Task
@@ -703,6 +702,20 @@ func (r *run) complete(at simtime.Time) {
 	m.eng.Cancel(r.timer)
 	m.releaseRun(r)
 	m.rec.RecordGlobal(root, at.After(root.RealDeadline))
+}
+
+// AbortRun abandons the serial-parallel global task that m submitted it
+// for, exactly as a process-manager deadline abort would: every
+// outstanding subtask is withdrawn, the task is recorded as missed, and
+// its unreleased stages never run. It reports false when it belongs to no
+// live run of m.
+func (m *Manager) AbortRun(it *node.Item) bool {
+	c, ok := it.Hooks.(*ctrl)
+	if !ok || c.run.m != m || c.run.over {
+		return false
+	}
+	c.run.abortAll()
+	return true
 }
 
 // abortAll withdraws every outstanding subtask and abandons the run.

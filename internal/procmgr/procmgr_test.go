@@ -611,3 +611,61 @@ func TestPMAbortTimerFiresOncePerTask(t *testing.T) {
 		t.Error("every task aborted; expected the earliest ones to complete")
 	}
 }
+
+// startLog records the items nodes put in service.
+type startLog struct{ started []*node.Item }
+
+func (l *startLog) OnStart(_ *node.Node, it *node.Item, _ simtime.Time) {
+	l.started = append(l.started, it)
+}
+func (*startLog) OnEnqueue(*node.Node, *node.Item, simtime.Time) {}
+func (*startLog) OnFinish(*node.Node, *node.Item, simtime.Time)  {}
+func (*startLog) OnAbort(*node.Node, *node.Item, simtime.Time)   {}
+func (*startLog) OnPreempt(*node.Node, *node.Item, simtime.Time) {}
+
+// TestAbortRun checks abortion through an item: the owning run is
+// abandoned as a deadline abort abandons it (every outstanding subtask
+// withdrawn, the next stage never released, the task recorded once as
+// missed), and stale or foreign items are refused.
+func TestAbortRun(t *testing.T) {
+	log := &startLog{}
+	eng, nodes, m, rec := rig(t, 2, sda.SerialUD{}, sda.UD{}, nil, node.WithObserver(log))
+	g := task.MustSerial("G",
+		task.MustParallel("P", task.MustSimple("a", 0, 4), task.MustSimple("b", 1, 6)),
+		task.MustSimple("c", 0, 1),
+	)
+	g.RealDeadline = 100
+	if err := m.SubmitGlobal(g); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.started) != 2 {
+		t.Fatalf("%d items started, want a and b", len(log.started))
+	}
+	a := log.started[0]
+	ref := a.Ref()
+	other := New(eng, nodes, sda.SerialUD{}, sda.UD{})
+	if other.AbortRun(a) {
+		t.Error("a foreign manager aborted the run")
+	}
+	eng.RunUntil(2)
+	if !m.AbortRun(a) {
+		t.Fatal("AbortRun of a live run reported false")
+	}
+	if ref.Item() != nil {
+		t.Error("the withdrawn item was not recycled")
+	}
+	eng.Run()
+	if !g.Aborted || nodes[0].Busy() || nodes[1].Busy() || nodes[0].Served()+nodes[1].Served() != 0 {
+		t.Errorf("aborted %v, busy %v/%v, served %d/%d; want an abandoned run and idle nodes",
+			g.Aborted, nodes[0].Busy(), nodes[1].Busy(), nodes[0].Served(), nodes[1].Served())
+	}
+	if got, ok := rec.find("global", "G"); !ok || !got.missed || rec.count("global") != 1 {
+		t.Errorf("global records %+v (%d), want one missed", got, rec.count("global"))
+	}
+	if _, ok := rec.find("subtask", "c"); ok || len(log.started) != 2 {
+		t.Error("the stage after the abort was released")
+	}
+	if m.AbortRun(log.started[1]) {
+		t.Error("AbortRun of a finished run reported true")
+	}
+}

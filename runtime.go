@@ -4,7 +4,7 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/live"
 )
 
 // The runtime layer executes serial-parallel graphs of real Go functions
@@ -13,61 +13,61 @@ import (
 
 // Orchestrator is the live process manager: it owns worker nodes, assigns
 // virtual deadlines, enforces precedence and reports outcomes.
-type Orchestrator = core.Orchestrator
+type Orchestrator = live.Orchestrator
 
 // Work is a serial-parallel composition of runnable steps.
-type Work = core.Work
+type Work = live.Work
 
 // Func is the body of a step.
-type Func = core.Func
+type Func = live.Func
 
 // Handle tracks an in-flight live task.
-type Handle = core.Handle
+type Handle = live.Handle
 
 // Report is the outcome of a live task.
-type Report = core.Report
+type Report = live.Report
 
 // StepReport is the outcome of one step of a live task.
-type StepReport = core.StepReport
+type StepReport = live.StepReport
 
 // WorkerNode is a live single-worker processing component.
-type WorkerNode = core.Node
+type WorkerNode = live.Node
 
 // NewOrchestrator returns a live orchestrator; add nodes with AddNode,
 // then submit Work with Go.
 func NewOrchestrator(opts ...OrchestratorOption) *Orchestrator {
-	return core.NewOrchestrator(opts...)
+	return live.NewOrchestrator(opts...)
 }
 
 // OrchestratorOption configures NewOrchestrator.
-type OrchestratorOption = core.Option
+type OrchestratorOption = live.Option
 
 // WithStrategies selects the SSP and PSP strategies used to decompose
 // live deadlines (default UD-UD).
 func WithStrategies(ssp SSP, psp PSP) OrchestratorOption {
-	return core.WithStrategies(ssp, psp)
+	return live.WithStrategies(ssp, psp)
 }
 
-// WithDeadlineAbort withdraws a live task's queued steps when its real
-// deadline passes (the paper's process-manager abortion, live).
+// WithDeadlineAbort withdraws a live task's steps from their nodes when
+// its real deadline passes (the paper's process-manager abortion, live).
 func WithDeadlineAbort() OrchestratorOption {
-	return core.WithDeadlineAbort()
+	return live.WithDeadlineAbort()
 }
 
 // Step returns a leaf work item: fn runs at the named node with predicted
 // duration pex.
 func Step(name, node string, pex time.Duration, fn Func) *Work {
-	return core.Step(name, node, pex, fn)
+	return live.Step(name, node, pex, fn)
 }
 
 // Sequence composes work serially.
 func Sequence(name string, children ...*Work) *Work {
-	return core.Sequence(name, children...)
+	return live.Sequence(name, children...)
 }
 
 // Group composes work in parallel.
 func Group(name string, children ...*Work) *Work {
-	return core.Group(name, children...)
+	return live.Group(name, children...)
 }
 
 // compile-time check that the facade signatures stay wired.
