@@ -20,6 +20,7 @@ import (
 	"repro/internal/obs/tracetree"
 	"repro/internal/procmgr"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	isda "repro/internal/sda"
 	"repro/internal/sim"
 	"repro/internal/simtime"
@@ -462,6 +463,62 @@ func BenchmarkBurstArrival(b *testing.B) {
 		eng.Run()
 	}
 	b.ReportMetric(burst, "events/op")
+}
+
+// BenchmarkChecker measures the always-on invariant checker at fleet
+// scale: one enqueue/start/finish cycle per op, round-robin over 5000
+// nodes that each keep one later-deadline item waiting, so every start
+// also runs the queue-policy scan. Every item is submitted once at
+// setup, which assigns the slot the checker keys it by. The steady state
+// must report 0 allocs/op.
+func BenchmarkChecker(b *testing.B) {
+	b.ReportAllocs()
+	const fleet = 5000
+	eng := des.New()
+	chk := scenario.NewChecker(false)
+	nodes := make([]*node.Node, fleet)
+	cycle := make([][2]*node.Item, fleet)
+	mint := func(n *node.Node, vdl simtime.Time) *node.Item {
+		tk, err := task.NewSimple("", n.ID(), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tk.VirtualDeadline = vdl
+		it := n.AcquireItem(tk)
+		if err := n.Submit(it); err != nil {
+			b.Fatal(err)
+		}
+		return it
+	}
+	for k := range nodes {
+		nodes[k] = node.New(k, eng)
+	}
+	chk.Bind(nodes)
+	for k, n := range nodes {
+		resident := mint(n, 1e18)
+		cycle[k] = [2]*node.Item{mint(n, 10), mint(n, 20)}
+		chk.OnEnqueue(n, resident, 0)
+	}
+	at := simtime.Time(0)
+	step := func(i int) {
+		k := i % fleet
+		n, it := nodes[k], cycle[k][(i/fleet)%2]
+		chk.OnEnqueue(n, it, at)
+		chk.OnStart(n, it, at)
+		chk.OnFinish(n, it, at)
+		at++
+	}
+	for i := 0; i < 2*fleet; i++ { // warm up: every slot and list grown
+		step(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+	b.StopTimer()
+	if v := chk.Violations(); len(v) != 0 {
+		b.Fatalf("steady cycle flagged: %v", v[0])
+	}
 }
 
 // BenchmarkRNGChoose measures one placement draw at fleet scale: n=4

@@ -1,7 +1,9 @@
 // Live pipeline: the library beyond simulation. The runtime layer applies
 // the paper's deadline-assignment strategies to *real* concurrent Go code:
-// worker nodes are goroutines with EDF queues, deadlines are wall-clock
-// instants, and the orchestrator plays the process manager.
+// worker nodes are the simulator's EDF node.Nodes and the orchestrator is
+// its procmgr process manager, both run on wall-clock time by
+// internal/live; deadlines are wall-clock instants, and each step
+// function runs on its own goroutine.
 //
 // The example mimics the stock-trading pipeline at millisecond scale and
 // submits a burst of trades alongside background (local) work, showing how

@@ -114,6 +114,8 @@ type Item struct {
 	owner     *Node
 	remaining simtime.Duration // unexecuted service demand
 	startedAt simtime.Time     // start of the current service stretch
+	home      int              // id of the node that assigned the slot
+	slot      int              // dense index at home, plus one; 0 = unassigned
 }
 
 // NewItem wraps a simple subtask for submission.
@@ -129,6 +131,21 @@ func (it *Item) State() ItemState { return it.state }
 // by (item, generation) so a recycled item is not mistaken for its
 // previous incarnation.
 func (it *Item) Generation() uint32 { return it.gen }
+
+// Slot returns the item's dense index: the id of the node it was first
+// submitted to (home) and its ordinal among the items that node has
+// indexed (slot). The pair is assigned at the first Submit and stays
+// with the item across RecycleItem, so a node's pooled items occupy
+// slots 0 up to its pool's high-water mark and an observer can keep
+// per-item state in slices instead of maps. Pairs are unique among
+// items submitted to nodes with distinct ids. Before its first Submit an
+// item reports (-1, -1).
+func (it *Item) Slot() (home, slot int) {
+	if it.slot == 0 {
+		return -1, -1
+	}
+	return it.home, it.slot - 1
+}
 
 // Ref returns a generation-tagged handle to the item. The handle resolves
 // to the item only while this incarnation is live; after RecycleItem it
@@ -258,6 +275,7 @@ type Node struct {
 	scratch []*Item // reusable snapshot buffer for Crash/SetRate
 	servers int
 	seq     uint64
+	slots   int // item slots handed out (see Item.Slot)
 
 	// Fault-injection state (scenario harness): a crashed node stops
 	// dispatching, and a degraded node serves at rate work units per time
@@ -566,6 +584,10 @@ func (n *Node) Submit(it *Item) error {
 	}
 	if it.state == StateQueued || it.state == StateServing {
 		return fmt.Errorf("%w: %q", ErrResubmitted, it.Task.Name)
+	}
+	if it.slot == 0 {
+		n.slots++
+		it.home, it.slot = n.id, n.slots
 	}
 	it.state = StateQueued
 	it.seq = n.seq

@@ -247,3 +247,63 @@ func TestPoolAliasingProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestItemSlot checks the dense item index: unassigned until the first
+// Submit, handed out 0, 1, ... per home node, kept across RecycleItem
+// and resubmission elsewhere, so a node's slots stay bounded by its
+// pool's high-water mark under steady acquire/recycle churn.
+func TestItemSlot(t *testing.T) {
+	eng := des.New()
+	a, b := New(3, eng), New(7, eng)
+
+	fresh := NewItem(mustTask(t, "fresh", 1))
+	if h, s := fresh.Slot(); h != -1 || s != -1 {
+		t.Fatalf("unsubmitted item slot = (%d, %d), want (-1, -1)", h, s)
+	}
+
+	const window = 4
+	live := make([]*Item, 0, window)
+	for i := 0; i < window; i++ {
+		it := a.AcquireItem(mustTask(t, "x", 1))
+		if err := a.Submit(it); err != nil {
+			t.Fatal(err)
+		}
+		if h, s := it.Slot(); h != 3 || s != i {
+			t.Fatalf("item %d slot = (%d, %d), want (3, %d)", i, h, s, i)
+		}
+		live = append(live, it)
+	}
+	for round := 0; round < 50; round++ {
+		it := live[round%window]
+		h0, s0 := it.Slot()
+		a.Remove(it)
+		a.RecycleItem(it)
+		again := a.AcquireItem(mustTask(t, "y", 1))
+		if again != it {
+			t.Fatal("pool did not return the recycled item")
+		}
+		// A recycled item keeps its slot wherever it is submitted next.
+		target := a
+		if round%2 == 1 {
+			target = b
+		}
+		if err := target.Submit(again); err != nil {
+			t.Fatal(err)
+		}
+		if h, s := again.Slot(); h != h0 || s != s0 {
+			t.Fatalf("round %d: slot moved from (%d, %d) to (%d, %d)", round, h0, s0, h, s)
+		}
+		if round%2 == 1 {
+			b.Remove(again) // hand it back to a's pool on the next round
+		}
+	}
+	if a.slots != window || b.slots != 0 {
+		t.Fatalf("slots handed out: a=%d b=%d, want %d and 0", a.slots, b.slots, window)
+	}
+	if err := b.Submit(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if h, s := fresh.Slot(); h != 7 || s != 0 {
+		t.Fatalf("first item at b slot = (%d, %d), want (7, 0)", h, s)
+	}
+}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/node"
 	"repro/internal/simtime"
@@ -33,23 +34,48 @@ const maxViolations = 32
 //     run are tolerated — nothing can serve them).
 //
 // All callbacks run on the single simulation goroutine.
+//
+// The state is dense so the always-on checker stays cheap at fleet
+// scale: per-node state lives in a slice indexed by node id, per-item
+// state in slices indexed by the item's node-assigned slot
+// (node.Item.Slot), and no callback touches a map. Both grow on demand.
+// Walks follow node id then enqueue order for waiting items, and home
+// node id then slot for items in service, so the violation list is the
+// same on every run.
 type Checker struct {
 	allowEarlyVDL bool
 
-	nodes   []*node.Node
-	waiting map[*node.Item]int // item -> node id, while queued
-	serving map[*node.Item]int // item -> node id, while in service
-	perNode map[int]int        // node id -> in-service count
-
-	// waitAt indexes the waiting set by node, so the queue-policy check in
-	// OnStart scans one node's queue instead of every waiting item in the
-	// fleet — the difference between O(queue) and O(fleet) per dispatch,
-	// which is what lets the checker stay always-on at 10k+ nodes.
-	waitAt map[int]map[*node.Item]struct{}
+	nodes []*node.Node
+	at    []nodeState   // by node id
+	items [][]itemState // by item home node id, then slot
 
 	last       simtime.Time
 	violations []string
 	dropped    int // violations beyond maxViolations
+}
+
+// nodeState is the checker's view of one node.
+type nodeState struct {
+	inService int
+
+	// waiting indexes the waiting items by node, in enqueue order, so the
+	// queue-policy check in OnStart scans one node's queue instead of
+	// every waiting item in the fleet — the difference between O(queue)
+	// and O(fleet) per dispatch, which is what lets the checker stay
+	// always-on at 10k+ nodes. An item re-enqueued at another node while
+	// still waiting here stays listed here as a stray (the checker has
+	// already reported it); each item is listed at most once per node.
+	waiting []*node.Item
+}
+
+// itemState is the checker's view of one item. Waiting and serving are
+// independent: an item enqueued while in service is both (after the
+// violation is reported).
+type itemState struct {
+	it      *node.Item // the item, once started (for the drain report)
+	waitAt  int        // node id + 1 while waiting; 0 = not waiting
+	serveAt int        // node id + 1 while in service; 0 = not in service
+	stray   bool       // may be listed in a node's waiting list other than waitAt's
 }
 
 var _ node.Observer = (*Checker)(nil)
@@ -57,40 +83,83 @@ var _ node.Observer = (*Checker)(nil)
 // NewChecker returns a checker; allowEarlyVDL disables the
 // deadline-not-before-release check (needed for GF-delta).
 func NewChecker(allowEarlyVDL bool) *Checker {
-	return &Checker{
-		allowEarlyVDL: allowEarlyVDL,
-		waiting:       make(map[*node.Item]int),
-		serving:       make(map[*node.Item]int),
-		perNode:       make(map[int]int),
-		waitAt:        make(map[int]map[*node.Item]struct{}),
-	}
+	return &Checker{allowEarlyVDL: allowEarlyVDL}
 }
 
-// wait records it as waiting at node id in both the flat map and the
-// per-node index.
-func (c *Checker) wait(it *node.Item, id int) {
-	c.waiting[it] = id
-	q := c.waitAt[id]
-	if q == nil {
-		q = make(map[*node.Item]struct{})
-		c.waitAt[id] = q
+// node returns the state of node id.
+func (c *Checker) node(id int) *nodeState {
+	if id >= len(c.at) {
+		c.at = grow(c.at, id+1)
 	}
-	q[it] = struct{}{}
+	return &c.at[id]
+}
+
+// item returns the state of it, keyed by its slot. Every item a node
+// reports has been submitted, so its slot is assigned.
+func (c *Checker) item(it *node.Item) *itemState {
+	home, slot := it.Slot()
+	if home >= len(c.items) {
+		c.items = grow(c.items, home+1)
+	}
+	if slot >= len(c.items[home]) {
+		c.items[home] = grow(c.items[home], slot+1)
+	}
+	return &c.items[home][slot]
+}
+
+// grow returns s extended with zero values to length n > len(s).
+func grow[T any](s []T, n int) []T {
+	return append(s, make([]T, n-len(s))...)
+}
+
+// wait records it (whose state is st) as waiting at node id, listing it
+// there unless it is listed already.
+func (c *Checker) wait(it *node.Item, st *itemState, id int) {
+	q := &c.node(id).waiting
+	switch {
+	case st.waitAt == id+1:
+		// Already listed here.
+	case st.waitAt == 0 && !st.stray:
+		*q = append(*q, it)
+	default:
+		if !slices.Contains(*q, it) {
+			*q = append(*q, it)
+		}
+	}
+	if st.waitAt != 0 && st.waitAt != id+1 {
+		st.stray = true
+	}
+	st.waitAt = id + 1
 }
 
 // unwait removes it from the waiting set; a no-op if it was not waiting.
-func (c *Checker) unwait(it *node.Item) {
-	id, ok := c.waiting[it]
-	if !ok {
+func (c *Checker) unwait(it *node.Item, st *itemState) {
+	if st.waitAt == 0 {
 		return
 	}
-	delete(c.waiting, it)
-	delete(c.waitAt[id], it)
+	q := &c.at[st.waitAt-1].waiting
+	i := slices.Index(*q, it) // listed there since wait
+	*q = slices.Delete(*q, i, i+1)
+	st.waitAt = 0
 }
 
-// Bind attaches the nodes under observation; needed only for the final
-// conservation check's down-node tolerance.
-func (c *Checker) Bind(nodes []*node.Node) { c.nodes = nodes }
+// Bind attaches the nodes under observation, for the final conservation
+// check's down-node tolerance, and sizes the per-node state for them up
+// front. Each node's waiting list and item rows grow on demand, as for
+// nodes the checker meets without Bind.
+func (c *Checker) Bind(nodes []*node.Node) {
+	c.nodes = nodes
+	top := -1
+	for _, n := range nodes {
+		top = max(top, n.ID())
+	}
+	if top >= len(c.at) {
+		c.at = grow(c.at, top+1)
+	}
+	if top >= len(c.items) {
+		c.items = grow(c.items, top+1)
+	}
+}
 
 // Violations returns the recorded invariant violations in order.
 func (c *Checker) Violations() []string {
@@ -121,16 +190,17 @@ func (c *Checker) clock(at simtime.Time) {
 // OnEnqueue implements node.Observer.
 func (c *Checker) OnEnqueue(n *node.Node, it *node.Item, at simtime.Time) {
 	c.clock(at)
-	if _, dup := c.waiting[it]; dup {
+	st := c.item(it)
+	if st.waitAt != 0 {
 		c.violate("t=%v node%d: item %q enqueued while already waiting", at, n.ID(), it.Task.Name)
 	}
-	if _, dup := c.serving[it]; dup {
+	if st.serveAt != 0 {
 		c.violate("t=%v node%d: item %q enqueued while in service", at, n.ID(), it.Task.Name)
 	}
 	if it.Task.VirtualDeadline.IsNever() {
 		c.violate("t=%v node%d: item %q enqueued without a virtual deadline", at, n.ID(), it.Task.Name)
 	}
-	c.wait(it, n.ID())
+	c.wait(it, st, n.ID())
 }
 
 // OnStart implements node.Observer.
@@ -139,48 +209,52 @@ func (c *Checker) OnStart(n *node.Node, it *node.Item, at simtime.Time) {
 	if n.Down() {
 		c.violate("t=%v node%d: service started while node is down", at, n.ID())
 	}
-	if _, ok := c.waiting[it]; !ok {
+	st := c.item(it)
+	if st.waitAt == 0 {
 		c.violate("t=%v node%d: item %q started without being enqueued", at, n.ID(), it.Task.Name)
 	}
-	c.unwait(it)
+	c.unwait(it, st)
 	// Queue-policy order: nothing left waiting at this node may strictly
 	// outrank the item just chosen.
+	ns := c.node(n.ID())
 	pol := n.Policy()
-	for w := range c.waitAt[n.ID()] {
+	for _, w := range ns.waiting {
 		if pol.Less(w, it) {
 			c.violate("t=%v node%d: started %q but waiting %q outranks it under %s",
 				at, n.ID(), it.Task.Name, w.Task.Name, pol.Name())
 		}
 	}
-	c.serving[it] = n.ID()
-	c.perNode[n.ID()]++
-	if c.perNode[n.ID()] > n.Servers() {
+	st.it, st.serveAt = it, n.ID()+1
+	ns.inService++
+	if ns.inService > n.Servers() {
 		c.violate("t=%v node%d: %d items in service but only %d servers",
-			at, n.ID(), c.perNode[n.ID()], n.Servers())
+			at, n.ID(), ns.inService, n.Servers())
 	}
 }
 
 // OnFinish implements node.Observer.
 func (c *Checker) OnFinish(n *node.Node, it *node.Item, at simtime.Time) {
 	c.clock(at)
-	if _, ok := c.serving[it]; !ok {
+	st := c.item(it)
+	if st.serveAt == 0 {
 		c.violate("t=%v node%d: item %q finished without being in service", at, n.ID(), it.Task.Name)
 		return
 	}
-	delete(c.serving, it)
-	c.perNode[n.ID()]--
+	st.serveAt = 0
+	c.node(n.ID()).inService--
 }
 
 // OnAbort implements node.Observer.
 func (c *Checker) OnAbort(n *node.Node, it *node.Item, at simtime.Time) {
 	c.clock(at)
-	if _, ok := c.serving[it]; ok {
-		delete(c.serving, it)
-		c.perNode[n.ID()]--
+	st := c.item(it)
+	if st.serveAt != 0 {
+		st.serveAt = 0
+		c.node(n.ID()).inService--
 		return
 	}
-	if _, ok := c.waiting[it]; ok {
-		c.unwait(it)
+	if st.waitAt != 0 {
+		c.unwait(it, st)
 		return
 	}
 	c.violate("t=%v node%d: item %q aborted but was neither waiting nor in service", at, n.ID(), it.Task.Name)
@@ -189,13 +263,14 @@ func (c *Checker) OnAbort(n *node.Node, it *node.Item, at simtime.Time) {
 // OnPreempt implements node.Observer.
 func (c *Checker) OnPreempt(n *node.Node, it *node.Item, at simtime.Time) {
 	c.clock(at)
-	if _, ok := c.serving[it]; !ok {
+	st := c.item(it)
+	if st.serveAt == 0 {
 		c.violate("t=%v node%d: item %q preempted without being in service", at, n.ID(), it.Task.Name)
 		return
 	}
-	delete(c.serving, it)
-	c.perNode[n.ID()]--
-	c.wait(it, n.ID())
+	st.serveAt = 0
+	c.node(n.ID()).inService--
+	c.wait(it, st, n.ID())
 }
 
 // OnRelease is a procmgr.ReleaseHook checking every deadline assignment:
@@ -232,19 +307,27 @@ func (c *Checker) OnRelease(t, root *task.Task, budget simtime.Time) {
 // item must have resolved to done or aborted, except items stranded on a
 // node that is down at the end of the run.
 func (c *Checker) Finish() {
-	downNode := make(map[int]bool)
+	down := make([]bool, len(c.at))
 	for _, n := range c.nodes {
-		if n.Down() {
-			downNode[n.ID()] = true
+		if n.ID() < len(down) && n.Down() {
+			down[n.ID()] = true
 		}
 	}
-	for it, id := range c.waiting {
-		if downNode[id] {
+	for id := range c.at {
+		if down[id] {
 			continue
 		}
-		c.violate("conservation: item %q still waiting at node%d after drain", it.Task.Name, id)
+		for _, it := range c.at[id].waiting {
+			if c.item(it).waitAt == id+1 { // skip strays
+				c.violate("conservation: item %q still waiting at node%d after drain", it.Task.Name, id)
+			}
+		}
 	}
-	for it, id := range c.serving {
-		c.violate("conservation: item %q still in service at node%d after drain", it.Task.Name, id)
+	for _, rows := range c.items {
+		for _, st := range rows {
+			if st.serveAt != 0 {
+				c.violate("conservation: item %q still in service at node%d after drain", st.it.Task.Name, st.serveAt-1)
+			}
+		}
 	}
 }
