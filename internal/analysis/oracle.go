@@ -23,6 +23,8 @@ import (
 // Finish carries no response time. All callbacks run on the simulation
 // goroutine; the Oracle is not safe for concurrent use across engines.
 type Oracle struct {
+	procmgr.NopRecorder // releases and causal edges carry no bound
+
 	maxRate float64
 	tol     float64
 
@@ -45,13 +47,9 @@ const DefaultOracleTol = 1e-6
 // keeps incrementing past the cap.
 const maxOracleViolations = 32
 
-// Interface checks: the Oracle understands plain outcomes, DAG
-// submissions and DAG outcomes.
-var (
-	_ procmgr.Recorder           = (*Oracle)(nil)
-	_ procmgr.DagRecorder        = (*Oracle)(nil)
-	_ procmgr.DagOutcomeRecorder = (*Oracle)(nil)
-)
+// The Oracle subscribes to plain outcomes, DAG submissions and DAG
+// outcomes.
+var _ procmgr.Listener = (*Oracle)(nil)
 
 // NewOracle returns an oracle assuming nominal service rates (max rate 1)
 // and the default tolerance.
@@ -143,13 +141,13 @@ func (o *Oracle) RecordGlobal(root *task.Task, _ bool) {
 	o.check("global", root.Name, root, root.CriticalPath().Scale(1/o.maxRate))
 }
 
-// RecordDagSubmit implements procmgr.DagRecorder: remember the realized
+// RecordDagSubmit implements procmgr.Listener: remember the realized
 // DAG's critical path so the outcome can be judged against it.
 func (o *Oracle) RecordDagSubmit(d *task.Dag, root *task.Task) {
 	o.dags[root] = d.CriticalPath()
 }
 
-// RecordDagOutcome implements procmgr.DagOutcomeRecorder: check the DAG
+// RecordDagOutcome implements procmgr.Listener: check the DAG
 // response against the realized critical path registered at submission.
 func (o *Oracle) RecordDagOutcome(d *task.Dag, root *task.Task, _ bool) {
 	cp, ok := o.dags[root]

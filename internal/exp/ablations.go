@@ -162,43 +162,13 @@ func DivNoFanout(o Options) (*Table, error) {
 			"DIV-x's n-scaling adjusts the priority boost to the task size automatically",
 		},
 	}
-	for _, n := range classes {
-		t.RowLabels = append(t.RowLabels, fmt.Sprintf("global-n%d", n))
-	}
+	var variants []variant
 	for _, s := range strategies {
 		t.Series = append(t.Series, s.Name())
+		variants = append(variants, variant{s.Name(), func(c *sim.Config) { c.PSP = s }})
 	}
-	cols := make([][]float64, len(strategies))
-	colErrs := make([][]float64, len(strategies))
-	err := par.Map(o.Workers, len(strategies), func(i int) error {
-		cfg := baseline(o)
-		cfg.Spec.Factory = workload.UniformParallel{Min: 2, Max: 6}
-		cfg.PSP = strategies[i]
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", strategies[i].Name(), err)
-		}
-		cols[i] = append(cols[i], res.MDLocal.Mean)
-		colErrs[i] = append(colErrs[i], res.MDLocal.HalfWidth)
-		for _, n := range classes {
-			iv := res.MDGlobalBy[n]
-			cols[i] = append(cols[i], iv.Mean)
-			colErrs[i] = append(colErrs[i], iv.HalfWidth)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := classRows(o, t, classes, variants); err != nil {
 		return nil, err
-	}
-	for r := range t.RowLabels {
-		row := make([]float64, len(strategies))
-		errs := make([]float64, len(strategies))
-		for cIdx := range strategies {
-			row[cIdx] = cols[cIdx][r]
-			errs[cIdx] = colErrs[cIdx][r]
-		}
-		t.Y = append(t.Y, row)
-		t.Err = append(t.Err, errs)
 	}
 	return t, nil
 }

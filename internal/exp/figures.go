@@ -329,15 +329,24 @@ func Fig12(o Options) (*Table, error) {
 			"UD penalises large globals (n=6 ~ 4x local); DIV-1 evens the classes; GF pushes globals lowest",
 		},
 	}
-	for _, n := range classes {
-		t.RowLabels = append(t.RowLabels, fmt.Sprintf("global-n%d", n))
-	}
-	strategies := []variant{
+	err := classRows(o, t, classes, []variant{
 		{"UD", func(c *sim.Config) { c.PSP = sda.UD{} }},
 		{"DIV-1", func(c *sim.Config) { c.PSP = sda.MustDiv(1) }},
 		{"GF", func(c *sim.Config) { c.PSP = sda.GF{} }},
+	})
+	if err != nil {
+		return nil, err
 	}
-	// One run per strategy (in parallel); rows are classes.
+	return t, nil
+}
+
+// classRows runs one replication set per strategy (in parallel) on the
+// non-homogeneous n~U[2..6] workload and fills t with one row per task
+// class: locals, then globals with each subtask count in classes.
+func classRows(o Options, t *Table, classes []int, strategies []variant) error {
+	for _, n := range classes {
+		t.RowLabels = append(t.RowLabels, fmt.Sprintf("global-n%d", n))
+	}
 	cols := make([][]float64, len(strategies))
 	colErrs := make([][]float64, len(strategies))
 	err := par.Map(o.Workers, len(strategies), func(i int) error {
@@ -359,7 +368,7 @@ func Fig12(o Options) (*Table, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for r := range t.RowLabels {
 		row := make([]float64, len(strategies))
@@ -371,7 +380,7 @@ func Fig12(o Options) (*Table, error) {
 		t.Y = append(t.Y, row)
 		t.Err = append(t.Err, errs)
 	}
-	return t, nil
+	return nil
 }
 
 // fig15Base returns the Section 8 configuration: the Figure 14 task graph

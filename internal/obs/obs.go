@@ -7,9 +7,9 @@
 // misses: queue buildup at bottleneck nodes, slack exhaustion across
 // serial stages, preemption storms under GF. It threads through the
 // whole stack via the hooks the simulator already exposes — it is a
-// node.Observer for scheduling events, a procmgr.Recorder for outcomes,
-// and a procmgr.ReleaseHook for deadline assignments — so enabling it
-// changes no model behaviour:
+// node.Observer for scheduling events and a procmgr.Listener for
+// outcomes, deadline assignments, causal edges and DAG shapes — so
+// enabling it changes no model behaviour:
 //
 //   - every timestamp is simulated time (wall clock never appears), so
 //     exports are bit-identical across runs and machines;
@@ -99,7 +99,7 @@ func (o Options) normalized() Options {
 }
 
 // Telemetry is one run's telemetry state. Create with New, attach it as
-// a node observer / recorder / release hook (sim.Config.Obs does this
+// a node observer and process-manager listener (sim.Config.Obs does this
 // wiring), Bind it to the engine and nodes, Start the sampler, and read
 // the exports after the run. All methods run on the simulation
 // goroutine; Telemetry is not safe for concurrent use.
@@ -111,7 +111,7 @@ type Telemetry struct {
 	// Scheduling-event counters (node.Observer).
 	enqueues, starts, finishes, aborts, preempts *Counter
 
-	// Deadline-assignment counters (procmgr.ReleaseHook).
+	// Deadline-assignment counters (procmgr.Listener.RecordRelease).
 	releases, resubmits *Counter
 
 	// Outcome counters (procmgr.Recorder).
@@ -148,8 +148,8 @@ type Telemetry struct {
 	nextID  uint64 // last span id == total spans ever recorded
 	rep     int    // replication index stamped on spans
 
-	// Causal-edge capture (procmgr.CausalRecorder). lastSpan maps a task
-	// to the id of its most recent span — unlike the open index it
+	// Causal-edge capture (procmgr.Listener.RecordCause). lastSpan maps a
+	// task to the id of its most recent span — unlike the open index it
 	// survives span close and ring eviction, so an edge from a finished
 	// predecessor still resolves; entries retire when the owning global
 	// task does. edges is a ring bounded by MaxSpans. injectID marks an
@@ -165,7 +165,8 @@ type Telemetry struct {
 
 	// dagShape holds the {depth, width} of an announced precedence-DAG
 	// global task, keyed by its accounting root, until the root span is
-	// opened by the root's OnRelease. Entries are cleared at RecordGlobal.
+	// opened by the root's RecordRelease. Entries are cleared at
+	// RecordGlobal.
 	dagShape map[*task.Task][2]int
 
 	sampler *Sampler
@@ -318,7 +319,7 @@ func (t *Telemetry) OnAbort(*node.Node, *node.Item, simtime.Time) { t.aborts.Inc
 // OnPreempt implements node.Observer.
 func (t *Telemetry) OnPreempt(*node.Node, *node.Item, simtime.Time) { t.preempts.Inc() }
 
-// --- procmgr.ReleaseHook ----------------------------------------------------
+// --- procmgr.Listener -------------------------------------------------------
 
 // now returns the current simulated instant (0 before Bind, which only
 // happens in unit tests driving hooks directly).
@@ -329,12 +330,11 @@ func (t *Telemetry) now() float64 {
 	return float64(t.eng.Now())
 }
 
-// OnRelease observes one deadline assignment. Attach it via
-// procmgr.WithReleaseHook (sim.Config.Obs does). The first release of a
-// global root opens the root span; every release opens (or, on a
-// local-abort re-release, reopens) the stage span of the released tree
-// node and records the assigned slack.
-func (t *Telemetry) OnRelease(tk, root *task.Task, budget simtime.Time) {
+// RecordRelease implements procmgr.Listener: it observes one deadline
+// assignment. The first release of a global root opens the root span;
+// every release opens (or, on a local-abort re-release, reopens) the
+// stage span of the released tree node and records the assigned slack.
+func (t *Telemetry) RecordRelease(tk, root *task.Task, budget simtime.Time) {
 	t.releases.Inc()
 	now := t.now()
 	slack := float64(tk.VirtualDeadline) - now - float64(tk.PredictedCriticalPath())
@@ -419,7 +419,7 @@ func (t *Telemetry) BeginInject(label string) {
 // EndInject closes the window opened by BeginInject.
 func (t *Telemetry) EndInject() { t.injectID = 0 }
 
-// RecordCause implements procmgr.CausalRecorder: one causal edge of the
+// RecordCause implements procmgr.Listener: one causal edge of the
 // precedence protocol, serialized against the span ids of its endpoint
 // tasks. Edges whose endpoint never opened a span (an abort cascade
 // reaching a never-released DAG vertex, or a span lost before telemetry
@@ -598,17 +598,14 @@ func (t *Telemetry) endOf(tk *task.Task) float64 {
 	return t.now()
 }
 
-// --- procmgr.Recorder -------------------------------------------------------
-
-// RecordDagSubmit implements procmgr.DagRecorder: it stashes the DAG's
-// shape so the root span opened by the subsequent OnRelease carries the
-// graph's depth and width. Like the Recorder methods it is wired
-// automatically when the Telemetry is registered as a manager recorder.
+// RecordDagSubmit implements procmgr.Listener: it stashes the DAG's
+// shape so the root span opened by the subsequent RecordRelease carries
+// the graph's depth and width.
 func (t *Telemetry) RecordDagSubmit(d *task.Dag, root *task.Task) {
 	t.dagShape[root] = [2]int{d.Depth(), d.Width()}
 }
 
-// RecordDagOutcome implements procmgr.DagOutcomeRecorder: DAG vertices
+// RecordDagOutcome implements procmgr.Listener: DAG vertices
 // are not reachable from the accounting root's Walk, so their causal
 // bookkeeping retires here instead of in RecordGlobal. Every edge of the
 // run has fired by the time the outcome is reported.
@@ -618,8 +615,10 @@ func (t *Telemetry) RecordDagOutcome(d *task.Dag, root *task.Task, missed bool) 
 	}
 }
 
-// RecordLocal implements procmgr.Recorder: local tasks never pass
-// through the release hook, so their whole span is synthesized at
+// --- procmgr.Recorder -------------------------------------------------------
+
+// RecordLocal implements procmgr.Recorder: local tasks are never
+// released through RecordRelease, so their whole span is synthesized at
 // resolution from the task's own attributes.
 func (t *Telemetry) RecordLocal(tk *task.Task, missed bool) {
 	t.doneLocal.Inc()

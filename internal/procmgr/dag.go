@@ -33,46 +33,6 @@ import (
 // by vertex id. The DAG, its vertices and their tasks are never pooled:
 // recorders, the oracle and spans key state by their identity.
 
-// DagRecorder is an optional extension of Recorder. A recorder that also
-// implements it is told about every DAG submission before the first
-// release fires, with the DAG and its accounting root (the task pointer
-// later passed to RecordGlobal and release hooks). The telemetry layer
-// uses it to attach shape attributes (depth, width) to the global span.
-type DagRecorder interface {
-	RecordDagSubmit(d *task.Dag, root *task.Task)
-}
-
-// RecordDagSubmit forwards the submission to every member recorder that
-// understands DAGs.
-func (m multiRecorder) RecordDagSubmit(d *task.Dag, root *task.Task) {
-	for _, r := range m {
-		if dr, ok := r.(DagRecorder); ok {
-			dr.RecordDagSubmit(d, root)
-		}
-	}
-}
-
-// DagOutcomeRecorder is an optional extension of Recorder. A recorder
-// that also implements it is told when a DAG run ends — completion or
-// abort — with the DAG, its accounting root and the miss verdict, right
-// after the corresponding RecordGlobal. Unlike RecordGlobal it carries
-// the DAG itself, so outcome consumers (the analytic oracle) can judge
-// the response time against the DAG's true critical path rather than the
-// synthetic root's weaker max-over-vertices view.
-type DagOutcomeRecorder interface {
-	RecordDagOutcome(d *task.Dag, root *task.Task, missed bool)
-}
-
-// RecordDagOutcome forwards the outcome to every member recorder that
-// understands DAG outcomes.
-func (m multiRecorder) RecordDagOutcome(d *task.Dag, root *task.Task, missed bool) {
-	for _, r := range m {
-		if dr, ok := r.(DagOutcomeRecorder); ok {
-			dr.RecordDagOutcome(d, root, missed)
-		}
-	}
-}
-
 // SubmitDag submits a global task expressed as a precedence DAG. The
 // accounting root's RealDeadline must be set (d.Root().RealDeadline); the
 // manager decomposes the DAG online and releases each vertex as soon as
@@ -95,8 +55,8 @@ func (m *Manager) SubmitDag(d *task.Dag) error {
 		}
 	}
 
-	if m.dagRec != nil {
-		m.dagRec.RecordDagSubmit(d, root)
+	if m.lis != nil {
+		m.lis.RecordDagSubmit(d, root)
 	}
 	r := m.acquireDagRun(d, root, ctrlCount(st))
 	if m.pmAbort {
@@ -112,8 +72,8 @@ func (m *Manager) SubmitDag(d *task.Dag) error {
 	now := m.eng.Now()
 	root.Arrival = now
 	root.VirtualDeadline = root.RealDeadline
-	if m.onRel != nil {
-		m.onRel(root, root, root.RealDeadline)
+	if m.lis != nil {
+		m.lis.RecordRelease(root, root, root.RealDeadline)
 	}
 	r.releaseStruct(r.newCtrl(dagCtrl{s: st}), now, root.RealDeadline, root.RealDeadline, false, nil)
 	return nil
@@ -251,7 +211,7 @@ type dagCtrl struct {
 
 // releaseStruct makes the structure rooted at c executable at instant now
 // with the given deadline budget and GF boost flag. parentBudget is the
-// budget the assignment was decomposed from, passed to the release hook.
+// budget the assignment was decomposed from, passed to the Listener.
 // pred is the task whose completion triggered the release (nil at
 // submission); it threads through composite fan-outs so every vertex made
 // executable by one completion carries the same causal origin.
@@ -266,11 +226,11 @@ func (r *dagRun) releaseStruct(c *dagCtrl, now simtime.Time, budget simtime.Time
 		t.Arrival = now
 		t.VirtualDeadline = budget
 		t.PriorityBoost = boost
-		if r.m.onRel != nil {
-			r.m.onRel(t, r.root, parentBudget)
-		}
-		if pred != nil {
-			r.m.cause("pred", pred, t, r.root)
+		if lis := r.m.lis; lis != nil {
+			lis.RecordRelease(t, r.root, parentBudget)
+			if pred != nil {
+				lis.RecordCause("pred", pred, t, r.root)
+			}
 		}
 		r.submitDagLeaf(c, t)
 	case task.StructSerial:
@@ -370,11 +330,11 @@ func (r *dagRun) releaseMember(c *dagCtrl, mb *task.DagNode, now, vdl, parentBud
 	t.Arrival = now
 	t.VirtualDeadline = vdl
 	t.PriorityBoost = boost
-	if r.m.onRel != nil {
-		r.m.onRel(t, r.root, parentBudget)
-	}
-	if pred != nil {
-		r.m.cause("pred", pred, t, r.root)
+	if lis := r.m.lis; lis != nil {
+		lis.RecordRelease(t, r.root, parentBudget)
+		if pred != nil {
+			lis.RecordCause("pred", pred, t, r.root)
+		}
 	}
 	r.submitDagLeaf(r.newCtrl(dagCtrl{parent: c, member: mb}), t)
 }
@@ -511,12 +471,12 @@ func (r *dagRun) resubmit(c *dagCtrl, t *task.Task, it *node.Item, now simtime.T
 	}
 	t.VirtualDeadline = vdl
 	t.PriorityBoost = boost
-	if r.m.onRel != nil {
+	if r.m.lis != nil {
 		budget := r.root.RealDeadline
 		if c.parent != nil {
 			budget = c.parent.vdl
 		}
-		r.m.onRel(t, r.root, budget)
+		r.m.lis.RecordRelease(t, r.root, budget)
 	}
 	r.live.add(it)
 	if err := r.m.nodes[t.Node].Submit(it); err != nil {
@@ -573,8 +533,8 @@ func (r *dagRun) complete(at simtime.Time) {
 	r.retire()
 	missed := at.After(root.RealDeadline)
 	m.rec.RecordGlobal(root, missed)
-	if dr := m.dagOutcome; dr != nil {
-		dr.RecordDagOutcome(d, root, missed)
+	if m.lis != nil {
+		m.lis.RecordDagOutcome(d, root, missed)
 	}
 }
 
@@ -587,40 +547,24 @@ func (r *dagRun) abortAll() {
 		return
 	}
 	r.over = true
-	r.m.eng.Cancel(r.timer)
-	r.timer = des.Event{}
-	// Withdrawal can synchronously cascade local aborts of this run's
-	// later items, whose hooks mutate r.live mid-loop; recycling is
-	// deferred to a reap pass over the items this loop positively removed
-	// (see run.abortAll).
-	r.reap = r.reap[:0]
-	for _, it := range r.live {
-		if r.m.nodes[it.Task.Node].Remove(it) {
-			r.reap = append(r.reap, it)
-		}
-		it.Task.Aborted = true
-		if it.Task != r.root {
-			r.m.cause("abort", r.root, it.Task, r.root)
-		}
-		r.m.rec.RecordSubtask(it.Task, true)
-	}
-	for _, it := range r.reap {
-		r.m.nodes[it.Task.Node].RecycleItem(it)
-	}
-	r.reap = r.reap[:0]
-	r.live = r.live[:0]
 	m, d, root := r.m, r.dag, r.root
+	m.eng.Cancel(r.timer)
+	r.timer = des.Event{}
+	r.reap = m.withdraw(r.live, root, r.reap)
+	r.live = r.live[:0]
 	for _, n := range d.Nodes() {
 		// Never released: no virtual deadline was ever assigned.
 		if t := n.Task; !t.Finished() && t.VirtualDeadline.IsNever() {
 			t.Aborted = true
-			m.cause("abort", root, t, root)
+			if m.lis != nil {
+				m.lis.RecordCause("abort", root, t, root)
+			}
 		}
 	}
 	root.Aborted = true
 	r.retire()
 	m.rec.RecordGlobal(root, true)
-	if dr := m.dagOutcome; dr != nil {
-		dr.RecordDagOutcome(d, root, true)
+	if m.lis != nil {
+		m.lis.RecordDagOutcome(d, root, true)
 	}
 }

@@ -12,15 +12,22 @@ import (
 	"repro/internal/task"
 )
 
-// dagRecorder extends testRecorder with the DagRecorder hook.
+// dagRecorder extends testRecorder into a Listener that logs DAG
+// submissions.
 type dagRecorder struct {
 	testRecorder
 	submits []string
 }
 
+var _ Listener = (*dagRecorder)(nil)
+
 func (r *dagRecorder) RecordDagSubmit(d *task.Dag, root *task.Task) {
 	r.submits = append(r.submits, d.Name)
 }
+
+func (*dagRecorder) RecordRelease(*task.Task, *task.Task, simtime.Time)     {}
+func (*dagRecorder) RecordCause(string, *task.Task, *task.Task, *task.Task) {}
+func (*dagRecorder) RecordDagOutcome(*task.Dag, *task.Task, bool)           {}
 
 func TestSubmitDagSerialChain(t *testing.T) {
 	// a -> b -> c on one node: each vertex must be released exactly when
@@ -402,6 +409,6 @@ func TestSubmitDagDeterministic(t *testing.T) {
 		t.Errorf("record streams differ:\n%v\n%v", r1, r2)
 	}
 	if !reflect.DeepEqual(s1, s2) || len(s1) != 1 {
-		t.Errorf("DagRecorder submits = %v / %v, want one identical entry", s1, s2)
+		t.Errorf("RecordDagSubmit calls = %v / %v, want one identical entry", s1, s2)
 	}
 }

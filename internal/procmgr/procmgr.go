@@ -65,135 +65,132 @@ type Recorder interface {
 	RecordGlobal(root *task.Task, missed bool)
 }
 
-// NopRecorder discards all records; useful in tests and tools that only
-// care about the schedule itself.
+// Listener is the optional extension of Recorder: a recorder that also
+// implements it observes the rest of the manager's work. The manager
+// asserts it once, when the recorder is installed, so a plain Recorder
+// pays one nil check per release. Callbacks run synchronously on the
+// simulation goroutine and must be cheap.
+type Listener interface {
+	Recorder
+	// RecordRelease observes every deadline assignment: t is the tree
+	// node or DAG vertex that just became executable (Arrival,
+	// VirtualDeadline and PriorityBoost freshly set), root its global
+	// task, and budget the deadline budget the release was decomposed
+	// from. A local-abort resubmission is reported as a fresh release.
+	RecordRelease(t, root *task.Task, budget simtime.Time)
+	// RecordCause reports one causal edge, right after the release it
+	// explains and before the corresponding outcome records. Kinds are
+	// plain strings so this package needs no knowledge of the
+	// consumer's vocabulary:
+	//
+	//   - "parent": structural release; from is the enclosing composite.
+	//   - "pred": precedence release; from is the predecessor whose
+	//     completion made to executable.
+	//   - "abort": deadline cascade; from is the aborted global root.
+	RecordCause(kind string, from, to, root *task.Task)
+	// RecordDagSubmit reports a DAG submission before its first release;
+	// root is the accounting root later passed to the other callbacks.
+	RecordDagSubmit(d *task.Dag, root *task.Task)
+	// RecordDagOutcome follows the RecordGlobal that ends a DAG run. It
+	// carries the DAG itself, so a consumer can judge the response time
+	// against the DAG's true critical path rather than the synthetic
+	// root's max-over-vertices view.
+	RecordDagOutcome(d *task.Dag, root *task.Task, missed bool)
+}
+
+// NopRecorder discards everything. It implements Listener, so a
+// subscriber embeds it and overrides only the callbacks it needs.
 type NopRecorder struct{}
 
-// RecordLocal implements Recorder.
-func (NopRecorder) RecordLocal(*task.Task, bool) {}
-
-// RecordSubtask implements Recorder.
-func (NopRecorder) RecordSubtask(*task.Task, bool) {}
-
-// RecordGlobal implements Recorder.
-func (NopRecorder) RecordGlobal(*task.Task, bool) {}
+func (NopRecorder) RecordLocal(*task.Task, bool)                           {}
+func (NopRecorder) RecordSubtask(*task.Task, bool)                         {}
+func (NopRecorder) RecordGlobal(*task.Task, bool)                          {}
+func (NopRecorder) RecordRelease(*task.Task, *task.Task, simtime.Time)     {}
+func (NopRecorder) RecordCause(string, *task.Task, *task.Task, *task.Task) {}
+func (NopRecorder) RecordDagSubmit(*task.Dag, *task.Task)                  {}
+func (NopRecorder) RecordDagOutcome(*task.Dag, *task.Task, bool)           {}
 
 // multiRecorder fans every outcome record out to several recorders in
 // order.
 type multiRecorder []Recorder
 
-var _ Recorder = multiRecorder(nil)
+// multiListener is a multiRecorder with Listener members: outcomes go
+// to every member, the other callbacks to lis, in argument order.
+type multiListener struct {
+	multiRecorder
+	lis []Listener
+}
 
 // Recorders returns a Recorder forwarding every record to each of the
 // given recorders in argument order. Nil entries are skipped; a single
-// non-nil recorder is returned unwrapped, and combining nothing yields
-// NopRecorder. The telemetry layer uses it to observe outcomes next to
-// the statistics collector without either knowing about the other.
+// recorder is returned unwrapped, and combining nothing yields
+// NopRecorder. The result is a Listener exactly
+// when a member is one: members are sorted once, here, so no callback
+// does a type assertion.
 func Recorders(recs ...Recorder) Recorder {
-	flat := make(multiRecorder, 0, len(recs))
+	all := make(multiRecorder, 0, len(recs))
 	for _, r := range recs {
 		if r != nil {
-			flat = append(flat, r)
+			all = append(all, r)
 		}
 	}
-	switch len(flat) {
+	switch len(all) {
 	case 0:
 		return NopRecorder{}
 	case 1:
-		return flat[0]
-	default:
-		return flat
+		return all[0]
 	}
+	var lis []Listener
+	for _, r := range all {
+		if l, ok := r.(Listener); ok {
+			lis = append(lis, l)
+		}
+	}
+	if lis == nil {
+		return all
+	}
+	return multiListener{all, lis}
 }
 
-// RecordLocal implements Recorder.
 func (m multiRecorder) RecordLocal(t *task.Task, missed bool) {
 	for _, r := range m {
 		r.RecordLocal(t, missed)
 	}
 }
 
-// RecordSubtask implements Recorder.
 func (m multiRecorder) RecordSubtask(t *task.Task, missed bool) {
 	for _, r := range m {
 		r.RecordSubtask(t, missed)
 	}
 }
 
-// RecordGlobal implements Recorder.
 func (m multiRecorder) RecordGlobal(root *task.Task, missed bool) {
 	for _, r := range m {
 		r.RecordGlobal(root, missed)
 	}
 }
 
-// CausalRecorder is an optional extension of Recorder. A recorder that
-// also implements it receives the causal edges of the precedence
-// protocol: which structural parent spawned which child, which finished
-// predecessor made which successor executable, and which abort cascaded
-// to which victim. The telemetry layer uses the edges to assemble causal
-// trace trees; kinds are plain strings so this package needs no
-// knowledge of the consumer's vocabulary.
-//
-// Kinds emitted by the manager:
-//
-//   - "parent": structural release; from is the enclosing composite task.
-//   - "pred": precedence release; from is the predecessor whose
-//     completion made to executable.
-//   - "abort": deadline cascade; from is the aborted global root.
-//
-// Edges fire before the corresponding outcome records. Callbacks run on
-// the simulation goroutine and must be cheap.
-type CausalRecorder interface {
-	RecordCause(kind string, from, to, root *task.Task)
-}
-
-// RecordCause forwards the edge to every member recorder that
-// understands causality.
-func (m multiRecorder) RecordCause(kind string, from, to, root *task.Task) {
-	for _, r := range m {
-		if cr, ok := r.(CausalRecorder); ok {
-			cr.RecordCause(kind, from, to, root)
-		}
+func (m multiListener) RecordRelease(t, root *task.Task, budget simtime.Time) {
+	for _, l := range m.lis {
+		l.RecordRelease(t, root, budget)
 	}
 }
 
-// cause reports one causal edge when a recorder cares about them.
-func (m *Manager) cause(kind string, from, to, root *task.Task) {
-	if m.causal != nil {
-		m.causal.RecordCause(kind, from, to, root)
+func (m multiListener) RecordCause(kind string, from, to, root *task.Task) {
+	for _, l := range m.lis {
+		l.RecordCause(kind, from, to, root)
 	}
 }
 
-// ReleaseHook observes every deadline assignment the manager makes: t is
-// the tree node that just became executable (Arrival, VirtualDeadline and
-// PriorityBoost freshly set), root the global task it belongs to, and
-// budget the deadline budget the release was decomposed from. The scenario
-// harness uses it for invariant checks; hooks run synchronously on the
-// simulation goroutine and must be cheap.
-type ReleaseHook func(t, root *task.Task, budget simtime.Time)
-
-// ReleaseHooks returns a ReleaseHook invoking each of the given hooks in
-// argument order. Nil entries are skipped; a single non-nil hook is
-// returned unwrapped, and combining nothing yields nil.
-func ReleaseHooks(hooks ...ReleaseHook) ReleaseHook {
-	flat := make([]ReleaseHook, 0, len(hooks))
-	for _, h := range hooks {
-		if h != nil {
-			flat = append(flat, h)
-		}
+func (m multiListener) RecordDagSubmit(d *task.Dag, root *task.Task) {
+	for _, l := range m.lis {
+		l.RecordDagSubmit(d, root)
 	}
-	switch len(flat) {
-	case 0:
-		return nil
-	case 1:
-		return flat[0]
-	default:
-		return func(t, root *task.Task, budget simtime.Time) {
-			for _, h := range flat {
-				h(t, root, budget)
-			}
-		}
+}
+
+func (m multiListener) RecordDagOutcome(d *task.Dag, root *task.Task, missed bool) {
+	for _, l := range m.lis {
+		l.RecordDagOutcome(d, root, missed)
 	}
 }
 
@@ -204,14 +201,8 @@ type Manager struct {
 	ssp     sda.SSP
 	psp     sda.PSP
 	rec     Recorder
+	lis     Listener // rec's Listener view, nil for a plain Recorder
 	pmAbort bool
-	onRel   ReleaseHook
-
-	// Optional-interface views of rec, asserted once at construction
-	// instead of per submission.
-	dagRec     DagRecorder
-	dagOutcome DagOutcomeRecorder
-	causal     CausalRecorder
 
 	// Free lists and scratch buffers for the allocation-free hot path.
 	// The engine is single-goroutine, so plain slices suffice.
@@ -235,11 +226,6 @@ func WithRecorder(r Recorder) Option {
 	return func(m *Manager) { m.rec = r }
 }
 
-// WithReleaseHook registers a hook observing every deadline assignment.
-func WithReleaseHook(h ReleaseHook) Option {
-	return func(m *Manager) { m.onRel = h }
-}
-
 // New returns a process manager submitting to the given nodes and using
 // the given SSP and PSP strategies for deadline decomposition.
 func New(eng *des.Engine, nodes []*node.Node, ssp sda.SSP, psp sda.PSP, opts ...Option) *Manager {
@@ -251,13 +237,10 @@ func New(eng *des.Engine, nodes []*node.Node, ssp sda.SSP, psp sda.PSP, opts ...
 	return m
 }
 
-// setRecorder installs the outcome sink and refreshes the cached
-// optional-interface views.
+// setRecorder installs the outcome sink and caches its Listener view.
 func (m *Manager) setRecorder(r Recorder) {
 	m.rec = r
-	m.dagRec, _ = r.(DagRecorder)
-	m.dagOutcome, _ = r.(DagOutcomeRecorder)
-	m.causal, _ = r.(CausalRecorder)
+	m.lis, _ = r.(Listener)
 }
 
 // SetStrategies hot-swaps the deadline-assignment strategies. A nil
@@ -466,6 +449,9 @@ func (m *Manager) acquireRun(root *task.Task, treeNodes int) *run {
 	if cap(r.ctrls) < treeNodes {
 		r.ctrls = make([]ctrl, 0, treeNodes)
 	}
+	// An abort inside a fan-out loop recycles the run while the loop goes
+	// on placing ctrls, so the slab may hold stale entries here.
+	r.ctrls = r.ctrls[:0]
 	return r
 }
 
@@ -542,7 +528,7 @@ func (c *ctrl) ItemLocalAbort(ab *node.Item, at simtime.Time) {
 // release makes the subtree rooted at c executable at instant now with the
 // given deadline budget and GF boost flag. parentBudget is the budget the
 // assignment was decomposed from (equal to budget for the root), passed to
-// the release hook for invariant checking. pred is the task whose
+// the Listener for invariant checking. pred is the task whose
 // completion triggered this release (nil for structural releases at
 // submission); it threads through composite fan-outs so every subtree
 // made executable by one completion carries the same causal origin.
@@ -553,14 +539,14 @@ func (r *run) release(c *ctrl, now simtime.Time, budget simtime.Time, parentBudg
 	c.t.Arrival = now
 	c.t.VirtualDeadline = budget
 	c.t.PriorityBoost = boost
-	if r.m.onRel != nil {
-		r.m.onRel(c.t, r.root, parentBudget)
-	}
-	if c.parent != nil {
-		r.m.cause("parent", c.parent.t, c.t, r.root)
-	}
-	if pred != nil {
-		r.m.cause("pred", pred, c.t, r.root)
+	if lis := r.m.lis; lis != nil {
+		lis.RecordRelease(c.t, r.root, parentBudget)
+		if c.parent != nil {
+			lis.RecordCause("parent", c.parent.t, c.t, r.root)
+		}
+		if pred != nil {
+			lis.RecordCause("pred", pred, c.t, r.root)
+		}
 	}
 	switch c.t.Kind {
 	case task.KindSimple:
@@ -625,12 +611,12 @@ func (r *run) resubmit(c *ctrl, it *node.Item, now simtime.Time) {
 	}
 	c.t.VirtualDeadline = vdl
 	c.t.PriorityBoost = boost
-	if r.m.onRel != nil {
+	if r.m.lis != nil {
 		budget := r.root.RealDeadline
 		if c.parent != nil {
 			budget = c.parent.t.VirtualDeadline
 		}
-		r.m.onRel(c.t, r.root, budget)
+		r.m.lis.RecordRelease(c.t, r.root, budget)
 	}
 	r.live.add(it)
 	if err := r.m.nodes[c.t.Node].Submit(it); err != nil {
@@ -719,14 +705,6 @@ func (m *Manager) AbortRun(it *node.Item) bool {
 }
 
 // abortAll withdraws every outstanding subtask and abandons the run.
-//
-// Withdrawing an in-service item frees its server, and the node's
-// dispatch can synchronously local-abort further items — including later
-// items of this very run, whose hooks then mutate r.live mid-loop. The
-// loop therefore ranges over the header captured at entry (preserving the
-// long-standing cascade semantics) and recycling is deferred: only items
-// this loop positively removed are reaped, after the loop, so a slot the
-// cascade already touched is never recycled twice or read after reuse.
 func (r *run) abortAll() {
 	if r.over {
 		return
@@ -735,22 +713,38 @@ func (r *run) abortAll() {
 	m := r.m
 	m.eng.Cancel(r.timer)
 	r.timer = des.Event{}
-	r.reap = r.reap[:0]
-	for _, it := range r.live {
-		if m.nodes[it.Task.Node].Remove(it) {
-			r.reap = append(r.reap, it)
-		}
-		it.Task.Aborted = true
-		if it.Task != r.root {
-			m.cause("abort", r.root, it.Task, r.root)
-		}
-		m.rec.RecordSubtask(it.Task, true)
-	}
-	for _, it := range r.reap {
-		m.nodes[it.Task.Node].RecycleItem(it)
-	}
+	r.reap = m.withdraw(r.live, r.root, r.reap)
 	root := r.root
 	root.Aborted = true
 	m.releaseRun(r)
 	m.rec.RecordGlobal(root, true)
+}
+
+// withdraw removes the outstanding items live of root's aborted run from
+// their nodes, marking each task aborted and recording it missed.
+//
+// Withdrawing an in-service item frees its server, and the node's
+// dispatch can synchronously local-abort further items — including later
+// items of this very run, whose hooks then mutate live mid-loop. The
+// loop therefore ranges over the header captured at entry (preserving the
+// long-standing cascade semantics) and recycling is deferred: only items
+// this loop positively removed are reaped, after the loop, so a slot the
+// cascade already touched is never recycled twice or read after reuse.
+// reap is scratch space, returned emptied for reuse.
+func (m *Manager) withdraw(live liveSet, root *task.Task, reap []*node.Item) []*node.Item {
+	reap = reap[:0]
+	for _, it := range live {
+		if m.nodes[it.Task.Node].Remove(it) {
+			reap = append(reap, it)
+		}
+		it.Task.Aborted = true
+		if m.lis != nil && it.Task != root {
+			m.lis.RecordCause("abort", root, it.Task, root)
+		}
+		m.rec.RecordSubtask(it.Task, true)
+	}
+	for _, it := range reap {
+		m.nodes[it.Task.Node].RecycleItem(it)
+	}
+	return reap[:0]
 }

@@ -53,15 +53,19 @@ func (w *chaosWindow) occurrences(stream *rng.Stream) []float64 {
 	}
 }
 
-func (w *chaosWindow) validate(where string, horizon float64) error {
+// validate checks the window and charges its expected occurrences, each
+// compiling into per timeline events, to b. It returns the expected
+// occurrence count.
+func (w *chaosWindow) validate(where string, horizon float64, b *workBudget, per float64) (float64, error) {
 	if w.Start < 0 || w.End > horizon || w.Start >= w.End {
-		return fmt.Errorf("%w: %s: window [%v, %v) must be ordered and inside [0, horizon %v]",
+		return 0, fmt.Errorf("%w: %s: window [%v, %v) must be ordered and inside [0, horizon %v]",
 			ErrBadScenario, where, w.Start, w.End, horizon)
 	}
 	if w.MeanBetween <= 0 {
-		return fmt.Errorf("%w: %s: mean_between %v must be positive", ErrBadScenario, where, w.MeanBetween)
+		return 0, fmt.Errorf("%w: %s: mean_between %v must be positive", ErrBadScenario, where, w.MeanBetween)
 	}
-	return nil
+	occ := (w.End - w.Start) / w.MeanBetween
+	return occ, b.charge(where, "mean_between", per*occ, 0)
 }
 
 // CrashWave crashes random up nodes at exponential intervals; every crash
@@ -102,11 +106,13 @@ type BurstStorm struct {
 	Kind  string `json:"kind"`
 }
 
-func (c *Chaos) validate(name string, horizon float64, fracLocal float64) error {
+// validate checks the profile and charges its expected timeline events
+// and burst tasks to b. zoneSize is the largest zone's node count.
+func (c *Chaos) validate(name string, horizon, fracLocal float64, b *workBudget, zoneSize int) error {
 	for i := range c.CrashWaves {
 		w := &c.CrashWaves[i]
 		where := fmt.Sprintf("%s: crash wave %d", name, i)
-		if err := w.chaosWindow.validate(where, horizon); err != nil {
+		if _, err := w.chaosWindow.validate(where, horizon, b, 2); err != nil {
 			return err
 		}
 		if w.DownMin <= 0 || w.DownMax < w.DownMin {
@@ -116,7 +122,7 @@ func (c *Chaos) validate(name string, horizon float64, fracLocal float64) error 
 	for i := range c.ZoneFailures {
 		z := &c.ZoneFailures[i]
 		where := fmt.Sprintf("%s: zone failure %d", name, i)
-		if err := z.chaosWindow.validate(where, horizon); err != nil {
+		if _, err := z.chaosWindow.validate(where, horizon, b, 2*float64(zoneSize)); err != nil {
 			return err
 		}
 		if z.DownMin <= 0 || z.DownMax < z.DownMin {
@@ -126,7 +132,7 @@ func (c *Chaos) validate(name string, horizon float64, fracLocal float64) error 
 	for i := range c.DegradeStorms {
 		d := &c.DegradeStorms[i]
 		where := fmt.Sprintf("%s: degrade storm %d", name, i)
-		if err := d.chaosWindow.validate(where, horizon); err != nil {
+		if _, err := d.chaosWindow.validate(where, horizon, b, 2); err != nil {
 			return err
 		}
 		if d.FactorMin <= 0 || d.FactorMax < d.FactorMin || d.FactorMax > 1 {
@@ -137,22 +143,26 @@ func (c *Chaos) validate(name string, horizon float64, fracLocal float64) error 
 		}
 	}
 	for i := range c.BurstStorms {
-		b := &c.BurstStorms[i]
+		bs := &c.BurstStorms[i]
 		where := fmt.Sprintf("%s: burst storm %d", name, i)
-		if err := b.chaosWindow.validate(where, horizon); err != nil {
+		occ, err := bs.chaosWindow.validate(where, horizon, b, 1)
+		if err != nil {
 			return err
 		}
-		if b.Count < 1 {
-			return fmt.Errorf("%w: %s: count %d must be >= 1", ErrBadScenario, where, b.Count)
+		if bs.Count < 1 {
+			return fmt.Errorf("%w: %s: count %d must be >= 1", ErrBadScenario, where, bs.Count)
 		}
-		switch b.Kind {
+		if err := b.burst(where, bs.Count, occ); err != nil {
+			return err
+		}
+		switch bs.Kind {
 		case "local":
 		case "global":
 			if fracLocal >= 1 {
 				return fmt.Errorf("%w: %s: global burst storm needs a factory (frac_local < 1)", ErrBadScenario, where)
 			}
 		default:
-			return fmt.Errorf("%w: %s: unknown burst kind %q", ErrBadScenario, where, b.Kind)
+			return fmt.Errorf("%w: %s: unknown burst kind %q", ErrBadScenario, where, bs.Kind)
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/procmgr"
 	"repro/internal/rng"
 	"repro/internal/sda"
 	"repro/internal/sim"
@@ -94,7 +95,6 @@ func runWith(sc *Scenario, o obs.Options, onSystem func(*sim.System)) (*Outcome,
 	chk := NewChecker(sc.Assert.AllowEarlyVDL)
 	tr := trace.New()
 	cfg.Observer = node.CombineObservers(tr, chk)
-	cfg.ReleaseHook = chk.OnRelease
 	cfg.Obs = o
 	cfg.OnSystem = onSystem
 	// Always-on analytic oracle: every completion is checked against the
@@ -104,7 +104,7 @@ func runWith(sc *Scenario, o obs.Options, onSystem func(*sim.System)) (*Outcome,
 	// can ever reach.
 	oracle := analysis.NewOracle()
 	oracle.SetMaxRate(oracleMaxRate(cfg.NodeRates, sc.Events))
-	cfg.Recorder = oracle
+	cfg.Recorder = procmgr.Recorders(chk, oracle)
 
 	sys, err := sim.NewSystem(cfg, sc.Seed)
 	if err != nil {

@@ -83,9 +83,10 @@ func (t *NodeTemplate) servers() int {
 	return t.Servers
 }
 
-// validate checks the fleet schema. horizon is the scenario horizon, which
-// cold-start ramps must not outlast.
-func (f *Fleet) validate(name string, horizon float64) error {
+// validate checks the fleet schema and charges the cold-start ramps to b.
+// horizon is the scenario horizon, which cold-start ramps must not
+// outlast.
+func (f *Fleet) validate(name string, horizon float64, b *workBudget) error {
 	if f.Nodes < 1 {
 		return fmt.Errorf("%w: %s: fleet needs at least 1 node, have %d", ErrBadScenario, name, f.Nodes)
 	}
@@ -111,6 +112,9 @@ func (f *Fleet) validate(name string, horizon float64) error {
 		if t.Servers < 0 {
 			return fmt.Errorf("%w: %s: servers %d must be >= 1", ErrBadScenario, where, t.Servers)
 		}
+		if err := boundServers(where, "nodes × servers", f.Nodes, t.servers()); err != nil {
+			return err
+		}
 		lo, hi := t.rateRange()
 		if lo <= 0 || hi < lo {
 			return fmt.Errorf("%w: %s: rate range [%v, %v] must be positive and ordered", ErrBadScenario, where, lo, hi)
@@ -124,6 +128,9 @@ func (f *Fleet) validate(name string, horizon float64) error {
 			}
 			if c.Steps < 0 {
 				return fmt.Errorf("%w: %s: cold-start steps %d must be >= 1", ErrBadScenario, where, c.Steps)
+			}
+			if err := b.charge(where, "cold_start.steps", float64(f.Nodes)*float64(c.steps()), 0); err != nil {
+				return err
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/node"
+	"repro/internal/procmgr"
 	"repro/internal/simtime"
 	"repro/internal/task"
 )
@@ -43,7 +44,8 @@ const maxViolations = 32
 // node id then slot for items in service, so the violation list is the
 // same on every run.
 type Checker struct {
-	allowEarlyVDL bool
+	procmgr.NopRecorder // outcomes are not checked here
+	allowEarlyVDL       bool
 
 	nodes []*node.Node
 	at    []nodeState   // by node id
@@ -78,7 +80,10 @@ type itemState struct {
 	stray   bool       // may be listed in a node's waiting list other than waitAt's
 }
 
-var _ node.Observer = (*Checker)(nil)
+var (
+	_ node.Observer    = (*Checker)(nil)
+	_ procmgr.Listener = (*Checker)(nil)
+)
 
 // NewChecker returns a checker; allowEarlyVDL disables the
 // deadline-not-before-release check (needed for GF-delta).
@@ -273,9 +278,9 @@ func (c *Checker) OnPreempt(n *node.Node, it *node.Item, at simtime.Time) {
 	c.wait(it, st, n.ID())
 }
 
-// OnRelease is a procmgr.ReleaseHook checking every deadline assignment:
-// t has just been released against budget; root is its global task.
-func (c *Checker) OnRelease(t, root *task.Task, budget simtime.Time) {
+// RecordRelease checks every deadline assignment: t has just been
+// released against budget; root is its global task.
+func (c *Checker) RecordRelease(t, root *task.Task, budget simtime.Time) {
 	vdl := t.VirtualDeadline
 	if vdl.IsNever() {
 		c.violate("release of %q: no virtual deadline assigned", t.Name)

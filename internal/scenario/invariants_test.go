@@ -15,7 +15,7 @@ import (
 // checkerAPI is what the dense checker and the reference share.
 type checkerAPI interface {
 	node.Observer
-	OnRelease(t, root *task.Task, budget simtime.Time)
+	RecordRelease(t, root *task.Task, budget simtime.Time)
 	Bind(nodes []*node.Node)
 	Finish()
 	Violations() []string
@@ -304,7 +304,7 @@ func (r *parityRig) run(data []byte) {
 				root.RealDeadline = simtime.Never
 			}
 			leaf.Arrival = r.now
-			r.do(func(c checkerAPI) { c.OnRelease(leaf, root, budget) })
+			r.do(func(c checkerAPI) { c.RecordRelease(leaf, root, budget) })
 		}
 	}
 	r.do(func(c checkerAPI) { c.Finish() })

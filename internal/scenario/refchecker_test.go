@@ -1,7 +1,7 @@
 package scenario
 
 // The map-keyed invariant checker that Checker replaced, kept verbatim
-// (apart from its name) as the differential reference for
+// (apart from its type and release-callback names) as the differential reference for
 // FuzzCheckerParity and the parity tests: the dense checker must report
 // exactly what this one reports on any observer stream.
 
@@ -180,9 +180,9 @@ func (c *refChecker) OnPreempt(n *node.Node, it *node.Item, at simtime.Time) {
 	c.wait(it, n.ID())
 }
 
-// OnRelease is a procmgr.ReleaseHook checking every deadline assignment:
-// t has just been released against budget; root is its global task.
-func (c *refChecker) OnRelease(t, root *task.Task, budget simtime.Time) {
+// RecordRelease checks every deadline assignment: t has just been
+// released against budget; root is its global task.
+func (c *refChecker) RecordRelease(t, root *task.Task, budget simtime.Time) {
 	vdl := t.VirtualDeadline
 	if vdl.IsNever() {
 		c.violate("release of %q: no virtual deadline assigned", t.Name)

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -237,7 +238,7 @@ func (w Workload) factories() (workload.Factory, workload.DagFactory, error) {
 }
 
 // Config translates the scenario into a one-replication sim.Config
-// (Observer and ReleaseHook are attached by Run).
+// (Observer and Recorder are attached by Run).
 func (s *Scenario) Config() (sim.Config, error) {
 	sc := s.withDefaults()
 	factory, dagFactory, err := sc.Workload.factories()
@@ -295,7 +296,8 @@ func (s *Scenario) Config() (sim.Config, error) {
 }
 
 // Validate checks the scenario for structural and semantic errors,
-// including every timeline event.
+// including every timeline event, and bounds the work it expands into
+// (see maxServers and the other caps).
 func (s *Scenario) Validate() error {
 	if strings.TrimSpace(s.Name) == "" {
 		return fmt.Errorf("%w: missing name", ErrBadScenario)
@@ -310,11 +312,12 @@ func (s *Scenario) Validate() error {
 	// errors surface as such (a bad fleet size would otherwise be
 	// reported as the derived workload's "K = 0").
 	sc := s.withDefaults()
+	var b workBudget
 	if s.Stress != nil {
 		if s.Servers != 0 {
 			return fmt.Errorf("%w: %s: field \"servers\" is meaningless for a stress scenario (templates define per-node server counts)", ErrBadScenario, s.Name)
 		}
-		if err := s.Stress.validate(&sc); err != nil {
+		if err := s.Stress.validate(&sc, &b); err != nil {
 			return err
 		}
 	}
@@ -325,7 +328,17 @@ func (s *Scenario) Validate() error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrBadScenario, s.Name, err)
 	}
-	k := sc.Workload.K
+	w := &sc.Workload
+	if err := boundServers(s.Name, "k × servers", w.K, sc.Servers); err != nil {
+		return err
+	}
+	// The load fixes the work offered per node and time unit, and every
+	// task carries at least the smaller mean execution time.
+	tasks := w.Load * float64(w.K) * s.Horizon() / math.Min(w.MeanLocalExec, w.MeanSubtaskExec)
+	if err := b.charge(s.Name, "duration (load × k × horizon ÷ mean exec)", 0, tasks); err != nil {
+		return err
+	}
+	k := w.K
 	for i, ev := range s.Events {
 		where := fmt.Sprintf("%s: event %d (%s)", s.Name, i, ev.Action)
 		if ev.At < 0 {
@@ -356,6 +369,9 @@ func (s *Scenario) Validate() error {
 		case ActionBurst:
 			if ev.Count < 1 {
 				return fmt.Errorf("%w: %s: count %d must be >= 1", ErrBadScenario, where, ev.Count)
+			}
+			if err := b.burst(where, ev.Count, 1); err != nil {
+				return err
 			}
 			if err := rejectFields(where, ev, false, true, false, false, true); err != nil {
 				return err

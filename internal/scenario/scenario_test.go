@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -357,27 +358,27 @@ func TestCheckerFlagsBadRelease(t *testing.T) {
 
 	chk := NewChecker(false)
 	leaf, root := mk(50)
-	chk.OnRelease(leaf, root, 100) // fine: 10 <= 50 <= 100
+	chk.RecordRelease(leaf, root, 100) // fine: 10 <= 50 <= 100
 	if v := chk.Violations(); len(v) != 0 {
 		t.Fatalf("valid release flagged: %v", v)
 	}
 
 	leaf, root = mk(120) // past the budget with plenty of slack
-	chk.OnRelease(leaf, root, 100)
+	chk.RecordRelease(leaf, root, 100)
 	if v := chk.Violations(); len(v) != 1 {
 		t.Fatalf("want 1 violation for vdl after budget, got %v", v)
 	}
 
 	chk = NewChecker(false)
 	leaf, root = mk(5) // before release with non-negative slack
-	chk.OnRelease(leaf, root, 100)
+	chk.RecordRelease(leaf, root, 100)
 	if v := chk.Violations(); len(v) != 1 {
 		t.Fatalf("want 1 violation for vdl before release, got %v", v)
 	}
 
 	chk = NewChecker(true) // GF-delta style early deadlines allowed
 	leaf, root = mk(5)
-	chk.OnRelease(leaf, root, 100)
+	chk.RecordRelease(leaf, root, 100)
 	if v := chk.Violations(); len(v) != 0 {
 		t.Fatalf("allowEarlyVDL run flagged: %v", v)
 	}
@@ -385,8 +386,46 @@ func TestCheckerFlagsBadRelease(t *testing.T) {
 	chk = NewChecker(false)
 	leaf, root = mk(200) // negative slack: bounds do not bind
 	leaf.Arrival = 99
-	chk.OnRelease(leaf, root, 99.5)
+	chk.RecordRelease(leaf, root, 99.5)
 	if v := chk.Violations(); len(v) != 0 {
 		t.Fatalf("negative-slack release flagged: %v", v)
 	}
+}
+
+// FuzzScenarioValidate feeds arbitrary scenario JSON — stress fleets,
+// chaos profiles and event timelines included — through Load, which
+// decodes and validates it. The result must be an ErrBadScenario or a
+// scenario that validates again and translates into a simulator config;
+// nothing may panic. The target never runs the scenario.
+func FuzzScenarioValidate(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join(scenarioDir, "*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no seed scenarios in %s: %v", scenarioDir, err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	path := filepath.Join(f.TempDir(), "fuzz.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := Load(path)
+		if err != nil {
+			if !errors.Is(err, ErrBadScenario) {
+				t.Fatalf("error does not wrap ErrBadScenario: %v", err)
+			}
+			return
+		}
+		if err := sc.Validate(); err != nil {
+			t.Fatalf("loaded scenario fails revalidation: %v", err)
+		}
+		if _, err := sc.Config(); err != nil {
+			t.Fatalf("loaded scenario has no config: %v", err)
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/des"
 	"repro/internal/par"
+	"repro/internal/procmgr"
 	"repro/internal/sim"
 )
 
@@ -43,10 +44,11 @@ func (st *Stress) replications() int {
 	return st.Replications
 }
 
-// validate checks the stress section. sc is the defaults-applied scenario
-// (Workload.K already derived from the fleet when the file left it zero).
-func (st *Stress) validate(sc *Scenario) error {
-	if err := st.Fleet.validate(sc.Name, sc.Horizon()); err != nil {
+// validate checks the stress section and charges its expected work to b.
+// sc is the defaults-applied scenario (Workload.K already derived from
+// the fleet when the file left it zero).
+func (st *Stress) validate(sc *Scenario, b *workBudget) error {
+	if err := st.Fleet.validate(sc.Name, sc.Horizon(), b); err != nil {
 		return err
 	}
 	if sc.Workload.K != st.Fleet.Nodes {
@@ -56,7 +58,8 @@ func (st *Stress) validate(sc *Scenario) error {
 	if st.Replications < 0 {
 		return fmt.Errorf("%w: %s: negative replications %d", ErrBadScenario, sc.Name, st.Replications)
 	}
-	return st.Chaos.validate(sc.Name, sc.Horizon(), sc.Workload.FracLocal)
+	zoneSize := (st.Fleet.Nodes + st.Fleet.zones() - 1) / st.Fleet.zones()
+	return st.Chaos.validate(sc.Name, sc.Horizon(), sc.Workload.FracLocal, b, zoneSize)
 }
 
 // ApplyStressScale shrinks a stress scenario's fleet (and burst-storm
@@ -162,8 +165,7 @@ func runStress(s *Scenario, workers int, flight bool) (*Outcome, *des.Flight, er
 		oracle := analysis.NewOracle()
 		oracle.SetMaxRate(maxRate)
 		repCfg.Observer = chk
-		repCfg.ReleaseHook = chk.OnRelease
-		repCfg.Recorder = oracle
+		repCfg.Recorder = procmgr.Recorders(chk, oracle)
 
 		sys, err := sim.NewSystem(repCfg, seeds[r])
 		if err != nil {

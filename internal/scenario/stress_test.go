@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -331,6 +334,60 @@ func TestStressValidation(t *testing.T) {
 	}
 	if err := smallStress().Validate(); err != nil {
 		t.Fatalf("base stress scenario must be valid: %v", err)
+	}
+}
+
+// TestValidateBoundsExpandedWork: a scenario whose numbers expand into
+// an unbounded fleet, timeline or task stream is rejected at once, with
+// an error naming the field. The first four cases are the probes that
+// used to exhaust memory or hang sdascen on a mutated stress-zone-5k.
+func TestValidateBoundsExpandedWork(t *testing.T) {
+	zone := func(t *testing.T) *Scenario {
+		sc, err := Load(filepath.Join(scenarioDir, "stress_zone_5k.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	small := func(*testing.T) *Scenario { return smallStress() }
+	plain := func(t *testing.T) *Scenario {
+		sc, err := Load(filepath.Join(scenarioDir, "burst_local.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	cases := []struct {
+		field string
+		base  func(*testing.T) *Scenario
+		mut   func(*Scenario)
+	}{
+		{"nodes × servers", zone, func(s *Scenario) { s.Stress.Fleet.Nodes = 2000000000 }},
+		{"crash wave 0: mean_between", zone, func(s *Scenario) { s.Stress.Chaos.CrashWaves[0].MeanBetween = 1e-300 }},
+		{"stress-zone-5k: duration", zone, func(s *Scenario) { s.Duration = 1e300 }},
+		{"burst storm 0: count", zone, func(s *Scenario) { s.Stress.Chaos.BurstStorms[0].Count = 2000000000 }},
+		{"zone failure 0: mean_between", zone, func(s *Scenario) { s.Stress.Chaos.ZoneFailures[0].MeanBetween = 1e-3 }},
+		{"template 1 (big): nodes × servers", zone, func(s *Scenario) { s.Stress.Fleet.Templates[1].Servers = 2000000000 }},
+		{"degrade storm 0: mean_between", small, func(s *Scenario) { s.Stress.Chaos.DegradeStorms[0].MeanBetween = 1e-300 }},
+		{"burst storm 1: mean_between", small, func(s *Scenario) { s.Stress.Chaos.BurstStorms[1].MeanBetween = 1e-300 }},
+		{"template 2 (cold): cold_start.steps", small, func(s *Scenario) { s.Stress.Fleet.Templates[2].ColdStart.Steps = 2000000000 }},
+		{"stress-unit: duration", small, func(s *Scenario) { s.Workload.MeanLocalExec = 1e-300 }},
+		{"burst-local: k × servers", plain, func(s *Scenario) { s.Workload.K = 2000000000 }},
+		{"burst-local: k × servers", plain, func(s *Scenario) { s.Servers = 2000000000 }},
+		{"burst-local: duration", plain, func(s *Scenario) { s.Workload.Load = 1e300 }},
+		{"event 0 (burst): count", plain, func(s *Scenario) { s.Events[0].Count = 2000000000 }},
+	}
+	for _, tc := range cases {
+		sc := tc.base(t)
+		tc.mut(sc)
+		start := time.Now()
+		err := sc.Validate()
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("%s: Validate took %v", tc.field, elapsed)
+		}
+		if !errors.Is(err, ErrBadScenario) || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate = %v, want an ErrBadScenario naming the field", tc.field, err)
+		}
 	}
 }
 

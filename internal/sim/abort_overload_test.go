@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/sda"
 	"repro/internal/workload"
 )
 
@@ -63,6 +64,24 @@ func TestLocalAbortTerminatesUnderOverload(t *testing.T) {
 		}
 		checkOverloadResult(t, rep)
 	}
+}
+
+// TestLocalAbortSerialStagesReuseRuns: a serial stage released after its
+// budget has passed submits subtasks that the node local-aborts on the
+// spot, so the global task is abandoned while its parallel fan-out loop is
+// still running. The abandoned run goes back to the pool mid-loop; reusing
+// it for a later task must not inherit the control blocks the loop went on
+// to place (that used to overflow the slab and panic).
+func TestLocalAbortSerialStagesReuseRuns(t *testing.T) {
+	cfg := overloadConfig(AbortLocalScheduler, 17)
+	cfg.Spec.Factory = workload.SerialParallel{Stages: 3, Fanout: 3}
+	cfg.SSP = sda.EQF{}
+	cfg.PSP = sda.MustDiv(1)
+	rep, err := RunOne(cfg, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOverloadResult(t, rep)
 }
 
 // TestPMAbortUnderOverload: the process-manager timers must reclaim work

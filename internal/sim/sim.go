@@ -86,16 +86,16 @@ type Config struct {
 	// scenario harness.
 	Observer node.Observer
 
-	// ReleaseHook, when non-nil, observes every deadline assignment the
-	// process manager makes (see procmgr.WithReleaseHook). Used by the
-	// scenario harness's invariant checker.
-	ReleaseHook procmgr.ReleaseHook
+	// ReleaseHook, when non-nil, observes every deadline assignment.
+	//
+	// Deprecated: subscribe a procmgr.Listener through Recorder. The
+	// field is kept only for the benchmark's tracer (bench/tracer.go).
+	ReleaseHook func(t, root *task.Task, budget simtime.Time)
 
 	// Recorder, when non-nil, receives every task outcome next to the
-	// statistics collector (fan-out via procmgr.Recorders). The scenario
-	// harness attaches the analytic oracle here. Recorders that also
-	// implement procmgr.DagRecorder / DagOutcomeRecorder see DAG
-	// submissions and outcomes. Like Observer, a Recorder forces
+	// statistics collector; a procmgr.Listener also sees releases, causal
+	// edges and DAGs. The scenario harness attaches its invariant checker
+	// and the analytic oracle here. Like Observer, a Recorder forces
 	// replications sequential: its callbacks are not synchronized.
 	Recorder procmgr.Recorder
 
@@ -541,31 +541,32 @@ func build(cfg Config) *System {
 	}
 
 	rec := newCollector(simtime.Time(cfg.Warmup))
-	var recorder procmgr.Recorder = rec
-	hook := cfg.ReleaseHook
+	// Recorders drops nil members; none of them perturbs another.
+	var hook, telRec procmgr.Recorder
+	if cfg.ReleaseHook != nil {
+		hook = releaseHook{fn: cfg.ReleaseHook}
+	}
 	if tel != nil {
-		hook = procmgr.ReleaseHooks(cfg.ReleaseHook, tel.OnRelease)
+		telRec = tel
 		tel.Bind(eng, nodes)
 	}
-	if tel != nil || cfg.Recorder != nil {
-		// Recorders drops nil members; order is collector, telemetry,
-		// caller-supplied recorder (the oracle observes, never perturbs).
-		var telRec procmgr.Recorder
-		if tel != nil {
-			telRec = tel
-		}
-		recorder = procmgr.Recorders(rec, telRec, cfg.Recorder)
-	}
+	recorder := procmgr.Recorders(rec, hook, telRec, cfg.Recorder)
 	mgrOpts := []procmgr.Option{procmgr.WithRecorder(recorder)}
 	if cfg.Abort == AbortProcessManager {
 		mgrOpts = append(mgrOpts, procmgr.WithPMAbort())
 	}
-	if hook != nil {
-		mgrOpts = append(mgrOpts, procmgr.WithReleaseHook(hook))
-	}
 	mgr := procmgr.New(eng, nodes, cfg.SSP, cfg.PSP, mgrOpts...)
 	return &System{Eng: eng, Nodes: nodes, Mgr: mgr, cfg: cfg, rec: rec, tel: tel}
 }
+
+// releaseHook adapts the deprecated Config.ReleaseHook to a
+// procmgr.Listener; delete both together.
+type releaseHook struct {
+	procmgr.NopRecorder
+	fn func(t, root *task.Task, budget simtime.Time)
+}
+
+func (h releaseHook) RecordRelease(t, root *task.Task, budget simtime.Time) { h.fn(t, root, budget) }
 
 // NewSystem validates cfg and wires a single replication with a live
 // workload driver seeded with seed. Call Start to schedule arrivals, then

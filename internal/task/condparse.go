@@ -27,25 +27,9 @@ import (
 // itself). The result round-trips with CondDag.String.
 func ParseCondDag(input string) (*CondDag, error) {
 	p := &parser{src: input}
-	d := NewDag("")
-	byName := make(map[string]*DagNode)
-	for {
-		p.skipSpace()
-		if p.pos >= len(p.src) || p.peek() == ';' {
-			break
-		}
-		t, err := p.parseLeaf()
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := byName[t.Name]; dup {
-			return nil, fmt.Errorf("%w: %q", ErrDupName, t.Name)
-		}
-		n, err := d.AddTask(t)
-		if err != nil {
-			return nil, err
-		}
-		byName[t.Name] = n
+	d, byName, err := p.parseDagNodes()
+	if err != nil {
+		return nil, err
 	}
 	// probs[id] collects the annotation of each out-edge in succs order;
 	// math.NaN is not used — unannotated edges are recorded as -1 so the
@@ -58,19 +42,8 @@ func ParseCondDag(input string) (*CondDag, error) {
 			if p.pos >= len(p.src) {
 				break
 			}
-			from, err := p.parseEdgeName(byName)
+			from, to, err := p.parseDagEdge(d, byName)
 			if err != nil {
-				return nil, err
-			}
-			if p.peek() != '>' {
-				return nil, p.errf("expected '>' in edge")
-			}
-			p.pos++
-			to, err := p.parseEdgeName(byName)
-			if err != nil {
-				return nil, err
-			}
-			if err := d.AddEdge(from, to); err != nil {
 				return nil, err
 			}
 			pr := -1.0

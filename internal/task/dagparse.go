@@ -24,25 +24,9 @@ import (
 // sorted by (from, to) vertex id.
 func ParseDag(input string) (*Dag, error) {
 	p := &parser{src: input}
-	d := NewDag("")
-	byName := make(map[string]*DagNode)
-	for {
-		p.skipSpace()
-		if p.pos >= len(p.src) || p.peek() == ';' {
-			break
-		}
-		t, err := p.parseLeaf()
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := byName[t.Name]; dup {
-			return nil, fmt.Errorf("%w: %q", ErrDupName, t.Name)
-		}
-		n, err := d.AddTask(t)
-		if err != nil {
-			return nil, err
-		}
-		byName[t.Name] = n
+	d, byName, err := p.parseDagNodes()
+	if err != nil {
+		return nil, err
 	}
 	if p.peek() == ';' {
 		p.pos++
@@ -51,19 +35,7 @@ func ParseDag(input string) (*Dag, error) {
 			if p.pos >= len(p.src) {
 				break
 			}
-			from, err := p.parseEdgeName(byName)
-			if err != nil {
-				return nil, err
-			}
-			if p.peek() != '>' {
-				return nil, p.errf("expected '>' in edge")
-			}
-			p.pos++
-			to, err := p.parseEdgeName(byName)
-			if err != nil {
-				return nil, err
-			}
-			if err := d.AddEdge(from, to); err != nil {
+			if _, _, err := p.parseDagEdge(d, byName); err != nil {
 				return nil, err
 			}
 		}
@@ -85,6 +57,46 @@ func MustParseDag(input string) *Dag {
 		panic(err)
 	}
 	return d
+}
+
+// parseDagNodes parses the leaf list of the DAG notation up to the ';'
+// that starts the edge list, or the end of input.
+func (p *parser) parseDagNodes() (*Dag, map[string]*DagNode, error) {
+	d := NewDag("")
+	byName := make(map[string]*DagNode)
+	for {
+		p.skipSpace()
+		if p.pos >= len(p.src) || p.peek() == ';' {
+			return d, byName, nil
+		}
+		t, err := p.parseLeaf()
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, dup := byName[t.Name]; dup {
+			return nil, nil, fmt.Errorf("%w: %q", ErrDupName, t.Name)
+		}
+		n, err := d.AddTask(t)
+		if err != nil {
+			return nil, nil, err
+		}
+		byName[t.Name] = n
+	}
+}
+
+// parseDagEdge parses one "from>to" edge and adds it to d.
+func (p *parser) parseDagEdge(d *Dag, byName map[string]*DagNode) (from, to *DagNode, err error) {
+	if from, err = p.parseEdgeName(byName); err != nil {
+		return nil, nil, err
+	}
+	if p.peek() != '>' {
+		return nil, nil, p.errf("expected '>' in edge")
+	}
+	p.pos++
+	if to, err = p.parseEdgeName(byName); err != nil {
+		return nil, nil, err
+	}
+	return from, to, d.AddEdge(from, to)
 }
 
 // parseEdgeName scans a node name and resolves it against the DAG.
