@@ -74,6 +74,39 @@ func TestRecordersFanOutOrder(t *testing.T) {
 	}
 }
 
+// releaseLogger is a Listener that logs each release with its arguments.
+type releaseLogger struct {
+	NopRecorder
+	label string
+	log   *[]string
+}
+
+func (r releaseLogger) RecordRelease(tk, root *task.Task, budget simtime.Time) {
+	*r.log = append(*r.log, fmt.Sprintf("%s(%s,%s,%v)", r.label, tk.Name, root.Name, budget))
+}
+func (releaseLogger) RecordCause(string, *task.Task, *task.Task, *task.Task) {}
+func (releaseLogger) RecordDagSubmit(*task.Dag, *task.Task)                  {}
+func (releaseLogger) RecordDagOutcome(*task.Dag, *task.Task, bool)           {}
+
+// TestReleaseHooksFanOutOrder checks that a release reaches every Listener
+// member of a combination, nils skipped, in argument order and with the
+// task, root and budget passed through unchanged.
+func TestReleaseHooksFanOutOrder(t *testing.T) {
+	var log []string
+	rec := Recorders(nil, releaseLogger{label: "a", log: &log}, nil, releaseLogger{label: "b", log: &log})
+	lis, ok := rec.(Listener)
+	if !ok {
+		t.Fatalf("Recorders of listeners is %T, want a Listener", rec)
+	}
+	tk := task.MustSimple("x", 0, 1)
+	root := task.MustSimple("r", 0, 1)
+	lis.RecordRelease(tk, root, 42)
+	want := "[a(x,r,42) b(x,r,42)]"
+	if fmt.Sprint(log) != want {
+		t.Fatalf("release fan-out = %v, want %v", log, want)
+	}
+}
+
 func TestRecordersDegenerateCases(t *testing.T) {
 	if _, ok := Recorders().(NopRecorder); !ok {
 		t.Fatalf("combining nothing must yield NopRecorder")
