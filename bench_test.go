@@ -559,6 +559,51 @@ func BenchmarkRNGExp(b *testing.B) {
 	}
 }
 
+// --- Global task trees -----------------------------------------------------
+
+// BenchmarkSubmitGlobal measures the process manager's tree path, the twin
+// of BenchmarkDagSubmit: SubmitGlobal of one Table 1 global task on an
+// idle six-node manager (EQF, DIV-1, process-manager abort), drained to
+// completion — releases, completions and the deadline timer. The trees
+// are drawn in batches with the timer stopped, so only the manager is
+// measured.
+func BenchmarkSubmitGlobal(b *testing.B) {
+	b.ReportAllocs()
+	spec := sim.Default().Spec
+	eng := des.New()
+	nodes := make([]*node.Node, spec.K)
+	for i := range nodes {
+		nodes[i] = node.New(i, eng)
+	}
+	m := procmgr.New(eng, nodes, isda.EQF{}, isda.MustDiv(1), procmgr.WithPMAbort())
+	s := rng.NewStream(1)
+	const batch = 256
+	trees := make([]*task.Task, batch)
+	budget := make([]simtime.Duration, batch) // relative end-to-end deadline
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % batch
+		if j == 0 {
+			b.StopTimer()
+			for k := range trees {
+				t, err := spec.NewGlobal(s, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				trees[k], budget[k] = t, t.RealDeadline.Sub(0)
+			}
+			b.StartTimer()
+		}
+		t := trees[j]
+		t.RealDeadline = eng.Now().Add(budget[j])
+		if err := m.SubmitGlobal(t); err != nil {
+			b.Fatal(err)
+		}
+		eng.Run()
+		trees[j] = nil
+	}
+}
+
 // --- DAG global tasks -------------------------------------------------------
 
 // dagBenchSpec is the DAG family of the end-to-end dag-abort workload:
