@@ -623,10 +623,10 @@ func (*startLog) OnFinish(*node.Node, *node.Item, simtime.Time)  {}
 func (*startLog) OnAbort(*node.Node, *node.Item, simtime.Time)   {}
 func (*startLog) OnPreempt(*node.Node, *node.Item, simtime.Time) {}
 
-// TestAbortRun checks abortion through an item: the owning run is
-// abandoned as a deadline abort abandons it (every outstanding subtask
-// withdrawn, the next stage never released, the task recorded once as
-// missed), and stale or foreign items are refused.
+// TestAbortRun checks abortion through an item: the owning run, tree or
+// DAG, is abandoned as a deadline abort abandons it (every outstanding
+// subtask withdrawn, the next stage never released, the task recorded once
+// as missed), and stale or foreign items are refused.
 func TestAbortRun(t *testing.T) {
 	log := &startLog{}
 	eng, nodes, m, rec := rig(t, 2, sda.SerialUD{}, sda.UD{}, nil, node.WithObserver(log))
@@ -668,4 +668,58 @@ func TestAbortRun(t *testing.T) {
 	if m.AbortRun(log.started[1]) {
 		t.Error("AbortRun of a finished run reported true")
 	}
+
+	t.Run("dag", func(t *testing.T) {
+		log := &startLog{}
+		eng, nodes, m, _ := rig(t, 2, sda.SerialUD{}, sda.UD{}, nil, node.WithObserver(log))
+		rec := &dagRecorder{}
+		m.setRecorder(rec)
+		// An N-shaped cluster: a and b start at once, c joins them, d
+		// follows b alone.
+		d := task.MustParseDag("a@0:4 b@1:6 c@0:1 d@1:1 ; a>c b>c b>d")
+		d.Root().RealDeadline = 100
+		if err := m.SubmitDag(d); err != nil {
+			t.Fatal(err)
+		}
+		if len(log.started) != 2 {
+			t.Fatalf("%d vertices started, want a and b", len(log.started))
+		}
+		a := log.started[0]
+		refs := []node.ItemRef{a.Ref(), log.started[1].Ref()}
+		other := New(eng, nodes, sda.SerialUD{}, sda.UD{})
+		if other.AbortRun(a) {
+			t.Error("a foreign manager aborted the DAG run")
+		}
+		eng.RunUntil(2)
+		if !m.AbortRun(a) {
+			t.Fatal("AbortRun of a live DAG run reported false")
+		}
+		for i, ref := range refs {
+			if ref.Item() != nil {
+				t.Errorf("withdrawn item %d was not recycled", i)
+			}
+		}
+		eng.Run()
+		if !d.Root().Aborted || nodes[0].Busy() || nodes[1].Busy() || nodes[0].Served()+nodes[1].Served() != 0 {
+			t.Errorf("aborted %v, busy %v/%v, served %d/%d; want an abandoned run and idle nodes",
+				d.Root().Aborted, nodes[0].Busy(), nodes[1].Busy(), nodes[0].Served(), nodes[1].Served())
+		}
+		if got, ok := rec.find("global", d.Name); !ok || !got.missed || rec.count("global") != 1 {
+			t.Errorf("global records %+v (%d), want one missed", got, rec.count("global"))
+		}
+		if len(rec.outcomes) != 1 || !rec.outcomes[0].missed {
+			t.Errorf("DAG outcomes %+v, want one missed", rec.outcomes)
+		}
+		for _, n := range d.Nodes() {
+			if !n.Task.Aborted {
+				t.Errorf("vertex %q not marked aborted", n.Task.Name)
+			}
+		}
+		if rec.count("subtask") != 2 || len(log.started) != 2 {
+			t.Errorf("%d subtask records, %d starts; want a and b only", rec.count("subtask"), len(log.started))
+		}
+		if m.AbortRun(log.started[1]) {
+			t.Error("AbortRun of a finished DAG run reported true")
+		}
+	})
 }
