@@ -536,8 +536,10 @@ func BenchmarkRNGChoose(b *testing.B) {
 // driver's do.
 var streamSink *rng.Stream
 
-// BenchmarkRNGNewStream measures seeding one stream, which a workload
-// driver does once per node: exactly 1 alloc/op.
+// BenchmarkRNGNewStream measures creating one stream, which a workload
+// driver does once per node: exactly 1 alloc/op. Seeding the generator
+// state is deferred until the stream first needs it, so this allocates
+// only the stream's small header.
 func BenchmarkRNGNewStream(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -553,6 +555,32 @@ func BenchmarkRNGExp(b *testing.B) {
 	sum := 0.0
 	for i := 0; i < b.N; i++ {
 		sum += s.Exp(1)
+	}
+	if sum < 0 {
+		b.Fatal("negative exponential draw")
+	}
+}
+
+// BenchmarkRNGFleetStreams measures the per-node streams of one fleet
+// replication: 5000 streams split from one seed and 30 exponential draws
+// on each, the nodes visited in a scattered order as interleaved arrivals
+// visit them. Each stream is one allocation.
+func BenchmarkRNGFleetStreams(b *testing.B) {
+	b.ReportAllocs()
+	const nodes, draws = 5000, 30
+	const stride = 2399 // coprime to nodes, so each round visits every node once
+	streams := make([]*rng.Stream, nodes)
+	sum := 0.0
+	for i := 0; i < b.N; i++ {
+		sp := rng.NewSplitter(uint64(i))
+		for j := range streams {
+			streams[j] = sp.Stream()
+		}
+		for d := 0; d < draws; d++ {
+			for j := 0; j < nodes; j++ {
+				sum += streams[j*stride%nodes].Exp(1)
+			}
+		}
 	}
 	if sum < 0 {
 		b.Fatal("negative exponential draw")

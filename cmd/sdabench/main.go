@@ -9,15 +9,15 @@
 // a threshold against the latest committed snapshot. Two thresholds
 // apply: -max-regress gates ns/op (skippable with -report-only, since
 // wall-clock timings are noisy on shared runners) and -max-alloc-regress
-// gates allocs/op, which is deterministic and therefore enforced even
-// under -report-only.
+// gates allocs/op and B/op, which are deterministic up to amortised
+// set-up costs and therefore enforced even under -report-only.
 //
 // Examples:
 //
 //	sdabench                          # run benchmarks, print snapshot JSON
 //	sdabench -record                  # ... and write BENCH_<n+1>.json
 //	sdabench -compare                 # ... and diff against latest BENCH_*.json
-//	sdabench -compare -report-only    # diff; only allocs/op can fail (CI smoke job)
+//	sdabench -compare -report-only    # diff; only allocs/op and B/op can fail (CI smoke job)
 //	sdabench -input raw.txt -out s.json   # parse saved `go test -bench` output
 //
 // Equivalent make targets: `make bench-record`, `make bench-compare`.
@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -83,8 +84,8 @@ func run(args []string, out io.Writer) error {
 		outPath         = fs.String("out", "", "write the snapshot to this explicit path")
 		compare         = fs.Bool("compare", false, "compare against the latest BENCH_*.json in -dir")
 		maxRegress      = fs.Float64("max-regress", 25, "fail -compare when ns/op regresses by more than this percentage")
-		maxAllocRegress = fs.Float64("max-alloc-regress", 10, "fail -compare when allocs/op regresses by more than this percentage (enforced even with -report-only)")
-		reportOnly      = fs.Bool("report-only", false, "with -compare: report ns/op regressions but exit 0 (allocs/op regressions still fail)")
+		maxAllocRegress = fs.Float64("max-alloc-regress", 10, "fail -compare when allocs/op or B/op regresses by more than this percentage (enforced even with -report-only)")
+		reportOnly      = fs.Bool("report-only", false, "with -compare: report ns/op regressions but exit 0 (allocs/op and B/op regressions still fail)")
 		quiet           = fs.Bool("q", false, "suppress the snapshot JSON on stdout")
 
 		cpuprofile = fs.String("cpuprofile", "", "write the benchmark run's CPU profile to this file")
@@ -162,10 +163,11 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "recorded %s\n", path)
 	}
 
-	// The allocs/op gate holds even under -report-only: allocation counts
-	// are deterministic, so a jump is a real regression, not timing noise.
+	// The memory gates hold even under -report-only: allocation counts and
+	// sizes are deterministic, so a jump is a real regression, not timing
+	// noise.
 	if len(allocRegressions) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed allocs/op beyond %.0f%%: %s",
+		return fmt.Errorf("%d benchmark(s) regressed allocs/op or B/op beyond %.0f%%: %s",
 			len(allocRegressions), *maxAllocRegress, strings.Join(allocRegressions, ", "))
 	}
 	if len(regressions) > 0 && !*reportOnly {
@@ -345,12 +347,24 @@ func writeSnapshot(path string, s *Snapshot) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
+// memGates are the memory metrics compareSnapshots gates at
+// maxAllocRegress percent. Each allows an absolute slack on top, so
+// benchmarks at or near zero do not flap on amortised set-up costs. The
+// B/op gate sees what the count cannot: the same number of allocations,
+// each larger.
+var memGates = []struct {
+	unit, label string
+	slack       float64
+}{
+	{"allocs/op", "ALLOCS", 1},
+	{"B/op", "BYTES", 1024},
+}
+
 // compareSnapshots prints a per-benchmark delta table and returns the
 // names whose ns/op regressed beyond maxRegress percent and the names
-// whose allocs/op regressed beyond maxAllocRegress percent. The alloc
-// gate allows one allocation of absolute slack so benchmarks at or near
-// zero allocs/op do not flap on amortized setup costs. Benchmarks present
-// in only one snapshot are reported but never fail the run.
+// whose allocs/op or B/op regressed beyond maxAllocRegress percent (see
+// memGates). Benchmarks present in only one snapshot are reported but
+// never fail the run.
 func compareSnapshots(out io.Writer, prev, cur *Snapshot, prevPath string, maxRegress, maxAllocRegress float64) (regressions, allocRegressions []string) {
 	names := make([]string, 0, len(cur.Benchmarks))
 	for name := range cur.Benchmarks {
@@ -378,13 +392,21 @@ func compareSnapshots(out io.Writer, prev, cur *Snapshot, prevPath string, maxRe
 		}
 		line := fmt.Sprintf("  %-40s %12.1f -> %12.1f ns/op  %+7.1f%%  %s",
 			name, oldNs, newNs, delta, status)
-		oa, oaOK := prevM.Metrics["allocs/op"]
-		na, naOK := curM.Metrics["allocs/op"]
-		if oaOK && naOK && na > oa*(1+maxAllocRegress/100)+1 {
+		memRegressed := false
+		for _, g := range memGates {
+			o, oOK := prevM.Metrics[g.unit]
+			n, nOK := curM.Metrics[g.unit]
+			switch {
+			case !oOK || !nOK:
+			case n > o*(1+maxAllocRegress/100)+g.slack:
+				memRegressed = true
+				line += fmt.Sprintf("  %s REGRESSED (%s %g -> %g)", g.label, g.unit, o, n)
+			case math.Abs(n-o) >= g.slack:
+				line += fmt.Sprintf("  (%s %g -> %g)", g.unit, o, n)
+			}
+		}
+		if memRegressed {
 			allocRegressions = append(allocRegressions, name)
-			line += fmt.Sprintf("  ALLOCS REGRESSED (allocs/op %g -> %g)", oa, na)
-		} else if oa != na {
-			line += fmt.Sprintf("  (allocs/op %g -> %g)", oa, na)
 		}
 		fmt.Fprintln(out, line)
 	}

@@ -190,6 +190,45 @@ func TestCompareSnapshotsAllocGate(t *testing.T) {
 	}
 }
 
+// TestCompareSnapshotsBytesGate checks the B/op gate: a benchmark that
+// keeps its allocation count but grows each allocation fails, while
+// growth within the percentage or the 1 KiB slack passes.
+func TestCompareSnapshotsBytesGate(t *testing.T) {
+	mem := func(allocs, bytes float64) Measurement {
+		return Measurement{Metrics: map[string]float64{"ns/op": 100, "allocs/op": allocs, "B/op": bytes}}
+	}
+	prev := &Snapshot{Benchmarks: map[string]Measurement{
+		"BenchmarkFatter":    mem(5000, 480000),
+		"BenchmarkAmortised": mem(0, 0),
+		"BenchmarkWithin":    mem(1, 10000),
+		"BenchmarkSlimmer":   mem(5000, 26880000),
+	}}
+	cur := &Snapshot{Benchmarks: map[string]Measurement{
+		"BenchmarkFatter":    mem(5000, 26880000),
+		"BenchmarkAmortised": mem(0, 900),   // inside the slack
+		"BenchmarkWithin":    mem(1, 12000), // 10% + 1 KiB allows 12024
+		"BenchmarkSlimmer":   mem(5000, 480000),
+	}}
+	var buf strings.Builder
+	_, allocRegressed := compareSnapshots(&buf, prev, cur, "x", 25, 10)
+	if len(allocRegressed) != 1 || allocRegressed[0] != "BenchmarkFatter" {
+		t.Fatalf("memory regressions = %v, want [BenchmarkFatter]", allocRegressed)
+	}
+	out := buf.String()
+	for _, want := range []string{"BYTES REGRESSED (B/op 480000 -> 2.688e+07)", "(B/op 2.688e+07 -> 480000)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "ALLOCS REGRESSED") {
+		t.Errorf("allocs/op gate tripped on an unchanged count:\n%s", out)
+	}
+	cur.Benchmarks["BenchmarkWithin"] = mem(1, 12100)
+	if _, allocRegressed := compareSnapshots(&strings.Builder{}, prev, cur, "x", 25, 10); len(allocRegressed) != 2 {
+		t.Fatalf("memory regressions = %v, want BenchmarkFatter and BenchmarkWithin", allocRegressed)
+	}
+}
+
 // TestRunWithInputFixture drives the full flow (parse -> compare ->
 // record) without shelling out to the go tool.
 func TestRunWithInputFixture(t *testing.T) {

@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -295,7 +296,8 @@ func parseEstimator(s string) (workload.Estimator, error) {
 		return workload.Mean{}, nil
 	case strings.HasPrefix(s, "noisy:"):
 		var f float64
-		if _, err := fmt.Sscanf(s, "noisy:%g", &f); err != nil || f <= 0 {
+		// Negated so that NaN fails too; an infinite factor fails the bound.
+		if _, err := fmt.Sscanf(s, "noisy:%g", &f); err != nil || !(f > 0 && f <= math.MaxFloat64) {
 			return nil, fmt.Errorf("bad noisy estimator %q (want noisy:<factor>)", s)
 		}
 		return workload.Noisy{Factor: f}, nil

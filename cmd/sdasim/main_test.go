@@ -38,6 +38,17 @@ func TestSimFlagErrors(t *testing.T) {
 		{"-estimator", "noisy:x"},
 		{"-estimator", "noisy:-1"},
 		{"-n", "9"}, // 9 parallel subtasks on 6 nodes
+		// Non-finite and runaway values: each once hung, panicked, ran
+		// out of memory or printed all-zero results.
+		{"-duration", "nan"},
+		{"-duration", "inf"},
+		{"-warmup", "nan"},
+		{"-load", "inf"},
+		{"-load", "nan"},
+		{"-frac-local", "nan"},
+		{"-estimator", "noisy:nan"},
+		{"-estimator", "noisy:inf"},
+		{"-k", "3000000000"},
 	}
 	for i, args := range cases {
 		if err := run(args); err == nil {

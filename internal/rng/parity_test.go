@@ -55,6 +55,28 @@ func equalDraw(got, want any) bool {
 	return got == want
 }
 
+// prefix makes m draws, cycling through Float64, IntN and Exp, and
+// compares each value without the extra alignment draw check makes, so
+// exactly m generator draws are consumed.
+func (p *parity) prefix(m int) {
+	p.t.Helper()
+	for i := 0; i < m; i++ {
+		var got, want any
+		switch i % 3 {
+		case 0:
+			got, want = p.s.Float64(), p.r.Float64()
+		case 1:
+			// A power of two: Int31n takes exactly one draw.
+			got, want = p.s.IntN(1<<10), p.r.Intn(1<<10)
+		case 2:
+			got, want = p.s.Exp(2), -2*math.Log(1-p.r.Float64())
+		}
+		if !equalDraw(got, want) {
+			p.t.Fatalf("prefix draw %d = %v, math/rand gives %v", i, got, want)
+		}
+	}
+}
+
 func (p *parity) float64() {
 	p.check("Float64()", p.s.Float64(), p.r.Float64())
 }
@@ -182,13 +204,42 @@ func TestStreamMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestStreamYoungBoundary crosses the point where a young stream, which
+// computes its draws from its seed, builds its generator state: after
+// 273 draws, or at its first Choose. Every prefix must leave the stream
+// exactly where math/rand's would be.
+func TestStreamYoungBoundary(t *testing.T) {
+	for _, seed := range []uint64{1, 42, seedDeriving(0), seedDeriving(-1)} {
+		for _, m := range []int{0, 1, 272, 273, 274, 334, 607, 1000} {
+			t.Run(fmt.Sprintf("%d/%d", seed, m), func(t *testing.T) {
+				p := newParity(t, seed)
+				p.prefix(m)
+				if young := p.s.vec == nil; young != (m <= rngTap) {
+					t.Fatalf("young = %v after %d draws", young, m)
+				}
+				// At m = 0, Choose is the fresh stream's first call.
+				p.choose(5000, 4)
+				p.perm(7)
+				p.choose(6, 6)
+				for i := 0; i < 10; i++ {
+					p.float64()
+				}
+			})
+		}
+	}
+}
+
 func FuzzStreamParity(f *testing.F) {
 	f.Add(uint64(1), 5000, 4)
 	f.Add(uint64(0), 0, 0)
 	f.Add(seedDeriving(0), 7, 7)
 	f.Add(seedDeriving(-3*int32max), 1<<31, 1)
+	f.Add(uint64(273)<<53, 5000, 4) // Choose right after the last young draw
 	f.Fuzz(func(t *testing.T, seed uint64, n, k int) {
 		p := newParity(t, seed)
+		// Up to 699 draws first, so the first Choose meets young and
+		// materialised streams alike.
+		p.prefix(int(seed>>53) % 700)
 		// n drives the integer draws directly; the population size for
 		// Choose and Perm is folded into [0, 10000] to bound the work.
 		if n > 0 {
@@ -250,10 +301,16 @@ func TestLehmerPowers(t *testing.T) {
 	for x := int32(12345); x < int32max-1<<22; x += 1<<22 + 7 {
 		starts = append(starts, x)
 	}
-	for _, c := range []struct {
+	type jump struct {
 		steps int
 		mul   uint64
-	}{{3, lehmerA3}, {6, lehmerA6}, {21, lehmerA21}} {
+	}
+	cases := []jump{{3, lehmerA3}, {21, lehmerA21}}
+	// lehmerJump[i] takes word i's seeding value straight from the seed.
+	for _, i := range []int{0, 1, 2, 60, 273, 333, 334, rngLen - 1} {
+		cases = append(cases, jump{21 + 3*i, lehmerJump[i]})
+	}
+	for _, c := range cases {
 		for _, x := range starts {
 			want := x
 			for i := 0; i < c.steps; i++ {
@@ -303,6 +360,8 @@ func TestChooseRejections(t *testing.T) {
 		mixed bool // replace about half the words with random ones
 	}{{1<<62 - 1, false}, {1<<62 - 1, true}, {(1<<30 - 1) << 32, false}} {
 		a, b := NewStream(5), NewStream(5)
+		a.materialise()
+		b.materialise()
 		mix := NewStream(6)
 		for i := range a.vec {
 			w := c.word
@@ -326,17 +385,30 @@ func TestChooseRejections(t *testing.T) {
 }
 
 // TestFloat64RetriesOnRoundUp forces an Int63 of 2⁶³−1, whose quotient
-// rounds to 1.0, and checks that Float64 draws again as math/rand does.
+// rounds to 1.0, and checks that Float64 draws again as math/rand does,
+// both called directly and inside Uniform and Exp, whose inlined draw
+// falls back to Float64 for the redraw.
 func TestFloat64RetriesOnRoundUp(t *testing.T) {
-	s := NewStream(1)
-	// A fresh stream's next two draws add vec[333]+vec[606], then
-	// vec[332]+vec[605].
-	s.vec[333], s.vec[606] = rngMask, 0
-	s.vec[332], s.vec[605] = 1<<62, 0
-	if got := s.Float64(); got != 0.5 {
-		t.Fatalf("Float64 = %v, want the retry draw 0.5", got)
-	}
-	if s.tap != rngLen-2 {
-		t.Fatalf("Float64 consumed %d draws, want 2", rngLen-s.tap)
+	for _, c := range []struct {
+		call string
+		draw func(*Stream) float64
+		want float64 // the value of the retry draw 0.5
+	}{
+		{"Float64", (*Stream).Float64, 0.5},
+		{"Uniform(0, 1)", func(s *Stream) float64 { return s.Uniform(0, 1) }, 0.5},
+		{"Exp(1)", func(s *Stream) float64 { return s.Exp(1) }, -math.Log(1 - 0.5)},
+	} {
+		s := NewStream(1)
+		s.materialise()
+		// A fresh stream's next two draws add vec[333]+vec[606], then
+		// vec[332]+vec[605].
+		s.vec[333], s.vec[606] = rngMask, 0
+		s.vec[332], s.vec[605] = 1<<62, 0
+		if got := c.draw(s); got != c.want {
+			t.Fatalf("%s = %v, want %v from the retry draw", c.call, got, c.want)
+		}
+		if s.tap != rngLen-2 {
+			t.Fatalf("%s consumed %d draws, want 2", c.call, rngLen-s.tap)
+		}
 	}
 }

@@ -9,10 +9,13 @@
 // one consumer's draw pattern therefore never perturbs another's.
 //
 // A Stream is math/rand's additive lagged-Fibonacci generator, owned
-// rather than wrapped: the state lives inline in the Stream, and every
-// draw is bit for bit what rand.New(rand.NewSource(s)) gives for the
-// stream's SplitMix64-derived seed s (see TestStreamMatchesMathRand), so
-// every recorded result stays valid.
+// rather than wrapped: every draw is bit for bit what
+// rand.New(rand.NewSource(s)) gives for the stream's SplitMix64-derived
+// seed s (see TestStreamMatchesMathRand), so every recorded result stays
+// valid. The 607-word state is built only when a stream first needs it:
+// the generator's first 273 draws read seed words that no earlier draw
+// has written, so a young stream computes each of them straight from its
+// seed.
 package rng
 
 import (
@@ -30,10 +33,13 @@ const (
 
 // Stream is a deterministic pseudo-random stream with the distribution
 // helpers the simulation model needs. It is not safe for concurrent use;
-// the simulator is single-threaded by design.
+// the simulator is single-threaded by design. A Stream must not be copied
+// by value: a copy would share the generator state with the original.
 //
-// The pointer fields come first so the garbage collector scans only the
-// head of the ~5 KB object, not the generator state.
+// A new Stream is young: it holds only its Lehmer seed and the number of
+// draws consumed, and allocates the ~5 KB generator state the first time
+// it needs a 274th draw or calls Choose. A simulated fleet gives every
+// node its own stream and most of them never draw that far.
 type Stream struct {
 	// chooseBuf backs Choose's result; reused across calls so per-task
 	// placement draws do not allocate.
@@ -41,23 +47,23 @@ type Stream struct {
 	// chooseMul[i] is the fastmod multiplier for the divisor i+1 (see
 	// Choose). Entries depend only on i, so the table only ever grows.
 	chooseMul []uint64
-
+	// vec is the generator state, nil while the stream is young.
+	vec       *[rngLen]int64
 	tap, feed int
-	vec       [rngLen]int64
+	// lehmer is math/rand's seeding value, in [1, 2³¹−2]; drawn counts
+	// the draws a young stream has consumed.
+	lehmer uint32
+	drawn  uint32
 }
 
 // NewStream returns a stream seeded with seed.
 func NewStream(seed uint64) *Stream {
-	s := new(Stream)
-	s.seed(int64(splitmix64(&seed)))
-	return s
+	return &Stream{lehmer: lehmerSeed(int64(splitmix64(&seed)))}
 }
 
-// seed initialises the generator exactly as math/rand's rngSource.Seed.
-func (s *Stream) seed(seed int64) {
-	s.tap = 0
-	s.feed = rngLen - rngTap
-
+// lehmerSeed reduces a math/rand seed to its Lehmer seeding value exactly
+// as rngSource.Seed does.
+func lehmerSeed(seed int64) uint32 {
 	seed %= int32max
 	if seed < 0 {
 		seed += int32max
@@ -65,36 +71,33 @@ func (s *Stream) seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-
-	// math/rand steps the Lehmer generator x ← 48271·x mod (2³¹−1) 20
-	// times, then three times per word, so word i starts at step 21+3i.
-	// Multiplying by a power of 48271 jumps straight there, which splits
-	// the serial chain into two independent ones, for the even and the
-	// odd words, that the CPU overlaps.
-	even := lehmerMul(uint64(seed), lehmerA21)
-	odd := lehmerMul(even, lehmerA3)
-	for i := 0; i+1 < rngLen; i += 2 {
-		s.vec[i] = seedWord(even) ^ rngCooked[i]
-		s.vec[i+1] = seedWord(odd) ^ rngCooked[i+1]
-		even = lehmerMul(even, lehmerA6)
-		odd = lehmerMul(odd, lehmerA6)
-	}
-	s.vec[rngLen-1] = seedWord(even) ^ rngCooked[rngLen-1] // rngLen is odd
+	return uint32(seed)
 }
 
-// seedWord packs the Lehmer value x and its two successors into one
-// state word, as math/rand's seeding loop does.
-func seedWord(x uint64) int64 {
+// seedWord returns word i of the freshly seeded state of the stream with
+// Lehmer seed x0. math/rand steps the Lehmer generator x ← 48271·x mod
+// (2³¹−1) 20 times, then three times per word, so word i starts at step
+// 21+3i; lehmerJump jumps straight there.
+func seedWord(x0 uint32, i int) int64 {
+	x := lehmerMul(uint64(x0), lehmerJump[i])
 	mid := lehmerStep(x)
 	lo := lehmerStep(mid)
-	return int64(x)<<40 ^ int64(mid)<<20 ^ int64(lo)
+	return int64(x)<<40 ^ int64(mid)<<20 ^ int64(lo) ^ rngCooked[i]
 }
+
+// lehmerJump[i] is 48271^(21+3i) mod (2³¹−1).
+var lehmerJump = func() (jump [rngLen]uint64) {
+	jump[0] = lehmerA21
+	for i := 1; i < rngLen; i++ {
+		jump[i] = lehmerMul(jump[i-1], lehmerA3)
+	}
+	return jump
+}()
 
 // Powers of math/rand's seeding multiplier 48271, modulo 2³¹−1.
 const (
 	lehmerA   = 48271
 	lehmerA3  = 1291394886
-	lehmerA6  = 407355683
 	lehmerA21 = 638022372
 )
 
@@ -120,6 +123,21 @@ func lehmerMul(x, c uint64) uint64 {
 		t -= int32max
 	}
 	return t
+}
+
+// materialise builds a young stream's generator state: it seeds vec
+// exactly as math/rand's rngSource.Seed, then replays the draws the
+// stream consumed while young.
+func (s *Stream) materialise() {
+	s.vec = new([rngLen]int64)
+	for i := range s.vec {
+		s.vec[i] = seedWord(s.lehmer, i)
+	}
+	s.tap = 0
+	s.feed = rngLen - rngTap
+	for range s.drawn {
+		s.step()
+	}
 }
 
 // Splitter derives statistically independent child streams from one master
@@ -157,6 +175,16 @@ func splitmix64(state *uint64) uint64 {
 // int63 advances the generator and returns a non-negative 63-bit value,
 // as math/rand's Int63.
 func (s *Stream) int63() int64 {
+	if s.vec == nil {
+		return s.youngInt63()
+	}
+	return s.step()
+}
+
+// step is int63 for a materialised stream. It makes no call, so it
+// inlines where int63, which must call youngInt63, cannot.
+func (s *Stream) step() int64 {
+	vec := s.vec
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
@@ -165,8 +193,23 @@ func (s *Stream) int63() int64 {
 	if s.feed < 0 {
 		s.feed += rngLen
 	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
+	x := vec[s.feed] + vec[s.tap]
+	vec[s.feed] = x
+	return x & rngMask
+}
+
+// youngInt63 is int63 for a young stream. Draw m ≤ 273 of a freshly
+// seeded generator adds seed words 334−m and 607−m, neither of which an
+// earlier draw has written; draw 274 would read word 333, which draw 1
+// overwrote, so the stream materialises first.
+func (s *Stream) youngInt63() int64 {
+	if s.drawn == rngTap {
+		s.materialise()
+		return s.step()
+	}
+	s.drawn++
+	m := int(s.drawn)
+	x := seedWord(s.lehmer, rngLen-rngTap-m) + seedWord(s.lehmer, rngLen-m)
 	return x & rngMask
 }
 
@@ -203,13 +246,30 @@ func (s *Stream) int63n(n int64) int64 {
 
 // Float64 returns a uniform draw in [0, 1).
 func (s *Stream) Float64() float64 {
+	if f := s.float64(); 0 <= f && f < 1 {
+		return f
+	}
+	// A young stream, or a draw that rounded up: Int63 can lie close
+	// enough to 2⁶³ that the quotient rounds to 1.0; math/rand draws
+	// again then, and so must this stream. int63 materialises a young
+	// stream when a draw needs it.
 	for {
-		// Int63 can lie close enough to 2⁶³ that the quotient rounds to
-		// 1.0; math/rand draws again then, and so must this stream.
 		if f := float64(s.int63()) / (1 << 63); f != 1 {
 			return f
 		}
 	}
+}
+
+// float64 is one Float64 draw for a materialised stream, without
+// Float64's redraw: it returns -1 without drawing on a young stream, and
+// 1 when the draw's quotient rounds up. Either way the caller falls back
+// to Float64, which draws again as math/rand does. It makes no call, so
+// it inlines into Exp and Uniform, the per-task draws.
+func (s *Stream) float64() float64 {
+	if s.vec == nil {
+		return -1
+	}
+	return float64(s.step()) / (1 << 63)
 }
 
 // Exp returns an exponential draw with the given mean.
@@ -219,8 +279,12 @@ func (s *Stream) Exp(mean float64) float64 {
 	if mean <= 0 {
 		panic("rng: exponential mean must be positive")
 	}
+	u := s.float64()
+	if !(0 <= u && u < 1) {
+		u = s.Float64()
+	}
 	// Inverse-CDF; 1-U in (0,1] avoids log(0).
-	return -mean * math.Log(1-s.Float64())
+	return -mean * math.Log(1-u)
 }
 
 // Uniform returns a uniform draw in [lo, hi). It accepts lo == hi (a
@@ -229,7 +293,11 @@ func (s *Stream) Uniform(lo, hi float64) float64 {
 	if lo > hi {
 		panic("rng: uniform bounds inverted")
 	}
-	return lo + (hi-lo)*s.Float64()
+	u := s.float64()
+	if !(0 <= u && u < 1) {
+		u = s.Float64()
+	}
+	return lo + (hi-lo)*u
 }
 
 // LogUniform returns a draw whose logarithm is uniform on
@@ -304,6 +372,9 @@ func (s *Stream) Choose(n, k int) []int {
 	}
 	if n > int32max {
 		panic("rng: Choose population exceeds 2³¹−1")
+	}
+	if s.vec == nil {
+		s.materialise()
 	}
 	if cap(s.chooseBuf) < k {
 		s.chooseBuf = make([]int, k)

@@ -1,15 +1,19 @@
 package scenario
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // Caps on the work a scenario may expand into. A few numbers in a small
 // file multiply into the memory and time a run needs, so Validate
 // rejects a scenario past any cap and names the field: a typo such as
 // "mean_between": 1e-300 is an error, not an out-of-memory crash or a run
 // that never ends. The largest shipped scenario, stress-fleet-10k, uses
-// about 4% of the timeline cap and 2% of the server and task caps.
+// about 4% of the timeline cap and 2% of the task cap; fleet-wide servers
+// are capped at sim.MaxServers, as sim.Config.Validate caps them.
 const (
-	maxServers        = 1 << 20 // fleet-wide servers (nodes × servers per node)
 	maxTimelineEvents = 1 << 20 // expected compiled timeline events
 	maxTasks          = 1e7     // expected tasks over the horizon, bursts included
 	maxBurstCount     = 1 << 16 // tasks in one burst
@@ -43,10 +47,10 @@ func (b *workBudget) burst(where string, count int, occ float64) error {
 	return b.charge(where, "count", 0, occ*float64(count))
 }
 
-// boundServers rejects a fleet of more than maxServers servers.
+// boundServers rejects a fleet of more than sim.MaxServers servers.
 func boundServers(where, field string, nodes, servers int) error {
-	if n := float64(nodes) * float64(servers); n > maxServers {
-		return fmt.Errorf("%w: %s: %s builds up to %.3g servers, past the cap of %d", ErrBadScenario, where, field, n, maxServers)
+	if n := float64(nodes) * float64(servers); n > sim.MaxServers {
+		return fmt.Errorf("%w: %s: %s builds up to %.3g servers, past the cap of %d", ErrBadScenario, where, field, n, sim.MaxServers)
 	}
 	return nil
 }

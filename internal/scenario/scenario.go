@@ -297,7 +297,7 @@ func (s *Scenario) Config() (sim.Config, error) {
 
 // Validate checks the scenario for structural and semantic errors,
 // including every timeline event, and bounds the work it expands into
-// (see maxServers and the other caps).
+// (see sim.MaxServers and the caps in bounds.go).
 func (s *Scenario) Validate() error {
 	if strings.TrimSpace(s.Name) == "" {
 		return fmt.Errorf("%w: missing name", ErrBadScenario)
@@ -321,16 +321,18 @@ func (s *Scenario) Validate() error {
 			return err
 		}
 	}
+	// Bounded before the config check, which caps servers too, so the
+	// error names the scenario field.
+	w := &sc.Workload
+	if err := boundServers(s.Name, "k × servers", w.K, sc.Servers); err != nil {
+		return err
+	}
 	cfg, err := s.Config()
 	if err != nil {
 		return err
 	}
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrBadScenario, s.Name, err)
-	}
-	w := &sc.Workload
-	if err := boundServers(s.Name, "k × servers", w.K, sc.Servers); err != nil {
-		return err
 	}
 	// The load fixes the work offered per node and time unit, and every
 	// task carries at least the smaller mean execution time.

@@ -11,6 +11,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/des"
 	"repro/internal/node"
@@ -204,17 +205,25 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// Validate checks the configuration.
+// MaxServers caps the fleet-wide server count (nodes × servers per node,
+// or the sum of the per-node overrides) a configuration or a scenario
+// may build. Every server costs memory up front, so a typo such as
+// -k 3000000000 is an error, not an out-of-memory crash. The largest
+// shipped scenario, stress-fleet-10k, uses about 2% of it.
+const MaxServers = 1 << 20
+
+// Validate checks the configuration. The comparisons are negated so that
+// a NaN field fails them.
 func (c Config) Validate() error {
 	c = c.normalized()
 	if err := c.Spec.Validate(); err != nil {
 		return err
 	}
-	if c.Duration <= 0 {
-		return fmt.Errorf("sim: duration %v must be positive", c.Duration)
+	if !(c.Duration > 0 && c.Duration <= math.MaxFloat64) {
+		return fmt.Errorf("sim: duration %v must be positive and finite", c.Duration)
 	}
-	if c.Warmup < 0 {
-		return fmt.Errorf("sim: warmup %v must be non-negative", c.Warmup)
+	if !(c.Warmup >= 0 && c.Warmup <= math.MaxFloat64) {
+		return fmt.Errorf("sim: warmup %v must be non-negative and finite", c.Warmup)
 	}
 	if c.Replications < 1 {
 		return fmt.Errorf("sim: replications %d must be >= 1", c.Replications)
@@ -230,10 +239,13 @@ func (c Config) Validate() error {
 	if c.Preemptive && c.Servers > 1 {
 		return fmt.Errorf("sim: preemption requires single-server nodes")
 	}
+	// Summed in float64 so that no product or sum overflows.
+	servers := float64(c.Spec.K) * float64(c.Servers)
 	if len(c.NodeServers) > 0 {
 		if len(c.NodeServers) != c.Spec.K {
 			return fmt.Errorf("sim: NodeServers has %d entries for %d nodes", len(c.NodeServers), c.Spec.K)
 		}
+		servers = 0
 		for i, s := range c.NodeServers {
 			if s < 1 {
 				return fmt.Errorf("sim: node %d server count %d must be >= 1", i, s)
@@ -241,7 +253,11 @@ func (c Config) Validate() error {
 			if c.Preemptive && s > 1 {
 				return fmt.Errorf("sim: preemption requires single-server nodes (node %d has %d)", i, s)
 			}
+			servers += float64(s)
 		}
+	}
+	if servers > MaxServers {
+		return fmt.Errorf("sim: %.3g servers fleet-wide, past the cap of %d", servers, MaxServers)
 	}
 	if len(c.NodeRates) > 0 {
 		if len(c.NodeRates) != c.Spec.K {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/node"
 	"repro/internal/sda"
+	"repro/internal/simtime"
 	"repro/internal/workload"
 )
 
@@ -237,6 +238,16 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Replications = -2 },
 		func(c *Config) { c.Spec.K = 0 },
 		func(c *Config) { c.Abort = AbortMode(99) },
+		func(c *Config) { c.Duration = simtime.Duration(math.NaN()) },
+		func(c *Config) { c.Duration = simtime.Duration(math.Inf(1)) },
+		func(c *Config) { c.Warmup = simtime.Duration(math.NaN()) },
+		func(c *Config) { c.Warmup = simtime.Duration(math.Inf(1)) },
+		func(c *Config) { c.Spec.K = 3_000_000_000 },
+		func(c *Config) { c.Spec.K = 1 << 10; c.Servers = 1<<10 + 1 },
+		func(c *Config) {
+			c.Spec.K = 2
+			c.NodeServers = []int{MaxServers, 1}
+		},
 	}
 	for i, mut := range bad {
 		cfg := Default()

@@ -15,6 +15,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 	"repro/internal/simtime"
@@ -88,22 +89,24 @@ func (s *Spec) subtaskSampler() ExecSampler {
 	return s.sampler
 }
 
-// Validate checks the specification for consistency.
+// Validate checks the specification for consistency. The comparisons
+// are negated so that a NaN field fails them; an infinite one fails the
+// math.MaxFloat64 bound.
 func (s *Spec) Validate() error {
 	switch {
 	case s.K < 1:
 		return fmt.Errorf("%w: K = %d", ErrBadSpec, s.K)
-	case s.Load < 0:
+	case !(s.Load >= 0 && s.Load <= math.MaxFloat64):
 		return fmt.Errorf("%w: load = %v", ErrBadSpec, s.Load)
-	case s.FracLocal < 0 || s.FracLocal > 1:
+	case !(s.FracLocal >= 0 && s.FracLocal <= 1):
 		return fmt.Errorf("%w: frac_local = %v", ErrBadSpec, s.FracLocal)
-	case s.MeanLocalExec <= 0:
+	case !(s.MeanLocalExec > 0 && s.MeanLocalExec <= math.MaxFloat64):
 		return fmt.Errorf("%w: mean local exec = %v", ErrBadSpec, s.MeanLocalExec)
-	case s.MeanSubtaskExec <= 0:
+	case !(s.MeanSubtaskExec > 0 && s.MeanSubtaskExec <= math.MaxFloat64):
 		return fmt.Errorf("%w: mean subtask exec = %v", ErrBadSpec, s.MeanSubtaskExec)
-	case s.SlackMin < 0 || s.SlackMax < s.SlackMin:
+	case !(s.SlackMin >= 0 && s.SlackMin <= s.SlackMax && s.SlackMax <= math.MaxFloat64):
 		return fmt.Errorf("%w: slack range [%v, %v]", ErrBadSpec, s.SlackMin, s.SlackMax)
-	case s.GlobalSlackMax < s.GlobalSlackMin:
+	case !(-math.MaxFloat64 <= s.GlobalSlackMin && s.GlobalSlackMin <= s.GlobalSlackMax && s.GlobalSlackMax <= math.MaxFloat64):
 		return fmt.Errorf("%w: global slack range [%v, %v]", ErrBadSpec, s.GlobalSlackMin, s.GlobalSlackMax)
 	}
 	if s.Factory != nil && s.DagFactory != nil {

@@ -76,6 +76,19 @@ func TestValidateRejects(t *testing.T) {
 		func(s *Spec) { s.SlackMin = -1 },
 		func(s *Spec) { s.SlackMax = 0.5 },
 		func(s *Spec) { s.GlobalSlackMin = 5; s.GlobalSlackMax = 2 },
+		func(s *Spec) { s.Load = math.NaN() },
+		func(s *Spec) { s.Load = math.Inf(1) },
+		func(s *Spec) { s.FracLocal = math.NaN() },
+		func(s *Spec) { s.MeanLocalExec = math.NaN() },
+		func(s *Spec) { s.MeanLocalExec = math.Inf(1) },
+		func(s *Spec) { s.MeanSubtaskExec = math.NaN() },
+		func(s *Spec) { s.MeanSubtaskExec = math.Inf(1) },
+		func(s *Spec) { s.SlackMin = math.NaN() },
+		func(s *Spec) { s.SlackMax = math.NaN() },
+		func(s *Spec) { s.SlackMax = math.Inf(1) },
+		func(s *Spec) { s.GlobalSlackMax = math.NaN() },
+		func(s *Spec) { s.GlobalSlackMin = math.Inf(-1) },
+		func(s *Spec) { s.GlobalSlackMax = math.Inf(1) },
 		func(s *Spec) { s.Factory = nil },
 		func(s *Spec) { s.Factory = FixedParallel{N: 9} }, // 9 > k
 	}
