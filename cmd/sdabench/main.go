@@ -20,6 +20,12 @@
 //	sdabench -compare -report-only    # diff; only allocs/op and B/op can fail (CI smoke job)
 //	sdabench -input raw.txt -out s.json   # parse saved `go test -bench` output
 //
+// When a run includes both BenchmarkSimulationObsOn and
+// BenchmarkSimulationObsOff, sdabench also prints the telemetry overhead
+// ratio, ObsOn ns/op ÷ ObsOff ns/op from that same run, and under
+// -compare the latest snapshot's ratio beside it. The ratio is a report,
+// never a gate.
+//
 // Equivalent make targets: `make bench-record`, `make bench-compare`.
 package main
 
@@ -127,10 +133,14 @@ func run(args []string, out io.Writer) error {
 
 	// Compare before recording, so a new snapshot never diffs against
 	// itself.
-	var regressions, allocRegressions []string
+	var (
+		regressions, allocRegressions []string
+		prev                          *Snapshot
+		prevPath                      string
+	)
 	if *compare {
-		prev, prevPath, err := latestSnapshot(*dir)
-		if err != nil {
+		var err error
+		if prev, prevPath, err = latestSnapshot(*dir); err != nil {
 			return err
 		}
 		if prev == nil {
@@ -139,6 +149,7 @@ func run(args []string, out io.Writer) error {
 			regressions, allocRegressions = compareSnapshots(out, prev, &snap, prevPath, *maxRegress, *maxAllocRegress)
 		}
 	}
+	reportTelemetryRatio(out, &snap, prev, prevPath)
 
 	if !*quiet {
 		enc := json.NewEncoder(out)
@@ -358,6 +369,41 @@ var memGates = []struct {
 }{
 	{"allocs/op", "ALLOCS", 1},
 	{"B/op", "BYTES", 1024},
+}
+
+// Benchmarks whose ns/op ratio is the telemetry overhead: one
+// replication with telemetry on over the same replication with it off.
+const (
+	obsOnBench  = "BenchmarkSimulationObsOn"
+	obsOffBench = "BenchmarkSimulationObsOff"
+)
+
+// telemetryRatio returns ObsOn ns/op ÷ ObsOff ns/op within one snapshot,
+// and false when the snapshot lacks either benchmark.
+func telemetryRatio(s *Snapshot) (float64, bool) {
+	if s == nil {
+		return 0, false
+	}
+	on, off := s.Benchmarks[obsOnBench].Metrics["ns/op"], s.Benchmarks[obsOffBench].Metrics["ns/op"]
+	if on <= 0 || off <= 0 {
+		return 0, false
+	}
+	return on / off, true
+}
+
+// reportTelemetryRatio prints the telemetry overhead ratio of cur and,
+// when prev has one, prev's beside it. It prints nothing when cur lacks
+// either benchmark.
+func reportTelemetryRatio(out io.Writer, cur, prev *Snapshot, prevPath string) {
+	r, ok := telemetryRatio(cur)
+	if !ok {
+		return
+	}
+	line := fmt.Sprintf("telemetry overhead: %s / %s = %.2fx ns/op", obsOnBench, obsOffBench, r)
+	if pr, ok := telemetryRatio(prev); ok {
+		line += fmt.Sprintf(" (%s: %.2fx)", filepath.Base(prevPath), pr)
+	}
+	fmt.Fprintln(out, line)
 }
 
 // compareSnapshots prints a per-benchmark delta table and returns the

@@ -275,3 +275,59 @@ func TestRunWithInputFixture(t *testing.T) {
 		t.Fatalf("alloc-regressed report-only run: err = %v, want allocs/op failure", err)
 	}
 }
+
+// obsOutput carries the two benchmarks whose ns/op ratio is the
+// telemetry overhead.
+const obsOutput = `
+BenchmarkSimulationObsOff 	      24	   4000000 ns/op	 2144880 B/op	   17135 allocs/op
+BenchmarkSimulationObsOn  	       8	  10000000 ns/op	 7000000 B/op	   17352 allocs/op
+PASS
+`
+
+// TestTelemetryRatio checks the report-only telemetry overhead line: the
+// ratio of one run, the latest snapshot's beside it under -compare, and
+// silence when either benchmark is missing.
+func TestTelemetryRatio(t *testing.T) {
+	dir := t.TempDir()
+	prev := Snapshot{Benchmarks: map[string]Measurement{
+		obsOnBench:  {Metrics: map[string]float64{"ns/op": 13219880}},
+		obsOffBench: {Metrics: map[string]float64{"ns/op": 4717641}},
+	}}
+	if err := writeSnapshot(filepath.Join(dir, "BENCH_10.json"), &prev); err != nil {
+		t.Fatal(err)
+	}
+	inPath := filepath.Join(dir, "raw.txt")
+	if err := os.WriteFile(inPath, []byte(obsOutput), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf strings.Builder
+	if err := run([]string{"-input", inPath, "-dir", dir, "-q"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "telemetry overhead: BenchmarkSimulationObsOn / BenchmarkSimulationObsOff = 2.50x ns/op\n"
+	if buf.String() != want {
+		t.Errorf("without -compare:\ngot  %q\nwant %q", buf.String(), want)
+	}
+
+	buf.Reset()
+	if err := run([]string{"-input", inPath, "-dir", dir, "-compare", "-report-only", "-q"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	want = "telemetry overhead: BenchmarkSimulationObsOn / BenchmarkSimulationObsOff = 2.50x ns/op (BENCH_10.json: 2.80x)\n"
+	if !strings.HasSuffix(buf.String(), want) {
+		t.Errorf("with -compare:\ngot  %q\nwant suffix %q", buf.String(), want)
+	}
+
+	buf.Reset()
+	noObs := filepath.Join(dir, "noobs.txt")
+	if err := os.WriteFile(noObs, []byte(sampleOutput), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-input", noObs, "-dir", dir, "-q"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "telemetry overhead") {
+		t.Errorf("ratio printed without both benchmarks: %q", buf.String())
+	}
+}

@@ -3,7 +3,9 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -53,6 +55,30 @@ func TestSimFlagErrors(t *testing.T) {
 	for i, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("case %d: expected error for %v", i, args)
+		}
+	}
+}
+
+// TestSimTaskCap checks that flags expanding a replication past
+// sim.MaxTasks expected tasks fail at validation. Each of these once ran
+// until killed, so the check runs under a deadline instead of hanging
+// the suite.
+func TestSimTaskCap(t *testing.T) {
+	cases := [][]string{
+		{"-load", "1e300"},
+		{"-duration", "1e300"},
+		{"-k", "1000000", "-duration", "1000000"},
+	}
+	for _, args := range cases {
+		done := make(chan error, 1)
+		go func() { done <- run(args) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "expected tasks") {
+				t.Errorf("%v: err = %v, want the expected-task cap", args, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%v: still running after 30s", args)
 		}
 	}
 }

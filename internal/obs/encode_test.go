@@ -91,7 +91,7 @@ func TestAppendRecordCoversEveryField(t *testing.T) {
 // TestWriteRecordMatchesMarshal checks the line writer end to end:
 // the stamped schema, the encoding and the trailing newline.
 func TestWriteRecordMatchesMarshal(t *testing.T) {
-	sp := span{id: 7, root: 3, rep: 2, kind: "subtask", task: "G<1>", node: 2, start: 1e-7, end: 1e21,
+	sp := span{id: 7, root: 3, rep: 2, kind: kindSubtask, task: "G<1>", node: 2, start: 1e-7, end: 1e21,
 		vdl: 20, realDL: 25, hasRDL: true, slack: math.Copysign(0, -1), exec: 6, pex: 5e-324, missed: true, boost: true}
 	rec := sp.record()
 	want, err := json.Marshal(rec)

@@ -2,9 +2,9 @@ package obs
 
 import "sort"
 
-// spanKinds is the fixed kind vocabulary, in the order exemplar exports
-// use.
-var spanKinds = []string{"global", "local", "stage", "subtask"}
+// spanKinds is the kind vocabulary of closed spans, in the order
+// exemplar exports use.
+var spanKinds = spanKindNames[:kindInject]
 
 // exemplarStore keeps a bounded, deterministic selection of closed spans
 // that survives span-ring eviction: for each span kind, the K spans with
@@ -17,25 +17,21 @@ var spanKinds = []string{"global", "local", "stage", "subtask"}
 // Ties (equal start instant, equal lateness) are broken by a seeded hash
 // of (rep, id) so the choice is arbitrary but reproducible, then by
 // (rep, id) as the total-order fallback.
-// The candidates are kept as raw spans in arrays preallocated at the
-// budget, and converted to Records only at snapshot time: observeClose
-// sits on the per-task-resolution hot path and must not allocate.
+// The candidates are kept as raw spans in arrays indexed by kind code
+// and preallocated at the budget, and converted to Records only at
+// snapshot time: observeClose sits on the per-task-resolution hot path
+// and must neither hash nor allocate.
 type exemplarStore struct {
 	k    int
 	seed uint64
 
-	latest map[string][]span // per kind, sorted by latestSpanLess
-	worst  map[string][]span // per kind, sorted by worstSpanLess
+	latest [numSpanKinds][]span // per kind, sorted by latestSpanLess
+	worst  [numSpanKinds][]span // per kind, sorted by worstSpanLess
 }
 
 func newExemplarStore(k int, seed uint64) *exemplarStore {
-	e := &exemplarStore{
-		k:      k,
-		seed:   seed,
-		latest: make(map[string][]span, len(spanKinds)),
-		worst:  make(map[string][]span, len(spanKinds)),
-	}
-	for _, kind := range spanKinds {
+	e := &exemplarStore{k: k, seed: seed}
+	for kind := range e.latest {
 		e.latest[kind] = make([]span, 0, k)
 		e.worst[kind] = make([]span, 0, k)
 	}
@@ -112,7 +108,7 @@ func insertBounded(list []Record, rec Record, k int, less func(a, b *Record) boo
 // comparators on the in-memory span form, so the live selection and the
 // merge-time re-selection impose the same order.
 func tieSpanLess(seed uint64, a, b *span) bool {
-	ra, rb := exemplarRank(seed, a.rep, a.id), exemplarRank(seed, b.rep, b.id)
+	ra, rb := exemplarRank(seed, int(a.rep), a.id), exemplarRank(seed, int(b.rep), b.id)
 	if ra != rb {
 		return ra < rb
 	}
@@ -167,7 +163,6 @@ func insertBoundedSpan(list []span, sp *span, k int, seed uint64, worst bool) []
 	}
 	copy(list[i+1:], list[i:])
 	list[i] = *sp
-	list[i].owner = nil // don't pin the task beyond its lifetime
 	return list
 }
 
@@ -198,12 +193,12 @@ func (e *exemplarStore) snapshot() ExemplarSet {
 	}
 	for kind, list := range e.latest {
 		if len(list) > 0 {
-			s.Latest[kind] = conv(list)
+			s.Latest[spanKindNames[kind]] = conv(list)
 		}
 	}
 	for kind, list := range e.worst {
 		if len(list) > 0 {
-			s.Worst[kind] = conv(list)
+			s.Worst[spanKindNames[kind]] = conv(list)
 		}
 	}
 	return s

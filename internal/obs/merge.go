@@ -61,8 +61,8 @@ func (t *Telemetry) Snapshot(tailSpans int) *Snapshot {
 		Spans:        t.SpansTail(tailSpans),
 		Edges:        t.Edges(),
 		Exemplars:    t.ex.snapshot(),
-		OpenSpans:    len(t.open) + len(t.evicted),
-		Retained:     t.rlen,
+		OpenSpans:    t.openSpans,
+		Retained:     t.spans.n,
 		TotalSpans:   t.nextID,
 		SamplerTicks: t.Ticks(),
 		MaxSpans:     t.opts.MaxSpans,

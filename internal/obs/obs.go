@@ -132,31 +132,32 @@ type Telemetry struct {
 	latenessSk *SketchInstrument
 	latencySk  *SketchInstrument
 
-	// The span store is a ring of at most MaxSpans entries: ring[rstart]
-	// is the oldest retained span and indices wrap modulo len(ring).
-	// The backing array grows geometrically up to MaxSpans, so small
-	// runs stay small.
-	ring   []span
-	rstart int
-	rlen   int
-	open   map[*task.Task]int // task -> ring slot of its open span
-	// evicted holds spans pushed out of the ring while still open, so
-	// their eventual close still feeds the lateness series and exemplar
-	// selection — aggregates are exact under any retention budget. It is
-	// bounded by the in-flight task count, not by run length.
-	evicted map[*task.Task]span
-	nextID  uint64 // last span id == total spans ever recorded
-	rep     int    // replication index stamped on spans
+	// The span store is a ring of at most MaxSpans spans. Span ids are
+	// consecutive, so it holds ids nextID-spans.n+1 .. nextID in order
+	// and a retained span's position follows from its id (see
+	// retained).
+	spans  ring[span]
+	nextID uint64 // last span id == total spans ever recorded
+	rep    int    // replication index stamped on spans
 
-	// Causal-edge capture (procmgr.Listener.RecordCause). lastSpan maps a
-	// task to the id of its most recent span — unlike the open index it
-	// survives span close and ring eviction, so an edge from a finished
-	// predecessor still resolves; entries retire when the owning global
-	// task does. edges is a ring bounded by MaxSpans. injectID marks an
-	// open chaos-burst window (see BeginInject).
-	lastSpan    map[*task.Task]uint64
-	edges       []edge
-	estart      int
+	// latest maps a task to its most recent span: the one a later close
+	// resolves while it is open, and the causal-edge endpoint (see
+	// RecordCause) even after it closes or leaves the ring. Entries go
+	// when the owning global task resolves.
+	latest map[*task.Task]taskSpan
+	// evicted holds spans pushed out of the ring while still open, by
+	// id, so their eventual close still feeds the lateness series and
+	// exemplar selection — aggregates are exact under any retention
+	// budget. It is bounded by the in-flight task count, not by run
+	// length. closing holds the evicted span being closed.
+	evicted   map[uint64]span
+	closing   span
+	openSpans int // open spans, retained or evicted
+
+	// Causal-edge capture (procmgr.Listener.RecordCause). edges is a ring
+	// bounded by MaxSpans. injectID marks an open chaos-burst window (see
+	// BeginInject).
+	edges       ring[edge]
 	injectID    uint64
 	edgeUnspan  *Counter // edges dropped: endpoint task never spanned
 	edgeEvicted *Counter // edges dropped: ring at the MaxSpans budget
@@ -221,10 +222,10 @@ func New(o Options) *Telemetry {
 		latencySk: reg.Sketch("sda_latency_quantiles", "",
 			"span duration end - start (mergeable quantile sketch)"),
 
-		ring:     make([]span, min(o.MaxSpans, 1024)),
-		open:     make(map[*task.Task]int, 256),
-		evicted:  make(map[*task.Task]span),
-		lastSpan: make(map[*task.Task]uint64, 256),
+		spans:    newRing[span](o.MaxSpans),
+		edges:    newRing[edge](o.MaxSpans),
+		latest:   make(map[*task.Task]taskSpan, 256),
+		evicted:  make(map[uint64]span),
 		dagShape: make(map[*task.Task][2]int, 16),
 		ex:       newExemplarStore(o.ExemplarK, o.ExemplarSeed),
 	}
@@ -235,14 +236,6 @@ func New(o Options) *Telemetry {
 // telemetry records from now on. The simulator calls it before the run
 // starts; standalone uses default to rep 0.
 func (t *Telemetry) SetReplication(rep int) { t.rep = rep }
-
-// min is a tiny helper (the go.mod floor predates the builtin).
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // Registry exposes the metrics registry (for tests and custom exports).
 func (t *Telemetry) Registry() *Registry { return t.reg }
@@ -341,44 +334,47 @@ func (t *Telemetry) RecordRelease(tk, root *task.Task, budget simtime.Time) {
 	t.slackHist.Observe(slack)
 	t.slackSk.Observe(slack)
 
+	// A still-open span of tk is a failed trial: a re-release after a
+	// local-scheduler abort. Close it as aborted; its id, whether the
+	// span is still retained or was evicted, is the source of the retry
+	// edge below.
 	retry := false
-	if idx, ok := t.open[tk]; ok {
-		// Re-release after a local-scheduler abort: close the failed
-		// trial as aborted and open a fresh span for the retry.
-		t.resubmits.Inc()
-		retry = true
-		t.closeSpan(idx, now, false, true)
-		delete(t.open, tk)
-	} else if t.closeEvicted(tk, now, false, true) {
-		t.resubmits.Inc()
-		retry = true
+	var retryFrom uint64
+	if prev, ok := t.latest[tk]; ok {
+		if sp := t.takeOpen(prev.id); sp != nil {
+			t.resubmits.Inc()
+			retry = true
+			t.finishSpan(sp, now, false, true)
+		}
+		if !prev.retired {
+			retryFrom = prev.id
+		}
 	}
-	// The failed trial's span id, whether its span is still retained or
-	// was evicted — the source of the retry edge below.
-	retryFrom := t.lastSpan[tk]
 
 	var rootID uint64
 	if tk == root {
 		t.inflight++
-	} else if ri, ok := t.open[root]; ok {
-		rootID = t.ring[ri].id
+	} else if ts, ok := t.latest[root]; ok {
+		if sp := t.retained(ts.id); sp != nil && sp.open {
+			rootID = ts.id
+		}
 	}
-	kind := "stage"
+	kind := kindStage
 	nodeID := -1
 	switch {
 	case tk == root:
-		kind = "global"
+		kind = kindGlobal
 		if tk.IsSimple() {
 			nodeID = tk.Node
 		}
 	case tk.IsSimple():
-		kind = "subtask"
+		kind = kindSubtask
 		nodeID = tk.Node
 	}
 	sp := span{
 		kind:  kind,
 		task:  tk.Name,
-		node:  nodeID,
+		node:  int32(nodeID),
 		root:  rootID,
 		start: now,
 		open:  true,
@@ -392,13 +388,13 @@ func (t *Telemetry) RecordRelease(tk, root *task.Task, budget simtime.Time) {
 		sp.realDL = float64(root.RealDeadline)
 		sp.hasRDL = true
 		if shape, ok := t.dagShape[root]; ok {
-			sp.depth, sp.width = shape[0], shape[1]
+			sp.depth, sp.width = int32(shape[0]), int32(shape[1])
 		}
 	}
 	t.pushSpan(tk, sp)
-	newID := t.lastSpan[tk]
+	newID := t.nextID
 	if retry && retryFrom != 0 {
-		t.addEdge("retry", retryFrom, newID, t.lastSpan[root], now, tk.Name)
+		t.addEdge("retry", retryFrom, newID, t.lastSpan(root), now, tk.Name)
 	}
 	if tk == root && t.injectID != 0 {
 		t.addEdge("inject", t.injectID, newID, newID, now, tk.Name)
@@ -412,7 +408,7 @@ func (t *Telemetry) RecordRelease(tk, root *task.Task, budget simtime.Time) {
 // Begin wins.
 func (t *Telemetry) BeginInject(label string) {
 	now := t.now()
-	t.pushSpan(nil, span{kind: "inject", task: label, node: -1, start: now, end: now, vdl: now})
+	t.pushSpan(nil, span{kind: kindInject, task: label, node: -1, start: now, end: now, vdl: now})
 	t.injectID = t.nextID
 }
 
@@ -426,17 +422,17 @@ func (t *Telemetry) EndInject() { t.injectID = 0 }
 // saw the task) are dropped and counted — the surviving stream stays
 // deterministic because span ids outlive ring eviction.
 func (t *Telemetry) RecordCause(kind string, from, to, root *task.Task) {
-	fid, ok := t.lastSpan[from]
-	if !ok {
+	fid := t.lastSpan(from)
+	if fid == 0 {
 		t.edgeUnspan.Inc()
 		return
 	}
-	tid, ok := t.lastSpan[to]
-	if !ok {
+	tid := t.lastSpan(to)
+	if tid == 0 {
 		t.edgeUnspan.Inc()
 		return
 	}
-	t.addEdge(kind, fid, tid, t.lastSpan[root], t.now(), to.Name)
+	t.addEdge(kind, fid, tid, t.lastSpan(root), t.now(), to.Name)
 }
 
 // edge is the in-memory form of one causal edge: the span ids it links
@@ -468,21 +464,18 @@ func (e *edge) record(rep int, at *float64) Record {
 // addEdge records one edge in the bounded edge ring, evicting the
 // oldest edge once the MaxSpans budget is reached.
 func (t *Telemetry) addEdge(kind string, from, to, root uint64, at float64, label string) {
-	e := edge{kind: kind, label: label, from: from, to: to, root: root, at: at}
-	if len(t.edges) < t.opts.MaxSpans {
-		t.edges = append(t.edges, e)
-		return
+	slot, evicted := t.edges.push()
+	*slot = edge{kind: kind, label: label, from: from, to: to, root: root, at: at}
+	if evicted {
+		t.edgeEvicted.Inc()
 	}
-	t.edges[t.estart] = e
-	t.estart = (t.estart + 1) % len(t.edges)
-	t.edgeEvicted.Inc()
 }
 
 // Edges returns the retained causal-edge records, oldest first.
 func (t *Telemetry) Edges() []Record {
-	out := make([]Record, len(t.edges))
+	out := make([]Record, t.edges.n)
 	for i := range out {
-		out[i] = t.edges[(t.estart+i)%len(t.edges)].record(t.rep, new(float64))
+		out[i] = t.edges.get(i).record(t.rep, new(float64))
 	}
 	return out
 }
@@ -493,80 +486,90 @@ func (t *Telemetry) DroppedEdges() uint64 {
 	return t.edgeUnspan.Value() + t.edgeEvicted.Value()
 }
 
-// slot translates a logical span position (0 = oldest retained) to its
-// ring index.
-func (t *Telemetry) slot(i int) int { return (t.rstart + i) % len(t.ring) }
+// retained returns span id, or nil when the ring no longer holds it.
+// Ids are consecutive, so the oldest retained span has id
+// nextID-spans.n+1 and every other one follows it in order.
+func (t *Telemetry) retained(id uint64) *span {
+	oldest := t.nextID - uint64(t.spans.n) + 1
+	if id < oldest {
+		return nil
+	}
+	return t.spans.get(int(id - oldest))
+}
 
-// pushSpan records a span in the ring and returns its slot, evicting the
-// oldest retained span when the ring is at the MaxSpans budget. Open
-// spans are indexed by their owner so a later close finds them; an
-// evicted open span simply loses its index and the task's resolution is
-// counted but not spanned.
-func (t *Telemetry) pushSpan(owner *task.Task, sp span) int {
+// taskSpan is a task's entry in the latest index: the id of its most
+// recent span and whether the entry is retired. A retired entry is no
+// causal-edge endpoint any more (its DAG has resolved) but still lets a
+// later hook close the span while it is open.
+type taskSpan struct {
+	id      uint64
+	retired bool
+}
+
+// lastSpan returns the id of tk's most recent span, or 0 when tk has no
+// live entry: it never opened a span, or its global task resolved.
+func (t *Telemetry) lastSpan(tk *task.Task) uint64 {
+	if ts, ok := t.latest[tk]; ok && !ts.retired {
+		return ts.id
+	}
+	return 0
+}
+
+// isOpen reports whether span id is open, in the ring or evicted.
+func (t *Telemetry) isOpen(id uint64) bool {
+	if sp := t.retained(id); sp != nil {
+		return sp.open
+	}
+	_, ok := t.evicted[id]
+	return ok
+}
+
+// takeOpen returns span id for closing when it is open, or nil. A span
+// the ring evicted while open leaves the evicted set and comes back as
+// t.closing: closing it still feeds the lateness series and exemplars,
+// though no log entry is left to update.
+func (t *Telemetry) takeOpen(id uint64) *span {
+	if sp := t.retained(id); sp != nil {
+		if sp.open {
+			return sp
+		}
+		return nil
+	}
+	sp, ok := t.evicted[id]
+	if !ok {
+		return nil
+	}
+	delete(t.evicted, id)
+	t.closing = sp
+	return &t.closing
+}
+
+// pushSpan records a span in the ring and returns where it is stored,
+// evicting the oldest retained span when the ring is at the MaxSpans
+// budget. A span with an owner becomes the owner's latest; an evicted
+// open span moves to the evicted set so its close still counts.
+func (t *Telemetry) pushSpan(owner *task.Task, sp span) *span {
 	t.nextID++
 	sp.id = t.nextID
-	sp.rep = t.rep
-	sp.owner = owner
+	sp.rep = int32(t.rep)
 	if owner != nil {
-		t.lastSpan[owner] = sp.id
+		t.latest[owner] = taskSpan{id: sp.id}
 	}
-	var s int
-	switch {
-	case t.rlen < len(t.ring):
-		s = t.slot(t.rlen)
-		t.rlen++
-	case len(t.ring) < t.opts.MaxSpans:
-		// Grow the backing array geometrically up to the budget,
-		// unwrapping the ring so rstart resets to 0.
-		grown := make([]span, min(2*len(t.ring), t.opts.MaxSpans))
-		for i := 0; i < t.rlen; i++ {
-			grown[i] = t.ring[t.slot(i)]
-		}
-		// Slot indices changed; rebuild the open-span index.
-		t.ring, t.rstart = grown, 0
-		for i := 0; i < t.rlen; i++ {
-			if t.ring[i].open && t.ring[i].owner != nil {
-				t.open[t.ring[i].owner] = i
-			}
-		}
-		s = t.rlen
-		t.rlen++
-	default:
-		s = t.rstart
-		t.rstart = (t.rstart + 1) % len(t.ring)
-		old := &t.ring[s]
-		if old.open && old.owner != nil && t.open[old.owner] == s {
-			delete(t.open, old.owner)
+	if sp.open {
+		t.openSpans++
+	}
+	slot, evicted := t.spans.push()
+	if evicted {
+		if slot.open {
 			// Keep the evicted open span aside so its close still feeds
 			// the lateness series and exemplars; only the log entry is
 			// dropped.
-			t.evicted[old.owner] = *old
+			t.evicted[slot.id] = *slot
 		}
 		t.droppedSpans.Inc()
 	}
-	t.ring[s] = sp
-	if sp.open && owner != nil {
-		t.open[owner] = s
-	}
-	return s
-}
-
-// closeSpan resolves the span in ring slot s at instant end.
-func (t *Telemetry) closeSpan(s int, end float64, missed, aborted bool) {
-	t.finishSpan(&t.ring[s], end, missed, aborted)
-}
-
-// closeEvicted resolves tk's span when the ring evicted it while still
-// open, reporting whether one existed. The lateness observations and
-// exemplar candidacy land as usual; only the log entry is gone.
-func (t *Telemetry) closeEvicted(tk *task.Task, end float64, missed, aborted bool) bool {
-	sp, ok := t.evicted[tk]
-	if !ok {
-		return false
-	}
-	delete(t.evicted, tk)
-	t.finishSpan(&sp, end, missed, aborted)
-	return true
+	*slot = sp
+	return slot
 }
 
 // finishSpan marks sp resolved at instant end and feeds the lateness
@@ -575,6 +578,7 @@ func (t *Telemetry) finishSpan(sp *span, end float64, missed, aborted bool) {
 	if !sp.open {
 		return
 	}
+	t.openSpans--
 	sp.open = false
 	sp.end = end
 	sp.missed = missed
@@ -609,9 +613,20 @@ func (t *Telemetry) RecordDagSubmit(d *task.Dag, root *task.Task) {
 // are not reachable from the accounting root's Walk, so their causal
 // bookkeeping retires here instead of in RecordGlobal. Every edge of the
 // run has fired by the time the outcome is reported.
+//
+// A vertex span still open here keeps its index entry, retired, so a
+// later RecordSubtask or RecordGlobal can still close it; any other
+// entry goes.
 func (t *Telemetry) RecordDagOutcome(d *task.Dag, root *task.Task, missed bool) {
 	for _, n := range d.Nodes() {
-		delete(t.lastSpan, n.Task)
+		ts, ok := t.latest[n.Task]
+		switch {
+		case !ok:
+		case t.isOpen(ts.id):
+			t.latest[n.Task] = taskSpan{id: ts.id, retired: true}
+		default:
+			delete(t.latest, n.Task)
+		}
 	}
 }
 
@@ -631,9 +646,9 @@ func (t *Telemetry) RecordLocal(tk *task.Task, missed bool) {
 	t.latenessSk.Observe(end - float64(tk.RealDeadline))
 	t.latencySk.Observe(end - float64(tk.Arrival))
 	sp := span{
-		kind:   "local",
+		kind:   kindLocal,
 		task:   tk.Name,
-		node:   tk.Node,
+		node:   int32(tk.Node),
 		start:  float64(tk.Arrival),
 		end:    end,
 		vdl:    float64(tk.VirtualDeadline),
@@ -646,8 +661,7 @@ func (t *Telemetry) RecordLocal(tk *task.Task, missed bool) {
 		abort:  tk.Aborted,
 		boost:  tk.PriorityBoost,
 	}
-	s := t.pushSpan(nil, sp)
-	t.ex.observeClose(&t.ring[s])
+	t.ex.observeClose(t.pushSpan(nil, sp))
 }
 
 // RecordSubtask implements procmgr.Recorder: it closes the subtask's
@@ -657,11 +671,15 @@ func (t *Telemetry) RecordSubtask(tk *task.Task, missed bool) {
 	if missed {
 		t.missedSubtask.Inc()
 	}
-	if idx, ok := t.open[tk]; ok {
-		t.closeSpan(idx, t.endOf(tk), missed, tk.Aborted)
-		delete(t.open, tk)
-	} else {
-		t.closeEvicted(tk, t.endOf(tk), missed, tk.Aborted)
+	ts, ok := t.latest[tk]
+	if !ok {
+		return
+	}
+	if sp := t.takeOpen(ts.id); sp != nil {
+		t.finishSpan(sp, t.endOf(tk), missed, tk.Aborted)
+		if ts.retired {
+			delete(t.latest, tk)
+		}
 	}
 }
 
@@ -676,30 +694,23 @@ func (t *Telemetry) RecordGlobal(root *task.Task, missed bool) {
 	t.inflight--
 	delete(t.dagShape, root)
 	root.Walk(func(n *task.Task) {
-		delete(t.lastSpan, n)
-		idx, ok := t.open[n]
+		ts, ok := t.latest[n]
 		if !ok {
-			if sp, ev := t.evicted[n]; ev {
-				delete(t.evicted, n)
-				end := t.endOf(n)
-				m := missed
-				if n != root {
-					m = end > sp.vdl
-				}
-				t.finishSpan(&sp, end, m, root.Aborted)
-			}
 			return
 		}
-		if n == root {
-			t.closeSpan(idx, t.endOf(n), missed, root.Aborted)
-		} else {
+		delete(t.latest, n)
+		sp := t.takeOpen(ts.id)
+		if sp == nil {
+			return
+		}
+		end, m := t.endOf(n), missed
+		if n != root {
 			// A stage still open when the run resolves was cut short by
 			// an abort (or is an interior node whose children resolved
 			// it); judge it by its own virtual deadline.
-			end := t.endOf(n)
-			t.closeSpan(idx, end, end > t.ring[idx].vdl, root.Aborted)
+			m = end > sp.vdl
 		}
-		delete(t.open, n)
+		t.finishSpan(sp, end, m, root.Aborted)
 	})
 }
 
@@ -732,8 +743,8 @@ func (t *Telemetry) Summary() string {
 		t.doneGlobal.Value(), t.missedGlobal.Value(),
 		t.doneSubtask.Value(), t.missedSubtask.Value())
 	fmt.Fprintf(&b, "spans        %d recorded, %d retained, %d dropped, %d open at horizon\n",
-		t.nextID, t.rlen, t.droppedSpans.Value(), len(t.open))
-	fmt.Fprintf(&b, "edges        %d retained, %d dropped\n", len(t.edges), t.DroppedEdges())
+		t.nextID, t.spans.n, t.droppedSpans.Value(), t.openSpans-len(t.evicted))
+	fmt.Fprintf(&b, "edges        %d retained, %d dropped\n", t.edges.n, t.DroppedEdges())
 	if t.slackHist.Count() > 0 {
 		q := t.slackHist.Quantiles(0.5, 0.95, 0.99)
 		fmt.Fprintf(&b, "slack        mean %.3f  p50 %.3f  p95 %.3f  p99 %.3f (assigned, per release)\n",

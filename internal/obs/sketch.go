@@ -16,7 +16,7 @@ import (
 // quantiles are exactly the quantiles the union of observations would
 // have produced (merge is lossless, associative and commutative on the
 // integer bucket counts). Slack and lateness can be negative, so the
-// sketch keeps mirrored bucket maps for the two signs plus an exact zero
+// sketch keeps mirrored bucket runs for the two signs plus an exact zero
 // band around ±sketchMinValue.
 //
 // All mutation happens on the simulation goroutine; reads happen at
@@ -25,9 +25,9 @@ type Sketch struct {
 	gamma    float64 // bucket growth factor (1+alpha)/(1-alpha)
 	logGamma float64
 
-	pos  map[int32]uint64 // buckets for x >= sketchMinValue
-	neg  map[int32]uint64 // buckets for x <= -sketchMinValue (keyed on |x|)
-	zero uint64           // |x| < sketchMinValue
+	pos  denseBuckets // buckets for x >= sketchMinValue
+	neg  denseBuckets // buckets for x <= -sketchMinValue (keyed on |x|)
+	zero uint64       // |x| < sketchMinValue
 
 	count uint64
 	sum   float64
@@ -44,6 +44,16 @@ const (
 	sketchMinValue = 1e-9
 )
 
+// sketchKeyMin and sketchKeyMax bound the key of every finite magnitude
+// a sketch buckets: key(sketchMinValue) = -1036 and key(MaxFloat64) =
+// 35488 at the package accuracy, so a dense bucket run never holds more
+// than about 36.5k counts (290 KB). Only a non-finite magnitude keys
+// outside the window.
+var sketchKeyMin, sketchKeyMax = func() (int32, int32) {
+	s := NewSketch()
+	return s.key(sketchMinValue), s.key(math.MaxFloat64)
+}()
+
 // NewSketch returns an empty sketch at the package accuracy (1% relative
 // error).
 func NewSketch() *Sketch {
@@ -51,8 +61,6 @@ func NewSketch() *Sketch {
 	return &Sketch{
 		gamma:    gamma,
 		logGamma: math.Log(gamma),
-		pos:      make(map[int32]uint64),
-		neg:      make(map[int32]uint64),
 		min:      math.Inf(1),
 		max:      math.Inf(-1),
 	}
@@ -85,9 +93,9 @@ func (s *Sketch) Add(x float64) {
 	}
 	switch {
 	case x >= sketchMinValue:
-		s.pos[s.key(x)]++
+		s.pos.add(s.key(x), 1)
 	case x <= -sketchMinValue:
-		s.neg[s.key(-x)]++
+		s.neg.add(s.key(-x), 1)
 	default:
 		s.zero++
 	}
@@ -101,12 +109,8 @@ func (s *Sketch) Merge(other *Sketch) {
 	if other == nil || other.count == 0 {
 		return
 	}
-	for k, c := range other.pos {
-		s.pos[k] += c
-	}
-	for k, c := range other.neg {
-		s.neg[k] += c
-	}
+	s.pos.merge(&other.pos)
+	s.neg.merge(&other.neg)
 	s.zero += other.zero
 	s.count += other.count
 	s.sum += other.sum
@@ -165,21 +169,21 @@ func (s *Sketch) Quantile(q float64) float64 {
 	// negative magnitude down, the zero band, then positive buckets up.
 	rank := q * float64(s.count-1)
 	cum := float64(0)
-	for _, k := range sortedKeysDesc(s.neg) {
-		cum += float64(s.neg[k])
+	neg := s.neg.appendTo(nil)
+	for i := len(neg) - 1; i >= 0; i-- {
+		cum += float64(neg[i].Count)
 		if rank < cum {
-			return -s.valueOf(k)
+			return -s.valueOf(neg[i].Key)
 		}
 	}
 	cum += float64(s.zero)
 	if rank < cum {
 		return 0
 	}
-	keys := sortedKeysAsc(s.pos)
-	for _, k := range keys {
-		cum += float64(s.pos[k])
+	for _, b := range s.pos.appendTo(neg[:0]) {
+		cum += float64(b.Count)
 		if rank < cum {
-			return s.valueOf(k)
+			return s.valueOf(b.Key)
 		}
 	}
 	return s.Max()
@@ -198,25 +202,17 @@ func (s *Sketch) Quantiles(qs ...float64) []float64 {
 // order, for snapshots: negative keys first (value-axis order), then the
 // zero band via the separate return, then positive keys.
 func (s *Sketch) buckets() (neg, pos []SketchBucket, zero uint64) {
-	neg = make([]SketchBucket, 0, len(s.neg))
-	for _, k := range sortedKeysAsc(s.neg) {
-		neg = append(neg, SketchBucket{Key: k, Count: s.neg[k]})
-	}
-	pos = make([]SketchBucket, 0, len(s.pos))
-	for _, k := range sortedKeysAsc(s.pos) {
-		pos = append(pos, SketchBucket{Key: k, Count: s.pos[k]})
-	}
-	return neg, pos, s.zero
+	return s.neg.appendTo([]SketchBucket{}), s.pos.appendTo([]SketchBucket{}), s.zero
 }
 
 // restore rebuilds a sketch from snapshot bucket lists.
 func restoreSketch(snap SketchSnap) *Sketch {
 	s := NewSketch()
 	for _, b := range snap.Neg {
-		s.neg[b.Key] = b.Count
+		s.neg.add(b.Key, b.Count)
 	}
 	for _, b := range snap.Pos {
-		s.pos[b.Key] = b.Count
+		s.pos.add(b.Key, b.Count)
 	}
 	s.zero = snap.Zero
 	s.count = snap.Count
@@ -228,19 +224,98 @@ func restoreSketch(snap SketchSnap) *Sketch {
 	return s
 }
 
-func sortedKeysAsc(m map[int32]uint64) []int32 {
-	keys := make([]int32, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+// denseBuckets holds one sign's bucket counts: counts[i] counts key
+// lo+i, over a contiguous key range that grows geometrically toward new
+// keys and never past [sketchKeyMin, sketchKeyMax]. Adding to a bucket
+// inside the range is an index and an increment, with no hashing. The
+// keys of non-finite magnitudes, which fall outside the window, are
+// counted in far. Walking lo upward (far keys below the window first,
+// those above it last) visits the buckets in key order.
+type denseBuckets struct {
+	lo     int32
+	counts []uint64
+	far    map[int32]uint64 // keys outside the window; nil until needed
 }
 
-func sortedKeysDesc(m map[int32]uint64) []int32 {
-	keys := sortedKeysAsc(m)
-	for i, j := 0, len(keys)-1; i < j; i, j = i+1, j-1 {
-		keys[i], keys[j] = keys[j], keys[i]
+// denseBucketsPad is the initial range of a bucket run, in keys.
+const denseBucketsPad = 32
+
+// add adds c observations to bucket k. Inside the current range that is
+// an index and an increment; a key outside it grows the range when it
+// is a finite magnitude's and lands in far otherwise.
+func (d *denseBuckets) add(k int32, c uint64) {
+	if i := int(k) - int(d.lo); uint(i) < uint(len(d.counts)) {
+		d.counts[i] += c
+		return
 	}
-	return keys
+	if c == 0 {
+		return
+	}
+	if k < sketchKeyMin || k > sketchKeyMax {
+		if d.far == nil {
+			d.far = make(map[int32]uint64, 1)
+		}
+		d.far[k] += c
+		return
+	}
+	d.counts[d.grow(k)] += c
+}
+
+// grow widens the range to cover key k, which lies inside the window,
+// and returns k's index. The side that grows gains at least as many
+// keys as the range already holds, so a stream of ever-wider keys costs
+// amortized constant time per key.
+func (d *denseBuckets) grow(k int32) int {
+	lo, hi := k-denseBucketsPad/2, k+denseBucketsPad/2 // hi exclusive
+	if len(d.counts) > 0 {
+		pad := int32(len(d.counts))
+		lo, hi = d.lo, d.lo+pad
+		if k < lo {
+			lo = k - pad
+		} else {
+			hi = k + 1 + pad
+		}
+	}
+	lo, hi = max(lo, sketchKeyMin), min(hi, sketchKeyMax+1)
+	counts := make([]uint64, hi-lo)
+	if len(d.counts) > 0 {
+		copy(counts[d.lo-lo:], d.counts)
+	}
+	d.lo, d.counts = lo, counts
+	return int(k - lo)
+}
+
+// merge adds every bucket of o into d.
+func (d *denseBuckets) merge(o *denseBuckets) {
+	for i, c := range o.counts {
+		d.add(o.lo+int32(i), c)
+	}
+	for k, c := range o.far {
+		d.add(k, c)
+	}
+}
+
+// appendTo appends the nonzero buckets to dst in ascending key order.
+func (d *denseBuckets) appendTo(dst []SketchBucket) []SketchBucket {
+	dst = d.appendFar(dst, func(k int32) bool { return k < sketchKeyMin })
+	for i, c := range d.counts {
+		if c != 0 {
+			dst = append(dst, SketchBucket{Key: d.lo + int32(i), Count: c})
+		}
+	}
+	return d.appendFar(dst, func(k int32) bool { return k > sketchKeyMax })
+}
+
+// appendFar appends the far buckets whose key satisfies keep, in
+// ascending key order.
+func (d *denseBuckets) appendFar(dst []SketchBucket, keep func(int32) bool) []SketchBucket {
+	mark := len(dst)
+	for k, c := range d.far {
+		if keep(k) {
+			dst = append(dst, SketchBucket{Key: k, Count: c})
+		}
+	}
+	tail := dst[mark:]
+	sort.Slice(tail, func(i, j int) bool { return tail[i].Key < tail[j].Key })
+	return dst
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/obs/jsonenc"
-	"repro/internal/task"
 )
 
 // JSONL schema versions. Version 1 is the original (unversioned) format:
@@ -195,9 +194,9 @@ func AppendRecord(dst []byte, rec *Record) ([]byte, error) {
 }
 
 // DecodeRecord parses one JSONL line. Input written before the schema
-// field existed (the PR 3 format) decodes with Schema normalized to
-// SchemaV1; input from a newer writer than this reader understands is
-// rejected rather than silently misread.
+// field existed decodes with Schema normalized to SchemaV1; input from a
+// newer writer than this reader understands, or with a negative schema
+// version no writer produces, is rejected rather than silently misread.
 func DecodeRecord(line []byte) (Record, error) {
 	var rec Record
 	if err := json.Unmarshal(line, &rec); err != nil {
@@ -205,6 +204,9 @@ func DecodeRecord(line []byte) (Record, error) {
 	}
 	if rec.Schema == 0 {
 		rec.Schema = SchemaV1
+	}
+	if rec.Schema < 0 {
+		return Record{}, fmt.Errorf("obs: record schema %d is negative", rec.Schema)
 	}
 	if rec.Schema > SchemaVersion {
 		return Record{}, fmt.Errorf("obs: record schema %d newer than supported %d", rec.Schema, SchemaVersion)
@@ -237,30 +239,47 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 }
 
 // span is the in-memory form of one lifecycle span; it converts to a
-// Record at export time.
+// Record at export time. The layout is compact (112 bytes) and the task
+// name is its only pointer, so the span ring is cheap to grow and to
+// scan for the garbage collector: the kind is a code into spanKindNames
+// and the small integers are int32.
 type span struct {
 	id     uint64
 	root   uint64
-	rep    int        // replication index, stamped at record time
-	owner  *task.Task // open spans only: the key in Telemetry.open
-	kind   string
 	task   string
-	node   int
 	start  float64
 	end    float64
-	open   bool
 	vdl    float64
 	realDL float64
-	hasRDL bool
 	slack  float64
 	exec   float64 // realized critical-path work at release
 	pex    float64 // predicted critical-path work at release
+	rep    int32   // replication index, stamped at record time
+	node   int32
+	depth  int32 // DAG root spans only
+	width  int32 // DAG root spans only
+	kind   spanKind
+	open   bool
+	hasRDL bool
 	missed bool
 	abort  bool
 	boost  bool
-	depth  int // DAG root spans only
-	width  int // DAG root spans only
 }
+
+// spanKind codes a span's kind; spanKindNames holds the exported names.
+type spanKind uint8
+
+const (
+	kindGlobal spanKind = iota
+	kindLocal
+	kindStage
+	kindSubtask
+	kindInject
+	numSpanKinds
+)
+
+// spanKindNames maps a spanKind to its Record.Kind string.
+var spanKindNames = [numSpanKinds]string{"global", "local", "stage", "subtask", "inject"}
 
 // spanFloats backs the optional float fields of one span Record:
 // start, vdl, slack, exec, pex, real_dl, end, lateness.
@@ -279,12 +298,12 @@ func (s *span) recordIn(v *spanFloats) Record {
 	rec := Record{
 		Schema:  SchemaVersion,
 		Type:    "span",
-		Kind:    s.kind,
+		Kind:    spanKindNames[s.kind],
 		Task:    s.task,
-		Node:    s.node,
+		Node:    int(s.node),
 		ID:      s.id,
 		Root:    s.root,
-		Rep:     s.rep,
+		Rep:     int(s.rep),
 		Start:   &v[0],
 		VDL:     &v[1],
 		Slack:   &v[2],
@@ -293,8 +312,8 @@ func (s *span) recordIn(v *spanFloats) Record {
 		Missed:  s.missed,
 		Aborted: s.abort,
 		Boost:   s.boost,
-		Depth:   s.depth,
-		Width:   s.width,
+		Depth:   int(s.depth),
+		Width:   int(s.width),
 	}
 	if s.hasRDL {
 		v[5] = s.realDL
@@ -331,8 +350,8 @@ func (s *span) lateness() (float64, bool) {
 // latest MaxSpans spans remain; DroppedSpans counts the evicted ones.
 func (t *Telemetry) WriteSpans(w io.Writer) error {
 	var v spanFloats
-	for i := 0; i < t.rlen; i++ {
-		if err := WriteRecord(w, t.ring[t.slot(i)].recordIn(&v)); err != nil {
+	for i := 0; i < t.spans.n; i++ {
+		if err := WriteRecord(w, t.spans.get(i).recordIn(&v)); err != nil {
 			return fmt.Errorf("obs: write span %d: %w", i, err)
 		}
 	}
@@ -343,8 +362,8 @@ func (t *Telemetry) WriteSpans(w io.Writer) error {
 // JSONL.
 func (t *Telemetry) WriteEdges(w io.Writer) error {
 	var at float64
-	for i := 0; i < len(t.edges); i++ {
-		if err := WriteRecord(w, t.edges[(t.estart+i)%len(t.edges)].record(t.rep, &at)); err != nil {
+	for i := 0; i < t.edges.n; i++ {
+		if err := WriteRecord(w, t.edges.get(i).record(t.rep, &at)); err != nil {
 			return fmt.Errorf("obs: write edge %d: %w", i, err)
 		}
 	}
@@ -358,7 +377,7 @@ func (t *Telemetry) Spans() []Record {
 }
 
 // SpanCount returns how many spans are currently retained in the ring.
-func (t *Telemetry) SpanCount() int { return t.rlen }
+func (t *Telemetry) SpanCount() int { return t.spans.n }
 
 // TotalSpans returns how many spans were ever recorded, retained or not.
 func (t *Telemetry) TotalSpans() uint64 { return t.nextID }
@@ -369,12 +388,12 @@ func (t *Telemetry) TotalSpans() uint64 { return t.nextID }
 // ring size rather than O(total spans recorded).
 func (t *Telemetry) SpansTail(n int) []Record {
 	start := 0
-	if n > 0 && n < t.rlen {
-		start = t.rlen - n
+	if n > 0 && n < t.spans.n {
+		start = t.spans.n - n
 	}
-	out := make([]Record, 0, t.rlen-start)
-	for i := start; i < t.rlen; i++ {
-		out = append(out, t.ring[t.slot(i)].record())
+	out := make([]Record, 0, t.spans.n-start)
+	for i := start; i < t.spans.n; i++ {
+		out = append(out, t.spans.get(i).record())
 	}
 	return out
 }

@@ -2,9 +2,36 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestSpanLayout pins the compact span record: 112 bytes on 64-bit
+// hosts, with the task name its only pointer, so the span ring stays
+// small and cheap for the garbage collector to scan. A new field belongs
+// in the padding or needs a reason to grow the ring.
+func TestSpanLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(span{}); got != 112 {
+		t.Errorf("span is %d bytes, want 112", got)
+	}
+	typ := reflect.TypeOf(span{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Ptr, reflect.Map, reflect.Slice, reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("span field %s is a pointer type %s", f.Name, f.Type)
+		case reflect.String:
+			if f.Name != "task" {
+				t.Errorf("span field %s is a string; only the task name may be", f.Name)
+			}
+		}
+	}
+}
 
 // TestSpanRecordEncoding pins the exact JSONL encoding of the three span
 // lifecycle states. The aborted and still-open cases are the contract the
@@ -21,7 +48,7 @@ func TestSpanRecordEncoding(t *testing.T) {
 		{
 			name: "aborted",
 			sp: span{
-				id: 7, root: 3, kind: "subtask", task: "G1.s2", node: 2,
+				id: 7, root: 3, kind: kindSubtask, task: "G1.s2", node: 2,
 				start: 10, end: 15, open: false,
 				vdl: 20, slack: 4, exec: 6, pex: 6,
 				missed: true, abort: true,
@@ -31,7 +58,7 @@ func TestSpanRecordEncoding(t *testing.T) {
 		{
 			name: "still-open-at-horizon",
 			sp: span{
-				id: 3, kind: "global", task: "G1", node: -1,
+				id: 3, kind: kindGlobal, task: "G1", node: -1,
 				start: 10, open: true,
 				vdl: 30, realDL: 32, hasRDL: true, slack: 4, exec: 6, pex: 6,
 			},
@@ -40,7 +67,7 @@ func TestSpanRecordEncoding(t *testing.T) {
 		{
 			name: "finished",
 			sp: span{
-				id: 7, root: 3, kind: "subtask", task: "G1.s2", node: 2,
+				id: 7, root: 3, kind: kindSubtask, task: "G1.s2", node: 2,
 				start: 10, end: 22.5, open: false,
 				vdl: 20, slack: 4, exec: 6, pex: 6,
 				missed: true,
@@ -146,9 +173,51 @@ func TestDecodeRecordTolerance(t *testing.T) {
 	if _, err := DecodeRecord([]byte(`{"schema":99,"type":"span","kind":"local","task":"x","node":0}`)); err == nil {
 		t.Errorf("future schema accepted")
 	}
+	if _, err := DecodeRecord([]byte(`{"schema":-5,"type":"span","kind":"local","task":"x","node":0}`)); err == nil {
+		t.Errorf("negative schema accepted")
+	}
 	if _, err := DecodeRecord([]byte(`not json`)); err == nil {
 		t.Errorf("malformed line accepted")
 	}
+}
+
+// FuzzDecodeRecord feeds DecodeRecord arbitrary lines: each must either
+// fail or decode to a record whose encoding decodes back to the same
+// record, so nothing the reader accepts is lost by rewriting it.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, line := range []string{
+		// v1: no schema field, aborted span with a lateness.
+		`{"type":"span","kind":"global","task":"G9","node":-1,"id":4,"start":1,"end":7,"vdl":6,"real_dl":6,"slack":2,"lateness":1,"missed":true,"aborted":true}`,
+		// v2: schema marker and exec/pex.
+		`{"schema":2,"type":"span","kind":"subtask","task":"G1.s2","node":2,"id":7,"root":3,"rep":1,"start":10,"end":22.5,"vdl":20,"slack":4,"exec":6,"pex":6,"lateness":2.5,"missed":true,"boost":true,"depth":3,"width":2}`,
+		`{"schema":2,"type":"event","kind":"start","task":"b","node":1,"at":3}`,
+		// v3: a causal edge.
+		`{"schema":3,"type":"edge","kind":"pred","task":"G1.s2","node":-1,"id":9,"root":3,"from":7,"at":12.5}`,
+		`{"schema":-5,"type":"span","kind":"local","task":"x","node":0}`,
+		`{"schema":3,"type":"span","kind":"x","task":"\u2028\ud800","node":0,"start":-0,"end":1e-320,"vdl":null}`,
+	} {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		rec, err := DecodeRecord(line)
+		if err != nil {
+			return
+		}
+		if rec.Schema < SchemaV1 || rec.Schema > SchemaVersion {
+			t.Fatalf("decoded schema %d outside [%d, %d]", rec.Schema, SchemaV1, SchemaVersion)
+		}
+		b, err := AppendRecord(nil, &rec)
+		if err != nil {
+			t.Fatalf("re-encode %+v: %v", rec, err)
+		}
+		back, err := DecodeRecord(b)
+		if err != nil {
+			t.Fatalf("re-decode %s: %v", b, err)
+		}
+		if !reflect.DeepEqual(back, rec) {
+			t.Fatalf("round trip changed the record:\n in  %+v\n out %+v\n via %s", rec, back, b)
+		}
+	})
 }
 
 // TestReadRecords covers the stream decoder: blank lines skipped, order

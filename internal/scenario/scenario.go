@@ -327,18 +327,23 @@ func (s *Scenario) Validate() error {
 	if err := boundServers(s.Name, "k × servers", w.K, sc.Servers); err != nil {
 		return err
 	}
+	// The load fixes the work offered per node and time unit, and every
+	// task carries at least the smaller mean execution time. Charged
+	// before the config check, whose expected-task cap (sim.MaxTasks) is
+	// looser, so the error names the field; a load or mean the config
+	// check rejects outright is left to it.
+	if w.Load >= 0 && w.MeanLocalExec > 0 && w.MeanSubtaskExec > 0 {
+		tasks := w.Load * float64(w.K) * s.Horizon() / math.Min(w.MeanLocalExec, w.MeanSubtaskExec)
+		if err := b.charge(s.Name, "duration (load × k × horizon ÷ mean exec)", 0, tasks); err != nil {
+			return err
+		}
+	}
 	cfg, err := s.Config()
 	if err != nil {
 		return err
 	}
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrBadScenario, s.Name, err)
-	}
-	// The load fixes the work offered per node and time unit, and every
-	// task carries at least the smaller mean execution time.
-	tasks := w.Load * float64(w.K) * s.Horizon() / math.Min(w.MeanLocalExec, w.MeanSubtaskExec)
-	if err := b.charge(s.Name, "duration (load × k × horizon ÷ mean exec)", 0, tasks); err != nil {
-		return err
 	}
 	k := w.K
 	for i, ev := range s.Events {

@@ -212,6 +212,13 @@ func (c Config) normalized() Config {
 // shipped scenario, stress-fleet-10k, uses about 2% of it.
 const MaxServers = 1 << 20
 
+// MaxTasks caps the tasks a replication is expected to generate:
+// (K·λ_local + λ_global)·(Warmup + Duration). Every task costs simulated
+// events, so a typo such as -load 1e300 is an error, not a run that never
+// ends. The largest paper grid point, K=24 at load 0.9 over 1e6 time
+// units, expects about 1.8e7 tasks.
+const MaxTasks = 1e8
+
 // Validate checks the configuration. The comparisons are negated so that
 // a NaN field fails them.
 func (c Config) Validate() error {
@@ -224,6 +231,10 @@ func (c Config) Validate() error {
 	}
 	if !(c.Warmup >= 0 && c.Warmup <= math.MaxFloat64) {
 		return fmt.Errorf("sim: warmup %v must be non-negative and finite", c.Warmup)
+	}
+	rate := float64(c.Spec.K)*c.Spec.LocalRate() + c.Spec.GlobalRate()
+	if tasks := rate * float64(c.Warmup+c.Duration); !(tasks <= MaxTasks) {
+		return fmt.Errorf("sim: about %.3g expected tasks per replication, past the cap of %.0g", tasks, float64(MaxTasks))
 	}
 	if c.Replications < 1 {
 		return fmt.Errorf("sim: replications %d must be >= 1", c.Replications)

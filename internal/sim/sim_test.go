@@ -248,6 +248,13 @@ func TestConfigValidation(t *testing.T) {
 			c.Spec.K = 2
 			c.NodeServers = []int{MaxServers, 1}
 		},
+		// Past MaxTasks expected tasks, or NaN.
+		func(c *Config) { c.Spec.Load = 1e300 },
+		func(c *Config) { c.Duration = 1e300 },
+		func(c *Config) { c.Warmup = 1e300 },
+		func(c *Config) { c.Spec.K = 1_000_000; c.Duration = 1_000_000 },
+		func(c *Config) { c.Spec.Load = math.Inf(1) },
+		func(c *Config) { c.Spec.MeanLocalExec = 1e-300 },
 	}
 	for i, mut := range bad {
 		cfg := Default()
