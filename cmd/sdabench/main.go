@@ -44,6 +44,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/cli"
 )
 
 // defaultBench selects the benchmarks that guard the hot paths: the DES
@@ -98,7 +100,7 @@ func run(args []string, out io.Writer) error {
 		memprofile = fs.String("memprofile", "", "write the benchmark run's heap profile to this file")
 		exectrace  = fs.String("exectrace", "", "write the benchmark run's execution trace to this file")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args, cli.Rule{ZeroOK: []string{"max-regress", "max-alloc-regress"}}); err != nil {
 		return err
 	}
 

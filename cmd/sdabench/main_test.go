@@ -331,3 +331,17 @@ func TestTelemetryRatio(t *testing.T) {
 		t.Errorf("ratio printed without both benchmarks: %q", buf.String())
 	}
 }
+
+// TestFlagProbes: a negative regression threshold is an error naming the
+// flag, before any benchmark runs; zero is a real threshold.
+func TestFlagProbes(t *testing.T) {
+	for _, name := range []string{"-max-regress", "-max-alloc-regress"} {
+		err := run([]string{name, "-5", "-input", "missing.txt"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s -5: err = %v, want an error naming %s", name, err, name)
+		}
+		if err := run([]string{name, "0", "-input", "missing.txt"}, io.Discard); err == nil || strings.Contains(err.Error(), name) {
+			t.Errorf("%s 0: err = %v, want only the missing input", name, err)
+		}
+	}
+}

@@ -25,119 +25,126 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/cli"
 	"repro/internal/sda"
 	"repro/internal/simtime"
 	"repro/internal/task"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "sdacalc:", err)
-		os.Exit(1)
-	}
+func main() { cli.Main("sdacalc", parse) }
+
+func run(args []string) error { return cli.Run("sdacalc", parse, args, os.Stdout) }
+
+// plan is a validated sdacalc invocation: the parsed expression (one of
+// root, dag or cond) and what to compute on it.
+type plan struct {
+	root    *task.Task
+	dag     *task.Dag
+	cond    *task.CondDag // -analyze -dag
+	ar, dl  simtime.Time
+	ssp     sda.SSP
+	psp     sda.PSP
+	analyze bool
+	procs   int
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("sdacalc", flag.ContinueOnError)
-	var (
-		arrival  = fs.Float64("arrival", 0, "release instant of the global task")
-		deadline = fs.Float64("deadline", 0, "end-to-end deadline of the global task")
-		sspName  = fs.String("ssp", "EQF", "serial strategy: "+strings.Join(sda.SSPNames(), " | "))
-		pspName  = fs.String("psp", "DIV-1", "parallel strategy: "+strings.Join(sda.PSPNames(), " | "))
-		dag      = fs.Bool("dag", false, "parse the expression as a precedence DAG ('vertices ; edges')")
-		analyze  = fs.Bool("analyze", false, "print analytic response-time bounds instead of assigning deadlines")
-		procs    = fs.Int("m", 1, "processors for the Graham-style makespan bound (-analyze)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
+// parse registers the flags on fs, reads and validates args, and
+// parses the task expression.
+func parse(fs *flag.FlagSet, args []string) (*plan, error) {
+	p := &plan{}
+	fs.Float64Var((*float64)(&p.ar), "arrival", 0, "release instant of the global task")
+	fs.Float64Var((*float64)(&p.dl), "deadline", 0, "end-to-end deadline of the global task")
+	strategy := cli.AddStrategy(fs, sda.EQF{}, sda.MustDiv(1))
+	dag := fs.Bool("dag", false, "parse the expression as a precedence DAG ('vertices ; edges')")
+	fs.BoolVar(&p.analyze, "analyze", false, "print analytic response-time bounds instead of assigning deadlines")
+	fs.IntVar(&p.procs, "m", 1, "processors for the Graham-style makespan bound (-analyze)")
+	if err := cli.Parse(fs, args, cli.Rule{ZeroOK: []string{"arrival", "deadline"}}); err != nil {
+		return nil, err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("want exactly one task expression, got %d args", fs.NArg())
+		return nil, fmt.Errorf("want exactly one task expression, got %d args", fs.NArg())
 	}
-	ar := simtime.Time(*arrival)
-	dl := simtime.Time(*deadline)
-	if *analyze {
-		if *procs < 1 {
-			return fmt.Errorf("-m %d must be >= 1", *procs)
-		}
+	var err error
+	switch expr := fs.Arg(0); {
+	case p.analyze && *dag:
+		p.cond, err = task.ParseCondDag(expr)
+	case *dag:
+		p.dag, err = task.ParseDag(expr)
+	default:
+		p.root, err = task.Parse(expr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if p.analyze {
+		return p, nil
+	}
+	if p.ssp, p.psp, err = strategy.Parse(); err != nil {
+		return nil, err
+	}
+	if !p.dl.After(p.ar) {
+		return nil, fmt.Errorf("deadline %v must be after arrival %v", p.dl, p.ar)
+	}
+	return p, nil
+}
+
+// Execute prints the analysis or assigns and prints the deadlines.
+func (p *plan) Execute(w io.Writer) error {
+	ar, dl, ssp, psp := p.ar, p.dl, p.ssp, p.psp
+	if p.analyze {
 		rel := simtime.Duration(0)
 		if dl.After(ar) {
 			rel = simtime.Duration(dl.Sub(ar))
 		}
-		if *dag {
-			cd, err := task.ParseCondDag(fs.Arg(0))
-			if err != nil {
-				return err
-			}
-			return printCondAnalysis(cd, rel, *procs)
+		if p.cond != nil {
+			return printCondAnalysis(w, p.cond, rel, p.procs)
 		}
-		root, err := task.Parse(fs.Arg(0))
+		m, err := analysis.TreeMetrics(p.root)
 		if err != nil {
 			return err
 		}
-		m, err := analysis.TreeMetrics(root)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("task      %s\n", root)
-		printMetrics(m, rel, *procs)
+		fmt.Fprintf(w, "task      %s\n", p.root)
+		printMetrics(w, m, rel, p.procs)
 		return nil
 	}
-	ssp, err := sda.ParseSSP(*sspName)
-	if err != nil {
-		return err
-	}
-	psp, err := sda.ParsePSP(*pspName)
-	if err != nil {
-		return err
-	}
-	if !dl.After(ar) {
-		return fmt.Errorf("deadline %v must be after arrival %v", dl, ar)
-	}
-	if *dag {
-		d, err := task.ParseDag(fs.Arg(0))
-		if err != nil {
+	if p.dag != nil {
+		if err := sda.PlanDag(p.dag, ar, dl, ssp, psp); err != nil {
 			return err
 		}
-		if err := sda.PlanDag(d, ar, dl, ssp, psp); err != nil {
-			return err
-		}
-		return printDag(d, ssp, psp, ar, dl)
+		return printDag(w, p.dag, ssp, psp, ar, dl)
 	}
-	root, err := task.Parse(fs.Arg(0))
-	if err != nil {
-		return err
-	}
+	root := p.root
 	if err := sda.Plan(root, ar, dl, ssp, psp); err != nil {
 		return err
 	}
 
-	fmt.Printf("task      %s\n", root)
-	fmt.Printf("strategy  %s-%s   arrival %v   deadline %v\n", ssp.Name(), psp.Name(), ar, dl)
-	fmt.Printf("critical path %v   total work %v   subtasks %d\n\n",
+	fmt.Fprintf(w, "task      %s\n", root)
+	fmt.Fprintf(w, "strategy  %s-%s   arrival %v   deadline %v\n", ssp.Name(), psp.Name(), ar, dl)
+	fmt.Fprintf(w, "critical path %v   total work %v   subtasks %d\n\n",
 		root.CriticalPath(), root.TotalWork(), root.CountSimple())
-	fmt.Printf("%-24s %-9s %8s %10s %10s %6s\n",
+	fmt.Fprintf(w, "%-24s %-9s %8s %10s %10s %6s\n",
 		"subtask", "kind", "node", "release", "virtual dl", "boost")
-	printTree(root, 0)
+	printTree(w, root, 0)
 	return nil
 }
 
 // printDag renders the planned DAG as a per-vertex table in topological
 // order, with predecessor lists in place of the tree indentation.
-func printDag(d *task.Dag, ssp sda.SSP, psp sda.PSP, ar, dl simtime.Time) error {
+func printDag(w io.Writer, d *task.Dag, ssp sda.SSP, psp sda.PSP, ar, dl simtime.Time) error {
 	topo, err := d.TopoOrder()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("dag       %s\n", d)
-	fmt.Printf("strategy  %s-%s   arrival %v   deadline %v\n", ssp.Name(), psp.Name(), ar, dl)
-	fmt.Printf("critical path %v   total work %v   vertices %d   edges %d   depth %d   width %d\n\n",
+	fmt.Fprintf(w, "dag       %s\n", d)
+	fmt.Fprintf(w, "strategy  %s-%s   arrival %v   deadline %v\n", ssp.Name(), psp.Name(), ar, dl)
+	fmt.Fprintf(w, "critical path %v   total work %v   vertices %d   edges %d   depth %d   width %d\n\n",
 		d.CriticalPath(), d.TotalWork(), d.Len(), d.EdgeCount(), d.Depth(), d.Width())
-	fmt.Printf("%-16s %8s %10s %10s %6s  %s\n",
+	fmt.Fprintf(w, "%-16s %8s %10s %10s %6s  %s\n",
 		"vertex", "node", "release", "virtual dl", "boost", "preds")
 	for _, n := range topo {
 		t := n.Task
@@ -153,7 +160,7 @@ func printDag(d *task.Dag, ssp sda.SSP, psp sda.PSP, ar, dl simtime.Time) error 
 		if len(preds) > 0 {
 			pred = strings.Join(preds, ",")
 		}
-		fmt.Printf("%-16s %8d %10v %10v %6s  %s\n",
+		fmt.Fprintf(w, "%-16s %8d %10v %10v %6s  %s\n",
 			t.Name, t.Node, t.Arrival, t.VirtualDeadline, boost, pred)
 	}
 	return nil
@@ -161,49 +168,49 @@ func printDag(d *task.Dag, ssp sda.SSP, psp sda.PSP, ar, dl simtime.Time) error 
 
 // printMetrics renders one Metrics block with its bounds; rel > 0 adds a
 // feasibility verdict for that relative end-to-end deadline.
-func printMetrics(m analysis.Metrics, rel simtime.Duration, procs int) {
-	fmt.Printf("volume %v   critical path %v   vertices %d   depth %d   width %d\n",
+func printMetrics(w io.Writer, m analysis.Metrics, rel simtime.Duration, procs int) {
+	fmt.Fprintf(w, "volume %v   critical path %v   vertices %d   depth %d   width %d\n",
 		m.Volume, m.Critical, m.Vertices, m.Depth, m.Width)
-	fmt.Printf("response lower bound (any schedule)  %v\n", m.ResponseLower(1))
-	fmt.Printf("isolated upper bound (idle system)   %v\n", m.IsolatedUpper(1))
-	fmt.Printf("graham makespan bound (m=%d)         %v\n", procs, m.GrahamUpper(procs))
+	fmt.Fprintf(w, "response lower bound (any schedule)  %v\n", m.ResponseLower(1))
+	fmt.Fprintf(w, "isolated upper bound (idle system)   %v\n", m.IsolatedUpper(1))
+	fmt.Fprintf(w, "graham makespan bound (m=%d)         %v\n", procs, m.GrahamUpper(procs))
 	if rel > 0 {
 		verdict := "infeasible under every schedule"
 		if m.Feasible(rel, 1) {
 			verdict = "not excluded by the lower bound"
 		}
-		fmt.Printf("relative deadline %v: %s\n", rel, verdict)
+		fmt.Fprintf(w, "relative deadline %v: %s\n", rel, verdict)
 	}
 }
 
 // printCondAnalysis enumerates the conditional DAG's realizations and
 // prints per-realization metrics plus the probability-weighted bounds.
-func printCondAnalysis(cd *task.CondDag, rel simtime.Duration, procs int) error {
+func printCondAnalysis(w io.Writer, cd *task.CondDag, rel simtime.Duration, procs int) error {
 	s, err := analysis.SummarizeCond(cd, 0)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("cond dag  %s\n", cd)
-	fmt.Printf("branch points %d   realizations %d\n\n", cd.CondCount(), len(s.Realizations))
-	fmt.Printf("%-6s %10s %10s %12s %14s\n",
+	fmt.Fprintf(w, "cond dag  %s\n", cd)
+	fmt.Fprintf(w, "branch points %d   realizations %d\n\n", cd.CondCount(), len(s.Realizations))
+	fmt.Fprintf(w, "%-6s %10s %10s %12s %14s\n",
 		"prob", "volume", "critical", "lower bound", fmt.Sprintf("graham(m=%d)", procs))
 	for _, r := range s.Realizations {
 		m := r.Metrics
-		fmt.Printf("%-6.4g %10v %10v %12v %14v\n",
+		fmt.Fprintf(w, "%-6.4g %10v %10v %12v %14v\n",
 			r.Prob, m.Volume, m.Critical, m.ResponseLower(1), m.GrahamUpper(procs))
 	}
-	fmt.Printf("\nE[volume] %.4g   E[critical] %.4g   E[response] >= %v\n",
+	fmt.Fprintf(w, "\nE[volume] %.4g   E[critical] %.4g   E[response] >= %v\n",
 		s.ExpVolume, s.ExpCritical, s.ExpResponseLower(1))
-	fmt.Printf("critical path range [%v, %v]   max volume %v\n",
+	fmt.Fprintf(w, "critical path range [%v, %v]   max volume %v\n",
 		s.MinCritical, s.MaxCritical, s.MaxVolume)
 	if rel > 0 {
-		fmt.Printf("relative deadline %v: miss ratio >= %.4g under every schedule\n",
+		fmt.Fprintf(w, "relative deadline %v: miss ratio >= %.4g under every schedule\n",
 			rel, s.MissLowerBound(rel, 1))
 	}
 	return nil
 }
 
-func printTree(t *task.Task, depth int) {
+func printTree(w io.Writer, t *task.Task, depth int) {
 	name := t.Name
 	if name == "" {
 		name = "(" + t.Kind.String() + ")"
@@ -217,9 +224,9 @@ func printTree(t *task.Task, depth int) {
 	if t.PriorityBoost {
 		boost = "GF"
 	}
-	fmt.Printf("%-24s %-9s %8s %10v %10v %6s\n",
+	fmt.Fprintf(w, "%-24s %-9s %8s %10v %10v %6s\n",
 		indent+name, t.Kind, nodeCol, t.Arrival, t.VirtualDeadline, boost)
 	for _, c := range t.Children {
-		printTree(c, depth+1)
+		printTree(w, c, depth+1)
 	}
 }

@@ -1,6 +1,13 @@
 package main
 
-import "testing"
+import (
+	"flag"
+	"io"
+	"strings"
+	"testing"
+
+	"repro/internal/cli"
+)
 
 func TestCalcRuns(t *testing.T) {
 	args := []string{
@@ -60,4 +67,51 @@ func TestAnalyzeErrors(t *testing.T) {
 			t.Errorf("case %d: expected error for %v", i, args)
 		}
 	}
+}
+
+// TestFlagProbes: bad numeric flags are errors naming the flag.
+func TestFlagProbes(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-deadline", []string{"-deadline", "nan", "a@0:1"}},
+		{"-arrival", []string{"-arrival", "-1", "-deadline", "5", "a@0:1"}},
+		{"-m", []string{"-analyze", "-m", "-2", "a@0:1"}},
+		{"-ssp", []string{"-deadline", "5", "-ssp", "x", "a@0:1"}},
+		{"-psp", []string{"-deadline", "5", "-psp", "x", "a@0:1"}},
+	} {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+	}
+}
+
+// FuzzParse drives the parse stage with argv built from the real flag
+// names: it must never panic, and every plan it accepts must be
+// complete: one parsed expression, a processor count, and for deadline
+// assignment both strategies and a deadline after the arrival.
+func FuzzParse(f *testing.F) {
+	names := flag.NewFlagSet("names", flag.ContinueOnError)
+	parse(names, nil)
+	f.Add([]byte("a@0:1"))
+	f.Add([]byte("\x01\x03[[a@0:2||b@1:3] c@2:1]"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs := flag.NewFlagSet("sdacalc", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		p, err := parse(fs, cli.Argv(names, data))
+		if err != nil {
+			return
+		}
+		exprs := 0
+		for _, set := range []bool{p.root != nil, p.dag != nil, p.cond != nil} {
+			if set {
+				exprs++
+			}
+		}
+		if exprs != 1 || p.procs < 1 || !p.analyze && (p.ssp == nil || p.psp == nil || !p.dl.After(p.ar)) {
+			t.Fatalf("accepted an incomplete plan: %+v", p)
+		}
+	})
 }

@@ -20,50 +20,72 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"strings"
-	"time"
 
+	"repro/internal/cli"
 	"repro/internal/exp"
-	"repro/internal/obs"
-	"repro/internal/obs/serve"
 	"repro/internal/sim"
-	"repro/internal/simtime"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "sdaexp:", err)
-		os.Exit(1)
-	}
+func main() { cli.Main("sdaexp", parse) }
+
+func run(args []string, out io.Writer) error { return cli.Run("sdaexp", parse, args, out) }
+
+// plan is a validated sdaexp invocation.
+type plan struct {
+	id, format string
+	list       bool
+	opts       exp.Options
+	tel        *cli.Telemetry
+	observed   sim.Config // the instrumented baseline cell of -obs/-serve
+
+	cpuprofile, memprofile, exectrace string
 }
 
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("sdaexp", flag.ContinueOnError)
-	var (
-		id       = fs.String("exp", "", "experiment id, 'all', 'table1' or 'table2' (see -list)")
-		list     = fs.Bool("list", false, "list available experiments")
-		format   = fs.String("format", "text", "output format: text | csv | json | svg")
-		quick    = fs.Bool("quick", false, "low-fidelity smoke run")
-		duration = fs.Float64("duration", 0, "override simulated time per replication")
-		reps     = fs.Int("reps", 0, "override replications")
-		seed     = fs.Uint64("seed", 0, "override master seed")
-		workers  = fs.Int("workers", 0, "bound cell+replication parallelism (0 = GOMAXPROCS cells, sequential replications)")
-
-		obsDir     = fs.String("obs", "", "run the baseline cell with telemetry and export the cross-replication merge (spans/exemplars/metrics/dashboard/summary) into this directory")
-		obsSpans   = fs.Int("obs-max-spans", 0, "per-replication span retention budget for -obs/-serve (0 = default 65536)")
-		serveAddr  = fs.String("serve", "", "serve live telemetry of the instrumented baseline run on this address (e.g. :8080)")
-		serveEvry  = fs.Int("serve-every", serve.DefaultEvery, "publish a live snapshot every N sampler ticks")
-		serveHold  = fs.Duration("serve-hold", 0, "keep the observability server up this long after the instrumented run")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		exectrace  = fs.String("exectrace", "", "write a runtime execution trace to this file")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
+// parse registers the flags on fs, reads and validates args, the
+// experiment id and the output format; it starts nothing and writes no
+// file.
+func parse(fs *flag.FlagSet, args []string) (*plan, error) {
+	p := &plan{tel: cli.AddTelemetry(fs, "run the baseline cell with telemetry and export the cross-replication merge (spans/exemplars/metrics/dashboard/summary) into this directory")}
+	fid := cli.AddFidelity(fs)
+	fs.StringVar(&p.id, "exp", "", "experiment id, 'all', 'table1' or 'table2' (see -list)")
+	fs.BoolVar(&p.list, "list", false, "list available experiments")
+	fs.StringVar(&p.format, "format", "text", "output format: text | csv | json | svg")
+	workers := fs.Int("workers", 0, "bound cell+replication parallelism (0 = GOMAXPROCS cells, sequential replications)")
+	fs.StringVar(&p.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&p.memprofile, "memprofile", "", "write a heap profile to this file at exit")
+	fs.StringVar(&p.exectrace, "exectrace", "", "write a runtime execution trace to this file")
+	if err := cli.Parse(fs, args, cli.Rule{}); err != nil {
+		return nil, err
 	}
+	if p.list {
+		return p, nil
+	}
+	if p.id == "" && !p.tel.On() {
+		return nil, fmt.Errorf("no experiment selected; use -exp <id>, -obs <dir>, -serve <addr> or -list")
+	}
+	if _, ok := exp.Find(p.id); !ok && !slices.Contains([]string{"", "all", "table1", "table2"}, p.id) {
+		return nil, fmt.Errorf("flag -exp: unknown experiment %q; known: %s", p.id, strings.Join(exp.IDs(), ", "))
+	}
+	if !slices.Contains([]string{"text", "csv", "json", "svg"}, p.format) {
+		return nil, fmt.Errorf("flag -format: unknown format %q", p.format)
+	}
+	p.opts = fid.Options()
+	p.opts.Workers = *workers
+	p.observed = exp.BaselineConfig(p.opts)
+	p.observed.Obs = p.tel.Options()
+	p.observed.Obs.Enabled = true
+	if err := p.observed.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+// Execute runs the plan.
+func (p *plan) Execute(out io.Writer) error {
+	if p.cpuprofile != "" {
+		f, err := os.Create(p.cpuprofile)
 		if err != nil {
 			return err
 		}
@@ -73,8 +95,8 @@ func run(args []string, out io.Writer) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *exectrace != "" {
-		f, err := os.Create(*exectrace)
+	if p.exectrace != "" {
+		f, err := os.Create(p.exectrace)
 		if err != nil {
 			return err
 		}
@@ -84,8 +106,8 @@ func run(args []string, out io.Writer) error {
 		}
 		defer trace.Stop()
 	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
+	if p.memprofile != "" {
+		f, err := os.Create(p.memprofile)
 		if err != nil {
 			return err
 		}
@@ -95,7 +117,7 @@ func run(args []string, out io.Writer) error {
 			f.Close()
 		}()
 	}
-	if *list {
+	if p.list {
 		for _, e := range exp.All() {
 			fmt.Fprintf(out, "%-12s %s\n", e.ID, e.Title)
 		}
@@ -103,112 +125,54 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "%-12s %s\n", "table2", "SSP/PSP combinations (Table 2)")
 		return nil
 	}
-	if *id == "" && *obsDir == "" && *serveAddr == "" {
-		return fmt.Errorf("no experiment selected; use -exp <id>, -obs <dir>, -serve <addr> or -list")
-	}
-
-	opts := exp.DefaultOptions()
-	if *quick {
-		opts = exp.QuickOptions()
-	}
-	if *duration > 0 {
-		opts.Duration = simtime.Duration(*duration)
-	}
-	if *reps > 0 {
-		opts.Replications = *reps
-	}
-	if *seed > 0 {
-		opts.Seed = *seed
-	}
-	if *workers > 0 {
-		opts.Workers = *workers
-	}
-
-	var srv *serve.Server
-	if *serveAddr != "" {
-		s, err := serve.Start(*serveAddr, serve.NewHub(0))
-		if err != nil {
+	if p.tel.On() {
+		if err := p.exportObserved(out); err != nil {
 			return err
 		}
-		srv = s
-		defer srv.Close()
-		fmt.Fprintf(out, "live telemetry on http://%s (endpoints: /metrics /progress /spans /blame)\n", srv.Addr())
 	}
-
-	if *obsDir != "" || srv != nil {
-		if err := exportObserved(opts, *obsSpans, *obsDir, out, srv, *serveEvry, *serveHold); err != nil {
-			return err
-		}
-		if *id == "" {
-			return nil
-		}
-	}
-
-	switch *id {
+	switch p.id {
+	case "":
 	case "table1":
 		fmt.Fprint(out, exp.Table1())
-		return nil
 	case "table2":
 		fmt.Fprint(out, exp.Table2())
-		return nil
 	case "all":
 		for _, e := range exp.All() {
-			if err := runOne(e, opts, *format, out); err != nil {
+			if err := runOne(e, p.opts, p.format, out); err != nil {
 				return err
 			}
 			fmt.Fprintln(out)
 		}
-		return nil
 	default:
-		e, ok := exp.Find(*id)
-		if !ok {
-			return fmt.Errorf("unknown experiment %q; known: %s",
-				*id, strings.Join(exp.IDs(), ", "))
-		}
-		return runOne(e, opts, *format, out)
+		e, _ := exp.Find(p.id)
+		return runOne(e, p.opts, p.format, out)
 	}
+	return nil
 }
 
 // exportObserved runs the Table 1 baseline cell with telemetry at the
 // selected fidelity — every replication observed, on all opts.Workers —
-// optionally serving the shards live via srv, and writes the merged
-// telemetry export into dir (skipped when dir is empty, for -serve-only
-// invocations).
-func exportObserved(opts exp.Options, maxSpans int, dir string, out io.Writer, srv *serve.Server, every int, hold time.Duration) error {
-	cfg := exp.BaselineConfig(opts)
-	cfg.Obs = obs.Options{Enabled: true, MaxSpans: maxSpans}
-	info := serve.RunInfo{
-		Label:        cfg.Name(),
-		Replications: cfg.Replications,
-		Horizon:      float64(cfg.Warmup + cfg.Duration),
+// optionally serving the shards live, and writes the merged telemetry
+// export into the -obs directory (skipped for -serve-only invocations).
+func (p *plan) exportObserved(out io.Writer) error {
+	if err := p.tel.Start(out); err != nil {
+		return err
 	}
-	if srv != nil {
-		hub := srv.Hub()
-		cfg.OnReplication = func(sys *sim.System) {
-			hub.Attach(sys.Telemetry(), info, every)
-		}
-		cfg.OnReplicationDone = func(sys *sim.System) {
-			hub.Publish(sys.Telemetry(), info, float64(sys.Horizon()), true)
-		}
-	}
+	defer p.tel.Close()
+	cfg := p.observed
+	info := p.tel.Hook(&cfg)
 	res, err := sim.Run(cfg)
 	if err != nil {
 		return err
 	}
-	if srv != nil {
-		srv.Hub().Finalize(res.Obs, info)
-	}
+	p.tel.Finalize(res.Obs, info)
 	fmt.Fprint(out, res.Obs.Snapshot().Summary())
-	if dir != "" {
-		paths, err := res.Obs.ExportDir(dir)
+	if p.tel.Dir != "" {
+		paths, err := res.Obs.ExportDir(p.tel.Dir)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "telemetry exported: %s\n", strings.Join(paths, " "))
-	}
-	if srv != nil && hold > 0 {
-		fmt.Fprintf(out, "holding observability server for %v\n", hold)
-		time.Sleep(hold)
 	}
 	return nil
 }
@@ -235,8 +199,6 @@ func runOne(e exp.Experiment, opts exp.Options, format string, out io.Writer) er
 			return fmt.Errorf("render %s: %w", e.ID, err)
 		}
 		fmt.Fprint(out, svg)
-	default:
-		return fmt.Errorf("unknown format %q", format)
 	}
 	return nil
 }

@@ -1,8 +1,14 @@
 package main
 
 import (
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
 )
 
 func TestListExperiments(t *testing.T) {
@@ -62,4 +68,62 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"-exp", "gfdelta", "-format", "bogus", "-quick", "-duration", "500"}, &buf); err == nil {
 		t.Error("unknown format should error")
 	}
+}
+
+// TestFlagProbes pins the flag rule: an explicitly set zero, negative or
+// non-finite value is an error naming the flag, never a silent fallback
+// to the default.
+func TestFlagProbes(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-reps", []string{"-exp", "table1", "-reps", "0"}},
+		{"-duration", []string{"-exp", "table1", "-duration", "-5"}},
+		{"-duration", []string{"-exp", "table1", "-duration", "nan"}},
+		{"-workers", []string{"-exp", "table1", "-workers", "-1"}},
+		{"-serve-every", []string{"-exp", "table1", "-serve-every", "-4"}},
+		{"-format", []string{"-exp", "fig7", "-format", "bogus"}},
+	} {
+		err := run(tc.args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+	}
+}
+
+// TestBadExperimentWritesNothing: an unknown -exp fails in the parse
+// stage, before the -obs run writes its bundle.
+func TestBadExperimentWritesNothing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "obs")
+	err := run([]string{"-quick", "-obs", dir, "-exp", "bogus"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-exp") {
+		t.Fatalf("err = %v, want an error naming -exp", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("-obs directory exists after a failed parse: %v", err)
+	}
+}
+
+// FuzzParse drives the parse stage with argv built from the real flag
+// names: it must never panic, and every plan it accepts must be bounded.
+func FuzzParse(f *testing.F) {
+	names := flag.NewFlagSet("names", flag.ContinueOnError)
+	parse(names, nil)
+	f.Add([]byte{})
+	f.Add([]byte{0, 38, 1, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs := flag.NewFlagSet("sdaexp", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		p, err := parse(fs, cli.Argv(names, data))
+		if err != nil || p.list {
+			return
+		}
+		if err := cli.Bounded(p.observed); err != nil {
+			t.Fatalf("accepted an unbounded plan: %v", err)
+		}
+		if !p.observed.Obs.Enabled {
+			t.Fatal("observed baseline runs without telemetry")
+		}
+	})
 }

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,182 +28,151 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/obs"
 	"repro/internal/obs/attrib"
 	"repro/internal/obs/tracetree"
 	"repro/internal/scenario"
-	"repro/internal/sda"
 	"repro/internal/sim"
-	"repro/internal/simtime"
-	"repro/internal/workload"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "sdaobs:", err)
-		os.Exit(1)
-	}
+func main() { cli.Main("sdaobs", parse) }
+
+func run(args []string, w io.Writer) error { return cli.Run("sdaobs", parse, args, w) }
+
+// plan is a validated sdaobs invocation.
+type plan struct {
+	outDir string
+	sc     *scenario.Scenario // nil in synthetic mode
+	cfg    sim.Config         // the scenario's or the synthetic config
 }
 
-func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("sdaobs", flag.ContinueOnError)
-	var (
-		scenarioFile = fs.String("scenario", "", "run this scenario file instead of a synthetic workload")
-		outDir       = fs.String("out", "obs-out", "directory for the telemetry export")
-		sampleEvery  = fs.Float64("sample-every", 50, "sampler cadence in simulated time units")
-		maxSamples   = fs.Int("max-samples", 4096, "time-series ring capacity (oldest samples overwritten)")
-		maxSpans     = fs.Int("max-spans", 1<<16, "span store capacity (further spans dropped and counted)")
-
-		k       = fs.Int("k", 6, "number of nodes (synthetic mode)")
-		n       = fs.Int("n", 4, "parallel subtasks per global task (synthetic mode)")
-		load    = fs.Float64("load", 0.5, "normalized load (synthetic mode)")
-		sspName = fs.String("ssp", "UD", "serial strategy (synthetic mode)")
-		pspName = fs.String("psp", "UD", "parallel strategy (synthetic mode)")
-		dur     = fs.Float64("duration", 20000, "measured simulated time (synthetic mode)")
-		warmup  = fs.Float64("warmup", 1000, "warmup time (synthetic mode)")
-		seed    = fs.Uint64("seed", 1, "random seed (synthetic mode)")
-		reps    = fs.Int("reps", 1, "replications (synthetic mode); above 1 the export is the cross-replication merge")
-		workers = fs.Int("workers", 1, "replications run concurrently (synthetic mode); the merged export is identical at any worker count")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
+// parse registers the flags on fs, reads and validates args and loads
+// the scenario file; it runs nothing and writes no file.
+func parse(fs *flag.FlagSet, args []string) (*plan, error) {
+	def := sim.Default()
+	def.Replications, def.Obs = 1, obs.Options{Enabled: true, SampleEvery: 50, MaxSamples: 4096, MaxSpans: 1 << 16}
+	wl := cli.AddWorkload(fs, def)
+	c := &wl.Cfg
+	p := &plan{}
+	scenarioFile := fs.String("scenario", "", "run this scenario file instead of a synthetic workload")
+	fs.StringVar(&p.outDir, "out", "obs-out", "directory for the telemetry export")
+	fs.Float64Var((*float64)(&c.Obs.SampleEvery), "sample-every", 50, "sampler cadence in simulated time units")
+	fs.IntVar(&c.Obs.MaxSamples, "max-samples", 4096, "time-series ring capacity (oldest samples overwritten)")
+	fs.IntVar(&c.Obs.MaxSpans, "max-spans", 1<<16, "span store capacity (further spans dropped and counted)")
+	fs.Float64Var((*float64)(&c.Duration), "duration", float64(c.Duration), "measured simulated time (synthetic mode)")
+	fs.Float64Var((*float64)(&c.Warmup), "warmup", float64(c.Warmup), "warmup time (synthetic mode)")
+	fs.IntVar(&c.Replications, "reps", 1, "replications (synthetic mode); above 1 the export is the cross-replication merge")
+	fs.IntVar(&c.Workers, "workers", 1, "replications run concurrently (synthetic mode); the merged export is identical at any worker count")
+	rule := cli.Rule{ZeroOK: []string{"warmup"}, Max: map[string]float64{"max-samples": sim.MaxSamples}}
+	if err := cli.Parse(fs, args, rule); err != nil {
+		return nil, err
 	}
-	o := obs.Options{
-		Enabled:     true,
-		SampleEvery: simtime.Duration(*sampleEvery),
-		MaxSamples:  *maxSamples,
-		MaxSpans:    *maxSpans,
+	var err error
+	if p.cfg, err = wl.Config(); err == nil && *scenarioFile != "" {
+		if p.sc, err = scenario.Load(*scenarioFile); err == nil {
+			p.cfg, err = p.sc.Config()
+			p.cfg.Obs = c.Obs
+		}
 	}
+	if err != nil {
+		return nil, err
+	}
+	// The flag rule has already checked -max-samples and a non-finite
+	// -sample-every; what is left of a sampler error is the tick count.
+	if err := p.cfg.Validate(); errors.Is(err, sim.ErrSampler) {
+		return nil, fmt.Errorf("flag -sample-every: %w", err)
+	} else if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
 
+// Execute runs the plan and writes the telemetry bundle.
+func (p *plan) Execute(w io.Writer) error {
 	var (
 		tel    *obs.Telemetry // single-shard modes: scenario, -reps 1
 		merged *obs.Merged    // multi-replication synthetic mode
+		cfg    = p.cfg
 	)
-	if *scenarioFile != "" {
-		sc, err := scenario.Load(*scenarioFile)
+	switch {
+	case p.sc != nil:
+		out, scTel, err := scenario.RunObserved(p.sc, cfg.Obs)
 		if err != nil {
 			return err
 		}
-		out, scTel, err := scenario.RunObserved(sc, o)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "scenario %s: %d trace events, hash %s\n", sc.Name, out.TraceEvents, out.TraceHash)
+		fmt.Fprintf(w, "scenario %s: %d trace events, hash %s\n", p.sc.Name, out.TraceEvents, out.TraceHash)
 		for _, f := range out.Failures {
 			fmt.Fprintf(w, "scenario failure: %s\n", f)
 		}
 		tel = scTel
-	} else {
-		cfg := sim.Default()
-		cfg.Spec.K = *k
-		cfg.Spec.Factory = workload.FixedParallel{N: *n}
-		cfg.Spec.Load = *load
-		cfg.Duration = simtime.Duration(*dur)
-		cfg.Warmup = simtime.Duration(*warmup)
-		cfg.Replications = *reps
-		cfg.Workers = *workers
-		cfg.Seed = *seed
-		cfg.Obs = o
-		var err error
-		if cfg.SSP, err = sda.ParseSSP(*sspName); err != nil {
+	case cfg.Replications > 1:
+		res, err := sim.Run(cfg)
+		if err != nil {
 			return err
 		}
-		if cfg.PSP, err = sda.ParsePSP(*pspName); err != nil {
+		fmt.Fprintf(w, "synthetic %s load=%g x%d reps: md_local %s  md_global %s  util %s\n",
+			cfg.Name(), cfg.Spec.Load, cfg.Replications, res.MDLocal, res.MDGlobal, res.Utilization)
+		merged = res.Obs
+	default:
+		sys, err := sim.NewSystem(cfg, cfg.Seed)
+		if err != nil {
 			return err
 		}
-		if *reps > 1 {
-			res, err := sim.Run(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "synthetic %s load=%g x%d reps: md_local %s  md_global %s  util %s\n",
-				cfg.Name(), *load, *reps, res.MDLocal, res.MDGlobal, res.Utilization)
-			merged = res.Obs
-		} else {
-			sys, err := sim.NewSystem(cfg, *seed)
-			if err != nil {
-				return err
-			}
-			if err := sys.Start(); err != nil {
-				return err
-			}
-			rep := sys.Finish(sys.Horizon())
-			fmt.Fprintf(w, "synthetic %s load=%g: md_local %.4f  md_global %.4f  util %.4f\n",
-				cfg.Name(), *load, rep.MDLocal, rep.MDGlobal, rep.Utilization)
-			tel = sys.Telemetry()
+		if err := sys.Start(); err != nil {
+			return err
 		}
+		rep := sys.Finish(sys.Horizon())
+		fmt.Fprintf(w, "synthetic %s load=%g: md_local %.4f  md_global %.4f  util %.4f\n",
+			cfg.Name(), cfg.Spec.Load, rep.MDLocal, rep.MDGlobal, rep.Utilization)
+		tel = sys.Telemetry()
 	}
 
 	// Single-shard exports keep the per-run extras (sampled time series);
 	// the merged export folds every replication's shard in index order.
+	// A single shard's snapshot holds its retained spans plus exemplars:
+	// under a tight -max-spans budget the worst and latest spans per kind
+	// are still present.
 	var (
 		paths   []string
+		snap    *obs.Snapshot
 		summary string
-		blamed  []obs.Record
-		traced  []obs.Record // spans + causal edges, for the trace trees
 		err     error
 	)
 	if merged != nil {
-		if paths, err = merged.ExportDir(*outDir); err != nil {
-			return err
-		}
-		snap := merged.Snapshot()
+		paths, err = merged.ExportDir(p.outDir)
+		snap = merged.Snapshot()
 		summary = snap.Summary()
-		blamed = snap.SpansForAnalysis()
-		traced = append(append(traced, snap.Spans...), snap.Edges...)
 	} else {
-		if paths, err = tel.ExportDir(*outDir); err != nil {
-			return err
-		}
-		summary = tel.Summary()
-		// Retained spans plus exemplars: under a tight -max-spans budget
-		// the worst and latest spans per kind are still present.
-		snap := tel.Snapshot(0)
-		blamed = snap.SpansForAnalysis()
-		traced = append(append(traced, snap.Spans...), snap.Edges...)
+		paths, err = tel.ExportDir(p.outDir)
+		snap, summary = tel.Snapshot(0), tel.Summary()
 	}
-	// The attribution report rides along with the bundle (the obs package
-	// cannot depend on attrib, so the cmd writes it).
-	rpt := attrib.Analyze(blamed)
-	mdPath := filepath.Join(*outDir, "blame.md")
-	if err := os.WriteFile(mdPath, []byte(rpt.Markdown()), 0o644); err != nil {
+	if err != nil {
 		return err
 	}
+	// The attribution report and the causal trace ride along with the
+	// bundle (obs cannot depend on attrib or tracetree, so the cmd writes
+	// them): blame as markdown and JSON, the trees as deterministic JSONL
+	// plus the Perfetto-loadable Chrome trace, all bit-identical at any
+	// worker count.
+	rpt := attrib.Analyze(snap.SpansForAnalysis())
 	jsonBody, err := rpt.JSON()
 	if err != nil {
 		return err
 	}
-	jsonPath := filepath.Join(*outDir, "blame.json")
+	mdPath, jsonPath := filepath.Join(p.outDir, "blame.md"), filepath.Join(p.outDir, "blame.json")
+	if err := os.WriteFile(mdPath, []byte(rpt.Markdown()), 0o644); err != nil {
+		return err
+	}
 	if err := os.WriteFile(jsonPath, jsonBody, 0o644); err != nil {
 		return err
 	}
-	paths = append(paths, mdPath, jsonPath)
-	// The causal trace rides along the same way (obs cannot depend on
-	// tracetree's consumers): trees as deterministic JSONL plus the
-	// Perfetto-loadable Chrome trace, both bit-identical at any worker
-	// count.
-	forest := tracetree.Build(traced)
-	treePath := filepath.Join(*outDir, "tracetree.jsonl")
-	chromePath := filepath.Join(*outDir, "trace.chrome.json")
-	for _, exp := range []struct {
-		path  string
-		write func(io.Writer) error
-	}{{treePath, forest.WriteTrees}, {chromePath, forest.WriteChrome}} {
-		f, err := os.Create(exp.path)
-		if err != nil {
-			return err
-		}
-		if err := exp.write(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		paths = append(paths, exp.path)
+	forest := tracetree.Build(append(append([]obs.Record(nil), snap.Spans...), snap.Edges...))
+	treePath, chromePath := filepath.Join(p.outDir, "tracetree.jsonl"), filepath.Join(p.outDir, "trace.chrome.json")
+	if err := forest.WriteFiles(treePath, chromePath); err != nil {
+		return err
 	}
-	fmt.Fprintln(w)
-	fmt.Fprint(w, summary)
-	fmt.Fprintf(w, "exported: %s\n", strings.Join(paths, " "))
+	paths = append(paths, mdPath, jsonPath, treePath, chromePath)
+	fmt.Fprintf(w, "\n%sexported: %s\n", summary, strings.Join(paths, " "))
 	return nil
 }

@@ -3,11 +3,15 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/cli"
 	"repro/internal/obs"
 )
 
@@ -170,4 +174,55 @@ func TestSyntheticExport(t *testing.T) {
 			t.Errorf("export %s is empty", name)
 		}
 	}
+}
+
+// TestFlagProbes pins the flag rule on the sampler and span flags. The
+// first four once hung or ran out of memory, so each case runs under a
+// deadline instead of hanging the suite.
+func TestFlagProbes(t *testing.T) {
+	scen := filepath.Join("..", "..", "testdata", "scenarios", "baseline_div.json")
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-sample-every", []string{"-sample-every", "1e-300"}},
+		{"-sample-every", []string{"-sample-every", "nan"}},
+		{"-sample-every", []string{"-scenario", scen, "-sample-every", "1e-300"}},
+		{"-max-samples", []string{"-max-samples", "100000000000"}},
+		{"-sample-every", []string{"-sample-every", "0"}},
+		{"-reps", []string{"-reps", "0"}},
+		{"-max-spans", []string{"-max-spans", "-1"}},
+	} {
+		args := append([]string{"-out", t.TempDir()}, tc.args...)
+		done := make(chan error, 1)
+		go func() { done <- run(args, io.Discard) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.flag) {
+				t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%v: still running after 30s", tc.args)
+		}
+	}
+}
+
+// FuzzParse drives the parse stage with argv built from the real flag
+// names: it must never panic, and every plan it accepts must be bounded.
+func FuzzParse(f *testing.F) {
+	names := flag.NewFlagSet("names", flag.ContinueOnError)
+	parse(names, nil)
+	f.Add([]byte{})
+	f.Add([]byte{12, 7, 13, 12})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs := flag.NewFlagSet("sdaobs", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		p, err := parse(fs, cli.Argv(names, data))
+		if err != nil {
+			return
+		}
+		if err := cli.Bounded(p.cfg); err != nil || !p.cfg.Obs.Enabled {
+			t.Fatalf("accepted an unbounded plan (telemetry %v): %v", p.cfg.Obs.Enabled, err)
+		}
+	})
 }

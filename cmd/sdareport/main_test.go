@@ -1,9 +1,15 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
+	"repro/internal/exp"
 )
 
 func TestReportQuickRuns(t *testing.T) {
@@ -41,4 +47,60 @@ func TestReportOracleSection(t *testing.T) {
 	if strings.Contains(section, "FAIL") {
 		t.Errorf("oracle audit failed:\n%s", section)
 	}
+}
+
+// TestExitCode pins how main maps run's result to the exit status: a
+// failed verdict is 2, any other error 1.
+func TestExitCode(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{nil, 0},
+		{errFailed, 2},
+		{fmt.Errorf("oracle: %w", errFailed), 2},
+		{errors.New("flag -duration NaN: must be finite"), 1},
+	} {
+		if got := exitCode(tc.err); got != tc.want {
+			t.Errorf("exitCode(%v) = %d, want %d", tc.err, got, tc.want)
+		}
+	}
+}
+
+// TestFlagProbes: bad fidelity overrides are errors naming the flag, not
+// a silent fallback to the default fidelity.
+func TestFlagProbes(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-duration", []string{"-duration", "nan"}},
+		{"-duration", []string{"-duration", "0"}},
+		{"-reps", []string{"-reps", "-1"}},
+	} {
+		err := run(tc.args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+	}
+}
+
+// FuzzParse drives the parse stage with argv built from the real flag
+// names: it must never panic, and every plan it accepts must be bounded.
+func FuzzParse(f *testing.F) {
+	names := flag.NewFlagSet("names", flag.ContinueOnError)
+	parse(names, nil)
+	f.Add([]byte{})
+	f.Add([]byte{2, 1, 3, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs := flag.NewFlagSet("sdareport", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		p, err := parse(fs, cli.Argv(names, data))
+		if err != nil {
+			return
+		}
+		if err := cli.Bounded(exp.BaselineConfig(p.opts)); err != nil {
+			t.Fatalf("accepted an unbounded plan: %v", err)
+		}
+	})
 }

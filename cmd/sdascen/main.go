@@ -32,8 +32,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
+	"repro/internal/cli"
 	"repro/internal/des"
 	"repro/internal/obs"
 	"repro/internal/obs/serve"
@@ -41,42 +41,43 @@ import (
 	"repro/internal/sim"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "sdascen:", err)
-		os.Exit(1)
-	}
+func main() { cli.Main("sdascen", parse) }
+
+func run(args []string, w io.Writer) error { return cli.Run("sdascen", parse, args, w) }
+
+// plan is a validated sdascen invocation: the selected scenarios and
+// their golden hashes, loaded but not run.
+type plan struct {
+	dir, flightDir, summaryPath string
+	bless, list, verbose        bool
+	stressScale, stressWorkers  int
+	tel                         *cli.Telemetry
+	scs                         []*scenario.Scenario
+	golden                      map[string]string
 }
 
-func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("sdascen", flag.ContinueOnError)
-	var (
-		dir      = fs.String("dir", "testdata/scenarios", "directory holding scenario *.json files")
-		bless    = fs.Bool("bless", false, "rewrite the golden hash registry from this run")
-		list     = fs.Bool("list", false, "list scenarios and exit")
-		verbose  = fs.Bool("v", false, "print per-scenario metrics")
-		obsDir   = fs.String("obs", "", "run with telemetry and export spans/metrics/timeseries/dashboard per scenario into this directory")
-		obsSpans = fs.Int("obs-max-spans", 0, "per-run span retention budget (0 = default 65536); evicted spans are counted, aggregates stay exact")
-
-		flightDir = fs.String("flight", "", "attach the kernel flight recorder and write each scenario's lookahead-feasibility report (<name>.flight.md + .prom) into this directory")
-
-		serveAddr = fs.String("serve", "", "serve live telemetry over HTTP on this address (e.g. :8080); implies telemetry")
-		serveEvry = fs.Int("serve-every", serve.DefaultEvery, "publish a live snapshot every N sampler ticks")
-		serveHold = fs.Duration("serve-hold", 0, "keep the observability server up this long after the suite")
-
-		stressScale   = fs.Int("stress-scale", 1, "divide stress-scenario fleet sizes by this factor (smoke runs; band assertions are skipped when > 1)")
-		stressWorkers = fs.Int("stress-workers", 0, "replication workers for stress scenarios (0 = GOMAXPROCS); results are identical at every count")
-		summaryPath   = fs.String("summary", "", "append each stress scenario's deterministic outcome summary to this file (\"-\" = stdout), for cmp-based determinism checks")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
+// parse registers the flags on fs, reads and validates args and loads
+// the selected scenarios; it runs nothing, writes no file and binds no
+// port.
+func parse(fs *flag.FlagSet, args []string) (*plan, error) {
+	p := &plan{tel: cli.AddTelemetry(fs, "run with telemetry and export spans/metrics/timeseries/dashboard per scenario into this directory")}
+	fs.StringVar(&p.dir, "dir", "testdata/scenarios", "directory holding scenario *.json files")
+	fs.BoolVar(&p.bless, "bless", false, "rewrite the golden hash registry from this run")
+	fs.BoolVar(&p.list, "list", false, "list scenarios and exit")
+	fs.BoolVar(&p.verbose, "v", false, "print per-scenario metrics")
+	fs.StringVar(&p.flightDir, "flight", "", "attach the kernel flight recorder and write each scenario's lookahead-feasibility report (<name>.flight.md + .prom) into this directory")
+	fs.IntVar(&p.stressScale, "stress-scale", 1, "divide stress-scenario fleet sizes by this factor (smoke runs; band assertions are skipped when > 1)")
+	fs.IntVar(&p.stressWorkers, "stress-workers", 0, "replication workers for stress scenarios (0 = GOMAXPROCS); results are identical at every count")
+	fs.StringVar(&p.summaryPath, "summary", "", "append each stress scenario's deterministic outcome summary to this file (\"-\" = stdout), for cmp-based determinism checks")
+	if err := cli.Parse(fs, args, cli.Rule{}); err != nil {
+		return nil, err
 	}
-	scs, err := scenario.LoadDir(*dir)
+	scs, err := scenario.LoadDir(p.dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(scs) == 0 {
-		return fmt.Errorf("no scenario files in %s", *dir)
+		return nil, fmt.Errorf("no scenario files in %s", p.dir)
 	}
 	if picked := fs.Args(); len(picked) > 0 {
 		byName := make(map[string]*scenario.Scenario, len(scs))
@@ -87,13 +88,23 @@ func run(args []string, w io.Writer) error {
 		for _, name := range picked {
 			sc, ok := byName[name]
 			if !ok {
-				return fmt.Errorf("unknown scenario %q (use -list)", name)
+				return nil, fmt.Errorf("unknown scenario %q (use -list)", name)
 			}
 			subset = append(subset, sc)
 		}
 		scs = subset
 	}
-	if *list {
+	p.scs = scs
+	if p.golden, err = scenario.ReadGolden(filepath.Join(p.dir, scenario.GoldenFile)); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Execute runs the selected scenarios, or lists them.
+func (p *plan) Execute(w io.Writer) error {
+	scs := p.scs
+	if p.list {
 		for _, sc := range scs {
 			kind := ""
 			if sc.IsStress() {
@@ -105,26 +116,25 @@ func run(args []string, w io.Writer) error {
 	}
 
 	var summary io.Writer
-	if *summaryPath == "-" {
+	if p.summaryPath == "-" {
 		summary = w
-	} else if *summaryPath != "" {
-		f, err := os.Create(*summaryPath)
+	} else if p.summaryPath != "" {
+		f, err := os.Create(p.summaryPath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
 		summary = f
 	}
-
-	if *flightDir != "" {
-		if err := os.MkdirAll(*flightDir, 0o755); err != nil {
+	if p.flightDir != "" {
+		if err := os.MkdirAll(p.flightDir, 0o755); err != nil {
 			return err
 		}
 	}
 	// writeFlight exports one scenario's flight-recorder findings: the
 	// markdown lookahead-feasibility report and the Prometheus exposition.
 	writeFlight := func(name string, fl *des.Flight) error {
-		md := filepath.Join(*flightDir, name+".flight.md")
+		md := filepath.Join(p.flightDir, name+".flight.md")
 		if err := os.WriteFile(md, []byte(fl.Report(name)), 0o644); err != nil {
 			return err
 		}
@@ -132,7 +142,7 @@ func run(args []string, w io.Writer) error {
 		if err := fl.WritePrometheus(&buf); err != nil {
 			return err
 		}
-		prom := filepath.Join(*flightDir, name+".flight.prom")
+		prom := filepath.Join(p.flightDir, name+".flight.prom")
 		if err := os.WriteFile(prom, []byte(buf.String()), 0o644); err != nil {
 			return err
 		}
@@ -140,49 +150,31 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 
-	goldenPath := filepath.Join(*dir, scenario.GoldenFile)
-	golden, err := scenario.ReadGolden(goldenPath)
-	if err != nil {
-		return err
-	}
-
 	// Live observability: one server spans the whole suite; each scenario
 	// attaches the hub to its own telemetry sampler and publishes its
 	// final snapshot when it ends (the hub starts a fresh run for the
 	// next scenario). Snapshots publish inside existing read-only sampler
 	// ticks, so golden hashes are unaffected by -serve.
-	var srv *serve.Server
-	if *serveAddr != "" {
-		s, err := serve.Start(*serveAddr, serve.NewHub(0))
-		if err != nil {
-			return err
-		}
-		srv = s
-		defer srv.Close()
-		fmt.Fprintf(w, "live telemetry on http://%s (endpoints: /metrics /progress /spans /blame)\n", srv.Addr())
-		defer func() {
-			if *serveHold > 0 {
-				fmt.Fprintf(w, "holding observability server for %v\n", *serveHold)
-				time.Sleep(*serveHold)
-			}
-		}()
+	if err := p.tel.Start(w); err != nil {
+		return err
 	}
+	defer p.tel.Close()
 
 	failed := 0
 	for i, sc := range scs {
 		if sc.IsStress() {
 			// Stress scenarios: templated fleet + seeded chaos, no golden
 			// hash (judged by invariants, the oracle and the Assert bands).
-			sc.ApplyStressScale(*stressScale)
+			sc.ApplyStressScale(p.stressScale)
 			var (
 				out *scenario.Outcome
 				fl  *des.Flight
 				err error
 			)
-			if *flightDir != "" {
-				out, fl, err = scenario.RunStressFlight(sc, *stressWorkers)
+			if p.flightDir != "" {
+				out, fl, err = scenario.RunStressFlight(sc, p.stressWorkers)
 			} else {
-				out, err = scenario.RunStress(sc, *stressWorkers)
+				out, err = scenario.RunStress(sc, p.stressWorkers)
 			}
 			if err != nil {
 				return fmt.Errorf("%s: %w", sc.Name, err)
@@ -200,7 +192,7 @@ func run(args []string, w io.Writer) error {
 					return err
 				}
 			}
-			if *verbose {
+			if p.verbose {
 				for r, rep := range out.Reps {
 					fmt.Fprintf(w, "     rep %d: md_local %.4f  md_global %.4f  missed_work %.4f  util %.4f  locals %d  globals %d\n",
 						r, rep.MDLocal, rep.MDGlobal, rep.MissedWork, rep.Utilization, rep.Locals, rep.Globals)
@@ -222,26 +214,20 @@ func run(args []string, w io.Writer) error {
 			fl  *des.Flight
 			err error
 		)
-		if *obsDir != "" || srv != nil || *flightDir != "" {
+		if p.tel.On() || p.flightDir != "" {
 			// Telemetry and the flight recorder never perturb the run, so
 			// the golden checks below still apply unchanged.
-			var onSystem func(*sim.System)
 			info := serve.RunInfo{Label: fmt.Sprintf("%s (%d/%d)", sc.Name, i+1, len(scs)), Replications: 1}
-			if srv != nil || *flightDir != "" {
-				onSystem = func(sys *sim.System) {
-					if *flightDir != "" {
-						fl = des.NewFlight(len(sys.Nodes))
-						sys.Eng.AttachFlight(fl)
-					}
-					if srv != nil {
-						info.Horizon = float64(sys.Horizon())
-						srv.Hub().Attach(sys.Telemetry(), info, *serveEvry)
-					}
+			out, tel, err = scenario.RunObservedWith(sc, p.tel.Options(), func(sys *sim.System) {
+				if p.flightDir != "" {
+					fl = des.NewFlight(len(sys.Nodes))
+					sys.Eng.AttachFlight(fl)
 				}
-			}
-			out, tel, err = scenario.RunObservedWith(sc, obs.Options{MaxSpans: *obsSpans}, onSystem)
-			if err == nil && srv != nil && tel != nil {
-				srv.Hub().Publish(tel, info, info.Horizon, true)
+				info.Horizon = float64(sys.Horizon())
+				p.tel.Attach(sys.Telemetry(), info)
+			})
+			if err == nil {
+				p.tel.Publish(tel, info, info.Horizon)
 			}
 		} else {
 			out, err = scenario.Run(sc)
@@ -250,8 +236,8 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("%s: %w", sc.Name, err)
 		}
 		fails := append([]string(nil), out.Failures...)
-		if !*bless {
-			switch want, ok := golden[sc.Name]; {
+		if !p.bless {
+			switch want, ok := p.golden[sc.Name]; {
 			case !ok:
 				fails = append(fails, fmt.Sprintf("no golden hash (got %s; run sdascen -bless)", out.TraceHash))
 			case want != out.TraceHash:
@@ -269,14 +255,14 @@ func run(args []string, w io.Writer) error {
 				return err
 			}
 		}
-		if tel != nil && *obsDir != "" {
-			exportDir := filepath.Join(*obsDir, sc.Name)
+		if tel != nil && p.tel.Dir != "" {
+			exportDir := filepath.Join(p.tel.Dir, sc.Name)
 			if _, err := tel.ExportDir(exportDir); err != nil {
 				return fmt.Errorf("%s: %w", sc.Name, err)
 			}
 			fmt.Fprintf(w, "     telemetry exported to %s\n", exportDir)
 		}
-		if *verbose {
+		if p.verbose {
 			fmt.Fprintf(w, "     md_local %.4f  md_global %.4f  md_subtask %.4f  missed_work %.4f  util %.4f  locals %d  globals %d\n",
 				out.Rep.MDLocal, out.Rep.MDGlobal, out.Rep.MDSubtask,
 				out.Rep.MissedWork, out.Rep.Utilization, out.Rep.Locals, out.Rep.Globals)
@@ -284,16 +270,17 @@ func run(args []string, w io.Writer) error {
 		for _, f := range fails {
 			fmt.Fprintf(w, "     FAIL: %s\n", f)
 		}
-		golden[sc.Name] = out.TraceHash
+		p.golden[sc.Name] = out.TraceHash
 	}
-	if *bless {
+	if p.bless {
 		if failed > 0 {
 			return fmt.Errorf("%d scenario(s) failed; fix them before blessing", failed)
 		}
-		if err := scenario.WriteGolden(goldenPath, golden); err != nil {
+		goldenPath := filepath.Join(p.dir, scenario.GoldenFile)
+		if err := scenario.WriteGolden(goldenPath, p.golden); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "blessed %d hashes into %s\n", len(golden), goldenPath)
+		fmt.Fprintf(w, "blessed %d hashes into %s\n", len(p.golden), goldenPath)
 		return nil
 	}
 	if failed > 0 {

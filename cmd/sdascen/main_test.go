@@ -1,10 +1,14 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
 )
 
 func scenarioDir(t *testing.T) string {
@@ -91,4 +95,50 @@ func TestRepoSuitePasses(t *testing.T) {
 	if err := run([]string{"-dir", filepath.Join("..", "..", "testdata", "scenarios")}, &out); err != nil {
 		t.Fatalf("repo scenario suite failed: %v\n%s", err, out.String())
 	}
+}
+
+// TestFlagProbes pins the flag rule: an explicitly set zero, negative or
+// non-finite value is an error naming the flag, never a silent fallback
+// to the default.
+func TestFlagProbes(t *testing.T) {
+	dir := scenarioDir(t)
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-stress-scale", []string{"-stress-scale", "0"}},
+		{"-stress-scale", []string{"-stress-scale", "-3"}},
+		{"-stress-workers", []string{"-stress-workers", "-2"}},
+		{"-serve-every", []string{"-serve-every", "-4"}},
+		{"-obs-max-spans", []string{"-obs-max-spans", "0"}},
+	} {
+		var out strings.Builder
+		err := run(append([]string{"-dir", dir}, tc.args...), &out)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+	}
+}
+
+// FuzzParse drives the parse stage with argv built from the real flag
+// names over the shipped scenario directory: it must never panic, and
+// every plan it accepts must be bounded.
+func FuzzParse(f *testing.F) {
+	names := flag.NewFlagSet("names", flag.ContinueOnError)
+	parse(names, nil)
+	repo := filepath.Join("..", "..", "testdata", "scenarios")
+	f.Add([]byte{})
+	f.Add([]byte{9, 2, 10, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs := flag.NewFlagSet("sdascen", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		p, err := parse(fs, append([]string{"-dir", repo}, cli.Argv(names, data)...))
+		if err != nil {
+			return
+		}
+		if p.stressScale < 1 || p.stressWorkers < 0 || p.tel.Options().MaxSpans > cli.MaxSpans || len(p.scs) == 0 {
+			t.Fatalf("accepted an unbounded plan: scale %d, workers %d, spans %d, %d scenarios",
+				p.stressScale, p.stressWorkers, p.tel.Options().MaxSpans, len(p.scs))
+		}
+	})
 }

@@ -10,118 +10,103 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
-	"time"
 
+	"repro/internal/cli"
 	"repro/internal/exp"
 	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/obs/serve"
-	"repro/internal/sda"
 	"repro/internal/sim"
 	"repro/internal/simtime"
 	"repro/internal/workload"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "sdasim:", err)
-		os.Exit(1)
-	}
+func main() { cli.Main("sdasim", parse) }
+
+func run(args []string) error { return cli.Run("sdasim", parse, args, os.Stdout) }
+
+// maxShape caps -stages and -branches: every global task builds that
+// many stages or gates up front.
+const maxShape = 1 << 10
+
+// plan is a validated sdasim invocation.
+type plan struct {
+	cfg                sim.Config
+	tel                *cli.Telemetry
+	recordTo, replayOf string
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("sdasim", flag.ContinueOnError)
+// parse registers the flags on fs and reads and validates args; it
+// starts nothing and writes no file.
+func parse(fs *flag.FlagSet, args []string) (*plan, error) {
+	def := sim.Default()
+	def.Duration = 50000
+	wl := cli.AddWorkload(fs, def)
+	c := &wl.Cfg
+	p := &plan{tel: cli.AddTelemetry(fs, "instrument the run with telemetry and export the cross-replication merge (spans/exemplars/metrics/dashboard/summary) into this directory")}
+	fs.Float64Var(&c.Spec.FracLocal, "frac-local", c.Spec.FracLocal, "fraction of load due to local tasks")
+	fs.Float64Var(&c.Spec.SlackMin, "slack-min", c.Spec.SlackMin, "minimum task slack")
+	fs.Float64Var(&c.Spec.SlackMax, "slack-max", c.Spec.SlackMax, "maximum task slack")
+	fs.Float64Var(&c.Spec.GlobalSlackMin, "global-slack-min", 0, "global-task slack minimum (0 = use local range)")
+	fs.Float64Var(&c.Spec.GlobalSlackMax, "global-slack-max", 0, "global-task slack maximum (0 = use local range)")
+	fs.Float64Var((*float64)(&c.Duration), "duration", float64(c.Duration), "measured simulated time per replication")
+	fs.Float64Var((*float64)(&c.Warmup), "warmup", float64(c.Warmup), "warmup time (not measured)")
+	fs.IntVar(&c.Replications, "reps", c.Replications, "independent replications")
+	fs.IntVar(&c.Workers, "workers", 1, "replications run concurrently (results and merged telemetry are identical at any worker count)")
+	fs.IntVar(&c.Servers, "servers", 1, "servers per node (M/M/c extension)")
 	var (
-		k         = fs.Int("k", 6, "number of nodes")
-		n         = fs.Int("n", 4, "parallel subtasks per global task")
-		load      = fs.Float64("load", 0.5, "normalized load (0 <= load < 1 for stability)")
-		fracLocal = fs.Float64("frac-local", 0.75, "fraction of load due to local tasks")
-		slackMin  = fs.Float64("slack-min", 1.25, "minimum task slack")
-		slackMax  = fs.Float64("slack-max", 5.0, "maximum task slack")
-		gSlackMin = fs.Float64("global-slack-min", 0, "global-task slack minimum (0 = use local range)")
-		gSlackMax = fs.Float64("global-slack-max", 0, "global-task slack maximum (0 = use local range)")
 		factory   = fs.String("factory", "parallel", "global task shape: parallel | uniform | serial | layered | forkjoin | cond")
 		stages    = fs.Int("stages", 5, "stages for -factory serial/forkjoin/cond, layers for -factory layered")
 		edgeProb  = fs.Float64("edge-prob", 0.3, "extra-edge probability for -factory layered")
 		crossProb = fs.Float64("cross-prob", 0.3, "stage-skip edge probability for -factory forkjoin")
 		branches  = fs.Int("branches", 2, "gates per conditional fork for -factory cond")
 		probsFlag = fs.String("branch-probs", "", "comma-separated branch probabilities for -factory cond (each in (0,1], summing to 1; empty = uniform)")
-		sspName   = fs.String("ssp", "UD", "serial strategy: "+strings.Join(sda.SSPNames(), " | "))
-		pspName   = fs.String("psp", "UD", "parallel strategy: "+strings.Join(sda.PSPNames(), " | "))
 		abort     = fs.String("abort", "none", "abortion: none | pm | local")
 		policy    = fs.String("policy", "edf", "local queue policy: edf | llf | sjf | fifo")
 		estimator = fs.String("estimator", "exact", "pex model: exact | mean | noisy:<factor>")
-		duration  = fs.Float64("duration", 50000, "measured simulated time per replication")
-		warmup    = fs.Float64("warmup", 1000, "warmup time (not measured)")
-		reps      = fs.Int("reps", 2, "independent replications")
-		workers   = fs.Int("workers", 1, "replications run concurrently (results and merged telemetry are identical at any worker count)")
-		servers   = fs.Int("servers", 1, "servers per node (M/M/c extension)")
-		seed      = fs.Uint64("seed", 1, "master random seed")
-		recordTo  = fs.String("record-trace", "", "write the synthesized arrival trace to this file and exit")
-		replayOf  = fs.String("replay-trace", "", "drive the simulation from a recorded trace file")
-		obsDir    = fs.String("obs", "", "instrument the run with telemetry and export the cross-replication merge (spans/exemplars/metrics/dashboard/summary) into this directory")
-		obsSpans  = fs.Int("obs-max-spans", 0, "per-replication span retention budget (0 = default 65536); the merged export trims to the same budget")
-		serveAddr = fs.String("serve", "", "serve live telemetry over HTTP on this address (e.g. :8080); implies telemetry")
-		serveEvry = fs.Int("serve-every", serve.DefaultEvery, "publish a live snapshot every N sampler ticks")
-		serveHold = fs.Duration("serve-hold", 0, "keep the observability server up this long after the run")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
+	fs.StringVar(&p.recordTo, "record-trace", "", "write the synthesized arrival trace to this file and exit")
+	fs.StringVar(&p.replayOf, "replay-trace", "", "drive the simulation from a recorded trace file")
+	rule := cli.Rule{
+		ZeroOK: []string{"frac-local", "warmup", "edge-prob", "cross-prob"},
+		Max:    map[string]float64{"stages": maxShape, "branches": maxShape},
 	}
-
-	cfg := sim.Default()
-	cfg.Spec.K = *k
-	cfg.Spec.Load = *load
-	cfg.Spec.FracLocal = *fracLocal
-	cfg.Spec.SlackMin = *slackMin
-	cfg.Spec.SlackMax = *slackMax
-	cfg.Spec.GlobalSlackMin = *gSlackMin
-	cfg.Spec.GlobalSlackMax = *gSlackMax
-	cfg.Duration = simtime.Duration(*duration)
-	cfg.Warmup = simtime.Duration(*warmup)
-	cfg.Replications = *reps
-	cfg.Workers = *workers
-	cfg.Seed = *seed
-	cfg.Servers = *servers
-
+	if err := cli.Parse(fs, args, rule); err != nil {
+		return nil, err
+	}
+	cfg, err := wl.Config()
+	if err != nil {
+		return nil, err
+	}
+	n := wl.N
 	switch *factory {
 	case "parallel":
-		cfg.Spec.Factory = workload.FixedParallel{N: *n}
 	case "uniform":
-		cfg.Spec.Factory = workload.UniformParallel{Min: 2, Max: *n}
+		cfg.Spec.Factory = workload.UniformParallel{Min: 2, Max: n}
 	case "serial":
-		cfg.Spec.Factory = workload.SerialParallel{Stages: *stages, Fanout: *n}
+		cfg.Spec.Factory = workload.SerialParallel{Stages: *stages, Fanout: n}
 	case "layered":
 		cfg.Spec.Factory = nil
-		cfg.Spec.DagFactory = workload.LayeredDag{Layers: *stages, MinWidth: 1, MaxWidth: *n, EdgeProb: *edgeProb}
+		cfg.Spec.DagFactory = workload.LayeredDag{Layers: *stages, MinWidth: 1, MaxWidth: n, EdgeProb: *edgeProb}
 	case "forkjoin":
 		cfg.Spec.Factory = nil
-		cfg.Spec.DagFactory = workload.ForkJoinDag{Stages: *stages, Fanout: *n, CrossProb: *crossProb}
+		cfg.Spec.DagFactory = workload.ForkJoinDag{Stages: *stages, Fanout: n, CrossProb: *crossProb}
 	case "cond":
 		probs, err := parseProbs(*probsFlag)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		cfg.Spec.Factory = nil
-		cfg.Spec.DagFactory = workload.ConditionalDag{Stages: *stages, Branches: *branches, Width: *n, Probs: probs}
+		cfg.Spec.DagFactory = workload.ConditionalDag{Stages: *stages, Branches: *branches, Width: n, Probs: probs}
 	default:
-		return fmt.Errorf("unknown factory %q", *factory)
+		return nil, fmt.Errorf("flag -factory: unknown factory %q", *factory)
 	}
 
-	est, err := parseEstimator(*estimator)
-	if err != nil {
-		return err
-	}
-	cfg.Spec.Estimator = est
-
-	if cfg.SSP, err = sda.ParseSSP(*sspName); err != nil {
-		return err
-	}
-	if cfg.PSP, err = sda.ParsePSP(*pspName); err != nil {
-		return err
+	if cfg.Spec.Estimator, err = parseEstimator(*estimator); err != nil {
+		return nil, err
 	}
 
 	switch *abort {
@@ -132,65 +117,46 @@ func run(args []string) error {
 	case "local":
 		cfg.Abort = sim.AbortLocalScheduler
 	default:
-		return fmt.Errorf("unknown abort mode %q", *abort)
+		return nil, fmt.Errorf("flag -abort: unknown abort mode %q", *abort)
 	}
 
 	pol, ok := node.ParsePolicy(*policy)
 	if !ok {
-		return fmt.Errorf("unknown policy %q", *policy)
+		return nil, fmt.Errorf("flag -policy: unknown policy %q", *policy)
 	}
 	cfg.Policy = pol
 
 	// Telemetry rides on the run itself: it never perturbs results, and
 	// observed replications still execute on all -workers (each owns a
 	// private shard; shards merge deterministically into Result.Obs).
-	if *obsDir != "" || *serveAddr != "" {
-		cfg.Obs = obs.Options{Enabled: true, MaxSpans: *obsSpans}
+	cfg.Obs = p.tel.Options()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
+	p.cfg = cfg
+	return p, nil
+}
 
+// Execute runs the plan: record a trace, replay one, or simulate.
+func (p *plan) Execute(w io.Writer) error {
+	cfg := p.cfg
 	// Live observability: every replication attaches its own sampler hook
 	// and publishes its final snapshot when it finishes, so /metrics,
 	// /progress and /summary aggregate across replications — including
 	// concurrent ones. Publishing happens inside existing read-only
 	// sampler ticks, so results are bit-identical with and without -serve.
-	var (
-		srv  *serve.Server
-		info serve.RunInfo
-	)
-	if *serveAddr != "" {
-		hub := serve.NewHub(0)
-		s, err := serve.Start(*serveAddr, hub)
-		if err != nil {
-			return err
-		}
-		srv = s
-		defer srv.Close()
-		fmt.Printf("live telemetry on http://%s (endpoints: /metrics /progress /spans /blame)\n", srv.Addr())
-		info = serve.RunInfo{
-			Label:        cfg.Name(),
-			Replications: cfg.Replications,
-			Horizon:      float64(cfg.Warmup + cfg.Duration),
-		}
-		cfg.OnReplication = func(sys *sim.System) {
-			hub.Attach(sys.Telemetry(), info, *serveEvry)
-		}
-		cfg.OnReplicationDone = func(sys *sim.System) {
-			hub.Publish(sys.Telemetry(), info, float64(sys.Horizon()), true)
-		}
-		defer func() {
-			if *serveHold > 0 {
-				fmt.Printf("holding observability server for %v\n", *serveHold)
-				time.Sleep(*serveHold)
-			}
-		}()
+	if err := p.tel.Start(w); err != nil {
+		return err
 	}
+	defer p.tel.Close()
+	info := p.tel.Hook(&cfg)
 
-	if *recordTo != "" {
+	if p.recordTo != "" {
 		arrivals, err := workload.Synthesize(cfg.Spec, cfg.Seed, simtime.Time(cfg.Warmup+cfg.Duration))
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(*recordTo)
+		f, err := os.Create(p.recordTo)
 		if err != nil {
 			return err
 		}
@@ -198,12 +164,12 @@ func run(args []string) error {
 		if err := workload.WriteTrace(f, arrivals); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d arrivals to %s\n", len(arrivals), *recordTo)
+		fmt.Fprintf(w, "wrote %d arrivals to %s\n", len(arrivals), p.recordTo)
 		return nil
 	}
 
-	if *replayOf != "" {
-		f, err := os.Open(*replayOf)
+	if p.replayOf != "" {
+		f, err := os.Open(p.replayOf)
 		if err != nil {
 			return err
 		}
@@ -215,26 +181,22 @@ func run(args []string) error {
 		// Replay builds one system directly, so the live hub attaches via
 		// OnSystem and the final snapshot publishes after the replay.
 		var replayTel *obs.Telemetry
-		if srv != nil {
-			cfg.OnSystem = func(sys *sim.System) {
-				replayTel = sys.Telemetry()
-				srv.Hub().Attach(replayTel, info, *serveEvry)
-			}
+		cfg.OnSystem = func(sys *sim.System) {
+			replayTel = sys.Telemetry()
+			p.tel.Attach(replayTel, info)
 		}
 		rep, err := sim.ReplayTrace(cfg, arrivals)
 		if err != nil {
 			return err
 		}
-		if srv != nil && replayTel != nil {
-			srv.Hub().Publish(replayTel, info, info.Horizon, true)
-		}
-		fmt.Printf("replayed %d arrivals from %s\n", len(arrivals), *replayOf)
-		fmt.Printf("tasks counted   %d locals, %d globals\n", rep.Locals, rep.Globals)
-		fmt.Printf("MD_local        %.4f\n", rep.MDLocal)
-		fmt.Printf("MD_subtask      %.4f\n", rep.MDSubtask)
-		fmt.Printf("MD_global       %.4f\n", rep.MDGlobal)
-		fmt.Printf("missed work     %.4f\n", rep.MissedWork)
-		fmt.Printf("utilization     %.4f\n", rep.Utilization)
+		p.tel.Publish(replayTel, info, info.Horizon)
+		fmt.Fprintf(w, "replayed %d arrivals from %s\n", len(arrivals), p.replayOf)
+		fmt.Fprintf(w, "tasks counted   %d locals, %d globals\n", rep.Locals, rep.Globals)
+		fmt.Fprintf(w, "MD_local        %.4f\n", rep.MDLocal)
+		fmt.Fprintf(w, "MD_subtask      %.4f\n", rep.MDSubtask)
+		fmt.Fprintf(w, "MD_global       %.4f\n", rep.MDGlobal)
+		fmt.Fprintf(w, "missed work     %.4f\n", rep.MissedWork)
+		fmt.Fprintf(w, "utilization     %.4f\n", rep.Utilization)
 		return nil
 	}
 
@@ -242,33 +204,20 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	printReport(cfg, res)
-
-	if srv != nil {
-		// Pin the served artifacts to the exact end-of-run aggregate: from
-		// here /metrics, /summary and /blame match the merged export byte
-		// for byte.
-		srv.Hub().Finalize(res.Obs, info)
+	printReport(w, cfg, res)
+	p.tel.Finalize(res.Obs, info)
+	if p.tel.Dir == "" {
+		return nil
 	}
-	if *obsDir != "" {
-		if err := exportMerged(res.Obs, *obsDir); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// exportMerged writes the run's cross-replication telemetry merge into
-// dir: every replication's shard folded in index order, bit-identical at
-// any -workers count.
-func exportMerged(m *obs.Merged, dir string) error {
-	paths, err := m.ExportDir(dir)
+	// The export is the cross-replication merge: every replication's
+	// shard folded in index order, bit-identical at any -workers count.
+	paths, err := res.Obs.ExportDir(p.tel.Dir)
 	if err != nil {
 		return err
 	}
-	fmt.Println()
-	fmt.Print(m.Snapshot().Summary())
-	fmt.Printf("telemetry exported: %s\n", strings.Join(paths, " "))
+	fmt.Fprintln(w)
+	fmt.Fprint(w, res.Obs.Snapshot().Summary())
+	fmt.Fprintf(w, "telemetry exported: %s\n", strings.Join(paths, " "))
 	return nil
 }
 
@@ -282,7 +231,7 @@ func parseProbs(s string) ([]float64, error) {
 	probs := make([]float64, len(parts))
 	for i, p := range parts {
 		if _, err := fmt.Sscanf(strings.TrimSpace(p), "%g", &probs[i]); err != nil {
-			return nil, fmt.Errorf("bad branch probability %q in %q", p, s)
+			return nil, fmt.Errorf("flag -branch-probs: bad branch probability %q in %q", p, s)
 		}
 	}
 	return probs, nil
@@ -298,36 +247,36 @@ func parseEstimator(s string) (workload.Estimator, error) {
 		var f float64
 		// Negated so that NaN fails too; an infinite factor fails the bound.
 		if _, err := fmt.Sscanf(s, "noisy:%g", &f); err != nil || !(f > 0 && f <= math.MaxFloat64) {
-			return nil, fmt.Errorf("bad noisy estimator %q (want noisy:<factor>)", s)
+			return nil, fmt.Errorf("flag -estimator: bad noisy estimator %q (want noisy:<factor>)", s)
 		}
 		return workload.Noisy{Factor: f}, nil
 	default:
-		return nil, fmt.Errorf("unknown estimator %q", s)
+		return nil, fmt.Errorf("flag -estimator: unknown estimator %q", s)
 	}
 }
 
-func printReport(cfg sim.Config, res sim.Result) {
-	fmt.Println(exp.Table1())
-	fmt.Printf("strategy        %s\n", cfg.Name())
-	fmt.Printf("workload        %s  load=%g  frac_local=%g  k=%d\n",
+func printReport(w io.Writer, cfg sim.Config, res sim.Result) {
+	fmt.Fprintln(w, exp.Table1())
+	fmt.Fprintf(w, "strategy        %s\n", cfg.Name())
+	fmt.Fprintf(w, "workload        %s  load=%g  frac_local=%g  k=%d\n",
 		cfg.Spec.FactoryName(), cfg.Spec.Load, cfg.Spec.FracLocal, cfg.Spec.K)
-	fmt.Printf("abort           %s    queue %s\n", cfg.Abort, cfg.Policy.Name())
-	fmt.Printf("replications    %d x %v time units (warmup %v)\n",
+	fmt.Fprintf(w, "abort           %s    queue %s\n", cfg.Abort, cfg.Policy.Name())
+	fmt.Fprintf(w, "replications    %d x %v time units (warmup %v)\n",
 		cfg.Replications, cfg.Duration, cfg.Warmup)
-	fmt.Println()
-	fmt.Printf("tasks counted   %d locals, %d globals\n", res.Locals, res.Globals)
-	fmt.Printf("MD_local        %s\n", res.MDLocal)
-	fmt.Printf("MD_subtask      %s\n", res.MDSubtask)
-	fmt.Printf("MD_global       %s\n", res.MDGlobal)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "tasks counted   %d locals, %d globals\n", res.Locals, res.Globals)
+	fmt.Fprintf(w, "MD_local        %s\n", res.MDLocal)
+	fmt.Fprintf(w, "MD_subtask      %s\n", res.MDSubtask)
+	fmt.Fprintf(w, "MD_global       %s\n", res.MDGlobal)
 	if len(res.MDGlobalBy) > 1 {
 		for n := 2; n <= 16; n++ {
 			if iv, ok := res.MDGlobalBy[n]; ok {
-				fmt.Printf("MD_global(n=%d)  %s\n", n, iv)
+				fmt.Fprintf(w, "MD_global(n=%d)  %s\n", n, iv)
 			}
 		}
 	}
-	fmt.Printf("missed work     %s\n", res.MissedWork)
-	fmt.Printf("utilization     %s\n", res.Utilization)
-	fmt.Printf("resp local      mean %s   p95 %s\n", res.RespLocalMean, res.RespLocalP95)
-	fmt.Printf("resp global     mean %s   p95 %s\n", res.RespGlobalMean, res.RespGlobalP95)
+	fmt.Fprintf(w, "missed work     %s\n", res.MissedWork)
+	fmt.Fprintf(w, "utilization     %s\n", res.Utilization)
+	fmt.Fprintf(w, "resp local      mean %s   p95 %s\n", res.RespLocalMean, res.RespLocalP95)
+	fmt.Fprintf(w, "resp global     mean %s   p95 %s\n", res.RespGlobalMean, res.RespGlobalP95)
 }

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/obs"
 )
 
@@ -130,4 +133,46 @@ func TestSimRecordAndReplay(t *testing.T) {
 	if err := run([]string{"-replay-trace", filepath.Join(dir, "missing.txt")}); err == nil {
 		t.Error("missing trace file should error")
 	}
+}
+
+// TestSimFlagProbes pins the flag rule: an explicitly set zero, negative
+// or non-finite value is an error naming the flag, never a silent
+// fallback to the default.
+func TestSimFlagProbes(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-workers", []string{"-workers", "-3"}},
+		{"-obs-max-spans", []string{"-obs-max-spans", "-5"}},
+		{"-serve-every", []string{"-serve-every", "0"}},
+		{"-serve-every", []string{"-serve-every", "-4"}},
+		{"-reps", []string{"-reps", "0"}},
+		{"-stages", []string{"-factory", "serial", "-stages", "100000000"}},
+	} {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+	}
+}
+
+// FuzzParse drives the parse stage with argv built from the real flag
+// names: it must never panic, and every plan it accepts must be bounded.
+func FuzzParse(f *testing.F) {
+	names := flag.NewFlagSet("names", flag.ContinueOnError)
+	parse(names, nil)
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 2, 3, 4, 8})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs := flag.NewFlagSet("sdasim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		p, err := parse(fs, cli.Argv(names, data))
+		if err != nil {
+			return
+		}
+		if err := cli.Bounded(p.cfg); err != nil {
+			t.Fatalf("accepted an unbounded plan: %v", err)
+		}
+	})
 }

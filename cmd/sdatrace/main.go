@@ -26,8 +26,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
+	"repro/internal/cli"
 	"repro/internal/obs"
 	"repro/internal/obs/tracetree"
 	"repro/internal/sda"
@@ -37,82 +37,85 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "sdatrace:", err)
-		os.Exit(1)
-	}
+func main() { cli.Main("sdatrace", parse) }
+
+func run(args []string, w io.Writer) error { return cli.Run("sdatrace", parse, args, w) }
+
+// maxWidth caps -width: the chart holds a row of that many columns per
+// node in memory.
+const maxWidth = 10000
+
+// plan is a validated sdatrace invocation.
+type plan struct {
+	cfg                  sim.Config
+	n, width             int
+	showLog, jsonl       bool
+	chromePath, treePath string
 }
 
-func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("sdatrace", flag.ContinueOnError)
-	var (
-		k       = fs.Int("k", 3, "number of nodes")
-		n       = fs.Int("n", 3, "parallel subtasks per global task")
-		load    = fs.Float64("load", 0.7, "normalized load")
-		pspName = fs.String("psp", "DIV-1", "parallel strategy")
-		sspName = fs.String("ssp", "UD", "serial strategy")
-		until   = fs.Float64("until", 30, "traced simulated time")
-		width   = fs.Int("width", 100, "gantt width in columns")
-		showLog = fs.Bool("log", false, "print the raw event log instead of the chart")
-		jsonl   = fs.Bool("jsonl", false, "print the event log as JSON lines (shared telemetry record schema)")
-		seed    = fs.Uint64("seed", 7, "random seed")
-
-		chromePath = fs.String("chrome", "", "assemble the causal trace and write it as a Chrome trace-event JSON file (load in Perfetto)")
-		treePath   = fs.String("tree", "", "assemble the causal trace and write the trace trees as JSONL")
-		maxSpans   = fs.Int("obs-max-spans", 0, "span retention budget for -chrome/-tree (0 = default); eviction degrades the trace deterministically")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
+// parse registers the flags on fs and reads and validates args; it runs
+// nothing and writes no file.
+func parse(fs *flag.FlagSet, args []string) (*plan, error) {
+	def := sim.Default()
+	def.Spec.K, def.Spec.Load, def.Spec.Factory = 3, 0.7, workload.FixedParallel{N: 3}
+	def.PSP, def.Seed = sda.MustDiv(1), 7
+	def.Duration, def.Warmup, def.Replications = 30, 0, 1
+	wl := cli.AddWorkload(fs, def)
+	p := &plan{}
+	fs.Float64Var((*float64)(&wl.Cfg.Duration), "until", 30, "traced simulated time")
+	fs.IntVar(&p.width, "width", 100, fmt.Sprintf("gantt width in columns (at most %d)", maxWidth))
+	fs.BoolVar(&p.showLog, "log", false, "print the raw event log instead of the chart")
+	fs.BoolVar(&p.jsonl, "jsonl", false, "print the event log as JSON lines (shared telemetry record schema)")
+	fs.StringVar(&p.chromePath, "chrome", "", "assemble the causal trace and write it as a Chrome trace-event JSON file (load in Perfetto)")
+	fs.StringVar(&p.treePath, "tree", "", "assemble the causal trace and write the trace trees as JSONL")
+	fs.IntVar(&wl.Cfg.Obs.MaxSpans, "obs-max-spans", 0, "span retention budget for -chrome/-tree (0 = default); eviction degrades the trace deterministically")
+	if err := cli.Parse(fs, args, cli.Rule{Max: map[string]float64{"width": maxWidth}}); err != nil {
+		return nil, err
 	}
-	wantTrace := *chromePath != "" || *treePath != ""
-	if wantTrace && (*showLog || *jsonl) {
-		return errors.New("-chrome/-tree conflict with -log/-jsonl: the causal trace replaces the event log")
+	if (p.chromePath != "" || p.treePath != "") && (p.showLog || p.jsonl) {
+		return nil, errors.New("-chrome/-tree conflict with -log/-jsonl: the causal trace replaces the event log")
 	}
-
-	cfg := sim.Default()
-	cfg.Spec.K = *k
-	cfg.Spec.Load = *load
-	cfg.Spec.Factory = workload.FixedParallel{N: *n}
-	cfg.Duration = simtime.Duration(*until)
-	cfg.Warmup = 0
-	cfg.Replications = 1
-
 	var err error
-	if cfg.PSP, err = sda.ParsePSP(*pspName); err != nil {
-		return err
+	if p.cfg, err = wl.Config(); err != nil {
+		return nil, err
 	}
-	if cfg.SSP, err = sda.ParseSSP(*sspName); err != nil {
-		return err
+	p.n = wl.N
+	p.cfg.Obs.Enabled = p.chromePath != "" || p.treePath != ""
+	if err := p.cfg.Validate(); err != nil {
+		return nil, err
 	}
+	return p, nil
+}
 
-	if wantTrace {
-		return runTrace(cfg, *seed, *maxSpans, *chromePath, *treePath, w)
+// Execute runs the plan: the causal trace with -chrome or -tree, else
+// one traced replication rendered as the event log or the Gantt chart.
+func (p *plan) Execute(w io.Writer) error {
+	if p.cfg.Obs.Enabled {
+		return p.runTrace(w)
 	}
-
+	cfg := p.cfg
 	tr := trace.New()
 	cfg.Observer = tr
-	if _, err := sim.RunOne(cfg, *seed); err != nil {
+	if _, err := sim.RunOne(cfg, cfg.Seed); err != nil {
 		return err
 	}
-	if *jsonl {
+	if p.jsonl {
 		return tr.WriteJSONL(w)
 	}
-	if *showLog {
+	if p.showLog {
 		fmt.Fprint(w, tr.Log())
 		return nil
 	}
 	fmt.Fprintf(w, "strategy %s-%s, load %g, k=%d, n=%d (seed %d)\n\n",
-		cfg.SSP.Name(), cfg.PSP.Name(), *load, *k, *n, *seed)
-	fmt.Fprint(w, tr.Gantt(0, simtime.Time(*until), *width))
+		cfg.SSP.Name(), cfg.PSP.Name(), cfg.Spec.Load, cfg.Spec.K, p.n, cfg.Seed)
+	fmt.Fprint(w, tr.Gantt(0, simtime.Time(cfg.Duration), p.width))
 	return nil
 }
 
 // runTrace runs one telemetry-instrumented replication and exports the
 // assembled causal trace.
-func runTrace(cfg sim.Config, seed uint64, maxSpans int, chromePath, treePath string, w io.Writer) error {
-	cfg.Obs = obs.Options{Enabled: true, MaxSpans: maxSpans}
-	sys, err := sim.NewSystem(cfg, seed)
+func (p *plan) runTrace(w io.Writer) error {
+	sys, err := sim.NewSystem(p.cfg, p.cfg.Seed)
 	if err != nil {
 		return err
 	}
@@ -128,29 +131,10 @@ func runTrace(cfg sim.Config, seed uint64, maxSpans int, chromePath, treePath st
 	recs = append(recs, tel.Edges()...)
 	forest := tracetree.Build(recs)
 	if len(forest.Trees) == 0 {
-		return fmt.Errorf("empty run: no global-task spans to assemble (until=%v, load=%g)", cfg.Duration, cfg.Spec.Load)
+		return fmt.Errorf("empty run: no global-task spans to assemble (until=%v, load=%g)", p.cfg.Duration, p.cfg.Spec.Load)
 	}
-
-	export := func(path string, write func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if treePath != "" {
-		if err := export(treePath, forest.WriteTrees); err != nil {
-			return err
-		}
-	}
-	if chromePath != "" {
-		if err := export(chromePath, forest.WriteChrome); err != nil {
-			return err
-		}
+	if err := forest.WriteFiles(p.treePath, p.chromePath); err != nil {
+		return err
 	}
 	links := 0
 	for _, t := range forest.Trees {
@@ -158,11 +142,11 @@ func runTrace(cfg sim.Config, seed uint64, maxSpans int, chromePath, treePath st
 	}
 	fmt.Fprintf(w, "causal trace: %d trees, %d spans, %d links (%d orphan spans, %d dropped edges, %d evicted spans)\n",
 		len(forest.Trees), len(spans), links, forest.Orphans, forest.Dropped, tel.DroppedSpans())
-	if treePath != "" {
-		fmt.Fprintf(w, "trees:  %s\n", treePath)
+	if p.treePath != "" {
+		fmt.Fprintf(w, "trees:  %s\n", p.treePath)
 	}
-	if chromePath != "" {
-		fmt.Fprintf(w, "chrome: %s (open in https://ui.perfetto.dev)\n", chromePath)
+	if p.chromePath != "" {
+		fmt.Fprintf(w, "chrome: %s (open in https://ui.perfetto.dev)\n", p.chromePath)
 	}
 	return nil
 }

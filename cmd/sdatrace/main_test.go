@@ -4,11 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/cli"
 )
 
 func TestTraceGantt(t *testing.T) {
@@ -123,4 +127,45 @@ func TestTraceExports(t *testing.T) {
 	if doc.DisplayTimeUnit != "ms" || len(doc.TraceEvents) == 0 {
 		t.Errorf("chrome export: displayTimeUnit=%q, %d events", doc.DisplayTimeUnit, len(doc.TraceEvents))
 	}
+}
+
+// TestTraceFlagProbes pins the flag rule on -width, whose runaway value
+// once ran out of memory; each case runs under a deadline.
+func TestTraceFlagProbes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-width", "100000000000"},
+		{"-width", "0"},
+		{"-width", "-5"},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- run(args, io.Discard) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "-width") {
+				t.Errorf("%v: err = %v, want an error naming -width", args, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%v: still running after 30s", args)
+		}
+	}
+}
+
+// FuzzParse drives the parse stage with argv built from the real flag
+// names: it must never panic, and every plan it accepts must be bounded.
+func FuzzParse(f *testing.F) {
+	names := flag.NewFlagSet("names", flag.ContinueOnError)
+	parse(names, nil)
+	f.Add([]byte{})
+	f.Add([]byte{12, 2, 3, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs := flag.NewFlagSet("sdatrace", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		p, err := parse(fs, cli.Argv(names, data))
+		if err != nil {
+			return
+		}
+		if err := cli.Bounded(p.cfg); err != nil || p.width < 1 || p.width > maxWidth {
+			t.Fatalf("accepted an unbounded plan (width %d): %v", p.width, err)
+		}
+	})
 }

@@ -68,7 +68,7 @@ func exportFiles(dir string, files []exportFile) ([]string, error) {
 	paths := make([]string, 0, len(files))
 	for _, ef := range files {
 		path := filepath.Join(dir, ef.name)
-		if err := writeFile(path, ef.write); err != nil {
+		if err := WriteFile(path, ef.write); err != nil {
 			return paths, fmt.Errorf("obs: export %s: %w", ef.name, err)
 		}
 		paths = append(paths, path)
@@ -76,9 +76,9 @@ func exportFiles(dir string, files []exportFile) ([]string, error) {
 	return paths, nil
 }
 
-// writeFile creates path and renders it through a buffered writer,
+// WriteFile creates path and renders it through a buffered writer,
 // flushing and closing with their errors checked.
-func writeFile(path string, render func(w io.Writer) error) error {
+func WriteFile(path string, render func(w io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -366,6 +366,21 @@ func writeTree(w io.Writer, buf []byte, t *Tree) ([]byte, error) {
 	return buf, err
 }
 
+// WriteFiles writes the trees (WriteTrees) to treePath and the Chrome
+// trace (WriteChrome) to chromePath, in that order; an empty path skips
+// its file.
+func (f *Forest) WriteFiles(treePath, chromePath string) error {
+	if treePath != "" {
+		if err := obs.WriteFile(treePath, f.WriteTrees); err != nil {
+			return err
+		}
+	}
+	if chromePath != "" {
+		return obs.WriteFile(chromePath, f.WriteChrome)
+	}
+	return nil
+}
+
 // WriteTrees writes the forest as JSONL: one tree per line, trees in
 // (replication, root id) order, children nested by span id. The output
 // is a pure function of the input records.

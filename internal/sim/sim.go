@@ -219,6 +219,17 @@ const MaxServers = 1 << 20
 // units, expects about 1.8e7 tasks.
 const MaxTasks = 1e8
 
+// MaxSamples caps Obs.MaxSamples. The telemetry sampler allocates
+// MaxSamples slots per series (one per node plus three) before the run
+// starts, so a typo such as -max-samples 100000000000 is an error, not an
+// out-of-memory crash. It is 256 times the default of 4096.
+const MaxSamples = 1 << 20
+
+// ErrSampler marks a Validate failure of the enabled telemetry sampler:
+// a non-finite Obs.SampleEvery, more than MaxTasks expected sampler ticks
+// per replication, or Obs.MaxSamples past MaxSamples.
+var ErrSampler = errors.New("sim: telemetry sampler")
+
 // Validate checks the configuration. The comparisons are negated so that
 // a NaN field fails them.
 func (c Config) Validate() error {
@@ -238,6 +249,17 @@ func (c Config) Validate() error {
 	}
 	if c.Replications < 1 {
 		return fmt.Errorf("sim: replications %d must be >= 1", c.Replications)
+	}
+	if o := c.Obs; o.Enabled {
+		every := float64(o.SampleEvery) // <= 0 selects obs's default cadence
+		switch ticks := float64(c.Warmup+c.Duration) / every; {
+		case math.IsNaN(every) || math.IsInf(every, 0):
+			return fmt.Errorf("%w: SampleEvery %v must be finite", ErrSampler, every)
+		case every > 0 && !(ticks <= MaxTasks):
+			return fmt.Errorf("%w: sampling every %v makes about %.3g ticks per replication, past the cap of %.0g", ErrSampler, every, ticks, float64(MaxTasks))
+		case o.MaxSamples > MaxSamples:
+			return fmt.Errorf("%w: MaxSamples %d is past the cap of %d", ErrSampler, o.MaxSamples, MaxSamples)
+		}
 	}
 	switch c.Abort {
 	case AbortNone, AbortProcessManager, AbortLocalScheduler:

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/sda"
 	"repro/internal/simtime"
 	"repro/internal/workload"
@@ -255,6 +256,13 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Spec.K = 1_000_000; c.Duration = 1_000_000 },
 		func(c *Config) { c.Spec.Load = math.Inf(1) },
 		func(c *Config) { c.Spec.MeanLocalExec = 1e-300 },
+		// An enabled sampler: non-finite cadence, past MaxTasks ticks, or
+		// a ring past MaxSamples.
+		func(c *Config) { c.Obs = obs.Options{Enabled: true, SampleEvery: simtime.Duration(math.NaN())} },
+		func(c *Config) { c.Obs = obs.Options{Enabled: true, SampleEvery: simtime.Duration(math.Inf(1))} },
+		func(c *Config) { c.Obs = obs.Options{Enabled: true, SampleEvery: 1e-300} },
+		func(c *Config) { c.Obs = obs.Options{Enabled: true, SampleEvery: 1e-4} },
+		func(c *Config) { c.Obs = obs.Options{Enabled: true, MaxSamples: MaxSamples + 1} },
 	}
 	for i, mut := range bad {
 		cfg := Default()
@@ -268,6 +276,19 @@ func TestConfigValidation(t *testing.T) {
 		}
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+	// A disabled sampler is not checked, and the default cadence and a
+	// ring at the cap are fine.
+	for _, o := range []obs.Options{
+		{SampleEvery: simtime.Duration(math.NaN()), MaxSamples: MaxSamples + 1},
+		{Enabled: true},
+		{Enabled: true, SampleEvery: -1, MaxSamples: MaxSamples},
+	} {
+		cfg := Default()
+		cfg.Obs = o
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("obs %+v: %v", o, err)
 		}
 	}
 }
