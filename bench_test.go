@@ -587,6 +587,50 @@ func BenchmarkRNGFleetStreams(b *testing.B) {
 	}
 }
 
+// --- Task construction -------------------------------------------------------
+
+// BenchmarkTaskBuild measures drawing one task as the workload driver
+// does, leaves from a per-run task.Slab: a Table 1 local task, a
+// parallel-4 tree, the Section 8 serial5-fan4 pipeline, and the
+// fork-join DAG of the dag-abort workload. Execution times, placement,
+// pex stamping and the deadline are included.
+func BenchmarkTaskBuild(b *testing.B) {
+	trees := []workload.Factory{
+		workload.FixedParallel{N: 4},
+		workload.SerialParallel{Stages: 5, Fanout: 4},
+	}
+	b.Run("local", func(b *testing.B) {
+		b.ReportAllocs()
+		spec := sim.Default().Spec
+		s, slab := rng.NewStream(1), new(task.Slab)
+		for i := 0; i < b.N; i++ {
+			spec.NewLocal(s, slab, i%spec.K, 0)
+		}
+	})
+	for _, f := range trees {
+		b.Run(f.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			spec := workload.Baseline(f)
+			s, slab := rng.NewStream(1), new(task.Slab)
+			for i := 0; i < b.N; i++ {
+				if _, err := spec.NewGlobal(s, slab, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("forkjoin-dag", func(b *testing.B) {
+		b.ReportAllocs()
+		spec := dagBenchSpec()
+		s, slab := rng.NewStream(1), new(task.Slab)
+		for i := 0; i < b.N; i++ {
+			if _, err := spec.NewGlobalDag(s, slab, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // --- Global task trees -----------------------------------------------------
 
 // BenchmarkSubmitGlobal measures the process manager's tree path, the twin
@@ -614,7 +658,7 @@ func BenchmarkSubmitGlobal(b *testing.B) {
 		if j == 0 {
 			b.StopTimer()
 			for k := range trees {
-				t, err := spec.NewGlobal(s, 0)
+				t, err := spec.NewGlobal(s, nil, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -651,7 +695,7 @@ func BenchmarkDagBuild(b *testing.B) {
 	spec := dagBenchSpec()
 	s := rng.NewStream(1)
 	for i := 0; i < b.N; i++ {
-		if _, err := spec.NewGlobalDag(s, 0); err != nil {
+		if _, err := spec.NewGlobalDag(s, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -681,7 +725,7 @@ func BenchmarkDagSubmit(b *testing.B) {
 		if j == 0 {
 			b.StopTimer()
 			for k := range dags {
-				d, err := spec.NewGlobalDag(s, 0)
+				d, err := spec.NewGlobalDag(s, nil, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

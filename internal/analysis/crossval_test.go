@@ -79,7 +79,7 @@ func TestRandomDagsRespectBounds(t *testing.T) {
 		if err := f.Validate(k); err != nil {
 			t.Fatalf("trial %d: randomized factory invalid: %v", trial, err)
 		}
-		d, err := f.NewDag(stream, k, func(s *rng.Stream) simtime.Duration {
+		d, err := f.NewDag(stream, nil, k, func(s *rng.Stream) simtime.Duration {
 			return simtime.Duration(s.Exp(1.0))
 		})
 		if err != nil {
@@ -142,7 +142,7 @@ func TestSpecCondActivationConvergence(t *testing.T) {
 	stream := rng.NewSplitter(77).Stream()
 	counts := make([]int, len(probs))
 	for i := 0; i < n; i++ {
-		d, err := spec.NewGlobalDag(stream, 0)
+		d, err := spec.NewGlobalDag(stream, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -220,13 +220,13 @@ func armTimeline(sys *sim.System, name string, seed uint64, events []Event, spec
 						if nodeID < 0 {
 							nodeID = stream.IntN(len(sys.Nodes))
 						}
-						t := spec.NewLocal(stream, nodeID, now)
+						t := spec.NewLocal(stream, nil, nodeID, now)
 						if err := sys.Mgr.SubmitLocal(t); err != nil {
 							panic(fmt.Sprintf("scenario: burst local: %v", err))
 						}
 					case "global":
 						if spec.DagFactory != nil {
-							g, err := spec.NewGlobalDag(stream, now)
+							g, err := spec.NewGlobalDag(stream, nil, now)
 							if err != nil {
 								panic(fmt.Sprintf("scenario: burst global DAG: %v", err))
 							}
@@ -235,7 +235,7 @@ func armTimeline(sys *sim.System, name string, seed uint64, events []Event, spec
 							}
 							continue
 						}
-						root, err := spec.NewGlobal(stream, now)
+						root, err := spec.NewGlobal(stream, nil, now)
 						if err != nil {
 							panic(fmt.Sprintf("scenario: burst global: %v", err))
 						}

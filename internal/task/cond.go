@@ -174,9 +174,10 @@ func (cd *CondDag) Validate() error {
 
 // realize builds the realization induced by choose, which is called once
 // per *active* conditional vertex in topological order and must return
-// the index of the taken out-edge. It returns the concrete Dag and the
-// per-vertex activation mask (indexed by base vertex id).
-func (cd *CondDag) realize(topo []*DagNode, choose func(n *DagNode, probs []float64) int) (*Dag, []bool) {
+// the index of the taken out-edge. It returns the concrete Dag, whose
+// vertex tasks are cloned from slab, and the per-vertex activation mask
+// (indexed by base vertex id).
+func (cd *CondDag) realize(topo []*DagNode, slab *Slab, choose func(n *DagNode, probs []float64) int) (*Dag, []bool) {
 	n := len(cd.dag.nodes)
 	active := make([]bool, n)
 	// taken[id] is the chosen out-edge index of an active conditional
@@ -217,7 +218,7 @@ func (cd *CondDag) realize(topo []*DagNode, choose func(n *DagNode, probs []floa
 		if !active[v.id] {
 			continue
 		}
-		clone[v.id] = out.MustAddTask(v.Task.Clone())
+		clone[v.id] = out.MustAddTask(slab.Clone(v.Task))
 	}
 	for _, v := range cd.dag.nodes {
 		if !active[v.id] {
@@ -249,8 +250,9 @@ func edgeTaken(p, v *DagNode, chosen int) bool {
 // out-edge with its configured probability (one Float64 draw per active
 // branch point, in topological order, so a fixed stream yields a fixed
 // realization). The result is a fresh, valid Dag of the active vertices
-// with runtime attributes reset; the original CondDag is not mutated.
-func (cd *CondDag) Realize(stream *rng.Stream) (*Dag, error) {
+// with runtime attributes reset, whose vertex tasks are drawn from slab
+// (nil allocates each on its own); the original CondDag is not mutated.
+func (cd *CondDag) Realize(stream *rng.Stream, slab *Slab) (*Dag, error) {
 	if err := cd.Validate(); err != nil {
 		return nil, err
 	}
@@ -258,7 +260,7 @@ func (cd *CondDag) Realize(stream *rng.Stream) (*Dag, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, _ := cd.realize(topo, func(_ *DagNode, probs []float64) int {
+	d, _ := cd.realize(topo, slab, func(_ *DagNode, probs []float64) int {
 		u := stream.Float64()
 		acc := 0.0
 		for i, p := range probs {
@@ -308,7 +310,7 @@ func (cd *CondDag) Realizations(limit int) ([]Realization, error) {
 		used := 0
 		fresh := -1 // number of choices available at the first fresh branch point
 		var freshProbs []float64
-		d, active := cd.realize(topo, func(n *DagNode, probs []float64) int {
+		d, active := cd.realize(topo, nil, func(n *DagNode, probs []float64) int {
 			if used < len(prefix) {
 				i := prefix[used]
 				used++

@@ -203,7 +203,7 @@ func TestRealizeFrequencies(t *testing.T) {
 	stream := rng.NewSplitter(42).Stream()
 	countA := 0
 	for i := 0; i < n; i++ {
-		d, err := cd.Realize(stream)
+		d, err := cd.Realize(stream, nil)
 		if err != nil {
 			t.Fatalf("Realize: %v", err)
 		}
@@ -230,7 +230,7 @@ func TestRealizeDeterministic(t *testing.T) {
 		stream := rng.NewSplitter(7).Stream()
 		var out []string
 		for i := 0; i < 16; i++ {
-			d, err := cd.Realize(stream)
+			d, err := cd.Realize(stream, nil)
 			if err != nil {
 				t.Fatalf("Realize: %v", err)
 			}

@@ -522,7 +522,7 @@ func TestDecomposeMatchesReference(t *testing.T) {
 		s := rng.NewStream(seed)
 		draw := draws[seed%2]
 		for _, f := range factories {
-			d, err := f.NewDag(s, 6, draw)
+			d, err := f.NewDag(s, nil, 6, draw)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", f.Name(), seed, err)
 			}

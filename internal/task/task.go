@@ -25,7 +25,8 @@ import (
 )
 
 // Kind discriminates the three task-tree node kinds of rules GT1-GT3.
-type Kind int
+// It is one byte so that it packs with Task's flags.
+type Kind uint8
 
 // Task kinds.
 const (
@@ -59,10 +60,12 @@ var (
 // Task is one node of a serial-parallel task tree together with its
 // runtime attributes. Build trees with NewSimple, NewSerial and
 // NewParallel; zero values are not valid tasks.
+//
+// The one-byte fields sit together at the end so a Task is 104 bytes on
+// 64-bit hosts (TestTaskSize); see Slab for why the size matters.
 type Task struct {
 	// Static structure.
 	Name     string
-	Kind     Kind
 	Children []*Task          // nil for simple subtasks
 	Node     int              // execution node; meaningful for simple subtasks only
 	Exec     simtime.Duration // ex(X); meaningful for simple subtasks only
@@ -72,28 +75,19 @@ type Task struct {
 	Arrival         simtime.Time // ar(X): when X became executable
 	RealDeadline    simtime.Time // true deadline X is judged against
 	VirtualDeadline simtime.Time // deadline presented to the local scheduler
-	PriorityBoost   bool         // GF band: schedule before all local tasks
 	Finish          simtime.Time // completion instant (Never until finished)
-	Aborted         bool         // true if the task was abandoned
+
+	Kind          Kind
+	PriorityBoost bool // GF band: schedule before all local tasks
+	Aborted       bool // true if the task was abandoned
 }
 
 // NewSimple returns a simple subtask (or a local task) named name, to be
 // executed at node, with real execution time ex. The predicted execution
 // time defaults to ex; callers model estimation error by overwriting Pex.
+// It is Slab.Simple on a nil slab.
 func NewSimple(name string, node int, ex simtime.Duration) (*Task, error) {
-	if ex < 0 {
-		return nil, fmt.Errorf("%w: %v", ErrNegativeExec, ex)
-	}
-	return &Task{
-		Name:            name,
-		Kind:            KindSimple,
-		Node:            node,
-		Exec:            ex,
-		Pex:             ex,
-		Finish:          simtime.Never,
-		RealDeadline:    simtime.Never,
-		VirtualDeadline: simtime.Never,
-	}, nil
+	return (*Slab)(nil).Simple(name, node, ex)
 }
 
 // MustSimple is NewSimple for statically valid arguments; it panics on
@@ -143,14 +137,9 @@ func MustParallel(name string, children ...*Task) *Task {
 }
 
 func newComposite(name string, kind Kind, children []*Task) *Task {
-	return &Task{
-		Name:            name,
-		Kind:            kind,
-		Children:        children,
-		Finish:          simtime.Never,
-		RealDeadline:    simtime.Never,
-		VirtualDeadline: simtime.Never,
-	}
+	t := pristine(name, kind, 0, 0, 0)
+	t.Children = children
+	return &t
 }
 
 func checkChildren(children []*Task) error {
@@ -320,26 +309,8 @@ func (t *Task) Validate() error {
 
 // Clone returns a deep copy of the tree with runtime attributes reset to
 // their pristine (unreleased) state. Static structure, execution times and
-// node assignments are preserved.
-func (t *Task) Clone() *Task {
-	c := &Task{
-		Name:            t.Name,
-		Kind:            t.Kind,
-		Node:            t.Node,
-		Exec:            t.Exec,
-		Pex:             t.Pex,
-		Finish:          simtime.Never,
-		RealDeadline:    simtime.Never,
-		VirtualDeadline: simtime.Never,
-	}
-	if len(t.Children) > 0 {
-		c.Children = make([]*Task, len(t.Children))
-		for i, ch := range t.Children {
-			c.Children[i] = ch.Clone()
-		}
-	}
-	return c
-}
+// node assignments are preserved. It is Slab.Clone on a nil slab.
+func (t *Task) Clone() *Task { return (*Slab)(nil).Clone(t) }
 
 // String renders the tree in the paper's bracket notation, e.g.
 // "[T1 [T2 || T3] T4]". Leaf attributes are included when informative:

@@ -244,14 +244,18 @@ func (tr *Tracer) Gantt(from, to simtime.Time, width int) string {
 	}
 	segs := tr.segments()
 	nodes := map[int]bool{}
+	// Letters cycle through the alphabet, so past 62 tasks two tasks
+	// share one; order keeps the legend in first-appearance order.
 	letters := map[string]byte{}
+	var order []string
 	alphabet := "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 	letterOf := func(task string) byte {
 		if c, ok := letters[task]; ok {
 			return c
 		}
-		c := alphabet[len(letters)%len(alphabet)]
+		c := alphabet[len(order)%len(alphabet)]
 		letters[task] = c
+		order = append(order, task)
 		return c
 	}
 	for _, e := range tr.events {
@@ -305,17 +309,8 @@ func (tr *Tracer) Gantt(from, to simtime.Time, width int) string {
 		fmt.Fprintf(&b, "node%-3d |%s|\n", id, rows[id])
 	}
 	// Legend, in first-appearance order.
-	type entry struct {
-		task   string
-		letter byte
-	}
-	var legend []entry
-	for task, c := range letters {
-		legend = append(legend, entry{task, c})
-	}
-	sort.Slice(legend, func(i, j int) bool { return legend[i].letter < legend[j].letter })
-	for _, e := range legend {
-		fmt.Fprintf(&b, "  %c = %s\n", e.letter, e.task)
+	for _, task := range order {
+		fmt.Fprintf(&b, "  %c = %s\n", letters[task], task)
 	}
 	return b.String()
 }

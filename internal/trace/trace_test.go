@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -279,5 +280,38 @@ func TestHashDeterministicAndSensitive(t *testing.T) {
 	}
 	if New().Hash() == h1 {
 		t.Error("empty trace hash collides with non-empty trace")
+	}
+}
+
+// TestGanttLegendDeterministic renders a trace of more than 62 tasks, so
+// letters repeat, and checks that the legend lists every task once in
+// first-appearance order and that the rendering is byte-identical every
+// time.
+func TestGanttLegendDeterministic(t *testing.T) {
+	const tasks = 80
+	eng := des.New()
+	tr := New()
+	n := node.New(0, eng, node.WithObserver(tr))
+	for i := 0; i < tasks; i++ {
+		if err := n.Submit(mkItem(t, fmt.Sprintf("t%d", i), simtime.Time(i+1), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run()
+	want := tr.Gantt(0, tasks, 2*tasks)
+	legend := want[strings.Index(want, "\n  ")+1:]
+	lines := strings.Split(strings.TrimSuffix(legend, "\n"), "\n")
+	if len(lines) != tasks {
+		t.Fatalf("legend has %d lines, want %d:\n%s", len(lines), tasks, legend)
+	}
+	for i, l := range []string{"  a = t0", "  9 = t61", "  a = t62", "  b = t63"} {
+		if idx := []int{0, 61, 62, 63}[i]; lines[idx] != l {
+			t.Errorf("legend line %d = %q, want %q", idx, lines[idx], l)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if got := tr.Gantt(0, tasks, 2*tasks); got != want {
+			t.Fatalf("rendering %d differs:\n%s\nfirst:\n%s", i, got, want)
+		}
 	}
 }

@@ -20,7 +20,7 @@ type DistAwareDagFactory interface {
 	// NewDagDist draws one global DAG with per-vertex execution-time
 	// distributions. Every family used must have the given mean; base is
 	// the spec-level subtask family to fall back to.
-	NewDagDist(stream *rng.Stream, k int, mean float64, base Dist) (*task.Dag, error)
+	NewDagDist(stream *rng.Stream, slab *task.Slab, k int, mean float64, base Dist) (*task.Dag, error)
 }
 
 // ConditionalDag builds probabilistic conditional fork-join pipelines
@@ -88,14 +88,15 @@ func (f ConditionalDag) branchProbs() []float64 {
 }
 
 // Template builds the full conditional DAG — every gate of every fork —
-// with freshly drawn execution times and node placements. Realize on the
-// result (or NewDag, which does both) yields the concrete task.
-func (f ConditionalDag) Template(stream *rng.Stream, k int, draw ExecSampler) (*task.CondDag, error) {
-	return f.template(stream, k, draw, draw)
+// with freshly drawn execution times and node placements, drawing its
+// vertices' tasks from slab. Realize on the result (or NewDag, which does
+// both) yields the concrete task.
+func (f ConditionalDag) Template(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.CondDag, error) {
+	return f.template(stream, slab, k, draw, draw)
 }
 
 // TemplateDist is Template with per-vertex distribution overrides.
-func (f ConditionalDag) TemplateDist(stream *rng.Stream, k int, mean float64, base Dist) (*task.CondDag, error) {
+func (f ConditionalDag) TemplateDist(stream *rng.Stream, slab *task.Slab, k int, mean float64, base Dist) (*task.CondDag, error) {
 	relay, branch := f.RelayDist, f.BranchDist
 	if relay == nil {
 		relay = base
@@ -109,12 +110,12 @@ func (f ConditionalDag) TemplateDist(stream *rng.Stream, k int, mean float64, ba
 	branchDraw := func(s *rng.Stream) simtime.Duration {
 		return simtime.Duration(branch.Sample(mean, s))
 	}
-	return f.template(stream, k, relayDraw, branchDraw)
+	return f.template(stream, slab, k, relayDraw, branchDraw)
 }
 
 // template builds the conditional DAG with separate samplers for relay
 // and branch vertices.
-func (f ConditionalDag) template(stream *rng.Stream, k int, relayDraw, branchDraw ExecSampler) (*task.CondDag, error) {
+func (f ConditionalDag) template(stream *rng.Stream, slab *task.Slab, k int, relayDraw, branchDraw ExecSampler) (*task.CondDag, error) {
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
@@ -127,7 +128,7 @@ func (f ConditionalDag) template(stream *rng.Stream, k int, relayDraw, branchDra
 		if st%2 == 0 {
 			// Relay stage: one vertex, any node.
 			nodes := stream.Choose(k, 1)
-			leaf, err := task.NewSimple(indexedName("r", st), nodes[0], relayDraw(stream))
+			leaf, err := slab.Simple(indexedName("r", st), nodes[0], relayDraw(stream))
 			if err != nil {
 				return nil, err
 			}
@@ -152,7 +153,7 @@ func (f ConditionalDag) template(stream *rng.Stream, k int, relayDraw, branchDra
 		exits = exits[:0]
 		for g := range gates {
 			gnodes := stream.Choose(k, 1)
-			gleaf, err := task.NewSimple(indexedName("g", st, g), gnodes[0], branchDraw(stream))
+			gleaf, err := slab.Simple(indexedName("g", st, g), gnodes[0], branchDraw(stream))
 			if err != nil {
 				return nil, err
 			}
@@ -166,7 +167,7 @@ func (f ConditionalDag) template(stream *rng.Stream, k int, relayDraw, branchDra
 			}
 			mnodes := stream.Choose(k, f.Width)
 			for w := 0; w < f.Width; w++ {
-				mleaf, err := task.NewSimple(indexedName("m", st, g, w), mnodes[w], branchDraw(stream))
+				mleaf, err := slab.Simple(indexedName("m", st, g, w), mnodes[w], branchDraw(stream))
 				if err != nil {
 					return nil, err
 				}
@@ -203,21 +204,21 @@ func indexedName(prefix string, idx ...int) string {
 
 // NewDag implements DagFactory: build the template and draw one
 // realization from its branch distribution.
-func (f ConditionalDag) NewDag(stream *rng.Stream, k int, draw ExecSampler) (*task.Dag, error) {
-	cd, err := f.Template(stream, k, draw)
+func (f ConditionalDag) NewDag(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Dag, error) {
+	cd, err := f.Template(stream, slab, k, draw)
 	if err != nil {
 		return nil, err
 	}
-	return cd.Realize(stream)
+	return cd.Realize(stream, slab)
 }
 
 // NewDagDist implements DistAwareDagFactory.
-func (f ConditionalDag) NewDagDist(stream *rng.Stream, k int, mean float64, base Dist) (*task.Dag, error) {
-	cd, err := f.TemplateDist(stream, k, mean, base)
+func (f ConditionalDag) NewDagDist(stream *rng.Stream, slab *task.Slab, k int, mean float64, base Dist) (*task.Dag, error) {
+	cd, err := f.TemplateDist(stream, slab, k, mean, base)
 	if err != nil {
 		return nil, err
 	}
-	return cd.Realize(stream)
+	return cd.Realize(stream, slab)
 }
 
 // ExpectedWork implements DagFactory. The realized vertex count is the

@@ -60,7 +60,7 @@ func TestConditionalDagValidate(t *testing.T) {
 func TestConditionalDagTemplate(t *testing.T) {
 	f := ConditionalDag{Stages: 3, Branches: 3, Width: 2, Probs: []float64{0.5, 0.25, 0.25}}
 	stream := rng.NewSplitter(1).Stream()
-	cd, err := f.Template(stream, 6, unitDraw)
+	cd, err := f.Template(stream, nil, 6, unitDraw)
 	if err != nil {
 		t.Fatalf("Template: %v", err)
 	}
@@ -113,7 +113,7 @@ func TestConditionalDagNewDag(t *testing.T) {
 	f := ConditionalDag{Stages: 5, Branches: 2, Width: 3}
 	stream := rng.NewSplitter(2).Stream()
 	for i := 0; i < 50; i++ {
-		d, err := f.NewDag(stream, 6, unitDraw)
+		d, err := f.NewDag(stream, nil, 6, unitDraw)
 		if err != nil {
 			t.Fatalf("NewDag: %v", err)
 		}
@@ -153,7 +153,7 @@ func TestConditionalDagGateFrequencies(t *testing.T) {
 	stream := rng.NewSplitter(11).Stream()
 	counts := make([]int, 3)
 	for i := 0; i < n; i++ {
-		d, err := f.NewDag(stream, 6, unitDraw)
+		d, err := f.NewDag(stream, nil, 6, unitDraw)
 		if err != nil {
 			t.Fatalf("NewDag: %v", err)
 		}
@@ -182,7 +182,7 @@ func TestConditionalDagDistAware(t *testing.T) {
 	f := ConditionalDag{Stages: 3, Branches: 2, Width: 1,
 		RelayDist: Deterministic{}, BranchDist: Exponential{}}
 	stream := rng.NewSplitter(3).Stream()
-	d, err := f.NewDagDist(stream, 4, 2.0, Exponential{})
+	d, err := f.NewDagDist(stream, nil, 4, 2.0, Exponential{})
 	if err != nil {
 		t.Fatalf("NewDagDist: %v", err)
 	}
@@ -206,7 +206,7 @@ func TestConditionalDagDistAware(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatalf("spec: %v", err)
 	}
-	g, err := spec.NewGlobalDag(rng.NewSplitter(4).Stream(), 0)
+	g, err := spec.NewGlobalDag(rng.NewSplitter(4).Stream(), nil, 0)
 	if err != nil {
 		t.Fatalf("NewGlobalDag: %v", err)
 	}
@@ -223,7 +223,7 @@ func TestConditionalDagDeterministicStream(t *testing.T) {
 		stream := rng.NewSplitter(9).Stream()
 		var out []string
 		for i := 0; i < 10; i++ {
-			d, err := f.NewDag(stream, 6, func(s *rng.Stream) simtime.Duration {
+			d, err := f.NewDag(stream, nil, 6, func(s *rng.Stream) simtime.Duration {
 				return simtime.Duration(s.Exp(1))
 			})
 			if err != nil {

@@ -15,8 +15,9 @@ import (
 // one layer, or of one parallel stage).
 type DagFactory interface {
 	// NewDag draws one global DAG for a system of k nodes, drawing every
-	// vertex's execution time from draw.
-	NewDag(stream *rng.Stream, k int, draw ExecSampler) (*task.Dag, error)
+	// vertex's execution time from draw and its task from slab (nil
+	// allocates each on its own).
+	NewDag(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Dag, error)
 	// ExpectedWork returns the expected total execution time per global
 	// task given the mean vertex execution time.
 	ExpectedWork(meanExec float64) float64
@@ -65,7 +66,7 @@ type LayeredDag struct {
 }
 
 // NewDag implements DagFactory.
-func (f LayeredDag) NewDag(stream *rng.Stream, k int, draw ExecSampler) (*task.Dag, error) {
+func (f LayeredDag) NewDag(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Dag, error) {
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
@@ -77,7 +78,7 @@ func (f LayeredDag) NewDag(stream *rng.Stream, k int, draw ExecSampler) (*task.D
 		nodes := stream.Choose(k, width)
 		layer := make([]*task.DagNode, width)
 		for i := range layer {
-			leaf, err := task.NewSimple(vertexName(id), nodes[i], draw(stream))
+			leaf, err := slab.Simple(vertexName(id), nodes[i], draw(stream))
 			if err != nil {
 				return nil, err
 			}
@@ -149,7 +150,7 @@ type ForkJoinDag struct {
 }
 
 // NewDag implements DagFactory.
-func (f ForkJoinDag) NewDag(stream *rng.Stream, k int, draw ExecSampler) (*task.Dag, error) {
+func (f ForkJoinDag) NewDag(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Dag, error) {
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
@@ -158,7 +159,7 @@ func (f ForkJoinDag) NewDag(stream *rng.Stream, k int, draw ExecSampler) (*task.
 	for i := 0; i < f.Stages; i++ {
 		nodes := stream.Choose(k, f.width(i))
 		for _, nd := range nodes {
-			leaf, err := task.NewSimple(vertexName(d.Len()), nd, draw(stream))
+			leaf, err := slab.Simple(vertexName(d.Len()), nd, draw(stream))
 			if err != nil {
 				return nil, err
 			}

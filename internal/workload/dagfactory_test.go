@@ -16,7 +16,7 @@ func TestLayeredDagShape(t *testing.T) {
 	s := rng.NewStream(7)
 	draw := func(st *rng.Stream) simtime.Duration { return simtime.Duration(st.Exp(1)) }
 	for trial := 0; trial < 50; trial++ {
-		d, err := f.NewDag(s, 5, draw)
+		d, err := f.NewDag(s, nil, 5, draw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestLayeredDagDistinctNodesPerLayer(t *testing.T) {
 	f := LayeredDag{Layers: 3, MinWidth: 4, MaxWidth: 4, EdgeProb: 1}
 	s := rng.NewStream(11)
 	draw := func(st *rng.Stream) simtime.Duration { return 1 }
-	d, err := f.NewDag(s, 4, draw)
+	d, err := f.NewDag(s, nil, 4, draw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestForkJoinDagReducesToTreeWithoutCrossEdges(t *testing.T) {
 	f := ForkJoinDag{Stages: 5, Fanout: 3, CrossProb: 0}
 	s := rng.NewStream(3)
 	draw := func(st *rng.Stream) simtime.Duration { return simtime.Duration(st.Exp(1)) }
-	d, err := f.NewDag(s, 6, draw)
+	d, err := f.NewDag(s, nil, 6, draw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestForkJoinDagCrossEdgesBreakSeriesParallel(t *testing.T) {
 	f := ForkJoinDag{Stages: 3, Fanout: 2, CrossProb: 1}
 	s := rng.NewStream(5)
 	draw := func(st *rng.Stream) simtime.Duration { return 1 }
-	d, err := f.NewDag(s, 4, draw)
+	d, err := f.NewDag(s, nil, 4, draw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestNewGlobalDagDeadlineAndPex(t *testing.T) {
 	s := rng.NewStream(99)
 	const ar = simtime.Time(17)
 	for trial := 0; trial < 20; trial++ {
-		d, err := spec.NewGlobalDag(s, ar)
+		d, err := spec.NewGlobalDag(s, nil, ar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func TestNetworkPipelineNodePlacement(t *testing.T) {
 	s := rng.NewStream(21)
 	draw := func(st *rng.Stream) simtime.Duration { return simtime.Duration(st.Exp(1)) }
 	for trial := 0; trial < 30; trial++ {
-		root, err := f.New(s, k, draw)
+		root, err := f.New(s, nil, k, draw)
 		if err != nil {
 			t.Fatal(err)
 		}

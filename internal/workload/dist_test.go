@@ -79,11 +79,11 @@ func TestSpecUsesDistributions(t *testing.T) {
 	s.LocalService = Deterministic{}
 	s.SubtaskService = Deterministic{}
 	stream := rng.NewStream(3)
-	l := s.NewLocal(stream, 0, 0)
+	l := s.NewLocal(stream, nil, 0, 0)
 	if l.Exec != 1 {
 		t.Errorf("deterministic local exec = %v, want exactly 1", l.Exec)
 	}
-	g, err := s.NewGlobal(stream, 0)
+	g, err := s.NewGlobal(stream, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/procmgr"
 	"repro/internal/rng"
 	"repro/internal/simtime"
+	"repro/internal/task"
 )
 
 // Driver feeds a process manager with the Spec's arrival streams: one
@@ -18,10 +19,11 @@ import (
 // processes are statistically independent and the whole run is
 // reproducible.
 //
-// The arrival hot path is allocation-free: each stream owns one arrival
+// The arrival hot path allocates little: each stream owns one arrival
 // context scheduled through des.AtCall with a package-level callback (no
-// per-arrival closures), and Start arms all first arrivals with one
-// des.ScheduleBatch call.
+// per-arrival closures), Start arms all first arrivals with one
+// des.ScheduleBatch call, and every leaf task (local task, subtask or DAG
+// vertex) comes from the driver's task.Slab.
 type Driver struct {
 	eng     *des.Engine
 	mgr     *procmgr.Manager
@@ -30,6 +32,7 @@ type Driver struct {
 
 	localStreams []*rng.Stream
 	globalStream *rng.Stream
+	slab         task.Slab
 
 	// Per-stream arrival contexts, allocated once. localArrs never grows,
 	// so pointers into it stay valid for the driver's life.
@@ -113,7 +116,7 @@ type localArrival struct {
 func localArrivalFired(x any) {
 	a := x.(*localArrival)
 	d := a.d
-	t := d.spec.NewLocal(d.localStreams[a.nodeID], a.nodeID, d.eng.Now())
+	t := d.spec.NewLocal(d.localStreams[a.nodeID], &d.slab, a.nodeID, d.eng.Now())
 	d.locals++
 	if err := d.mgr.SubmitLocal(t); err != nil {
 		panic(fmt.Sprintf("workload: submit local: %v", err))
@@ -150,7 +153,7 @@ func globalArrivalFired(x any) {
 	s := d.globalStream
 	d.globals++
 	if d.spec.DagFactory != nil {
-		g, err := d.spec.NewGlobalDag(s, d.eng.Now())
+		g, err := d.spec.NewGlobalDag(s, &d.slab, d.eng.Now())
 		if err != nil {
 			panic(fmt.Sprintf("workload: build global DAG: %v", err))
 		}
@@ -158,7 +161,7 @@ func globalArrivalFired(x any) {
 			panic(fmt.Sprintf("workload: submit global DAG: %v", err))
 		}
 	} else {
-		root, err := d.spec.NewGlobal(s, d.eng.Now())
+		root, err := d.spec.NewGlobal(s, &d.slab, d.eng.Now())
 		if err != nil {
 			panic(fmt.Sprintf("workload: build global: %v", err))
 		}

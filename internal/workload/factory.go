@@ -18,8 +18,9 @@ type ExecSampler func(s *rng.Stream) simtime.Duration
 // to be executed in parallel at n different nodes").
 type Factory interface {
 	// New draws one global task for a system of k nodes, drawing every
-	// simple subtask's execution time from draw.
-	New(stream *rng.Stream, k int, draw ExecSampler) (*task.Task, error)
+	// simple subtask's execution time from draw and the subtask itself
+	// from slab (nil allocates each on its own).
+	New(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Task, error)
 	// ExpectedWork returns the expected total execution time per global
 	// task given the mean subtask execution time; the load equations use
 	// it to derive λ_global.
@@ -45,11 +46,11 @@ type FixedParallel struct {
 }
 
 // New implements Factory.
-func (f FixedParallel) New(stream *rng.Stream, k int, draw ExecSampler) (*task.Task, error) {
+func (f FixedParallel) New(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Task, error) {
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
-	return parallelGroup(stream, f.N, k, draw)
+	return parallelGroup(stream, slab, f.N, k, draw)
 }
 
 // ExpectedWork implements Factory.
@@ -80,12 +81,12 @@ type UniformParallel struct {
 }
 
 // New implements Factory.
-func (f UniformParallel) New(stream *rng.Stream, k int, draw ExecSampler) (*task.Task, error) {
+func (f UniformParallel) New(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Task, error) {
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
 	n := stream.IntRange(f.Min, f.Max)
-	return parallelGroup(stream, n, k, draw)
+	return parallelGroup(stream, slab, n, k, draw)
 }
 
 // ExpectedWork implements Factory.
@@ -125,21 +126,21 @@ type SerialParallel struct {
 func (f SerialParallel) parallelStage(i int) bool { return i%2 == 1 }
 
 // New implements Factory.
-func (f SerialParallel) New(stream *rng.Stream, k int, draw ExecSampler) (*task.Task, error) {
+func (f SerialParallel) New(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Task, error) {
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
 	stages := make([]*task.Task, f.Stages)
 	for i := range stages {
 		if f.parallelStage(i) {
-			g, err := parallelGroup(stream, f.Fanout, k, draw)
+			g, err := parallelGroup(stream, slab, f.Fanout, k, draw)
 			if err != nil {
 				return nil, err
 			}
 			stages[i] = g
 			continue
 		}
-		leaf, err := simpleSubtask(stream, stream.IntN(k), draw)
+		leaf, err := slab.Simple("", stream.IntN(k), draw(stream))
 		if err != nil {
 			return nil, err
 		}
@@ -186,13 +187,13 @@ func (f SerialParallel) Name() string {
 	return fmt.Sprintf("serial%d-fan%d", f.Stages, f.Fanout)
 }
 
-// parallelGroup draws n simple subtasks at n distinct nodes. A group of
-// one collapses to the bare subtask.
-func parallelGroup(stream *rng.Stream, n, k int, draw ExecSampler) (*task.Task, error) {
+// parallelGroup draws n simple subtasks at n distinct nodes from slab. A
+// group of one collapses to the bare subtask.
+func parallelGroup(stream *rng.Stream, slab *task.Slab, n, k int, draw ExecSampler) (*task.Task, error) {
 	nodes := stream.Choose(k, n)
 	children := make([]*task.Task, n)
 	for i := range children {
-		leaf, err := simpleSubtask(stream, nodes[i], draw)
+		leaf, err := slab.Simple("", nodes[i], draw(stream))
 		if err != nil {
 			return nil, err
 		}
@@ -202,8 +203,4 @@ func parallelGroup(stream *rng.Stream, n, k int, draw ExecSampler) (*task.Task, 
 		return children[0], nil
 	}
 	return task.NewParallel("", children...)
-}
-
-func simpleSubtask(stream *rng.Stream, nodeID int, draw ExecSampler) (*task.Task, error) {
-	return task.NewSimple("", nodeID, draw(stream))
 }

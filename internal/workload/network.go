@@ -34,7 +34,7 @@ func (f NetworkPipeline) computeNodes(k int) int { return k - f.NetNodes }
 func (f NetworkPipeline) parallelStage(i int) bool { return i%2 == 1 }
 
 // New implements Factory.
-func (f NetworkPipeline) New(stream *rng.Stream, k int, draw ExecSampler) (*task.Task, error) {
+func (f NetworkPipeline) New(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Task, error) {
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
@@ -45,7 +45,7 @@ func (f NetworkPipeline) New(stream *rng.Stream, k int, draw ExecSampler) (*task
 			// Network hop between consecutive compute stages.
 			hopNode := ck + stream.IntN(f.NetNodes)
 			hopEx := simtime.Duration(stream.Exp(f.HopMean))
-			hop, err := task.NewSimple("", hopNode, hopEx)
+			hop, err := slab.Simple("", hopNode, hopEx)
 			if err != nil {
 				return nil, err
 			}
@@ -54,14 +54,14 @@ func (f NetworkPipeline) New(stream *rng.Stream, k int, draw ExecSampler) (*task
 		if f.parallelStage(i) {
 			// Parallel compute groups draw from the compute nodes only (the
 			// first ck node IDs); hops own the trailing network nodes.
-			g, err := parallelGroup(stream, f.Fanout, ck, draw)
+			g, err := parallelGroup(stream, slab, f.Fanout, ck, draw)
 			if err != nil {
 				return nil, err
 			}
 			stages = append(stages, g)
 			continue
 		}
-		leaf, err := simpleSubtask(stream, stream.IntN(ck), draw)
+		leaf, err := slab.Simple("", stream.IntN(ck), draw(stream))
 		if err != nil {
 			return nil, err
 		}

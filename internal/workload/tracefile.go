@@ -127,7 +127,7 @@ func Synthesize(spec Spec, seed uint64, horizon simtime.Time) ([]Arrival, error)
 				if at.After(horizon) {
 					break
 				}
-				l := spec.NewLocal(s, nodeID, at)
+				l := spec.NewLocal(s, nil, nodeID, at)
 				out = append(out, Arrival{At: at, Deadline: l.RealDeadline, Task: l})
 			}
 		}
@@ -140,7 +140,7 @@ func Synthesize(spec Spec, seed uint64, horizon simtime.Time) ([]Arrival, error)
 			if at.After(horizon) {
 				break
 			}
-			g, err := spec.NewGlobal(s, at)
+			g, err := spec.NewGlobal(s, nil, at)
 			if err != nil {
 				return nil, err
 			}
@@ -153,14 +153,15 @@ func Synthesize(spec Spec, seed uint64, horizon simtime.Time) ([]Arrival, error)
 
 // replayed is the event context of one recorded arrival.
 type replayed struct {
-	mgr *procmgr.Manager
-	a   Arrival
+	mgr  *procmgr.Manager
+	slab *task.Slab
+	a    Arrival
 }
 
 // replayFired submits one recorded arrival.
 func replayFired(x any) {
 	r := x.(*replayed)
-	tk := r.a.Task.Clone()
+	tk := r.slab.Clone(r.a.Task)
 	tk.RealDeadline = r.a.Deadline
 	if tk.IsSimple() {
 		if err := r.mgr.SubmitLocal(tk); err != nil {
@@ -175,17 +176,19 @@ func replayFired(x any) {
 
 // Replay schedules the recorded arrivals into the engine, submitting each
 // task to the manager at its recorded instant with its recorded deadline.
-// Tasks are cloned, so a trace can be replayed many times. The whole
+// Tasks are cloned, their leaves into one task.Slab per call, so a trace
+// can be replayed many times. The whole
 // trace is armed with one des.ScheduleBatch call — a single heapify pass
 // for large traces instead of one sift per arrival.
 func Replay(eng *des.Engine, mgr *procmgr.Manager, arrivals []Arrival) error {
 	ctxs := make([]replayed, len(arrivals))
+	slab := new(task.Slab)
 	batch := make([]des.BatchEntry, len(arrivals))
 	for i, a := range arrivals {
 		if a.Task == nil {
 			return fmt.Errorf("%w: arrival %d has no task", ErrBadTrace, i)
 		}
-		ctxs[i] = replayed{mgr: mgr, a: a}
+		ctxs[i] = replayed{mgr: mgr, slab: slab, a: a}
 		batch[i] = des.BatchEntry{At: a.At, Call: replayFired, Ctx: &ctxs[i]}
 	}
 	if err := eng.ScheduleBatch(batch); err != nil {

@@ -192,12 +192,13 @@ func Baseline(factory Factory) Spec {
 	}
 }
 
-// NewLocal draws one local task for the given node: exponential execution
-// time, uniform slack, deadline ar + ex + slack (arrival is stamped by the
-// process manager at submission).
-func (s *Spec) NewLocal(stream *rng.Stream, nodeID int, ar simtime.Time) *task.Task {
+// NewLocal draws one local task for the given node from slab (nil
+// allocates it on its own): exponential execution time, uniform slack,
+// deadline ar + ex + slack (arrival is stamped by the process manager at
+// submission).
+func (s *Spec) NewLocal(stream *rng.Stream, slab *task.Slab, nodeID int, ar simtime.Time) *task.Task {
 	ex := simtime.Duration(s.localDist().Sample(s.MeanLocalExec, stream))
-	t, err := task.NewSimple("", nodeID, ex)
+	t, err := slab.Simple("", nodeID, ex)
 	if err != nil {
 		// Exec is drawn non-negative; this cannot fail.
 		panic(fmt.Sprintf("workload: local task: %v", err))
@@ -208,15 +209,16 @@ func (s *Spec) NewLocal(stream *rng.Stream, nodeID int, ar simtime.Time) *task.T
 }
 
 // NewGlobal draws one global task: the factory builds the tree (execution
-// times, node placement), the estimator stamps pex on every leaf, and the
-// deadline follows the paper's Eq. 2 generalised to trees,
+// times, node placement) with its leaves drawn from slab, the estimator
+// stamps pex on every leaf, and the deadline follows the paper's Eq. 2
+// generalised to trees,
 //
 //	dl(T) = ar(T) + criticalPath(ex) + slack.
-func (s *Spec) NewGlobal(stream *rng.Stream, ar simtime.Time) (*task.Task, error) {
+func (s *Spec) NewGlobal(stream *rng.Stream, slab *task.Slab, ar simtime.Time) (*task.Task, error) {
 	if s.Factory == nil {
 		return nil, fmt.Errorf("%w: no global factory", ErrBadSpec)
 	}
-	root, err := s.Factory.New(stream, s.K, s.subtaskSampler())
+	root, err := s.Factory.New(stream, slab, s.K, s.subtaskSampler())
 	if err != nil {
 		return nil, err
 	}
@@ -236,14 +238,14 @@ func (s *Spec) NewGlobal(stream *rng.Stream, ar simtime.Time) (*task.Task, error
 }
 
 // NewGlobalDag draws one global DAG task: the DAG factory builds the graph
-// (execution times, node placement, edges), the estimator stamps pex on
-// every vertex, and the deadline follows Eq. 2 over the DAG's critical
-// path,
+// (execution times, node placement, edges) with its vertex tasks drawn
+// from slab, the estimator stamps pex on every vertex, and the deadline
+// follows Eq. 2 over the DAG's critical path,
 //
 //	dl(T) = ar(T) + criticalPath(ex) + slack,
 //
 // stamped on the DAG's accounting root.
-func (s *Spec) NewGlobalDag(stream *rng.Stream, ar simtime.Time) (*task.Dag, error) {
+func (s *Spec) NewGlobalDag(stream *rng.Stream, slab *task.Slab, ar simtime.Time) (*task.Dag, error) {
 	if s.DagFactory == nil {
 		return nil, fmt.Errorf("%w: no global DAG factory", ErrBadSpec)
 	}
@@ -252,9 +254,9 @@ func (s *Spec) NewGlobalDag(stream *rng.Stream, ar simtime.Time) (*task.Dag, err
 	if df, ok := s.DagFactory.(DistAwareDagFactory); ok {
 		// Factories with per-vertex service-time families get the mean and
 		// the spec-level base family instead of a flattened sampler.
-		d, err = df.NewDagDist(stream, s.K, s.MeanSubtaskExec, s.subtaskDist())
+		d, err = df.NewDagDist(stream, slab, s.K, s.MeanSubtaskExec, s.subtaskDist())
 	} else {
-		d, err = s.DagFactory.NewDag(stream, s.K, s.subtaskSampler())
+		d, err = s.DagFactory.NewDag(stream, slab, s.K, s.subtaskSampler())
 	}
 	if err != nil {
 		return nil, err

@@ -105,7 +105,7 @@ func TestNewLocalDeadline(t *testing.T) {
 	s := Baseline(FixedParallel{N: 4})
 	stream := rng.NewStream(1)
 	for i := 0; i < 1000; i++ {
-		l := s.NewLocal(stream, 3, 100)
+		l := s.NewLocal(stream, nil, 3, 100)
 		if l.Node != 3 || !l.IsSimple() {
 			t.Fatalf("local = %+v", l)
 		}
@@ -120,7 +120,7 @@ func TestNewGlobalDeadlineEq2(t *testing.T) {
 	s := Baseline(FixedParallel{N: 4})
 	stream := rng.NewStream(2)
 	for i := 0; i < 1000; i++ {
-		g, err := s.NewGlobal(stream, 50)
+		g, err := s.NewGlobal(stream, nil, 50)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestSubtaskSlackAtLeastGroupSlack(t *testing.T) {
 	s := Baseline(FixedParallel{N: 4})
 	stream := rng.NewStream(3)
 	for i := 0; i < 500; i++ {
-		g, err := s.NewGlobal(stream, 0)
+		g, err := s.NewGlobal(stream, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestGlobalSlackOverride(t *testing.T) {
 	s.GlobalSlackMin, s.GlobalSlackMax = 6.25, 25
 	stream := rng.NewStream(4)
 	for i := 0; i < 500; i++ {
-		g, err := s.NewGlobal(stream, 0)
+		g, err := s.NewGlobal(stream, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestGlobalSlackOverride(t *testing.T) {
 		}
 	}
 	// Locals still use the local range.
-	l := s.NewLocal(stream, 0, 0)
+	l := s.NewLocal(stream, nil, 0, 0)
 	slack := l.RealDeadline.Sub(0) - l.Exec
 	if slack > 5+1e-9 {
 		t.Errorf("local slack %v should use the local range", slack)
@@ -185,7 +185,7 @@ func TestFixedParallelShape(t *testing.T) {
 	f := FixedParallel{N: 4}
 	stream := rng.NewStream(5)
 	for i := 0; i < 200; i++ {
-		g, err := f.New(stream, 6, expDraw(1.0))
+		g, err := f.New(stream, nil, 6, expDraw(1.0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestFixedParallelExpectedWork(t *testing.T) {
 	var sum float64
 	const n = 20000
 	for i := 0; i < n; i++ {
-		g, err := f.New(stream, 6, expDraw(1.0))
+		g, err := f.New(stream, nil, 6, expDraw(1.0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestUniformParallelClasses(t *testing.T) {
 	stream := rng.NewStream(7)
 	counts := map[int]int{}
 	for i := 0; i < 5000; i++ {
-		g, err := f.New(stream, 6, expDraw(1.0))
+		g, err := f.New(stream, nil, 6, expDraw(1.0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestSerialParallelShape(t *testing.T) {
 		t.Errorf("ExpectedWork = %v, want 11 (3 simple + 2x4 parallel)", got)
 	}
 	stream := rng.NewStream(8)
-	g, err := f.New(stream, 6, expDraw(1.0))
+	g, err := f.New(stream, nil, 6, expDraw(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestFactoryValidation(t *testing.T) {
 		if err := c.f.Validate(c.k); !errors.Is(err, ErrBadSpec) {
 			t.Errorf("case %d (%s): err = %v, want ErrBadSpec", i, c.f.Name(), err)
 		}
-		if _, err := c.f.New(rng.NewStream(1), c.k, expDraw(1.0)); err == nil {
+		if _, err := c.f.New(rng.NewStream(1), nil, c.k, expDraw(1.0)); err == nil {
 			t.Errorf("case %d: New succeeded on invalid factory", i)
 		}
 	}
@@ -336,7 +336,7 @@ func TestEstimatorAppliedToLeaves(t *testing.T) {
 	s := Baseline(FixedParallel{N: 4})
 	s.Estimator = Mean{}
 	stream := rng.NewStream(10)
-	g, err := s.NewGlobal(stream, 0)
+	g, err := s.NewGlobal(stream, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
