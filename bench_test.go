@@ -289,6 +289,71 @@ func observedRecords(b *testing.B) []obs.Record {
 	return append(append([]obs.Record(nil), snap.Spans...), snap.Edges...)
 }
 
+// observedShards runs the four replications of the observed-blame cell
+// (Table 1, DIV-1, load 0.5, 50,000 time units) one by one and returns
+// their finished telemetry, each holding a full 65,536-span ring.
+func observedShards(b *testing.B) []*obs.Telemetry {
+	b.Helper()
+	cfg := sim.Default()
+	cfg.PSP = isda.MustDiv(1)
+	cfg.Spec.Load = 0.5
+	cfg.Duration = 50000
+	cfg.Seed = 1
+	cfg.Obs = obs.Options{Enabled: true}
+	tels := make([]*obs.Telemetry, 4)
+	for rep := range tels {
+		sys, err := sim.NewSystem(cfg, sim.RepSeed(cfg.Seed, rep))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Telemetry().SetReplication(rep)
+		if err := sys.Start(); err != nil {
+			b.Fatal(err)
+		}
+		sys.Finish(sys.Horizon())
+		if n := sys.Telemetry().SpanCount(); n != 1<<16 {
+			b.Fatalf("replication %d retains %d spans, want a full 65536-span ring", rep, n)
+		}
+		tels[rep] = sys.Telemetry()
+	}
+	return tels
+}
+
+// BenchmarkObsMerge measures the cross-replication merge: folding four
+// full 65,536-span shards and taking one Snapshot of the result. The
+// records case submits each shard as a Snapshot of Records through
+// Merged.Add (the live hub's path); the handoff case hands each shard's
+// rings over with Telemetry.MergeInto (sim.Run's path).
+func BenchmarkObsMerge(b *testing.B) {
+	tels := observedShards(b)
+	snaps := make([]*obs.Snapshot, len(tels))
+	for i, tel := range tels {
+		snaps[i] = tel.Snapshot(0)
+	}
+	for _, c := range []struct {
+		name string
+		add  func(m *obs.Merged, rep int) error
+	}{
+		{"records", func(m *obs.Merged, rep int) error { return m.Add(snaps[rep]) }},
+		{"handoff", func(m *obs.Merged, rep int) error { return tels[rep].MergeInto(m) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m := obs.NewMerged()
+				for rep := range tels {
+					if err := c.add(m, rep); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if s := m.Snapshot(); len(s.Spans) != 1<<16 {
+					b.Fatalf("merged snapshot holds %d spans, want the 65536 budget", len(s.Spans))
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkObsMergedExport measures Merged.ExportDir of a 4-replication
 // observed run: one snapshot of the fold, the span, edge and exemplar
 // JSONL, the Prometheus exposition, the dashboard and the summary.

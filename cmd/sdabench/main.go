@@ -52,12 +52,12 @@ import (
 // kernel (event churn, batch bursts), the node queue, the invariant
 // checker, the random-number streams, task construction through a slab
 // (locals, trees and DAGs), DAG task construction and submission, tree
-// submission, the telemetry export layers (merged export, trace-tree
-// build and write), end-to-end simulation throughput, and the
-// strategy/parse/plan micro-benchmarks. The per-figure experiment
-// benchmarks are excluded to keep the smoke run short; pass -bench '.'
-// for everything.
-const defaultBench = "BenchmarkEngineEventChurn|BenchmarkNodeQueueChurn|BenchmarkBurstArrival|BenchmarkChecker|BenchmarkRNG|BenchmarkDagBuild|BenchmarkDagSubmit|BenchmarkSubmitGlobal|BenchmarkObsMergedExport|BenchmarkTracetree|BenchmarkSimulation|BenchmarkStrategyAssignment|BenchmarkEQFAssignment|BenchmarkTaskParse|BenchmarkTaskBuild|BenchmarkPlan"
+// submission, the telemetry layers (cross-replication merge, merged
+// export, trace-tree build and write), end-to-end simulation
+// throughput, and the strategy/parse/plan micro-benchmarks. The
+// per-figure experiment benchmarks are excluded to keep the smoke run
+// short; pass -bench '.' for everything.
+const defaultBench = "BenchmarkEngineEventChurn|BenchmarkNodeQueueChurn|BenchmarkBurstArrival|BenchmarkChecker|BenchmarkRNG|BenchmarkDagBuild|BenchmarkDagSubmit|BenchmarkSubmitGlobal|BenchmarkObsMerge|BenchmarkTracetree|BenchmarkSimulation|BenchmarkStrategyAssignment|BenchmarkEQFAssignment|BenchmarkTaskParse|BenchmarkTaskBuild|BenchmarkPlan"
 
 // Measurement is one benchmark's recorded metrics, keyed the way `go test
 // -bench` prints them ("ns/op", "B/op", "allocs/op", "events/op", ...).

@@ -166,7 +166,7 @@ func (p *plan) exportObserved(out io.Writer) error {
 		return err
 	}
 	p.tel.Finalize(res.Obs, info)
-	fmt.Fprint(out, res.Obs.Snapshot().Summary())
+	fmt.Fprint(out, res.Obs.Summary())
 	if p.tel.Dir != "" {
 		paths, err := res.Obs.ExportDir(p.tel.Dir)
 		if err != nil {

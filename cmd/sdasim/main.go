@@ -216,7 +216,7 @@ func (p *plan) Execute(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(w)
-	fmt.Fprint(w, res.Obs.Snapshot().Summary())
+	fmt.Fprint(w, res.Obs.Summary())
 	fmt.Fprintf(w, "telemetry exported: %s\n", strings.Join(paths, " "))
 	return nil
 }

@@ -88,6 +88,65 @@ func TestAppendRecordCoversEveryField(t *testing.T) {
 	checkAppendRecord(t, rec)
 }
 
+// TestSameRecordCoversEveryField is the reflection guard of the merge's
+// round-trip check: changing any one field of a fully set Record —
+// a float by value or by presence — must make sameRecord report a
+// difference.
+func TestSameRecordCoversEveryField(t *testing.T) {
+	var rec Record
+	v := reflect.ValueOf(&rec).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(i + 2))
+		case reflect.Uint64:
+			f.SetUint(uint64(i + 100))
+		case reflect.String:
+			f.SetString(strings.Repeat("s", i+1))
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Pointer:
+			x := float64(i) + 0.5
+			f.Set(reflect.ValueOf(&x))
+		default:
+			t.Fatalf("Record.%s has kind %s, which sameRecord does not compare", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	same := rec
+	for i := range recordFloatKeys {
+		x := **recordFloatPtr(&rec, i)
+		*recordFloatPtr(&same, i) = &x
+	}
+	if !sameRecord(&rec, &same) {
+		t.Fatalf("equal records with distinct float blocks compare different")
+	}
+	for i := 0; i < v.NumField(); i++ {
+		changes := []func(f reflect.Value){}
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int:
+			changes = append(changes, func(f reflect.Value) { f.SetInt(f.Int() + 1) })
+		case reflect.Uint64:
+			changes = append(changes, func(f reflect.Value) { f.SetUint(f.Uint() + 1) })
+		case reflect.String:
+			changes = append(changes, func(f reflect.Value) { f.SetString(f.String() + "x") })
+		case reflect.Bool:
+			changes = append(changes, func(f reflect.Value) { f.SetBool(!f.Bool()) })
+		case reflect.Pointer:
+			changes = append(changes,
+				func(f reflect.Value) { x := math.Copysign(0, -1); f.Set(reflect.ValueOf(&x)) },
+				func(f reflect.Value) { f.Set(reflect.Zero(f.Type())) })
+		}
+		for k, change := range changes {
+			other := rec
+			change(reflect.ValueOf(&other).Elem().Field(i))
+			if sameRecord(&rec, &other) {
+				t.Errorf("changing Record.%s (change %d) goes unnoticed", v.Type().Field(i).Name, k)
+			}
+		}
+	}
+}
+
 // TestWriteRecordMatchesMarshal checks the line writer end to end:
 // the stamped schema, the encoding and the trailing newline.
 func TestWriteRecordMatchesMarshal(t *testing.T) {

@@ -474,8 +474,9 @@ func (t *Telemetry) addEdge(kind string, from, to, root uint64, at float64, labe
 // Edges returns the retained causal-edge records, oldest first.
 func (t *Telemetry) Edges() []Record {
 	out := make([]Record, t.edges.n)
+	ats := make([]float64, len(out))
 	for i := range out {
-		out[i] = t.edges.get(i).record(t.rep, new(float64))
+		out[i] = t.edges.get(i).record(t.rep, &ats[i])
 	}
 	return out
 }

@@ -159,47 +159,50 @@ const tsScale = 1000 // simulation units → microseconds (1 unit = 1ms)
 
 type chromeLayout struct {
 	stride int
-	lane   map[spanKey]int // leaf span → occupancy lane (tid)
+	lane   []int32 // occupancy lane (tid) of each leaf span, by index in Forest.all
 }
 
 func (f *Forest) layout() chromeLayout {
 	maxNode := 0
-	for _, n := range f.all {
-		if n.Span.Node > maxNode {
-			maxNode = n.Span.Node
+	for i := range f.all {
+		if f.all[i].Span.Node > maxNode {
+			maxNode = f.all[i].Span.Node
 		}
 	}
-	l := chromeLayout{stride: maxNode + 2, lane: make(map[spanKey]int)}
+	l := chromeLayout{stride: maxNode + 2, lane: make([]int32, len(f.all))}
 
 	// Occupancy lanes per (rep, node): spans sorted by (start, id), each
 	// taking the lowest lane free at its start.
-	groups := make(map[spanKey][]*Node) // key: (rep, node+1)
-	for _, n := range f.all {
-		if n.Span.Node < 0 || n.Span.Start == nil {
+	type group struct{ rep, node int }
+	groups := make(map[group][]int) // span indices in Forest.all
+	for i := range f.all {
+		sp := &f.all[i].Span
+		if sp.Node < 0 || sp.Start == nil {
 			continue
 		}
-		k := spanKey{n.Span.Rep, uint64(n.Span.Node + 1)}
-		groups[k] = append(groups[k], n)
+		k := group{sp.Rep, sp.Node}
+		groups[k] = append(groups[k], i)
 	}
+	var lanes []float64 // end time of the last span on each lane
 	for _, g := range groups {
 		sort.Slice(g, func(i, j int) bool {
-			a, b := g[i].Span, g[j].Span
+			a, b := &f.all[g[i]].Span, &f.all[g[j]].Span
 			if *a.Start != *b.Start {
 				return *a.Start < *b.Start
 			}
 			return a.ID < b.ID
 		})
-		var lanes []float64 // end time of the last span on each lane
-		for _, n := range g {
-			sp := n.Span
+		lanes = lanes[:0]
+		for _, i := range g {
+			sp := &f.all[i].Span
 			end := *sp.Start
 			if sp.End != nil {
 				end = *sp.End
 			}
 			placed := -1
-			for i := range lanes {
-				if lanes[i] <= *sp.Start {
-					placed = i
+			for j := range lanes {
+				if lanes[j] <= *sp.Start {
+					placed = j
 					break
 				}
 			}
@@ -208,7 +211,7 @@ func (f *Forest) layout() chromeLayout {
 				lanes = append(lanes, 0)
 			}
 			lanes[placed] = end
-			l.lane[spanKey{sp.Rep, sp.ID}] = placed
+			l.lane[i] = int32(placed)
 		}
 	}
 	return l
@@ -218,13 +221,12 @@ func (f *Forest) layout() chromeLayout {
 // is the globals slot.
 func (l chromeLayout) pid(rep, node int) int { return rep*l.stride + node + 1 }
 
-// track returns where a span is drawn: leaf spans on their node process
-// and occupancy lane, everything else on the replication's globals
-// process.
-func (l chromeLayout) track(n *Node) (pid, tid int) {
-	sp := n.Span
+// track returns where span all[i] is drawn: leaf spans on their node
+// process and occupancy lane, everything else on the replication's
+// globals process.
+func (l chromeLayout) track(sp *obs.Record, i int) (pid, tid int) {
 	if sp.Node >= 0 {
-		return l.pid(sp.Rep, sp.Node), l.lane[spanKey{sp.Rep, sp.ID}]
+		return l.pid(sp.Rep, sp.Node), int(l.lane[i])
 	}
 	return l.pid(sp.Rep, -1), 0
 }
@@ -240,8 +242,8 @@ func (f *Forest) WriteChrome(w io.Writer) error {
 	}
 
 	usedPid := make(map[int]string)
-	for _, n := range f.all {
-		sp := &n.Span
+	for i := range f.all {
+		sp := &f.all[i].Span
 		if sp.Start == nil {
 			continue
 		}
@@ -251,7 +253,7 @@ func (f *Forest) WriteChrome(w io.Writer) error {
 		if name == "" {
 			name, anonID = sp.Kind, sp.ID
 		}
-		pid, tid := l.track(n)
+		pid, tid := l.track(sp, i)
 		if sp.Node >= 0 {
 			if _, ok := usedPid[pid]; !ok {
 				usedPid[pid] = fmt.Sprintf("rep%d/node%d", sp.Rep, sp.Node)
@@ -293,18 +295,18 @@ func (f *Forest) WriteChrome(w io.Writer) error {
 	flow := 0
 	for _, t := range f.Trees {
 		for _, lk := range t.Links {
-			from := f.byKey[spanKey{t.Rep, lk.From}]
-			to := f.byKey[spanKey{t.Rep, lk.To}]
-			if from == nil || to == nil {
+			fi, ti := f.find(t.Rep, lk.From), f.find(t.Rep, lk.To)
+			if fi < 0 || ti < 0 {
 				continue
 			}
+			from, to := &f.all[fi].Span, &f.all[ti].Span
 			flow++
 			sTs := lk.At
-			if from.Span.End != nil && sTs > *from.Span.End {
-				sTs = *from.Span.End
+			if from.End != nil && sTs > *from.End {
+				sTs = *from.End
 			}
-			fp, ft := l.track(from)
-			tp, tt := l.track(to)
+			fp, ft := l.track(from, fi)
+			tp, tt := l.track(to, ti)
 			if err := ew.emit(&chromeEvent{
 				name: lk.Kind, cat: "causal", ph: "s",
 				ts: sTs * tsScale, pid: fp, tid: ft, id: uint64(flow),

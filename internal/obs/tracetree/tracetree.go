@@ -94,147 +94,252 @@ type Forest struct {
 	Dropped int
 
 	// all holds every input span as a Node, in (rep, id) order — the
-	// Chrome export draws locals and injection markers too.
-	all   []*Node
-	byKey map[spanKey]*Node
-	trees map[spanKey]*Tree
+	// Chrome export draws locals and injection markers too — and spans
+	// are looked up in it by binary search. tree[i] is the index in
+	// Trees of the tree rooted at all[i], or -1.
+	all  []Node
+	tree []int32
 }
 
-type spanKey struct {
-	rep int
-	id  uint64
+// find returns the index in f.all of the span with key (rep, id), or -1.
+func (f *Forest) find(rep int, id uint64) int {
+	lo, hi := 0, len(f.all)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if sp := &f.all[mid].Span; sp.Rep < rep || sp.Rep == rep && sp.ID < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(f.all) && f.all[lo].Span.Rep == rep && f.all[lo].Span.ID == id {
+		return lo
+	}
+	return -1
+}
+
+// spanLess orders span records by (rep, id).
+func spanLess(a, b *obs.Record) bool {
+	if a.Rep != b.Rep {
+		return a.Rep < b.Rep
+	}
+	return a.ID < b.ID
 }
 
 // Build assembles a forest from a record stream: span records become
 // nodes, "parent" edges define nesting, every other edge kind becomes a
 // link on the tree of its target span. Records of other types (point
-// events) are ignored. The input order does not matter beyond tie-break
+// events) are ignored, and of several spans with one (rep, id) the
+// first wins. The input order does not matter beyond tie-break
 // stability; the output is fully sorted.
+//
+// Build allocates O(1) times, not once per span: the nodes live in one
+// slab sorted by (rep, id), spans are found by binary search in it, and
+// every node's Children and every tree's Links are carved from one
+// backing array each.
 func Build(recs []obs.Record) *Forest {
-	f := &Forest{byKey: make(map[spanKey]*Node), trees: make(map[spanKey]*Tree)}
-	var edges []obs.Record
+	f := &Forest{}
+
+	// Index the span records in (rep, id) order. A stream already in
+	// that order (a merged snapshot's spans) needs no sort.
+	nSpans, nEdges := 0, 0
 	for i := range recs {
 		switch recs[i].Type {
 		case "span":
-			k := spanKey{recs[i].Rep, recs[i].ID}
-			if _, dup := f.byKey[k]; dup {
-				continue
-			}
-			n := &Node{Span: recs[i]}
-			f.byKey[k] = n
-			f.all = append(f.all, n)
+			nSpans++
 		case "edge":
-			edges = append(edges, recs[i])
+			nEdges++
 		}
 	}
-	sort.Slice(f.all, func(i, j int) bool {
-		a, b := f.all[i].Span, f.all[j].Span
-		if a.Rep != b.Rep {
-			return a.Rep < b.Rep
+	order := make([]int, 0, nSpans)
+	sorted := true
+	for i := range recs {
+		if recs[i].Type != "span" {
+			continue
 		}
-		return a.ID < b.ID
-	})
+		if n := len(order); n > 0 && spanLess(&recs[i], &recs[order[n-1]]) {
+			sorted = false
+		}
+		order = append(order, i)
+	}
+	if !sorted {
+		sort.SliceStable(order, func(a, b int) bool { return spanLess(&recs[order[a]], &recs[order[b]]) })
+	}
+	uniq := order[:0]
+	for _, i := range order {
+		if n := len(uniq); n > 0 && !spanLess(&recs[uniq[n-1]], &recs[i]) {
+			continue // a duplicate (rep, id): the first one wins
+		}
+		uniq = append(uniq, i)
+	}
+	f.all = make([]Node, len(uniq))
+	for k, i := range uniq {
+		f.all[k].Span = recs[i]
+	}
+	n := len(f.all)
 
 	// Split the edge stream: structural parentage vs causal links. Edges
 	// with a missing endpoint are dropped — deterministically, because
-	// the retained span set is itself deterministic.
-	parent := make(map[spanKey]spanKey)
-	var links []obs.Record
-	for _, e := range edges {
-		fk, tk := spanKey{e.Rep, e.From}, spanKey{e.Rep, e.ID}
-		if f.byKey[fk] == nil || f.byKey[tk] == nil {
+	// the retained span set is itself deterministic. up[i] is the span
+	// the last surviving parent edge names as i's parent, or -1.
+	up := make([]int32, n)
+	for i := range up {
+		up[i] = -1
+	}
+	type linkRef struct {
+		e        *obs.Record
+		to, tree int32 // target span; tree it lands on, or -1
+	}
+	links := make([]linkRef, 0, nEdges)
+	for i := range recs {
+		e := &recs[i]
+		if e.Type != "edge" {
+			continue
+		}
+		from, to := f.find(e.Rep, e.From), f.find(e.Rep, e.ID)
+		if from < 0 || to < 0 {
 			f.Dropped++
 			continue
 		}
 		if e.Kind == "parent" {
-			parent[tk] = fk
+			up[to] = int32(from)
 		} else {
-			links = append(links, e)
+			links = append(links, linkRef{e: e, to: int32(to)})
 		}
 	}
 
 	// One tree per global root span.
-	for _, n := range f.all {
-		if n.Span.Kind != "global" {
-			continue
+	nTrees := 0
+	f.tree = make([]int32, n)
+	for i := range f.all {
+		f.tree[i] = -1
+		if f.all[i].Span.Kind == "global" {
+			f.tree[i] = int32(nTrees)
+			nTrees++
 		}
-		t := &Tree{Rep: n.Span.Rep, Root: n, Spans: 1}
-		f.trees[spanKey{n.Span.Rep, n.Span.ID}] = t
-		f.Trees = append(f.Trees, t)
+	}
+	trees := make([]Tree, nTrees)
+	f.Trees = make([]*Tree, nTrees)
+	for i := range f.all {
+		if t := f.tree[i]; t >= 0 {
+			trees[t] = Tree{Rep: f.all[i].Span.Rep, Root: &f.all[i], Spans: 1}
+			f.Trees[t] = &trees[t]
+		}
 	}
 
 	// Attach every non-root span under its structural parent, defaulting
 	// to the tree root when no parent edge survived (evicted parent span,
 	// or a resubmitted trial, whose retry link still records the cause).
-	for _, n := range f.all {
-		sp := n.Span
+	// A first pass picks each span's parent (up[i], -1 for roots and
+	// orphans) and counts children, a second carves the Children slices
+	// from one array and fills them in (rep, id) order — span-id order
+	// within a tree.
+	kids := make([]int32, n)
+	attached := 0
+	for i := range f.all {
+		sp := &f.all[i].Span
 		if sp.Kind == "global" {
+			up[i] = -1
 			continue
 		}
-		k := spanKey{sp.Rep, sp.ID}
-		t := f.trees[spanKey{sp.Rep, sp.Root}]
-		if t == nil {
+		root := f.find(sp.Rep, sp.Root)
+		if root < 0 || f.tree[root] < 0 {
 			f.Orphans++
+			up[i] = -1
 			continue
 		}
-		p := t.Root
-		if pk, ok := parent[k]; ok {
-			if pn := f.byKey[pk]; pn != nil && (pn.Span.Root == sp.Root || pn.Span.ID == sp.Root) {
-				p = pn
+		p := root
+		if pi := up[i]; pi >= 0 {
+			if pn := &f.all[pi].Span; pn.Root == sp.Root || pn.ID == sp.Root {
+				p = int(pi)
 			}
 		}
-		p.Children = append(p.Children, n)
-		t.Spans++
+		up[i] = int32(p)
+		kids[p]++
+		trees[f.tree[root]].Spans++
+		attached++
 	}
-	for _, t := range f.Trees {
-		t.Walk(func(n *Node, _ int) {
-			sort.Slice(n.Children, func(i, j int) bool { return n.Children[i].Span.ID < n.Children[j].Span.ID })
-		})
+	children := make([]*Node, attached)
+	for i, k := range kids {
+		if k > 0 {
+			f.all[i].Children, children = children[:0:k], children[k:]
+		}
+	}
+	for i, p := range up {
+		if p >= 0 {
+			f.all[p].Children = append(f.all[p].Children, &f.all[i])
+		}
 	}
 
-	// Links land on the tree of their target span.
-	for _, e := range links {
-		tn := f.byKey[spanKey{e.Rep, e.ID}]
-		rootID := tn.Span.Root
-		if tn.Span.Kind == "global" {
-			rootID = tn.Span.ID
+	// Links land on the tree of their target span; the same two passes
+	// carve every tree's Links from one array.
+	perTree := make([]int32, nTrees)
+	kept := 0
+	for k := range links {
+		tn := &f.all[links[k].to].Span
+		rootID := tn.Root
+		if tn.Kind == "global" {
+			rootID = tn.ID
 		}
-		t := f.trees[spanKey{e.Rep, rootID}]
-		if t == nil {
+		t := int32(-1)
+		if root := f.find(tn.Rep, rootID); root >= 0 {
+			t = f.tree[root]
+		}
+		if links[k].tree = t; t < 0 {
 			f.Dropped++
 			continue
 		}
+		perTree[t]++
+		kept++
+	}
+	linkArr := make([]Link, kept)
+	for t, k := range perTree {
+		if k > 0 {
+			trees[t].Links, linkArr = linkArr[:0:k], linkArr[k:]
+		}
+	}
+	for _, l := range links {
+		if l.tree < 0 {
+			continue
+		}
 		at := 0.0
-		if e.At != nil {
-			at = *e.At
+		if l.e.At != nil {
+			at = *l.e.At
 		}
-		t.Links = append(t.Links, Link{Kind: e.Kind, From: e.From, To: e.ID, At: at})
+		t := &trees[l.tree]
+		t.Links = append(t.Links, Link{Kind: l.e.Kind, From: l.e.From, To: l.e.ID, At: at})
 	}
-	for _, t := range f.Trees {
-		sort.Slice(t.Links, func(i, j int) bool {
-			a, b := t.Links[i], t.Links[j]
-			if a.To != b.To {
-				return a.To < b.To
-			}
-			if a.From != b.From {
-				return a.From < b.From
-			}
-			return a.Kind < b.Kind
-		})
+	var byKey linkOrder
+	for t := range trees {
+		byKey = trees[t].Links
+		sort.Sort(&byKey)
 	}
-	sort.Slice(f.Trees, func(i, j int) bool {
-		if f.Trees[i].Rep != f.Trees[j].Rep {
-			return f.Trees[i].Rep < f.Trees[j].Rep
-		}
-		return f.Trees[i].Root.Span.ID < f.Trees[j].Root.Span.ID
-	})
 	return f
+}
+
+// linkOrder sorts a tree's links by (To, From, Kind).
+type linkOrder []Link
+
+func (o *linkOrder) Len() int      { return len(*o) }
+func (o *linkOrder) Swap(i, j int) { (*o)[i], (*o)[j] = (*o)[j], (*o)[i] }
+func (o *linkOrder) Less(i, j int) bool {
+	a, b := &(*o)[i], &(*o)[j]
+	if a.To != b.To {
+		return a.To < b.To
+	}
+	if a.From != b.From {
+		return a.From < b.From
+	}
+	return a.Kind < b.Kind
 }
 
 // Tree returns the tree rooted at the given replication and root span
 // id, or nil.
 func (f *Forest) Tree(rep int, rootID uint64) *Tree {
-	return f.trees[spanKey{rep, rootID}]
+	if i := f.find(rep, rootID); i >= 0 && f.tree[i] >= 0 {
+		return f.Trees[f.tree[i]]
+	}
+	return nil
 }
 
 // TreesForTask returns every tree containing a span with the given task

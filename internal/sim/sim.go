@@ -449,10 +449,11 @@ func Run(cfg Config) (Result, error) {
 			flights[r] = sys.Eng.Flight()
 		}
 		if merged != nil {
-			// Snapshot on this worker's goroutine (Telemetry is single-
-			// goroutine); Merged.Add is concurrency-safe and folds shards
-			// in replication-index order regardless of arrival order.
-			if err := merged.Add(sys.tel.Snapshot(0)); err != nil {
+			// Hand the shard over on this worker's goroutine (Telemetry
+			// is single-goroutine); the merge is concurrency-safe and
+			// folds shards in replication-index order regardless of
+			// arrival order.
+			if err := sys.tel.MergeInto(merged); err != nil {
 				return fmt.Errorf("replication %d: %w", r, err)
 			}
 		}
