@@ -87,7 +87,7 @@ trace:
 	$(GO) run ./cmd/sdatrace -psp DIV-1 -until 2000 -chrome trace-out/sdatrace.chrome.json -tree trace-out/sdatrace.trees.jsonl
 
 # flight runs the full-size stress scenarios with the DES-kernel flight
-# recorder attached and writes each lookahead-feasibility report
-# (<name>.flight.md + .prom) into flight-out/.
+# recorder attached and writes each calendar report — event mix, record
+# pool and calendar depth (<name>.flight.md + .prom) — into flight-out/.
 flight:
 	$(GO) run ./cmd/sdascen -flight flight-out stress-fleet-10k stress-zone-5k stress-coldstart-1k

@@ -171,8 +171,8 @@ func benchSimulationFlight(b *testing.B, on bool) {
 func BenchmarkSimulationFlightOff(b *testing.B) { benchSimulationFlight(b, false) }
 
 // BenchmarkSimulationFlightOn runs with the flight recorder attached:
-// every schedule/fire/cancel tick updates the calendar-depth, event-mix
-// and scheduling-distance statistics.
+// every schedule/fire/cancel tick updates the event-mix, record-pool and
+// calendar-depth statistics.
 func BenchmarkSimulationFlightOn(b *testing.B) { benchSimulationFlight(b, true) }
 
 // benchSimulationObsReps runs an 8-replication observed batch through

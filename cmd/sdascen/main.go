@@ -65,7 +65,7 @@ func parse(fs *flag.FlagSet, args []string) (*plan, error) {
 	fs.BoolVar(&p.bless, "bless", false, "rewrite the golden hash registry from this run")
 	fs.BoolVar(&p.list, "list", false, "list scenarios and exit")
 	fs.BoolVar(&p.verbose, "v", false, "print per-scenario metrics")
-	fs.StringVar(&p.flightDir, "flight", "", "attach the kernel flight recorder and write each scenario's lookahead-feasibility report (<name>.flight.md + .prom) into this directory")
+	fs.StringVar(&p.flightDir, "flight", "", "attach the kernel flight recorder and write each scenario's calendar report (event mix, record pool, calendar depth; <name>.flight.md + .prom) into this directory")
 	fs.IntVar(&p.stressScale, "stress-scale", 1, "divide stress-scenario fleet sizes by this factor (smoke runs; band assertions are skipped when > 1)")
 	fs.IntVar(&p.stressWorkers, "stress-workers", 0, "replication workers for stress scenarios (0 = GOMAXPROCS); results are identical at every count")
 	fs.StringVar(&p.summaryPath, "summary", "", "append each stress scenario's deterministic outcome summary to this file (\"-\" = stdout), for cmp-based determinism checks")
@@ -132,7 +132,7 @@ func (p *plan) Execute(w io.Writer) error {
 		}
 	}
 	// writeFlight exports one scenario's flight-recorder findings: the
-	// markdown lookahead-feasibility report and the Prometheus exposition.
+	// markdown report and the Prometheus exposition.
 	writeFlight := func(name string, fl *des.Flight) error {
 		md := filepath.Join(p.flightDir, name+".flight.md")
 		if err := os.WriteFile(md, []byte(fl.Report(name)), 0o644); err != nil {
@@ -220,7 +220,7 @@ func (p *plan) Execute(w io.Writer) error {
 			info := serve.RunInfo{Label: fmt.Sprintf("%s (%d/%d)", sc.Name, i+1, len(scs)), Replications: 1}
 			out, tel, err = scenario.RunObservedWith(sc, p.tel.Options(), func(sys *sim.System) {
 				if p.flightDir != "" {
-					fl = des.NewFlight(len(sys.Nodes))
+					fl = des.NewFlight()
 					sys.Eng.AttachFlight(fl)
 				}
 				info.Horizon = float64(sys.Horizon())

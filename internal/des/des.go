@@ -106,7 +106,6 @@ type record struct {
 	ctx   any
 	gen   uint32
 	state uint8
-	dom   int32 // node domain the event was tagged with at schedule time
 }
 
 // slot is one calendar entry: the ordering key plus the record index. Keys
@@ -138,20 +137,14 @@ type Engine struct {
 	pool []record // event records addressed by slot.idx
 	free []int32  // recycled record indexes
 
-	// Flight-recorder state (see flight.go). curDom is the domain of the
-	// event currently firing, schedDom the tag stamped onto newly
-	// scheduled events; both are DomainNone outside node callbacks. The
-	// tags are maintained unconditionally (two int32 stores per fire) so
-	// attaching a recorder never changes what is measured; the recorder
-	// itself costs one nil check per schedule/fire when detached.
-	flight   *Flight
-	curDom   int32
-	schedDom int32
+	// Optional flight recorder (see flight.go); a detached recorder costs
+	// one nil check per schedule, fire and cancel.
+	flight *Flight
 }
 
 // New returns an engine with the clock at zero and an empty calendar.
 func New() *Engine {
-	return &Engine{curDom: DomainNone, schedDom: DomainNone}
+	return &Engine{}
 }
 
 // Now returns the current simulated instant.
@@ -213,10 +206,9 @@ func (e *Engine) At(at simtime.Time, fn func()) (Event, error) {
 	r := &e.pool[idx]
 	r.fn = fn
 	r.state = statePending
-	r.dom = e.schedDom
 	if e.flight != nil {
 		e.flight.closures++
-		e.flight.onSchedule(e.curDom, e.schedDom, float64(at-e.now), false)
+		e.flight.onSchedule(false)
 	}
 	s := slot{at: at, seq: e.seq, idx: idx}
 	e.seq++
@@ -247,10 +239,9 @@ func (e *Engine) AtCall(at simtime.Time, fn func(any), ctx any) (Event, error) {
 	r.fnc = fn
 	r.ctx = ctx
 	r.state = statePending
-	r.dom = e.schedDom
 	if e.flight != nil {
 		e.flight.calls++
-		e.flight.onSchedule(e.curDom, e.schedDom, float64(at-e.now), false)
+		e.flight.onSchedule(false)
 	}
 	s := slot{at: at, seq: e.seq, idx: idx}
 	e.seq++
@@ -308,14 +299,13 @@ func (e *Engine) ScheduleBatch(entries []BatchEntry) error {
 		r.fnc = ent.Call
 		r.ctx = ent.Ctx
 		r.state = statePending
-		r.dom = e.schedDom
 		if e.flight != nil {
 			if ent.Fn != nil {
 				e.flight.closures++
 			} else {
 				e.flight.calls++
 			}
-			e.flight.onSchedule(e.curDom, e.schedDom, float64(ent.At-e.now), true)
+			e.flight.onSchedule(true)
 		}
 		s := slot{at: ent.At, seq: e.seq, idx: idx}
 		e.seq++
@@ -412,17 +402,13 @@ func (e *Engine) Step() bool {
 	s := e.heap[0]
 	e.popMin()
 	r := &e.pool[s.idx]
-	fn, fnc, ctx, dom := r.fn, r.fnc, r.ctx, r.dom
+	fn, fnc, ctx := r.fn, r.fnc, r.ctx
 	// Recycle before firing so the callback's own scheduling can reuse the
 	// record: a steady schedule-fire loop then touches no allocator at all.
 	e.release(s.idx)
 	if e.flight != nil {
-		e.flight.onFire(dom, s.at, e.live)
+		e.flight.onFire(e.live)
 	}
-	// The firing event's domain becomes both the current domain and the
-	// inherited tag for whatever the callback schedules (see SetDomain).
-	e.curDom = dom
-	e.schedDom = dom
 	e.now = s.at
 	e.live--
 	e.fired++

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/simtime"
 )
@@ -479,5 +480,13 @@ func TestNext(t *testing.T) {
 	e.Run()
 	if _, ok := e.Next(); ok || fired != 1 {
 		t.Errorf("after drain: Next ok=%v fired=%d, want false, 1", ok, fired)
+	}
+}
+
+// TestRecordSize pins the pooled event record at 40 bytes: three
+// callback words (fn, fnc, ctx's two) plus the generation and state.
+func TestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(record{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(record{}) = %d, want 40", got)
 	}
 }

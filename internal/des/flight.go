@@ -3,50 +3,27 @@ package des
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"strings"
-
-	"repro/internal/simtime"
 )
-
-// DomainNone tags events that belong to no node: process-manager timers,
-// arrival streams, injection timelines and sampler ticks. Cross-node
-// statistics ignore them — they are "external" traffic from the point of
-// view of a sharded calendar.
-const DomainNone = -1
-
-// gapWindows are the candidate lookahead windows of the scheduling-
-// distance histogram, in simulated time units (mu_local = 1). A
-// cross-node event whose lead time (fire instant minus schedule instant)
-// is below a window W would arrive inside another shard's in-progress
-// window under a conservative lookahead-W parallel calendar, so the
-// cumulative counts below each boundary are exactly the hazard counts the
-// ROADMAP's sharded-calendar design needs.
-var gapWindows = [...]float64{0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 50}
 
 // depthBuckets is the number of log2 calendar-depth buckets; bucket i
 // counts fires observed with live calendar size in [2^(i-1), 2^i).
 const depthBuckets = 32
 
 // Flight is the DES kernel's flight recorder: an opt-in, allocation-free
-// tap that measures what the calendar actually does during a run —
-// event-type mix, pool behaviour, calendar depth, and the load-bearing
-// metric for the lookahead-parallel calendar decision: the scheduling
-// distance (lead time and node distance) between each event and the
-// event that scheduled it.
+// tap that measures what the calendar actually does during a run — the
+// event-type mix, the record pool's behaviour and the calendar depth.
 //
 // A Flight is attached to an Engine with AttachFlight before the run and
-// read afterwards. All state is fixed-size (arrays sized at construction
-// time), so the per-event recording path performs no allocation; when no
-// Flight is attached the engine pays one nil check per schedule/fire.
+// read afterwards. All state is fixed-size, so the per-event recording
+// path performs no allocation; when no Flight is attached the engine pays
+// one nil check per schedule/fire.
 //
-// Every field is a sum, a count, a min or a max, so Merge is exact and
+// Every field is a sum, a count or a max, so Merge is exact and
 // order-independent: per-replication recorders merged in any order
 // produce bit-identical aggregates.
 type Flight struct {
-	domains int // node-domain count; valid domains are 0..domains-1
-
 	// Event mix.
 	scheduled  uint64 // At/AtCall/ScheduleBatch entries accepted
 	fired      uint64
@@ -61,43 +38,10 @@ type Flight struct {
 	depthSum  uint64
 	depthMax  uint64
 	depthHist [depthBuckets]uint64
-
-	// Scheduling distance. For every scheduled event: gap is its lead
-	// time (fire instant minus the instant it was scheduled at) and the
-	// locality class compares the domain of the currently firing event
-	// with the domain the new event is tagged with.
-	gapSame     [len(gapWindows) + 1]uint64 // same node -> same node
-	gapCross    [len(gapWindows) + 1]uint64 // node A -> node B, A != B
-	gapExternal [len(gapWindows) + 1]uint64 // either side DomainNone
-	crossMinGap float64                     // min cross-node lead time (+Inf when none)
-
-	// Per-domain event spacing: the minimum gap between two consecutive
-	// fires inside one node domain bounds how finely that node's shard
-	// could be time-sliced.
-	fires      []uint64  // fires per domain
-	lastFire   []float64 // last fire instant per domain
-	minSpacing []float64 // min consecutive-fire spacing per domain (+Inf until 2 fires)
 }
 
-// NewFlight returns a flight recorder for a system with the given number
-// of node domains (node ids 0..domains-1; everything else is tagged
-// DomainNone). All recording state is allocated here, never per event.
-func NewFlight(domains int) *Flight {
-	if domains < 0 {
-		domains = 0
-	}
-	f := &Flight{
-		domains:     domains,
-		crossMinGap: math.Inf(1),
-		fires:       make([]uint64, domains),
-		lastFire:    make([]float64, domains),
-		minSpacing:  make([]float64, domains),
-	}
-	for i := range f.minSpacing {
-		f.minSpacing[i] = math.Inf(1)
-	}
-	return f
-}
+// NewFlight returns an empty flight recorder.
+func NewFlight() *Flight { return new(Flight) }
 
 // AttachFlight starts recording engine activity into f (nil detaches).
 // Attaching is purely observational: the event order, the clock and every
@@ -107,50 +51,18 @@ func (e *Engine) AttachFlight(f *Flight) { e.flight = f }
 // Flight returns the attached recorder (nil when detached).
 func (e *Engine) Flight() *Flight { return e.flight }
 
-// SetDomain tags every subsequently scheduled event with the given node
-// domain (DomainNone for events that belong to no node). The tag is
-// inherited: when an event fires, the engine resets the current tag to
-// the firing event's domain, so model code only calls SetDomain at the
-// few sites that schedule on behalf of a *different* domain than the one
-// currently executing (node service completions, manager timers, arrival
-// streams).
-func (e *Engine) SetDomain(d int) { e.schedDom = int32(d) }
-
-// gapBucket maps a lead time to its histogram bucket.
-func gapBucket(gap float64) int {
-	for i, w := range gapWindows {
-		if gap <= w {
-			return i
-		}
-	}
-	return len(gapWindows)
-}
-
-// onSchedule records one accepted schedule: from is the domain of the
-// event being fired right now (DomainNone outside callbacks), to the tag
-// the new event carries, gap its lead time.
-func (f *Flight) onSchedule(from, to int32, gap float64, batch bool) {
+// onSchedule records one accepted schedule; batch marks ScheduleBatch
+// entries.
+func (f *Flight) onSchedule(batch bool) {
 	f.scheduled++
 	if batch {
 		f.batched++
 	}
-	b := gapBucket(gap)
-	switch {
-	case from < 0 || to < 0:
-		f.gapExternal[b]++
-	case from == to:
-		f.gapSame[b]++
-	default:
-		f.gapCross[b]++
-		if gap < f.crossMinGap {
-			f.crossMinGap = gap
-		}
-	}
 }
 
-// onFire records one fired event: dom is its domain, at the fire instant,
-// live the calendar population before the fire.
-func (f *Flight) onFire(dom int32, at simtime.Time, live int) {
+// onFire records one fired event; live is the calendar population before
+// the fire.
+func (f *Flight) onFire(live int) {
 	f.fired++
 	d := uint64(live)
 	f.depthSum += d
@@ -162,27 +74,15 @@ func (f *Flight) onFire(dom int32, at simtime.Time, live int) {
 		b = depthBuckets - 1
 	}
 	f.depthHist[b]++
-	if dom >= 0 && int(dom) < f.domains {
-		if f.fires[dom] > 0 {
-			if sp := float64(at) - f.lastFire[dom]; sp < f.minSpacing[dom] {
-				f.minSpacing[dom] = sp
-			}
-		}
-		f.fires[dom]++
-		f.lastFire[dom] = float64(at)
-	}
 }
 
-// Merge folds another recorder into f. Both must have been created with
-// the same domain count. Every statistic is a sum, min or max, so the
-// result is independent of merge order — per-replication recorders fold
-// into bit-identical aggregates at any worker count.
+// Merge folds another recorder into f. Every statistic is a sum or a
+// max, so the result is independent of merge order — per-replication
+// recorders fold into bit-identical aggregates at any worker count. The
+// error is always nil.
 func (f *Flight) Merge(o *Flight) error {
 	if o == nil {
 		return nil
-	}
-	if o.domains != f.domains {
-		return fmt.Errorf("des: merging flight recorders with %d and %d domains", f.domains, o.domains)
 	}
 	f.scheduled += o.scheduled
 	f.fired += o.fired
@@ -198,20 +98,6 @@ func (f *Flight) Merge(o *Flight) error {
 	}
 	for i := range f.depthHist {
 		f.depthHist[i] += o.depthHist[i]
-	}
-	for i := range f.gapSame {
-		f.gapSame[i] += o.gapSame[i]
-		f.gapCross[i] += o.gapCross[i]
-		f.gapExternal[i] += o.gapExternal[i]
-	}
-	if o.crossMinGap < f.crossMinGap {
-		f.crossMinGap = o.crossMinGap
-	}
-	for d := 0; d < f.domains; d++ {
-		f.fires[d] += o.fires[d]
-		if o.minSpacing[d] < f.minSpacing[d] {
-			f.minSpacing[d] = o.minSpacing[d]
-		}
 	}
 	return nil
 }
@@ -235,71 +121,8 @@ func (f *Flight) PoolHitRate() float64 {
 	return float64(f.poolHits) / float64(total)
 }
 
-// counts sums one locality class's histogram.
-func counts(h *[len(gapWindows) + 1]uint64) uint64 {
-	var n uint64
-	for _, c := range h {
-		n += c
-	}
-	return n
-}
-
-// Locality returns the scheduling-distance class totals: events scheduled
-// onto the same node domain as the scheduler, onto a different node, and
-// events with no node on either side.
-func (f *Flight) Locality() (same, cross, external uint64) {
-	return counts(&f.gapSame), counts(&f.gapCross), counts(&f.gapExternal)
-}
-
-// CrossMinGap returns the smallest cross-node lead time observed — the
-// largest conservative lookahead window that would have been safe for
-// this run — and whether any cross-node schedule happened at all.
-func (f *Flight) CrossMinGap() (float64, bool) {
-	if math.IsInf(f.crossMinGap, 1) {
-		return 0, false
-	}
-	return f.crossMinGap, true
-}
-
-// CrossBelow returns how many cross-node schedules had a lead time at or
-// below the given window (the hazard count for a lookahead-W calendar).
-func (f *Flight) CrossBelow(window float64) uint64 {
-	var n uint64
-	for i, w := range gapWindows {
-		if w > window {
-			break
-		}
-		n += f.gapCross[i]
-	}
-	return n
-}
-
-// MinSpacing returns the smallest consecutive-fire spacing observed on
-// any node domain and whether any domain fired at least twice.
-func (f *Flight) MinSpacing() (float64, bool) {
-	m, ok := math.Inf(1), false
-	for d := 0; d < f.domains; d++ {
-		if f.fires[d] >= 2 && f.minSpacing[d] < m {
-			m, ok = f.minSpacing[d], true
-		}
-	}
-	if !ok {
-		return 0, false
-	}
-	return m, true
-}
-
-// ftoa renders a float compactly and deterministically for reports.
-func ftoa(v float64) string {
-	if math.IsInf(v, 1) {
-		return "inf"
-	}
-	return fmt.Sprintf("%.6g", v)
-}
-
 // WritePrometheus writes the recorder's statistics in the Prometheus text
-// exposition format under the sda_flight_* namespace. The cross-node
-// lead-time histogram uses the standard cumulative le-label encoding.
+// exposition format under the sda_flight_* namespace.
 func (f *Flight) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
 	line := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
@@ -326,33 +149,6 @@ func (f *Flight) WritePrometheus(w io.Writer) error {
 	line("# TYPE sda_flight_calendar_depth_sum counter\n")
 	line("sda_flight_calendar_depth_sum %d\n", f.depthSum)
 
-	line("# HELP sda_flight_schedule_locality_total scheduled events by node-domain locality\n")
-	line("# TYPE sda_flight_schedule_locality_total counter\n")
-	same, cross, ext := f.Locality()
-	line("sda_flight_schedule_locality_total{class=\"same\"} %d\n", same)
-	line("sda_flight_schedule_locality_total{class=\"cross\"} %d\n", cross)
-	line("sda_flight_schedule_locality_total{class=\"external\"} %d\n", ext)
-
-	line("# HELP sda_flight_cross_lead_time cross-node schedule lead times (lookahead hazard histogram)\n")
-	line("# TYPE sda_flight_cross_lead_time histogram\n")
-	var cum uint64
-	for i, wdw := range gapWindows {
-		cum += f.gapCross[i]
-		line("sda_flight_cross_lead_time_bucket{le=\"%s\"} %d\n", ftoa(wdw), cum)
-	}
-	cum += f.gapCross[len(gapWindows)]
-	line("sda_flight_cross_lead_time_bucket{le=\"+Inf\"} %d\n", cum)
-	line("sda_flight_cross_lead_time_count %d\n", cum)
-	if g, ok := f.CrossMinGap(); ok {
-		line("# HELP sda_flight_cross_lead_time_min smallest cross-node lead time (safe conservative lookahead)\n")
-		line("# TYPE sda_flight_cross_lead_time_min gauge\n")
-		line("sda_flight_cross_lead_time_min %s\n", ftoa(g))
-	}
-	if sp, ok := f.MinSpacing(); ok {
-		line("# HELP sda_flight_node_min_spacing smallest consecutive-fire spacing on any node domain\n")
-		line("# TYPE sda_flight_node_min_spacing gauge\n")
-		line("sda_flight_node_min_spacing %s\n", ftoa(sp))
-	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
@@ -365,9 +161,8 @@ func pct(n, total uint64) string {
 	return fmt.Sprintf("%.2f%%", 100*float64(n)/float64(total))
 }
 
-// Report renders the flight recorder as a markdown document answering the
-// sharded-calendar design question directly: what fraction of scheduled
-// events cross node domains within each candidate lookahead window.
+// Report renders the flight recorder as a markdown document: the event
+// mix, the record pool and the calendar-depth histogram.
 func (f *Flight) Report(title string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "## Flight report — %s\n\n", title)
@@ -388,7 +183,7 @@ func (f *Flight) Report(title string) string {
 	if f.fired > 0 {
 		mean = float64(f.depthSum) / float64(f.fired)
 	}
-	fmt.Fprintf(&b, "Mean live events at fire: %s; max: %d.\n\n", ftoa(mean), f.depthMax)
+	fmt.Fprintf(&b, "Mean live events at fire: %.6g; max: %d.\n\n", mean, f.depthMax)
 	fmt.Fprintf(&b, "| live events | fires | share |\n|---|---|---|\n")
 	for i, c := range f.depthHist {
 		if c == 0 {
@@ -402,41 +197,5 @@ func (f *Flight) Report(title string) string {
 		fmt.Fprintf(&b, "| %d–%d | %d | %s |\n", lo, hi, c, pct(c, f.fired))
 	}
 	fmt.Fprintf(&b, "\n")
-
-	same, cross, ext := f.Locality()
-	total := same + cross + ext
-	fmt.Fprintf(&b, "### Scheduling distance (lookahead feasibility)\n\n")
-	fmt.Fprintf(&b, "Of %d scheduled events: %d (%s) stayed on the scheduling node, %d (%s) crossed nodes, %d (%s) involved no node (timers, arrivals, timeline, sampler).\n\n",
-		total, same, pct(same, total), cross, pct(cross, total), ext, pct(ext, total))
-	if g, ok := f.CrossMinGap(); ok {
-		fmt.Fprintf(&b, "Smallest cross-node lead time: **%s** — the largest conservative lookahead window with zero hazards for this run.\n\n", ftoa(g))
-	} else {
-		fmt.Fprintf(&b, "No cross-node schedules observed.\n\n")
-	}
-	fmt.Fprintf(&b, "| lookahead window Δt | cross-node events with lead ≤ Δt | %% of cross | %% of all |\n|---|---|---|---|\n")
-	var cum uint64
-	for i, w := range gapWindows {
-		cum += f.gapCross[i]
-		fmt.Fprintf(&b, "| %s | %d | %s | %s |\n", ftoa(w), cum, pct(cum, cross), pct(cum, total))
-	}
-	fmt.Fprintf(&b, "| +Inf | %d | %s | %s |\n\n", cross, pct(cross, cross), pct(cross, total))
-
-	if sp, ok := f.MinSpacing(); ok {
-		fired2 := 0
-		sum, n := 0.0, 0
-		for d := 0; d < f.domains; d++ {
-			if f.fires[d] >= 2 {
-				fired2++
-				sum += f.minSpacing[d]
-				n++
-			}
-		}
-		meanSp := 0.0
-		if n > 0 {
-			meanSp = sum / float64(n)
-		}
-		fmt.Fprintf(&b, "Per-node minimum event spacing over %d active node domains: min %s, mean-of-mins %s.\n",
-			fired2, ftoa(sp), ftoa(meanSp))
-	}
 	return b.String()
 }

@@ -1,16 +1,16 @@
 package des
 
 import (
-	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/simtime"
 )
 
-// runFlightModel drives a tiny two-domain model: domain 0 fires a chain
-// of events that each schedule a same-domain successor and a cross-domain
-// event on domain 1, plus one untagged timer that gets cancelled.
+// runFlightModel drives a tiny model: a chain of events that each arm a
+// successor and a side event in one ScheduleBatch, plus one timer that
+// gets cancelled.
 func runFlightModel(eng *Engine) {
 	hops := 0
 	var tick func()
@@ -19,20 +19,17 @@ func runFlightModel(eng *Engine) {
 			return
 		}
 		hops++
-		eng.SetDomain(0)
-		if _, err := eng.After(1, tick); err != nil {
-			panic(err)
-		}
-		eng.SetDomain(1)
-		if _, err := eng.After(0.25, func() {}); err != nil {
+		now := eng.Now()
+		if err := eng.ScheduleBatch([]BatchEntry{
+			{At: now.Add(1), Fn: tick},
+			{At: now.Add(0.25), Fn: func() {}},
+		}); err != nil {
 			panic(err)
 		}
 	}
-	eng.SetDomain(0)
 	if _, err := eng.After(1, tick); err != nil {
 		panic(err)
 	}
-	eng.SetDomain(DomainNone)
 	ev, err := eng.After(100, func() {})
 	if err != nil {
 		panic(err)
@@ -41,13 +38,13 @@ func runFlightModel(eng *Engine) {
 	eng.Run()
 }
 
-func TestFlightRecordsLocalityAndSpacing(t *testing.T) {
+func TestFlightRecordsEventMix(t *testing.T) {
 	eng := New()
-	f := NewFlight(2)
+	f := NewFlight()
 	eng.AttachFlight(f)
 	runFlightModel(eng)
 
-	// 1 initial + 4 chain hops + 4 cross events + 1 cancelled timer.
+	// 1 initial + 4 hops × 2 batched entries + 1 cancelled timer.
 	if got, want := f.Scheduled(), uint64(10); got != want {
 		t.Fatalf("scheduled = %d, want %d", got, want)
 	}
@@ -57,33 +54,11 @@ func TestFlightRecordsLocalityAndSpacing(t *testing.T) {
 	if got, want := f.Cancelled(), uint64(1); got != want {
 		t.Fatalf("cancelled = %d, want %d", got, want)
 	}
-	same, cross, ext := f.Locality()
-	// Each of the 4 chain hops schedules one domain-0 successor from a
-	// domain-0 event (same) and one domain-1 event (cross). The initial
-	// arm and the cancelled timer happen outside any firing event, so
-	// their origin is DomainNone (external).
-	if same != 4 || cross != 4 || ext != 2 {
-		t.Fatalf("locality = (%d, %d, %d), want (4, 4, 2)", same, cross, ext)
+	if got, want := f.batched, uint64(8); got != want {
+		t.Fatalf("batched = %d, want %d", got, want)
 	}
-	g, ok := f.CrossMinGap()
-	if !ok || g != 0.25 {
-		t.Fatalf("cross min gap = (%v, %v), want (0.25, true)", g, ok)
-	}
-	if got := f.CrossBelow(0.25); got != 4 {
-		t.Fatalf("CrossBelow(0.25) = %d, want 4", got)
-	}
-	if got := f.CrossBelow(0.01); got != 0 {
-		t.Fatalf("CrossBelow(0.01) = %d, want 0", got)
-	}
-	sp, ok := f.MinSpacing()
-	if !ok {
-		t.Fatal("no min spacing observed")
-	}
-	// Domain 1 fires at 1.25, 2.25, ...: spacing 1. Domain 0 fires at
-	// 1, 2, 3, 4: spacing 1. Floating-point subtraction of instants built
-	// by repeated addition can wobble below 1 by an ulp at most.
-	if sp <= 0 || math.Abs(sp-1) > 1e-9 {
-		t.Fatalf("min spacing = %v, want ~1", sp)
+	if got, want := f.closures, uint64(10); got != want || f.calls != 0 {
+		t.Fatalf("callbacks = (%d closures, %d calls), want (%d, 0)", got, f.calls, want)
 	}
 	if f.PoolHitRate() <= 0 {
 		t.Fatalf("pool hit rate = %v, want > 0 (chain reuses records)", f.PoolHitRate())
@@ -93,11 +68,9 @@ func TestFlightRecordsLocalityAndSpacing(t *testing.T) {
 func TestFlightMergeOrderIndependent(t *testing.T) {
 	mk := func(salt simtime.Duration) *Flight {
 		eng := New()
-		f := NewFlight(2)
+		f := NewFlight()
 		eng.AttachFlight(f)
-		eng.SetDomain(0)
 		if _, err := eng.After(salt, func() {
-			eng.SetDomain(1)
 			if _, err := eng.After(salt/2, func() {}); err != nil {
 				panic(err)
 			}
@@ -107,7 +80,7 @@ func TestFlightMergeOrderIndependent(t *testing.T) {
 		eng.Run()
 		return f
 	}
-	ab, ba := NewFlight(2), NewFlight(2)
+	ab, ba := NewFlight(), NewFlight()
 	a1, b1 := mk(1), mk(3)
 	a2, b2 := mk(1), mk(3)
 	if err := ab.Merge(a1); err != nil {
@@ -135,9 +108,6 @@ func TestFlightMergeOrderIndependent(t *testing.T) {
 	if ab.Report("x") != ba.Report("x") {
 		t.Fatal("merged reports differ by merge order")
 	}
-	if err := ab.Merge(NewFlight(3)); err == nil {
-		t.Fatal("merging mismatched domain counts should fail")
-	}
 }
 
 // TestFlightScheduleFireAllocFree proves the recording path allocates
@@ -147,12 +117,11 @@ func TestFlightScheduleFireAllocFree(t *testing.T) {
 	for _, attached := range []bool{false, true} {
 		eng := New()
 		if attached {
-			eng.AttachFlight(NewFlight(4))
+			eng.AttachFlight(NewFlight())
 		}
 		ctx := new(int)
 		var hop func(any)
 		hop = func(x any) {
-			eng.SetDomain(*x.(*int) % 4)
 			if _, err := eng.AfterCall(1, hop, x); err != nil {
 				panic(err)
 			}
@@ -179,7 +148,7 @@ func TestFlightNonPerturbing(t *testing.T) {
 	trace := func(attach bool) []simtime.Time {
 		eng := New()
 		if attach {
-			eng.AttachFlight(NewFlight(2))
+			eng.AttachFlight(NewFlight())
 		}
 		var out []simtime.Time
 		runFlightModelTraced(eng, &out)
@@ -205,12 +174,10 @@ func runFlightModelTraced(eng *Engine, out *[]simtime.Time) {
 			return
 		}
 		hops++
-		eng.SetDomain(hops % 2)
 		if _, err := eng.After(simtime.Duration(0.5+float64(hops)), tick); err != nil {
 			panic(err)
 		}
 	}
-	eng.SetDomain(DomainNone)
 	if _, err := eng.After(1, tick); err != nil {
 		panic(err)
 	}
@@ -219,16 +186,17 @@ func runFlightModelTraced(eng *Engine, out *[]simtime.Time) {
 
 func TestFlightReportAndPrometheus(t *testing.T) {
 	eng := New()
-	f := NewFlight(2)
+	f := NewFlight()
 	eng.AttachFlight(f)
 	runFlightModel(eng)
 
 	rpt := f.Report("unit")
 	for _, want := range []string{
 		"## Flight report — unit",
-		"Scheduling distance (lookahead feasibility)",
-		"Smallest cross-node lead time: **0.25**",
-		"Per-node minimum event spacing",
+		"| events scheduled | 10 |",
+		"| batch-scheduled entries | 8 (80.00% of scheduled) |",
+		"Mean live events at fire: 1.44444; max: 2.",
+		"| 2–3 | 4 | 44.44% |",
 	} {
 		if !strings.Contains(rpt, want) {
 			t.Fatalf("report missing %q:\n%s", want, rpt)
@@ -238,14 +206,42 @@ func TestFlightReportAndPrometheus(t *testing.T) {
 	if err := f.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
 	}
+	if want := `sda_flight_events_total{kind="scheduled"} 10`; !strings.Contains(prom.String(), want) {
+		t.Fatalf("exposition missing %q:\n%s", want, prom.String())
+	}
+}
+
+// TestFlightExpositionLines pins the exposition lines that the benchmark
+// module reads back by exact series name (des.batched, des.depth_max and
+// des.depth_mean): a renamed series would silently read as 0 there.
+func TestFlightExpositionLines(t *testing.T) {
+	eng := New()
+	f := NewFlight()
+	eng.AttachFlight(f)
+	runFlightModel(eng)
+	var prom strings.Builder
+	if err := f.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(prom.String(), "\n")
+	// Five chain fires see one live event (themselves) and four side
+	// events see two (themselves and the next chain hop): 5 + 8 = 13.
 	for _, want := range []string{
-		`sda_flight_events_total{kind="scheduled"} 10`,
-		`sda_flight_schedule_locality_total{class="cross"} 4`,
-		"sda_flight_cross_lead_time_min 0.25",
+		`sda_flight_events_total{kind="batched"} 8`,
+		"sda_flight_calendar_depth_max 2",
+		"sda_flight_calendar_depth_sum 13",
+	} {
+		if !slices.Contains(lines, want) {
+			t.Errorf("exposition lacks the line %q:\n%s", want, prom.String())
+		}
+	}
+	for _, gone := range []string{
+		"sda_flight_schedule_locality_total",
+		"sda_flight_cross_lead_time",
 		"sda_flight_node_min_spacing",
 	} {
-		if !strings.Contains(prom.String(), want) {
-			t.Fatalf("exposition missing %q:\n%s", want, prom.String())
+		if strings.Contains(prom.String(), gone) {
+			t.Errorf("exposition still carries %s:\n%s", gone, prom.String())
 		}
 	}
 }

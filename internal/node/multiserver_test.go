@@ -106,34 +106,27 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestMMCTheory drives a 3-server node with Poisson arrivals and checks
-// the mean wait against the Erlang C formula.
-func TestMMCTheory(t *testing.T) {
-	if testing.Short() {
-		t.Skip("statistical test")
-	}
-	const (
-		lambda  = 2.0
-		mu      = 1.0
-		servers = 3
-		horizon = 60000.0
-	)
+// mmcMeanWait drives a node with the given servers and rate under
+// Poisson arrivals at lambda and exponential work of mean 1 (so service
+// is exponential at rate mu = rate) until horizon, and returns the mean
+// wait of the completed tasks.
+func mmcMeanWait(t *testing.T, servers int, rate, lambda, horizon float64, seed uint64) float64 {
+	t.Helper()
 	eng := des.New()
-	n := New(0, eng, WithServers(servers))
-	stream := rng.NewStream(7)
+	n := New(0, eng, WithServers(servers), WithRate(rate))
+	stream := rng.NewStream(seed)
 	var totalWait float64
 	var count int64
 
 	var arrive func()
 	arrive = func() {
-		tk := task.MustSimple("", 0, simtime.Duration(stream.Exp(1/mu)))
+		tk := task.MustSimple("", 0, simtime.Duration(stream.Exp(1)))
 		tk.VirtualDeadline = eng.Now().Add(simtime.Duration(stream.Uniform(1, 5)))
 		tk.RealDeadline = tk.VirtualDeadline
 		tk.Arrival = eng.Now()
 		it := NewItem(tk)
 		it.Hooks = onDone(func(done *Item, at simtime.Time) {
-			wait := float64(at.Sub(done.Task.Arrival)) - float64(done.Task.Exec)
-			totalWait += wait
+			totalWait += float64(at.Sub(done.Task.Arrival)) - float64(done.Task.Exec)/rate
 			count++
 		})
 		if err := n.Submit(it); err != nil {
@@ -150,14 +143,54 @@ func TestMMCTheory(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
+	return totalWait / float64(count)
+}
 
-	got := totalWait / float64(count)
-	q := queueing.MMC{Lambda: lambda, Mu: mu, Servers: servers}
-	want, err := q.MeanWait()
-	if err != nil {
-		t.Fatal(err)
+// TestMMCTheory checks multi-server nodes against the Erlang C mean wait
+// at the (servers, rate) corners of the shipped fleet templates
+// (testdata/scenarios/stress_*.json: "big" 3 × 1.1–1.4, "warm" 2 × 1.2–1.5,
+// "fast" 2 × 1.3–1.7), each at utilisation 0.5 and 0.8, plus the
+// original 3-server unit-rate point.
+//
+// tol is absolute, in time units, and comes from the run length: the
+// standard deviation (sd) of one run's mean wait shrinks as
+// 1/sqrt(horizon), and each tol is four of them at the row's horizon, as
+// measured over 20 seeds (2.3% of the wait at utilisation 0.5, 3–3.6% at
+// 0.8). Loaded rows run twice as long because their waits are far more
+// autocorrelated.
+func TestMMCTheory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("statistical test")
 	}
-	if math.Abs(got-want) > 0.05 {
-		t.Errorf("mean wait = %v, Erlang C gives %v", got, want)
+	for _, tc := range []struct {
+		servers      int
+		rate, rho    float64
+		horizon, tol float64
+	}{
+		{3, 1, 2.0 / 3, 60000, 0.05}, // the original point: lambda 2, mu 1; sd 0.011
+		{3, 1.1, 0.5, 40000, 0.014},  // sd 0.0034
+		{3, 1.1, 0.8, 80000, 0.12},   // sd 0.029
+		{3, 1.4, 0.5, 40000, 0.010},  // sd 0.0024
+		{3, 1.4, 0.8, 80000, 0.095},  // sd 0.023
+		{2, 1.2, 0.5, 40000, 0.026},  // sd 0.0065
+		{2, 1.2, 0.8, 80000, 0.22},   // sd 0.054
+		{2, 1.3, 0.5, 40000, 0.023},  // sd 0.0056
+		{2, 1.3, 0.8, 80000, 0.19},   // sd 0.046
+		{2, 1.5, 0.5, 40000, 0.019},  // sd 0.0047
+		{2, 1.5, 0.8, 80000, 0.15},   // sd 0.036
+		{2, 1.7, 0.5, 40000, 0.019},  // sd 0.0045
+		{2, 1.7, 0.8, 80000, 0.125},  // sd 0.031
+	} {
+		lambda := tc.rho * float64(tc.servers) * tc.rate
+		q := queueing.MMC{Lambda: lambda, Mu: tc.rate, Servers: tc.servers}
+		want, err := q.MeanWait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := mmcMeanWait(t, tc.servers, tc.rate, lambda, tc.horizon, 7)
+		if math.Abs(got-want) > tc.tol {
+			t.Errorf("c=%d mu=%v rho=%.3g: mean wait = %.4f, Erlang C gives %.4f (tol %v)",
+				tc.servers, tc.rate, tc.rho, got, want, tc.tol)
+		}
 	}
 }

@@ -496,7 +496,6 @@ func (n *Node) SetRate(r float64) {
 		}
 		n.busy += elapsed
 		it.startedAt = now
-		n.eng.SetDomain(n.id)
 		ev, err := n.eng.AfterCall(it.remaining.Scale(1/r), serviceDone, it)
 		if err != nil {
 			panic(fmt.Sprintf("node: reschedule service at new rate: %v", err))
@@ -717,9 +716,6 @@ func (n *Node) dispatch() {
 		if n.observer != nil {
 			n.observer.OnStart(n, it, now)
 		}
-		// Service completions are this node's own events: tag them so the
-		// kernel flight recorder attributes them to this node domain.
-		n.eng.SetDomain(n.id)
 		ev, err := n.eng.AfterCall(it.remaining.Scale(1/n.rate), serviceDone, it)
 		if err != nil {
 			// Exec is validated non-negative at construction; a scheduling

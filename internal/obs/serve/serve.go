@@ -5,6 +5,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
+	"slices"
 	"strconv"
 	"time"
 
@@ -26,6 +28,13 @@ func Start(addr string, hub *Hub) (*Server, error) {
 		return nil, fmt.Errorf("serve: listen %s: %w", addr, err)
 	}
 	s := &Server{hub: hub, ln: ln}
+	s.srv = &http.Server{Handler: s.routes(), ReadHeaderTimeout: 5 * time.Second}
+	go func() { _ = s.srv.Serve(ln) }()
+	return s, nil
+}
+
+// routes returns the server's request multiplexer.
+func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -42,9 +51,7 @@ func Start(addr string, hub *Hub) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = s.srv.Serve(ln) }()
-	return s, nil
+	return mux
 }
 
 // Addr returns the bound address (useful with ":0").
@@ -89,8 +96,33 @@ func (s *Server) handleSummary(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprint(w, s.hub.Summary())
 }
 
+// query parses r's query string; on a malformed one it answers 400 and
+// reports false.
+func query(w http.ResponseWriter, r *http.Request) (url.Values, bool) {
+	q, err := url.ParseQuery(r.URL.RawQuery)
+	if err != nil {
+		http.Error(w, "bad query: "+err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	return q, true
+}
+
+// oneOf reports whether parameter name holds one of vals ("" when it is
+// absent); otherwise it answers 400 with a message naming the parameter.
+func oneOf(w http.ResponseWriter, q url.Values, name string, vals ...string) bool {
+	if v := q.Get(name); !slices.Contains(vals, v) {
+		http.Error(w, fmt.Sprintf("bad %s=%q: want one of %q", name, v, vals), http.StatusBadRequest)
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("sse") == "1" || r.Header.Get("Accept") == "text/event-stream" {
+	q, ok := query(w, r)
+	if !ok || !oneOf(w, q, "sse", "", "0", "1") {
+		return
+	}
+	if q.Get("sse") == "1" || r.Header.Get("Accept") == "text/event-stream" {
 		s.streamProgress(w, r)
 		return
 	}
@@ -131,10 +163,21 @@ func (s *Server) streamProgress(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleSpans serves the span tail; ?n= keeps the last n lines, and an n
+// at or above the tail length keeps them all.
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
+	q, ok := query(w, r)
+	if !ok {
+		return
+	}
 	tail := s.hub.SpansTail()
-	if q := r.URL.Query().Get("n"); q != "" {
-		if n, err := strconv.Atoi(q); err == nil && n >= 0 && n < len(tail) {
+	if v := q.Get("n"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			http.Error(w, fmt.Sprintf("bad n=%q: want a non-negative integer", v), http.StatusBadRequest)
+			return
+		}
+		if n < len(tail) {
 			tail = tail[len(tail)-n:]
 		}
 	}
@@ -147,15 +190,23 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+	q, ok := query(w, r)
+	if !ok {
+		return
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if _, err := s.hub.Trace(w, r.URL.Query().Get("task")); err != nil {
+	if _, err := s.hub.Trace(w, q.Get("task")); err != nil {
 		// Headers are gone; all we can do is stop writing.
 		return
 	}
 }
 
 func (s *Server) handleBlame(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "md" {
+	q, ok := query(w, r)
+	if !ok || !oneOf(w, q, "format", "", "md") {
+		return
+	}
+	if q.Get("format") == "md" {
 		rpt := s.hub.Blame()
 		w.Header().Set("Content-Type", "text/markdown; charset=utf-8")
 		if rpt == nil {

@@ -362,9 +362,6 @@ func (m *Manager) SubmitLocal(t *task.Task) error {
 	lr.ref = it.Ref()
 	it.Hooks = lr
 	if m.pmAbort {
-		// Deadline timers are manager events, not node events: untag them
-		// so the kernel flight recorder classes them as external traffic.
-		m.eng.SetDomain(des.DomainNone)
 		ev, err := m.eng.AtCall(t.RealDeadline, localDeadlineFired, lr)
 		if err != nil {
 			// Deadline already in the past at submission: the task is
@@ -424,7 +421,6 @@ func (m *Manager) arm(r *run) bool {
 	if !m.pmAbort {
 		return true
 	}
-	m.eng.SetDomain(des.DomainNone)
 	ev, err := m.eng.AtCall(r.root.RealDeadline, globalDeadlineFired, r)
 	if err != nil {
 		r.abortAll()

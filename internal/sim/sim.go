@@ -112,11 +112,10 @@ type Config struct {
 
 	// Flight attaches the kernel flight recorder (des.Flight) to every
 	// replication's engine: an allocation-free tap on the event calendar
-	// that records depth, event mix, pool behaviour and the cross-node
-	// scheduling-distance histogram behind the lookahead-feasibility
-	// report. It never perturbs the model and does not force the run
-	// sequential; Run merges the per-replication recorders in
-	// replication-index order into Result.Flight.
+	// that records its depth, event mix and record-pool behaviour. It
+	// never perturbs the model and does not force the run sequential; Run
+	// merges the per-replication recorders in replication-index order into
+	// Result.Flight.
 	Flight bool
 
 	// OnSystem, when non-nil, runs once per wired system after nodes,
@@ -466,15 +465,11 @@ func Run(cfg Config) (Result, error) {
 	res := Result{Config: cfg, Reps: reps, Obs: merged}
 	if flights != nil {
 		// The flight merge is commutative, but folding in replication order
-		// keeps the aggregation path identical at every worker count.
-		agg := des.NewFlight(cfg.Spec.K)
-		for r, fl := range flights {
-			if fl == nil {
-				continue
-			}
-			if err := agg.Merge(fl); err != nil {
-				return Result{}, fmt.Errorf("replication %d: merge flight: %w", r, err)
-			}
+		// keeps the aggregation path identical at every worker count. Merge
+		// never fails and skips nil recorders.
+		agg := des.NewFlight()
+		for _, fl := range flights {
+			agg.Merge(fl)
 		}
 		res.Flight = agg
 	}
@@ -548,7 +543,7 @@ func (s *System) Telemetry() *obs.Telemetry { return s.tel }
 func build(cfg Config) *System {
 	eng := des.New()
 	if cfg.Flight {
-		eng.AttachFlight(des.NewFlight(cfg.Spec.K))
+		eng.AttachFlight(des.NewFlight())
 	}
 	var tel *obs.Telemetry
 	if cfg.Obs.Enabled {

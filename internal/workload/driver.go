@@ -98,9 +98,6 @@ func (d *Driver) Start(horizon simtime.Time) error {
 			batch = append(batch, des.BatchEntry{At: at, Call: globalArrivalFired, Ctx: a})
 		}
 	}
-	// Arrival events belong to no node: untag them so the kernel flight
-	// recorder classes arrivals as external traffic.
-	d.eng.SetDomain(des.DomainNone)
 	return d.eng.ScheduleBatch(batch)
 }
 
@@ -131,9 +128,6 @@ func (d *Driver) scheduleLocal(a *localArrival) error {
 	if at.After(d.horizon) {
 		return nil
 	}
-	// Submitting the previous task may have tagged a node domain (dispatch
-	// tags service completions); the re-armed arrival is external again.
-	d.eng.SetDomain(des.DomainNone)
 	_, err := d.eng.AtCall(at, localArrivalFired, a)
 	return err
 }
@@ -179,7 +173,6 @@ func (d *Driver) scheduleGlobal(a *globalArrival) error {
 	if at.After(d.horizon) {
 		return nil
 	}
-	d.eng.SetDomain(des.DomainNone)
 	_, err := d.eng.AtCall(at, globalArrivalFired, a)
 	return err
 }
