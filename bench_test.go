@@ -655,10 +655,13 @@ func BenchmarkRNGFleetStreams(b *testing.B) {
 // --- Task construction -------------------------------------------------------
 
 // BenchmarkTaskBuild measures drawing one task as the workload driver
-// does, leaves from a per-run task.Slab: a Table 1 local task, a
-// parallel-4 tree, the Section 8 serial5-fan4 pipeline, and the
-// fork-join DAG of the dag-abort workload. Execution times, placement,
-// pex stamping and the deadline are included.
+// does, from a task.Slab: a Table 1 local task, a parallel-4 tree, the
+// Section 8 serial5-fan4 pipeline, and the fork-join DAG of the dag-abort
+// workload. Execution times, placement, pex stamping and the deadline are
+// included. Those four never hand a task back; the recycled-local and
+// recycled-serial5-fan4 cases reclaim each task after drawing it, as the
+// process manager does after its final outcome, and allocate nothing in
+// steady state.
 func BenchmarkTaskBuild(b *testing.B) {
 	trees := []workload.Factory{
 		workload.FixedParallel{N: 4},
@@ -684,6 +687,26 @@ func BenchmarkTaskBuild(b *testing.B) {
 			}
 		})
 	}
+	b.Run("recycled-local", func(b *testing.B) {
+		b.ReportAllocs()
+		spec := sim.Default().Spec
+		s, slab := rng.NewStream(1), new(task.Slab)
+		for i := 0; i < b.N; i++ {
+			slab.Reclaim(spec.NewLocal(s, slab, i%spec.K, 0))
+		}
+	})
+	b.Run("recycled-serial5-fan4", func(b *testing.B) {
+		b.ReportAllocs()
+		spec := workload.Baseline(trees[1])
+		s, slab := rng.NewStream(1), new(task.Slab)
+		for i := 0; i < b.N; i++ {
+			root, err := spec.NewGlobal(s, slab, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			slab.Reclaim(root)
+		}
+	})
 	b.Run("forkjoin-dag", func(b *testing.B) {
 		b.ReportAllocs()
 		spec := dagBenchSpec()

@@ -6,6 +6,7 @@
 package analysis_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"repro/internal/sda"
 	"repro/internal/sim"
 	"repro/internal/simtime"
+	"repro/internal/task"
 	"repro/internal/workload"
 )
 
@@ -55,6 +57,58 @@ func randomDagFactory(s *rng.Stream, trial, k int) workload.DagFactory {
 	}
 }
 
+// bracketStrategies are the strategy pairs the idle-system bracket runs
+// under.
+var bracketStrategies = []struct {
+	ssp sda.SSP
+	psp sda.PSP
+}{
+	{sda.SerialUD{}, sda.UD{}},
+	{sda.EQF{}, sda.MustDiv(1)},
+	{sda.EQS{}, sda.GF{}},
+}
+
+// checkIdleBracket submits d alone into an otherwise empty k-node system
+// with the given deadline slack and checks that its response lies in
+// [critical path, volume] and that the oracle, checking at least once,
+// reports no violation.
+func checkIdleBracket(t *testing.T, label string, d *task.Dag, k int, ssp sda.SSP, psp sda.PSP, slack simtime.Duration) {
+	t.Helper()
+	m := analysis.DagMetrics(d)
+	eng := des.New()
+	nodes := make([]*node.Node, k)
+	for i := range nodes {
+		nodes[i] = node.New(i, eng)
+	}
+	oracle := analysis.NewOracle()
+	mgr := procmgr.New(eng, nodes, ssp, psp, procmgr.WithRecorder(oracle))
+
+	root := d.Root()
+	root.RealDeadline = simtime.Time(0).Add(m.Critical + slack)
+	if err := mgr.SubmitDag(d); err != nil {
+		t.Fatalf("%s: SubmitDag: %v", label, err)
+	}
+	eng.Run()
+
+	if !root.Finished() {
+		t.Fatalf("%s: DAG never finished", label)
+	}
+	resp := root.Finish.Sub(root.Arrival)
+	const tol = 1e-9
+	if float64(m.Critical)-float64(resp) > tol*(1+float64(m.Critical)) {
+		t.Errorf("%s: response %v below critical path %v", label, resp, m.Critical)
+	}
+	if float64(resp)-float64(m.Volume) > tol*(1+float64(m.Volume)) {
+		t.Errorf("%s: response %v above idle-system volume bound %v", label, resp, m.Volume)
+	}
+	if oracle.ViolationCount() != 0 {
+		t.Errorf("%s: oracle violations: %v", label, oracle.Violations())
+	}
+	if oracle.Checks() == 0 {
+		t.Errorf("%s: oracle performed no checks", label)
+	}
+}
+
 // TestRandomDagsRespectBounds is the idle-system property test: >= 200
 // randomized DAGs, each submitted alone into an otherwise empty system.
 // On every sample path the response must be at least the critical path
@@ -62,19 +116,11 @@ func randomDagFactory(s *rng.Stream, trial, k int) workload.DagFactory {
 // nothing else and the manager is work-conserving, at most the volume
 // (some vertex of the DAG is always in service until it finishes).
 func TestRandomDagsRespectBounds(t *testing.T) {
-	strategies := []struct {
-		ssp sda.SSP
-		psp sda.PSP
-	}{
-		{sda.SerialUD{}, sda.UD{}},
-		{sda.EQF{}, sda.MustDiv(1)},
-		{sda.EQS{}, sda.GF{}},
-	}
 	const k = 5
 	const trials = 210
 	stream := rng.NewStream(20260807)
 	for trial := 0; trial < trials; trial++ {
-		strat := strategies[trial%len(strategies)]
+		strat := bracketStrategies[trial%len(bracketStrategies)]
 		f := randomDagFactory(stream, trial, k)
 		if err := f.Validate(k); err != nil {
 			t.Fatalf("trial %d: randomized factory invalid: %v", trial, err)
@@ -85,43 +131,62 @@ func TestRandomDagsRespectBounds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: NewDag: %v", trial, err)
 		}
-		m := analysis.DagMetrics(d)
-
-		eng := des.New()
-		nodes := make([]*node.Node, k)
-		for i := range nodes {
-			nodes[i] = node.New(i, eng)
-		}
-		oracle := analysis.NewOracle()
-		mgr := procmgr.New(eng, nodes, strat.ssp, strat.psp, procmgr.WithRecorder(oracle))
-
-		root := d.Root()
-		root.RealDeadline = simtime.Time(0).Add(m.Critical + simtime.Duration(stream.Uniform(1.25, 5)))
-		if err := mgr.SubmitDag(d); err != nil {
-			t.Fatalf("trial %d: SubmitDag: %v", trial, err)
-		}
-		eng.Run()
-
-		if !root.Finished() {
-			t.Fatalf("trial %d (%s): DAG never finished", trial, f.Name())
-		}
-		resp := root.Finish.Sub(root.Arrival)
-		const tol = 1e-9
-		if float64(m.Critical)-float64(resp) > tol*(1+float64(m.Critical)) {
-			t.Errorf("trial %d (%s): response %v below critical path %v",
-				trial, f.Name(), resp, m.Critical)
-		}
-		if float64(resp)-float64(m.Volume) > tol*(1+float64(m.Volume)) {
-			t.Errorf("trial %d (%s): response %v above idle-system volume bound %v",
-				trial, f.Name(), resp, m.Volume)
-		}
-		if oracle.ViolationCount() != 0 {
-			t.Errorf("trial %d (%s): oracle violations: %v", trial, f.Name(), oracle.Violations())
-		}
-		if oracle.Checks() == 0 {
-			t.Errorf("trial %d (%s): oracle performed no checks", trial, f.Name())
-		}
+		slack := simtime.Duration(stream.Uniform(1.25, 5))
+		checkIdleBracket(t, fmt.Sprintf("trial %d (%s)", trial, f.Name()), d, k, strat.ssp, strat.psp, slack)
 	}
+}
+
+// maxBracketVertices and maxBracketNode bound the fuzzed DAGs, so one
+// input stays a small simulation.
+const (
+	maxBracketVertices = 64
+	maxBracketNode     = 63
+	maxBracketVolume   = 1e9
+)
+
+// FuzzOracleBracket is the idle-system bracket on conditional DAGs from
+// the fuzzer (Dinh et al.'s [len, vol] bounds for a DAG task on an idle
+// platform): any conditional DAG in ParseCondDag's notation is realized
+// with a fuzzed seed, submitted alone under a fuzzed strategy pair and
+// deadline, and its response must lie between the realized DAG's critical
+// path and its volume, with no oracle violation.
+func FuzzOracleBracket(f *testing.F) {
+	for i, seed := range []string{
+		"a",
+		"a b ; a>b",
+		"s a b ; s>a:0.3 s>b:0.7",
+		"s a b c d t ; s>a:0.5 s>b:0.5 a>c:0.25 a>d:0.75 b>t c>t d>t",
+		"s@0:1 a@1:2 b@2:4 t@3:1 ; s>a:0.3 s>b:0.7 a>t b>t",
+		"s@0:1 a@1:2/3 b@1:4/1 c@2:0.5 t@0:1 ; s>a s>b s>c a>t b>t c>t",
+		"a@0:0 b@0:0 ; a>b",
+		"a@0:1 b@0:1 c@0:1 d@1:2 ; a>d b>d c>d",
+	} {
+		f.Add(seed, uint64(i+1), uint8(i), 2.5)
+	}
+	f.Fuzz(func(t *testing.T, input string, seed uint64, strat uint8, slack float64) {
+		cd, err := task.ParseCondDag(input)
+		if err != nil || cd.Dag().Len() > maxBracketVertices {
+			return
+		}
+		k := 1
+		var volume float64
+		for _, n := range cd.Dag().Nodes() {
+			k = max(k, n.Task.Node+1)
+			volume += float64(n.Task.Exec)
+		}
+		if k > maxBracketNode+1 || !(volume <= maxBracketVolume) {
+			return
+		}
+		if !(slack >= 0 && slack <= maxBracketVolume) {
+			slack = 1
+		}
+		d, err := cd.Realize(rng.NewStream(seed), nil)
+		if err != nil {
+			t.Fatalf("%q: Realize: %v", input, err)
+		}
+		st := bracketStrategies[int(strat)%len(bracketStrategies)]
+		checkIdleBracket(t, fmt.Sprintf("%q seed %d", input, seed), d, k, st.ssp, st.psp, simtime.Duration(slack))
+	})
 }
 
 // TestSpecCondActivationConvergence draws conditional-DAG globals through

@@ -23,7 +23,10 @@ import (
 // becomes ready atomically in a single completion callback. Aborting a DAG
 // run also marks its not-yet-released vertices aborted without recording
 // them (see run.abortAll). The DAG, its vertices and their tasks are never
-// pooled: recorders, the oracle and spans key state by their identity.
+// reclaimed into the manager's slab, unlike a tree after its RecordGlobal:
+// telemetry keeps a vertex whose span is still open in its index, retired,
+// past RecordDagOutcome, so a vertex may be read after the run's last
+// callback (see Recorder).
 
 // SubmitDag submits a global task expressed as a precedence DAG. The
 // accounting root's RealDeadline must be set (d.Root().RealDeadline); the

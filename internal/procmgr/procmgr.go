@@ -35,9 +35,11 @@
 // stable), node items are recycled through the nodes' pools, life-cycle
 // callbacks go through the node.Hooks interface instead of per-item
 // closures, and deadline timers are scheduled with des.AtCall against
-// pooled records guarded by generation-tagged item handles. A DAG adds
-// only the few allocations of its decomposition at submission. See
-// docs/PERFORMANCE.md.
+// pooled records guarded by generation-tagged item handles. Local tasks
+// and trees drawn from the manager's task slab go back to it after their
+// final outcome callback (see Recorder), so the workload stops
+// allocating tasks too. A DAG adds only the few allocations of its
+// decomposition at submission. See docs/PERFORMANCE.md.
 package procmgr
 
 import (
@@ -61,6 +63,17 @@ var (
 // Recorder receives the outcome of every task the manager shepherds.
 // Implementations aggregate miss rates; the manager itself keeps no
 // statistics. All callbacks run on the simulation goroutine.
+//
+// Ownership: a callback may read any task it is handed, but it may not
+// keep the pointer past that task's final callback. A local task's final
+// callback is its RecordLocal; every task of a tree, root, composites and
+// subtasks alike, ends with the tree's RecordGlobal. Right after the final
+// callback returns, the manager hands every one of them that was drawn
+// from a slab to its own slab (Tasks), poisoned, and later draws reuse
+// them, so a kept pointer soon names another task. State keyed by a task must therefore
+// go at its final callback. DAG runs are exempt: their vertices and
+// accounting root are never reclaimed (see SubmitDag). Heap-built tasks
+// (a nil slab) are never reclaimed either.
 type Recorder interface {
 	// RecordLocal reports a finished or aborted local task.
 	RecordLocal(t *task.Task, missed bool)
@@ -215,6 +228,12 @@ type Manager struct {
 	localPool []*localRun
 	runPool   []*run
 	pexBuf    []simtime.Duration
+
+	// tasks is the slab the workload draws tasks from; local tasks and
+	// trees go back to it after their final outcome callback, unless
+	// keep is set.
+	tasks task.Slab
+	keep  bool
 }
 
 // Option configures a Manager.
@@ -266,6 +285,24 @@ func (m *Manager) SetStrategies(ssp sda.SSP, psp sda.PSP) {
 // Strategies returns the currently active serial and parallel strategies.
 func (m *Manager) Strategies() (sda.SSP, sda.PSP) { return m.ssp, m.psp }
 
+// Tasks returns the manager's task slab. A local task or tree drawn from a
+// slab belongs to the manager once submitted: the manager reclaims it into
+// this slab right after its final outcome callback (see Recorder).
+func (m *Manager) Tasks() *task.Slab { return &m.tasks }
+
+// KeepTasks stops the manager from reclaiming tasks: every task then
+// outlives its final callback, as a heap-built one does. Differential
+// tests use it to pin a recycled run to an unrecycled one.
+func (m *Manager) KeepTasks() { m.keep = true }
+
+// reclaim hands local task or tree t back to the manager's slab after its
+// final outcome callback has returned.
+func (m *Manager) reclaim(t *task.Task) {
+	if !m.keep {
+		m.tasks.Reclaim(t)
+	}
+}
+
 // pexScratch returns the manager's reusable deadline-budget buffer,
 // emptied. Strategies must not retain the slice past the AssignSerial
 // call (the built-ins are pure); the buffer is handed back via putPex so
@@ -307,18 +344,21 @@ func (lr *localRun) ItemDone(it *node.Item, _ simtime.Time) {
 	m.nodes[t.Node].RecycleItem(it)
 	m.releaseLocalRun(lr)
 	m.rec.RecordLocal(t, t.Missed())
+	m.reclaim(t)
 }
 
 // ItemLocalAbort implements node.Hooks. Local tasks are scheduled by
 // their real deadline, so the manager has no tighter budget to recompute
 // from; the node has already counted the abort and there is nothing to
 // resubmit or record (matching the closure-era behavior, where local
-// tasks carried no local-abort callback).
+// tasks carried no local-abort callback). The drop is the task's end, so
+// it goes back to the slab.
 func (lr *localRun) ItemLocalAbort(it *node.Item, _ simtime.Time) {
 	m, t := lr.m, lr.t
 	m.eng.Cancel(lr.timer)
 	m.nodes[t.Node].RecycleItem(it)
 	m.releaseLocalRun(lr)
+	m.reclaim(t)
 }
 
 // localDeadlineFired is the pm-abort timer callback for local tasks: a
@@ -336,6 +376,7 @@ func localDeadlineFired(x any) {
 	m.nodes[t.Node].RecycleItem(it)
 	m.releaseLocalRun(lr)
 	m.rec.RecordLocal(t, true)
+	m.reclaim(t)
 }
 
 // SubmitLocal submits a local task: a simple task executed at exactly one
@@ -371,6 +412,7 @@ func (m *Manager) SubmitLocal(t *task.Task) error {
 			m.releaseLocalRun(lr)
 			t.Aborted = true
 			m.rec.RecordLocal(t, true)
+			m.reclaim(t)
 			return nil
 		}
 		lr.timer = ev
@@ -790,8 +832,8 @@ func (r *run) finished(c *ctrl, at simtime.Time, cause *task.Task) {
 }
 
 // complete closes out a successfully finished run. The run is recycled
-// before the recorder fires; callers up the finished() recursion must not
-// touch the run afterwards.
+// before the recorder fires and a tree's tasks right after it; callers up
+// the finished() recursion must touch neither afterwards.
 func (r *run) complete(at simtime.Time) {
 	r.over = true
 	m, d, root := r.m, r.dag, r.root
@@ -800,7 +842,15 @@ func (r *run) complete(at simtime.Time) {
 	m.releaseRun(r)
 	missed := at.After(root.RealDeadline)
 	m.rec.RecordGlobal(root, missed)
-	if d != nil && m.lis != nil {
+	m.outcome(d, root, missed)
+}
+
+// outcome ends a run after its RecordGlobal: a DAG run reports its
+// RecordDagOutcome, a tree goes back to the slab.
+func (m *Manager) outcome(d *task.Dag, root *task.Task, missed bool) {
+	if d == nil {
+		m.reclaim(root)
+	} else if m.lis != nil {
 		m.lis.RecordDagOutcome(d, root, missed)
 	}
 }
@@ -845,9 +895,7 @@ func (r *run) abortAll() {
 	root.Aborted = true
 	m.releaseRun(r)
 	m.rec.RecordGlobal(root, true)
-	if d != nil && m.lis != nil {
-		m.lis.RecordDagOutcome(d, root, true)
-	}
+	m.outcome(d, root, true)
 }
 
 // withdraw removes the run's outstanding items from their nodes, marking

@@ -18,36 +18,79 @@ const slabChunkBytes = 32 << 10
 // slabChunkBytes, 315 for a 104-byte Task (32,760 B).
 const slabChunk = slabChunkBytes / int(unsafe.Sizeof(Task{}))
 
-// Slab hands out leaf tasks (local tasks, tree subtasks and DAG vertices)
-// from fixed-size chunks, so a stream of leaves costs one allocation per
-// chunk instead of one per task. A workload driver owns one per
-// replication.
+// Slab hands out tasks and takes them back once they are done with, so a
+// steady stream of tasks stops allocating: a process manager owns one, the
+// workload draws from it, and the manager reclaims each task right after
+// its final outcome callback.
 //
-// Only leaves go in a slab. A leaf holds no pointer to another task, so a
-// chunk never keeps another chunk alive. A composite in a chunk would pin
-// the chunks holding its children, which pin the composites they hold, in
-// a chain that spans the whole run; composites and their Children slices
-// are therefore always allocated one by one.
+// Leaves (local tasks, tree subtasks and DAG vertices) come from
+// fixed-size chunks, one allocation per chunk instead of one per task. A
+// leaf holds no pointer to another task, so a chunk never keeps another
+// chunk alive. Composites are allocated one by one, never in a chunk: a
+// composite in a chunk would pin the chunks holding its children, which
+// pin the composites they hold, in a chain that spans the whole run.
 //
-// Nothing is recycled: a chunk is freed by the garbage collector once
-// none of its tasks is referenced, so one long-lived task keeps its whole
-// chunk alive. A nil *Slab is valid and allocates every task on its own.
-// A Slab is not safe for concurrent use.
+// Reclaim takes back every task of a tree that came from a slab. A
+// reclaimed task is poisoned (Kind 0, Node -1) until it is drawn again, so
+// a read through a stale pointer panics on a node index or shows in the
+// outputs, and reclaiming it a second time panics. A reclaimed composite
+// keeps its Children array for the next composite. Heap-built tasks are
+// never taken. A task that is never reclaimed is freed by the garbage
+// collector with its chunk, once none of the chunk's tasks is referenced.
+//
+// A nil *Slab is valid: it allocates every task on its own and reclaims
+// nothing. A Slab is not safe for concurrent use.
 type Slab struct {
-	free []Task // unused tail of the current chunk
+	free   []Task  // unused tail of the current chunk
+	leaves []*Task // reclaimed leaves, drawn before the chunk
+	comps  []*Task // reclaimed composites, each keeping its Children array
 }
 
-// alloc returns a zeroed task from the current chunk, starting a new chunk
-// when it is used up. A nil slab allocates the task alone.
-func (s *Slab) alloc() *Task {
-	if s == nil {
-		return new(Task)
+// leaf returns a pristine leaf, a reclaimed one when there is one, else the
+// next task of the current chunk. A nil slab allocates the task alone.
+func (s *Slab) leaf(name string, kind Kind, node int, ex, pex simtime.Duration) *Task {
+	var t *Task
+	switch {
+	case s == nil:
+		t = new(Task)
+	case len(s.leaves) > 0:
+		k := len(s.leaves) - 1
+		t = s.leaves[k]
+		s.leaves[k] = nil
+		s.leaves = s.leaves[:k]
+	default:
+		if len(s.free) == 0 {
+			s.free = make([]Task, slabChunk)
+		}
+		t = &s.free[0]
+		s.free = s.free[1:]
 	}
-	if len(s.free) == 0 {
-		s.free = make([]Task, slabChunk)
+	*t = pristine(name, kind, node, ex, pex)
+	t.pooled = s != nil
+	return t
+}
+
+// composite returns a pristine composite with n child slots, a reclaimed
+// one when there is one; its Children array is reused when it holds n.
+func (s *Slab) composite(name string, kind Kind, n int) *Task {
+	var t *Task
+	var ch []*Task
+	if s != nil && len(s.comps) > 0 {
+		k := len(s.comps) - 1
+		t = s.comps[k]
+		s.comps[k] = nil
+		s.comps = s.comps[:k]
+		ch = t.Children
+	} else {
+		t = new(Task)
 	}
-	t := &s.free[0]
-	s.free = s.free[1:]
+	if cap(ch) < n {
+		ch = make([]*Task, n)
+	}
+	ch = ch[:n]
+	*t = pristine(name, kind, 0, 0, 0)
+	t.Children = ch
+	t.pooled = s != nil
 	return t
 }
 
@@ -71,26 +114,61 @@ func (s *Slab) Simple(name string, node int, ex simtime.Duration) (*Task, error)
 	if ex < 0 {
 		return nil, fmt.Errorf("%w: %v", ErrNegativeExec, ex)
 	}
-	t := s.alloc()
-	*t = pristine(name, KindSimple, node, ex, ex)
-	return t, nil
+	return s.leaf(name, KindSimple, node, ex, ex), nil
 }
 
-// Clone is Task.Clone drawing the copy's leaves from the slab; composites
-// and Children slices are allocated one by one.
-func (s *Slab) Clone(t *Task) *Task {
-	var c *Task
-	if t.IsSimple() && len(t.Children) == 0 {
-		c = s.alloc()
-	} else {
-		c = new(Task)
+// Composite returns a serial or parallel task drawn from the slab with n
+// empty child slots, for the caller to fill before the task is used; a
+// reclaimed composite's Children array is reused. It panics on any other
+// kind or on n < 1, as a composite without children is no task.
+func (s *Slab) Composite(name string, kind Kind, n int) *Task {
+	if kind != KindSerial && kind != KindParallel {
+		panic(fmt.Sprintf("task: composite of kind %v", kind))
 	}
-	*c = pristine(t.Name, t.Kind, t.Node, t.Exec, t.Pex)
-	if len(t.Children) > 0 {
-		c.Children = make([]*Task, len(t.Children))
-		for i, ch := range t.Children {
-			c.Children[i] = s.Clone(ch)
-		}
+	if n < 1 {
+		panic(ErrNoChildren)
+	}
+	return s.composite(name, kind, n)
+}
+
+// Clone is Task.Clone drawing the copy from the slab.
+func (s *Slab) Clone(t *Task) *Task {
+	if t.IsSimple() && len(t.Children) == 0 {
+		return s.leaf(t.Name, t.Kind, t.Node, t.Exec, t.Pex)
+	}
+	c := s.composite(t.Name, t.Kind, len(t.Children))
+	c.Node, c.Exec, c.Pex = t.Node, t.Exec, t.Pex
+	for i, ch := range t.Children {
+		c.Children[i] = s.Clone(ch)
 	}
 	return c
+}
+
+// Reclaim takes back every task of the tree rooted at t that came from a
+// slab, for reuse by later draws; heap-built tasks of the tree are left as
+// they are. The caller must hold the only references to the reclaimed
+// tasks: each is poisoned at once. Reclaiming a task twice panics. A nil
+// slab reclaims nothing.
+func (s *Slab) Reclaim(t *Task) {
+	if s == nil {
+		return
+	}
+	for _, c := range t.Children {
+		s.Reclaim(c)
+	}
+	if !t.pooled {
+		return
+	}
+	if t.Kind == 0 {
+		panic("task: task reclaimed twice")
+	}
+	if t.Kind == KindSimple && t.Children == nil {
+		*t = Task{Node: -1, pooled: true}
+		s.leaves = append(s.leaves, t)
+		return
+	}
+	ch := t.Children[:cap(t.Children)]
+	clear(ch)
+	*t = Task{Children: ch[:0], Node: -1, pooled: true}
+	s.comps = append(s.comps, t)
 }

@@ -80,6 +80,8 @@ type Task struct {
 	Kind          Kind
 	PriorityBoost bool // GF band: schedule before all local tasks
 	Aborted       bool // true if the task was abandoned
+
+	pooled bool // drawn from a Slab, which may take it back (Slab.Reclaim)
 }
 
 // NewSimple returns a simple subtask (or a local task) named name, to be

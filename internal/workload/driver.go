@@ -7,7 +7,6 @@ import (
 	"repro/internal/procmgr"
 	"repro/internal/rng"
 	"repro/internal/simtime"
-	"repro/internal/task"
 )
 
 // Driver feeds a process manager with the Spec's arrival streams: one
@@ -22,8 +21,9 @@ import (
 // The arrival hot path allocates little: each stream owns one arrival
 // context scheduled through des.AtCall with a package-level callback (no
 // per-arrival closures), Start arms all first arrivals with one
-// des.ScheduleBatch call, and every leaf task (local task, subtask or DAG
-// vertex) comes from the driver's task.Slab.
+// des.ScheduleBatch call, and every task comes from the manager's
+// task.Slab (procmgr.Manager.Tasks), which takes local tasks and trees
+// back after their final outcome.
 type Driver struct {
 	eng     *des.Engine
 	mgr     *procmgr.Manager
@@ -32,7 +32,6 @@ type Driver struct {
 
 	localStreams []*rng.Stream
 	globalStream *rng.Stream
-	slab         task.Slab
 
 	// Per-stream arrival contexts, allocated once. localArrs never grows,
 	// so pointers into it stay valid for the driver's life.
@@ -113,7 +112,7 @@ type localArrival struct {
 func localArrivalFired(x any) {
 	a := x.(*localArrival)
 	d := a.d
-	t := d.spec.NewLocal(d.localStreams[a.nodeID], &d.slab, a.nodeID, d.eng.Now())
+	t := d.spec.NewLocal(d.localStreams[a.nodeID], d.mgr.Tasks(), a.nodeID, d.eng.Now())
 	d.locals++
 	if err := d.mgr.SubmitLocal(t); err != nil {
 		panic(fmt.Sprintf("workload: submit local: %v", err))
@@ -147,7 +146,7 @@ func globalArrivalFired(x any) {
 	s := d.globalStream
 	d.globals++
 	if d.spec.DagFactory != nil {
-		g, err := d.spec.NewGlobalDag(s, &d.slab, d.eng.Now())
+		g, err := d.spec.NewGlobalDag(s, d.mgr.Tasks(), d.eng.Now())
 		if err != nil {
 			panic(fmt.Sprintf("workload: build global DAG: %v", err))
 		}
@@ -155,7 +154,7 @@ func globalArrivalFired(x any) {
 			panic(fmt.Sprintf("workload: submit global DAG: %v", err))
 		}
 	} else {
-		root, err := d.spec.NewGlobal(s, &d.slab, d.eng.Now())
+		root, err := d.spec.NewGlobal(s, d.mgr.Tasks(), d.eng.Now())
 		if err != nil {
 			panic(fmt.Sprintf("workload: build global: %v", err))
 		}

@@ -18,8 +18,8 @@ type ExecSampler func(s *rng.Stream) simtime.Duration
 // to be executed in parallel at n different nodes").
 type Factory interface {
 	// New draws one global task for a system of k nodes, drawing every
-	// simple subtask's execution time from draw and the subtask itself
-	// from slab (nil allocates each on its own).
+	// simple subtask's execution time from draw and every task of the
+	// tree from slab (nil allocates each on its own).
 	New(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Task, error)
 	// ExpectedWork returns the expected total execution time per global
 	// task given the mean subtask execution time; the load equations use
@@ -130,26 +130,24 @@ func (f SerialParallel) New(stream *rng.Stream, slab *task.Slab, k int, draw Exe
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
-	stages := make([]*task.Task, f.Stages)
-	for i := range stages {
+	if f.Stages == 1 {
+		return slab.Simple("", stream.IntN(k), draw(stream))
+	}
+	root := slab.Composite("", task.KindSerial, f.Stages)
+	for i := range root.Children {
+		var stage *task.Task
+		var err error
 		if f.parallelStage(i) {
-			g, err := parallelGroup(stream, slab, f.Fanout, k, draw)
-			if err != nil {
-				return nil, err
-			}
-			stages[i] = g
-			continue
+			stage, err = parallelGroup(stream, slab, f.Fanout, k, draw)
+		} else {
+			stage, err = slab.Simple("", stream.IntN(k), draw(stream))
 		}
-		leaf, err := slab.Simple("", stream.IntN(k), draw(stream))
 		if err != nil {
 			return nil, err
 		}
-		stages[i] = leaf
+		root.Children[i] = stage
 	}
-	if len(stages) == 1 {
-		return stages[0], nil
-	}
-	return task.NewSerial("", stages...)
+	return root, nil
 }
 
 // ExpectedWork implements Factory.
@@ -187,20 +185,20 @@ func (f SerialParallel) Name() string {
 	return fmt.Sprintf("serial%d-fan%d", f.Stages, f.Fanout)
 }
 
-// parallelGroup draws n simple subtasks at n distinct nodes from slab. A
-// group of one collapses to the bare subtask.
+// parallelGroup draws n simple subtasks at n distinct nodes from slab,
+// and the group itself too. A group of one collapses to the bare subtask.
 func parallelGroup(stream *rng.Stream, slab *task.Slab, n, k int, draw ExecSampler) (*task.Task, error) {
 	nodes := stream.Choose(k, n)
-	children := make([]*task.Task, n)
-	for i := range children {
+	if n == 1 {
+		return slab.Simple("", nodes[0], draw(stream))
+	}
+	g := slab.Composite("", task.KindParallel, n)
+	for i := range g.Children {
 		leaf, err := slab.Simple("", nodes[i], draw(stream))
 		if err != nil {
 			return nil, err
 		}
-		children[i] = leaf
+		g.Children[i] = leaf
 	}
-	if n == 1 {
-		return children[0], nil
-	}
-	return task.NewParallel("", children...)
+	return g, nil
 }

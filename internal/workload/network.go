@@ -39,7 +39,11 @@ func (f NetworkPipeline) New(stream *rng.Stream, slab *task.Slab, k int, draw Ex
 		return nil, err
 	}
 	ck := f.computeNodes(k)
-	var stages []*task.Task
+	if f.Stages == 1 {
+		return slab.Simple("", stream.IntN(ck), draw(stream))
+	}
+	// Stages compute stages with a network hop between each pair.
+	root := slab.Composite("", task.KindSerial, 2*f.Stages-1)
 	for i := 0; i < f.Stages; i++ {
 		if i > 0 {
 			// Network hop between consecutive compute stages.
@@ -49,28 +53,23 @@ func (f NetworkPipeline) New(stream *rng.Stream, slab *task.Slab, k int, draw Ex
 			if err != nil {
 				return nil, err
 			}
-			stages = append(stages, hop)
+			root.Children[2*i-1] = hop
 		}
+		var stage *task.Task
+		var err error
 		if f.parallelStage(i) {
 			// Parallel compute groups draw from the compute nodes only (the
 			// first ck node IDs); hops own the trailing network nodes.
-			g, err := parallelGroup(stream, slab, f.Fanout, ck, draw)
-			if err != nil {
-				return nil, err
-			}
-			stages = append(stages, g)
-			continue
+			stage, err = parallelGroup(stream, slab, f.Fanout, ck, draw)
+		} else {
+			stage, err = slab.Simple("", stream.IntN(ck), draw(stream))
 		}
-		leaf, err := slab.Simple("", stream.IntN(ck), draw(stream))
 		if err != nil {
 			return nil, err
 		}
-		stages = append(stages, leaf)
+		root.Children[2*i] = stage
 	}
-	if len(stages) == 1 {
-		return stages[0], nil
-	}
-	return task.NewSerial("", stages...)
+	return root, nil
 }
 
 // ExpectedWork implements Factory.

@@ -153,15 +153,14 @@ func Synthesize(spec Spec, seed uint64, horizon simtime.Time) ([]Arrival, error)
 
 // replayed is the event context of one recorded arrival.
 type replayed struct {
-	mgr  *procmgr.Manager
-	slab *task.Slab
-	a    Arrival
+	mgr *procmgr.Manager
+	a   Arrival
 }
 
 // replayFired submits one recorded arrival.
 func replayFired(x any) {
 	r := x.(*replayed)
-	tk := r.slab.Clone(r.a.Task)
+	tk := r.mgr.Tasks().Clone(r.a.Task)
 	tk.RealDeadline = r.a.Deadline
 	if tk.IsSimple() {
 		if err := r.mgr.SubmitLocal(tk); err != nil {
@@ -176,19 +175,18 @@ func replayFired(x any) {
 
 // Replay schedules the recorded arrivals into the engine, submitting each
 // task to the manager at its recorded instant with its recorded deadline.
-// Tasks are cloned, their leaves into one task.Slab per call, so a trace
-// can be replayed many times. The whole
+// Tasks are cloned into the manager's task.Slab, which takes them back
+// after their final outcome, so a trace can be replayed many times. The whole
 // trace is armed with one des.ScheduleBatch call — a single heapify pass
 // for large traces instead of one sift per arrival.
 func Replay(eng *des.Engine, mgr *procmgr.Manager, arrivals []Arrival) error {
 	ctxs := make([]replayed, len(arrivals))
-	slab := new(task.Slab)
 	batch := make([]des.BatchEntry, len(arrivals))
 	for i, a := range arrivals {
 		if a.Task == nil {
 			return fmt.Errorf("%w: arrival %d has no task", ErrBadTrace, i)
 		}
-		ctxs[i] = replayed{mgr: mgr, slab: slab, a: a}
+		ctxs[i] = replayed{mgr: mgr, a: a}
 		batch[i] = des.BatchEntry{At: a.At, Call: replayFired, Ctx: &ctxs[i]}
 	}
 	if err := eng.ScheduleBatch(batch); err != nil {

@@ -209,7 +209,7 @@ func (s *Spec) NewLocal(stream *rng.Stream, slab *task.Slab, nodeID int, ar simt
 }
 
 // NewGlobal draws one global task: the factory builds the tree (execution
-// times, node placement) with its leaves drawn from slab, the estimator
+// times, node placement) with every task drawn from slab, the estimator
 // stamps pex on every leaf, and the deadline follows the paper's Eq. 2
 // generalised to trees,
 //
