@@ -658,10 +658,10 @@ func BenchmarkRNGFleetStreams(b *testing.B) {
 // does, from a task.Slab: a Table 1 local task, a parallel-4 tree, the
 // Section 8 serial5-fan4 pipeline, and the fork-join DAG of the dag-abort
 // workload. Execution times, placement, pex stamping and the deadline are
-// included. Those four never hand a task back; the recycled-local and
-// recycled-serial5-fan4 cases reclaim each task after drawing it, as the
-// process manager does after its final outcome, and allocate nothing in
-// steady state.
+// included. Those four never hand a task back; the recycled-local,
+// recycled-serial5-fan4 and recycled-forkjoin-dag cases reclaim each task
+// or DAG after drawing it, as the process manager does after its final
+// outcome, and allocate nothing in steady state.
 func BenchmarkTaskBuild(b *testing.B) {
 	trees := []workload.Factory{
 		workload.FixedParallel{N: 4},
@@ -715,6 +715,18 @@ func BenchmarkTaskBuild(b *testing.B) {
 			if _, err := spec.NewGlobalDag(s, slab, 0); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	b.Run("recycled-forkjoin-dag", func(b *testing.B) {
+		b.ReportAllocs()
+		spec := dagBenchSpec()
+		s, slab := rng.NewStream(1), new(task.Slab)
+		for i := 0; i < b.N; i++ {
+			d, err := spec.NewGlobalDag(s, slab, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			slab.ReclaimDag(d)
 		}
 	})
 }
@@ -792,8 +804,10 @@ func BenchmarkDagBuild(b *testing.B) {
 // BenchmarkDagSubmit measures the process manager's DAG path: SubmitDag
 // of one DAG on an idle six-node manager (EQF, DIV-1, process-manager
 // abort), drained to completion — decomposition, releases, cluster
-// bookkeeping, completions and the deadline timer. The DAGs are drawn in
-// batches with the timer stopped, so only the manager is measured.
+// bookkeeping, completions and the deadline timer. The DAGs are drawn
+// from the manager's slab in batches with the timer stopped, so only the
+// manager is measured, and each goes back to the slab after its outcome,
+// as in a simulation.
 func BenchmarkDagSubmit(b *testing.B) {
 	b.ReportAllocs()
 	spec := dagBenchSpec()
@@ -813,7 +827,7 @@ func BenchmarkDagSubmit(b *testing.B) {
 		if j == 0 {
 			b.StopTimer()
 			for k := range dags {
-				d, err := spec.NewGlobalDag(s, nil, 0)
+				d, err := spec.NewGlobalDag(s, m.Tasks(), 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -137,10 +137,21 @@ func TestSimRecordAndReplay(t *testing.T) {
 
 // TestSimFlagProbes pins the flag rule: an explicitly set zero, negative
 // or non-finite value is an error naming the flag, never a silent
-// fallback to the default.
+// fallback to the default. A replayed arrival trace follows the same
+// rule: a non-finite time or deadline is an error naming the line, and a
+// task for a node the system lacks one naming the node, before anything
+// runs.
 func TestSimFlagProbes(t *testing.T) {
+	dir := t.TempDir()
+	trace := func(name, line string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(line+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
 	for _, tc := range []struct {
-		flag string
+		want string
 		args []string
 	}{
 		{"-workers", []string{"-workers", "-3"}},
@@ -149,10 +160,13 @@ func TestSimFlagProbes(t *testing.T) {
 		{"-serve-every", []string{"-serve-every", "-4"}},
 		{"-reps", []string{"-reps", "0"}},
 		{"-stages", []string{"-factory", "serial", "-stages", "100000000"}},
+		{"line 1: time NaN", []string{"-replay-trace", trace("nan-time", "NaN 3005 _@0:1")}},
+		{"at node 99", []string{"-replay-trace", trace("far-node", "3000 3005 _@99:1")}},
+		{"line 1: deadline NaN", []string{"-replay-trace", trace("nan-deadline", "3000 NaN _@0:1")}},
 	} {
 		err := run(tc.args)
-		if err == nil || !strings.Contains(err.Error(), tc.flag) {
-			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.want)
 		}
 	}
 }

@@ -144,7 +144,7 @@ type Telemetry struct {
 	// resolves while it is open, and the causal-edge endpoint (see
 	// RecordCause) even after it closes or leaves the ring. Entries go
 	// when the owning global task resolves.
-	latest map[*task.Task]taskSpan
+	latest map[*task.Task]uint64
 	// evicted holds spans pushed out of the ring while still open, by
 	// id, so their eventual close still feeds the lateness series and
 	// exemplar selection — aggregates are exact under any retention
@@ -224,7 +224,7 @@ func New(o Options) *Telemetry {
 
 		spans:    newRing[span](o.MaxSpans),
 		edges:    newRing[edge](o.MaxSpans),
-		latest:   make(map[*task.Task]taskSpan, 256),
+		latest:   make(map[*task.Task]uint64, 256),
 		evicted:  make(map[uint64]span),
 		dagShape: make(map[*task.Task][2]int, 16),
 		ex:       newExemplarStore(o.ExemplarK, o.ExemplarSeed),
@@ -341,22 +341,20 @@ func (t *Telemetry) RecordRelease(tk, root *task.Task, budget simtime.Time) {
 	retry := false
 	var retryFrom uint64
 	if prev, ok := t.latest[tk]; ok {
-		if sp := t.takeOpen(prev.id); sp != nil {
+		if sp := t.takeOpen(prev); sp != nil {
 			t.resubmits.Inc()
 			retry = true
 			t.finishSpan(sp, now, false, true)
 		}
-		if !prev.retired {
-			retryFrom = prev.id
-		}
+		retryFrom = prev
 	}
 
 	var rootID uint64
 	if tk == root {
 		t.inflight++
-	} else if ts, ok := t.latest[root]; ok {
-		if sp := t.retained(ts.id); sp != nil && sp.open {
-			rootID = ts.id
+	} else if id, ok := t.latest[root]; ok {
+		if sp := t.retained(id); sp != nil && sp.open {
+			rootID = id
 		}
 	}
 	kind := kindStage
@@ -498,31 +496,10 @@ func (t *Telemetry) retained(id uint64) *span {
 	return t.spans.get(int(id - oldest))
 }
 
-// taskSpan is a task's entry in the latest index: the id of its most
-// recent span and whether the entry is retired. A retired entry is no
-// causal-edge endpoint any more (its DAG has resolved) but still lets a
-// later hook close the span while it is open.
-type taskSpan struct {
-	id      uint64
-	retired bool
-}
-
 // lastSpan returns the id of tk's most recent span, or 0 when tk has no
-// live entry: it never opened a span, or its global task resolved.
+// entry: it never opened a span, or its global task resolved.
 func (t *Telemetry) lastSpan(tk *task.Task) uint64 {
-	if ts, ok := t.latest[tk]; ok && !ts.retired {
-		return ts.id
-	}
-	return 0
-}
-
-// isOpen reports whether span id is open, in the ring or evicted.
-func (t *Telemetry) isOpen(id uint64) bool {
-	if sp := t.retained(id); sp != nil {
-		return sp.open
-	}
-	_, ok := t.evicted[id]
-	return ok
+	return t.latest[tk]
 }
 
 // takeOpen returns span id for closing when it is open, or nil. A span
@@ -554,7 +531,7 @@ func (t *Telemetry) pushSpan(owner *task.Task, sp span) *span {
 	sp.id = t.nextID
 	sp.rep = int32(t.rep)
 	if owner != nil {
-		t.latest[owner] = taskSpan{id: sp.id}
+		t.latest[owner] = sp.id
 	}
 	if sp.open {
 		t.openSpans++
@@ -610,23 +587,23 @@ func (t *Telemetry) RecordDagSubmit(d *task.Dag, root *task.Task) {
 	t.dagShape[root] = [2]int{d.Depth(), d.Width()}
 }
 
-// RecordDagOutcome implements procmgr.Listener: DAG vertices
-// are not reachable from the accounting root's Walk, so their causal
-// bookkeeping retires here instead of in RecordGlobal. Every edge of the
-// run has fired by the time the outcome is reported.
-//
-// A vertex span still open here keeps its index entry, retired, so a
-// later RecordSubtask or RecordGlobal can still close it; any other
-// entry goes.
+// RecordDagOutcome implements procmgr.Listener. It is the DAG run's final
+// callback: the manager reclaims the DAG, its accounting root and every
+// vertex task right after it, so each vertex's index entry goes here. A
+// vertex span still open here was cut short by the run's end and closes
+// aborted, which attribution counts as censored, like any open span.
+// RecordGlobal's walk of the accounting root has normally closed them
+// all already.
 func (t *Telemetry) RecordDagOutcome(d *task.Dag, root *task.Task, missed bool) {
 	for _, n := range d.Nodes() {
-		ts, ok := t.latest[n.Task]
-		switch {
-		case !ok:
-		case t.isOpen(ts.id):
-			t.latest[n.Task] = taskSpan{id: ts.id, retired: true}
-		default:
-			delete(t.latest, n.Task)
+		id, ok := t.latest[n.Task]
+		if !ok {
+			continue
+		}
+		delete(t.latest, n.Task)
+		if sp := t.takeOpen(id); sp != nil {
+			end := t.endOf(n.Task)
+			t.finishSpan(sp, end, end > sp.vdl, true)
 		}
 	}
 }
@@ -672,15 +649,12 @@ func (t *Telemetry) RecordSubtask(tk *task.Task, missed bool) {
 	if missed {
 		t.missedSubtask.Inc()
 	}
-	ts, ok := t.latest[tk]
+	id, ok := t.latest[tk]
 	if !ok {
 		return
 	}
-	if sp := t.takeOpen(ts.id); sp != nil {
+	if sp := t.takeOpen(id); sp != nil {
 		t.finishSpan(sp, t.endOf(tk), missed, tk.Aborted)
-		if ts.retired {
-			delete(t.latest, tk)
-		}
 	}
 }
 
@@ -695,12 +669,12 @@ func (t *Telemetry) RecordGlobal(root *task.Task, missed bool) {
 	t.inflight--
 	delete(t.dagShape, root)
 	root.Walk(func(n *task.Task) {
-		ts, ok := t.latest[n]
+		id, ok := t.latest[n]
 		if !ok {
 			return
 		}
 		delete(t.latest, n)
-		sp := t.takeOpen(ts.id)
+		sp := t.takeOpen(id)
 		if sp == nil {
 			return
 		}

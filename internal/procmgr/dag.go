@@ -22,11 +22,10 @@ import (
 // finishes; because group mates share their predecessors, the whole group
 // becomes ready atomically in a single completion callback. Aborting a DAG
 // run also marks its not-yet-released vertices aborted without recording
-// them (see run.abortAll). The DAG, its vertices and their tasks are never
-// reclaimed into the manager's slab, unlike a tree after its RecordGlobal:
-// telemetry keeps a vertex whose span is still open in its index, retired,
-// past RecordDagOutcome, so a vertex may be read after the run's last
-// callback (see Recorder).
+// them (see run.abortAll). RecordDagOutcome is the run's final callback:
+// right after it returns, the DAG, its accounting root and its vertex
+// tasks go back to the manager's slab, as a tree does after its
+// RecordGlobal (see Recorder), and the decomposition goes with them.
 
 // SubmitDag submits a global task expressed as a precedence DAG. The
 // accounting root's RealDeadline must be set (d.Root().RealDeadline); the
@@ -158,6 +157,11 @@ func (r *run) memberFinished(c *ctrl, at simtime.Time) {
 	// may hold several successors of mb).
 	seen := r.seenBuf[:0]
 	for _, s := range mb.Succs() {
+		if r.over {
+			// A release ended the run, and its DAG may be reclaimed.
+			r.seenBuf = seen[:0]
+			return
+		}
 		if cl.down[s.ID()] == task.NotMember {
 			continue
 		}

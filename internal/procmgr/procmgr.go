@@ -35,11 +35,12 @@
 // stable), node items are recycled through the nodes' pools, life-cycle
 // callbacks go through the node.Hooks interface instead of per-item
 // closures, and deadline timers are scheduled with des.AtCall against
-// pooled records guarded by generation-tagged item handles. Local tasks
-// and trees drawn from the manager's task slab go back to it after their
-// final outcome callback (see Recorder), so the workload stops
-// allocating tasks too. A DAG adds only the few allocations of its
-// decomposition at submission. See docs/PERFORMANCE.md.
+// pooled records guarded by generation-tagged item handles. Local tasks,
+// trees and DAGs drawn from the manager's task slab go back to it after
+// their final outcome callback (see Recorder), and a reclaimed DAG keeps
+// its vertex records, adjacency lists and decomposition storage for the
+// next one, so the workload stops allocating tasks too. See
+// docs/PERFORMANCE.md.
 package procmgr
 
 import (
@@ -67,13 +68,15 @@ var (
 // Ownership: a callback may read any task it is handed, but it may not
 // keep the pointer past that task's final callback. A local task's final
 // callback is its RecordLocal; every task of a tree, root, composites and
-// subtasks alike, ends with the tree's RecordGlobal. Right after the final
+// subtasks alike, ends with the tree's RecordGlobal. A DAG run — the
+// task.Dag, its accounting root and every vertex task — ends with
+// Listener.RecordDagOutcome, which follows the run's RecordGlobal (with a
+// plain Recorder, RecordGlobal is the last). Right after the final
 // callback returns, the manager hands every one of them that was drawn
 // from a slab to its own slab (Tasks), poisoned, and later draws reuse
-// them, so a kept pointer soon names another task. State keyed by a task must therefore
-// go at its final callback. DAG runs are exempt: their vertices and
-// accounting root are never reclaimed (see SubmitDag). Heap-built tasks
-// (a nil slab) are never reclaimed either.
+// them, so a kept pointer soon names another task or DAG. State keyed by
+// a task or DAG must therefore go at its final callback. Heap-built tasks
+// and DAGs (a nil slab) are never reclaimed.
 type Recorder interface {
 	// RecordLocal reports a finished or aborted local task.
 	RecordLocal(t *task.Task, missed bool)
@@ -229,9 +232,8 @@ type Manager struct {
 	runPool   []*run
 	pexBuf    []simtime.Duration
 
-	// tasks is the slab the workload draws tasks from; local tasks and
-	// trees go back to it after their final outcome callback, unless
-	// keep is set.
+	// tasks is the slab the workload draws tasks and DAGs from; they go
+	// back to it after their final outcome callback, unless keep is set.
 	tasks task.Slab
 	keep  bool
 }
@@ -285,9 +287,10 @@ func (m *Manager) SetStrategies(ssp sda.SSP, psp sda.PSP) {
 // Strategies returns the currently active serial and parallel strategies.
 func (m *Manager) Strategies() (sda.SSP, sda.PSP) { return m.ssp, m.psp }
 
-// Tasks returns the manager's task slab. A local task or tree drawn from a
-// slab belongs to the manager once submitted: the manager reclaims it into
-// this slab right after its final outcome callback (see Recorder).
+// Tasks returns the manager's task slab. A local task, tree or DAG drawn
+// from a slab belongs to the manager once submitted: the manager reclaims
+// it into this slab right after its final outcome callback (see
+// Recorder).
 func (m *Manager) Tasks() *task.Slab { return &m.tasks }
 
 // KeepTasks stops the manager from reclaiming tasks: every task then
@@ -379,6 +382,27 @@ func localDeadlineFired(x any) {
 	m.reclaim(t)
 }
 
+// CheckNodes reports, as ErrBadNode, the first simple subtask of t that is
+// destined to a node the manager does not have, or nil. The submission
+// paths make the same check when a task is submitted; a caller that arms
+// tasks for later submission checks them up front with it.
+func (m *Manager) CheckNodes(t *task.Task) error {
+	_, err := m.walkNodes(t)
+	return err
+}
+
+// walkNodes returns the number of nodes of tree t and CheckNodes' verdict
+// on it.
+func (m *Manager) walkNodes(t *task.Task) (count int, err error) {
+	t.Walk(func(n *task.Task) {
+		count++
+		if err == nil && n.IsSimple() && (n.Node < 0 || n.Node >= len(m.nodes)) {
+			err = fmt.Errorf("%w: %q at node %d", ErrBadNode, n.Name, n.Node)
+		}
+	})
+	return count, err
+}
+
 // SubmitLocal submits a local task: a simple task executed at exactly one
 // node, scheduled by its own (real) deadline. The task's Arrival is set to
 // the current instant; its RealDeadline must already be set.
@@ -437,16 +461,9 @@ func (m *Manager) SubmitGlobal(root *task.Task) error {
 	if root.RealDeadline.IsNever() {
 		return fmt.Errorf("%w: %q", ErrNoDeadline, root.Name)
 	}
-	var badNode error
-	var treeNodes int
-	root.Walk(func(n *task.Task) {
-		treeNodes++
-		if badNode == nil && n.IsSimple() && (n.Node < 0 || n.Node >= len(m.nodes)) {
-			badNode = fmt.Errorf("%w: %q at node %d", ErrBadNode, n.Name, n.Node)
-		}
-	})
-	if badNode != nil {
-		return badNode
+	treeNodes, err := m.walkNodes(root)
+	if err != nil {
+		return err
 	}
 
 	r := m.acquireRun(root, nil, treeNodes)
@@ -845,13 +862,19 @@ func (r *run) complete(at simtime.Time) {
 	m.outcome(d, root, missed)
 }
 
-// outcome ends a run after its RecordGlobal: a DAG run reports its
-// RecordDagOutcome, a tree goes back to the slab.
+// outcome ends a run after its RecordGlobal: a tree goes back to the
+// slab; a DAG run reports its RecordDagOutcome, its final callback, and
+// then goes back whole.
 func (m *Manager) outcome(d *task.Dag, root *task.Task, missed bool) {
 	if d == nil {
 		m.reclaim(root)
-	} else if m.lis != nil {
+		return
+	}
+	if m.lis != nil {
 		m.lis.RecordDagOutcome(d, root, missed)
+	}
+	if !m.keep {
+		m.tasks.ReclaimDag(d)
 	}
 }
 

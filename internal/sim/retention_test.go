@@ -17,8 +17,8 @@ import (
 // case runs 50,000 time units while a probe collects garbage every 2,500
 // and records the heap in use; the peak must stay under 4 MB. The Table 1
 // cell at load 0.9 recycles every task. In the fork-join DAG cell under
-// process-manager abort, recycled locals share chunks with DAG vertices,
-// which are never reclaimed.
+// process-manager abort, recycled locals share chunks with recycled DAG
+// vertices, and each reclaimed DAG record keeps its own storage.
 func TestLiveHeapBounded(t *testing.T) {
 	table1 := Default()
 	table1.Spec.Load = 0.9

@@ -174,15 +174,16 @@ func (cd *CondDag) Validate() error {
 
 // realize builds the realization induced by choose, which is called once
 // per *active* conditional vertex in topological order and must return
-// the index of the taken out-edge. It returns the concrete Dag, whose
-// vertex tasks are cloned from slab, and the per-vertex activation mask
-// (indexed by base vertex id).
-func (cd *CondDag) realize(topo []*DagNode, slab *Slab, choose func(n *DagNode, probs []float64) int) (*Dag, []bool) {
+// the index of the taken out-edge. It returns the concrete Dag, which it
+// draws with its vertex tasks from slab, and fills active, indexed by
+// base vertex id, with the activation mask. taken and clone are working
+// memory of at least one entry per base vertex.
+func (cd *CondDag) realize(topo []*DagNode, slab *Slab, active []bool, taken []int, clone []*DagNode, choose func(n *DagNode, probs []float64) int) *Dag {
 	n := len(cd.dag.nodes)
-	active := make([]bool, n)
+	active, taken, clone = active[:n], taken[:n], clone[:n]
+	clear(active)
 	// taken[id] is the chosen out-edge index of an active conditional
 	// vertex, or -1 (all out-edges taken / vertex inactive).
-	taken := make([]int, n)
 	for i := range taken {
 		taken[i] = -1
 	}
@@ -205,7 +206,7 @@ func (cd *CondDag) realize(topo []*DagNode, slab *Slab, choose func(n *DagNode, 
 		}
 	}
 
-	out := NewDag(cd.dag.Name)
+	out := slab.Dag(cd.dag.Name)
 	live := 0
 	for _, on := range active {
 		if on {
@@ -213,7 +214,6 @@ func (cd *CondDag) realize(topo []*DagNode, slab *Slab, choose func(n *DagNode, 
 		}
 	}
 	out.Grow(live, 0)
-	clone := make([]*DagNode, n)
 	for _, v := range cd.dag.nodes { // id order keeps realizations canonical
 		if !active[v.id] {
 			continue
@@ -234,7 +234,8 @@ func (cd *CondDag) realize(topo []*DagNode, slab *Slab, choose func(n *DagNode, 
 			out.MustAddEdge(clone[v.id], clone[s.id])
 		}
 	}
-	return out, active
+	clear(clone)
+	return out
 }
 
 // edgeTaken reports whether the edge from p to v is taken given p's
@@ -250,7 +251,7 @@ func edgeTaken(p, v *DagNode, chosen int) bool {
 // out-edge with its configured probability (one Float64 draw per active
 // branch point, in topological order, so a fixed stream yields a fixed
 // realization). The result is a fresh, valid Dag of the active vertices
-// with runtime attributes reset, whose vertex tasks are drawn from slab
+// with runtime attributes reset, drawn with its vertex tasks from slab
 // (nil allocates each on its own); the original CondDag is not mutated.
 func (cd *CondDag) Realize(stream *rng.Stream, slab *Slab) (*Dag, error) {
 	if err := cd.Validate(); err != nil {
@@ -260,7 +261,10 @@ func (cd *CondDag) Realize(stream *rng.Stream, slab *Slab) (*Dag, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, _ := cd.realize(topo, slab, func(_ *DagNode, probs []float64) int {
+	n := len(cd.dag.nodes)
+	sc := getScratch(n)
+	defer putScratch(sc)
+	d := cd.realize(topo, slab, sc.srcQ, sc.ints, sc.queue[:n], func(_ *DagNode, probs []float64) int {
 		u := stream.Float64()
 		acc := 0.0
 		for i, p := range probs {
@@ -310,7 +314,9 @@ func (cd *CondDag) Realizations(limit int) ([]Realization, error) {
 		used := 0
 		fresh := -1 // number of choices available at the first fresh branch point
 		var freshProbs []float64
-		d, active := cd.realize(topo, nil, func(n *DagNode, probs []float64) int {
+		size := len(cd.dag.nodes)
+		active := make([]bool, size)
+		d := cd.realize(topo, nil, active, make([]int, size), make([]*DagNode, size), func(n *DagNode, probs []float64) int {
 			if used < len(prefix) {
 				i := prefix[used]
 				used++

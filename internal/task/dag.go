@@ -56,21 +56,32 @@ func (n *DagNode) Succs() []*DagNode { return n.succs[:len(n.succs):len(n.succs)
 // Dag is a precedence DAG over simple subtasks. Build one with NewDag,
 // AddTask and AddEdge (or ParseDag / FromTree) and check it with Validate.
 //
-// Vertices and adjacency lists are carved from per-DAG chunks rather than
-// allocated one by one; Grow sizes the chunks up front when the shape is
-// known. A DAG's vertices are never shared with or recycled into another
-// DAG, so their identity is stable for the DAG's whole life.
+// Vertices, adjacency lists, the topological order, the accounting root
+// and the decomposition are carved from storage the DAG keeps rather than
+// allocated one by one; Grow sizes it up front when the shape is known. A
+// DAG drawn from a Slab goes back to it whole (Slab.ReclaimDag) and keeps
+// that storage for its next use, so a steady stream of DAGs stops
+// allocating. Within one use, a vertex's identity is stable.
 type Dag struct {
 	Name string
 
 	nodes []*DagNode
 	edges int
 
-	spare []DagNode  // unused vertex records, handed out by AddTask
-	adj   []*DagNode // adjacency arena; preds and succs lists are carved from it
+	verts arena[DagNode]  // vertex records, handed out by AddTask
+	adj   arena[*DagNode] // preds and succs lists are carved from it
 
-	root *Task      // lazily built accounting root, see Root
-	topo []*DagNode // memoized topological order, see TopoOrder; nil when stale
+	topo   []*DagNode // topological order, see TopoOrder
+	sorted bool       // topo holds the current order
+
+	acct Task  // accounting root storage, see Root
+	root *Task // &acct once built; nil when stale
+
+	st     *Structure // memoized decomposition, see Decompose; nil when stale
+	decomp decompArenas
+
+	pooled bool // drawn from a Slab, which may take it back
+	free   bool // reclaimed, waiting in its slab
 }
 
 // NewDag returns an empty DAG.
@@ -82,34 +93,53 @@ func NewDag(name string) *Dag { return &Dag{Name: name} }
 func (d *Dag) Grow(nodes, edges int) {
 	if nodes > 0 {
 		d.nodes = slices.Grow(d.nodes, nodes)
-		if len(d.spare) < nodes {
-			d.spare = make([]DagNode, nodes)
-		}
+		d.verts.reserve(nodes)
 	}
 	// Each edge adds one successor and one predecessor entry, and a list
 	// of final length L occupies under 4L arena entries once its doublings
 	// are counted, so 8 entries per edge always suffice.
-	if need := 8 * edges; edges > 0 && cap(d.adj)-len(d.adj) < need {
-		d.adj = make([]*DagNode, 0, need)
+	if edges > 0 {
+		d.adj.reserve(8 * edges)
 	}
 }
 
 // appendAdj appends v to list, an adjacency list of d. A full list moves
 // to twice its capacity carved from the adjacency arena, so lists share a
-// few large allocations instead of growing one by one. Carved lists are
-// capacity-capped: one list can never append into another's entries.
+// few large allocations instead of growing one by one.
 func (d *Dag) appendAdj(list []*DagNode, v *DagNode) []*DagNode {
 	if len(list) < cap(list) {
 		return append(list, v)
 	}
 	size := max(2, 2*cap(list))
-	if cap(d.adj)-len(d.adj) < size {
-		d.adj = make([]*DagNode, 0, max(64, 4*size))
-	}
-	i := len(d.adj)
-	d.adj = d.adj[:i+size]
-	grown := append(d.adj[i:i:i+size], list...)
+	grown := append(d.adj.carve(size, max(64, 4*size))[:0], list...)
 	return append(grown, v)
+}
+
+// changed drops every memo derived from the graph: the topological order
+// and the decomposition. Adding a vertex also drops the accounting root.
+func (d *Dag) changed() {
+	d.sorted = false
+	d.st = nil
+}
+
+// reset empties a reclaimed DAG for its next use, keeping its storage.
+// Every vertex record, list and structure handed out becomes invalid, and
+// the accounting root is poisoned (Kind 0, Node -1) like a reclaimed task.
+func (d *Dag) reset() {
+	clear(d.nodes)
+	d.nodes = d.nodes[:0]
+	d.edges = 0
+	d.verts.reset()
+	d.adj.reset()
+	clear(d.topo)
+	d.topo = d.topo[:0]
+	ch := d.acct.Children[:cap(d.acct.Children)]
+	clear(ch)
+	d.acct = Task{Children: ch[:0], Node: -1}
+	d.root = nil
+	d.decomp.reset()
+	d.changed()
+	d.Name = ""
 }
 
 // AddTask appends a simple subtask as a new DAG vertex. Node names need
@@ -122,15 +152,11 @@ func (d *Dag) AddTask(t *Task) (*DagNode, error) {
 	if !t.IsSimple() {
 		return nil, fmt.Errorf("%w: %q", ErrNotSimple, t.Name)
 	}
-	if len(d.spare) == 0 {
-		d.spare = make([]DagNode, max(4, len(d.nodes)))
-	}
-	n := &d.spare[0]
-	d.spare = d.spare[1:]
+	n := &d.verts.carve(1, max(4, len(d.nodes)))[0]
 	*n = DagNode{Task: t, dag: d, id: len(d.nodes)}
 	d.nodes = append(d.nodes, n)
 	d.root = nil
-	d.topo = nil
+	d.changed()
 	return n, nil
 }
 
@@ -163,7 +189,7 @@ func (d *Dag) AddEdge(from, to *DagNode) error {
 	from.succs = d.appendAdj(from.succs, to)
 	to.preds = d.appendAdj(to.preds, from)
 	d.edges++
-	d.topo = nil
+	d.changed()
 	return nil
 }
 
@@ -210,12 +236,16 @@ func (d *Dag) Sinks() []*DagNode {
 // (Kahn's algorithm, smallest id first among the ready set), or ErrCycle.
 // The order is computed once and memoized until the next AddTask or
 // AddEdge, so Validate, Decompose and the path and shape queries share
-// it. The slice is owned by the DAG; callers must not mutate it.
+// it. The slice is owned by the DAG and valid until the graph changes;
+// callers must not mutate it.
 func (d *Dag) TopoOrder() ([]*DagNode, error) {
-	if d.topo != nil || len(d.nodes) == 0 {
+	n := len(d.nodes)
+	if n == 0 {
+		return nil, nil
+	}
+	if d.sorted {
 		return d.topo, nil
 	}
-	n := len(d.nodes)
 	sc := getScratch(n)
 	defer putScratch(sc)
 	indeg := sc.ints[:n]
@@ -230,7 +260,7 @@ func (d *Dag) TopoOrder() ([]*DagNode, error) {
 			ready = append(ready, v.id) // ids ascend: already sorted
 		}
 	}
-	out := make([]*DagNode, 0, n)
+	out := slices.Grow(d.topo[:0], n)
 	for len(ready) > 0 {
 		id := ready[0]
 		ready = ready[1:]
@@ -244,10 +274,11 @@ func (d *Dag) TopoOrder() ([]*DagNode, error) {
 			}
 		}
 	}
+	d.topo = out
 	if len(out) != n {
 		return nil, ErrCycle
 	}
-	d.topo = out
+	d.sorted = true
 	return out, nil
 }
 
@@ -307,13 +338,15 @@ func (d *Dag) TotalWork() simtime.Duration {
 	return sum
 }
 
-// levels assigns each vertex its longest hop distance from any source.
-func (d *Dag) levels() ([]int, int) {
+// levels fills lvl, indexed by vertex id, with each vertex's longest hop
+// distance from any source, and returns the largest; it reports false for
+// a cyclic graph.
+func (d *Dag) levels(lvl []int) (int, bool) {
 	topo, err := d.TopoOrder()
 	if err != nil {
-		return nil, 0
+		return 0, false
 	}
-	lvl := make([]int, len(d.nodes))
+	clear(lvl)
 	max := 0
 	for _, n := range topo {
 		for _, p := range n.preds {
@@ -325,18 +358,21 @@ func (d *Dag) levels() ([]int, int) {
 			max = lvl[n.id]
 		}
 	}
-	return lvl, max
+	return max, true
 }
 
 // Depth returns the number of vertices on the longest precedence chain; a
 // single vertex has depth 1, matching the tree Depth convention for
 // leaves. Returns 0 for a cyclic or empty graph.
 func (d *Dag) Depth() int {
-	if len(d.nodes) == 0 {
+	n := len(d.nodes)
+	if n == 0 {
 		return 0
 	}
-	lvl, max := d.levels()
-	if lvl == nil {
+	sc := getScratch(n)
+	defer putScratch(sc)
+	max, ok := d.levels(sc.ints[:n])
+	if !ok {
 		return 0
 	}
 	return max + 1
@@ -346,11 +382,16 @@ func (d *Dag) Depth() int {
 // longest hop distance from the sources) — a cheap, deterministic proxy
 // for the maximum parallelism the DAG can express.
 func (d *Dag) Width() int {
-	lvl, max := d.levels()
-	if lvl == nil {
+	n := len(d.nodes)
+	sc := getScratch(n)
+	defer putScratch(sc)
+	lvl := sc.ints[:n]
+	max, ok := d.levels(lvl)
+	if !ok || n == 0 {
 		return 0
 	}
-	counts := make([]int, max+1)
+	counts := sc.ints[n : n+max+1] // levels are below n
+	clear(counts)
 	for _, l := range lvl {
 		counts[l]++
 	}
@@ -387,23 +428,19 @@ func (d *Dag) Clone() *Dag {
 // CriticalPath (max over children) is only a lower bound on the DAG's
 // true critical path; use Dag.CriticalPath where the path length matters.
 // The root is built once and memoized, so recorders can key state by its
-// pointer identity across the run.
+// pointer identity across the run. It lives in the DAG's own storage and
+// goes back to the slab with it.
 func (d *Dag) Root() *Task {
 	if d.root != nil {
 		return d.root
 	}
-	children := make([]*Task, len(d.nodes))
-	for i, n := range d.nodes {
-		children[i] = n.Task
+	children := slices.Grow(d.acct.Children[:0], len(d.nodes))
+	for _, n := range d.nodes {
+		children = append(children, n.Task)
 	}
-	d.root = &Task{
-		Name:            d.Name,
-		Kind:            KindParallel,
-		Children:        children,
-		Finish:          simtime.Never,
-		RealDeadline:    simtime.Never,
-		VirtualDeadline: simtime.Never,
-	}
+	d.acct = pristine(d.Name, KindParallel, 0, 0, 0)
+	d.acct.Children = children
+	d.root = &d.acct
 	return d.root
 }
 

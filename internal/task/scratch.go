@@ -78,3 +78,46 @@ func (sc *scratch) markSet(vs []*DagNode) uint32 {
 	}
 	return e
 }
+
+// arena hands out capacity-capped sub-slices of one backing array, so
+// that many small lists of a DAG share a few allocations and one list can
+// never append into another's entries. A full arena moves to a fresh
+// backing array; the lists already carved keep the old one. An arena
+// lives as long as its DAG and is reset for the DAG's next use, growing
+// then to hold everything carved since the last reset, so a reused DAG of
+// the same shape carves from one array without allocating.
+type arena[T any] struct {
+	buf  []T
+	used int // elements carved since the last reset, across backing arrays
+}
+
+// carve returns the next k elements. A fresh backing array, when one is
+// needed, holds max(k, chunk) elements.
+func (a *arena[T]) carve(k, chunk int) []T {
+	a.used += k
+	if cap(a.buf)-len(a.buf) < k {
+		a.buf = make([]T, 0, max(k, chunk))
+	}
+	i := len(a.buf)
+	a.buf = a.buf[:i+k]
+	return a.buf[i : i+k : i+k]
+}
+
+// reserve makes room for k more elements in the current backing array.
+func (a *arena[T]) reserve(k int) {
+	if cap(a.buf)-len(a.buf) < k {
+		a.buf = make([]T, 0, k)
+	}
+}
+
+// reset empties the arena for reuse, zeroing what it handed out so no
+// stale pointer survives. Every list carved from it becomes invalid.
+func (a *arena[T]) reset() {
+	if cap(a.buf) < a.used {
+		a.buf = make([]T, 0, a.used)
+	} else {
+		clear(a.buf)
+		a.buf = a.buf[:0]
+	}
+	a.used = 0
+}

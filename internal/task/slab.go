@@ -38,12 +38,19 @@ const slabChunk = slabChunkBytes / int(unsafe.Sizeof(Task{}))
 // never taken. A task that is never reclaimed is freed by the garbage
 // collector with its chunk, once none of the chunk's tasks is referenced.
 //
+// DAGs come from the slab too (Dag) and go back whole (ReclaimDag): the
+// vertex tasks to the leaf list, and the Dag record, with its accounting
+// root, to a list of its own, keeping its vertex records, adjacency
+// arena, topological order, root children and decomposition storage for
+// the next DAG drawn.
+//
 // A nil *Slab is valid: it allocates every task on its own and reclaims
 // nothing. A Slab is not safe for concurrent use.
 type Slab struct {
 	free   []Task  // unused tail of the current chunk
 	leaves []*Task // reclaimed leaves, drawn before the chunk
 	comps  []*Task // reclaimed composites, each keeping its Children array
+	dags   []*Dag  // reclaimed DAGs, each keeping its storage
 }
 
 // leaf returns a pristine leaf, a reclaimed one when there is one, else the
@@ -171,4 +178,46 @@ func (s *Slab) Reclaim(t *Task) {
 	clear(ch)
 	*t = Task{Children: ch[:0], Node: -1, pooled: true}
 	s.comps = append(s.comps, t)
+}
+
+// Dag returns an empty DAG named name drawn from the slab, a reclaimed one
+// when there is one. A nil slab allocates it (NewDag).
+func (s *Slab) Dag(name string) *Dag {
+	if s == nil {
+		return NewDag(name)
+	}
+	var d *Dag
+	if k := len(s.dags); k > 0 {
+		d = s.dags[k-1]
+		s.dags[k-1] = nil
+		s.dags = s.dags[:k-1]
+	} else {
+		d = new(Dag)
+	}
+	d.Name, d.pooled, d.free = name, true, false
+	return d
+}
+
+// ReclaimDag takes back DAG d, when it came from a slab, and every vertex
+// task of it that came from one, for reuse by later draws; heap-built
+// parts are left as they are. The caller must hold the only references to
+// the DAG, its vertices, accounting root and decomposition: all of them
+// are invalid at once. Reclaiming a DAG twice panics. A nil slab reclaims
+// nothing.
+func (s *Slab) ReclaimDag(d *Dag) {
+	if s == nil {
+		return
+	}
+	if d.free {
+		panic("task: DAG reclaimed twice")
+	}
+	for _, n := range d.nodes {
+		s.Reclaim(n.Task)
+	}
+	if !d.pooled {
+		return
+	}
+	d.reset()
+	d.free = true
+	s.dags = append(s.dags, d)
 }

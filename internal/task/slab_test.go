@@ -157,6 +157,172 @@ func TestSlabReuseAllocs(t *testing.T) {
 	}
 }
 
+// copyDag builds the DAG src describes (ParseDag syntax) into d, a DAG
+// drawn from slab, with its vertex tasks drawn from slab too.
+func copyDag(d *Dag, slab *Slab, src string) *Dag {
+	p := MustParseDag(src)
+	for _, n := range p.Nodes() {
+		d.MustAddTask(slab.Clone(n.Task))
+	}
+	for _, n := range p.Nodes() {
+		for _, s := range n.Succs() {
+			d.MustAddEdge(d.Nodes()[n.ID()], d.Nodes()[s.ID()])
+		}
+	}
+	return d
+}
+
+// dagQueries runs every derived query of a DAG and renders the results:
+// the decomposition with each cluster's MemberDown and ClusterGroups, the
+// accounting root, the critical paths and the level shape.
+func dagQueries(t *testing.T, d *Dag) string {
+	t.Helper()
+	st, err := d.Decompose()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	var walk func(s *Structure)
+	walk = func(s *Structure) {
+		if s.Kind == StructCluster {
+			fmt.Fprintf(&b, " down=%v groups=", s.MemberDown())
+			for _, g := range s.ClusterGroups() {
+				for _, m := range g {
+					b.WriteString(m.Task.Name)
+				}
+				b.WriteByte('|')
+			}
+		}
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	walk(st)
+	fmt.Fprintf(&b, " %s root=%s cp=%v pcp=%v depth=%d width=%d", shapeOf(st), d.Root(),
+		d.CriticalPath(), d.PredictedCriticalPath(), d.Depth(), d.Width())
+	return b.String()
+}
+
+// TestReclaimDag checks what ReclaimDag does: the vertex tasks drawn from
+// a slab go back to its leaf list poisoned, heap-built ones are left
+// alone, the DAG record is emptied, its root poisoned, and drawn again
+// before a new one, a second reclaim panics, and a heap-built DAG is
+// never taken. A reused record answers every query as a fresh DAG would,
+// whatever shape it held before.
+func TestReclaimDag(t *testing.T) {
+	const nShape = "a@0:1 b@0:2 c@0:4 d@0:8 ; a>c b>c b>d"
+	const forkJoin = "s@1:1 x@2:2 y@3:3 z@4:1 j@5:2 k@0:9 ; s>x s>y s>z x>j y>j z>j s>j j>k"
+	slab := new(Slab)
+	d := copyDag(slab.Dag("n"), slab, nShape)
+	heap := MustSimple("heap", 3, 2)
+	hv := d.MustAddTask(heap)
+	d.MustAddEdge(d.Nodes()[0], hv)
+	dagQueries(t, d)
+	root := d.Root()
+	var verts []*Task
+	for _, n := range d.Nodes() {
+		verts = append(verts, n.Task)
+	}
+
+	slab.ReclaimDag(d)
+	if d.Len() != 0 || d.EdgeCount() != 0 || d.Name != "" {
+		t.Errorf("reclaimed DAG not emptied: %d vertices, %d edges, name %q", d.Len(), d.EdgeCount(), d.Name)
+	}
+	if root.Kind != 0 || root.Node != -1 || len(root.Children) != 0 {
+		t.Errorf("reclaimed root not poisoned: %+v", *root)
+	}
+	for _, v := range verts {
+		if v == heap {
+			if v.Kind != KindSimple || v.Node != 3 {
+				t.Errorf("heap-built vertex changed: %+v", *v)
+			}
+		} else if v.Kind != 0 || v.Node != -1 {
+			t.Errorf("reclaimed vertex not poisoned: %+v", *v)
+		}
+	}
+	if len(slab.leaves) != 4 || len(slab.dags) != 1 {
+		t.Fatalf("slab took back %d leaves and %d DAGs, want 4 and 1", len(slab.leaves), len(slab.dags))
+	}
+	mustPanic(t, "DAG reclaimed twice", func() { slab.ReclaimDag(d) })
+
+	// The record comes back first and answers as a fresh DAG would.
+	again := slab.Dag("fj")
+	if again != d {
+		t.Fatalf("slab drew a new DAG before the reclaimed one")
+	}
+	copyDag(again, slab, forkJoin)
+	if got, want := dagQueries(t, again), dagQueries(t, copyDag(NewDag("fj"), nil, forkJoin)); got != want {
+		t.Errorf("reused DAG:\n%s\nfresh DAG:\n%s", got, want)
+	}
+	slab.ReclaimDag(again)
+	copyDag(slab.Dag("n"), slab, nShape)
+	if got, want := dagQueries(t, d), dagQueries(t, copyDag(NewDag("n"), nil, nShape)); got != want {
+		t.Errorf("reused DAG:\n%s\nfresh DAG:\n%s", got, want)
+	}
+
+	// A nil slab reclaims nothing, and no slab takes a heap-built DAG.
+	(*Slab)(nil).ReclaimDag(d)
+	if d.Len() != 4 {
+		t.Errorf("nil slab reclaimed a DAG")
+	}
+	h := copyDag(NewDag("h"), nil, nShape)
+	slab.ReclaimDag(h)
+	if h.Len() != 4 || len(slab.dags) != 0 {
+		t.Errorf("slab took a heap-built DAG")
+	}
+}
+
+// TestDagReuseAllocs checks that a build → query → reclaim loop through a
+// slab allocates nothing once the slab holds the DAG: the vertex records,
+// adjacency lists, topological order, root, decomposition, MemberDown
+// and ClusterGroups all come from the reused record.
+func TestDagReuseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector include its sync.Pool drops")
+	}
+	slab := new(Slab)
+	build := func() {
+		d := slab.Dag("")
+		var vs [6]*DagNode
+		for i := range vs {
+			l, _ := slab.Simple("", i, 1)
+			vs[i] = d.MustAddTask(l)
+		}
+		// A source fans out to an N-shaped cluster that joins in a sink.
+		for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {2, 4}, {3, 5}, {4, 5}, {0, 5}} {
+			d.MustAddEdge(vs[e[0]], vs[e[1]])
+		}
+		st, err := d.Decompose()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clusters := 0
+		var walk func(s *Structure)
+		walk = func(s *Structure) {
+			if s.Kind == StructCluster {
+				clusters++
+				s.MemberDown()
+				s.ClusterGroups()
+			}
+			for _, c := range s.Children {
+				walk(c)
+			}
+		}
+		walk(st)
+		if clusters == 0 {
+			t.Fatal("the DAG decomposed without a cluster")
+		}
+		d.Root()
+		d.Depth()
+		d.Width()
+		d.CriticalPath()
+		slab.ReclaimDag(d)
+	}
+	if got := testing.AllocsPerRun(10, build); got != 0 {
+		t.Errorf("build and reclaim: %v allocs per DAG, want 0", got)
+	}
+}
+
 func mustPanic(t *testing.T, want string, fn func()) {
 	t.Helper()
 	defer func() {

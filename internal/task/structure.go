@@ -62,6 +62,30 @@ type Structure struct {
 	Node     *DagNode     // leaf: the vertex
 	Children []*Structure // serial: stages in order; parallel: branches by min vertex id
 	Members  []*DagNode   // cluster: vertices in topological order
+
+	down   []simtime.Duration // cluster: MemberDown's storage
+	groups [][]*DagNode       // cluster: memoized ClusterGroups
+}
+
+// decompArenas is the storage a DAG keeps for its decomposition: the
+// structure nodes, child lists and vertex lists, and each cluster's
+// MemberDown and ClusterGroups results.
+type decompArenas struct {
+	structs arena[Structure]
+	kids    arena[*Structure]
+	parts   arena[*DagNode]
+	down    arena[simtime.Duration]
+	groups  arena[[]*DagNode]
+	members arena[*DagNode]
+}
+
+func (a *decompArenas) reset() {
+	a.structs.reset()
+	a.kids.reset()
+	a.parts.reset()
+	a.down.reset()
+	a.groups.reset()
+	a.members.reset()
 }
 
 // Decompose computes the DAG's series-parallel decomposition. The result
@@ -69,13 +93,19 @@ type Structure struct {
 // branches in order of their smallest vertex id, cluster members in the
 // DAG's canonical topological order.
 //
-// The structure nodes, child lists and cluster member lists are carved
-// from a few arenas sized to the DAG, and the walks run on pooled scratch
-// indexed by vertex id, so a decomposition costs a handful of allocations
-// whatever its shape.
+// The decomposition is memoized until the next AddTask or AddEdge, and is
+// owned by the DAG: callers must not mutate it, and it is valid until the
+// graph changes or the DAG goes back to its slab. Its structure nodes,
+// child lists and cluster member lists are carved from arenas the DAG
+// keeps, and the walks run on pooled scratch indexed by vertex id, so a
+// decomposition costs at most a handful of allocations whatever its
+// shape, and none on a reused DAG of a shape it has held before.
 func (d *Dag) Decompose() (*Structure, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
+	}
+	if d.st != nil {
+		return d.st, nil
 	}
 	topo, err := d.TopoOrder()
 	if err != nil {
@@ -83,61 +113,43 @@ func (d *Dag) Decompose() (*Structure, error) {
 	}
 	n := len(d.nodes)
 	sc := getScratch(n)
-	dc := decomposer{
-		n:  n,
-		sc: sc,
-		// A decomposition tree over n vertices has at most 2n-1 nodes.
-		structs: make([]Structure, 0, 2*n),
-		kids:    make([]*Structure, 0, 2*n),
-		bounds:  sc.bounds[:0],
-	}
-	st := dc.decompose(topo)
+	ar := &d.decomp
+	ar.reset()
+	// A decomposition tree over n vertices has at most 2n-1 nodes.
+	ar.structs.reserve(2 * n)
+	ar.kids.reserve(2 * n)
+	dc := decomposer{n: n, sc: sc, ar: ar, bounds: sc.bounds[:0]}
+	d.st = dc.decompose(topo)
 	sc.bounds = dc.bounds[:0] // keep any growth for the next user
 	putScratch(sc)
-	return st, nil
+	return d.st, nil
 }
 
-// decomposer carries one decomposition's arenas and scratch. The arenas
-// only ever grow by carving fresh capacity-capped sub-slices, so nothing
-// handed out is overwritten; an exhausted arena falls back to the heap.
+// decomposer carries one decomposition's arenas and scratch. Arenas only
+// ever carve fresh capacity-capped sub-slices, so nothing handed out is
+// overwritten.
 type decomposer struct {
-	n       int // vertices in the DAG
-	sc      *scratch
-	structs []Structure
-	kids    []*Structure
-	nodes   []*DagNode
-	bounds  []int // stack of split points; see decompose
+	n      int // vertices in the DAG
+	sc     *scratch
+	ar     *decompArenas
+	bounds []int // stack of split points; see decompose
 }
 
 func (dc *decomposer) newStruct(s Structure) *Structure {
-	if len(dc.structs) == cap(dc.structs) {
-		p := new(Structure)
-		*p = s
-		return p
-	}
-	dc.structs = append(dc.structs, s)
-	return &dc.structs[len(dc.structs)-1]
+	p := &dc.ar.structs.carve(1, 2*dc.n)[0]
+	*p = s
+	return p
 }
 
 // carveKids returns an empty child list with room for k children.
 func (dc *decomposer) carveKids(k int) []*Structure {
-	if len(dc.kids)+k > cap(dc.kids) {
-		return make([]*Structure, 0, k)
-	}
-	i := len(dc.kids)
-	dc.kids = dc.kids[:i+k]
-	return dc.kids[i : i : i+k]
+	return dc.ar.kids.carve(k, 2*dc.n)[:0]
 }
 
-// carveNodes returns a vertex list of length k.
+// carveNodes returns a vertex list of length k. Cluster members and
+// parallel parts together rarely exceed 2n.
 func (dc *decomposer) carveNodes(k int) []*DagNode {
-	if len(dc.nodes)+k > cap(dc.nodes) {
-		// Cluster members and parallel parts together rarely exceed 2n.
-		dc.nodes = make([]*DagNode, 0, max(k, 2*dc.n))
-	}
-	i := len(dc.nodes)
-	dc.nodes = dc.nodes[:i+k]
-	return dc.nodes[i : i+k : i+k]
+	return dc.ar.parts.carve(k, 2*dc.n)
 }
 
 // decompose recursively decomposes the induced subgraph whose vertices
@@ -422,15 +434,19 @@ func memberDown(members []*DagNode, weight func(*Task) simtime.Duration, down []
 // in-cluster successors), indexed by vertex id over the whole DAG;
 // entries of vertices outside the cluster hold NotMember, so the slice
 // also answers cluster membership. Deadline assignment uses it to budget
-// the stages that follow a vertex inside an irreducible cluster. Panics
-// unless s is a cluster.
+// the stages that follow a vertex inside an irreducible cluster. The
+// slice is owned by the DAG and rewritten by every call on the cluster,
+// from the members' current Pex. Panics unless s is a cluster.
 func (s *Structure) MemberDown() []simtime.Duration {
 	if s.Kind != StructCluster {
 		panic("task: MemberDown on non-cluster structure")
 	}
-	down := make([]simtime.Duration, s.Members[0].dag.Len())
-	memberDown(s.Members, func(t *Task) simtime.Duration { return t.Pex }, down)
-	return down
+	if s.down == nil {
+		d := s.Members[0].dag
+		s.down = d.decomp.down.carve(d.Len(), d.Len())
+	}
+	memberDown(s.Members, func(t *Task) simtime.Duration { return t.Pex }, s.down)
+	return s.down
 }
 
 // ClusterGroups partitions a cluster's members into its sibling groups:
@@ -440,15 +456,25 @@ func (s *Structure) MemberDown() []simtime.Duration {
 // to the same successors, so deadline assignment treats them like the
 // branches of a parallel composition. Groups are ordered by the
 // topological position of their first member, members within a group by
-// topological order. The groups share one backing array. Panics unless s
-// is a cluster.
+// topological order. The groups are computed once per decomposition and
+// owned by the DAG; callers must not mutate them. Panics unless s is a
+// cluster.
 func (s *Structure) ClusterGroups() [][]*DagNode {
 	if s.Kind != StructCluster {
 		panic("task: ClusterGroups on non-cluster structure")
 	}
+	if s.groups == nil {
+		s.groups = s.clusterGroups()
+	}
+	return s.groups
+}
+
+// clusterGroups computes ClusterGroups into the DAG's arenas.
+func (s *Structure) clusterGroups() [][]*DagNode {
 	members := s.Members
 	m := len(members)
-	sc := getScratch(members[0].dag.Len())
+	d := members[0].dag
+	sc := getScratch(d.Len())
 	defer putScratch(sc)
 	in := sc.markSet(members)
 
@@ -483,8 +509,8 @@ func (s *Structure) ClusterGroups() [][]*DagNode {
 	// Pack the groups into one backing array: group order is first
 	// appearance, member order topological, exactly as appending would
 	// produce.
-	groups := make([][]*DagNode, len(reps))
-	backing := make([]*DagNode, m)
+	groups := d.decomp.groups.carve(len(reps), d.Len())
+	backing := d.decomp.members.carve(m, d.Len())
 	size := at[:len(reps)] // the signatures are no longer needed
 	clear(size)
 	for _, g := range gid {

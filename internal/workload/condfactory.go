@@ -88,9 +88,10 @@ func (f ConditionalDag) branchProbs() []float64 {
 }
 
 // Template builds the full conditional DAG — every gate of every fork —
-// with freshly drawn execution times and node placements, drawing its
-// vertices' tasks from slab. Realize on the result (or NewDag, which does
-// both) yields the concrete task.
+// with freshly drawn execution times and node placements, drawing the DAG
+// and its vertices' tasks from slab. Realize on the result (or NewDag,
+// which does both and hands the template back to slab) yields the
+// concrete task.
 func (f ConditionalDag) Template(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.CondDag, error) {
 	return f.template(stream, slab, k, draw, draw)
 }
@@ -119,7 +120,7 @@ func (f ConditionalDag) template(stream *rng.Stream, slab *task.Slab, k int, rel
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
-	d := task.NewDag("")
+	d := slab.Dag("")
 	cd := task.NewCondDag(d)
 	probs := f.branchProbs()
 	// exits of the previous stage: the vertices wired into the next relay.
@@ -209,7 +210,7 @@ func (f ConditionalDag) NewDag(stream *rng.Stream, slab *task.Slab, k int, draw 
 	if err != nil {
 		return nil, err
 	}
-	return cd.Realize(stream, slab)
+	return realize(cd, stream, slab)
 }
 
 // NewDagDist implements DistAwareDagFactory.
@@ -218,7 +219,15 @@ func (f ConditionalDag) NewDagDist(stream *rng.Stream, slab *task.Slab, k int, m
 	if err != nil {
 		return nil, err
 	}
-	return cd.Realize(stream, slab)
+	return realize(cd, stream, slab)
+}
+
+// realize draws one realization of template cd from slab and hands the
+// template, which nothing else references, back to it.
+func realize(cd *task.CondDag, stream *rng.Stream, slab *task.Slab) (*task.Dag, error) {
+	d, err := cd.Realize(stream, slab)
+	slab.ReclaimDag(cd.Dag())
+	return d, err
 }
 
 // ExpectedWork implements DagFactory. The realized vertex count is the

@@ -15,8 +15,8 @@ import (
 // one layer, or of one parallel stage).
 type DagFactory interface {
 	// NewDag draws one global DAG for a system of k nodes, drawing every
-	// vertex's execution time from draw and its task from slab (nil
-	// allocates each on its own).
+	// vertex's execution time from draw, and the DAG and its vertex
+	// tasks from slab (nil allocates each on its own).
 	NewDag(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Dag, error)
 	// ExpectedWork returns the expected total execution time per global
 	// task given the mean vertex execution time.
@@ -70,25 +70,24 @@ func (f LayeredDag) NewDag(stream *rng.Stream, slab *task.Slab, k int, draw Exec
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
-	d := task.NewDag("")
+	d := slab.Dag("")
+	// Layers are added one after another, so every layer is an id range
+	// of d.Nodes().
 	var prev []*task.DagNode
-	id := 0
 	for l := 0; l < f.Layers; l++ {
 		width := stream.IntRange(f.MinWidth, f.MaxWidth)
 		nodes := stream.Choose(k, width)
-		layer := make([]*task.DagNode, width)
-		for i := range layer {
-			leaf, err := slab.Simple(vertexName(id), nodes[i], draw(stream))
+		start := d.Len()
+		for i := 0; i < width; i++ {
+			leaf, err := slab.Simple(vertexName(d.Len()), nodes[i], draw(stream))
 			if err != nil {
 				return nil, err
 			}
-			id++
-			n, err := d.AddTask(leaf)
-			if err != nil {
+			if _, err := d.AddTask(leaf); err != nil {
 				return nil, err
 			}
-			layer[i] = n
 		}
+		layer := d.Nodes()[start:]
 		for _, n := range layer {
 			if prev == nil {
 				continue
@@ -154,7 +153,7 @@ func (f ForkJoinDag) NewDag(stream *rng.Stream, slab *task.Slab, k int, draw Exe
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
-	d := task.NewDag("")
+	d := slab.Dag("")
 	d.Grow(f.stageStart(f.Stages), f.maxEdges())
 	for i := 0; i < f.Stages; i++ {
 		nodes := stream.Choose(k, f.width(i))

@@ -40,10 +40,12 @@ func slabParitySpecs() []Spec {
 }
 
 // drawTasks builds n locals and n globals from a stream seeded with seed,
-// drawing leaves from slab, and renders every task with its deadlines
-// and predicted execution times. The last line is the stream's next draw,
-// so the two construction paths must also consume the stream alike.
-func drawTasks(t *testing.T, spec Spec, seed uint64, n int, slab *task.Slab) []string {
+// drawing tasks and DAGs from slab, and renders every task with its
+// deadlines and predicted execution times. With recycle set, each task
+// and DAG goes back to the slab once rendered, so later draws reuse it.
+// The last line is the stream's next draw, so the construction paths must
+// also consume the stream alike.
+func drawTasks(t *testing.T, spec Spec, seed uint64, n int, slab *task.Slab, recycle bool) []string {
 	t.Helper()
 	stream := rng.NewStream(seed)
 	var out []string
@@ -53,6 +55,9 @@ func drawTasks(t *testing.T, spec Spec, seed uint64, n int, slab *task.Slab) []s
 	for i := 0; i < n; i++ {
 		l := spec.NewLocal(stream, slab, i%spec.K, 0)
 		out = append(out, leaf(l))
+		if recycle {
+			slab.Reclaim(l)
+		}
 		if spec.DagFactory != nil {
 			d, err := spec.NewGlobalDag(stream, slab, 0)
 			if err != nil {
@@ -61,6 +66,9 @@ func drawTasks(t *testing.T, spec Spec, seed uint64, n int, slab *task.Slab) []s
 			out = append(out, fmt.Sprintf("%s dl=%v", d, d.Root().RealDeadline))
 			for _, v := range d.Nodes() {
 				out = append(out, leaf(v.Task))
+			}
+			if recycle {
+				slab.ReclaimDag(d)
 			}
 			continue
 		}
@@ -72,14 +80,18 @@ func drawTasks(t *testing.T, spec Spec, seed uint64, n int, slab *task.Slab) []s
 		for _, x := range g.Leaves() {
 			out = append(out, leaf(x))
 		}
+		if recycle {
+			slab.Reclaim(g)
+		}
 	}
 	return append(out, fmt.Sprint(stream.Float64()))
 }
 
 // FuzzSlabParity pins slab and heap task construction together: every
-// shipped factory, built from identically seeded streams once through a
-// task.Slab and once with a nil slab, yields the same tasks, deadlines
-// and predicted execution times, and leaves the stream in the same state.
+// shipped factory, built from identically seeded streams with a nil slab,
+// through a task.Slab, and through a slab that takes every task and DAG
+// back once it is rendered, yields the same tasks, deadlines and
+// predicted execution times, and leaves the stream in the same state.
 // Enough tasks are drawn to cross slab chunk boundaries.
 func FuzzSlabParity(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint16(400), uint8(0))
@@ -92,14 +104,16 @@ func FuzzSlabParity(f *testing.F) {
 		spec := specs[int(which)%len(specs)]
 		spec.Estimator = estimators[int(est)%len(estimators)]
 		n := int(count % 512)
-		heap := drawTasks(t, spec, seed, n, nil)
-		slabbed := drawTasks(t, spec, seed, n, new(task.Slab))
-		if len(heap) != len(slabbed) {
-			t.Fatalf("%s: %d lines on the heap, %d through a slab", spec.FactoryName(), len(heap), len(slabbed))
-		}
-		for i := range heap {
-			if heap[i] != slabbed[i] {
-				t.Fatalf("%s: line %d differs:\nheap: %s\nslab: %s", spec.FactoryName(), i, heap[i], slabbed[i])
+		heap := drawTasks(t, spec, seed, n, nil, false)
+		for _, recycle := range []bool{false, true} {
+			slabbed := drawTasks(t, spec, seed, n, new(task.Slab), recycle)
+			if len(heap) != len(slabbed) {
+				t.Fatalf("%s (recycled %t): %d lines on the heap, %d through a slab", spec.FactoryName(), recycle, len(heap), len(slabbed))
+			}
+			for i := range heap {
+				if heap[i] != slabbed[i] {
+					t.Fatalf("%s (recycled %t): line %d differs:\nheap: %s\nslab: %s", spec.FactoryName(), recycle, i, heap[i], slabbed[i])
+				}
 			}
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,7 +57,9 @@ func WriteTrace(w io.Writer, arrivals []Arrival) error {
 }
 
 // ReadTrace parses a trace produced by WriteTrace (or by hand). Arrivals
-// are returned sorted by time.
+// are returned sorted by time. A time must be finite and non-negative, a
+// deadline finite and no earlier than its time; any other line is an
+// error naming it.
 func ReadTrace(r io.Reader) ([]Arrival, error) {
 	var out []Arrival
 	sc := bufio.NewScanner(r)
@@ -76,9 +79,15 @@ func ReadTrace(r io.Reader) ([]Arrival, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: line %d: time: %v", ErrBadTrace, lineNo, err)
 		}
+		if math.IsNaN(at) || math.IsInf(at, 0) || at < 0 {
+			return nil, fmt.Errorf("%w: line %d: time %v is not a finite, non-negative instant", ErrBadTrace, lineNo, at)
+		}
 		dl, err := strconv.ParseFloat(parts[1], 64)
 		if err != nil {
 			return nil, fmt.Errorf("%w: line %d: deadline: %v", ErrBadTrace, lineNo, err)
+		}
+		if math.IsNaN(dl) || math.IsInf(dl, 0) {
+			return nil, fmt.Errorf("%w: line %d: deadline %v is not finite", ErrBadTrace, lineNo, dl)
 		}
 		tk, err := task.Parse(parts[2])
 		if err != nil {
@@ -176,15 +185,20 @@ func replayFired(x any) {
 // Replay schedules the recorded arrivals into the engine, submitting each
 // task to the manager at its recorded instant with its recorded deadline.
 // Tasks are cloned into the manager's task.Slab, which takes them back
-// after their final outcome, so a trace can be replayed many times. The whole
-// trace is armed with one des.ScheduleBatch call — a single heapify pass
-// for large traces instead of one sift per arrival.
+// after their final outcome, so a trace can be replayed many times. Every
+// task's nodes are checked against the manager first, so a trace for a
+// larger system is an error before anything is armed. The whole trace is
+// armed with one des.ScheduleBatch call — a single heapify pass for large
+// traces instead of one sift per arrival.
 func Replay(eng *des.Engine, mgr *procmgr.Manager, arrivals []Arrival) error {
 	ctxs := make([]replayed, len(arrivals))
 	batch := make([]des.BatchEntry, len(arrivals))
 	for i, a := range arrivals {
 		if a.Task == nil {
 			return fmt.Errorf("%w: arrival %d has no task", ErrBadTrace, i)
+		}
+		if err := mgr.CheckNodes(a.Task); err != nil {
+			return fmt.Errorf("%w: arrival %d at %v: %w", ErrBadTrace, i, float64(a.At), err)
 		}
 		ctxs[i] = replayed{mgr: mgr, a: a}
 		batch[i] = des.BatchEntry{At: a.At, Call: replayFired, Ctx: &ctxs[i]}
