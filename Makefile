@@ -46,14 +46,16 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # bench-record runs the guarded benchmark subset and appends the next
-# BENCH_<n>.json snapshot to the committed trajectory.
+# BENCH_<n>.json snapshot to the committed trajectory. Snapshots are
+# recorded at GOMAXPROCS=2, as CI compares them, so per-worker
+# allocations match.
 bench-record:
-	$(GO) run ./cmd/sdabench -record
+	GOMAXPROCS=2 $(GO) run ./cmd/sdabench -record
 
 # bench-compare runs the same subset and fails on a >25% ns/op or >10%
 # allocs/op regression against the latest committed snapshot.
 bench-compare:
-	$(GO) run ./cmd/sdabench -compare -q
+	GOMAXPROCS=2 $(GO) run ./cmd/sdabench -compare -q
 
 # bench-e2e-test runs the end-to-end benchmark's own tests. bench/ is a
 # separate Go module (repro/bench), so `go test ./...` at the root skips it.

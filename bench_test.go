@@ -659,9 +659,9 @@ func BenchmarkRNGFleetStreams(b *testing.B) {
 // Section 8 serial5-fan4 pipeline, and the fork-join DAG of the dag-abort
 // workload. Execution times, placement, pex stamping and the deadline are
 // included. Those four never hand a task back; the recycled-local,
-// recycled-serial5-fan4 and recycled-forkjoin-dag cases reclaim each task
-// or DAG after drawing it, as the process manager does after its final
-// outcome, and allocate nothing in steady state.
+// recycled-serial5-fan4, recycled-forkjoin-dag and recycled-cond-dag
+// cases reclaim each task or DAG after drawing it, as the process manager
+// does after its final outcome, and allocate nothing in steady state.
 func BenchmarkTaskBuild(b *testing.B) {
 	trees := []workload.Factory{
 		workload.FixedParallel{N: 4},
@@ -720,6 +720,19 @@ func BenchmarkTaskBuild(b *testing.B) {
 	b.Run("recycled-forkjoin-dag", func(b *testing.B) {
 		b.ReportAllocs()
 		spec := dagBenchSpec()
+		s, slab := rng.NewStream(1), new(task.Slab)
+		for i := 0; i < b.N; i++ {
+			d, err := spec.NewGlobalDag(s, slab, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			slab.ReclaimDag(d)
+		}
+	})
+	b.Run("recycled-cond-dag", func(b *testing.B) {
+		b.ReportAllocs()
+		spec := workload.Baseline(nil)
+		spec.DagFactory = workload.ConditionalDag{Stages: 5, Branches: 3, Width: 2}
 		s, slab := rng.NewStream(1), new(task.Slab)
 		for i := 0; i < b.N; i++ {
 			d, err := spec.NewGlobalDag(s, slab, 0)

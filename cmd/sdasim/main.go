@@ -69,7 +69,7 @@ func parse(fs *flag.FlagSet, args []string) (*plan, error) {
 		estimator = fs.String("estimator", "exact", "pex model: exact | mean | noisy:<factor>")
 	)
 	fs.StringVar(&p.recordTo, "record-trace", "", "write the synthesized arrival trace to this file and exit")
-	fs.StringVar(&p.replayOf, "replay-trace", "", "drive the simulation from a recorded trace file")
+	fs.StringVar(&p.replayOf, "replay-trace", "", "drive the simulation from a recorded trace file, measured up to the later of -warmup + -duration and the last arrival")
 	rule := cli.Rule{
 		ZeroOK: []string{"frac-local", "warmup", "edge-prob", "cross-prob"},
 		Max:    map[string]float64{"stages": maxShape, "branches": maxShape},

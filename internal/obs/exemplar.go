@@ -17,7 +17,7 @@ var spanKinds = spanKindNames[:kindInject]
 // Ties (equal start instant, equal lateness) are broken by a seeded hash
 // of (rep, id) so the choice is arbitrary but reproducible, then by
 // (rep, id) as the total-order fallback.
-// The candidates are kept as raw spans in arrays indexed by kind code
+// The candidates are kept as raw spans in lists indexed by kind code
 // and preallocated at the budget, and converted to Records only at
 // snapshot time: observeClose sits on the per-task-resolution hot path
 // and must neither hash nor allocate.
@@ -25,15 +25,31 @@ type exemplarStore struct {
 	k    int
 	seed uint64
 
-	latest [numSpanKinds][]span // per kind, sorted by latestSpanLess
-	worst  [numSpanKinds][]span // per kind, sorted by worstSpanLess
+	latest [numSpanKinds]exemplarList // per kind, in latestLess order
+	worst  [numSpanKinds]exemplarList // per kind, in worstLess order
+}
+
+// exemplarList is one bounded selection: K fixed span slots, the class
+// key of each (the release instant for "latest", the lateness for
+// "worst"), and the indexes of the occupied slots, best first. An
+// admitted span is written once, into a free slot or the slot of the
+// span it evicts, and ranking it shifts only indexes, never spans.
+type exemplarList struct {
+	slots []span    // len K
+	keys  []float64 // keys[s] is the class key of slots[s]
+	order []int32   // slot indexes, best first; len <= K
 }
 
 func newExemplarStore(k int, seed uint64) *exemplarStore {
 	e := &exemplarStore{k: k, seed: seed}
-	for kind := range e.latest {
-		e.latest[kind] = make([]span, 0, k)
-		e.worst[kind] = make([]span, 0, k)
+	n := 2 * int(numSpanKinds) * k
+	slots, keys, order := make([]span, n), make([]float64, n), make([]int32, n)
+	i := 0
+	for _, class := range []*[numSpanKinds]exemplarList{&e.latest, &e.worst} {
+		for kind := range class {
+			class[kind] = exemplarList{slots: slots[i : i+k : i+k], keys: keys[i : i+k : i+k], order: order[i : i : i+k]}
+			i += k
+		}
 	}
 	return e
 }
@@ -104,9 +120,8 @@ func insertBounded(list []Record, rec Record, k int, less func(a, b *Record) boo
 	return list
 }
 
-// tieSpanLess / latestSpanLess / worstSpanLess mirror the Record
-// comparators on the in-memory span form, so the live selection and the
-// merge-time re-selection impose the same order.
+// tieSpanLess is tieLess on the in-memory span form, so the live
+// selection and the merge-time re-selection break ties alike.
 func tieSpanLess(seed uint64, a, b *span) bool {
 	ra, rb := exemplarRank(seed, int(a.rep), a.id), exemplarRank(seed, int(b.rep), b.id)
 	if ra != rb {
@@ -118,60 +133,56 @@ func tieSpanLess(seed uint64, a, b *span) bool {
 	return a.id < b.id
 }
 
-func latestSpanLess(seed uint64, a, b *span) bool {
-	if a.start != b.start {
-		return a.start > b.start
+// beats reports whether *sp, whose class key is key, ranks before the
+// span in slot s: the class order of latestLess and worstLess, a larger
+// key first and then the seeded tie-break, read off the stored key.
+func (l *exemplarList) beats(sp *span, key float64, s int32, seed uint64) bool {
+	if k := l.keys[s]; key != k {
+		return key > k
 	}
-	return tieSpanLess(seed, a, b)
+	return tieSpanLess(seed, sp, &l.slots[s])
 }
 
-func worstSpanLess(seed uint64, a, b *span) bool {
-	la, _ := a.lateness()
-	lb, _ := b.lateness()
-	if la != lb {
-		return la > lb
-	}
-	return tieSpanLess(seed, a, b)
-}
-
-// spanLess dispatches to the class comparator with a direct call: an
-// indirect func-value comparator would make every *span argument escape
-// to the heap, and insertBoundedSpan sits on the span-close hot path.
-func spanLess(worst bool, seed uint64, a, b *span) bool {
-	if worst {
-		return worstSpanLess(seed, a, b)
-	}
-	return latestSpanLess(seed, a, b)
-}
-
-// insertBoundedSpan places *sp into the sorted bounded list, keeping the
-// best k under the class order. The list's capacity is preallocated at
-// k and spans are small value copies, so the call never allocates.
-func insertBoundedSpan(list []span, sp *span, k int, seed uint64, worst bool) []span {
-	if len(list) == k && !spanLess(worst, seed, sp, &list[k-1]) {
-		return list // worse than everything retained at budget
+// insert places *sp, whose class key is key, into the list, keeping the
+// best K. A span that does not beat the K-th is rejected with one
+// comparison; otherwise the indexes below its rank shift down one, the
+// K-th drops out, and sp is copied into the freed slot. The call never
+// allocates.
+func (l *exemplarList) insert(sp *span, key float64, seed uint64) {
+	n, k := len(l.order), len(l.slots)
+	if n == k && !l.beats(sp, key, l.order[k-1], seed) {
+		return // worse than everything retained at budget
 	}
 	i := 0
-	for i < len(list) && !spanLess(worst, seed, sp, &list[i]) {
+	for i < n && !l.beats(sp, key, l.order[i], seed) {
 		i++
 	}
-	if i >= k {
-		return list
+	slot := int32(n)
+	if n == k {
+		slot = l.order[k-1]
+	} else {
+		l.order = l.order[:n+1]
 	}
-	if len(list) < k {
-		list = list[:len(list)+1]
+	copy(l.order[i+1:], l.order[i:])
+	l.order[i] = slot
+	l.slots[slot], l.keys[slot] = *sp, key
+}
+
+// records converts the list to Records, best first.
+func (l *exemplarList) records() []Record {
+	recs := make([]Record, len(l.order))
+	for i, slot := range l.order {
+		recs[i] = l.slots[slot].record()
 	}
-	copy(list[i+1:], list[i:])
-	list[i] = *sp
-	return list
+	return recs
 }
 
 // observeClose feeds one just-closed span into both exemplar classes.
 // The span is copied by value, so later ring eviction cannot disturb it.
 func (e *exemplarStore) observeClose(sp *span) {
-	e.latest[sp.kind] = insertBoundedSpan(e.latest[sp.kind], sp, e.k, e.seed, false)
-	if _, ok := sp.lateness(); ok {
-		e.worst[sp.kind] = insertBoundedSpan(e.worst[sp.kind], sp, e.k, e.seed, true)
+	e.latest[sp.kind].insert(sp, sp.start, e.seed)
+	if late, ok := sp.lateness(); ok {
+		e.worst[sp.kind].insert(sp, late, e.seed)
 	}
 }
 
@@ -184,21 +195,12 @@ func (e *exemplarStore) snapshot() ExemplarSet {
 		Latest: make(map[string][]Record, len(e.latest)),
 		Worst:  make(map[string][]Record, len(e.worst)),
 	}
-	conv := func(list []span) []Record {
-		recs := make([]Record, len(list))
-		for i := range list {
-			recs[i] = list[i].record()
+	for kind := range e.latest {
+		if l := &e.latest[kind]; len(l.order) > 0 {
+			s.Latest[spanKindNames[kind]] = l.records()
 		}
-		return recs
-	}
-	for kind, list := range e.latest {
-		if len(list) > 0 {
-			s.Latest[spanKindNames[kind]] = conv(list)
-		}
-	}
-	for kind, list := range e.worst {
-		if len(list) > 0 {
-			s.Worst[spanKindNames[kind]] = conv(list)
+		if l := &e.worst[kind]; len(l.order) > 0 {
+			s.Worst[spanKindNames[kind]] = l.records()
 		}
 	}
 	return s

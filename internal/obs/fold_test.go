@@ -13,7 +13,7 @@ func fullShard(rep, max int) *Telemetry {
 	tel.SetReplication(rep)
 	for i := 0; i < max; i++ {
 		at := float64(i)
-		tel.pushSpan(nil, span{kind: kindLocal, task: "L", start: at, end: at + 1, vdl: at + 2})
+		tel.pushSpan(nil, &span{kind: kindLocal, task: "L", start: at, end: at + 1, vdl: at + 2})
 		tel.addEdge("pred", uint64(i), uint64(i+1), 0, at, "L")
 	}
 	return tel

@@ -193,9 +193,9 @@ func CheckRoundTrip(t *Telemetry) error {
 		}
 	}
 	for kind := range t.ex.latest {
-		for _, list := range [][]span{t.ex.latest[kind], t.ex.worst[kind]} {
-			for i := range list {
-				if err := check(&list[i], "exemplar"); err != nil {
+		for _, l := range []*exemplarList{&t.ex.latest[kind], &t.ex.worst[kind]} {
+			for _, slot := range l.order {
+				if err := check(&l.slots[slot], "exemplar"); err != nil {
 					return err
 				}
 			}

@@ -330,7 +330,8 @@ func (t *Telemetry) now() float64 {
 func (t *Telemetry) RecordRelease(tk, root *task.Task, budget simtime.Time) {
 	t.releases.Inc()
 	now := t.now()
-	slack := float64(tk.VirtualDeadline) - now - float64(tk.PredictedCriticalPath())
+	pex := float64(tk.PredictedCriticalPath()) // a walk of a composite: take it once
+	slack := float64(tk.VirtualDeadline) - now - pex
 	t.slackHist.Observe(slack)
 	t.slackSk.Observe(slack)
 
@@ -379,7 +380,7 @@ func (t *Telemetry) RecordRelease(tk, root *task.Task, budget simtime.Time) {
 		vdl:   float64(tk.VirtualDeadline),
 		slack: slack,
 		exec:  float64(tk.CriticalPath()),
-		pex:   float64(tk.PredictedCriticalPath()),
+		pex:   pex,
 		boost: tk.PriorityBoost,
 	}
 	if tk == root {
@@ -389,7 +390,7 @@ func (t *Telemetry) RecordRelease(tk, root *task.Task, budget simtime.Time) {
 			sp.depth, sp.width = int32(shape[0]), int32(shape[1])
 		}
 	}
-	t.pushSpan(tk, sp)
+	t.pushSpan(tk, &sp)
 	newID := t.nextID
 	if retry && retryFrom != 0 {
 		t.addEdge("retry", retryFrom, newID, t.lastSpan(root), now, tk.Name)
@@ -406,7 +407,7 @@ func (t *Telemetry) RecordRelease(tk, root *task.Task, budget simtime.Time) {
 // Begin wins.
 func (t *Telemetry) BeginInject(label string) {
 	now := t.now()
-	t.pushSpan(nil, span{kind: kindInject, task: label, node: -1, start: now, end: now, vdl: now})
+	t.pushSpan(nil, &span{kind: kindInject, task: label, node: -1, start: now, end: now, vdl: now})
 	t.injectID = t.nextID
 }
 
@@ -525,8 +526,9 @@ func (t *Telemetry) takeOpen(id uint64) *span {
 // pushSpan records a span in the ring and returns where it is stored,
 // evicting the oldest retained span when the ring is at the MaxSpans
 // budget. A span with an owner becomes the owner's latest; an evicted
-// open span moves to the evicted set so its close still counts.
-func (t *Telemetry) pushSpan(owner *task.Task, sp span) *span {
+// open span moves to the evicted set so its close still counts. *sp is
+// stamped with its id and replication, then copied into the ring.
+func (t *Telemetry) pushSpan(owner *task.Task, sp *span) *span {
 	t.nextID++
 	sp.id = t.nextID
 	sp.rep = int32(t.rep)
@@ -546,7 +548,7 @@ func (t *Telemetry) pushSpan(owner *task.Task, sp span) *span {
 		}
 		t.droppedSpans.Inc()
 	}
-	*slot = sp
+	*slot = *sp
 	return slot
 }
 
@@ -639,7 +641,7 @@ func (t *Telemetry) RecordLocal(tk *task.Task, missed bool) {
 		abort:  tk.Aborted,
 		boost:  tk.PriorityBoost,
 	}
-	t.ex.observeClose(t.pushSpan(nil, sp))
+	t.ex.observeClose(t.pushSpan(nil, &sp))
 }
 
 // RecordSubtask implements procmgr.Recorder: it closes the subtask's

@@ -22,8 +22,7 @@ import (
 // All mutation happens on the simulation goroutine; reads happen at
 // export time. The zero value is not ready — construct with NewSketch.
 type Sketch struct {
-	gamma    float64 // bucket growth factor (1+alpha)/(1-alpha)
-	logGamma float64
+	gamma float64 // bucket growth factor (1+alpha)/(1-alpha)
 
 	pos  denseBuckets // buckets for x >= sketchMinValue
 	neg  denseBuckets // buckets for x <= -sketchMinValue (keyed on |x|)
@@ -59,17 +58,80 @@ var sketchKeyMin, sketchKeyMax = func() (int32, int32) {
 func NewSketch() *Sketch {
 	gamma := (1 + sketchAlpha) / (1 - sketchAlpha)
 	return &Sketch{
-		gamma:    gamma,
-		logGamma: math.Log(gamma),
-		min:      math.Inf(1),
-		max:      math.Inf(-1),
+		gamma: gamma,
+		min:   math.Inf(1),
+		max:   math.Inf(-1),
 	}
 }
 
-// key maps a magnitude (>= sketchMinValue) to its bucket index.
+// key maps a magnitude (>= sketchMinValue) to its bucket index,
+// ceil(log(mag)/logGamma), exactly as math.Log computes it but mostly
+// without calling it. Write mag = 2^e·c·(1+r), where c = 1+i/256 comes
+// from the top sketchKeyBits mantissa bits and 0 <= r < 2^-8. Then
+// log(mag)/logGamma = e·log(2)/logGamma + log(c)/logGamma +
+// log(1+r)/logGamma, and the first two terms come from a table.
+// Three terms of the log(1+r) series leave an error below r^4/4 < 6e-11,
+// or 3e-9 key units; the table entries, the products and the sums add
+// rounding below 3e-11 key units, and the reference expression itself
+// is within 1e-11 key units of the true quotient. So the estimate lies
+// within 4e-9 key units of the reference quotient, and when it is at
+// least sketchKeyMargin = 1e-6 from every integer both have the same
+// ceiling. Otherwise, and for subnormal, infinite or non-positive
+// input, key evaluates the reference expression itself. The fallback
+// runs for about two magnitudes in a million; TestSketchKeyExact
+// checks the estimate at every bucket boundary in the key window.
 func (s *Sketch) key(mag float64) int32 {
-	return int32(math.Ceil(math.Log(mag) / s.logGamma))
+	b := math.Float64bits(mag)
+	if e := int64(b>>52) - 1; uint64(e) < 0x7fe { // positive, normal, finite
+		c := &sketchKeyTable[b>>(52-sketchKeyBits)&(1<<sketchKeyBits-1)]
+		r := float64(b&(1<<(52-sketchKeyBits)-1)) * c.inv
+		t := float64(e-1022)*sketchKeyLn2 + c.key +
+			r*(sketchKeyC1+r*(sketchKeyC2+r*sketchKeyC3))
+		// t+sketchKeyShift is positive for every normal magnitude, so
+		// converting it to an integer floors it.
+		u := t + sketchKeyShift
+		n := int64(u)
+		if f := u - float64(n); f >= sketchKeyMargin && f <= 1-sketchKeyMargin {
+			return int32(n - sketchKeyShift + 1)
+		}
+	}
+	return int32(math.Ceil(math.Log(mag) / sketchLogGamma))
 }
+
+const (
+	// sketchKeyBits is how many leading mantissa bits index
+	// sketchKeyTable.
+	sketchKeyBits = 8
+	// sketchKeyMargin is how close to an integer key's estimate may lie
+	// before it falls back to math.Log; see key for the error bound.
+	sketchKeyMargin = 1e-6
+	// sketchKeyShift lifts every normal magnitude's key quotient, which
+	// lies within ±35,500, above zero.
+	sketchKeyShift = 1 << 16
+)
+
+// sketchLogGamma is the log of the bucket growth factor, the width of
+// one bucket in natural-log units. sketchKeyLn2 is log(2) in key units,
+// and sketchKeyC1..C3 are the coefficients of the log(1+r) series
+// r - r²/2 + r³/3 in key units.
+var (
+	sketchLogGamma = math.Log((1 + sketchAlpha) / (1 - sketchAlpha))
+	sketchKeyLn2   = math.Ln2 / sketchLogGamma
+	sketchKeyC1    = 1 / sketchLogGamma
+	sketchKeyC2    = -1 / (2 * sketchLogGamma)
+	sketchKeyC3    = 1 / (3 * sketchLogGamma)
+)
+
+// sketchKeyTable holds, for c = 1+i/256, log(c) in key units and
+// 2^-52/c, which turns the low mantissa bits into r.
+var sketchKeyTable = func() (tab [1 << sketchKeyBits]struct{ key, inv float64 }) {
+	for i := range tab {
+		c := 1 + float64(i)/(1<<sketchKeyBits)
+		tab[i].key = math.Log(c) / sketchLogGamma
+		tab[i].inv = 0x1p-52 / c
+	}
+	return tab
+}()
 
 // valueOf returns the representative magnitude of bucket k (the
 // geometric midpoint, which bounds the relative error by sketchAlpha).
@@ -78,9 +140,18 @@ func (s *Sketch) valueOf(k int32) float64 {
 }
 
 // Add folds one observation into the sketch. NaN is ignored (it has no
-// place on the value axis and would poison sum/min/max).
+// place on the value axis and would poison sum/min/max). The common
+// case, a magnitude at or above sketchMinValue of either sign, takes
+// the first or second case and no other test.
 func (s *Sketch) Add(x float64) {
-	if math.IsNaN(x) {
+	switch {
+	case x >= sketchMinValue:
+		s.pos.add(s.key(x), 1)
+	case x <= -sketchMinValue:
+		s.neg.add(s.key(-x), 1)
+	case !math.IsNaN(x): // |x| < sketchMinValue
+		s.zero++
+	default:
 		return
 	}
 	s.count++
@@ -90,14 +161,6 @@ func (s *Sketch) Add(x float64) {
 	}
 	if x > s.max {
 		s.max = x
-	}
-	switch {
-	case x >= sketchMinValue:
-		s.pos.add(s.key(x), 1)
-	case x <= -sketchMinValue:
-		s.neg.add(s.key(-x), 1)
-	default:
-		s.zero++
 	}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 )
@@ -218,6 +219,18 @@ func FuzzSketchParity(f *testing.F) {
 	f.Add(append(chunk(1, math.Float64bits(1e-300)), chunk(4, math.Float64bits(-3e200))...))
 	f.Add(append(chunk(2, 12345), chunk(5, uint64(1<<32-777))...))
 	f.Add([]byte{})
+	// Just below, at and just above a sample of bucket boundaries, both
+	// signs, spread over the three shards: where a cheaper key would
+	// first part from math.Log.
+	var edges []byte
+	for i, k := range []int32{sketchKeyMin, -700, -1, 0, 1, 2, 57, 1000, 20000, sketchKeyMax} {
+		b := math.Float64bits(sketchKeyBoundary(k))
+		for d := uint64(0); d < 3; d++ {
+			edges = append(edges, chunk(byte(1+3*(i%3)), b-1+d)...)
+			edges = append(edges, chunk(byte(1+3*((i+1)%3)), b-1+d|1<<63)...)
+		}
+	}
+	f.Add(edges)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		shards := sketchFuzzStream(data)
 		var sk [3]*Sketch
@@ -263,4 +276,47 @@ func FuzzSketchParity(f *testing.F) {
 			Count: abc.Count(), Sum: abc.Sum(), Min: abc.Min(), Max: abc.Max()})
 		checkSketchParity(t, "restored", back, rabc)
 	})
+}
+
+// sketchKeyBoundary returns the smallest positive normal float64 whose
+// reference key is at least k, found by bisection on the bit pattern
+// (the reference key never decreases as the magnitude grows).
+func sketchKeyBoundary(k int32) float64 {
+	lo, hi := math.Float64bits(0x1p-1022), math.Float64bits(math.MaxFloat64)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if refKey(math.Float64frombits(mid)) >= k {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return math.Float64frombits(lo)
+}
+
+// TestSketchKeyExact proves the table-driven key equal to the math.Log
+// reference where they could part: at every bucket boundary of the key
+// window and 4 ulps either side of it. It then samples 10M
+// log-uniform magnitudes across the window.
+func TestSketchKeyExact(t *testing.T) {
+	s := NewSketch()
+	check := func(x float64) {
+		if got, want := s.key(x), refKey(x); got != want {
+			t.Fatalf("key(%v) [bits %#x] = %d, reference %d", x, math.Float64bits(x), got, want)
+		}
+	}
+	for k := sketchKeyMin; k <= sketchKeyMax; k++ {
+		b := math.Float64bits(sketchKeyBoundary(k))
+		for d := uint64(0); d <= 8; d++ {
+			check(math.Float64frombits(b - 4 + d))
+		}
+	}
+	rnd := rand.New(rand.NewSource(1))
+	lo, hi := math.Log(sketchMinValue), math.Log(math.MaxFloat64)
+	for i := 0; i < 10_000_000; i++ {
+		check(math.Exp(lo + (hi-lo)*rnd.Float64()))
+	}
+	for _, x := range []float64{sketchMinValue, 1, math.MaxFloat64, math.Inf(1), 5e-324, 0x1p-1022} {
+		check(x)
+	}
 }

@@ -164,15 +164,27 @@ func AppendRecord(dst []byte, rec *Record) ([]byte, error) {
 		dst = append(dst, `,"from":`...)
 		dst = strconv.AppendUint(dst, rec.From, 10)
 	}
+	// A float with the bits of the previous one (vdl and real_dl, exec and
+	// pex on a span without estimation error) copies that one's bytes,
+	// dst[prevAt:prevEnd], instead of formatting them again.
+	var prev uint64
+	prevAt, prevEnd := 0, 0
 	for i, v := range recordFloats(rec) {
 		if v == nil {
 			continue
 		}
 		dst = append(dst, recordFloatKeys[i]...)
+		bits := math.Float64bits(*v)
+		if prevEnd > 0 && bits == prev {
+			dst = append(dst, dst[prevAt:prevEnd]...)
+			continue
+		}
+		prev, prevAt = bits, len(dst)
 		var err error
 		if dst, err = jsonenc.Float(dst, *v); err != nil {
 			return dst[:mark], fmt.Errorf("obs: encode record: %w", err)
 		}
+		prevEnd = len(dst)
 	}
 	if rec.Missed {
 		dst = append(dst, `,"missed":true`...)

@@ -832,7 +832,11 @@ func (c *collector) result() RepResult {
 // ReplayTrace runs one replication driven by recorded arrivals instead of
 // live generation. Strategy, abortion, policy and statistics behave as in
 // RunOne; the workload's stochastic parameters are ignored (the trace IS
-// the workload). The horizon for utilisation is the last arrival instant.
+// the workload). The run is measured up to the later of the configured
+// horizon (Warmup + Duration) and the last arrival, so replaying a trace
+// that workload.Synthesize drew for the same seed and horizon yields the
+// RepResult of the live run, Utilization, MeanQueueLen and Events
+// included.
 func ReplayTrace(cfg Config, arrivals []workload.Arrival) (RepResult, error) {
 	cfg = cfg.normalized()
 	if err := cfg.Validate(); err != nil {
@@ -845,7 +849,7 @@ func ReplayTrace(cfg Config, arrivals []workload.Arrival) (RepResult, error) {
 	if cfg.OnSystem != nil {
 		cfg.OnSystem(sys)
 	}
-	var horizon simtime.Time
+	horizon := sys.Horizon()
 	for _, a := range arrivals {
 		horizon = horizon.Max(a.At)
 	}

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/node"
@@ -405,30 +407,52 @@ func TestMultiServerValidation(t *testing.T) {
 	}
 }
 
+// TestReplayTraceMatchesLiveRun is the differential over the trace text
+// format: for each tree factory, at warmup 0 and 500, the arrivals a
+// live run would draw go through WriteTrace and ReadTrace, and replaying
+// them yields the live run's RepResult field for field — counts, miss
+// rates, response times, utilization, queue length and event count.
 func TestReplayTraceMatchesLiveRun(t *testing.T) {
-	cfg := quickCfg()
-	cfg.Duration = 3000
-	cfg.Warmup = 0
-	cfg.Replications = 1
-	arrivals, err := workload.Synthesize(cfg.Spec, 555, 3000)
-	if err != nil {
-		t.Fatal(err)
+	factories := []workload.Factory{
+		workload.FixedParallel{N: 4},
+		workload.UniformParallel{Min: 2, Max: 6},
+		workload.SerialParallel{Stages: 3, Fanout: 3},
+		workload.NetworkPipeline{Stages: 3, Fanout: 3, NetNodes: 2, HopMean: 0.5},
 	}
-	replayed, err := ReplayTrace(cfg, arrivals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := RunOne(cfg, 555)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replayed.Locals != live.Locals || replayed.Globals != live.Globals {
-		t.Errorf("counts: replay (%d,%d) vs live (%d,%d)",
-			replayed.Locals, replayed.Globals, live.Locals, live.Globals)
-	}
-	if replayed.MDLocal != live.MDLocal || replayed.MDGlobal != live.MDGlobal {
-		t.Errorf("miss rates: replay (%v,%v) vs live (%v,%v)",
-			replayed.MDLocal, replayed.MDGlobal, live.MDLocal, live.MDGlobal)
+	for _, f := range factories {
+		for _, warmup := range []simtime.Duration{0, 500} {
+			cfg := quickCfg()
+			cfg.Spec = workload.Baseline(f)
+			cfg.Spec.K = 8
+			cfg.Duration = 2000
+			cfg.Warmup = warmup
+			cfg.Replications = 1
+			const seed = 555
+			drawn, err := workload.Synthesize(cfg.Spec, seed, simtime.Time(cfg.Warmup+cfg.Duration))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var text bytes.Buffer
+			if err := workload.WriteTrace(&text, drawn); err != nil {
+				t.Fatal(err)
+			}
+			arrivals, err := workload.ReadTrace(&text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed, err := ReplayTrace(cfg, arrivals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, err := RunOne(cfg, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(replayed, live) {
+				t.Errorf("%s, warmup %v: replay differs from the live run:\nreplay %+v\nlive   %+v",
+					f.Name(), warmup, replayed, live)
+			}
+		}
 	}
 }
 

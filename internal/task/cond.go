@@ -60,6 +60,10 @@ type CondDag struct {
 	// one probability per out-edge, parallel to n.Succs(). The slice grows
 	// on demand, so vertices added after NewCondDag need no bookkeeping.
 	probs [][]float64
+	// arena backs the probs entries: SetBranch copies each vertex's
+	// probabilities onto its end, and a CondDag recycled through a Slab
+	// reuses it.
+	arena []float64
 }
 
 // NewCondDag wraps a DAG with (initially empty) conditional annotations.
@@ -92,12 +96,12 @@ func (cd *CondDag) SetBranch(n *DagNode, probs []float64) error {
 	if err := checkBranchProbs(n.Task.Name, probs); err != nil {
 		return err
 	}
-	cp := make([]float64, len(probs))
-	copy(cp, probs)
+	at := len(cd.arena)
+	cd.arena = append(cd.arena, probs...)
 	if n.id >= len(cd.probs) {
 		cd.probs = append(cd.probs, make([][]float64, n.id+1-len(cd.probs))...)
 	}
-	cd.probs[n.id] = cp
+	cd.probs[n.id] = cd.arena[at:len(cd.arena):len(cd.arena)]
 	return nil
 }
 

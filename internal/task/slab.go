@@ -42,15 +42,17 @@ const slabChunk = slabChunkBytes / int(unsafe.Sizeof(Task{}))
 // vertex tasks to the leaf list, and the Dag record, with its accounting
 // root, to a list of its own, keeping its vertex records, adjacency
 // arena, topological order, root children and decomposition storage for
-// the next DAG drawn.
+// the next DAG drawn. Conditional DAGs do the same (CondDag,
+// ReclaimCondDag), keeping their branch-probability storage as well.
 //
 // A nil *Slab is valid: it allocates every task on its own and reclaims
 // nothing. A Slab is not safe for concurrent use.
 type Slab struct {
-	free   []Task  // unused tail of the current chunk
-	leaves []*Task // reclaimed leaves, drawn before the chunk
-	comps  []*Task // reclaimed composites, each keeping its Children array
-	dags   []*Dag  // reclaimed DAGs, each keeping its storage
+	free   []Task     // unused tail of the current chunk
+	leaves []*Task    // reclaimed leaves, drawn before the chunk
+	comps  []*Task    // reclaimed composites, each keeping its Children array
+	dags   []*Dag     // reclaimed DAGs, each keeping its storage
+	conds  []*CondDag // reclaimed conditional DAGs, without their Dag
 }
 
 // leaf returns a pristine leaf, a reclaimed one when there is one, else the
@@ -220,4 +222,39 @@ func (s *Slab) ReclaimDag(d *Dag) {
 	d.reset()
 	d.free = true
 	s.dags = append(s.dags, d)
+}
+
+// CondDag returns a conditional DAG with no branch points over an empty
+// DAG named name, both drawn from the slab; a reclaimed CondDag keeps its
+// branch-probability storage. A nil slab allocates both
+// (NewCondDag(NewDag(name))).
+func (s *Slab) CondDag(name string) *CondDag {
+	if s == nil || len(s.conds) == 0 {
+		return NewCondDag(s.Dag(name))
+	}
+	k := len(s.conds) - 1
+	cd := s.conds[k]
+	s.conds[k] = nil
+	s.conds = s.conds[:k]
+	cd.dag = s.Dag(name)
+	return cd
+}
+
+// ReclaimCondDag is ReclaimDag for a conditional DAG: it takes back the
+// underlying DAG as ReclaimDag does and, from a non-nil slab, the
+// CondDag record with its branch-probability storage. The caller must
+// hold the only references to the CondDag and to every branch slice
+// Branch returned. Reclaiming a CondDag twice panics. A nil slab
+// reclaims nothing.
+func (s *Slab) ReclaimCondDag(cd *CondDag) {
+	if s == nil {
+		return
+	}
+	if cd.dag == nil {
+		panic("task: conditional DAG reclaimed twice")
+	}
+	s.ReclaimDag(cd.dag)
+	clear(cd.probs)
+	*cd = CondDag{probs: cd.probs[:0], arena: cd.arena[:0]}
+	s.conds = append(s.conds, cd)
 }

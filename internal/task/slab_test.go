@@ -272,6 +272,56 @@ func TestReclaimDag(t *testing.T) {
 	}
 }
 
+// TestReclaimCondDag checks that a conditional DAG goes back to its slab
+// with its DAG, that the record comes back first with no branch points,
+// that reclaiming it twice panics, and that a draw, branch and reclaim
+// loop allocates nothing once the slab holds the record.
+func TestReclaimCondDag(t *testing.T) {
+	slab := new(Slab)
+	build := func() *CondDag {
+		cd := slab.CondDag("c")
+		d := cd.Dag()
+		var vs [3]*DagNode
+		for i := range vs {
+			l, _ := slab.Simple("", i, 1)
+			vs[i] = d.MustAddTask(l)
+		}
+		d.MustAddEdge(vs[0], vs[1])
+		d.MustAddEdge(vs[0], vs[2])
+		if err := cd.SetBranch(vs[0], []float64{0.25, 0.75}); err != nil {
+			t.Fatal(err)
+		}
+		return cd
+	}
+	cd := build()
+	d := cd.Dag()
+	slab.ReclaimCondDag(cd)
+	if len(slab.conds) != 1 || len(slab.dags) != 1 || len(slab.leaves) != 3 {
+		t.Fatalf("slab holds %d conditional DAGs, %d DAGs and %d leaves, want 1, 1 and 3",
+			len(slab.conds), len(slab.dags), len(slab.leaves))
+	}
+	mustPanic(t, "conditional DAG reclaimed twice", func() { slab.ReclaimCondDag(cd) })
+
+	again := slab.CondDag("c")
+	if again != cd || again.Dag() != d || again.CondCount() != 0 {
+		t.Fatalf("redrawn conditional DAG: same record %t, same DAG %t, %d branch points",
+			again == cd, again.Dag() == d, again.CondCount())
+	}
+	slab.ReclaimCondDag(again)
+	if raceEnabled {
+		return // allocation counts under the race detector include its sync.Pool drops
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		cd := build()
+		if p, ok := cd.Branch(cd.Dag().Nodes()[0]); !ok || p[1] != 0.75 {
+			t.Fatalf("branch probabilities %v, %t", p, ok)
+		}
+		slab.ReclaimCondDag(cd)
+	}); got != 0 {
+		t.Errorf("draw and reclaim: %v allocs per conditional DAG, want 0", got)
+	}
+}
+
 // TestDagReuseAllocs checks that a build → query → reclaim loop through a
 // slab allocates nothing once the slab holds the DAG: the vertex records,
 // adjacency lists, topological order, root, decomposition, MemberDown

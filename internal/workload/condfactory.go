@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"repro/internal/rng"
 	"repro/internal/simtime"
@@ -74,17 +75,16 @@ func (f ConditionalDag) forks() int { return f.Stages / 2 }
 // relays returns the number of relay stages.
 func (f ConditionalDag) relays() int { return (f.Stages + 1) / 2 }
 
-// branchProbs returns the per-fork branch probabilities (uniform when
-// Probs is nil).
-func (f ConditionalDag) branchProbs() []float64 {
+// branchProbs returns the per-fork branch probabilities: Probs, or
+// when it is nil uniform ones appended to buf.
+func (f ConditionalDag) branchProbs(buf []float64) []float64 {
 	if f.Probs != nil {
 		return f.Probs
 	}
-	p := make([]float64, f.Branches)
-	for i := range p {
-		p[i] = 1 / float64(f.Branches)
+	for range f.Branches {
+		buf = append(buf, 1/float64(f.Branches))
 	}
-	return p
+	return buf
 }
 
 // Template builds the full conditional DAG — every gate of every fork —
@@ -93,43 +93,63 @@ func (f ConditionalDag) branchProbs() []float64 {
 // which does both and hands the template back to slab) yields the
 // concrete task.
 func (f ConditionalDag) Template(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.CondDag, error) {
-	return f.template(stream, slab, k, draw, draw)
+	return f.template(stream, slab, k, condDraw{draw: draw})
 }
 
 // TemplateDist is Template with per-vertex distribution overrides.
 func (f ConditionalDag) TemplateDist(stream *rng.Stream, slab *task.Slab, k int, mean float64, base Dist) (*task.CondDag, error) {
-	relay, branch := f.RelayDist, f.BranchDist
-	if relay == nil {
-		relay = base
+	cdr := condDraw{relay: f.RelayDist, branch: f.BranchDist, mean: mean}
+	if cdr.relay == nil {
+		cdr.relay = base
 	}
-	if branch == nil {
-		branch = base
+	if cdr.branch == nil {
+		cdr.branch = base
 	}
-	relayDraw := func(s *rng.Stream) simtime.Duration {
-		return simtime.Duration(relay.Sample(mean, s))
-	}
-	branchDraw := func(s *rng.Stream) simtime.Duration {
-		return simtime.Duration(branch.Sample(mean, s))
-	}
-	return f.template(stream, slab, k, relayDraw, branchDraw)
+	return f.template(stream, slab, k, cdr)
 }
 
-// template builds the conditional DAG with separate samplers for relay
-// and branch vertices.
-func (f ConditionalDag) template(stream *rng.Stream, slab *task.Slab, k int, relayDraw, branchDraw ExecSampler) (*task.CondDag, error) {
+// condDraw draws the execution times of a template's vertices: from draw
+// when it is set, else from the relay or branch family at mean. A value,
+// not a pair of closures, so drawing a template allocates no sampler.
+type condDraw struct {
+	draw          ExecSampler
+	relay, branch Dist
+	mean          float64
+}
+
+// exec draws one vertex's execution time.
+func (c *condDraw) exec(relay bool, s *rng.Stream) simtime.Duration {
+	if c.draw != nil {
+		return c.draw(s)
+	}
+	d := c.branch
+	if relay {
+		d = c.relay
+	}
+	return simtime.Duration(d.Sample(c.mean, s))
+}
+
+// template builds the conditional DAG. Vertices are added stage by
+// stage: a relay stage adds its relay, a fork stage each gate followed
+// by its Width members, so the exits of a fork stage — the members
+// wired into the next relay — are found by position, with no list.
+func (f ConditionalDag) template(stream *rng.Stream, slab *task.Slab, k int, cdr condDraw) (*task.CondDag, error) {
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
-	d := slab.Dag("")
-	cd := task.NewCondDag(d)
-	probs := f.branchProbs()
-	// exits of the previous stage: the vertices wired into the next relay.
-	var exits []*task.DagNode
+	cd := slab.CondDag("")
+	d := cd.Dag()
+	var buf [8]float64
+	probs := f.branchProbs(buf[:0])
+	names := condNamesFor(f)
+	// The previous stage's vertices are d.Nodes()[prev:].
+	prev := 0
 	for st := 0; st < f.Stages; st++ {
+		first := len(d.Nodes())
 		if st%2 == 0 {
 			// Relay stage: one vertex, any node.
 			nodes := stream.Choose(k, 1)
-			leaf, err := slab.Simple(indexedName("r", st), nodes[0], relayDraw(stream))
+			leaf, err := slab.Simple(names.relay(st), nodes[0], cdr.exec(true, stream))
 			if err != nil {
 				return nil, err
 			}
@@ -137,24 +157,29 @@ func (f ConditionalDag) template(stream *rng.Stream, slab *task.Slab, k int, rel
 			if err != nil {
 				return nil, err
 			}
-			for _, p := range exits {
-				if err := d.AddEdge(p, r); err != nil {
-					return nil, err
+			if st > 0 {
+				// Wire the previous fork's members, skipping its gates.
+				stage := d.Nodes()[prev:first]
+				for i, p := range stage {
+					if i%(1+f.Width) == 0 {
+						continue
+					}
+					if err := d.AddEdge(p, r); err != nil {
+						return nil, err
+					}
 				}
 			}
-			exits = []*task.DagNode{r}
+			prev = first
 			continue
 		}
 		// Fork stage: the preceding relay branches to Branches gates, each
 		// followed by Width parallel members. Only members of one gate ever
 		// run concurrently, so each gate's members get distinct nodes; the
 		// gate itself runs alone between relay and members.
-		relay := exits[0]
-		gates := make([]*task.DagNode, f.Branches)
-		exits = exits[:0]
-		for g := range gates {
+		relay := d.Nodes()[prev]
+		for g := 0; g < f.Branches; g++ {
 			gnodes := stream.Choose(k, 1)
-			gleaf, err := slab.Simple(indexedName("g", st, g), gnodes[0], branchDraw(stream))
+			gleaf, err := slab.Simple(names.gate(st, g), gnodes[0], cdr.exec(false, stream))
 			if err != nil {
 				return nil, err
 			}
@@ -162,13 +187,12 @@ func (f ConditionalDag) template(stream *rng.Stream, slab *task.Slab, k int, rel
 			if err != nil {
 				return nil, err
 			}
-			gates[g] = gn
 			if err := d.AddEdge(relay, gn); err != nil {
 				return nil, err
 			}
 			mnodes := stream.Choose(k, f.Width)
 			for w := 0; w < f.Width; w++ {
-				mleaf, err := slab.Simple(indexedName("m", st, g, w), mnodes[w], branchDraw(stream))
+				mleaf, err := slab.Simple(names.member(st, g, w), mnodes[w], cdr.exec(false, stream))
 				if err != nil {
 					return nil, err
 				}
@@ -179,14 +203,79 @@ func (f ConditionalDag) template(stream *rng.Stream, slab *task.Slab, k int, rel
 				if err := d.AddEdge(gn, mn); err != nil {
 					return nil, err
 				}
-				exits = append(exits, mn)
 			}
 		}
 		if err := cd.SetBranch(relay, probs); err != nil {
 			return nil, err
 		}
+		prev = first
 	}
 	return cd, nil
+}
+
+// condNames holds the vertex names of every ConditionalDag shape within
+// its bounds, so drawing a template of such a shape builds no strings:
+// relay stage st is "r<st>", gate g of fork stage st "g<st>_<g>", and
+// member w of that gate "m<st>_<g>_<w>". A nil *condNames builds each
+// name afresh, for larger shapes.
+type condNames struct {
+	relays  []string // [st]
+	gates   []string // [st*condNamesBranches+g]
+	members []string // [(st*condNamesBranches+g)*condNamesWidth+w]
+}
+
+// The bounds of the shared name table: 16 × (1 + 8 × 17) = 2,224 names,
+// about 50 KB, covering every shipped conditional shape.
+const (
+	condNamesStages   = 16
+	condNamesBranches = 8
+	condNamesWidth    = 16
+)
+
+// sharedCondNames is built on first use and only read after that, so
+// concurrent replications share it without locks.
+var sharedCondNames = sync.OnceValue(func() *condNames {
+	t := new(condNames)
+	for st := 0; st < condNamesStages; st++ {
+		t.relays = append(t.relays, indexedName("r", st))
+		for g := 0; g < condNamesBranches; g++ {
+			t.gates = append(t.gates, indexedName("g", st, g))
+			for w := 0; w < condNamesWidth; w++ {
+				t.members = append(t.members, indexedName("m", st, g, w))
+			}
+		}
+	}
+	return t
+})
+
+// condNamesFor returns the shared name table when it covers f's shape,
+// and nil otherwise.
+func condNamesFor(f ConditionalDag) *condNames {
+	if f.Stages > condNamesStages || f.forks() > 0 && (f.Branches > condNamesBranches || f.Width > condNamesWidth) {
+		return nil
+	}
+	return sharedCondNames()
+}
+
+func (t *condNames) relay(st int) string {
+	if t == nil {
+		return indexedName("r", st)
+	}
+	return t.relays[st]
+}
+
+func (t *condNames) gate(st, g int) string {
+	if t == nil {
+		return indexedName("g", st, g)
+	}
+	return t.gates[st*condNamesBranches+g]
+}
+
+func (t *condNames) member(st, g, w int) string {
+	if t == nil {
+		return indexedName("m", st, g, w)
+	}
+	return t.members[(st*condNamesBranches+g)*condNamesWidth+w]
 }
 
 // indexedName returns prefix followed by the indices joined with "_", as
@@ -226,7 +315,7 @@ func (f ConditionalDag) NewDagDist(stream *rng.Stream, slab *task.Slab, k int, m
 // template, which nothing else references, back to it.
 func realize(cd *task.CondDag, stream *rng.Stream, slab *task.Slab) (*task.Dag, error) {
 	d, err := cd.Realize(stream, slab)
-	slab.ReclaimDag(cd.Dag())
+	slab.ReclaimCondDag(cd)
 	return d, err
 }
 

@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -239,4 +240,61 @@ func TestConditionalDagDeterministicStream(t *testing.T) {
 			t.Fatalf("draw %d differs across identical streams", i)
 		}
 	}
+}
+
+// TestConditionalDagNamesConcurrent draws templates of several shapes,
+// at and past the bounds of the shared name table, from concurrent
+// goroutines as parallel replications do, and checks every vertex name
+// against the stage-by-stage naming scheme.
+func TestConditionalDagNamesConcurrent(t *testing.T) {
+	shapes := []ConditionalDag{
+		{Stages: 5, Branches: 3, Width: 2},
+		{Stages: 3, Branches: 2, Width: 4},
+		{Stages: 16, Branches: 8, Width: 16},
+		{Stages: 17, Branches: 1, Width: 1},
+		{Stages: 1, Branches: 9, Width: 9},
+		{Stages: 3, Branches: 100, Width: 50},
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stream, slab := rng.NewStream(uint64(g)), new(task.Slab)
+			for i := range 20 {
+				f := shapes[(g+i)%len(shapes)]
+				cd, err := f.Template(stream, slab, 64, unitDraw)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var want []string
+				for st := 0; st < f.Stages; st++ {
+					if st%2 == 0 {
+						want = append(want, indexedName("r", st))
+						continue
+					}
+					for b := 0; b < f.Branches; b++ {
+						want = append(want, indexedName("g", st, b))
+						for w := 0; w < f.Width; w++ {
+							want = append(want, indexedName("m", st, b, w))
+						}
+					}
+				}
+				nodes := cd.Dag().Nodes()
+				if len(nodes) != len(want) {
+					t.Errorf("%s: %d vertices, want %d", f.Name(), len(nodes), len(want))
+					return
+				}
+				for j, n := range nodes {
+					if n.Task.Name != want[j] {
+						t.Errorf("%s: vertex %d named %q, want %q", f.Name(), j, n.Task.Name, want[j])
+						return
+					}
+				}
+				slab.ReclaimCondDag(cd)
+			}
+		}()
+	}
+	wg.Wait()
 }

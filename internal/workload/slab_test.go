@@ -40,12 +40,13 @@ func slabParitySpecs() []Spec {
 }
 
 // drawTasks builds n locals and n globals from a stream seeded with seed,
-// drawing tasks and DAGs from slab, and renders every task with its
-// deadlines and predicted execution times. With recycle set, each task
-// and DAG goes back to the slab once rendered, so later draws reuse it.
-// The last line is the stream's next draw, so the construction paths must
-// also consume the stream alike.
-func drawTasks(t *testing.T, spec Spec, seed uint64, n int, slab *task.Slab, recycle bool) []string {
+// taking the specs in turn, drawing tasks and DAGs from slab, and renders
+// every task with its deadlines and predicted execution times. With
+// recycle set, each task and DAG goes back to the slab once rendered, so
+// later draws reuse it, whichever spec drew it. The last line is the
+// stream's next draw, so the construction paths must also consume the
+// stream alike.
+func drawTasks(t *testing.T, specs []Spec, seed uint64, n int, slab *task.Slab, recycle bool) []string {
 	t.Helper()
 	stream := rng.NewStream(seed)
 	var out []string
@@ -53,6 +54,7 @@ func drawTasks(t *testing.T, spec Spec, seed uint64, n int, slab *task.Slab, rec
 		return fmt.Sprintf("%s dl=%v vdl=%v pex=%v fin=%v", x, x.RealDeadline, x.VirtualDeadline, x.Pex, x.Finish)
 	}
 	for i := 0; i < n; i++ {
+		spec := specs[i%len(specs)]
 		l := spec.NewLocal(stream, slab, i%spec.K, 0)
 		out = append(out, leaf(l))
 		if recycle {
@@ -92,21 +94,31 @@ func drawTasks(t *testing.T, spec Spec, seed uint64, n int, slab *task.Slab, rec
 // through a task.Slab, and through a slab that takes every task and DAG
 // back once it is rendered, yields the same tasks, deadlines and
 // predicted execution times, and leaves the stream in the same state.
-// Enough tasks are drawn to cross slab chunk boundaries.
+// Enough tasks are drawn to cross slab chunk boundaries. A conditional
+// DAG factory takes turns with a second conditional shape drawn from the
+// seed, so recycled conditional templates and vertex names are reused
+// across shapes.
 func FuzzSlabParity(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint16(400), uint8(0))
 	f.Add(uint64(7), uint8(3), uint16(120), uint8(1))
 	f.Add(uint64(42), uint8(6), uint16(90), uint8(2))
 	f.Add(uint64(99), uint8(7), uint16(300), uint8(1))
+	f.Add(uint64(1<<40|3<<8|2<<4|6), uint8(6), uint16(200), uint8(0))
 	specs := slabParitySpecs()
 	estimators := []Estimator{Exact{}, Mean{}, Noisy{Factor: 2}}
 	f.Fuzz(func(t *testing.T, seed uint64, which uint8, count uint16, est uint8) {
 		spec := specs[int(which)%len(specs)]
 		spec.Estimator = estimators[int(est)%len(estimators)]
+		mix := []Spec{spec}
+		if _, ok := spec.DagFactory.(ConditionalDag); ok {
+			other := spec
+			other.DagFactory = condShape(seed)
+			mix = append(mix, other)
+		}
 		n := int(count % 512)
-		heap := drawTasks(t, spec, seed, n, nil, false)
+		heap := drawTasks(t, mix, seed, n, nil, false)
 		for _, recycle := range []bool{false, true} {
-			slabbed := drawTasks(t, spec, seed, n, new(task.Slab), recycle)
+			slabbed := drawTasks(t, mix, seed, n, new(task.Slab), recycle)
 			if len(heap) != len(slabbed) {
 				t.Fatalf("%s (recycled %t): %d lines on the heap, %d through a slab", spec.FactoryName(), recycle, len(heap), len(slabbed))
 			}
@@ -117,4 +129,22 @@ func FuzzSlabParity(f *testing.F) {
 			}
 		}
 	})
+}
+
+// condShape derives a valid conditional DAG shape for an 8-node system
+// from the low bits of seed: 1–8 stages, 1–4 branches, 1–8 members per
+// gate, and skewed branch probabilities when bit 12 is set.
+func condShape(seed uint64) ConditionalDag {
+	f := ConditionalDag{
+		Stages:   1 + int(seed&7),
+		Branches: 1 + int(seed>>4&3),
+		Width:    1 + int(seed>>8&7),
+	}
+	if seed>>12&1 == 1 {
+		f.Probs = make([]float64, f.Branches)
+		for i := range f.Probs {
+			f.Probs[i] = float64(i+1) / float64(f.Branches*(f.Branches+1)/2)
+		}
+	}
+	return f
 }
