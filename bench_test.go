@@ -219,9 +219,9 @@ func BenchmarkSimulationObsOnParallel(b *testing.B) {
 // benchSimulationBlame measures telemetry-instrumented throughput with or
 // without the live observability hub attached at the shipped -serve
 // defaults (publish cadence serve.DefaultEvery, no HTTP listener). Each
-// publish renders a full snapshot — Prometheus exposition, span tail,
-// and a miss-cause attribution pass over the tail window. The Off/On
-// pair bounds the attribution overhead within the documented <2x obs
+// publish takes a span and edge tail snapshot of the shard; rendering
+// and attribution wait for an HTTP read, and none comes here. The
+// Off/On pair bounds the publish overhead within the documented <2x obs
 // budget.
 func benchSimulationBlame(b *testing.B, withHub bool) {
 	b.Helper()
@@ -237,7 +237,7 @@ func benchSimulationBlame(b *testing.B, withHub bool) {
 		if withHub {
 			hub := serve.NewHub(0)
 			cfg.OnSystem = func(sys *sim.System) {
-				hub.Attach(sys.Telemetry(), serve.RunInfo{
+				hub.Attach(sys.Telemetry(), obs.NewMerged(), serve.RunInfo{
 					Label:   "bench",
 					Horizon: float64(sys.Horizon()),
 				}, serve.DefaultEvery)
@@ -257,8 +257,8 @@ func benchSimulationBlame(b *testing.B, withHub bool) {
 func BenchmarkSimulationBlameOff(b *testing.B) { benchSimulationBlame(b, false) }
 
 // BenchmarkSimulationBlameOn attaches the live hub at the default
-// publish cadence — a windowed attribution analysis every
-// serve.DefaultEvery sampler ticks.
+// publish cadence — a tail snapshot every serve.DefaultEvery sampler
+// ticks.
 func BenchmarkSimulationBlameOn(b *testing.B) { benchSimulationBlame(b, true) }
 
 // --- telemetry export -------------------------------------------------------
@@ -320,38 +320,24 @@ func observedShards(b *testing.B) []*obs.Telemetry {
 }
 
 // BenchmarkObsMerge measures the cross-replication merge: folding four
-// full 65,536-span shards and taking one Snapshot of the result. The
-// records case submits each shard as a Snapshot of Records through
-// Merged.Add (the live hub's path); the handoff case hands each shard's
-// rings over with Telemetry.MergeInto (sim.Run's path).
+// full 65,536-span shards, each handed over with Telemetry.MergeInto
+// (sim.Run's path), and taking one Snapshot of the result.
 func BenchmarkObsMerge(b *testing.B) {
 	tels := observedShards(b)
-	snaps := make([]*obs.Snapshot, len(tels))
-	for i, tel := range tels {
-		snaps[i] = tel.Snapshot(0)
-	}
-	for _, c := range []struct {
-		name string
-		add  func(m *obs.Merged, rep int) error
-	}{
-		{"records", func(m *obs.Merged, rep int) error { return m.Add(snaps[rep]) }},
-		{"handoff", func(m *obs.Merged, rep int) error { return tels[rep].MergeInto(m) }},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m := obs.NewMerged()
-				for rep := range tels {
-					if err := c.add(m, rep); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if s := m.Snapshot(); len(s.Spans) != 1<<16 {
-					b.Fatalf("merged snapshot holds %d spans, want the 65536 budget", len(s.Spans))
+	b.Run("handoff", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m := obs.NewMerged()
+			for _, tel := range tels {
+				if err := tel.MergeInto(m); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
-	}
+			if s := m.Snapshot(); len(s.Spans) != 1<<16 {
+				b.Fatalf("merged snapshot holds %d spans, want the 65536 budget", len(s.Spans))
+			}
+		}
+	})
 }
 
 // BenchmarkObsMergedExport measures Merged.ExportDir of a 4-replication

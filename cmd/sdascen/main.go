@@ -151,10 +151,10 @@ func (p *plan) Execute(w io.Writer) error {
 	}
 
 	// Live observability: one server spans the whole suite; each scenario
-	// attaches the hub to its own telemetry sampler and publishes its
-	// final snapshot when it ends (the hub starts a fresh run for the
-	// next scenario). Snapshots publish inside existing read-only sampler
-	// ticks, so golden hashes are unaffected by -serve.
+	// attaches the hub to its own telemetry sampler and its own fold, and
+	// hands its telemetry to that fold when it ends (a new fold starts a
+	// fresh run in the hub). Snapshots publish inside existing read-only
+	// sampler ticks, so golden hashes are unaffected by -serve.
 	if err := p.tel.Start(w); err != nil {
 		return err
 	}
@@ -218,16 +218,17 @@ func (p *plan) Execute(w io.Writer) error {
 			// Telemetry and the flight recorder never perturb the run, so
 			// the golden checks below still apply unchanged.
 			info := serve.RunInfo{Label: fmt.Sprintf("%s (%d/%d)", sc.Name, i+1, len(scs)), Replications: 1}
+			fold := obs.NewMerged()
 			out, tel, err = scenario.RunObservedWith(sc, p.tel.Options(), func(sys *sim.System) {
 				if p.flightDir != "" {
 					fl = des.NewFlight()
 					sys.Eng.AttachFlight(fl)
 				}
 				info.Horizon = float64(sys.Horizon())
-				p.tel.Attach(sys.Telemetry(), info)
+				p.tel.Attach(sys.Telemetry(), fold, info)
 			})
 			if err == nil {
-				p.tel.Publish(tel, info, info.Horizon)
+				err = p.tel.FinalizeSystem(tel, fold, info)
 			}
 		} else {
 			out, err = scenario.Run(sc)

@@ -179,17 +179,21 @@ func (p *plan) Execute(w io.Writer) error {
 			return err
 		}
 		// Replay builds one system directly, so the live hub attaches via
-		// OnSystem and the final snapshot publishes after the replay.
+		// OnSystem to a fold of its own, which the telemetry joins after
+		// the replay.
 		var replayTel *obs.Telemetry
+		fold := obs.NewMerged()
 		cfg.OnSystem = func(sys *sim.System) {
 			replayTel = sys.Telemetry()
-			p.tel.Attach(replayTel, info)
+			p.tel.Attach(replayTel, fold, info)
 		}
 		rep, err := sim.ReplayTrace(cfg, arrivals)
 		if err != nil {
 			return err
 		}
-		p.tel.Publish(replayTel, info, info.Horizon)
+		if err := p.tel.FinalizeSystem(replayTel, fold, info); err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "replayed %d arrivals from %s\n", len(arrivals), p.replayOf)
 		fmt.Fprintf(w, "tasks counted   %d locals, %d globals\n", rep.Locals, rep.Globals)
 		fmt.Fprintf(w, "MD_local        %.4f\n", rep.MDLocal)

@@ -121,8 +121,10 @@ func TestTelemetryOff(t *testing.T) {
 	}
 	cfg := sim.Default()
 	info := tel.Hook(&cfg)
-	tel.Attach(nil, info)
-	tel.Publish(nil, info, 0)
+	tel.Attach(nil, nil, info)
+	if err := tel.FinalizeSystem(nil, nil, info); err != nil {
+		t.Fatal(err)
+	}
 	tel.Finalize(nil, info)
 	tel.Close()
 	if cfg.OnReplication != nil || tel.Options().Enabled {

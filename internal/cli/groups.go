@@ -113,9 +113,10 @@ func (f *Fidelity) Options() exp.Options {
 }
 
 // Telemetry is the -obs/-obs-max-spans/-serve/-serve-every/-serve-hold
-// group. It also runs the live server: Start binds it, Hook, Attach and
-// Publish feed it, Finalize pins it to the merged run and Close holds
-// and stops it. Without -serve every step but Start's check is a no-op.
+// group. It also runs the live server: Start binds it, Hook and Attach
+// feed it, Finalize or FinalizeSystem pins it to the run's fold and
+// Close holds and stops it. Without -serve every step but Start's check
+// is a no-op.
 type Telemetry struct {
 	Dir      string // -obs: export directory
 	maxSpans int
@@ -160,28 +161,25 @@ func (t *Telemetry) Start(out io.Writer) error {
 	return nil
 }
 
-// Attach publishes tel's snapshots every -serve-every sampler ticks.
-func (t *Telemetry) Attach(tel *obs.Telemetry, info serve.RunInfo) {
+// Attach publishes tel's snapshots every -serve-every sampler ticks into
+// the live view of fold, the merge tel's replication folds into.
+func (t *Telemetry) Attach(tel *obs.Telemetry, fold *obs.Merged, info serve.RunInfo) {
 	if t.srv != nil {
-		t.srv.Hub().Attach(tel, info, t.every)
+		t.srv.Hub().Attach(tel, fold, info, t.every)
 	}
 }
 
-// Publish publishes tel's final snapshot at time now.
-func (t *Telemetry) Publish(tel *obs.Telemetry, info serve.RunInfo, now float64) {
-	if t.srv != nil && tel != nil {
-		t.srv.Hub().Publish(tel, info, now, true)
-	}
-}
-
-// Hook makes every replication of cfg attach when it starts and publish
-// its final snapshot when it ends (both safe under Workers > 1), and
-// returns the label the run is served under.
+// Hook makes every replication of cfg attach to the run's fold when it
+// starts and publish its final state when it ends (both safe under
+// Workers > 1), and returns the label the run is served under.
 func (t *Telemetry) Hook(cfg *sim.Config) serve.RunInfo {
 	info := serve.RunInfo{Label: cfg.Name(), Replications: cfg.Replications, Horizon: float64(cfg.Warmup + cfg.Duration)}
 	if t.srv != nil {
-		cfg.OnReplication = func(sys *sim.System) { t.Attach(sys.Telemetry(), info) }
-		cfg.OnReplicationDone = func(sys *sim.System) { t.Publish(sys.Telemetry(), info, float64(sys.Horizon())) }
+		hub := t.srv.Hub()
+		cfg.OnReplication = func(sys *sim.System) { t.Attach(sys.Telemetry(), sys.Fold(), info) }
+		cfg.OnReplicationDone = func(sys *sim.System) {
+			hub.Publish(sys.Telemetry(), sys.Fold(), info, float64(sys.Horizon()), true)
+		}
 	}
 	return info
 }
@@ -192,6 +190,21 @@ func (t *Telemetry) Finalize(m *obs.Merged, info serve.RunInfo) {
 	if t.srv != nil {
 		t.srv.Hub().Finalize(m, info)
 	}
+}
+
+// FinalizeSystem ends a run that builds one system instead of calling
+// sim.Run: it hands the finished telemetry tel to fold, the merge Attach
+// was given, and pins the served artifacts to it. It does nothing
+// without -serve or when telemetry is off (tel nil).
+func (t *Telemetry) FinalizeSystem(tel *obs.Telemetry, fold *obs.Merged, info serve.RunInfo) error {
+	if t.srv == nil || tel == nil {
+		return nil
+	}
+	if err := tel.MergeInto(fold); err != nil {
+		return err
+	}
+	t.srv.Hub().Finalize(fold, info)
+	return nil
 }
 
 // Close holds the server up for -serve-hold, then stops it.

@@ -50,14 +50,14 @@ type Snapshot struct {
 }
 
 // Snapshot renders the telemetry's current state as an immutable
-// Snapshot. tailSpans limits how many retained spans are copied (<= 0
-// copies the whole ring); mid-run callers pass their display ring size
-// so a snapshot costs O(tail), final callers pass 0. Must run on the
+// Snapshot. tail limits how many of the latest retained spans and edges
+// are copied (<= 0 copies both whole rings); a live reader passes its
+// display ring size so a snapshot costs O(tail). Must run on the
 // goroutine driving the simulation (it reads func-backed gauges).
-func (t *Telemetry) Snapshot(tailSpans int) *Snapshot {
+func (t *Telemetry) Snapshot(tail int) *Snapshot {
 	s := t.head()
-	s.Spans = t.SpansTail(tailSpans)
-	s.Edges = t.Edges()
+	s.Spans = t.SpansTail(tail)
+	s.Edges = t.edgesTail(tail)
 	return s
 }
 
@@ -122,39 +122,13 @@ func (a *Snapshot) mergeHead(s *Snapshot) error {
 	return nil
 }
 
-// MergeSnapshots folds the given snapshots, in the order given, into one
-// merged Snapshot (Rep = -1) without modifying the inputs. Unlike Merged
-// it applies no global span-budget trim and accepts any replication
-// labels: it is the building block live aggregators (internal/obs/serve)
-// use to combine an already-folded done-prefix with still-running
-// shards. Callers that want order independence and the budget semantics
-// use Merged.
-func MergeSnapshots(shards ...*Snapshot) (*Snapshot, error) {
-	var agg *Snapshot
-	for _, s := range shards {
-		if s == nil {
-			continue
-		}
-		if agg == nil {
-			agg = s.cloneHead()
-		} else if err := agg.mergeHead(s); err != nil {
-			return nil, err
-		}
-		agg.Spans = append(agg.Spans, s.Spans...)
-		agg.Edges = append(agg.Edges, s.Edges...)
-	}
-	if agg == nil {
-		return nil, fmt.Errorf("obs: merge of no snapshots")
-	}
-	return agg, nil
-}
-
 // Merged folds per-replication telemetry shards into one aggregate.
-// Shards may arrive in any order from any goroutine: Add buffers them
-// and folds only the consecutive run starting at replication 0, so the
-// float additions (histogram and sketch sums, gauge totals) always fold
-// in replication-index order and the aggregate is bit-identical no
-// matter how many workers produced the shards.
+// Shards may arrive in any order from any goroutine (Telemetry.MergeInto
+// hands them over): the merge buffers them and folds only the
+// consecutive run starting at replication 0, so the float additions
+// (histogram and sketch sums, gauge totals) always fold in
+// replication-index order and the aggregate is bit-identical no matter
+// how many workers produced the shards.
 //
 // The fold keeps each shard's spans and edges in their compact in-memory
 // form, trims them to the global budget by dropping each shard's oldest
@@ -187,52 +161,6 @@ type shard struct {
 // NewMerged returns an empty merge.
 func NewMerged() *Merged {
 	return &Merged{pending: make(map[int]*shard)}
-}
-
-// Add submits one shard snapshot. Shards must carry distinct Rep indices
-// starting at 0 with no gaps overall; Add folds eagerly as the run from
-// 0 becomes consecutive. Every span and edge record must be one the
-// telemetry of replication s.Rep emits: Add converts it back to the
-// compact form and rejects a record that would not convert back to
-// itself. Safe for concurrent use.
-func (m *Merged) Add(s *Snapshot) error {
-	if s == nil {
-		return nil
-	}
-	sh, err := compactShard(s)
-	if err != nil {
-		return err
-	}
-	return m.add(sh)
-}
-
-// compactShard converts a snapshot to the merge's compact form. The head
-// shares the snapshot's registry and exemplars, which the fold only
-// reads.
-func compactShard(s *Snapshot) (*shard, error) {
-	head := *s
-	head.Spans, head.Edges = nil, nil
-	sh := &shard{head: &head}
-	if len(s.Spans) > 0 {
-		sh.spans.flat = make([]span, len(s.Spans))
-	}
-	for i := range s.Spans {
-		var ok bool
-		sh.spans.flat[i], ok = spanOfRecord(&s.Spans[i])
-		if !ok || s.Spans[i].Rep != s.Rep {
-			return nil, fmt.Errorf("obs: replication %d span record %d is not a telemetry span of that replication", s.Rep, i)
-		}
-	}
-	if len(s.Edges) > 0 {
-		sh.edges.flat = make([]edge, len(s.Edges))
-	}
-	for i := range s.Edges {
-		var ok bool
-		if sh.edges.flat[i], ok = edgeOfRecord(&s.Edges[i], s.Rep); !ok {
-			return nil, fmt.Errorf("obs: replication %d edge record %d is not a telemetry edge of that replication", s.Rep, i)
-		}
-	}
-	return sh, nil
 }
 
 // add buffers one shard and folds the consecutive run from m.next.
@@ -397,7 +325,7 @@ func (m *Merged) Snapshot() *Snapshot {
 	if n := m.spans.n; n > 0 {
 		s.Spans = make([]Record, 0, n)
 		vs := make([]spanFloats, n)
-		m.spans.each(func(sp *span, _ int) error {
+		m.spans.each(0, func(sp *span, _ int) error {
 			s.Spans = append(s.Spans, sp.recordIn(&vs[len(s.Spans)]))
 			return nil
 		})
@@ -405,7 +333,7 @@ func (m *Merged) Snapshot() *Snapshot {
 	if n := m.edges.n; n > 0 {
 		s.Edges = make([]Record, 0, n)
 		ats := make([]float64, n)
-		m.edges.each(func(e *edge, rep int) error {
+		m.edges.each(0, func(e *edge, rep int) error {
 			s.Edges = append(s.Edges, e.record(rep, &ats[len(s.Edges)]))
 			return nil
 		})
@@ -413,18 +341,80 @@ func (m *Merged) Snapshot() *Snapshot {
 	return s
 }
 
-// each calls fn with every kept value, in fold order, and with its
-// shard's replication index, stopping at the first error.
-func (f *foldLog[T]) each(fn func(v *T, rep int) error) error {
+// each calls fn with every kept value from the from-th on, in fold
+// order, and with its shard's replication index, stopping at the first
+// error.
+func (f *foldLog[T]) each(from int, fn func(v *T, rep int) error) error {
 	for rep := range f.logs {
 		l := &f.logs[rep]
-		for j, n := 0, l.len(); j < n; j++ {
+		n := l.len()
+		if from >= n {
+			from -= n
+			continue
+		}
+		for j := from; j < n; j++ {
 			if err := fn(l.get(j), rep); err != nil {
 				return err
 			}
 		}
+		from = 0
 	}
 	return nil
+}
+
+// View renders the run's telemetry for a reader that does not wait for
+// the fold to finish: the fold's instruments and totals merged with the
+// head of each live shard, in the order given, and the latest tail span
+// and edge records of the folded logs followed by the live shards' own.
+// live holds snapshots of replications still running or not yet folded,
+// in replication order; those the fold already holds are skipped, and
+// none is modified. Only the fold values inside the tail become Records.
+// View returns the view (Rep = -1; nil when nothing has folded and no
+// live shard is left) and how many shards had folded when it was taken.
+func (m *Merged) View(live []*Snapshot, tail int) (*Snapshot, int, error) {
+	tail = max(tail, 0)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	folded := len(m.spans.logs)
+	var v *Snapshot
+	if m.agg != nil {
+		v = m.agg.cloneHead()
+	}
+	var spans, edges []Record // the live shards' logs, in order
+	for _, s := range live {
+		if s.Rep < folded {
+			continue
+		}
+		if v == nil {
+			v = s.cloneHead()
+		} else if err := v.mergeHead(s); err != nil {
+			return nil, folded, err
+		}
+		spans = append(spans, s.Spans...)
+		edges = append(edges, s.Edges...)
+	}
+	if v == nil {
+		return nil, folded, nil
+	}
+	vs := make([]spanFloats, min(tail, m.spans.n))
+	v.Spans = logTail(&m.spans, spans, tail, func(sp *span, _, i int) Record { return sp.recordIn(&vs[i]) })
+	ats := make([]float64, min(tail, m.edges.n))
+	v.Edges = logTail(&m.edges, edges, tail, func(e *edge, rep, i int) Record { return e.record(rep, &ats[i]) })
+	return v, folded, nil
+}
+
+// logTail returns the latest tail values of the fold log f followed by
+// the records live, at most tail records in all. Only the fold values it
+// keeps are rendered, the i-th of them by record.
+func logTail[T any](f *foldLog[T], live []Record, tail int, record func(v *T, rep, i int) Record) []Record {
+	live = live[max(len(live)-tail, 0):]
+	k := min(tail-len(live), f.n)
+	out := make([]Record, 0, k+len(live))
+	f.each(f.n-k, func(v *T, rep int) error {
+		out = append(out, record(v, rep, len(out)))
+		return nil
+	})
+	return append(out, live...)
 }
 
 // Summary renders the human-readable digest of the merged telemetry —
@@ -490,7 +480,7 @@ func (m *Merged) writeSpans(w io.Writer) error {
 		v   spanFloats
 		i   int
 	)
-	return m.spans.each(func(sp *span, _ int) error {
+	return m.spans.each(0, func(sp *span, _ int) error {
 		rec = sp.recordIn(&v)
 		if err := WriteRecord(w, rec); err != nil {
 			return fmt.Errorf("obs: write merged span %d: %w", i, err)
@@ -507,7 +497,7 @@ func (m *Merged) writeEdges(w io.Writer) error {
 		at  float64
 		i   int
 	)
-	return m.edges.each(func(e *edge, rep int) error {
+	return m.edges.each(0, func(e *edge, rep int) error {
 		rec = e.record(rep, &at)
 		if err := WriteRecord(w, rec); err != nil {
 			return fmt.Errorf("obs: write merged edge %d: %w", i, err)

@@ -8,11 +8,11 @@ import (
 	"repro/internal/sim"
 )
 
-// shardSnapshots runs n observed replications sequentially and snapshots
-// each shard.
-func shardSnapshots(t *testing.T, n int, maxSpans int) []*obs.Snapshot {
+// shardTelemetry runs n observed replications sequentially and returns
+// each shard's finished telemetry.
+func shardTelemetry(t *testing.T, n int, maxSpans int) []*obs.Telemetry {
 	t.Helper()
-	shards := make([]*obs.Snapshot, n)
+	shards := make([]*obs.Telemetry, n)
 	for rep := 0; rep < n; rep++ {
 		cfg := smallConfig()
 		cfg.Obs = obs.Options{Enabled: true, MaxSpans: maxSpans}
@@ -25,16 +25,16 @@ func shardSnapshots(t *testing.T, n int, maxSpans int) []*obs.Snapshot {
 			t.Fatal(err)
 		}
 		sys.Finish(sys.Horizon())
-		shards[rep] = sys.Telemetry().Snapshot(0)
+		shards[rep] = sys.Telemetry()
 	}
 	return shards
 }
 
-func mergeOrder(t *testing.T, shards []*obs.Snapshot, order []int) *obs.Merged {
+func mergeOrder(t *testing.T, shards []*obs.Telemetry, order []int) *obs.Merged {
 	t.Helper()
 	m := obs.NewMerged()
 	for _, i := range order {
-		if err := m.Add(shards[i]); err != nil {
+		if err := shards[i].MergeInto(m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,10 +54,8 @@ func exposition(t *testing.T, m *obs.Merged) string {
 // submitted in any arrival order fold to bit-identical output, because
 // the fold itself always proceeds in replication-index order.
 func TestMergedOrderIndependent(t *testing.T) {
-	shards := shardSnapshots(t, 4, 1<<16)
-	// Snapshots are value-copied per merge since fold mutates the first
-	// shard's registry copy — regenerate per order.
-	a := mergeOrder(t, shardSnapshots(t, 4, 1<<16), []int{0, 1, 2, 3})
+	shards := shardTelemetry(t, 4, 1<<16)
+	a := mergeOrder(t, shards, []int{0, 1, 2, 3})
 	b := mergeOrder(t, shards, []int{3, 2, 1, 0})
 	ea, eb := exposition(t, a), exposition(t, b)
 	if ea != eb {
@@ -78,15 +76,12 @@ func TestMergedOrderIndependent(t *testing.T) {
 // TestMergedSingleShardMatchesShard checks the degenerate merge: folding
 // one shard reproduces that shard's own exposition byte for byte.
 func TestMergedSingleShardMatchesShard(t *testing.T) {
-	shard := shardSnapshots(t, 1, 1<<16)[0]
+	shard := shardTelemetry(t, 1, 1<<16)[0]
 	var direct strings.Builder
-	if err := shard.Registry.WritePrometheus(&direct); err != nil {
+	if err := shard.Snapshot(0).Registry.WritePrometheus(&direct); err != nil {
 		t.Fatal(err)
 	}
-	m := obs.NewMerged()
-	if err := m.Add(shardSnapshots(t, 1, 1<<16)[0]); err != nil {
-		t.Fatal(err)
-	}
+	m := mergeOrder(t, []*obs.Telemetry{shard}, []int{0})
 	if got := exposition(t, m); got != direct.String() {
 		t.Fatalf("single-shard merge differs from the shard exposition")
 	}
@@ -97,10 +92,10 @@ func TestMergedSingleShardMatchesShard(t *testing.T) {
 // trim accounting.
 func TestMergedGlobalSpanBudget(t *testing.T) {
 	const budget = 64
-	shards := shardSnapshots(t, 4, budget)
+	shards := shardTelemetry(t, 4, budget)
 	perShard := 0
 	for _, s := range shards {
-		perShard += len(s.Spans)
+		perShard += s.SpanCount()
 	}
 	if perShard <= budget {
 		t.Fatalf("run too small: %d spans across shards", perShard)
@@ -119,7 +114,7 @@ func TestMergedGlobalSpanBudget(t *testing.T) {
 	resolved, _ := s.GlobalCounts()
 	wantResolved := 0
 	for _, sh := range shards {
-		r, _ := sh.GlobalCounts()
+		r, _ := sh.Snapshot(0).GlobalCounts()
 		wantResolved += r
 	}
 	if resolved != wantResolved {
@@ -129,14 +124,10 @@ func TestMergedGlobalSpanBudget(t *testing.T) {
 
 // TestMergedDuplicateShardRejected guards the accounting invariant.
 func TestMergedDuplicateShardRejected(t *testing.T) {
-	shards := shardSnapshots(t, 2, 1<<16)
-	m := obs.NewMerged()
-	if err := m.Add(shards[0]); err != nil {
-		t.Fatal(err)
-	}
-	dup := *shards[1]
-	dup.Rep = 0
-	if err := m.Add(&dup); err == nil {
+	shards := shardTelemetry(t, 2, 1<<16)
+	m := mergeOrder(t, shards, []int{0})
+	shards[1].SetReplication(0)
+	if err := shards[1].MergeInto(m); err == nil {
 		t.Fatalf("duplicate replication index must be rejected")
 	}
 }
@@ -146,11 +137,8 @@ func TestMergedDuplicateShardRejected(t *testing.T) {
 // snapshot must share nothing the fold writes (run under -race), and
 // its rendering must not change.
 func TestMergedSnapshotIsolatedFromLaterFolds(t *testing.T) {
-	shards := shardSnapshots(t, 4, 1<<16)
-	m := obs.NewMerged()
-	if err := m.Add(shards[0]); err != nil {
-		t.Fatal(err)
-	}
+	shards := shardTelemetry(t, 4, 1<<16)
+	m := mergeOrder(t, shards, []int{0})
 	held := m.Snapshot()
 	render := func() string {
 		var b strings.Builder
@@ -168,7 +156,7 @@ func TestMergedSnapshotIsolatedFromLaterFolds(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for _, s := range shards[1:] {
-			if err := m.Add(s); err != nil {
+			if err := s.MergeInto(m); err != nil {
 				done <- err
 				return
 			}

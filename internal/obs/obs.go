@@ -471,11 +471,19 @@ func (t *Telemetry) addEdge(kind string, from, to, root uint64, at float64, labe
 }
 
 // Edges returns the retained causal-edge records, oldest first.
-func (t *Telemetry) Edges() []Record {
-	out := make([]Record, t.edges.n)
+func (t *Telemetry) Edges() []Record { return t.edgesTail(0) }
+
+// edgesTail returns the last n retained causal-edge records, oldest
+// first (n <= 0 returns them all).
+func (t *Telemetry) edgesTail(n int) []Record {
+	start := 0
+	if n > 0 && n < t.edges.n {
+		start = t.edges.n - n
+	}
+	out := make([]Record, t.edges.n-start)
 	ats := make([]float64, len(out))
 	for i := range out {
-		out[i] = t.edges.get(i).record(t.rep, &ats[i])
+		out[i] = t.edges.get(start+i).record(t.rep, &ats[i])
 	}
 	return out
 }

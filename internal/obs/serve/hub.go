@@ -1,24 +1,31 @@
 // Package serve is the opt-in live observability HTTP server: it exposes
 // a running simulation's telemetry — Prometheus metrics, progress, the
-// span tail, and the live miss-cause attribution — without perturbing the
-// run.
+// span tail, causal traces and the live miss-cause attribution — without
+// perturbing the run.
 //
-// The design keeps the simulation deterministic. Simulation goroutines
-// never handle HTTP: they only call Hub.Publish (via the sampler's OnTick
-// hook), which snapshots the calling shard's telemetry and files it under
-// its replication index. HTTP handlers read a lazily-rendered merge of
-// every shard — finished replications folded into an obs.Merged, running
-// ones contributing their latest snapshot — so /metrics, /progress and
-// /summary are cross-replication views even while workers run shards
-// concurrently. Publishing happens inside existing sampler ticks —
-// read-only DES events — so attaching a hub cannot reorder the calendar:
-// replication results, exports, and scenario golden trace hashes are
-// bit-identical with and without -serve.
+// The hub folds nothing itself. A run's shards fold into the run's own
+// obs.Merged (sim.Run's Result.Obs, handed to the hub through Attach),
+// and the hub reads that fold. Simulation goroutines never handle HTTP:
+// they only call Hub.Publish (via the sampler's OnTick hook, and once
+// more when a replication ends), which keeps a bounded tail snapshot of
+// the calling shard until the fold holds it. Publishing happens inside
+// existing sampler ticks — read-only DES events — so attaching a hub
+// cannot reorder the calendar: replication results, exports and scenario
+// golden trace hashes are bit-identical with and without -serve.
 //
-// Memory stays bounded for arbitrarily long runs: once a shard's final
-// snapshot folds into the merged prefix its per-shard copy is dropped, so
-// the hub holds the folded aggregate (trimmed to the span budget) plus
-// one snapshot per replication still in flight.
+// HTTP handlers render lazily, on the first read after a publish or a
+// fold. Mid-run, a read sees Merged.View: the fold's instruments plus
+// each live shard's head, and a span and edge tail of at most the hub's
+// ring size, so /metrics, /progress and /summary are cross-replication
+// views while workers run shards concurrently and a read costs
+// O(ring) records however long the run gets. Once every replication has
+// folded (or Finalize pins the fold), /metrics, /summary, /spans, /blame
+// and /trace come from the fold's Snapshot and are byte-identical to the
+// run's offline exports.
+//
+// Memory stays bounded for arbitrarily long runs: the hub holds one tail
+// snapshot per replication still running or not yet folded, and drops it
+// once the fold passes it.
 package serve
 
 import (
@@ -49,9 +56,12 @@ type RunInfo struct {
 
 // Progress is the JSON payload of /progress and its SSE stream. With
 // multiple replications the counters aggregate across shards: Ticks,
-// Spans, Globals and Missed sum finished and in-flight shards, Percent
-// is the mean completion fraction over all replications, and Done flips
-// once every replication has published its final snapshot.
+// Spans, Globals and Missed sum folded and live shards (Spans counts
+// what each shard's ring retained, before the fold's global budget
+// trim), Percent is the mean completion fraction over all replications,
+// ShardsDone counts the replications that finished, and Done flips once
+// every replication has folded into the run's telemetry (or the run was
+// finalized).
 type Progress struct {
 	Label        string  `json:"label,omitempty"`
 	Replication  int     `json:"replication,omitempty"`
@@ -67,243 +77,66 @@ type Progress struct {
 	Done         bool    `json:"done"`
 }
 
-// shardState is one replication's latest published snapshot.
+// shardState is the latest publish of a replication the fold does not
+// hold yet.
 type shardState struct {
-	snap  *obs.Snapshot
-	now   float64
-	added bool // final snapshot handed to the done-merge
+	snap *obs.Snapshot // bounded tail: Snapshot(ring)
+	now  float64
+	done bool // the replication finished; it awaits its fold
 }
 
-// Hub aggregates the published shards of one run (or a sequence of runs
-// reusing the hub, e.g. a scenario suite). Publish runs on the shard's
-// simulation goroutine; every accessor is safe for concurrent use by
-// HTTP handlers.
+// Hub serves the telemetry of one run, or of a sequence of runs reusing
+// the hub (a scenario suite): a publish or Finalize with a different
+// fold starts a new run. Publish runs on the shard's simulation
+// goroutine; every accessor is safe for concurrent use by HTTP handlers.
 type Hub struct {
-	ring int // span-tail capacity of the rendered merged view
+	ring int // span and edge tail capacity of the mid-run view
 
-	mu     sync.Mutex
-	info   RunInfo
-	shards map[int]*shardState // by replication; dropped once folded
-	done   *obs.Merged         // folded prefix of finished shards
-	final  *obs.Snapshot       // exact end-of-run aggregate, via Finalize
+	mu        sync.Mutex
+	info      RunInfo
+	fold      *obs.Merged         // the run's own fold
+	shards    map[int]*shardState // by replication; dropped once folded
+	final     bool                // Finalize pinned the fold as the whole run
+	maxNow    float64
+	version   uint64 // bumped by every publish
+	publishes uint64
+	subs      map[chan struct{}]bool
 
-	// Running totals over shards already handed to the done-merge, so
-	// progress stays O(in-flight shards) to compute after they are
-	// dropped.
-	doneReps    int
-	doneTicks   uint64
-	doneSpans   int
-	doneGlobals int
-	doneMissed  int
-	maxNow      float64
-	allDone     bool
-
-	// Merged artifacts are rendered lazily on first HTTP read after a
-	// publish — never on a simulation goroutine — and cached by version.
-	version   uint64
-	rendered  uint64
-	prom      []byte
-	summary   string
-	spans     []obs.Record
-	blame     *attrib.Report
-	blameJSON []byte
-
-	// The latest rendered snapshot backs /trace; the forest assembles
-	// lazily on the first trace read after a publish.
-	snapCur *obs.Snapshot
-	forest  *tracetree.Forest
-
-	progress     Progress
-	progressJSON []byte
-	publishes    uint64
-	subs         map[chan []byte]bool
+	// The view and its artifacts are rendered on the first read after a
+	// publish or a fold — never on a simulation goroutine — and cached
+	// until the version or the fold count moves. blame, blameJSON and
+	// forest fill in on first use.
+	renderedVersion uint64
+	renderedFolded  int
+	view            *obs.Snapshot
+	whole           bool // view is the fold's Snapshot of the finished run
+	progressJSON    []byte
+	blame           *attrib.Report
+	blameJSON       []byte
+	forest          *tracetree.Forest
 }
 
-// NewHub returns a hub retaining at most ringSize spans in its rendered
-// tail (default 512 when ringSize <= 0).
+// NewHub returns a hub whose mid-run view keeps at most ringSize spans
+// and edges (default 512 when ringSize <= 0).
 func NewHub(ringSize int) *Hub {
 	if ringSize <= 0 {
 		ringSize = 512
 	}
 	return &Hub{
-		ring:     ringSize,
-		shards:   make(map[int]*shardState),
-		done:     obs.NewMerged(),
-		rendered: ^uint64(0),
-		subs:     make(map[chan []byte]bool),
-	}
-}
-
-// reset clears all shard state for a new run reusing the hub (the next
-// scenario in a suite). Subscribers and the publish counter survive.
-func (h *Hub) reset() {
-	h.shards = make(map[int]*shardState)
-	h.done = obs.NewMerged()
-	h.final = nil
-	h.doneReps, h.doneTicks, h.doneSpans = 0, 0, 0
-	h.doneGlobals, h.doneMissed = 0, 0
-	h.maxNow, h.allDone = 0, false
-}
-
-// Publish snapshots tel and files it under its replication index. It
-// must run on the goroutine driving that shard (telemetry is not
-// concurrency-safe) and only reads model state — it is safe to call from
-// a sampler tick; different shards may publish concurrently. done marks
-// the shard's final snapshot, which is folded into the merged prefix.
-// Publishing a shard that already finished starts a fresh run.
-func (h *Hub) Publish(tel *obs.Telemetry, info RunInfo, now float64, done bool) {
-	tail := h.ring
-	if done {
-		tail = 0 // final shard snapshots keep their whole ring for exact blame
-	}
-	snap := tel.Snapshot(tail)
-
-	h.mu.Lock()
-	rep := snap.Rep
-	st := h.shards[rep]
-	if (st != nil && st.added) || rep < h.done.Shards() {
-		h.reset()
-		st = nil
-	}
-	if st == nil {
-		st = &shardState{}
-		h.shards[rep] = st
-	}
-	st.snap, st.now = snap, now
-	h.info = info
-	if now > h.maxNow {
-		h.maxNow = now
-	}
-	if done && !st.added {
-		st.added = true
-		h.doneReps++
-		h.doneTicks += snap.SamplerTicks
-		h.doneSpans += snap.Retained
-		g, ms := snap.GlobalCounts()
-		h.doneGlobals += g
-		h.doneMissed += ms
-		// Fold eagerly; out-of-order finishers stay buffered inside the
-		// merge (and in h.shards, for rendering) until their predecessors
-		// arrive.
-		_ = h.done.Add(snap)
-		folded := h.done.Shards()
-		for r, s := range h.shards {
-			if s.added && r < folded {
-				delete(h.shards, r)
-			}
-		}
-	}
-	h.version++
-	pr := h.progressLocked()
-	progressJSON, _ := json.Marshal(pr)
-	h.progress = pr
-	h.progressJSON = progressJSON
-	h.publishes++
-	subs := h.collectSubsLocked()
-	h.mu.Unlock()
-
-	h.fanout(subs, progressJSON)
-}
-
-// Finalize installs the exact end-of-run aggregate produced by the
-// simulation's own merge (sim.Result.Obs), making the served /metrics,
-// /summary, /spans and /blame byte-identical to the run's offline
-// exports. Call once after the run completes; safe from any goroutine.
-func (h *Hub) Finalize(m *obs.Merged, info RunInfo) {
-	if m == nil {
-		return
-	}
-	snap := m.Snapshot()
-	if snap == nil {
-		return
-	}
-	h.mu.Lock()
-	h.info = info
-	h.final = snap
-	h.allDone = true
-	h.version++
-	pr := Progress{
-		Label:        info.Label,
-		Replication:  info.Replications,
-		Replications: info.Replications,
-		Now:          info.Horizon,
-		Horizon:      info.Horizon,
-		Percent:      100,
-		Ticks:        snap.SamplerTicks,
-		Spans:        len(snap.Spans),
-		ShardsDone:   info.Replications,
-		Done:         true,
-	}
-	pr.Globals, pr.Missed = snap.GlobalCounts()
-	progressJSON, _ := json.Marshal(pr)
-	h.progress = pr
-	h.progressJSON = progressJSON
-	h.publishes++
-	subs := h.collectSubsLocked()
-	h.mu.Unlock()
-
-	h.fanout(subs, progressJSON)
-}
-
-// progressLocked aggregates run progress across every shard; callers
-// hold the lock.
-func (h *Hub) progressLocked() Progress {
-	ticks, spans := h.doneTicks, h.doneSpans
-	globals, missed := h.doneGlobals, h.doneMissed
-	frac := float64(h.doneReps)
-	inflight := 0
-	for _, st := range h.shards {
-		if st.added {
-			continue // already counted in the done totals
-		}
-		inflight++
-		ticks += st.snap.SamplerTicks
-		spans += st.snap.Retained
-		g, ms := st.snap.GlobalCounts()
-		globals += g
-		missed += ms
-		if h.info.Horizon > 0 {
-			f := st.now / h.info.Horizon
-			if f > 1 {
-				f = 1
-			}
-			frac += f
-		}
-	}
-	reps := h.info.Replications
-	if reps <= 0 {
-		reps = h.doneReps + inflight
-	}
-	if reps < 1 {
-		reps = 1
-	}
-	pct := 100 * frac / float64(reps)
-	if pct > 100 {
-		pct = 100
-	}
-	h.allDone = h.doneReps >= reps
-	return Progress{
-		Label:        h.info.Label,
-		Replication:  h.info.Replication,
-		Replications: h.info.Replications,
-		Now:          h.maxNow,
-		Horizon:      h.info.Horizon,
-		Percent:      pct,
-		Ticks:        ticks,
-		Spans:        spans,
-		Globals:      globals,
-		Missed:       missed,
-		ShardsDone:   h.doneReps,
-		Done:         h.allDone,
+		ring:            ringSize,
+		shards:          make(map[int]*shardState),
+		renderedVersion: ^uint64(0),
+		subs:            make(map[chan struct{}]bool),
 	}
 }
 
 // Attach hooks the hub onto tel's sampler so every `every`-th tick
-// publishes a snapshot. Call per shard after the system is built (the
-// sampler exists once telemetry is bound) and before the run starts. The
-// final state still needs an explicit Publish(..., done=true) per shard,
-// or one Finalize with the run's merged telemetry.
-func (h *Hub) Attach(tel *obs.Telemetry, info RunInfo, every int) {
+// publishes a snapshot into the view of fold, the merge tel's
+// replication folds into (sim.System.Fold under sim.Run; a single-system
+// run creates one and hands tel over with Telemetry.MergeInto). Call per
+// shard after the system is built (the sampler exists once telemetry is
+// bound) and before the run starts.
+func (h *Hub) Attach(tel *obs.Telemetry, fold *obs.Merged, info RunInfo, every int) {
 	if every <= 0 {
 		every = 1
 	}
@@ -315,93 +148,169 @@ func (h *Hub) Attach(tel *obs.Telemetry, info RunInfo, every int) {
 	s.SetOnTick(func(now simtime.Time) {
 		n++
 		if n%every == 0 {
-			h.Publish(tel, info, float64(now), false)
+			h.Publish(tel, fold, info, float64(now), false)
 		}
 	})
 }
 
-// renderLocked materializes the merged artifacts for the current
-// version; callers hold the lock. It runs on the HTTP goroutine doing
-// the first read after a publish, never on a simulation goroutine.
-func (h *Hub) renderLocked() {
-	if h.rendered == h.version {
-		return
-	}
-	h.rendered = h.version
-	snap := h.final
-	if snap == nil {
-		var list []*obs.Snapshot
-		if ds := h.done.Snapshot(); ds != nil {
-			list = append(list, ds)
-		}
-		reps := make([]int, 0, len(h.shards))
-		for r := range h.shards {
-			reps = append(reps, r)
-		}
-		sort.Ints(reps)
-		for _, r := range reps {
-			list = append(list, h.shards[r].snap)
-		}
-		switch len(list) {
-		case 0:
-			h.prom, h.summary, h.spans = nil, "", nil
-			h.blame, h.blameJSON = nil, nil
-			h.snapCur, h.forest = nil, nil
-			return
-		case 1:
-			snap = list[0] // single shard: serve it verbatim, no merged header
-		default:
-			var err error
-			if snap, err = obs.MergeSnapshots(list...); err != nil {
-				snap = list[0] // mismatched catalogs cannot happen within a run
-			}
-		}
-	}
-
-	h.snapCur, h.forest = snap, nil
-
-	var prom bytes.Buffer
-	_ = snap.Registry.WritePrometheus(&prom)
-	h.prom = prom.Bytes()
-	h.summary = snap.Summary()
-	tail := snap.Spans
-	if len(tail) > h.ring {
-		tail = tail[len(tail)-h.ring:]
-	}
-	h.spans = tail
-
-	// Mid-run blame covers the bounded merged tail, keeping a read
-	// O(ring) no matter how long the run gets. Once the run is done the
-	// report analyzes the full retained-plus-exemplar span set, so a
-	// completed run's /blame is exact and matches an offline sdablame
-	// pass over the exported spans.
-	scope := tail
-	if h.final != nil || h.allDone {
-		scope = snap.SpansForAnalysis()
-	}
-	h.blame = attrib.Analyze(scope)
-	h.blameJSON = nil // rendered lazily by BlameJSON
+// Publish keeps a bounded tail snapshot of tel, replication tel's shard
+// of fold, until fold holds it. It must run on the goroutine driving
+// that shard (telemetry is not concurrency-safe) and only reads model
+// state — it is safe to call from a sampler tick; different shards may
+// publish concurrently. done marks the shard's final state, published
+// before the shard folds.
+func (h *Hub) Publish(tel *obs.Telemetry, fold *obs.Merged, info RunInfo, now float64, done bool) {
+	snap := tel.Snapshot(h.ring)
+	h.mu.Lock()
+	h.adoptLocked(fold)
+	h.shards[snap.Rep] = &shardState{snap: snap, now: now, done: done}
+	h.dropFoldedLocked(fold.Shards())
+	h.info = info
+	h.maxNow = max(h.maxNow, now)
+	subs := h.publishedLocked()
+	h.mu.Unlock()
+	notify(subs)
 }
 
-// collectSubsLocked copies the subscriber set; callers hold the lock.
-func (h *Hub) collectSubsLocked() []chan []byte {
-	subs := make([]chan []byte, 0, len(h.subs))
+// Finalize pins the served artifacts to the whole run's fold m
+// (sim.Result.Obs), making /metrics, /summary, /spans and /blame
+// byte-identical to the run's offline exports even when info does not
+// say how many replications to wait for. Call once after the run
+// completes; safe from any goroutine.
+func (h *Hub) Finalize(m *obs.Merged, info RunInfo) {
+	if m == nil {
+		return
+	}
+	h.mu.Lock()
+	h.adoptLocked(m)
+	h.info, h.final = info, true
+	h.maxNow = max(h.maxNow, info.Horizon)
+	subs := h.publishedLocked()
+	h.mu.Unlock()
+	notify(subs)
+}
+
+// adoptLocked starts a new run when fold is not the one the hub serves.
+// Subscribers and the publish counter survive.
+func (h *Hub) adoptLocked(fold *obs.Merged) {
+	if fold == h.fold {
+		return
+	}
+	h.fold = fold
+	clear(h.shards)
+	h.final, h.maxNow = false, 0
+}
+
+// dropFoldedLocked drops the shards of the first folded replications,
+// which the fold now holds.
+func (h *Hub) dropFoldedLocked(folded int) {
+	for rep := range h.shards {
+		if rep < folded {
+			delete(h.shards, rep)
+		}
+	}
+}
+
+// publishedLocked counts a publish, invalidates the rendered view and
+// returns the subscribers to notify.
+func (h *Hub) publishedLocked() []chan struct{} {
+	h.version++
+	h.publishes++
+	subs := make([]chan struct{}, 0, len(h.subs))
 	for ch := range h.subs {
 		subs = append(subs, ch)
 	}
 	return subs
 }
 
-// fanout sends the progress event to SSE subscribers without ever
-// blocking the publishing goroutine: a full subscriber just skips a
-// beat.
-func (h *Hub) fanout(subs []chan []byte, payload []byte) {
+// notify wakes SSE subscribers without ever blocking the publishing
+// goroutine: a subscriber with a wake-up already pending keeps just
+// that one, and reads the latest progress when it gets to it.
+func notify(subs []chan struct{}) {
 	for _, ch := range subs {
 		select {
-		case ch <- payload:
+		case ch <- struct{}{}:
 		default:
 		}
 	}
+}
+
+// renderLocked brings the view up to date with the latest publish and
+// the fold; callers hold the lock.
+func (h *Hub) renderLocked() {
+	if h.fold == nil {
+		return
+	}
+	folded := h.fold.Shards()
+	if h.renderedVersion == h.version && h.renderedFolded == folded {
+		return
+	}
+	h.dropFoldedLocked(folded)
+	var view *obs.Snapshot
+	if !h.wholeRun(folded) {
+		reps := make([]int, 0, len(h.shards))
+		for rep := range h.shards {
+			reps = append(reps, rep)
+		}
+		sort.Ints(reps)
+		live := make([]*obs.Snapshot, len(reps))
+		for i, rep := range reps {
+			live[i] = h.shards[rep].snap
+		}
+		// Shards of one run share one instrument catalog, so the merge
+		// cannot fail; a view that did would just stay empty.
+		view, folded, _ = h.fold.View(live, h.ring)
+	}
+	h.whole = h.wholeRun(folded)
+	if h.whole {
+		view = h.fold.Snapshot()
+	}
+	h.renderedVersion, h.renderedFolded = h.version, folded
+	h.view = view
+	h.blame, h.blameJSON, h.forest = nil, nil, nil
+	h.progressJSON, _ = json.Marshal(h.progressLocked(folded))
+}
+
+// wholeRun reports whether the fold holds the whole run once folded
+// shards have folded.
+func (h *Hub) wholeRun(folded int) bool {
+	return h.final || h.info.Replications > 0 && folded >= h.info.Replications
+}
+
+// progressLocked aggregates run progress over the folded shards and the
+// live ones after them; callers hold the lock and have rendered the
+// view.
+func (h *Hub) progressLocked(folded int) Progress {
+	p := Progress{
+		Label:        h.info.Label,
+		Replication:  h.info.Replication,
+		Replications: h.info.Replications,
+		Now:          h.maxNow,
+		Horizon:      h.info.Horizon,
+		ShardsDone:   folded,
+		Done:         h.whole,
+	}
+	if v := h.view; v != nil {
+		p.Ticks, p.Spans = v.SamplerTicks, v.Retained
+		p.Globals, p.Missed = v.GlobalCounts()
+	}
+	frac, live := float64(folded), 0
+	for rep, st := range h.shards {
+		if rep < folded {
+			continue
+		}
+		live++
+		switch {
+		case st.done:
+			p.ShardsDone++
+			frac++
+		case h.info.Horizon > 0:
+			frac += min(st.now/h.info.Horizon, 1)
+		}
+	}
+	reps := max(h.info.Replications, folded+live, 1)
+	p.Percent = min(100*frac/float64(reps), 100)
+	return p
 }
 
 // Metrics returns the latest merged Prometheus exposition (nil before
@@ -410,7 +319,12 @@ func (h *Hub) Metrics() []byte {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.renderLocked()
-	return h.prom
+	if h.view == nil {
+		return nil
+	}
+	var b bytes.Buffer
+	_ = h.view.Registry.WritePrometheus(&b)
+	return b.Bytes()
 }
 
 // Summary returns the latest merged telemetry digest.
@@ -418,55 +332,78 @@ func (h *Hub) Summary() string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.renderLocked()
-	return h.summary
+	if h.view == nil {
+		return ""
+	}
+	return h.view.Summary()
 }
 
-// SpansTail returns the latest merged span tail (do not mutate).
+// SpansTail returns the latest span tail, at most the hub's ring size
+// (do not mutate).
 func (h *Hub) SpansTail() []obs.Record {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.renderLocked()
-	return h.spans
+	return h.tailLocked()
+}
+
+// tailLocked returns the view's last ring spans; callers hold the lock.
+func (h *Hub) tailLocked() []obs.Record {
+	if h.view == nil {
+		return nil
+	}
+	spans := h.view.Spans
+	return spans[max(len(spans)-h.ring, 0):]
 }
 
 // Blame returns the latest attribution report (nil before the first
-// publish; immutable once rendered). Mid-run it covers the merged
-// span-tail window; after the run completes it covers the whole run.
+// publish; immutable once rendered). Mid-run it covers the span tail,
+// keeping a read O(ring) however long the run gets; once the whole run
+// has folded it analyzes the retained-plus-exemplar span set, matching
+// an offline sdablame pass over the exported spans.
 func (h *Hub) Blame() *attrib.Report {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.blameLocked()
+}
+
+func (h *Hub) blameLocked() *attrib.Report {
 	h.renderLocked()
+	if h.blame == nil && h.view != nil {
+		scope := h.tailLocked()
+		if h.whole {
+			scope = h.view.SpansForAnalysis()
+		}
+		h.blame = attrib.Analyze(scope)
+	}
 	return h.blame
 }
 
 // BlameJSON returns the latest attribution report as JSON (nil before
-// the first publish), cached until the next publish.
+// the first publish), cached until the view changes.
 func (h *Hub) BlameJSON() []byte {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.renderLocked()
-	if h.blameJSON == nil && h.blame != nil {
-		h.blameJSON, _ = h.blame.JSON()
+	if rpt := h.blameLocked(); h.blameJSON == nil && rpt != nil {
+		h.blameJSON, _ = rpt.JSON()
 	}
 	return h.blameJSON
 }
 
-// Trace assembles the latest snapshot's spans and causal edges into
-// trace trees and writes them as JSONL: every tree when task is empty,
-// otherwise only the trees containing a span with that task name. The
-// forest is cached until the next publish, so repeated reads are cheap.
-// It returns the number of trees written.
+// Trace assembles the view's spans and causal edges into trace trees and
+// writes them as JSONL: every tree when task is empty, otherwise only
+// the trees containing a span with that task name. The forest is cached
+// until the view changes. It returns the number of trees written.
 func (h *Hub) Trace(w io.Writer, task string) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.renderLocked()
-	if h.snapCur == nil {
+	if h.view == nil {
 		return 0, nil
 	}
 	if h.forest == nil {
-		recs := make([]obs.Record, 0, len(h.snapCur.Spans)+len(h.snapCur.Edges))
-		recs = append(recs, h.snapCur.Spans...)
-		recs = append(recs, h.snapCur.Edges...)
+		recs := make([]obs.Record, 0, len(h.view.Spans)+len(h.view.Edges))
+		recs = append(append(recs, h.view.Spans...), h.view.Edges...)
 		h.forest = tracetree.Build(recs)
 	}
 	trees := h.forest.Trees
@@ -481,10 +418,12 @@ func (h *Hub) Trace(w io.Writer, task string) (int, error) {
 	return len(trees), nil
 }
 
-// ProgressJSON returns the latest progress payload.
+// ProgressJSON returns the latest progress payload (nil before the first
+// publish).
 func (h *Hub) ProgressJSON() []byte {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.renderLocked()
 	return h.progressJSON
 }
 
@@ -495,17 +434,17 @@ func (h *Hub) Publishes() uint64 {
 	return h.publishes
 }
 
-// subscribe registers an SSE subscriber channel.
-func (h *Hub) subscribe() chan []byte {
-	ch := make(chan []byte, 8)
+// subscribe registers an SSE subscriber, woken after publishes.
+func (h *Hub) subscribe() chan struct{} {
+	ch := make(chan struct{}, 1)
 	h.mu.Lock()
 	h.subs[ch] = true
 	h.mu.Unlock()
 	return ch
 }
 
-// unsubscribe removes an SSE subscriber channel.
-func (h *Hub) unsubscribe(ch chan []byte) {
+// unsubscribe removes an SSE subscriber.
+func (h *Hub) unsubscribe(ch chan struct{}) {
 	h.mu.Lock()
 	delete(h.subs, ch)
 	h.mu.Unlock()

@@ -7,13 +7,23 @@ import (
 	"repro/internal/obs"
 )
 
+// progress returns the hub's current progress payload, decoded.
+func progress(t *testing.T, h *Hub) Progress {
+	t.Helper()
+	var p Progress
+	if err := json.Unmarshal(h.ProgressJSON(), &p); err != nil {
+		t.Fatalf("progress not JSON: %v", err)
+	}
+	return p
+}
+
 // TestFanoutDropsSlowSubscriber pins the SSE backpressure contract: a
-// subscriber that stops reading fills its buffered channel and then
-// silently misses events, while publishing never blocks and fast
-// subscribers keep receiving every beat.
+// subscriber that stops reading keeps one pending wake-up and misses the
+// rest, while publishing never blocks and fast subscribers are woken by
+// every publish. A woken subscriber reads the latest progress.
 func TestFanoutDropsSlowSubscriber(t *testing.T) {
 	h := NewHub(0)
-	tel := obs.New(obs.Options{Enabled: true})
+	tel, fold := obs.New(obs.Options{Enabled: true}), obs.NewMerged()
 	info := RunInfo{Label: "drop", Replications: 1, Horizon: 100}
 
 	slow := h.subscribe()
@@ -21,50 +31,57 @@ func TestFanoutDropsSlowSubscriber(t *testing.T) {
 	defer h.unsubscribe(slow)
 	defer h.unsubscribe(fast)
 
-	n := 3 * cap(slow)
+	const n = 8
 	for i := 0; i < n; i++ {
-		h.Publish(tel, info, float64(i), false)
+		h.Publish(tel, fold, info, float64(i), false)
 		select {
 		case <-fast: // drained every publish: never misses
 		default:
 			t.Fatalf("fast subscriber missed publish %d", i)
 		}
+		if len(slow) != cap(slow) {
+			t.Fatalf("slow subscriber holds %d wake-ups after publish %d, want a full channel of %d", len(slow), i, cap(slow))
+		}
 	}
-	if got := h.Publishes(); got != uint64(n) {
+	if got := h.Publishes(); got != n {
 		t.Fatalf("publishes = %d, want %d (a slow subscriber must not block)", got, n)
 	}
-	if len(slow) != cap(slow) {
-		t.Fatalf("slow subscriber buffered %d events, want a full channel of %d with the rest dropped",
-			len(slow), cap(slow))
+	// Draining the wake-up makes room for exactly the next one.
+	<-slow
+	if p := progress(t, h); p.Now != n-1 {
+		t.Fatalf("woken subscriber reads now = %v, want the latest publish's %d", p.Now, n-1)
 	}
-	// Draining one slot makes room for exactly the next event again.
-	var pr Progress
-	if err := json.Unmarshal(<-slow, &pr); err != nil {
-		t.Fatalf("buffered event not progress JSON: %v", err)
-	}
-	h.Publish(tel, info, float64(n), false)
+	h.Publish(tel, fold, info, n, false)
 	if len(slow) != cap(slow) {
-		t.Fatalf("slow subscriber did not refill after draining: %d", len(slow))
+		t.Fatalf("slow subscriber not woken again after draining: %d", len(slow))
 	}
 }
 
-// TestHubResetOnReuse checks that publishing a shard that already
-// finished starts a fresh run — the sdascen suite reuses one hub across
-// scenarios this way.
+// TestHubResetOnReuse checks the run boundary: a publish into a
+// different fold starts a fresh run — the sdascen suite reuses one hub,
+// with one fold per scenario — while a publish of a replication the
+// current fold already holds does not.
 func TestHubResetOnReuse(t *testing.T) {
 	h := NewHub(0)
-	tel := obs.New(obs.Options{Enabled: true})
 	info := RunInfo{Label: "reuse", Replications: 1, Horizon: 100}
 
-	h.Publish(tel, info, 100, true)
-	if p := h.progress; !p.Done || p.ShardsDone != 1 || p.Percent != 100 {
-		t.Fatalf("first run not done: %+v", p)
+	tel, first := obs.New(obs.Options{Enabled: true}), obs.NewMerged()
+	h.Publish(tel, first, info, 100, true)
+	if p := progress(t, h); p.Done || p.ShardsDone != 1 || p.Percent != 100 {
+		t.Fatalf("finished shard awaiting its fold: %+v, want 1 shard done at 100%% and the run not done", p)
 	}
-	h.Publish(tel, info, 10, false)
-	if p := h.progress; p.Done || p.ShardsDone != 0 {
+	if err := tel.MergeInto(first); err != nil {
+		t.Fatal(err)
+	}
+	if p := progress(t, h); !p.Done || p.ShardsDone != 1 || p.Percent != 100 {
+		t.Fatalf("first run not done once folded: %+v", p)
+	}
+	h.Publish(tel, first, info, 10, false)
+	if p := progress(t, h); !p.Done || p.ShardsDone != 1 || p.Percent != 100 {
+		t.Fatalf("a publish into the same fold reset the run: %+v", p)
+	}
+	h.Publish(obs.New(obs.Options{Enabled: true}), obs.NewMerged(), info, 10, false)
+	if p := progress(t, h); p.Done || p.ShardsDone != 0 || p.Percent != 10 {
 		t.Fatalf("hub did not reset for the next run: %+v", p)
-	}
-	if p := h.progress; p.Percent != 10 {
-		t.Fatalf("fresh run percent = %v, want 10", p.Percent)
 	}
 }

@@ -17,7 +17,7 @@ import (
 var queryPaths = []string{"/", "/healthz", "/metrics", "/progress", "/spans", "/trace", "/blame", "/summary"}
 
 // publishedMux returns the routes of a server, bound to no listener, whose
-// hub holds the final snapshot of one short observed replication.
+// hub serves the fold of one short observed replication.
 func publishedMux(tb testing.TB) http.Handler {
 	tb.Helper()
 	cfg := sim.Default()
@@ -33,9 +33,12 @@ func publishedMux(tb testing.TB) http.Handler {
 		tb.Fatal(err)
 	}
 	sys.Finish(sys.Horizon())
-	hub := NewHub(0)
+	hub, fold := NewHub(0), obs.NewMerged()
 	info := RunInfo{Label: "query", Replication: 1, Replications: 1, Horizon: float64(sys.Horizon())}
-	hub.Publish(sys.Telemetry(), info, float64(sys.Horizon()), true)
+	hub.Publish(sys.Telemetry(), fold, info, float64(sys.Horizon()), true)
+	if err := sys.Telemetry().MergeInto(fold); err != nil {
+		tb.Fatal(err)
+	}
 	return (&Server{hub: hub}).routes()
 }
 

@@ -136,8 +136,9 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamProgress serves /progress as Server-Sent Events: the current
-// snapshot immediately, then one event per publish until the client
-// disconnects.
+// progress immediately, then the latest progress after each wake-up from
+// a publish until the client disconnects. Publishes that land while the
+// stream is writing coalesce into one event.
 func (s *Server) streamProgress(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -148,17 +149,15 @@ func (s *Server) streamProgress(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	ch := s.hub.subscribe()
 	defer s.hub.unsubscribe(ch)
-	if p := s.hub.ProgressJSON(); p != nil {
-		fmt.Fprintf(w, "data: %s\n\n", p)
-		fl.Flush()
-	}
 	for {
+		if p := s.hub.ProgressJSON(); p != nil {
+			fmt.Fprintf(w, "data: %s\n\n", p)
+			fl.Flush()
+		}
 		select {
 		case <-r.Context().Done():
 			return
-		case p := <-ch:
-			fmt.Fprintf(w, "data: %s\n\n", p)
-			fl.Flush()
+		case <-ch:
 		}
 	}
 }

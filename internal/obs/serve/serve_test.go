@@ -3,8 +3,10 @@ package serve_test
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,9 +17,10 @@ import (
 	"repro/internal/sim"
 )
 
-// runServed runs one observed replication with a hub attached and a final
-// done-snapshot published, returning the running server.
-func runServed(t *testing.T) (*serve.Server, sim.RepResult) {
+// runServed runs one observed replication with a hub attached, hands its
+// telemetry to the replication's fold and finalizes the hub on it, as a
+// single-system run does. It returns the running server and the fold.
+func runServed(t *testing.T) (*serve.Server, *obs.Merged) {
 	t.Helper()
 	cfg := sim.Default()
 	cfg.Duration = 3000
@@ -29,9 +32,9 @@ func runServed(t *testing.T) (*serve.Server, sim.RepResult) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := serve.NewHub(0)
+	hub, fold := serve.NewHub(0), obs.NewMerged()
 	info := serve.RunInfo{Label: "test", Replication: 1, Replications: 1, Horizon: float64(sys.Horizon())}
-	hub.Attach(sys.Telemetry(), info, 2)
+	hub.Attach(sys.Telemetry(), fold, info, 2)
 	srv, err := serve.Start("127.0.0.1:0", hub)
 	if err != nil {
 		t.Fatal(err)
@@ -40,9 +43,12 @@ func runServed(t *testing.T) (*serve.Server, sim.RepResult) {
 	if err := sys.Start(); err != nil {
 		t.Fatal(err)
 	}
-	rep := sys.Finish(sys.Horizon())
-	hub.Publish(sys.Telemetry(), info, float64(sys.Horizon()), true)
-	return srv, rep
+	sys.Finish(sys.Horizon())
+	if err := sys.Telemetry().MergeInto(fold); err != nil {
+		t.Fatal(err)
+	}
+	hub.Finalize(fold, info)
+	return srv, fold
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -158,27 +164,26 @@ func TestEndpoints(t *testing.T) {
 }
 
 // TestLiveBlameMatchesOffline proves the live /blame endpoint and the
-// offline analyzer agree: the hub publishes via the same attrib.Analyze
-// over the same span log, so the bytes must be identical.
+// offline analyzer agree: the hub analyzes the same retained-plus-
+// exemplar span set an offline sdablame pass reads, so the bytes must be
+// identical.
 func TestLiveBlameMatchesOffline(t *testing.T) {
-	srv, _ := runServed(t)
+	srv, fold := runServed(t)
 	_, live := get(t, "http://"+srv.Addr()+"/blame")
-
-	spans := srv.Hub().SpansTail()
-	_ = spans // tail is bounded; recompute from the full report instead
-	offline, err := srv.Hub().Blame().JSON()
+	offline, err := attrib.Analyze(fold.Snapshot().SpansForAnalysis()).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if live != string(offline) {
-		t.Fatalf("live blame differs from offline rendering")
+		t.Fatalf("live blame differs from the offline analysis")
 	}
 }
 
 // TestShardedHubMergesReplications publishes every shard of a
 // multi-worker observed run into one hub and checks the served artifacts
-// are the cross-replication merge: progress aggregates all shards and
-// the exposition is byte-identical to the run's own merged export.
+// are the run's own fold: progress aggregates all shards, and the
+// exposition, summary, span tail and blame report are byte-identical to
+// the run's merged export and its offline analysis.
 func TestShardedHubMergesReplications(t *testing.T) {
 	cfg := sim.Default()
 	cfg.Duration = 1500
@@ -190,10 +195,10 @@ func TestShardedHubMergesReplications(t *testing.T) {
 	hub := serve.NewHub(0)
 	info := serve.RunInfo{Label: "sharded", Replications: 4, Horizon: float64(cfg.Warmup + cfg.Duration)}
 	cfg.OnReplication = func(sys *sim.System) {
-		hub.Attach(sys.Telemetry(), info, 2)
+		hub.Attach(sys.Telemetry(), sys.Fold(), info, 2)
 	}
 	cfg.OnReplicationDone = func(sys *sim.System) {
-		hub.Publish(sys.Telemetry(), info, float64(sys.Horizon()), true)
+		hub.Publish(sys.Telemetry(), sys.Fold(), info, float64(sys.Horizon()), true)
 	}
 	res, err := sim.Run(cfg)
 	if err != nil {
@@ -226,6 +231,27 @@ func TestShardedHubMergesReplications(t *testing.T) {
 	if hub.Blame() == nil || hub.Blame().Globals == 0 {
 		t.Fatalf("sharded blame saw no globals")
 	}
+	offline, err := attrib.Analyze(snap.SpansForAnalysis()).JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(hub.BlameJSON()) != string(offline) {
+		t.Fatalf("served blame differs from the analysis of the run's merged spans")
+	}
+	// /spans serves the last lines of the merged spans.jsonl export.
+	var export, served strings.Builder
+	if err := res.Obs.WriteSpans(&export); err != nil {
+		t.Fatal(err)
+	}
+	tail := hub.SpansTail()
+	for _, rec := range tail {
+		if err := obs.WriteRecord(&served, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := min(len(snap.Spans), 512); len(tail) != n || !strings.HasSuffix(export.String(), served.String()) {
+		t.Fatalf("served span tail (%d spans) is not the last %d lines of the merged export", len(tail), n)
+	}
 
 	// Finalize installs the exact end-of-run aggregate; here it must be a
 	// no-op on the bytes since every shard already folded.
@@ -236,6 +262,126 @@ func TestShardedHubMergesReplications(t *testing.T) {
 	if b := hub.BlameJSON(); b == nil {
 		t.Fatalf("no blame after Finalize")
 	}
+}
+
+// TestLiveReadsDuringShardedRun reads every live artifact while six
+// replications run on four workers (run it under -race): each read must
+// parse, the finished-shard and global-outcome counters must never go
+// down, and once the run returns the served exposition must equal the
+// run's merged export with no Finalize call.
+func TestLiveReadsDuringShardedRun(t *testing.T) {
+	cfg := sim.Default()
+	cfg.Duration = 1500
+	cfg.Warmup = 100
+	cfg.Replications = 6
+	cfg.Workers = 4
+	cfg.Obs = obs.Options{Enabled: true, SampleEvery: 25}
+
+	hub := serve.NewHub(64)
+	info := serve.RunInfo{Label: "race", Replications: cfg.Replications, Horizon: float64(cfg.Warmup + cfg.Duration)}
+	cfg.OnReplication = func(sys *sim.System) { hub.Attach(sys.Telemetry(), sys.Fold(), info, 1) }
+	cfg.OnReplicationDone = func(sys *sim.System) {
+		hub.Publish(sys.Telemetry(), sys.Fold(), info, float64(sys.Horizon()), true)
+	}
+
+	stop := make(chan struct{})
+	errs := make(chan error, 1)
+	reads := 0
+	go func() {
+		defer close(errs)
+		var last serve.Progress
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			reads++
+			var pr serve.Progress
+			if b := hub.ProgressJSON(); b != nil {
+				if err := json.Unmarshal(b, &pr); err != nil {
+					errs <- fmt.Errorf("progress: %v", err)
+					return
+				}
+				if pr.ShardsDone < last.ShardsDone || pr.Globals < last.Globals || pr.Missed < last.Missed {
+					errs <- fmt.Errorf("progress went down: %+v after %+v", pr, last)
+					return
+				}
+				last = pr
+			}
+			if err := parseMetrics(hub.Metrics()); err != nil {
+				errs <- err
+				return
+			}
+			_ = hub.Summary()
+			for i, rec := range hub.SpansTail() {
+				if rec.Type != "span" {
+					errs <- fmt.Errorf("span tail line %d has type %q", i, rec.Type)
+					return
+				}
+			}
+			if b := hub.BlameJSON(); b != nil {
+				var rpt attrib.Report
+				if err := json.Unmarshal(b, &rpt); err != nil {
+					errs <- fmt.Errorf("blame: %v", err)
+					return
+				}
+			}
+			var trace strings.Builder
+			if _, err := hub.Trace(&trace, ""); err != nil {
+				errs <- fmt.Errorf("trace: %v", err)
+				return
+			}
+			for _, ln := range strings.Split(strings.TrimSuffix(trace.String(), "\n"), "\n") {
+				if ln != "" && !json.Valid([]byte(ln)) {
+					errs <- fmt.Errorf("trace line not JSON: %.80q", ln)
+					return
+				}
+			}
+		}
+	}()
+	res, err := sim.Run(cfg)
+	close(stop)
+	if rerr := <-errs; rerr != nil {
+		t.Fatal(rerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d live reads, %d publishes", reads, hub.Publishes())
+
+	var want strings.Builder
+	if err := res.Obs.WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	if string(hub.Metrics()) != want.String() {
+		t.Fatalf("served exposition after the run differs from the run's merged export")
+	}
+	var pr serve.Progress
+	if err := json.Unmarshal(hub.ProgressJSON(), &pr); err != nil {
+		t.Fatal(err)
+	}
+	if !pr.Done || pr.ShardsDone != cfg.Replications {
+		t.Fatalf("progress after the run: %+v", pr)
+	}
+}
+
+// parseMetrics checks that b is Prometheus text: every line a comment or
+// a sample ending in a number.
+func parseMetrics(b []byte) error {
+	for _, ln := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") {
+		if ln == "" || strings.HasPrefix(ln, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(ln, ' ')
+		if i < 0 {
+			return fmt.Errorf("metrics line without a value: %q", ln)
+		}
+		if _, err := strconv.ParseFloat(ln[i+1:], 64); err != nil {
+			return fmt.Errorf("metrics line %q: %v", ln, err)
+		}
+	}
+	return nil
 }
 
 func TestProgressSSE(t *testing.T) {

@@ -76,10 +76,13 @@ func NewSketch() *Sketch {
 // is within 1e-11 key units of the true quotient. So the estimate lies
 // within 4e-9 key units of the reference quotient, and when it is at
 // least sketchKeyMargin = 1e-6 from every integer both have the same
-// ceiling. Otherwise, and for subnormal, infinite or non-positive
-// input, key evaluates the reference expression itself. The fallback
-// runs for about two magnitudes in a million; TestSketchKeyExact
-// checks the estimate at every bucket boundary in the key window.
+// ceiling. Otherwise, and for subnormal or non-positive input, key
+// evaluates the reference expression itself. The fallback runs for
+// about two magnitudes in a million; TestSketchKeyExact checks the
+// estimate at every bucket boundary in the key window. An infinite
+// magnitude keys to sketchKeyInf: converting the reference's +Inf to
+// int32 is left to the platform by the Go spec (amd64 yields the
+// smallest int32, arm64 the largest).
 func (s *Sketch) key(mag float64) int32 {
 	b := math.Float64bits(mag)
 	if e := int64(b>>52) - 1; uint64(e) < 0x7fe { // positive, normal, finite
@@ -95,6 +98,9 @@ func (s *Sketch) key(mag float64) int32 {
 			return int32(n - sketchKeyShift + 1)
 		}
 	}
+	if math.IsInf(mag, 1) {
+		return sketchKeyInf
+	}
 	return int32(math.Ceil(math.Log(mag) / sketchLogGamma))
 }
 
@@ -108,6 +114,9 @@ const (
 	// sketchKeyShift lifts every normal magnitude's key quotient, which
 	// lies within ±35,500, above zero.
 	sketchKeyShift = 1 << 16
+	// sketchKeyInf is the key of an infinite magnitude, above every
+	// finite one, so ±Inf sort and export as the outermost buckets.
+	sketchKeyInf = math.MaxInt32
 )
 
 // sketchLogGamma is the log of the bucket growth factor, the width of

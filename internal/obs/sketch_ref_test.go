@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -25,6 +26,9 @@ func newRefSketch() *refSketch {
 }
 
 func refKey(mag float64) int32 {
+	if math.IsInf(mag, 1) {
+		return math.MaxInt32
+	}
 	return int32(math.Ceil(math.Log(mag) / math.Log((1+sketchAlpha)/(1-sketchAlpha))))
 }
 
@@ -219,6 +223,12 @@ func FuzzSketchParity(f *testing.F) {
 	f.Add(append(chunk(1, math.Float64bits(1e-300)), chunk(4, math.Float64bits(-3e200))...))
 	f.Add(append(chunk(2, 12345), chunk(5, uint64(1<<32-777))...))
 	f.Add([]byte{})
+	// ±Inf beside finite values of both signs in every shard: an infinite
+	// magnitude must key above every finite one.
+	// Shard 0 gets +Inf and 1, shard 1 -Inf and -1 (specials 13 and 14,
+	// decimals ±1000/1000), shard 2 +Inf and the raw bits of -Inf.
+	f.Add(slices.Concat(chunk(0, 13), chunk(2, 1000), chunk(3, 14), chunk(5, uint64(1<<32-1000)),
+		chunk(6, 13), chunk(7, math.Float64bits(math.Inf(-1)))))
 	// Just below, at and just above a sample of bucket boundaries, both
 	// signs, spread over the three shards: where a cheaper key would
 	// first part from math.Log.

@@ -53,6 +53,46 @@ func TestSketchEmptyAndNaN(t *testing.T) {
 	}
 }
 
+// TestSketchInfinityKeysAboveFinite checks that an infinite magnitude
+// buckets above every finite one on every platform, for both signs: +Inf
+// is the largest value a sketch reports and its bucket exports last, so
+// it cannot drag a low quantile to 0.
+func TestSketchInfinityKeysAboveFinite(t *testing.T) {
+	pos := NewSketch()
+	pos.Add(1)
+	pos.Add(math.Inf(1))
+	if q := pos.Quantile(0.25); math.Abs(q-1) > sketchAlpha {
+		t.Errorf("{1, +Inf}: Quantile(0.25) = %g, want 1 within %g", q, sketchAlpha)
+	}
+	if q := pos.Quantile(1); !math.IsInf(q, 1) {
+		t.Errorf("{1, +Inf}: Quantile(1) = %g, want +Inf", q)
+	}
+	neg := NewSketch()
+	for _, x := range []float64{-1, -1, math.Inf(-1)} {
+		neg.Add(x)
+	}
+	if q := neg.Quantile(0.75); math.Abs(q+1) > sketchAlpha {
+		t.Errorf("{-Inf, -1, -1}: Quantile(0.75) = %g, want -1 within %g", q, sketchAlpha)
+	}
+	if q := neg.Quantile(0.25); !math.IsInf(q, -1) {
+		t.Errorf("{-Inf, -1, -1}: Quantile(0.25) = %g, want -Inf", q)
+	}
+	for _, c := range []struct {
+		name string
+		s    *Sketch
+		neg  bool
+	}{{"+Inf", pos, false}, {"-Inf", neg, true}} {
+		n, p, _ := c.s.buckets()
+		b := p
+		if c.neg {
+			b = n
+		}
+		if len(b) != 2 || b[1].Key != sketchKeyInf || b[0].Key >= b[1].Key {
+			t.Errorf("%s buckets %v: want the finite bucket, then the infinite one last", c.name, b)
+		}
+	}
+}
+
 // TestSketchMergeMatchesUnion is the load-bearing property for the
 // cross-replication merge: sharding a stream and merging the shard
 // sketches must produce the identical bucket state (hence identical

@@ -343,81 +343,6 @@ func (s *span) recordIn(v *spanFloats) Record {
 	return rec
 }
 
-// spanOfRecord is the inverse of recordIn: it rebuilds the span a span
-// Record was rendered from, reporting false when rec is not one recordIn
-// renders.
-func spanOfRecord(rec *Record) (span, bool) {
-	kind := spanKind(0)
-	for kind < numSpanKinds && spanKindNames[kind] != rec.Kind {
-		kind++
-	}
-	if kind == numSpanKinds || rec.Start == nil || rec.VDL == nil || rec.Slack == nil ||
-		rec.Exec == nil || rec.Pex == nil {
-		return span{}, false
-	}
-	sp := span{
-		id:     rec.ID,
-		root:   rec.Root,
-		task:   rec.Task,
-		start:  *rec.Start,
-		vdl:    *rec.VDL,
-		slack:  *rec.Slack,
-		exec:   *rec.Exec,
-		pex:    *rec.Pex,
-		rep:    int32(rec.Rep),
-		node:   int32(rec.Node),
-		depth:  int32(rec.Depth),
-		width:  int32(rec.Width),
-		kind:   kind,
-		open:   rec.End == nil,
-		hasRDL: rec.RealDL != nil,
-		missed: rec.Missed,
-		abort:  rec.Aborted,
-		boost:  rec.Boost,
-	}
-	if sp.hasRDL {
-		sp.realDL = *rec.RealDL
-	}
-	if !sp.open {
-		sp.end = *rec.End
-	}
-	var v spanFloats
-	back := sp.recordIn(&v)
-	return sp, sameRecord(&back, rec)
-}
-
-// edgeOfRecord is the inverse of edge.record for replication rep,
-// reporting false when rec is not one edge.record renders.
-func edgeOfRecord(rec *Record, rep int) (edge, bool) {
-	if rec.At == nil {
-		return edge{}, false
-	}
-	e := edge{kind: rec.Kind, label: rec.Task, from: rec.From, to: rec.ID, root: rec.Root, at: *rec.At}
-	var at float64
-	back := e.record(rep, &at)
-	return e, sameRecord(&back, rec)
-}
-
-// sameRecord reports whether a and b are equal field by field, float
-// fields by presence and bit pattern. TestSameRecordCoversEveryField
-// fails when Record gains a field this does not compare.
-func sameRecord(a, b *Record) bool {
-	if a.Schema != b.Schema || a.Type != b.Type || a.Kind != b.Kind || a.Task != b.Task ||
-		a.Node != b.Node || a.ID != b.ID || a.Root != b.Root || a.Rep != b.Rep || a.From != b.From ||
-		a.Missed != b.Missed || a.Aborted != b.Aborted || a.Boost != b.Boost ||
-		a.Depth != b.Depth || a.Width != b.Width {
-		return false
-	}
-	fa, fb := recordFloats(a), recordFloats(b)
-	for i := range fa {
-		if (fa[i] == nil) != (fb[i] == nil) ||
-			fa[i] != nil && math.Float64bits(*fa[i]) != math.Float64bits(*fb[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // lateness returns the span's lateness (end minus judging deadline) and
 // whether it is defined: only finished spans have one — open spans have
 // no end, and an abort instant is a withdrawal, not a completion.

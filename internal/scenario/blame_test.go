@@ -15,8 +15,7 @@ import (
 
 // TestServeAndAttributionDoNotPerturb extends the observed-run golden
 // check to the live observability path: attaching a serve.Hub (publishing
-// a snapshot — including a full attribution analysis — on every sampler
-// tick) must leave the trace hash, the replication result, and the event
+// a tail snapshot on every sampler tick) must leave the trace hash, the replication result, and the event
 // count bit-identical to a plain run. This is the -serve flag's
 // non-perturbation contract.
 func TestServeAndAttributionDoNotPerturb(t *testing.T) {
@@ -36,11 +35,11 @@ func TestServeAndAttributionDoNotPerturb(t *testing.T) {
 				t.Fatalf("Run: %v", err)
 			}
 			hub := serve.NewHub(0)
+			fold := obs.NewMerged()
+			info := serve.RunInfo{Label: sc.Name}
 			out, tel, err := RunObservedWith(sc, obs.Options{SampleEvery: 25}, func(sys *sim.System) {
-				hub.Attach(sys.Telemetry(), serve.RunInfo{
-					Label:   sc.Name,
-					Horizon: float64(sys.Horizon()),
-				}, 1)
+				info.Horizon = float64(sys.Horizon())
+				hub.Attach(sys.Telemetry(), fold, info, 1)
 			})
 			if err != nil {
 				t.Fatalf("RunObservedWith: %v", err)
@@ -63,7 +62,10 @@ func TestServeAndAttributionDoNotPerturb(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hub.Publish(tel, serve.RunInfo{Label: sc.Name}, 0, true)
+			if err := tel.MergeInto(fold); err != nil {
+				t.Fatal(err)
+			}
+			hub.Finalize(fold, info)
 			if string(hub.BlameJSON()) != string(offline) {
 				t.Errorf("live blame snapshot differs from offline analysis")
 			}

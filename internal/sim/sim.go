@@ -133,7 +133,7 @@ type Config struct {
 	// is invoked concurrently from several goroutines, so the callback
 	// must be safe for concurrent use and must not mutate model state.
 	// The live observability server attaches its per-shard publisher
-	// here.
+	// here, reading the run's fold through System.Fold.
 	OnReplication func(*System)
 
 	// OnReplicationDone, when non-nil, runs once per replication right
@@ -433,6 +433,7 @@ func Run(cfg Config) (Result, error) {
 		sys.Replication, sys.Replications = r, cfg.Replications
 		if sys.tel != nil {
 			sys.tel.SetReplication(r)
+			sys.fold = merged
 		}
 		if cfg.OnReplication != nil {
 			cfg.OnReplication(sys)
@@ -447,12 +448,12 @@ func Run(cfg Config) (Result, error) {
 		if flights != nil {
 			flights[r] = sys.Eng.Flight()
 		}
-		if merged != nil {
+		if sys.fold != nil {
 			// Hand the shard over on this worker's goroutine (Telemetry
 			// is single-goroutine); the merge is concurrency-safe and
 			// folds shards in replication-index order regardless of
 			// arrival order.
-			if err := sys.tel.MergeInto(merged); err != nil {
+			if err := sys.tel.MergeInto(sys.fold); err != nil {
 				return fmt.Errorf("replication %d: %w", r, err)
 			}
 		}
@@ -529,14 +530,20 @@ type System struct {
 	Replication  int
 	Replications int
 
-	cfg Config
-	rec *collector
-	tel *obs.Telemetry // nil unless cfg.Obs.Enabled
+	cfg  Config
+	rec  *collector
+	tel  *obs.Telemetry // nil unless cfg.Obs.Enabled
+	fold *obs.Merged    // Result.Obs of the Run this replication belongs to
 }
 
 // Telemetry returns the system's telemetry layer, or nil when Config.Obs
 // is disabled.
 func (s *System) Telemetry() *obs.Telemetry { return s.tel }
+
+// Fold returns the merge Run hands this replication's telemetry to once
+// it finishes — the run's Result.Obs — or nil when Config.Obs is
+// disabled or the system was built outside Run.
+func (s *System) Fold() *obs.Merged { return s.fold }
 
 // build wires engine, nodes, manager and collector for a normalized,
 // validated configuration (no workload attached yet).
