@@ -8,6 +8,7 @@ package sda_test
 
 import (
 	"io"
+	"math"
 	"runtime"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/obs/attrib"
 	"repro/internal/obs/serve"
 	"repro/internal/obs/tracetree"
 	"repro/internal/procmgr"
@@ -381,6 +383,47 @@ func BenchmarkTracetreeWrite(b *testing.B) {
 		if err := f.WriteChrome(io.Discard); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAttribAnalyze measures miss-cause attribution over the
+// 4-replication observed fold: the span log merged with the exemplars
+// (SpansForAnalysis, built once outside the timer) analyzed per op.
+func BenchmarkAttribAnalyze(b *testing.B) {
+	spans := observedMerge(b).Snapshot().SpansForAnalysis()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rpt := attrib.Analyze(spans); rpt == nil {
+			b.Fatal("no attribution report")
+		}
+	}
+}
+
+// BenchmarkSketchAdd measures one quantile-sketch insert, the per-span
+// cost of the slack, lateness and latency sketches: values of both signs
+// across six decades plus exact zeros, cycled from a fixed table.
+func BenchmarkSketchAdd(b *testing.B) {
+	s := rng.NewStream(1)
+	vals := make([]float64, 4096)
+	for i := range vals {
+		switch v := s.Exp(1) * math.Pow(10, float64(i%6)-3); i % 8 {
+		case 0:
+			vals[i] = 0
+		case 1, 2, 3:
+			vals[i] = -v
+		default:
+			vals[i] = v
+		}
+	}
+	sk := obs.NewSketch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sk.Add(vals[i&(len(vals)-1)])
+	}
+	if sk.Count() != uint64(b.N) {
+		b.Fatalf("sketch counts %d values, want %d", sk.Count(), b.N)
 	}
 }
 

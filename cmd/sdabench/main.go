@@ -6,7 +6,10 @@
 // instead of guessed. The trajectory is the committed sequence BENCH_1,
 // BENCH_2, ...: each perf-relevant change appends one snapshot and the
 // comparison mode fails the build when a benchmark regresses by more than
-// a threshold against the latest committed snapshot. Two thresholds
+// a threshold against the latest committed snapshot. -record and
+// -compare run every benchmark five times (`go test -count 5`) and store
+// and compare the median, with the fastest and slowest ns/op beside it;
+// older single-run snapshots still load and compare. Two thresholds
 // apply: -max-regress gates ns/op (skippable with -report-only, since
 // wall-clock timings are noisy on shared runners) and -max-alloc-regress
 // gates allocs/op and B/op, which are deterministic up to amortised
@@ -40,6 +43,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,18 +57,32 @@ import (
 // checker, the random-number streams, task construction through a slab
 // (locals, trees and DAGs), DAG task construction and submission, tree
 // submission, the telemetry layers (cross-replication merge, merged
-// export, trace-tree build and write), end-to-end simulation
+// export, trace-tree build and write, attribution, sketch insert),
+// end-to-end simulation
 // throughput, and the strategy/parse/plan micro-benchmarks. The
 // per-figure experiment benchmarks are excluded to keep the smoke run
 // short; pass -bench '.' for everything.
-const defaultBench = "BenchmarkEngineEventChurn|BenchmarkNodeQueueChurn|BenchmarkBurstArrival|BenchmarkChecker|BenchmarkRNG|BenchmarkDagBuild|BenchmarkDagSubmit|BenchmarkSubmitGlobal|BenchmarkObsMerge|BenchmarkTracetree|BenchmarkSimulation|BenchmarkStrategyAssignment|BenchmarkEQFAssignment|BenchmarkTaskParse|BenchmarkTaskBuild|BenchmarkPlan"
+const defaultBench = "BenchmarkEngineEventChurn|BenchmarkNodeQueueChurn|BenchmarkBurstArrival|BenchmarkChecker|BenchmarkRNG|BenchmarkDagBuild|BenchmarkDagSubmit|BenchmarkSubmitGlobal|BenchmarkObsMerge|BenchmarkTracetree|BenchmarkAttribAnalyze|BenchmarkSketchAdd|BenchmarkSimulation|BenchmarkStrategyAssignment|BenchmarkEQFAssignment|BenchmarkTaskParse|BenchmarkTaskBuild|BenchmarkPlan"
 
 // Measurement is one benchmark's recorded metrics, keyed the way `go test
 // -bench` prints them ("ns/op", "B/op", "allocs/op", "events/op", ...).
+// When the run repeated the benchmark, each metric and the iteration
+// count are the median over the Samples runs, and NsMin and NsMax are
+// the fastest and slowest run's ns/op. Snapshots recorded from a single
+// run leave the three fields out.
 type Measurement struct {
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
+	Samples    int                `json:"samples,omitempty"`
+	NsMin      float64            `json:"ns_min,omitempty"`
+	NsMax      float64            `json:"ns_max,omitempty"`
 }
+
+// recordCount is how many times -record and -compare run each benchmark
+// (`go test -count`): the median of five samples is what they store and
+// compare, so one noisy run on a shared host no longer reads as a
+// regression.
+const recordCount = 5
 
 // Snapshot is the persisted form of one benchmark run.
 type Snapshot struct {
@@ -72,6 +90,7 @@ type Snapshot struct {
 	GoVersion  string                 `json:"go_version"`
 	Bench      string                 `json:"bench"`
 	Benchtime  string                 `json:"benchtime"`
+	Count      int                    `json:"count,omitempty"` // runs per benchmark; absent: one
 	Benchmarks map[string]Measurement `json:"benchmarks"`
 }
 
@@ -105,6 +124,10 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	count := 1
+	if *record || *compare {
+		count = recordCount
+	}
 	var raw []byte
 	if *input != "" {
 		b, err := os.ReadFile(*input)
@@ -117,7 +140,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		b, err := runBenchmarks(*dir, *bench, *benchtime, prof)
+		b, err := runBenchmarks(*dir, *bench, *benchtime, count, prof)
 		if err != nil {
 			return err
 		}
@@ -129,6 +152,9 @@ func run(args []string, out io.Writer) error {
 		Bench:      *bench,
 		Benchtime:  *benchtime,
 		Benchmarks: parseBench(string(raw)),
+	}
+	if *input == "" && count > 1 {
+		snap.Count = count
 	}
 	if len(snap.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark results parsed (regex %q)", *bench)
@@ -214,11 +240,11 @@ func profileArgs(cpu, mem, trace string) ([]string, error) {
 	return args, nil
 }
 
-// runBenchmarks shells out to the go tool; the benchmarks live in the
-// root package of the repository.
-func runBenchmarks(dir, bench, benchtime string, extra []string) ([]byte, error) {
+// runBenchmarks shells out to the go tool, running each benchmark count
+// times; the benchmarks live in the root package of the repository.
+func runBenchmarks(dir, bench, benchtime string, count int, extra []string) ([]byte, error) {
 	args := []string{"test", "-run", "^$",
-		"-bench", bench, "-benchmem", "-benchtime", benchtime}
+		"-bench", bench, "-benchmem", "-benchtime", benchtime, "-count", strconv.Itoa(count)}
 	args = append(args, extra...)
 	args = append(args, ".")
 	cmd := exec.Command("go", args...)
@@ -239,7 +265,9 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 var procsSuffix = regexp.MustCompile(`-(\d+)$`)
 
 // parseBench extracts measurements from `go test -bench` output. Metric
-// values come in "<value> <unit>" pairs after the iteration count.
+// values come in "<value> <unit>" pairs after the iteration count. A
+// benchmark reported more than once (`go test -count`) is stored as the
+// median of its runs, with the spread of its ns/op (see Measurement).
 //
 // The go tool appends "-<GOMAXPROCS>" to every name (absent when
 // GOMAXPROCS=1). That suffix is stripped so snapshots from machines with
@@ -287,15 +315,52 @@ func parseBench(output string) map[string]Measurement {
 			procs = s
 		}
 	}
-	res := make(map[string]Measurement, len(rows))
+	runs := make(map[string][]row)
 	for _, r := range rows {
 		name := r.name
 		if procs != "" {
 			name = strings.TrimSuffix(name, procs)
 		}
-		res[name] = Measurement{Iterations: r.iters, Metrics: r.metrics}
+		runs[name] = append(runs[name], r)
+	}
+	res := make(map[string]Measurement, len(runs))
+	for name, rs := range runs {
+		if len(rs) == 1 {
+			res[name] = Measurement{Iterations: rs[0].iters, Metrics: rs[0].metrics}
+			continue
+		}
+		m := Measurement{Metrics: make(map[string]float64), Samples: len(rs)}
+		iters := make([]float64, len(rs))
+		for i, r := range rs {
+			iters[i] = float64(r.iters)
+		}
+		m.Iterations = int64(median(iters))
+		for unit := range rs[0].metrics {
+			var vs []float64
+			for _, r := range rs {
+				if v, ok := r.metrics[unit]; ok {
+					vs = append(vs, v)
+				}
+			}
+			m.Metrics[unit] = median(vs)
+			if unit == "ns/op" {
+				m.NsMin, m.NsMax = slices.Min(vs), slices.Max(vs)
+			}
+		}
+		res[name] = m
 	}
 	return res
+}
+
+// median returns the median of vs (the mean of the middle two for an
+// even count); vs is sorted in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // snapshotPattern matches committed trajectory files.
@@ -441,6 +506,9 @@ func compareSnapshots(out io.Writer, prev, cur *Snapshot, prevPath string, maxRe
 		}
 		line := fmt.Sprintf("  %-40s %12.1f -> %12.1f ns/op  %+7.1f%%  %s",
 			name, oldNs, newNs, delta, status)
+		if curM.Samples > 1 {
+			line += fmt.Sprintf("  (median of %d, %.1f-%.1f)", curM.Samples, curM.NsMin, curM.NsMax)
+		}
 		memRegressed := false
 		for _, g := range memGates {
 			o, oOK := prevM.Metrics[g.unit]

@@ -89,6 +89,70 @@ func writeTestSnapshot(t *testing.T, path string, benchmarks map[string]Measurem
 	}
 }
 
+// repeatedOutput is a `go test -count 5` run: one benchmark with a slow
+// outlier and a first run that paid a one-off allocation, another run
+// once.
+const repeatedOutput = `
+BenchmarkTracetreeBuild-2   	      40	  26300000 ns/op	16130192 B/op	      13 allocs/op
+BenchmarkTracetreeBuild-2   	      50	  21000000 ns/op	16130000 B/op	      13 allocs/op
+BenchmarkTracetreeBuild-2   	      50	  34500000 ns/op	16130100 B/op	      13 allocs/op
+BenchmarkTracetreeBuild-2   	      50	  22000000 ns/op	16130050 B/op	      13 allocs/op
+BenchmarkTracetreeBuild-2   	      60	  24000000 ns/op	16999999 B/op	      14 allocs/op
+BenchmarkPlan-2             	 1000000	      1100 ns/op	       0 B/op	       0 allocs/op
+`
+
+// TestParseBenchMedian: repeated runs are stored as the median of every
+// metric with the ns/op spread beside it, so the one slow sample that
+// once read +30.9% against the ledger moves nothing; a single run is
+// stored as it was before.
+func TestParseBenchMedian(t *testing.T) {
+	got := parseBench(repeatedOutput)
+	tb := got["BenchmarkTracetreeBuild"]
+	if tb.Samples != 5 || tb.Iterations != 50 || tb.Metrics["ns/op"] != 24000000 ||
+		tb.NsMin != 21000000 || tb.NsMax != 34500000 ||
+		tb.Metrics["B/op"] != 16130100 || tb.Metrics["allocs/op"] != 13 {
+		t.Errorf("median of five = %+v", tb)
+	}
+	if p := got["BenchmarkPlan"]; p.Samples != 0 || p.NsMin != 0 || p.Metrics["ns/op"] != 1100 {
+		t.Errorf("single run = %+v, want it stored unchanged", p)
+	}
+	prev := &Snapshot{Benchmarks: map[string]Measurement{
+		"BenchmarkTracetreeBuild": {Iterations: 40, Metrics: map[string]float64{"ns/op": 26300000, "B/op": 16130192, "allocs/op": 13}},
+	}}
+	var buf strings.Builder
+	regressed, allocRegressed := compareSnapshots(&buf, prev, &Snapshot{Benchmarks: got}, "BENCH_12.json", 25, 10)
+	if len(regressed) != 0 || len(allocRegressed) != 0 {
+		t.Errorf("median compare flagged %v / %v:\n%s", regressed, allocRegressed, buf.String())
+	}
+	if !strings.Contains(buf.String(), "(median of 5, 21000000.0-34500000.0)") {
+		t.Errorf("report lacks the spread:\n%s", buf.String())
+	}
+}
+
+// TestCommittedSnapshotsLoad: every committed ledger file, single-run or
+// median, still loads and compares against a median snapshot.
+func TestCommittedSnapshotsLoad(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed snapshots: %v", err)
+	}
+	cur := &Snapshot{Benchmarks: parseBench(repeatedOutput)}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s Snapshot
+		if err := json.Unmarshal(b, &s); err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		if len(s.Benchmarks) == 0 {
+			t.Errorf("%s holds no benchmarks", p)
+		}
+		compareSnapshots(io.Discard, &s, cur, p, 25, 10)
+	}
+}
+
 func TestSnapshotNumbering(t *testing.T) {
 	dir := t.TempDir()
 	path, err := nextSnapshotPath(dir)

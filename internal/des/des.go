@@ -38,7 +38,7 @@ import (
 )
 
 // ErrPastEvent is returned when an event is scheduled before the current
-// simulated instant.
+// simulated instant, or at a NaN instant or after a NaN delay.
 var ErrPastEvent = errors.New("des: event scheduled in the past")
 
 // Event is a by-value handle to a scheduled callback. The engine owns the
@@ -196,10 +196,17 @@ func (e *Engine) release(idx int32) {
 	e.free = append(e.free, idx)
 }
 
+// past reports whether an event cannot be scheduled at instant at: it
+// precedes now, or it is NaN. A NaN instant compares false with every
+// other, so once fired it would leave Now() NaN and no later instant
+// could ever be found in the past. +Inf is accepted.
+func (e *Engine) past(at simtime.Time) bool { return !(at >= e.now) }
+
 // At schedules fn to run at the given instant and returns a handle that can
-// cancel it. Scheduling in the past returns ErrPastEvent.
+// cancel it. Scheduling in the past or at a NaN instant returns
+// ErrPastEvent.
 func (e *Engine) At(at simtime.Time, fn func()) (Event, error) {
-	if at.Before(e.now) {
+	if e.past(at) {
 		return Event{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now)
 	}
 	idx := e.alloc()
@@ -219,7 +226,7 @@ func (e *Engine) At(at simtime.Time, fn func()) (Event, error) {
 
 // After schedules fn to run d time units from now.
 func (e *Engine) After(d simtime.Duration, fn func()) (Event, error) {
-	if d < 0 {
+	if !(d >= 0) {
 		return Event{}, fmt.Errorf("%w: delay=%v", ErrPastEvent, d)
 	}
 	return e.At(e.now.Add(d), fn)
@@ -231,7 +238,7 @@ func (e *Engine) After(d simtime.Duration, fn func()) (Event, error) {
 // no closure allocation. Firing order relative to At events is by
 // scheduling order, exactly as for At.
 func (e *Engine) AtCall(at simtime.Time, fn func(any), ctx any) (Event, error) {
-	if at.Before(e.now) {
+	if e.past(at) {
 		return Event{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now)
 	}
 	idx := e.alloc()
@@ -252,7 +259,7 @@ func (e *Engine) AtCall(at simtime.Time, fn func(any), ctx any) (Event, error) {
 
 // AfterCall schedules fn(ctx) to run d time units from now (see AtCall).
 func (e *Engine) AfterCall(d simtime.Duration, fn func(any), ctx any) (Event, error) {
-	if d < 0 {
+	if !(d >= 0) {
 		return Event{}, fmt.Errorf("%w: delay=%v", ErrPastEvent, d)
 	}
 	return e.AtCall(e.now.Add(d), fn, ctx)
@@ -280,7 +287,7 @@ type BatchEntry struct {
 // no callback) nothing is scheduled.
 func (e *Engine) ScheduleBatch(entries []BatchEntry) error {
 	for i := range entries {
-		if entries[i].At.Before(e.now) {
+		if e.past(entries[i].At) {
 			return fmt.Errorf("%w: entry %d: at=%v now=%v", ErrPastEvent, i, entries[i].At, e.now)
 		}
 		if (entries[i].Fn == nil) == (entries[i].Call == nil) {

@@ -2,6 +2,7 @@ package des
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -90,6 +91,63 @@ func TestPastEventRejected(t *testing.T) {
 	}
 	if _, err := e.After(-1, func() {}); !errors.Is(err, ErrPastEvent) {
 		t.Errorf("negative delay err = %v, want ErrPastEvent", err)
+	}
+}
+
+// TestNaNInstantRejected: every entry point refuses a NaN instant or
+// delay with ErrPastEvent and schedules nothing, a NaN batch entry
+// rejects the whole batch, and +Inf stays schedulable. Events at 1, 2
+// and 3 then fire in order and leave the clock at 3, not NaN.
+func TestNaNInstantRejected(t *testing.T) {
+	nan := simtime.Time(math.NaN())
+	cases := []struct {
+		name     string
+		schedule func(e *Engine, at simtime.Time, fn func()) error
+	}{
+		{"At", func(e *Engine, at simtime.Time, fn func()) error { _, err := e.At(at, fn); return err }},
+		{"AtCall", func(e *Engine, at simtime.Time, fn func()) error {
+			_, err := e.AtCall(at, func(any) { fn() }, nil)
+			return err
+		}},
+		{"After", func(e *Engine, at simtime.Time, fn func()) error {
+			_, err := e.After(at.Sub(e.Now()), fn)
+			return err
+		}},
+		{"AfterCall", func(e *Engine, at simtime.Time, fn func()) error {
+			_, err := e.AfterCall(at.Sub(e.Now()), func(any) { fn() }, nil)
+			return err
+		}},
+		{"ScheduleBatch", func(e *Engine, at simtime.Time, fn func()) error {
+			return e.ScheduleBatch([]BatchEntry{{At: e.Now(), Fn: func() {}}, {At: at, Fn: fn}})
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := New()
+			var fired []simtime.Time
+			for _, at := range []simtime.Time{1, 2, 3} {
+				if err := c.schedule(e, at, func() { fired = append(fired, e.Now()) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := e.Pending()
+			if err := c.schedule(e, nan, func() { fired = append(fired, e.Now()) }); !errors.Is(err, ErrPastEvent) {
+				t.Fatalf("NaN instant: err = %v, want ErrPastEvent", err)
+			}
+			if e.Pending() != before {
+				t.Fatalf("a rejected NaN schedule left %d events, want %d", e.Pending(), before)
+			}
+			if err := c.schedule(e, simtime.Time(math.Inf(1)), func() {}); err != nil {
+				t.Fatalf("+Inf instant rejected: %v", err)
+			}
+			e.RunUntil(3)
+			if len(fired) != 3 || fired[0] != 1 || fired[1] != 2 || fired[2] != 3 || e.Now() != 3 {
+				t.Fatalf("fired at %v, clock %v; want [1 2 3] and 3", fired, e.Now())
+			}
+			if err := c.schedule(e, 2, func() {}); !errors.Is(err, ErrPastEvent) {
+				t.Fatalf("past instant after the run: err = %v, want ErrPastEvent", err)
+			}
+		})
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/par"
 )
 
 // Export file names written by ExportDir.
@@ -59,19 +61,32 @@ func writeString(doc string) func(w io.Writer) error {
 const exportBufSize = 64 << 10
 
 // exportFiles creates dir if missing and writes each file through a
-// buffered writer, in order, stopping at the first failure. It returns
-// the paths written so far.
+// buffered writer, the files side by side on the shared pool. It returns
+// the paths of the files before the first failing one, in order, and
+// that file's error. The files after the failing one that were written
+// are removed again, so what is left on disk is what a serial loop
+// stopping at the failure would have left, except that such a file from
+// an earlier export is gone rather than kept.
 func exportFiles(dir string, files []exportFile) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	paths := make([]string, 0, len(files))
-	for _, ef := range files {
-		path := filepath.Join(dir, ef.name)
-		if err := WriteFile(path, ef.write); err != nil {
-			return paths, fmt.Errorf("obs: export %s: %w", ef.name, err)
+	paths := make([]string, len(files))
+	errs := make([]error, len(files))
+	par.Map(0, len(files), func(i int) error {
+		paths[i] = filepath.Join(dir, files[i].name)
+		errs[i] = WriteFile(paths[i], files[i].write)
+		return nil
+	})
+	for i, err := range errs {
+		if err != nil {
+			for j := i + 1; j < len(files); j++ {
+				if errs[j] == nil {
+					os.Remove(paths[j])
+				}
+			}
+			return paths[:i], fmt.Errorf("obs: export %s: %w", files[i].name, err)
 		}
-		paths = append(paths, path)
 	}
 	return paths, nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/par"
 	"repro/internal/svgplot"
 )
 
@@ -314,7 +315,8 @@ func (m *Merged) Trimmed() uint64 {
 // Snapshot returns the current aggregate (nil before shard 0 folds). The
 // returned snapshot is a deep copy that shares no backing array or map
 // with the fold, so callers may read it freely while more shards fold.
-// Its span and edge records are built here, in one pass each.
+// Its span and edge records are built here, in chunks of
+// par.EncodeChunk on every core, each record into its own index.
 func (m *Merged) Snapshot() *Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -322,42 +324,54 @@ func (m *Merged) Snapshot() *Snapshot {
 		return nil
 	}
 	s := m.agg.cloneHead()
-	if n := m.spans.n; n > 0 {
-		s.Spans = make([]Record, 0, n)
-		vs := make([]spanFloats, n)
-		m.spans.each(0, func(sp *span, _ int) error {
-			s.Spans = append(s.Spans, sp.recordIn(&vs[len(s.Spans)]))
+	ns, ne := m.spans.n, m.edges.n
+	var (
+		vs  []spanFloats
+		ats []float64
+	)
+	if ns > 0 {
+		s.Spans, vs = make([]Record, ns), make([]spanFloats, ns)
+	}
+	if ne > 0 {
+		s.Edges, ats = make([]Record, ne), make([]float64, ne)
+	}
+	spanChunks := chunks(ns)
+	par.Map(0, spanChunks+chunks(ne), func(c int) error {
+		if c < spanChunks {
+			lo := c * par.EncodeChunk
+			return m.spans.each(lo, min(lo+par.EncodeChunk, ns), func(sp *span, _, i int) error {
+				s.Spans[i] = sp.recordIn(&vs[i])
+				return nil
+			})
+		}
+		lo := (c - spanChunks) * par.EncodeChunk
+		return m.edges.each(lo, min(lo+par.EncodeChunk, ne), func(e *edge, rep, i int) error {
+			s.Edges[i] = e.record(rep, &ats[i])
 			return nil
 		})
-	}
-	if n := m.edges.n; n > 0 {
-		s.Edges = make([]Record, 0, n)
-		ats := make([]float64, n)
-		m.edges.each(0, func(e *edge, rep int) error {
-			s.Edges = append(s.Edges, e.record(rep, &ats[len(s.Edges)]))
-			return nil
-		})
-	}
+	})
 	return s
 }
 
-// each calls fn with every kept value from the from-th on, in fold
-// order, and with its shard's replication index, stopping at the first
-// error.
-func (f *foldLog[T]) each(from int, fn func(v *T, rep int) error) error {
+// chunks returns how many par.EncodeChunk chunks n records fill.
+func chunks(n int) int { return (n + par.EncodeChunk - 1) / par.EncodeChunk }
+
+// each calls fn with every kept value whose index in the merged log is
+// in [from, to), in fold order, with its shard's replication index and
+// its merged index, stopping at the first error.
+func (f *foldLog[T]) each(from, to int, fn func(v *T, rep, i int) error) error {
+	base := 0 // merged index of the current log's first kept value
 	for rep := range f.logs {
 		l := &f.logs[rep]
 		n := l.len()
-		if from >= n {
-			from -= n
-			continue
-		}
-		for j := from; j < n; j++ {
-			if err := fn(l.get(j), rep); err != nil {
+		for j := max(from-base, 0); j < min(n, to-base); j++ {
+			if err := fn(l.get(j), rep, base+j); err != nil {
 				return err
 			}
 		}
-		from = 0
+		if base += n; base >= to {
+			return nil
+		}
 	}
 	return nil
 }
@@ -410,7 +424,7 @@ func logTail[T any](f *foldLog[T], live []Record, tail int, record func(v *T, re
 	live = live[max(len(live)-tail, 0):]
 	k := min(tail-len(live), f.n)
 	out := make([]Record, 0, k+len(live))
-	f.each(f.n-k, func(v *T, rep int) error {
+	f.each(f.n-k, f.n, func(v *T, rep, _ int) error {
 		out = append(out, record(v, rep, len(out)))
 		return nil
 	})
@@ -471,39 +485,33 @@ func (m *Merged) WriteExemplars(w io.Writer) error {
 	return m.locked("exemplars", func() error { return m.writeExemplars(w) })
 }
 
-// writeSpans streams the kept spans as JSONL; callers hold the lock. The
-// record and its float block are declared once per call, so streaming
-// allocates nothing per span.
+// writeSpans streams the kept spans as JSONL, encoded on every core;
+// callers hold the lock.
 func (m *Merged) writeSpans(w io.Writer) error {
-	var (
-		rec Record
-		v   spanFloats
-		i   int
-	)
-	return m.spans.each(0, func(sp *span, _ int) error {
-		rec = sp.recordIn(&v)
-		if err := WriteRecord(w, rec); err != nil {
-			return fmt.Errorf("obs: write merged span %d: %w", i, err)
-		}
-		i++
-		return nil
+	return encodeLines(w, m.spans.n, "merged span", func(dst []byte, lo, hi int) ([]byte, error) {
+		var v spanFloats
+		err := m.spans.each(lo, hi, func(sp *span, _, i int) error {
+			rec := sp.recordIn(&v)
+			var err error
+			dst, err = appendLine(dst, &rec, "merged span", i)
+			return err
+		})
+		return dst, err
 	})
 }
 
-// writeEdges streams the kept edges as JSONL; callers hold the lock.
+// writeEdges streams the kept edges as JSONL, encoded on every core;
+// callers hold the lock.
 func (m *Merged) writeEdges(w io.Writer) error {
-	var (
-		rec Record
-		at  float64
-		i   int
-	)
-	return m.edges.each(0, func(e *edge, rep int) error {
-		rec = e.record(rep, &at)
-		if err := WriteRecord(w, rec); err != nil {
-			return fmt.Errorf("obs: write merged edge %d: %w", i, err)
-		}
-		i++
-		return nil
+	return encodeLines(w, m.edges.n, "merged edge", func(dst []byte, lo, hi int) ([]byte, error) {
+		var at float64
+		err := m.edges.each(lo, hi, func(e *edge, rep, i int) error {
+			rec := e.record(rep, &at)
+			var err error
+			dst, err = appendLine(dst, &rec, "merged edge", i)
+			return err
+		})
+		return dst, err
 	})
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/obs/jsonenc"
+	"repro/internal/par"
 )
 
 // JSONL schema versions. Version 1 is the original (unversioned) format:
@@ -361,26 +363,59 @@ func (s *span) lateness() (float64, bool) {
 // Spans still open at export time (tasks in flight at the horizon) are
 // written without End/Lateness. When the ring has wrapped, only the
 // latest MaxSpans spans remain; DroppedSpans counts the evicted ones.
+// The lines are encoded on every core and written in order.
 func (t *Telemetry) WriteSpans(w io.Writer) error {
-	var v spanFloats
-	for i := 0; i < t.spans.n; i++ {
-		if err := WriteRecord(w, t.spans.get(i).recordIn(&v)); err != nil {
-			return fmt.Errorf("obs: write span %d: %w", i, err)
+	return encodeLines(w, t.spans.n, "span", func(dst []byte, lo, hi int) ([]byte, error) {
+		var v spanFloats
+		for i := lo; i < hi; i++ {
+			rec := t.spans.get(i).recordIn(&v)
+			var err error
+			if dst, err = appendLine(dst, &rec, "span", i); err != nil {
+				return dst, err
+			}
 		}
-	}
-	return nil
+		return dst, nil
+	})
 }
 
 // WriteEdges writes the retained causal-edge log, oldest first, as
-// JSONL.
+// JSONL, encoded like WriteSpans.
 func (t *Telemetry) WriteEdges(w io.Writer) error {
-	var at float64
-	for i := 0; i < t.edges.n; i++ {
-		if err := WriteRecord(w, t.edges.get(i).record(t.rep, &at)); err != nil {
-			return fmt.Errorf("obs: write edge %d: %w", i, err)
+	return encodeLines(w, t.edges.n, "edge", func(dst []byte, lo, hi int) ([]byte, error) {
+		var at float64
+		for i := lo; i < hi; i++ {
+			rec := t.edges.get(i).record(t.rep, &at)
+			var err error
+			if dst, err = appendLine(dst, &rec, "edge", i); err != nil {
+				return dst, err
+			}
 		}
+		return dst, nil
+	})
+}
+
+// encodeLines writes n JSONL records through par.Encode: enc appends
+// records lo..hi-1 with appendLine. A failing write is named like a
+// failing record, "obs: write <what> <index>", by the first record of
+// the chunk that failed to write.
+func encodeLines(w io.Writer, n int, what string, enc func(dst []byte, lo, hi int) ([]byte, error)) error {
+	err := par.Encode(w, n, enc)
+	var we *par.WriteError
+	if errors.As(err, &we) {
+		return fmt.Errorf("obs: write %s %d: %w", what, we.Index, we.Err)
 	}
-	return nil
+	return err
+}
+
+// appendLine appends rec and a newline to dst, the line WriteRecord
+// writes for it. On failure dst comes back at its original length and
+// the error names the record as "obs: write <what> <i>".
+func appendLine(dst []byte, rec *Record, what string, i int) ([]byte, error) {
+	dst, err := AppendRecord(dst, rec)
+	if err != nil {
+		return dst, fmt.Errorf("obs: write %s %d: %w", what, i, err)
+	}
+	return append(dst, '\n'), nil
 }
 
 // Spans returns the retained span log (for tests and summaries), oldest

@@ -1,13 +1,16 @@
 package tracetree
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 
 	"repro/internal/obs"
 	"repro/internal/obs/jsonenc"
+	"repro/internal/par"
 )
 
 // Chrome trace-event export. The forest renders as one Perfetto-loadable
@@ -157,11 +160,28 @@ func appendChromeEvent(dst []byte, ev *chromeEvent) ([]byte, error) {
 
 const tsScale = 1000 // simulation units → microseconds (1 unit = 1ms)
 
+// chromeLayout places the forest's spans on Chrome processes and lanes.
 type chromeLayout struct {
 	stride int
-	lane   []int32 // occupancy lane (tid) of each leaf span, by index in Forest.all
+	lane   []int32      // occupancy lane (tid) of each leaf span, by index in Forest.all
+	procs  []chromeProc // every process an event lands on, by pid
 }
 
+// chromeProc is one Chrome process: a replication's node, or with node
+// -1 its globals slot.
+type chromeProc struct{ pid, rep, node int }
+
+// name returns the process's display name.
+func (p chromeProc) name() string {
+	if p.node < 0 {
+		return fmt.Sprintf("rep%d/globals", p.rep)
+	}
+	return fmt.Sprintf("rep%d/node%d", p.rep, p.node)
+}
+
+// layout assigns every drawn leaf span its occupancy lane and lists the
+// processes the events land on. The lanes of each (rep, node) group are
+// independent, so the groups are laid out on the shared pool.
 func (f *Forest) layout() chromeLayout {
 	maxNode := 0
 	for i := range f.all {
@@ -171,29 +191,68 @@ func (f *Forest) layout() chromeLayout {
 	}
 	l := chromeLayout{stride: maxNode + 2, lane: make([]int32, len(f.all))}
 
-	// Occupancy lanes per (rep, node): spans sorted by (start, id), each
-	// taking the lowest lane free at its start.
-	type group struct{ rep, node int }
-	groups := make(map[group][]int) // span indices in Forest.all
+	// The drawn leaf spans grouped by node, and within a node in
+	// Forest.all order, which is (rep, id): each (rep, node) group is a
+	// run of order, in the order its spans appear in the forest. The
+	// groups need not be in node order (each is laned on its own, and
+	// the process list is sorted by pid), so a counting sort over node
+	// numbers dense in order of first appearance groups them in linear
+	// time whatever the node ids. Until the lanes are assigned, l.lane[i]
+	// holds span i's dense node number. The globals process of a
+	// replication is used when any of its spans off the nodes is drawn.
+	dense := make(map[int]int32)
+	order := make([]int32, 0, len(f.all))
+	lastGlobals := 0
 	for i := range f.all {
 		sp := &f.all[i].Span
-		if sp.Node < 0 || sp.Start == nil {
-			continue
-		}
-		k := group{sp.Rep, sp.Node}
-		groups[k] = append(groups[k], i)
-	}
-	var lanes []float64 // end time of the last span on each lane
-	for _, g := range groups {
-		sort.Slice(g, func(i, j int) bool {
-			a, b := &f.all[g[i]].Span, &f.all[g[j]].Span
-			if *a.Start != *b.Start {
-				return *a.Start < *b.Start
+		switch {
+		case sp.Node >= 0 && sp.Start != nil:
+			d, ok := dense[sp.Node]
+			if !ok {
+				d = int32(len(dense))
+				dense[sp.Node] = d
 			}
-			return a.ID < b.ID
-		})
-		lanes = lanes[:0]
-		for _, i := range g {
+			order = append(order, int32(i))
+			l.lane[i] = d
+		case sp.Start != nil && (len(l.procs) == 0 || sp.Rep != lastGlobals):
+			l.procs = append(l.procs, chromeProc{pid: l.pid(sp.Rep, -1), rep: sp.Rep, node: -1})
+			lastGlobals = sp.Rep
+		}
+	}
+	at := make([]int32, len(dense)+1)
+	for _, i := range order {
+		at[l.lane[i]+1]++
+	}
+	for d := 1; d < len(at); d++ {
+		at[d] += at[d-1]
+	}
+	byNode := make([]int32, len(order))
+	for _, i := range order {
+		byNode[at[l.lane[i]]] = i
+		at[l.lane[i]]++
+	}
+	order = byNode
+	var bounds []int // group g is order[bounds[g]:bounds[g+1]]
+	for k, i := range order {
+		sp := &f.all[i].Span
+		if k > 0 {
+			if prev := &f.all[order[k-1]].Span; prev.Node == sp.Node && prev.Rep == sp.Rep {
+				continue
+			}
+		}
+		bounds = append(bounds, k)
+		l.procs = append(l.procs, chromeProc{pid: l.pid(sp.Rep, sp.Node), rep: sp.Rep, node: sp.Node})
+	}
+	bounds = append(bounds, len(order))
+	slices.SortFunc(l.procs, func(a, b chromeProc) int { return cmp.Compare(a.pid, b.pid) })
+
+	// Occupancy lanes per group: spans sorted by (start, id), each taking
+	// the lowest lane free at its start.
+	par.Map(0, len(bounds)-1, func(g int) error {
+		byStart := &laneOrder{all: f.all, g: order[bounds[g]:bounds[g+1]]}
+		sort.Sort(byStart)
+		var lanes []float64 // end time of the last span on each lane
+		for _, i := range byStart.g {
 			sp := &f.all[i].Span
 			end := *sp.Start
 			if sp.End != nil {
@@ -213,18 +272,35 @@ func (f *Forest) layout() chromeLayout {
 			lanes[placed] = end
 			l.lane[i] = int32(placed)
 		}
-	}
+		return nil
+	})
 	return l
+}
+
+// laneOrder sorts a group's span indices by (start, id).
+type laneOrder struct {
+	all []Node
+	g   []int32
+}
+
+func (o *laneOrder) Len() int      { return len(o.g) }
+func (o *laneOrder) Swap(i, j int) { o.g[i], o.g[j] = o.g[j], o.g[i] }
+func (o *laneOrder) Less(i, j int) bool {
+	a, b := &o.all[o.g[i]].Span, &o.all[o.g[j]].Span
+	if *a.Start != *b.Start {
+		return *a.Start < *b.Start
+	}
+	return a.ID < b.ID
 }
 
 // pid returns the Chrome process id for a replication/node pair; node -1
 // is the globals slot.
-func (l chromeLayout) pid(rep, node int) int { return rep*l.stride + node + 1 }
+func (l *chromeLayout) pid(rep, node int) int { return rep*l.stride + node + 1 }
 
 // track returns where span all[i] is drawn: leaf spans on their node
 // process and occupancy lane, everything else on the replication's
 // globals process.
-func (l chromeLayout) track(sp *obs.Record, i int) (pid, tid int) {
+func (l *chromeLayout) track(sp *obs.Record, i int) (pid, tid int) {
 	if sp.Node >= 0 {
 		return l.pid(sp.Rep, sp.Node), int(l.lane[i])
 	}
@@ -233,16 +309,55 @@ func (l chromeLayout) track(sp *obs.Record, i int) (pid, tid int) {
 
 // WriteChrome writes the forest as a Chrome trace-event JSON document.
 // The output is deterministic: events are emitted in (rep, span id)
-// order, flows in tree order, metadata last.
+// order, flows in tree order, metadata last. Each section is encoded on
+// every core in chunks of par.EncodeChunk spans, trees or processes and
+// written in order, so the bytes do not depend on GOMAXPROCS.
 func (f *Forest) WriteChrome(w io.Writer) error {
 	l := f.layout()
-	ew := &eventWriter{w: w}
-	if err := ew.open(); err != nil {
+	if _, err := io.WriteString(w, `{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
 		return err
 	}
+	ev := &eventStream{w: w}
+	err := encodeOrdered(ev, len(f.all), func(dst []byte, lo, hi int) ([]byte, error) {
+		return f.appendSpanEvents(dst, &l, lo, hi)
+	})
+	if err != nil {
+		return err
+	}
+	if err := f.writeFlows(ev, &l); err != nil {
+		return err
+	}
+	err = encodeOrdered(ev, len(l.procs), func(dst []byte, lo, hi int) ([]byte, error) {
+		var err error
+		for _, p := range l.procs[lo:hi] {
+			if dst, err = appendEvent(dst, &chromeEvent{
+				name: "process_name", ph: "M", pid: p.pid,
+				args: chromeArgs{kind: nameArgs, name: p.name()},
+			}); err != nil {
+				return dst, err
+			}
+			if dst, err = appendEvent(dst, &chromeEvent{
+				name: "process_sort_index", ph: "M", pid: p.pid,
+				args: chromeArgs{kind: sortIndexArgs, sortIndex: p.pid},
+			}); err != nil {
+				return dst, err
+			}
+		}
+		return dst, nil
+	})
+	if err != nil {
+		return err
+	}
+	_, err = io.WriteString(w, "]}\n")
+	return err
+}
 
-	usedPid := make(map[int]string)
-	for i := range f.all {
+// appendSpanEvents appends the events of spans all[lo:hi]: a complete
+// event per finished leaf span, an async begin (and end, once finished)
+// per span off the nodes.
+func (f *Forest) appendSpanEvents(dst []byte, l *chromeLayout, lo, hi int) ([]byte, error) {
+	var err error
+	for i := lo; i < hi; i++ {
 		sp := &f.all[i].Span
 		if sp.Start == nil {
 			continue
@@ -255,47 +370,74 @@ func (f *Forest) WriteChrome(w io.Writer) error {
 		}
 		pid, tid := l.track(sp, i)
 		if sp.Node >= 0 {
-			if _, ok := usedPid[pid]; !ok {
-				usedPid[pid] = fmt.Sprintf("rep%d/node%d", sp.Rep, sp.Node)
-			}
 			if sp.End == nil {
 				continue // still open at the horizon: no duration to draw
 			}
-			if err := ew.emit(&chromeEvent{
+			if dst, err = appendEvent(dst, &chromeEvent{
 				name: name, anonID: anonID, cat: sp.Kind, ph: "X",
 				ts: *sp.Start * tsScale, dur: (*sp.End - *sp.Start) * tsScale,
 				pid: pid, tid: tid, args: spanArgsOf(sp),
 			}); err != nil {
-				return err
+				return dst, err
 			}
 			continue
 		}
-		if _, ok := usedPid[pid]; !ok {
-			usedPid[pid] = fmt.Sprintf("rep%d/globals", sp.Rep)
-		}
-		if err := ew.emit(&chromeEvent{
+		if dst, err = appendEvent(dst, &chromeEvent{
 			name: name, anonID: anonID, cat: sp.Kind, ph: "b",
 			ts: *sp.Start * tsScale, pid: pid, tid: 0, id: sp.ID, args: spanArgsOf(sp),
 		}); err != nil {
-			return err
+			return dst, err
 		}
 		if sp.End != nil {
-			if err := ew.emit(&chromeEvent{
+			if dst, err = appendEvent(dst, &chromeEvent{
 				name: name, anonID: anonID, cat: sp.Kind, ph: "e",
 				ts: *sp.End * tsScale, pid: pid, tid: 0, id: sp.ID,
 			}); err != nil {
-				return err
+				return dst, err
 			}
 		}
 	}
+	return dst, nil
+}
 
-	// Flow events: one s/f pair per causal link, anchored at the link
-	// instant. The source anchor clamps into the causing span so Perfetto
-	// binds the flow to that slice.
-	flow := 0
-	for _, t := range f.Trees {
-		for _, lk := range t.Links {
-			fi, ti := f.find(t.Rep, lk.From), f.find(t.Rep, lk.To)
+// writeFlows writes the flow events: one s/f pair per causal link whose
+// endpoints are both in the forest, anchored at the link instant and
+// numbered in tree order. The source anchor clamps into the causing span
+// so Perfetto binds the flow to that slice.
+//
+// The flows of a chunk of trees are numbered on from base, the links
+// that resolve in the chunks before it: one pass on the shared pool
+// counts them per chunk, then the chunks encode in parallel.
+func (f *Forest) writeFlows(w io.Writer, l *chromeLayout) error {
+	chunks := (len(f.Trees) + par.EncodeChunk - 1) / par.EncodeChunk
+	base := make([]int, chunks+1)
+	par.Map(0, chunks, func(c int) error {
+		lo := c * par.EncodeChunk
+		for _, tr := range f.Trees[lo:min(lo+par.EncodeChunk, len(f.Trees))] {
+			for k := range tr.Links {
+				if f.find(tr.Rep, tr.Links[k].From) >= 0 && f.find(tr.Rep, tr.Links[k].To) >= 0 {
+					base[c+1]++
+				}
+			}
+		}
+		return nil
+	})
+	for c := range chunks {
+		base[c+1] += base[c]
+	}
+	return encodeOrdered(w, len(f.Trees), func(dst []byte, lo, hi int) ([]byte, error) {
+		return f.appendFlows(dst, l, lo, hi, base[lo/par.EncodeChunk])
+	})
+}
+
+// appendFlows appends the flow events of the links of trees lo..hi-1,
+// numbering them on from flow. A link whose endpoints are not both in
+// the forest is skipped.
+func (f *Forest) appendFlows(dst []byte, l *chromeLayout, lo, hi, flow int) ([]byte, error) {
+	for _, tr := range f.Trees[lo:hi] {
+		for k := range tr.Links {
+			lk := &tr.Links[k]
+			fi, ti := f.find(tr.Rep, lk.From), f.find(tr.Rep, lk.To)
 			if fi < 0 || ti < 0 {
 				continue
 			}
@@ -307,85 +449,63 @@ func (f *Forest) WriteChrome(w io.Writer) error {
 			}
 			fp, ft := l.track(from, fi)
 			tp, tt := l.track(to, ti)
-			if err := ew.emit(&chromeEvent{
+			var err error
+			if dst, err = appendEvent(dst, &chromeEvent{
 				name: lk.Kind, cat: "causal", ph: "s",
 				ts: sTs * tsScale, pid: fp, tid: ft, id: uint64(flow),
 			}); err != nil {
-				return err
+				return dst, err
 			}
-			if err := ew.emit(&chromeEvent{
+			if dst, err = appendEvent(dst, &chromeEvent{
 				name: lk.Kind, cat: "causal", ph: "f", bp: "e",
 				ts: lk.At * tsScale, pid: tp, tid: tt, id: uint64(flow),
 			}); err != nil {
-				return err
+				return dst, err
 			}
 		}
 	}
-
-	pids := make([]int, 0, len(usedPid))
-	for pid := range usedPid {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	for _, pid := range pids {
-		if err := ew.emit(&chromeEvent{
-			name: "process_name", ph: "M", pid: pid,
-			args: chromeArgs{kind: nameArgs, name: usedPid[pid]},
-		}); err != nil {
-			return err
-		}
-		if err := ew.emit(&chromeEvent{
-			name: "process_sort_index", ph: "M", pid: pid,
-			args: chromeArgs{kind: sortIndexArgs, sortIndex: pid},
-		}); err != nil {
-			return err
-		}
-	}
-	return ew.close()
+	return dst, nil
 }
 
-// eventWriter streams the traceEvents array, encoding events into one
-// buffer it hands to w in chunks, so neither the whole document nor a
-// write per event is needed.
-type eventWriter struct {
-	w     io.Writer
-	buf   []byte
-	wrote bool
-}
+// eventSep separates the events of the traceEvents array. appendEvent
+// starts every event with it, and eventStream drops it from the first.
+const eventSep = ",\n"
 
-// chromeChunk is the buffered size at which eventWriter writes through.
-const chromeChunk = 32 << 10
-
-func (e *eventWriter) open() error {
-	e.buf = append(e.buf[:0], `{"displayTimeUnit":"ms","traceEvents":[`...)
-	return nil
-}
-
-func (e *eventWriter) emit(ev *chromeEvent) error {
-	mark := len(e.buf)
-	if e.wrote {
-		e.buf = append(e.buf, ",\n"...)
-	}
-	b, err := appendChromeEvent(e.buf, ev)
+// appendEvent appends ev to dst, separator first. On failure dst comes
+// back at its original length.
+func appendEvent(dst []byte, ev *chromeEvent) ([]byte, error) {
+	mark := len(dst)
+	b, err := appendChromeEvent(append(dst, eventSep...), ev)
 	if err != nil {
-		e.buf = b[:mark]
-		return fmt.Errorf("tracetree: marshal chrome event: %w", err)
+		return b[:mark], fmt.Errorf("tracetree: marshal chrome event: %w", err)
 	}
-	e.buf = b
-	e.wrote = true
-	if len(e.buf) >= chromeChunk {
-		return e.flush()
-	}
-	return nil
+	return b, nil
 }
 
-func (e *eventWriter) flush() error {
-	_, err := e.w.Write(e.buf)
-	e.buf = e.buf[:0]
+// eventStream passes the traceEvents array to w, dropping the separator
+// the first event starts with.
+type eventStream struct {
+	w       io.Writer
+	started bool
+}
+
+func (s *eventStream) Write(p []byte) (int, error) {
+	b := p
+	if !s.started && len(b) > 0 {
+		s.started, b = true, b[len(eventSep):]
+	}
+	if _, err := s.w.Write(b); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// encodeOrdered writes n items through par.Encode. A failing write
+// comes back as the writer's own error, as from the serial exports.
+func encodeOrdered(w io.Writer, n int, enc func(dst []byte, lo, hi int) ([]byte, error)) error {
+	err := par.Encode(w, n, enc)
+	if we, ok := err.(*par.WriteError); ok {
+		return we.Err
+	}
 	return err
-}
-
-func (e *eventWriter) close() error {
-	e.buf = append(e.buf, "]}\n"...)
-	return e.flush()
 }

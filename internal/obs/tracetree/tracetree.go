@@ -21,11 +21,13 @@ package tracetree
 import (
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 
 	"repro/internal/obs"
 	"repro/internal/obs/jsonenc"
+	"repro/internal/par"
 )
 
 // Link is one non-structural causal edge inside a tree: kind pred,
@@ -456,46 +458,58 @@ func appendNode(dst []byte, n *Node) ([]byte, error) {
 
 // WriteTree writes one tree as a single JSON line.
 func WriteTree(w io.Writer, t *Tree) error {
-	_, err := writeTree(w, nil, t)
+	buf, err := appendTree(nil, t)
+	if err != nil {
+		return treeError(t, err)
+	}
+	_, err = w.Write(buf)
 	return err
 }
 
-// writeTree encodes t into buf (reused across calls) and writes it,
-// returning the buffer for the next call.
-func writeTree(w io.Writer, buf []byte, t *Tree) ([]byte, error) {
-	buf, err := appendTree(buf[:0], t)
-	if err != nil {
-		return buf, fmt.Errorf("tracetree: marshal tree %d/%d: %w", t.Rep, t.Root.Span.ID, err)
-	}
-	_, err = w.Write(buf)
-	return buf, err
+// treeError names the tree that failed to encode.
+func treeError(t *Tree, err error) error {
+	return fmt.Errorf("tracetree: marshal tree %d/%d: %w", t.Rep, t.Root.Span.ID, err)
 }
 
 // WriteFiles writes the trees (WriteTrees) to treePath and the Chrome
-// trace (WriteChrome) to chromePath, in that order; an empty path skips
-// its file.
+// trace (WriteChrome) to chromePath, side by side on the shared pool; an
+// empty path skips its file. The trees' error wins over the Chrome
+// trace's, and when the trees fail a Chrome file written beside them is
+// removed again, as if it had not been started.
 func (f *Forest) WriteFiles(treePath, chromePath string) error {
-	if treePath != "" {
-		if err := obs.WriteFile(treePath, f.WriteTrees); err != nil {
-			return err
+	files := [...]struct {
+		path  string
+		write func(io.Writer) error
+	}{{treePath, f.WriteTrees}, {chromePath, f.WriteChrome}}
+	var errs [len(files)]error
+	par.Map(0, len(files), func(i int) error {
+		if files[i].path != "" {
+			errs[i] = obs.WriteFile(files[i].path, files[i].write)
 		}
+		return nil
+	})
+	if errs[0] != nil {
+		if errs[1] == nil && chromePath != "" {
+			os.Remove(chromePath)
+		}
+		return errs[0]
 	}
-	if chromePath != "" {
-		return obs.WriteFile(chromePath, f.WriteChrome)
-	}
-	return nil
+	return errs[1]
 }
 
 // WriteTrees writes the forest as JSONL: one tree per line, trees in
 // (replication, root id) order, children nested by span id. The output
-// is a pure function of the input records.
+// is a pure function of the input records; the lines are encoded on
+// every core in chunks of par.EncodeChunk trees and written in order.
 func (f *Forest) WriteTrees(w io.Writer) error {
-	var buf []byte
-	for _, t := range f.Trees {
-		var err error
-		if buf, err = writeTree(w, buf, t); err != nil {
-			return err
+	return encodeOrdered(w, len(f.Trees), func(dst []byte, lo, hi int) ([]byte, error) {
+		for _, t := range f.Trees[lo:hi] {
+			mark := len(dst)
+			var err error
+			if dst, err = appendTree(dst, t); err != nil {
+				return dst[:mark], treeError(t, err)
+			}
 		}
-	}
-	return nil
+		return dst, nil
+	})
 }

@@ -11,6 +11,10 @@
 // deadlock and never multiply goroutines: when the shared pool is
 // exhausted, an inner Map simply degrades to inline execution on the
 // worker that called it.
+//
+// Encode runs on the same pool: it encodes independent records in
+// chunks and writes the chunks in index order, so the bytes do not
+// depend on how many workers took part.
 package par
 
 import (
@@ -111,6 +115,18 @@ func Map(workers, n int, fn func(i int) error) error {
 		}
 	}
 
+	fanOut(workers, loop)
+	if pan != nil {
+		panic(pan)
+	}
+	return firstErr
+}
+
+// fanOut runs loop on the caller's goroutine and on up to workers-1
+// helpers borrowed from the shared pool, and returns when every copy has
+// returned. Each copy claims work until none is left, so a helper the
+// pool cannot spare only means the others do its share.
+func fanOut(workers int, loop func()) {
 	tok := helperTokens()
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
@@ -131,8 +147,4 @@ func Map(workers, n int, fn func(i int) error) error {
 	}
 	loop()
 	wg.Wait()
-	if pan != nil {
-		panic(pan)
-	}
-	return firstErr
 }
