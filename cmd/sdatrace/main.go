@@ -28,12 +28,12 @@ import (
 	"io"
 
 	"repro/internal/cli"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/obs/tracetree"
 	"repro/internal/sda"
 	"repro/internal/sim"
 	"repro/internal/simtime"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -94,21 +94,20 @@ func (p *plan) Execute(w io.Writer) error {
 		return p.runTrace(w)
 	}
 	cfg := p.cfg
-	tr := trace.New()
-	cfg.Observer = tr
+	var events node.Log
+	cfg.Observer = &events
 	if _, err := sim.RunOne(cfg, cfg.Seed); err != nil {
 		return err
 	}
 	if p.jsonl {
-		return tr.WriteJSONL(w)
+		return writeJSONL(w, events)
 	}
 	if p.showLog {
-		fmt.Fprint(w, tr.Log())
-		return nil
+		return writeLog(w, events)
 	}
 	fmt.Fprintf(w, "strategy %s-%s, load %g, k=%d, n=%d (seed %d)\n\n",
 		cfg.SSP.Name(), cfg.PSP.Name(), cfg.Spec.Load, cfg.Spec.K, p.n, cfg.Seed)
-	fmt.Fprint(w, tr.Gantt(0, simtime.Time(cfg.Duration), p.width))
+	fmt.Fprint(w, gantt(events, 0, simtime.Time(cfg.Duration), p.width))
 	return nil
 }
 

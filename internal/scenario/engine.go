@@ -12,7 +12,6 @@ import (
 	"repro/internal/sda"
 	"repro/internal/sim"
 	"repro/internal/simtime"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -93,8 +92,8 @@ func runWith(sc *Scenario, o obs.Options, onSystem func(*sim.System)) (*Outcome,
 		return nil, nil, err
 	}
 	chk := NewChecker(sc.Assert.AllowEarlyVDL)
-	tr := trace.New()
-	cfg.Observer = node.CombineObservers(tr, chk)
+	var events node.Log
+	cfg.Observer = node.CombineObservers(&events, chk)
 	cfg.Obs = o
 	cfg.OnSystem = onSystem
 	// Always-on analytic oracle: every completion is checked against the
@@ -123,8 +122,8 @@ func runWith(sc *Scenario, o obs.Options, onSystem func(*sim.System)) (*Outcome,
 	out := &Outcome{
 		Scenario:     sc,
 		Rep:          rep,
-		TraceHash:    tr.Hash(),
-		TraceEvents:  tr.Len(),
+		TraceHash:    events.Hash(),
+		TraceEvents:  events.Len(),
 		Violations:   chk.Violations(),
 		OracleChecks: oracle.Checks(),
 	}

@@ -82,9 +82,9 @@ type Config struct {
 	// mid-run through node.SetRate (fault injection, cold-start ramps).
 	NodeRates []float64
 
-	// Observer, when non-nil, receives every node scheduling event (see
-	// internal/trace). Intended for small demonstration runs and the
-	// scenario harness.
+	// Observer, when non-nil, receives every node scheduling event (a
+	// node.Log records them). Intended for small demonstration runs and
+	// the scenario harness.
 	Observer node.Observer
 
 	// ReleaseHook, when non-nil, observes every deadline assignment.
