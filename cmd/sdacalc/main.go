@@ -19,14 +19,13 @@
 // probabilities ("a>b:0.3"), making the vertex a conditional branch
 // point; the analysis then enumerates every realization:
 //
-//	sdacalc -analyze -dag -deadline 5 -m 2 "s@0:1 a@1:2 b@2:4 t@3:1 ; s>a:0.3 s>b:0.7 a>t b>t"
+//	sdacalc -analyze -dag -deadline 5 "s@0:1 a@1:2 b@2:4 t@3:1 ; s>a:0.3 s>b:0.7 a>t b>t"
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"repro/internal/analysis"
@@ -38,7 +37,7 @@ import (
 
 func main() { cli.Main("sdacalc", parse) }
 
-func run(args []string) error { return cli.Run("sdacalc", parse, args, os.Stdout) }
+func run(args []string, w io.Writer) error { return cli.Run("sdacalc", parse, args, w) }
 
 // plan is a validated sdacalc invocation: the parsed expression (one of
 // root, dag or cond) and what to compute on it.
@@ -50,7 +49,6 @@ type plan struct {
 	ssp     sda.SSP
 	psp     sda.PSP
 	analyze bool
-	procs   int
 }
 
 // parse registers the flags on fs, reads and validates args, and
@@ -62,7 +60,6 @@ func parse(fs *flag.FlagSet, args []string) (*plan, error) {
 	strategy := cli.AddStrategy(fs, sda.EQF{}, sda.MustDiv(1))
 	dag := fs.Bool("dag", false, "parse the expression as a precedence DAG ('vertices ; edges')")
 	fs.BoolVar(&p.analyze, "analyze", false, "print analytic response-time bounds instead of assigning deadlines")
-	fs.IntVar(&p.procs, "m", 1, "processors for the Graham-style makespan bound (-analyze)")
 	if err := cli.Parse(fs, args, cli.Rule{ZeroOK: []string{"arrival", "deadline"}}); err != nil {
 		return nil, err
 	}
@@ -102,14 +99,14 @@ func (p *plan) Execute(w io.Writer) error {
 			rel = simtime.Duration(dl.Sub(ar))
 		}
 		if p.cond != nil {
-			return printCondAnalysis(w, p.cond, rel, p.procs)
+			return printCondAnalysis(w, p.cond, rel)
 		}
 		m, err := analysis.TreeMetrics(p.root)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "task      %s\n", p.root)
-		printMetrics(w, m, rel, p.procs)
+		printMetrics(w, m, rel)
 		return nil
 	}
 	if p.dag != nil {
@@ -168,12 +165,11 @@ func printDag(w io.Writer, d *task.Dag, ssp sda.SSP, psp sda.PSP, ar, dl simtime
 
 // printMetrics renders one Metrics block with its bounds; rel > 0 adds a
 // feasibility verdict for that relative end-to-end deadline.
-func printMetrics(w io.Writer, m analysis.Metrics, rel simtime.Duration, procs int) {
+func printMetrics(w io.Writer, m analysis.Metrics, rel simtime.Duration) {
 	fmt.Fprintf(w, "volume %v   critical path %v   vertices %d   depth %d   width %d\n",
 		m.Volume, m.Critical, m.Vertices, m.Depth, m.Width)
 	fmt.Fprintf(w, "response lower bound (any schedule)  %v\n", m.ResponseLower(1))
 	fmt.Fprintf(w, "isolated upper bound (idle system)   %v\n", m.IsolatedUpper(1))
-	fmt.Fprintf(w, "graham makespan bound (m=%d)         %v\n", procs, m.GrahamUpper(procs))
 	if rel > 0 {
 		verdict := "infeasible under every schedule"
 		if m.Feasible(rel, 1) {
@@ -185,19 +181,18 @@ func printMetrics(w io.Writer, m analysis.Metrics, rel simtime.Duration, procs i
 
 // printCondAnalysis enumerates the conditional DAG's realizations and
 // prints per-realization metrics plus the probability-weighted bounds.
-func printCondAnalysis(w io.Writer, cd *task.CondDag, rel simtime.Duration, procs int) error {
+func printCondAnalysis(w io.Writer, cd *task.CondDag, rel simtime.Duration) error {
 	s, err := analysis.SummarizeCond(cd, 0)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "cond dag  %s\n", cd)
 	fmt.Fprintf(w, "branch points %d   realizations %d\n\n", cd.CondCount(), len(s.Realizations))
-	fmt.Fprintf(w, "%-6s %10s %10s %12s %14s\n",
-		"prob", "volume", "critical", "lower bound", fmt.Sprintf("graham(m=%d)", procs))
+	fmt.Fprintf(w, "%-6s %10s %10s %12s\n", "prob", "volume", "critical", "lower bound")
 	for _, r := range s.Realizations {
 		m := r.Metrics
-		fmt.Fprintf(w, "%-6.4g %10v %10v %12v %14v\n",
-			r.Prob, m.Volume, m.Critical, m.ResponseLower(1), m.GrahamUpper(procs))
+		fmt.Fprintf(w, "%-6.4g %10v %10v %12v\n",
+			r.Prob, m.Volume, m.Critical, m.ResponseLower(1))
 	}
 	fmt.Fprintf(w, "\nE[volume] %.4g   E[critical] %.4g   E[response] >= %v\n",
 		s.ExpVolume, s.ExpCritical, s.ExpResponseLower(1))

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"io"
 	"strings"
@@ -14,7 +15,7 @@ func TestCalcRuns(t *testing.T) {
 		"-deadline", "10", "-ssp", "EQF", "-psp", "DIV-1",
 		"[[T11@0:5||T12@1:5||T13@2:5||T14@3:5||T15@4:5] T2@5:5]",
 	}
-	if err := run(args); err != nil {
+	if err := run(args, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -29,7 +30,7 @@ func TestCalcErrors(t *testing.T) {
 		{"-deadline", "5", "-psp", "x", "a"}, // bad psp
 	}
 	for i, args := range cases {
-		if err := run(args); err == nil {
+		if err := run(args, io.Discard); err == nil {
 			t.Errorf("case %d: expected error for %v", i, args)
 		}
 	}
@@ -39,12 +40,55 @@ func TestAnalyzeRuns(t *testing.T) {
 	cases := [][]string{
 		{"-analyze", "[[a@0:2||b@1:3] c@2:1]"},
 		{"-analyze", "-dag", "a@0:2 b@1:3 c@2:1 ; a>b a>c b>c"},
-		{"-analyze", "-dag", "-deadline", "5", "-m", "2",
+		{"-analyze", "-dag", "-deadline", "5",
 			"s@0:1 a@1:2 b@2:4 t@3:1 ; s>a:0.3 s>b:0.7 a>t b>t"},
 	}
 	for i, args := range cases {
-		if err := run(args); err != nil {
+		if err := run(args, io.Discard); err != nil {
 			t.Errorf("case %d: %v: %v", i, args, err)
+		}
+	}
+}
+
+// TestAnalyzeReadmeExamples pins the full -analyze output for the
+// README's task expressions: the paper's introduction example as a tree
+// and the conditional DAG. Every number printed is a schedule-independent
+// bound or an exact property of the expression.
+func TestAnalyzeReadmeExamples(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{
+			[]string{"-analyze", "-deadline", "10", "[[T11@0:5||T12@1:5||T13@2:5||T14@3:5||T15@4:5] T2@5:5]"},
+			`task      [[T11@0:5 || T12@1:5 || T13@2:5 || T14@3:5 || T15@4:5] T2@5:5]
+volume 30   critical path 10   vertices 6   depth 2   width 5
+response lower bound (any schedule)  10
+isolated upper bound (idle system)   30
+relative deadline 10: not excluded by the lower bound
+`,
+		},
+		{
+			[]string{"-analyze", "-dag", "-deadline", "5", "s@0:1 a@1:2 b@2:4 t@3:1 ; s>a:0.3 s>b:0.7 a>t b>t"},
+			`cond dag  s@0:1 a@1:2 b@2:4 t@3:1 ; s>a:0.3 s>b:0.7 a>t b>t
+branch points 1   realizations 2
+
+prob       volume   critical  lower bound
+0.3             4          4            4
+0.7             6          6            6
+
+E[volume] 5.4   E[critical] 5.4   E[response] >= 5.4
+critical path range [4, 6]   max volume 6
+relative deadline 5: miss ratio >= 0.7 under every schedule
+`,
+		},
+	} {
+		var out bytes.Buffer
+		if err := run(c.args, &out); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if got := out.String(); got != c.want {
+			t.Errorf("%v: output\n%s\nwant\n%s", c.args, got, c.want)
 		}
 	}
 }
@@ -59,11 +103,10 @@ func TestAnalyzeErrors(t *testing.T) {
 		{"-analyze", "-dag", "s@0:1 a@1:2 b@2:4 ; s>a:0.3 s>b:0.3"},  // probs sum != 1
 		{"-analyze", "-dag", "s@0:1 a@1:2 b@2:4 ; s>a:0.3 s>b"},      // partial annotation
 		{"-analyze", "-dag", "a@0:1 b@1:2 ; a>b a>b"},                // bad dag
-		{"-analyze", "-m", "0", "a@0:1"},                             // bad processor count
-		{"-analyze", "["},                                            // bad tree
+		{"-analyze", "["}, // bad tree
 	}
 	for i, args := range cases {
-		if err := run(args); err == nil {
+		if err := run(args, io.Discard); err == nil {
 			t.Errorf("case %d: expected error for %v", i, args)
 		}
 	}
@@ -77,11 +120,10 @@ func TestFlagProbes(t *testing.T) {
 	}{
 		{"-deadline", []string{"-deadline", "nan", "a@0:1"}},
 		{"-arrival", []string{"-arrival", "-1", "-deadline", "5", "a@0:1"}},
-		{"-m", []string{"-analyze", "-m", "-2", "a@0:1"}},
 		{"-ssp", []string{"-deadline", "5", "-ssp", "x", "a@0:1"}},
 		{"-psp", []string{"-deadline", "5", "-psp", "x", "a@0:1"}},
 	} {
-		err := run(tc.args)
+		err := run(tc.args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.flag) {
 			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
 		}
@@ -90,7 +132,7 @@ func TestFlagProbes(t *testing.T) {
 
 // FuzzParse drives the parse stage with argv built from the real flag
 // names: it must never panic, and every plan it accepts must be
-// complete: one parsed expression, a processor count, and for deadline
+// complete: one parsed expression, and for deadline
 // assignment both strategies and a deadline after the arrival.
 func FuzzParse(f *testing.F) {
 	names := flag.NewFlagSet("names", flag.ContinueOnError)
@@ -110,7 +152,7 @@ func FuzzParse(f *testing.F) {
 				exprs++
 			}
 		}
-		if exprs != 1 || p.procs < 1 || !p.analyze && (p.ssp == nil || p.psp == nil || !p.dl.After(p.ar)) {
+		if exprs != 1 || !p.analyze && (p.ssp == nil || p.psp == nil || !p.dl.After(p.ar)) {
 			t.Fatalf("accepted an incomplete plan: %+v", p)
 		}
 	})

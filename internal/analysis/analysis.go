@@ -23,12 +23,6 @@
 //     bound the property tests cross-validate by simulating single tasks
 //     in an empty system.
 //
-//   - Graham/Dinh bound: R <= len(G)/rmin + (vol(G) - len(G))/(m*rmin)
-//     for greedy scheduling on m identical servers with a COMMON queue.
-//     The paper's system is partitioned (each vertex is pinned to one
-//     node), so this bound does NOT apply to the simulator and is
-//     reported for reference only (sdacalc -analyze).
-//
 // For a probabilistic conditional DAG with realizations G_1..G_n of
 // probabilities p_1..p_n, the per-realization bounds combine into exact
 // statements about the response-time distribution: E[R] >= sum p_i *
@@ -97,21 +91,6 @@ func (m Metrics) IsolatedUpper(minRate float64) simtime.Duration {
 		return simtime.Forever
 	}
 	return m.Volume.Scale(1 / minRate)
-}
-
-// GrahamUpper returns the Graham-style makespan bound for greedy
-// scheduling on procs identical unit-rate servers sharing one queue,
-//
-//	len + (vol - len) / procs.
-//
-// The simulator's system is partitioned, not globally scheduled, so this
-// bound does not hold there; it is reported for reference in analysis
-// output only.
-func (m Metrics) GrahamUpper(procs int) simtime.Duration {
-	if procs < 1 {
-		procs = 1
-	}
-	return m.Critical + (m.Volume - m.Critical).Scale(1/float64(procs))
 }
 
 // Feasible reports whether the relative deadline d can be met at all:

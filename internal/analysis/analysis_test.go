@@ -59,13 +59,6 @@ func TestBounds(t *testing.T) {
 	if got := m.IsolatedUpper(2); float64(got) != 10 {
 		t.Errorf("IsolatedUpper(2) = %v, want 10 (fast nodes clamp)", got)
 	}
-	// Graham: len + (vol-len)/m = 4 + 6/3 = 6.
-	if got := m.GrahamUpper(3); float64(got) != 6 {
-		t.Errorf("GrahamUpper(3) = %v, want 6", got)
-	}
-	if got := m.GrahamUpper(1); float64(got) != 10 {
-		t.Errorf("GrahamUpper(1) = %v, want vol = 10", got)
-	}
 	if !m.Feasible(4, 1) || m.Feasible(3.9, 1) {
 		t.Errorf("Feasible boundary wrong")
 	}
