@@ -497,7 +497,7 @@ func benchNodeQueueChurn(b *testing.B, p node.Policy) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tk.VirtualDeadline = simtime.Time((i * 2654435761) % 4096)
+		tk.VirtualDeadline = simtime.Time((int64(i) * 2654435761) % 4096)
 		tasks[i] = tk
 	}
 	refs := make([]node.ItemRef, window)
@@ -547,7 +547,7 @@ func BenchmarkBurstArrival(b *testing.B) {
 		base := eng.Now()
 		for k := range batch {
 			batch[k] = des.BatchEntry{
-				At:   base.Add(simtime.Duration(1 + (k*2654435761)%1024)),
+				At:   base.Add(simtime.Duration(1 + (int64(k)*2654435761)%1024)),
 				Call: nop,
 			}
 		}

@@ -541,10 +541,12 @@ func TestNext(t *testing.T) {
 	}
 }
 
-// TestRecordSize pins the pooled event record at 40 bytes: three
-// callback words (fn, fnc, ctx's two) plus the generation and state.
+// TestRecordSize pins the pooled event record at four pointer words
+// (fn, fnc, ctx's two) plus 8 bytes for the generation and state: 40
+// bytes on 64-bit targets, 24 on 32-bit ones.
 func TestRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(record{}); got != 40 {
-		t.Fatalf("unsafe.Sizeof(record{}) = %d, want 40", got)
+	want := 4*unsafe.Sizeof(uintptr(0)) + 8
+	if got := unsafe.Sizeof(record{}); got != want {
+		t.Fatalf("unsafe.Sizeof(record{}) = %d, want %d", got, want)
 	}
 }

@@ -49,8 +49,8 @@ func TestAppendRecordMatchesMarshal(t *testing.T) {
 		}
 	}
 	checkAppendRecord(t, Record{})
-	checkAppendRecord(t, Record{Schema: -1, Node: math.MinInt64, ID: math.MaxUint64, Rep: -2,
-		Depth: math.MaxInt64, Width: -1, Missed: true, Boost: true})
+	checkAppendRecord(t, Record{Schema: -1, Node: math.MinInt, ID: math.MaxUint64, Rep: -2,
+		Depth: math.MaxInt, Width: -1, Missed: true, Boost: true})
 }
 
 // recordFloatPtr returns the address of Record's i-th optional float

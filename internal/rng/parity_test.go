@@ -174,18 +174,22 @@ func TestStreamMatchesMathRand(t *testing.T) {
 			}
 			p.uniform(3, 3)
 
-			for _, n := range []int{
+			// The Int63n sizes exceed a 32-bit int, which never takes
+			// that path; they run where int is 64 bits.
+			for _, n := range []int64{
 				1, 2, 3, 4, 5, 6, 7, 100, 1 << 10, 1<<30 - 1, 1 << 30, 1<<30 + 1,
 				int32max - 2, int32max - 1, int32max, // the Int31n path's top
 				int32max + 1, 1 << 40, 1<<40 + 3, 3 << 50, math.MaxInt64, // Int63n
 			} {
-				for i := 0; i < 8; i++ {
-					p.intN(n)
+				for i := 0; i < 8 && n <= math.MaxInt; i++ {
+					p.intN(int(n))
 				}
 			}
 			p.intRange(2, 6)
 			p.intRange(-10, -10)
-			p.intRange(-1<<40, 1<<40)
+			if span := int64(1) << 40; span <= math.MaxInt {
+				p.intRange(int(-span), int(span))
+			}
 
 			for _, n := range []int{0, 1, 2, 10, 257} {
 				p.perm(n)
@@ -233,7 +237,8 @@ func FuzzStreamParity(f *testing.F) {
 	f.Add(uint64(1), 5000, 4)
 	f.Add(uint64(0), 0, 0)
 	f.Add(seedDeriving(0), 7, 7)
-	f.Add(seedDeriving(-3*int32max), 1<<31, 1)
+	n31 := int64(1) << 31 // wraps negative, to a skipped draw, in a 32-bit int
+	f.Add(seedDeriving(-3*int32max), int(n31), 1)
 	f.Add(uint64(273)<<53, 5000, 4) // Choose right after the last young draw
 	f.Fuzz(func(t *testing.T, seed uint64, n, k int) {
 		p := newParity(t, seed)

@@ -235,6 +235,7 @@ func TestFIFOAblationWorse(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
+	tooMany := int64(3_000_000_000) // a 32-bit int wraps it negative, also invalid
 	bad := []func(*Config){
 		func(c *Config) { c.Duration = 0 },
 		func(c *Config) { c.Warmup = -1 },
@@ -245,7 +246,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Duration = simtime.Duration(math.Inf(1)) },
 		func(c *Config) { c.Warmup = simtime.Duration(math.NaN()) },
 		func(c *Config) { c.Warmup = simtime.Duration(math.Inf(1)) },
-		func(c *Config) { c.Spec.K = 3_000_000_000 },
+		func(c *Config) { c.Spec.K = int(tooMany) },
 		func(c *Config) { c.Spec.K = 1 << 10; c.Servers = 1<<10 + 1 },
 		func(c *Config) {
 			c.Spec.K = 2
