@@ -1,9 +1,19 @@
 GO ?= go
 
-.PHONY: check vet build test race scenarios bless bench bench-record bench-compare bench-e2e-test profile obs blame stress stress-smoke trace flight
+.PHONY: check fmt vet build test race scenarios report-drift bless bench bench-record bench-compare bench-e2e-test profile obs blame stress stress-smoke trace flight
 
-# check runs exactly what CI runs.
-check: vet build race scenarios
+# check runs the local steps of CI's test job: gofmt, vet, build, the
+# root module's tests, the bench/ module's vet and tests, the scenario
+# golden suite and the reproduction-report drift guard. It leaves out
+# that job's fuzz smokes and staticcheck, and CI's other jobs: the race
+# detector (make race), the 386 leg, the merged-telemetry guards, the
+# blame, stress and trace smokes, and the benchmark smoke.
+DERIVED = blame.md blame.json tracetree.jsonl trace.chrome.json
+
+check: fmt vet build test bench-e2e-test scenarios report-drift
+
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -20,6 +30,11 @@ race:
 # scenarios runs the fault-injection suite against the golden hashes.
 scenarios:
 	$(GO) run ./cmd/sdascen -v
+
+# report-drift fails when the committed reproduction report is not what
+# the code prints.
+report-drift:
+	$(GO) run ./cmd/sdareport -duration 100000 -reps 2 | cmp - results/reproduction_report.md
 
 # stress runs the full-size stress scenarios (10k/5k/1k-node fleets
 # under seeded chaos) with per-replication metrics. No golden hashes:
@@ -57,10 +72,12 @@ bench-record:
 bench-compare:
 	GOMAXPROCS=2 $(GO) run ./cmd/sdabench -compare -q
 
-# bench-e2e-test runs the end-to-end benchmark's own tests. bench/ is a
-# separate Go module (repro/bench), so `go test ./...` at the root skips it.
+# bench-e2e-test vets and runs the end-to-end benchmark's own tests.
+# bench/ is a separate Go module (repro/bench), so `go test ./...` at the
+# root skips it.
 bench-e2e-test:
-	cd bench && $(GO) test ./...
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # profile captures CPU and heap profiles plus an execution trace of the
 # guarded benchmark subset. Inspect with: go tool pprof cpu.pprof
@@ -73,20 +90,23 @@ profile:
 obs:
 	$(GO) run ./cmd/sdaobs -scenario testdata/scenarios/baseline_div.json -out obs-out
 
-# blame exports the dag-forkjoin scenario's spans and prints the
-# miss-cause attribution report (cause taxonomy and decomposition in
-# docs/OBSERVABILITY.md).
+# blame exports the dag-forkjoin scenario's bundle, re-derives its
+# miss-cause report and trace trees offline with sdaobs -from, checks
+# them against the bundle's own and prints the report (cause taxonomy
+# and decomposition in docs/OBSERVABILITY.md).
 blame:
 	$(GO) run ./cmd/sdaobs -scenario testdata/scenarios/dag_forkjoin.json -out blame-out
-	$(GO) run ./cmd/sdablame blame-out/spans.jsonl
+	$(GO) run ./cmd/sdaobs -from blame-out -out blame-out/rederived
+	for f in $(DERIVED); do cmp blame-out/$$f blame-out/rederived/$$f || exit 1; done
+	cat blame-out/blame.md
 
-# trace assembles the causal trace of the dag-forkjoin scenario (trees
-# as JSONL plus a Chrome trace-event file) and a synthetic sdatrace run.
-# Load trace-out/trace.chrome.json in https://ui.perfetto.dev.
+# trace assembles the causal trace (trees as JSONL plus a Chrome
+# trace-event file) of the dag-forkjoin scenario and of a short
+# synthetic run. Load trace-out/trace.chrome.json in
+# https://ui.perfetto.dev.
 trace:
-	@mkdir -p trace-out
 	$(GO) run ./cmd/sdaobs -scenario testdata/scenarios/dag_forkjoin.json -out trace-out
-	$(GO) run ./cmd/sdatrace -psp DIV-1 -until 2000 -chrome trace-out/sdatrace.chrome.json -tree trace-out/sdatrace.trees.jsonl
+	$(GO) run ./cmd/sdaobs -k 3 -n 3 -load 0.7 -seed 7 -psp DIV-1 -duration 2000 -warmup 0 -out trace-out/synthetic
 
 # flight runs the full-size stress scenarios with the DES-kernel flight
 # recorder attached and writes each calendar report — event mix, record

@@ -165,16 +165,7 @@ func (p *plan) exportObserved(out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	p.tel.Finalize(res.Obs, info)
-	fmt.Fprint(out, res.Obs.Summary())
-	if p.tel.Dir != "" {
-		paths, err := res.Obs.ExportDir(p.tel.Dir)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "telemetry exported: %s\n", strings.Join(paths, " "))
-	}
-	return nil
+	return p.tel.Export(out, res.Obs, info)
 }
 
 func runOne(e exp.Experiment, opts exp.Options, format string, out io.Writer) error {

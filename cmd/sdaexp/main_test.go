@@ -70,6 +70,31 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestTelemetryOutput pins what the observed baseline cell prints: the
+// merged summary whenever -obs or -serve is set, and the exported files
+// only with -obs.
+func TestTelemetryOutput(t *testing.T) {
+	base := []string{"-quick", "-duration", "300", "-reps", "1"}
+	for _, tc := range []struct {
+		args     []string
+		exported bool
+	}{
+		{[]string{"-obs", t.TempDir()}, true},
+		{[]string{"-serve", "127.0.0.1:0"}, false},
+	} {
+		var out strings.Builder
+		if err := run(append(append([]string(nil), base...), tc.args...), &out); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if !strings.Contains(out.String(), "\nscheduling   enqueue") {
+			t.Errorf("%v: no summary:\n%s", tc.args, out.String())
+		}
+		if got := strings.Contains(out.String(), "telemetry exported: "); got != tc.exported {
+			t.Errorf("%v: export listed %v, want %v:\n%s", tc.args, got, tc.exported, out.String())
+		}
+	}
+}
+
 // TestFlagProbes pins the flag rule: an explicitly set zero, negative or
 // non-finite value is an error naming the flag, never a silent fallback
 // to the default.

@@ -20,11 +20,10 @@ import (
 // retention budget: local-abort retries, process-manager abort
 // cascades, DAG vertex retirement, chaos-burst inject windows, and the
 // cross-replication merge. Scenario runs also pin their exemplar
-// selection and span-store counts ("exemplars+counts"), which the
-// single-shard bundle does not write as a file. A change to the
-// telemetry recording path must leave every one of these bytes
-// untouched; the digests change only if an export format deliberately
-// does.
+// selection and span-store counts as a direct run reports them
+// ("exemplars+counts"). A change to the telemetry recording path must
+// leave every one of these bytes untouched; the digests change only if
+// an export format deliberately does.
 var bundleGolden = []struct {
 	name     string
 	scenario string   // scenario file under testdata/scenarios, or ""
@@ -37,6 +36,7 @@ var bundleGolden = []struct {
 		"dashboard.svg":     "f862d037add9e3b4965c2a8baec0f7f528899d45490d7991b2feb6f4891c92ba",
 		"edges.jsonl":       "361ff08a2fff953a468a2789026d60c76c795dabdc4690ff02c78b5d603a4a88",
 		"exemplars+counts":  "8f5d9c8a5b434566905ed5995bcd6c30d322dae7909e03b4bda51b58cc617c36",
+		"exemplars.jsonl":   "12f2755718ecbbe0cefe577150189bd41b76c582ad7425e4316490543b2be269",
 		"metrics.prom":      "5a0f4c06776a30b4ecc94161ebf24802063ebf31174d870b41cefe914808d157",
 		"spans.jsonl":       "59c7073261053798b4a71211553b517c7a05bf0d799c1e318ee87acbb6a2efc6",
 		"summary.txt":       "9702ab849a2819fc04055273b3644177f4b0de345f6fb726415d18e8efa032d0",
@@ -50,6 +50,7 @@ var bundleGolden = []struct {
 		"dashboard.svg":     "f7a54fca581099a4add27f68cb53df2d1232e597b2848e2159e2ad01ceb1b0e9",
 		"edges.jsonl":       "7b8a75a9e02645ad98b10e46ad7f2b21c8a730b227497dd57c8bcdf6ad8f2cc2",
 		"exemplars+counts":  "01a146573d15239e1e2c231234c82b1106bb3893e22e2b8e0d1a0b485549e69c",
+		"exemplars.jsonl":   "1a4f97dd26d14ff2a87ce704b829be845f678a46cfca64310e722960870bf079",
 		"metrics.prom":      "fcf0d0785fcc360ff9a92c7b06d60de1e8937b909774f72b5bb9996a3a8bdec7",
 		"spans.jsonl":       "e58cb73f36d3dac39a32584c03af4b9c1f8e31733b607ff0fcb13d82495184af",
 		"summary.txt":       "407dfd01e527529dfef2772d79a6445b9acf83685e5f6bbe51891bf3f1932109",
@@ -63,6 +64,7 @@ var bundleGolden = []struct {
 		"dashboard.svg":     "4b8c5d7739d098c977c804f8e71616dceefbb86d7f905ca82866c3acbc947465",
 		"edges.jsonl":       "f2601733395d1ab13085007b1d9629d761893526fd73bfd0ca526412a7dc04b2",
 		"exemplars+counts":  "9160e5c7ac5d14ccfd72d0d2cd05a640f9ab8e9ffddda97cbb22c4f7ac66acc0",
+		"exemplars.jsonl":   "f773ed015fced9c07a7b75ef9d3a63fd95653e767a59e77dc14af176fd726150",
 		"metrics.prom":      "9bf3a179a2cf92f285d52375aef3ba2babfac6de3fdea7764ec46b52fa9d7ab5",
 		"spans.jsonl":       "e998babb0b0f0fadad9d141882ce455f25b5d81ba46a569efe7f007890db6b80",
 		"summary.txt":       "5810bb4c7adc39afe1f3a5317516f84bb5d8949e39de60ada47ce3fba56345ae",
@@ -76,6 +78,7 @@ var bundleGolden = []struct {
 		"dashboard.svg":     "1c8dec03616c325cf31ba97b337567696c4f95e4d517cfd6290031baa915f23b",
 		"edges.jsonl":       "12a7847e1c83dbb148f9cf703f63e7a8ced154e2ee45c6fc80e4720317a477ae",
 		"exemplars+counts":  "8fc95a55aa0f0f6b50d8fad3d557f437d270af07953ffd6067d9bb17676b1342",
+		"exemplars.jsonl":   "b77a16677e9144e99485d8a7813163f26263521753ed22b0b4b128bb49fd1b94",
 		"metrics.prom":      "e11530837dc9db8f1e04e04fe96b5cd63f8438f37b4c4fee76a3fc0450df6476",
 		"spans.jsonl":       "17990f517d34ee51202a1de56f841f6e9cf3de501819c8e2d66fb46a343faba6",
 		"summary.txt":       "ac0f2434cf9739b09920628a242a8a5e757ccba3498a8c7113e794d43b56e8ed",
@@ -89,6 +92,7 @@ var bundleGolden = []struct {
 		"dashboard.svg":     "5dd64febd037c06345b3cf9137e0c39ae65d2d495dd39499798968be8aca7a94",
 		"edges.jsonl":       "72474fae42b3e6369e454ad23302abd43a1e02ccea81e510aa2c20b2fbbc35ae",
 		"exemplars+counts":  "f908ddfdec3f189e2ed6fa5ae2c299acc6004a5e5c26b4a2bf171d5f5169e6cc",
+		"exemplars.jsonl":   "f06d2f9bb3b77b9b141f8171fa3d726b0dcdd842966a82bf59ac9d8afbc88a0e",
 		"metrics.prom":      "7f65cda450c1ef7d69a8918bd02ccd6d098ea0ae4ca69f22e0472b6b6ca796a6",
 		"spans.jsonl":       "8de946398c9a18ac30a597861d76ae9d4c53ba0d875bf370520d7eb1a84b9a21",
 		"summary.txt":       "95d0c838fc2bf27745af82c57809a8540dc3c0028758563bedd12eff1d969bb9",
@@ -98,7 +102,7 @@ var bundleGolden = []struct {
 	}},
 	{"synthetic-merged", "", []string{
 		"-load", "0.6", "-duration", "2000", "-warmup", "100",
-		"-reps", "3", "-workers", "1", "-max-spans", "64",
+		"-reps", "3", "-workers", "1", "-obs-max-spans", "64",
 	}, map[string]string{
 		"blame.json":        "85ded6427e50013c3c8365c25aa062484ed897b918d1462529752f6f50e1d89d",
 		"blame.md":          "174531f14cf50ca32f4a97944284c3821d5cf1dad696264fcd19c81effb37ede",
@@ -151,15 +155,7 @@ func TestExportBundleGolden(t *testing.T) {
 func bundleDigests(t *testing.T, scen string, args []string) map[string]string {
 	t.Helper()
 	dir := t.TempDir()
-	args = append([]string{"-out", dir}, args...)
-	if scen != "" {
-		path := filepath.Join("..", "..", "testdata", "scenarios", scen)
-		args = append(args, "-scenario", path, "-max-spans", fmt.Sprint(goldenMaxSpans))
-	}
-	var out strings.Builder
-	if err := run(args, &out); err != nil {
-		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
-	}
+	mustRun(t, goldenArgs(dir, scen, args)...)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -179,6 +175,62 @@ func bundleDigests(t *testing.T, scen string, args []string) map[string]string {
 		sums["exemplars+counts"] = exemplarDigest(t, filepath.Join("..", "..", "testdata", "scenarios", scen))
 	}
 	return sums
+}
+
+// goldenArgs returns the sdaobs command line that writes the bundle of
+// a bundleGolden case into dir.
+func goldenArgs(dir, scen string, args []string) []string {
+	args = append([]string{"-out", dir}, args...)
+	if scen != "" {
+		path := filepath.Join("..", "..", "testdata", "scenarios", scen)
+		args = append(args, "-scenario", path, "-obs-max-spans", fmt.Sprint(goldenMaxSpans))
+	}
+	return args
+}
+
+// mustRun runs sdaobs and returns what it printed.
+func mustRun(t *testing.T, args ...string) string {
+	t.Helper()
+	var out strings.Builder
+	if err := run(args, &out); err != nil {
+		t.Fatalf("run %v: %v\noutput:\n%s", args, err, out.String())
+	}
+	return out.String()
+}
+
+// TestFromRederivesBundle re-derives the bundle of every pinned case —
+// the merged run and the tight-budget scenario shards — and of one
+// single shard that evicts nothing with -from: the four derived files
+// must match the bundle's own byte for byte.
+func TestFromRederivesBundle(t *testing.T) {
+	type runCase struct {
+		name, scenario string
+		args           []string
+	}
+	cases := []runCase{{"unbudgeted-shard", "", []string{"-load", "0.6", "-duration", "2000", "-warmup", "100"}}}
+	for _, tc := range bundleGolden {
+		cases = append(cases, runCase{tc.name, tc.scenario, tc.args})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bundle, rederived := t.TempDir(), t.TempDir()
+			mustRun(t, goldenArgs(bundle, tc.scenario, tc.args)...)
+			mustRun(t, "-from", bundle, "-out", rederived)
+			for _, name := range []string{"blame.md", "blame.json", "tracetree.jsonl", "trace.chrome.json"} {
+				want, err := os.ReadFile(filepath.Join(bundle, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := os.ReadFile(filepath.Join(rederived, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: re-derived file differs from the bundle's", name)
+				}
+			}
+		})
+	}
 }
 
 // exemplarDigest runs the scenario observed at the golden budget and

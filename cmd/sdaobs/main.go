@@ -12,11 +12,18 @@
 //	sdaobs -scenario testdata/scenarios/baseline_div.json -out obs-out
 //	sdaobs -load 0.6 -psp DIV-1 -duration 20000 -out obs-out
 //	sdaobs -load 0.6 -reps 8 -workers 4 -out obs-out   # cross-replication merge
+//	sdaobs -from obs-out -out rederived                # re-derive, run nothing
 //
 // With -reps above 1 every replication runs observed (concurrently under
 // -workers) and the export is the deterministic cross-replication merge:
 // spans, exemplars, metrics, quantile dashboard, summary — bit-identical
 // at any worker count.
+//
+// With -from, sdaobs runs nothing: it reads the spans.jsonl, edges.jsonl
+// and exemplars.jsonl of an existing bundle and writes the four files a
+// bundle derives from them (blame.md, blame.json, tracetree.jsonl,
+// trace.chrome.json) into -out, byte-identical to the bundle's own. Span
+// logs of the original unversioned schema are accepted.
 package main
 
 import (
@@ -43,6 +50,7 @@ func run(args []string, w io.Writer) error { return cli.Run("sdaobs", parse, arg
 // plan is a validated sdaobs invocation.
 type plan struct {
 	outDir string
+	from   string             // bundle to re-derive; "" runs a simulation
 	sc     *scenario.Scenario // nil in synthetic mode
 	cfg    sim.Config         // the scenario's or the synthetic config
 }
@@ -57,9 +65,10 @@ func parse(fs *flag.FlagSet, args []string) (*plan, error) {
 	p := &plan{}
 	scenarioFile := fs.String("scenario", "", "run this scenario file instead of a synthetic workload")
 	fs.StringVar(&p.outDir, "out", "obs-out", "directory for the telemetry export")
+	fs.StringVar(&p.from, "from", "", "re-derive blame.md, blame.json, tracetree.jsonl and trace.chrome.json from the bundle in this directory into -out, running nothing")
 	fs.Float64Var((*float64)(&c.Obs.SampleEvery), "sample-every", 50, "sampler cadence in simulated time units")
 	fs.IntVar(&c.Obs.MaxSamples, "max-samples", 4096, "time-series ring capacity (oldest samples overwritten)")
-	fs.IntVar(&c.Obs.MaxSpans, "max-spans", 1<<16, "span store capacity (further spans dropped and counted)")
+	fs.IntVar(&c.Obs.MaxSpans, "obs-max-spans", 1<<16, "per-replication span retention budget; evicted spans are counted, aggregates stay exact")
 	fs.Float64Var((*float64)(&c.Duration), "duration", float64(c.Duration), "measured simulated time (synthetic mode)")
 	fs.Float64Var((*float64)(&c.Warmup), "warmup", float64(c.Warmup), "warmup time (synthetic mode)")
 	fs.IntVar(&c.Replications, "reps", 1, "replications (synthetic mode); above 1 the export is the cross-replication merge")
@@ -67,6 +76,18 @@ func parse(fs *flag.FlagSet, args []string) (*plan, error) {
 	rule := cli.Rule{ZeroOK: []string{"warmup"}, Max: map[string]float64{"max-samples": sim.MaxSamples}}
 	if err := cli.Parse(fs, args, rule); err != nil {
 		return nil, err
+	}
+	if p.from != "" {
+		var err error
+		fs.Visit(func(f *flag.Flag) {
+			if err == nil && f.Name != "from" && f.Name != "out" {
+				err = fmt.Errorf("flag -%s conflicts with -from: a re-derivation runs nothing", f.Name)
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		return p, nil
 	}
 	var err error
 	if p.cfg, err = wl.Config(); err == nil && *scenarioFile != "" {
@@ -88,8 +109,12 @@ func parse(fs *flag.FlagSet, args []string) (*plan, error) {
 	return p, nil
 }
 
-// Execute runs the plan and writes the telemetry bundle.
+// Execute runs the plan and writes the telemetry bundle, or with -from
+// re-derives an existing one.
 func (p *plan) Execute(w io.Writer) error {
+	if p.from != "" {
+		return p.rederive(w)
+	}
 	var (
 		tel    *obs.Telemetry // single-shard modes: scenario, -reps 1
 		merged *obs.Merged    // multi-replication synthetic mode
@@ -130,9 +155,9 @@ func (p *plan) Execute(w io.Writer) error {
 
 	// Single-shard exports keep the per-run extras (sampled time series);
 	// the merged export folds every replication's shard in index order.
-	// A single shard's snapshot holds its retained spans plus exemplars:
-	// under a tight -max-spans budget the worst and latest spans per kind
-	// are still present.
+	// Either snapshot holds the retained spans and edges plus the
+	// exemplars: under a tight -obs-max-spans budget the worst and latest
+	// spans per kind are still present.
 	var (
 		paths   []string
 		snap    *obs.Snapshot
@@ -150,29 +175,86 @@ func (p *plan) Execute(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// The attribution report and the causal trace ride along with the
-	// bundle (obs cannot depend on attrib or tracetree, so the cmd writes
-	// them): blame as markdown and JSON, the trees as deterministic JSONL
-	// plus the Perfetto-loadable Chrome trace, all bit-identical at any
-	// worker count.
-	rpt := attrib.Analyze(snap.SpansForAnalysis())
-	jsonBody, err := rpt.JSON()
+	derived, err := derive(p.outDir, snap.Spans, snap.Edges, snap.Exemplars.Records())
 	if err != nil {
 		return err
 	}
-	mdPath, jsonPath := filepath.Join(p.outDir, "blame.md"), filepath.Join(p.outDir, "blame.json")
-	if err := os.WriteFile(mdPath, []byte(rpt.Markdown()), 0o644); err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, jsonBody, 0o644); err != nil {
-		return err
-	}
-	forest := tracetree.Build(append(append([]obs.Record(nil), snap.Spans...), snap.Edges...))
-	treePath, chromePath := filepath.Join(p.outDir, "tracetree.jsonl"), filepath.Join(p.outDir, "trace.chrome.json")
-	if err := forest.WriteFiles(treePath, chromePath); err != nil {
-		return err
-	}
-	paths = append(paths, mdPath, jsonPath, treePath, chromePath)
-	fmt.Fprintf(w, "\n%sexported: %s\n", summary, strings.Join(paths, " "))
+	fmt.Fprintf(w, "\n%sexported: %s\n", summary, strings.Join(append(paths, derived...), " "))
 	return nil
+}
+
+// rederive reads the span, edge and exemplar logs of the bundle in
+// p.from and derives its four files into p.outDir.
+func (p *plan) rederive(w io.Writer) error {
+	spans, err := readLog(filepath.Join(p.from, obs.SpansFile), true)
+	if err != nil {
+		return err
+	}
+	if len(spans) == 0 {
+		return fmt.Errorf("%s: no records", filepath.Join(p.from, obs.SpansFile))
+	}
+	edges, err := readLog(filepath.Join(p.from, obs.EdgesFile), false)
+	if err != nil {
+		return err
+	}
+	exemplars, err := readLog(filepath.Join(p.from, obs.ExemplarsFile), false)
+	if err != nil {
+		return err
+	}
+	paths, err := derive(p.outDir, spans, edges, exemplars)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "re-derived from %d spans, %d edges, %d exemplars: %s\n",
+		len(spans), len(edges), len(exemplars), strings.Join(paths, " "))
+	return nil
+}
+
+// readLog decodes the JSONL record log at path. A missing log reads as
+// no records unless it is required.
+func readLog(path string, required bool) ([]obs.Record, error) {
+	f, err := os.Open(path)
+	if !required && errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	recs, err := obs.ReadRecords(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return recs, nil
+}
+
+// derive writes the four files a bundle derives from its logs into dir:
+// the miss-cause report over spans ∪ exemplars as markdown and JSON, and
+// the causal trace trees over spans and edges as JSONL plus the
+// Perfetto-loadable Chrome trace. A run and -from both write them here,
+// so a re-derivation matches the bundle byte for byte. (obs cannot
+// depend on attrib or tracetree, so the command writes these files.) It
+// returns the paths written.
+func derive(dir string, spans, edges, exemplars []obs.Record) ([]string, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	rpt := attrib.Analyze(obs.AnalysisInput(spans, exemplars))
+	jsonBody, err := rpt.JSON()
+	if err != nil {
+		return nil, err
+	}
+	paths := []string{filepath.Join(dir, "blame.md"), filepath.Join(dir, "blame.json"),
+		filepath.Join(dir, "tracetree.jsonl"), filepath.Join(dir, "trace.chrome.json")}
+	if err := os.WriteFile(paths[0], []byte(rpt.Markdown()), 0o644); err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(paths[1], jsonBody, 0o644); err != nil {
+		return nil, err
+	}
+	forest := tracetree.Build(append(append([]obs.Record(nil), spans...), edges...))
+	if err := forest.WriteFiles(paths[2], paths[3]); err != nil {
+		return nil, err
+	}
+	return paths, nil
 }

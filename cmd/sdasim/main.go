@@ -26,7 +26,7 @@ import (
 
 func main() { cli.Main("sdasim", parse) }
 
-func run(args []string) error { return cli.Run("sdasim", parse, args, os.Stdout) }
+func run(args []string, w io.Writer) error { return cli.Run("sdasim", parse, args, w) }
 
 // maxShape caps -stages and -branches: every global task builds that
 // many stages or gates up front.
@@ -180,7 +180,7 @@ func (p *plan) Execute(w io.Writer) error {
 		}
 		// Replay builds one system directly, so the live hub attaches via
 		// OnSystem to a fold of its own, which the telemetry joins after
-		// the replay.
+		// the replay and which is then exported as a run's merge is.
 		var replayTel *obs.Telemetry
 		fold := obs.NewMerged()
 		cfg.OnSystem = func(sys *sim.System) {
@@ -191,9 +191,6 @@ func (p *plan) Execute(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := p.tel.FinalizeSystem(replayTel, fold, info); err != nil {
-			return err
-		}
 		fmt.Fprintf(w, "replayed %d arrivals from %s\n", len(arrivals), p.replayOf)
 		fmt.Fprintf(w, "tasks counted   %d locals, %d globals\n", rep.Locals, rep.Globals)
 		fmt.Fprintf(w, "MD_local        %.4f\n", rep.MDLocal)
@@ -201,7 +198,12 @@ func (p *plan) Execute(w io.Writer) error {
 		fmt.Fprintf(w, "MD_global       %.4f\n", rep.MDGlobal)
 		fmt.Fprintf(w, "missed work     %.4f\n", rep.MissedWork)
 		fmt.Fprintf(w, "utilization     %.4f\n", rep.Utilization)
-		return nil
+		if replayTel != nil {
+			if err := replayTel.MergeInto(fold); err != nil {
+				return err
+			}
+		}
+		return p.tel.Export(w, fold, info)
 	}
 
 	res, err := sim.Run(cfg)
@@ -209,20 +211,9 @@ func (p *plan) Execute(w io.Writer) error {
 		return err
 	}
 	printReport(w, cfg, res)
-	p.tel.Finalize(res.Obs, info)
-	if p.tel.Dir == "" {
-		return nil
-	}
 	// The export is the cross-replication merge: every replication's
 	// shard folded in index order, bit-identical at any -workers count.
-	paths, err := res.Obs.ExportDir(p.tel.Dir)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	fmt.Fprint(w, res.Obs.Summary())
-	fmt.Fprintf(w, "telemetry exported: %s\n", strings.Join(paths, " "))
-	return nil
+	return p.tel.Export(w, res.Obs, info)
 }
 
 // parseProbs parses the -branch-probs comma list; empty means uniform

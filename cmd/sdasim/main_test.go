@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"io"
 	"os"
@@ -11,10 +12,11 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 func TestSimRunsQuick(t *testing.T) {
-	err := run([]string{"-duration", "800", "-warmup", "50", "-reps", "1", "-psp", "DIV-1"})
+	err := run([]string{"-duration", "800", "-warmup", "50", "-reps", "1", "-psp", "DIV-1"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +25,7 @@ func TestSimRunsQuick(t *testing.T) {
 func TestSimCondFactory(t *testing.T) {
 	err := run([]string{"-factory", "cond", "-n", "2", "-stages", "3",
 		"-branches", "2", "-branch-probs", "0.3,0.7",
-		"-duration", "800", "-warmup", "50", "-reps", "1"})
+		"-duration", "800", "-warmup", "50", "-reps", "1"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestSimFlagErrors(t *testing.T) {
 		{"-k", "3000000000"},
 	}
 	for i, args := range cases {
-		if err := run(args); err == nil {
+		if err := run(args, io.Discard); err == nil {
 			t.Errorf("case %d: expected error for %v", i, args)
 		}
 	}
@@ -74,7 +76,7 @@ func TestSimTaskCap(t *testing.T) {
 	}
 	for _, args := range cases {
 		done := make(chan error, 1)
-		go func() { done <- run(args) }()
+		go func() { done <- run(args, io.Discard) }()
 		select {
 		case err := <-done:
 			if err == nil || !strings.Contains(err.Error(), "expected tasks") {
@@ -93,7 +95,7 @@ func TestSimMergedObsExport(t *testing.T) {
 	export := func(workers string) map[string]string {
 		dir := t.TempDir()
 		err := run([]string{"-duration", "800", "-warmup", "50", "-reps", "2",
-			"-workers", workers, "-obs", dir, "-obs-max-spans", "256"})
+			"-workers", workers, "-obs", dir, "-obs-max-spans", "256"}, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,16 +123,25 @@ func TestSimMergedObsExport(t *testing.T) {
 func TestSimRecordAndReplay(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "trace.txt")
-	if err := run([]string{"-duration", "500", "-warmup", "0", "-record-trace", trace}); err != nil {
+	if err := run([]string{"-duration", "500", "-warmup", "0", "-record-trace", trace}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if fi, err := os.Stat(trace); err != nil || fi.Size() == 0 {
 		t.Fatalf("trace not written: %v", err)
 	}
-	if err := run([]string{"-duration", "500", "-warmup", "0", "-psp", "GF", "-replay-trace", trace}); err != nil {
+	if err := run([]string{"-duration", "500", "-warmup", "0", "-psp", "GF", "-replay-trace", trace}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-replay-trace", filepath.Join(dir, "missing.txt")}); err == nil {
+	// An observed replay exports its telemetry as a run does.
+	obsDir := filepath.Join(dir, "obs")
+	var out strings.Builder
+	if err := run([]string{"-duration", "500", "-warmup", "0", "-replay-trace", trace, "-obs", obsDir}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "telemetry exported: "+filepath.Join(obsDir, obs.SpansFile)) {
+		t.Errorf("observed replay exported no bundle:\n%s", out.String())
+	}
+	if err := run([]string{"-replay-trace", filepath.Join(dir, "missing.txt")}, io.Discard); err == nil {
 		t.Error("missing trace file should error")
 	}
 }
@@ -164,9 +175,60 @@ func TestSimFlagProbes(t *testing.T) {
 		{"at node 99", []string{"-replay-trace", trace("far-node", "3000 3005 _@99:1")}},
 		{"line 1: deadline NaN", []string{"-replay-trace", trace("nan-deadline", "3000 NaN _@0:1")}},
 	} {
-		err := run(tc.args)
+		err := run(tc.args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestSimReplayFarArrival: one arrival at 1e13 stretches a replay's
+// horizon, so with telemetry on the sampler would tick 2e11 times. The
+// replay must fail at once with the sampler cap; it once ran until
+// killed. Without telemetry it runs.
+func TestSimReplayFarArrival(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "far.trace")
+	if err := os.WriteFile(trace, []byte("1e13 1.00000001e13 _@1:1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- run([]string{"-replay-trace", trace, "-obs", t.TempDir()}, io.Discard) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, sim.ErrSampler) {
+			t.Errorf("err = %v, want the sampler cap", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("still running after 30s")
+	}
+	if err := run([]string{"-replay-trace", trace}, io.Discard); err != nil {
+		t.Errorf("unobserved replay: %v", err)
+	}
+}
+
+// TestSimTelemetryOutput pins what an observed run prints: the merged
+// summary whenever -obs or -serve is set, and the exported files only
+// with -obs.
+func TestSimTelemetryOutput(t *testing.T) {
+	base := []string{"-duration", "300", "-warmup", "0", "-reps", "1"}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args              []string
+		summary, exported bool
+	}{
+		{nil, false, false},
+		{[]string{"-obs", dir}, true, true},
+		{[]string{"-serve", "127.0.0.1:0"}, true, false},
+	} {
+		var out strings.Builder
+		if err := run(append(append([]string(nil), base...), tc.args...), &out); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if got := strings.Contains(out.String(), "\nscheduling   enqueue"); got != tc.summary {
+			t.Errorf("%v: summary printed %v, want %v:\n%s", tc.args, got, tc.summary, out.String())
+		}
+		if got := strings.Contains(out.String(), "telemetry exported: "); got != tc.exported {
+			t.Errorf("%v: export listed %v, want %v:\n%s", tc.args, got, tc.exported, out.String())
 		}
 	}
 }

@@ -1,15 +1,11 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -60,99 +56,6 @@ func TestTraceFlagErrors(t *testing.T) {
 	}
 	if err := run([]string{"-ssp", "bogus"}, io.Discard); err == nil {
 		t.Error("bad ssp accepted")
-	}
-}
-
-// TestTraceFlagConflict pins the mode split: the causal-trace exports
-// replace the event log, so mixing the flag pairs is an error.
-func TestTraceFlagConflict(t *testing.T) {
-	for _, args := range [][]string{
-		{"-chrome", "x.json", "-log"},
-		{"-chrome", "x.json", "-jsonl"},
-		{"-tree", "x.jsonl", "-log"},
-		{"-tree", "x.jsonl", "-jsonl", "-chrome", "x.json"},
-	} {
-		err := run(args, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), "conflict") {
-			t.Errorf("run(%v) = %v, want conflict error", args, err)
-		}
-	}
-}
-
-// TestTraceBadPath: an unwritable export path surfaces as an error, not
-// a partial success.
-func TestTraceBadPath(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "no", "such", "dir", "x.json")
-	if err := run([]string{"-until", "50", "-chrome", path}, io.Discard); err == nil {
-		t.Fatal("run with unwritable -chrome path succeeded")
-	}
-}
-
-// TestTraceEmptyRun: a horizon too short for any global task to be
-// released yields a diagnostic instead of empty export files.
-func TestTraceEmptyRun(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.jsonl")
-	err := run([]string{"-until", "0.0001", "-tree", path}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "empty run") {
-		t.Fatalf("run on an empty horizon = %v, want empty-run error", err)
-	}
-}
-
-// TestTraceExports runs a short traced simulation and checks both export
-// files exist, parse, and agree with the printed summary.
-func TestTraceExports(t *testing.T) {
-	dir := t.TempDir()
-	treePath := filepath.Join(dir, "trees.jsonl")
-	chromePath := filepath.Join(dir, "trace.json")
-	var out bytes.Buffer
-	if err := run([]string{"-until", "200", "-tree", treePath, "-chrome", chromePath}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "causal trace:") {
-		t.Errorf("missing summary line in output:\n%s", out.String())
-	}
-
-	tf, err := os.Open(treePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tf.Close()
-	trees := 0
-	sc := bufio.NewScanner(tf)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var tree struct {
-			Root  uint64 `json:"root"`
-			Spans int    `json:"spans"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &tree); err != nil {
-			t.Fatalf("tree line %d: %v", trees+1, err)
-		}
-		if tree.Root == 0 || tree.Spans < 1 {
-			t.Errorf("tree line %d: root=%d spans=%d", trees+1, tree.Root, tree.Spans)
-		}
-		trees++
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if trees == 0 {
-		t.Error("tree export is empty")
-	}
-
-	cb, err := os.ReadFile(chromePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		DisplayTimeUnit string            `json:"displayTimeUnit"`
-		TraceEvents     []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(cb, &doc); err != nil {
-		t.Fatalf("chrome export is not valid JSON: %v", err)
-	}
-	if doc.DisplayTimeUnit != "ms" || len(doc.TraceEvents) == 0 {
-		t.Errorf("chrome export: displayTimeUnit=%q, %d events", doc.DisplayTimeUnit, len(doc.TraceEvents))
 	}
 }
 

@@ -28,7 +28,7 @@ const (
 	MaxSpans = 1 << 24 // span budgets: 256 times the default of 65536
 )
 
-var sharedCaps = map[string]float64{"reps": MaxReps, "obs-max-spans": MaxSpans, "max-spans": MaxSpans}
+var sharedCaps = map[string]float64{"reps": MaxReps, "obs-max-spans": MaxSpans}
 
 // Rule lists one command's exceptions to the numeric rule: the flags for
 // which an explicit 0 is a real value, and caps beyond the shared ones.

@@ -125,7 +125,10 @@ func TestTelemetryOff(t *testing.T) {
 	if err := tel.FinalizeSystem(nil, nil, info); err != nil {
 		t.Fatal(err)
 	}
-	tel.Finalize(nil, info)
+	var out strings.Builder
+	if err := tel.Export(&out, nil, info); err != nil || out.Len() != 0 {
+		t.Errorf("Export with telemetry off = %v, printed %q", err, out.String())
+	}
 	tel.Close()
 	if cfg.OnReplication != nil || tel.Options().Enabled {
 		t.Error("telemetry wired without -obs or -serve")
@@ -134,7 +137,8 @@ func TestTelemetryOff(t *testing.T) {
 
 // TestTelemetryLive drives the live server's whole lifecycle on a
 // loopback port: start, per-replication publishing on two workers, the
-// final pin, the hold and the shutdown.
+// final pin, the hold and the shutdown. Served without -obs, the run
+// prints its summary and writes no bundle.
 func TestTelemetryLive(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	tel := AddTelemetry(fs, "")
@@ -153,16 +157,21 @@ func TestTelemetryLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel.Finalize(res.Obs, info)
+	if err := tel.Export(&out, res.Obs, info); err != nil {
+		t.Fatal(err)
+	}
 	tel.Close()
 	tel.Close() // a second Close is a no-op
 	if hub.Publishes() == 0 || !cfg.Obs.Enabled {
 		t.Errorf("publishes %d, telemetry enabled %v", hub.Publishes(), cfg.Obs.Enabled)
 	}
-	for _, want := range []string{"live telemetry on http://127.0.0.1:", "holding observability server for 1ms"} {
+	for _, want := range []string{"live telemetry on http://127.0.0.1:", "\n" + res.Obs.Summary(), "holding observability server for 1ms"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}
+	}
+	if strings.Contains(out.String(), "telemetry exported") {
+		t.Errorf("a run served without -obs exported a bundle:\n%s", out.String())
 	}
 }
 

@@ -114,9 +114,8 @@ func (f *Fidelity) Options() exp.Options {
 
 // Telemetry is the -obs/-obs-max-spans/-serve/-serve-every/-serve-hold
 // group. It also runs the live server: Start binds it, Hook and Attach
-// feed it, Finalize or FinalizeSystem pins it to the run's fold and
-// Close holds and stops it. Without -serve every step but Start's check
-// is a no-op.
+// feed it, Export or FinalizeSystem pins it to the run's fold and Close
+// holds and stops it. Without -serve every server step is a no-op.
 type Telemetry struct {
 	Dir      string // -obs: export directory
 	maxSpans int
@@ -184,12 +183,27 @@ func (t *Telemetry) Hook(cfg *sim.Config) serve.RunInfo {
 	return info
 }
 
-// Finalize pins the served artifacts to the run's merged telemetry, so
-// /metrics, /summary and /blame match the merged export byte for byte.
-func (t *Telemetry) Finalize(m *obs.Merged, info serve.RunInfo) {
+// Export ends a run whose telemetry is the merge m. It pins the served
+// artifacts to m, so /metrics, /summary and /blame match the export byte
+// for byte; when -obs or -serve is set it prints m's summary; and with
+// -obs it writes m's bundle into the -obs directory and lists its files.
+func (t *Telemetry) Export(w io.Writer, m *obs.Merged, info serve.RunInfo) error {
 	if t.srv != nil {
 		t.srv.Hub().Finalize(m, info)
 	}
+	if !t.On() {
+		return nil
+	}
+	fmt.Fprintf(w, "\n%s", m.Summary())
+	if t.Dir == "" {
+		return nil
+	}
+	paths, err := m.ExportDir(t.Dir)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "telemetry exported: %s\n", strings.Join(paths, " "))
+	return nil
 }
 
 // FinalizeSystem ends a run that builds one system instead of calling

@@ -14,6 +14,7 @@ import (
 const (
 	SpansFile      = "spans.jsonl"
 	EdgesFile      = "edges.jsonl"
+	ExemplarsFile  = "exemplars.jsonl"
 	MetricsFile    = "metrics.prom"
 	TimeSeriesFile = "timeseries.csv"
 	DashboardFile  = "dashboard.svg"
@@ -21,15 +22,16 @@ const (
 )
 
 // ExportDir writes the full telemetry export into dir (created if
-// missing): the span and edge logs as JSONL, the instrument catalog in
-// Prometheus text exposition format, the sampled time series as CSV, the
-// SVG dashboard, and the human-readable summary. The dashboard is
-// skipped — not an error — when the run produced nothing to plot. It
-// returns the paths written.
+// missing): the span and edge logs and the exemplar selection as JSONL,
+// the instrument catalog in Prometheus text exposition format, the
+// sampled time series as CSV, the SVG dashboard, and the human-readable
+// summary. The dashboard is skipped — not an error — when the run
+// produced nothing to plot. It returns the paths written.
 func (t *Telemetry) ExportDir(dir string) ([]string, error) {
 	files := []exportFile{
 		{SpansFile, t.WriteSpans},
 		{EdgesFile, t.WriteEdges},
+		{ExemplarsFile, func(w io.Writer) error { return writeRecords(w, t.Exemplars(), "exemplar") }},
 		{MetricsFile, t.WritePrometheus},
 		{TimeSeriesFile, t.WriteCSV},
 	}

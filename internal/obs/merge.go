@@ -531,24 +531,25 @@ func writeRecords(w io.Writer, recs []Record, what string) error {
 	return nil
 }
 
-// SpansForAnalysis returns the union of the retained span log and the
-// exemplar selection, deduplicated on (rep, id) and ordered by
-// (rep, id) — the input sdablame and the /blame endpoint analyze. Under
-// a tight budget the exemplars guarantee each kind's worst and latest
-// spans are present. Where a (rep, id) repeats, the first span-log
-// record wins over later ones and over the exemplars.
+// SpansForAnalysis returns AnalysisInput over the snapshot's retained
+// span log and its exemplar selection: the input of the /blame endpoint
+// and of the blame report in every telemetry bundle.
+func (s *Snapshot) SpansForAnalysis() []Record {
+	return AnalysisInput(s.Spans, s.Exemplars.Records())
+}
+
+// AnalysisInput returns the union of a span log and an exemplar
+// selection, deduplicated on (rep, id) and ordered by (rep, id) — the
+// input attribution analyzes. Under a tight budget the exemplars
+// guarantee each kind's worst and latest spans are present. Where a
+// (rep, id) repeats, the first span-log record wins over later ones and
+// over the exemplars. Neither argument is modified.
 //
 // The span log of a merge or a shard is already in (rep, id) order, so
 // it merges with the few sorted exemplars in one linear pass; an
 // unsorted log is sorted first.
-func (s *Snapshot) SpansForAnalysis() []Record {
-	spans := s.Spans
-	if !recordsSorted(spans) {
-		spans = append([]Record(nil), spans...)
-		sort.SliceStable(spans, func(i, j int) bool { return recordLess(&spans[i], &spans[j]) })
-	}
-	ex := s.Exemplars.Records()
-	sort.SliceStable(ex, func(i, j int) bool { return recordLess(&ex[i], &ex[j]) })
+func AnalysisInput(spans, exemplars []Record) []Record {
+	spans, ex := sortedRecords(spans), sortedRecords(exemplars)
 	out := make([]Record, 0, len(spans)+len(ex))
 	i, j := 0, 0
 	for i < len(spans) || j < len(ex) {
@@ -567,6 +568,17 @@ func (s *Snapshot) SpansForAnalysis() []Record {
 		out = append(out, *rec)
 	}
 	return out
+}
+
+// sortedRecords returns recs if it is in (rep, id) order, else a copy
+// stably sorted into that order.
+func sortedRecords(recs []Record) []Record {
+	if recordsSorted(recs) {
+		return recs
+	}
+	recs = append([]Record(nil), recs...)
+	sort.SliceStable(recs, func(i, j int) bool { return recordLess(&recs[i], &recs[j]) })
+	return recs
 }
 
 // recordLess orders records by (rep, id).
@@ -678,11 +690,6 @@ func (s *Snapshot) Dashboard() (string, error) {
 	}
 	return svgplot.Compose(panels...)
 }
-
-// Export file names specific to merged output; the shared names in
-// export.go (MetricsFile, SpansFile, ...) are reused where the content
-// is the same shape.
-const ExemplarsFile = "exemplars.jsonl"
 
 // ExportDir writes the merged telemetry export into dir (created if
 // missing): the merged span log, edge log and exemplars as JSONL, the

@@ -360,7 +360,8 @@ func (h *Hub) tailLocked() []obs.Record {
 // publish; immutable once rendered). Mid-run it covers the span tail,
 // keeping a read O(ring) however long the run gets; once the whole run
 // has folded it analyzes the retained-plus-exemplar span set, matching
-// an offline sdablame pass over the exported spans.
+// the exported bundle's blame report and an offline sdaobs -from pass
+// over that bundle.
 func (h *Hub) Blame() *attrib.Report {
 	h.mu.Lock()
 	defer h.mu.Unlock()

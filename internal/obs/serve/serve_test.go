@@ -165,8 +165,8 @@ func TestEndpoints(t *testing.T) {
 
 // TestLiveBlameMatchesOffline proves the live /blame endpoint and the
 // offline analyzer agree: the hub analyzes the same retained-plus-
-// exemplar span set an offline sdablame pass reads, so the bytes must be
-// identical.
+// exemplar span set an offline sdaobs -from pass reads, so the bytes must
+// be identical.
 func TestLiveBlameMatchesOffline(t *testing.T) {
 	srv, fold := runServed(t)
 	_, live := get(t, "http://"+srv.Addr()+"/blame")

@@ -47,8 +47,8 @@ func BlameCheck(o exp.Options) ([]BlameCell, error) {
 			return nil, fmt.Errorf("blame %s: %w", c.name, err)
 		}
 		// Retained spans plus exemplars across every replication, merged
-		// deterministically — the same input an offline sdablame pass over
-		// the run's exported spans would analyze.
+		// deterministically — the same input an offline sdaobs -from pass
+		// over the run's exported bundle would analyze.
 		out[i] = BlameCell{Strategy: c.name, Report: attrib.Analyze(res.Obs.Snapshot().SpansForAnalysis())}
 	}
 	return out, nil

@@ -57,7 +57,8 @@ func TestServeAndAttributionDoNotPerturb(t *testing.T) {
 				t.Fatalf("hub never published")
 			}
 			// The hub's live report must equal an offline analysis of the
-			// same spans — /blame and sdablame agree by construction.
+			// same spans — /blame and the bundle's blame report agree by
+			// construction.
 			offline, err := attrib.Analyze(tel.Spans()).JSON()
 			if err != nil {
 				t.Fatal(err)

@@ -224,14 +224,20 @@ const MaxTasks = 1e8
 // out-of-memory crash. It is 256 times the default of 4096.
 const MaxSamples = 1 << 20
 
-// ErrSampler marks a Validate failure of the enabled telemetry sampler:
-// a non-finite Obs.SampleEvery, more than MaxTasks expected sampler ticks
-// per replication, or Obs.MaxSamples past MaxSamples.
+// ErrSampler marks a Validate or ReplayTrace failure of the enabled
+// telemetry sampler: a non-finite Obs.SampleEvery, more than MaxTasks
+// sampler ticks per replication (up to the last arrival of a replay), or
+// Obs.MaxSamples past MaxSamples.
 var ErrSampler = errors.New("sim: telemetry sampler")
 
 // Validate checks the configuration. The comparisons are negated so that
 // a NaN field fails them.
-func (c Config) Validate() error {
+func (c Config) Validate() error { return c.validate(true) }
+
+// validate checks the configuration; with synthetic set it also caps the
+// tasks the workload's rates are expected to generate, which a replay,
+// whose trace is the workload, skips.
+func (c Config) validate(synthetic bool) error {
 	c = c.normalized()
 	if err := c.Spec.Validate(); err != nil {
 		return err
@@ -243,21 +249,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: warmup %v must be non-negative and finite", c.Warmup)
 	}
 	rate := float64(c.Spec.K)*c.Spec.LocalRate() + c.Spec.GlobalRate()
-	if tasks := rate * float64(c.Warmup+c.Duration); !(tasks <= MaxTasks) {
+	if tasks := rate * float64(c.Warmup+c.Duration); synthetic && !(tasks <= MaxTasks) {
 		return fmt.Errorf("sim: about %.3g expected tasks per replication, past the cap of %.0g", tasks, float64(MaxTasks))
 	}
 	if c.Replications < 1 {
 		return fmt.Errorf("sim: replications %d must be >= 1", c.Replications)
 	}
-	if o := c.Obs; o.Enabled {
-		every := float64(o.SampleEvery) // <= 0 selects obs's default cadence
-		switch ticks := float64(c.Warmup+c.Duration) / every; {
-		case math.IsNaN(every) || math.IsInf(every, 0):
-			return fmt.Errorf("%w: SampleEvery %v must be finite", ErrSampler, every)
-		case every > 0 && !(ticks <= MaxTasks):
-			return fmt.Errorf("%w: sampling every %v makes about %.3g ticks per replication, past the cap of %.0g", ErrSampler, every, ticks, float64(MaxTasks))
-		case o.MaxSamples > MaxSamples:
-			return fmt.Errorf("%w: MaxSamples %d is past the cap of %d", ErrSampler, o.MaxSamples, MaxSamples)
+	if c.Obs.Enabled {
+		if err := checkSampler(c.Obs, simtime.Time(c.Warmup+c.Duration)); err != nil {
+			return err
 		}
 	}
 	switch c.Abort {
@@ -300,6 +300,26 @@ func (c Config) Validate() error {
 				return fmt.Errorf("sim: node %d baseline rate %v must be positive", i, r)
 			}
 		}
+	}
+	return nil
+}
+
+// checkSampler returns an error wrapping ErrSampler when the sampler of
+// the enabled telemetry o has a non-finite cadence, would tick more than
+// MaxTasks times up to horizon, or keeps more than MaxSamples samples. A
+// cadence of zero or less is obs's default.
+func checkSampler(o obs.Options, horizon simtime.Time) error {
+	every := float64(o.SampleEvery)
+	if every <= 0 {
+		every = float64(obs.DefaultOptions().SampleEvery)
+	}
+	switch ticks := float64(horizon) / every; {
+	case math.IsNaN(every) || math.IsInf(every, 0):
+		return fmt.Errorf("%w: SampleEvery %v must be finite", ErrSampler, every)
+	case !(ticks <= MaxTasks):
+		return fmt.Errorf("%w: sampling every %v up to %v makes about %.3g ticks, past the cap of %.0g", ErrSampler, every, float64(horizon), ticks, float64(MaxTasks))
+	case o.MaxSamples > MaxSamples:
+		return fmt.Errorf("%w: MaxSamples %d is past the cap of %d", ErrSampler, o.MaxSamples, MaxSamples)
 	}
 	return nil
 }
@@ -846,8 +866,22 @@ func (c *collector) result() RepResult {
 // included.
 func ReplayTrace(cfg Config, arrivals []workload.Arrival) (RepResult, error) {
 	cfg = cfg.normalized()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(false); err != nil {
 		return RepResult{}, err
+	}
+	if len(arrivals) > MaxTasks {
+		return RepResult{}, fmt.Errorf("sim: %d arrivals in the trace, past the cap of %.0g", len(arrivals), float64(MaxTasks))
+	}
+	horizon := simtime.Time(cfg.Warmup + cfg.Duration)
+	for _, a := range arrivals {
+		horizon = horizon.Max(a.At)
+	}
+	// The sampler ticks up to the stretched horizon, not the configured
+	// one that validate checked.
+	if cfg.Obs.Enabled {
+		if err := checkSampler(cfg.Obs, horizon); err != nil {
+			return RepResult{}, err
+		}
 	}
 	sys := build(cfg)
 	if err := workload.Replay(sys.Eng, sys.Mgr, arrivals); err != nil {
@@ -855,10 +889,6 @@ func ReplayTrace(cfg Config, arrivals []workload.Arrival) (RepResult, error) {
 	}
 	if cfg.OnSystem != nil {
 		cfg.OnSystem(sys)
-	}
-	horizon := sys.Horizon()
-	for _, a := range arrivals {
-		horizon = horizon.Max(a.At)
 	}
 	return sys.Finish(horizon), nil
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -462,5 +464,40 @@ func TestReplayTraceValidates(t *testing.T) {
 	cfg.Duration = 0
 	if _, err := ReplayTrace(cfg, nil); err == nil {
 		t.Error("invalid config accepted")
+	}
+}
+
+// TestReplayTraceCapsSamplerTicks: a replay is measured up to its last
+// arrival, so one far arrival stretches the sampler's horizon past the
+// tick cap that Validate checked on the configured one. The replay must
+// fail with ErrSampler at once instead of ticking 2e11 times; it once
+// ran until killed.
+func TestReplayTraceCapsSamplerTicks(t *testing.T) {
+	arrivals, err := workload.ReadTrace(strings.NewReader("1e13 1.00000001e13 _@1:1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickCfg()
+	cfg.Replications = 1
+	cfg.Obs = obs.Options{Enabled: true}
+	done := make(chan error, 1)
+	go func() {
+		_, err := ReplayTrace(cfg, arrivals)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrSampler) {
+			t.Fatalf("ReplayTrace = %v, want an ErrSampler error", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("ReplayTrace still running after 1s")
+	}
+	// Without telemetry the same replay has no sampler to cap, and the
+	// synthetic rates' task cap does not apply to a trace.
+	cfg.Obs = obs.Options{}
+	cfg.Spec.Load = 1e300
+	if _, err := ReplayTrace(cfg, arrivals); err != nil {
+		t.Fatalf("ReplayTrace without telemetry: %v", err)
 	}
 }
