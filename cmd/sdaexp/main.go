@@ -165,7 +165,7 @@ func (p *plan) exportObserved(out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return p.tel.Export(out, res.Obs, info)
+	return p.tel.Export(out, res.Obs, nil, info)
 }
 
 func runOne(e exp.Experiment, opts exp.Options, format string, out io.Writer) error {

@@ -1,11 +1,12 @@
 // Command sdaobs runs one telemetry-instrumented simulation and exports
 // the unified telemetry bundle: task-lifecycle spans as JSONL, the
-// instrument catalog in Prometheus text exposition format, the sampled
-// time series as CSV, an SVG queue-depth/slack dashboard, a
-// human-readable summary, and the miss-cause attribution report
-// (blame.md / blame.json). Telemetry is clocked on simulated time and
-// never perturbs the run, so the export is bit-identical on every
-// invocation with the same inputs.
+// instrument catalog in Prometheus text exposition format, an SVG
+// dashboard of the slack, lateness and latency quantile bands, a
+// human-readable summary, the miss-cause attribution report
+// (blame.md / blame.json) and, for a run of one system, its sampled time
+// series as CSV. Telemetry is clocked on simulated time and never
+// perturbs the run, so the export is bit-identical on every invocation
+// with the same inputs.
 //
 // Modes:
 //
@@ -115,10 +116,16 @@ func (p *plan) Execute(w io.Writer) error {
 	if p.from != "" {
 		return p.rederive(w)
 	}
+	// Every mode exports a fold: the cross-replication merge of a
+	// multi-replication run, or a fold of the one system's shard, which
+	// also writes the system's sampled time series. The fold's snapshot
+	// holds the retained spans and edges plus the exemplars: under a
+	// tight -obs-max-spans budget the worst and latest spans per kind are
+	// still present.
 	var (
-		tel    *obs.Telemetry // single-shard modes: scenario, -reps 1
-		merged *obs.Merged    // multi-replication synthetic mode
-		cfg    = p.cfg
+		tel  *obs.Telemetry // single-system modes: scenario, -reps 1
+		fold *obs.Merged
+		cfg  = p.cfg
 	)
 	switch {
 	case p.sc != nil:
@@ -138,7 +145,7 @@ func (p *plan) Execute(w io.Writer) error {
 		}
 		fmt.Fprintf(w, "synthetic %s load=%g x%d reps: md_local %s  md_global %s  util %s\n",
 			cfg.Name(), cfg.Spec.Load, cfg.Replications, res.MDLocal, res.MDGlobal, res.Utilization)
-		merged = res.Obs
+		fold = res.Obs
 	default:
 		sys, err := sim.NewSystem(cfg, cfg.Seed)
 		if err != nil {
@@ -153,33 +160,24 @@ func (p *plan) Execute(w io.Writer) error {
 		tel = sys.Telemetry()
 	}
 
-	// Single-shard exports keep the per-run extras (sampled time series);
-	// the merged export folds every replication's shard in index order.
-	// Either snapshot holds the retained spans and edges plus the
-	// exemplars: under a tight -obs-max-spans budget the worst and latest
-	// spans per kind are still present.
-	var (
-		paths   []string
-		snap    *obs.Snapshot
-		summary string
-		err     error
-	)
-	if merged != nil {
-		paths, err = merged.ExportDir(p.outDir)
-		snap = merged.Snapshot()
-		summary = snap.Summary()
-	} else {
-		paths, err = tel.ExportDir(p.outDir)
-		snap, summary = tel.Snapshot(0), tel.Summary()
+	var sampler *obs.Sampler
+	if tel != nil {
+		fold = obs.NewMerged()
+		if err := tel.MergeInto(fold); err != nil {
+			return err
+		}
+		sampler = tel.Sampler()
 	}
+	paths, err := obs.ExportBundle(p.outDir, fold, sampler)
 	if err != nil {
 		return err
 	}
+	snap := fold.Snapshot()
 	derived, err := derive(p.outDir, snap.Spans, snap.Edges, snap.Exemplars.Records())
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\n%sexported: %s\n", summary, strings.Join(append(paths, derived...), " "))
+	fmt.Fprintf(w, "\n%sexported: %s\n", fold.Summary(), strings.Join(append(paths, derived...), " "))
 	return nil
 }
 

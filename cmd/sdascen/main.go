@@ -209,16 +209,17 @@ func (p *plan) Execute(w io.Writer) error {
 			continue
 		}
 		var (
-			out *scenario.Outcome
-			tel *obs.Telemetry
-			fl  *des.Flight
-			err error
+			out  *scenario.Outcome
+			tel  *obs.Telemetry
+			fold *obs.Merged
+			fl   *des.Flight
+			err  error
 		)
 		if p.tel.On() || p.flightDir != "" {
 			// Telemetry and the flight recorder never perturb the run, so
 			// the golden checks below still apply unchanged.
 			info := serve.RunInfo{Label: fmt.Sprintf("%s (%d/%d)", sc.Name, i+1, len(scs)), Replications: 1}
-			fold := obs.NewMerged()
+			fold = obs.NewMerged()
 			out, tel, err = scenario.RunObservedWith(sc, p.tel.Options(), func(sys *sim.System) {
 				if p.flightDir != "" {
 					fl = des.NewFlight()
@@ -258,7 +259,7 @@ func (p *plan) Execute(w io.Writer) error {
 		}
 		if tel != nil && p.tel.Dir != "" {
 			exportDir := filepath.Join(p.tel.Dir, sc.Name)
-			if _, err := tel.ExportDir(exportDir); err != nil {
+			if _, err := obs.ExportBundle(exportDir, fold, tel.Sampler()); err != nil {
 				return fmt.Errorf("%s: %w", sc.Name, err)
 			}
 			fmt.Fprintf(w, "     telemetry exported to %s\n", exportDir)

@@ -126,7 +126,7 @@ func TestTelemetryOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := tel.Export(&out, nil, info); err != nil || out.Len() != 0 {
+	if err := tel.Export(&out, nil, nil, info); err != nil || out.Len() != 0 {
 		t.Errorf("Export with telemetry off = %v, printed %q", err, out.String())
 	}
 	tel.Close()
@@ -157,7 +157,7 @@ func TestTelemetryLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tel.Export(&out, res.Obs, info); err != nil {
+	if err := tel.Export(&out, res.Obs, nil, info); err != nil {
 		t.Fatal(err)
 	}
 	tel.Close()

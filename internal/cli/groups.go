@@ -186,8 +186,10 @@ func (t *Telemetry) Hook(cfg *sim.Config) serve.RunInfo {
 // Export ends a run whose telemetry is the merge m. It pins the served
 // artifacts to m, so /metrics, /summary and /blame match the export byte
 // for byte; when -obs or -serve is set it prints m's summary; and with
-// -obs it writes m's bundle into the -obs directory and lists its files.
-func (t *Telemetry) Export(w io.Writer, m *obs.Merged, info serve.RunInfo) error {
+// -obs it writes m's bundle into the -obs directory (obs.ExportBundle,
+// with the sampler s of a run that built one system, or nil) and lists
+// its files.
+func (t *Telemetry) Export(w io.Writer, m *obs.Merged, s *obs.Sampler, info serve.RunInfo) error {
 	if t.srv != nil {
 		t.srv.Hub().Finalize(m, info)
 	}
@@ -198,7 +200,7 @@ func (t *Telemetry) Export(w io.Writer, m *obs.Merged, info serve.RunInfo) error
 	if t.Dir == "" {
 		return nil
 	}
-	paths, err := m.ExportDir(t.Dir)
+	paths, err := obs.ExportBundle(t.Dir, m, s)
 	if err != nil {
 		return err
 	}
@@ -208,16 +210,18 @@ func (t *Telemetry) Export(w io.Writer, m *obs.Merged, info serve.RunInfo) error
 
 // FinalizeSystem ends a run that builds one system instead of calling
 // sim.Run: it hands the finished telemetry tel to fold, the merge Attach
-// was given, and pins the served artifacts to it. It does nothing
-// without -serve or when telemetry is off (tel nil).
+// was given, and pins the served artifacts to it. It does nothing when
+// telemetry is off (tel nil).
 func (t *Telemetry) FinalizeSystem(tel *obs.Telemetry, fold *obs.Merged, info serve.RunInfo) error {
-	if t.srv == nil || tel == nil {
+	if tel == nil {
 		return nil
 	}
 	if err := tel.MergeInto(fold); err != nil {
 		return err
 	}
-	t.srv.Hub().Finalize(fold, info)
+	if t.srv != nil {
+		t.srv.Hub().Finalize(fold, info)
+	}
 	return nil
 }
 

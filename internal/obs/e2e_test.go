@@ -35,6 +35,17 @@ func runObserved(t *testing.T, cfg sim.Config, seed uint64) (sim.RepResult, *obs
 	return rep, sys.Telemetry()
 }
 
+// fold hands tel to a fresh merge as its one shard, as every run that
+// builds one system does before it exports.
+func fold(t *testing.T, tel *obs.Telemetry) *obs.Merged {
+	t.Helper()
+	m := obs.NewMerged()
+	if err := tel.MergeInto(m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestTelemetryDoesNotChangeResults(t *testing.T) {
 	base := smallConfig()
 	off, telOff := runObserved(t, base, 7)
@@ -62,17 +73,18 @@ func TestTelemetryExportsAreDeterministic(t *testing.T) {
 
 	export := func() (string, string, string, string) {
 		_, tel := runObserved(t, cfg, 11)
+		m := fold(t, tel)
 		var prom, csv, spans strings.Builder
-		if err := tel.WritePrometheus(&prom); err != nil {
+		if err := m.WritePrometheus(&prom); err != nil {
 			t.Fatal(err)
 		}
-		if err := tel.WriteCSV(&csv); err != nil {
+		if err := tel.Sampler().WriteCSV(&csv); err != nil {
 			t.Fatal(err)
 		}
-		if err := tel.WriteSpans(&spans); err != nil {
+		if err := m.WriteSpans(&spans); err != nil {
 			t.Fatal(err)
 		}
-		svg, err := tel.Dashboard()
+		svg, err := m.Snapshot().Dashboard()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,9 +119,10 @@ func TestSpanLogShape(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Obs = obs.Options{Enabled: true}
 	_, tel := runObserved(t, cfg, 3)
+	m := fold(t, tel)
 
 	var spans strings.Builder
-	if err := tel.WriteSpans(&spans); err != nil {
+	if err := m.WriteSpans(&spans); err != nil {
 		t.Fatal(err)
 	}
 	kinds := map[string]int{}
@@ -163,8 +176,8 @@ func TestSpanLogShape(t *testing.T) {
 	if got := len(tel.Spans()); got != n {
 		t.Fatalf("Spans() returned %d records, JSONL had %d", got, n)
 	}
-	if !strings.Contains(tel.Summary(), "slack") {
-		t.Fatalf("summary missing slack line:\n%s", tel.Summary())
+	if !strings.Contains(m.Summary(), "slack") {
+		t.Fatalf("summary missing slack line:\n%s", m.Summary())
 	}
 }
 

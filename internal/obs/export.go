@@ -10,7 +10,7 @@ import (
 	"repro/internal/par"
 )
 
-// Export file names written by ExportDir.
+// Export file names written by Merged.ExportDir and ExportBundle.
 const (
 	SpansFile      = "spans.jsonl"
 	EdgesFile      = "edges.jsonl"
@@ -21,25 +21,21 @@ const (
 	SummaryFile    = "summary.txt"
 )
 
-// ExportDir writes the full telemetry export into dir (created if
-// missing): the span and edge logs and the exemplar selection as JSONL,
-// the instrument catalog in Prometheus text exposition format, the
-// sampled time series as CSV, the SVG dashboard, and the human-readable
-// summary. The dashboard is skipped — not an error — when the run
-// produced nothing to plot. It returns the paths written.
-func (t *Telemetry) ExportDir(dir string) ([]string, error) {
-	files := []exportFile{
-		{SpansFile, t.WriteSpans},
-		{EdgesFile, t.WriteEdges},
-		{ExemplarsFile, func(w io.Writer) error { return writeRecords(w, t.Exemplars(), "exemplar") }},
-		{MetricsFile, t.WritePrometheus},
-		{TimeSeriesFile, t.WriteCSV},
+// ExportBundle writes the telemetry bundle of fold into dir with
+// Merged.ExportDir and returns the paths written. s is the sampler of a
+// run that built one system, whose one shard fold holds, or nil: sampled
+// time series do not merge, so a single system's is written beside the
+// bundle as TimeSeriesFile.
+func ExportBundle(dir string, fold *Merged, s *Sampler) ([]string, error) {
+	paths, err := fold.ExportDir(dir)
+	if err != nil || s == nil {
+		return paths, err
 	}
-	if svg, err := t.Dashboard(); err == nil {
-		files = append(files, exportFile{DashboardFile, writeString(svg)})
+	path := filepath.Join(dir, TimeSeriesFile)
+	if err := WriteFile(path, s.WriteCSV); err != nil {
+		return paths, fmt.Errorf("obs: export %s: %w", TimeSeriesFile, err)
 	}
-	files = append(files, exportFile{SummaryFile, writeString(t.Summary())})
-	return exportFiles(dir, files)
+	return append(paths, path), nil
 }
 
 // exportFile is one file of an export bundle and the function that

@@ -65,8 +65,6 @@ func TestRecordErrorPastFirstChunk(t *testing.T) {
 	}{
 		{"merged span", snap.Spans, func(w *bytes.Buffer) error { return m.WriteSpans(w) }},
 		{"merged edge", snap.Edges, func(w *bytes.Buffer) error { return m.WriteEdges(w) }},
-		{"span", shards[1].Spans(), func(w *bytes.Buffer) error { return shards[1].WriteSpans(w) }},
-		{"edge", shards[1].Edges(), func(w *bytes.Buffer) error { return shards[1].WriteEdges(w) }},
 	} {
 		want, wantErr := serialLines(c.recs, c.what)
 		if wantErr == nil {

@@ -21,8 +21,8 @@ type Snapshot struct {
 	// merged aggregate.
 	Rep int
 
-	// Registry holds every instrument: counters, gauges-at-end,
-	// histograms and quantile sketches.
+	// Registry holds every instrument: counters, gauges-at-end and
+	// quantile sketches.
 	Registry RegistrySnapshot
 
 	// Spans is the shard's retained span ring (possibly tail-limited for
@@ -127,7 +127,7 @@ func (a *Snapshot) mergeHead(s *Snapshot) error {
 // Shards may arrive in any order from any goroutine (Telemetry.MergeInto
 // hands them over): the merge buffers them and folds only the
 // consecutive run starting at replication 0, so the float additions
-// (histogram and sketch sums, gauge totals) always fold in
+// (sketch sums, gauge totals) always fold in
 // replication-index order and the aggregate is bit-identical no matter
 // how many workers produced the shards.
 //
@@ -460,9 +460,7 @@ func (m *Merged) locked(what string, write func() error) error {
 }
 
 // WritePrometheus writes the merged instrument catalog in the Prometheus
-// text exposition format — the same format the per-shard exposition
-// uses, so the merge of one shard is byte-identical to that shard's own
-// export.
+// text exposition format.
 func (m *Merged) WritePrometheus(w io.Writer) error {
 	return m.locked("exposition", func() error { return m.agg.Registry.WritePrometheus(w) })
 }
@@ -608,8 +606,8 @@ func (s *Snapshot) GlobalCounts() (resolved, missed int) {
 		int(s.Registry.counter("sda_missed_total", `class="global"`))
 }
 
-// Summary renders a human-readable digest of the merged telemetry,
-// mirroring Telemetry.Summary with sketch-backed quantiles.
+// Summary renders a human-readable digest of the merged telemetry with
+// sketch-backed quantiles.
 func (s *Snapshot) Summary() string { return s.summary(len(s.Spans), len(s.Edges)) }
 
 // summary renders Summary for a snapshot retaining spans spans and

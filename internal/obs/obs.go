@@ -1,7 +1,7 @@
 // Package obs is the unified simulation telemetry layer: a metrics
-// registry (counters, gauges, fixed-bucket histograms), task-lifecycle
-// spans, and a ring-buffered time-series sampler, all clocked on
-// simulated time.
+// registry (counters, gauges, quantile sketches), task-lifecycle spans,
+// and a ring-buffered time-series sampler, all clocked on simulated
+// time.
 //
 // The layer exists to explain *why* a deadline-assignment strategy
 // misses: queue buildup at bottleneck nodes, slack exhaustion across
@@ -20,16 +20,17 @@
 //     and the DES hot path stays allocation-free, guarded by the
 //     sdabench benchmark suite.
 //
-// Exports: JSONL spans (WriteSpans), Prometheus text exposition
-// (WritePrometheus), CSV time series (WriteCSV) and an SVG queue-depth /
-// slack dashboard (Dashboard). cmd/sdaobs and the -obs flags on
-// sdasim/sdaexp/sdascen drive them from the command line.
+// Exports: a run's telemetry is handed to a Merged fold (MergeInto), one
+// shard per replication, and Merged.ExportDir writes the bundle — JSONL
+// spans, edges and exemplars, Prometheus text exposition, a quantile-band
+// SVG dashboard and a summary. A run that built one system also writes
+// its sampled time series beside it (Sampler.WriteCSV). cmd/sdaobs and
+// the -obs flags on sdasim/sdaexp/sdascen drive them from the command
+// line.
 package obs
 
 import (
 	"fmt"
-	"io"
-	"strings"
 
 	"repro/internal/des"
 	"repro/internal/node"
@@ -100,9 +101,9 @@ func (o Options) normalized() Options {
 
 // Telemetry is one run's telemetry state. Create with New, attach it as
 // a node observer and process-manager listener (sim.Config.Obs does this
-// wiring), Bind it to the engine and nodes, Start the sampler, and read
-// the exports after the run. All methods run on the simulation
-// goroutine; Telemetry is not safe for concurrent use.
+// wiring), Bind it to the engine and nodes, Start the sampler, and hand
+// it to a Merged with MergeInto after the run. All methods run on the
+// simulation goroutine; Telemetry is not safe for concurrent use.
 type Telemetry struct {
 	opts Options
 	reg  *Registry
@@ -122,12 +123,10 @@ type Telemetry struct {
 
 	inflight float64 // global tasks released and not yet resolved
 
-	slackHist    *Histogram // assigned slack at every release
-	latenessHist *Histogram // lateness at span close (end - judging deadline)
-
-	// Mergeable quantile sketches mirroring the series above plus span
-	// duration; these survive the cross-replication merge losslessly
-	// where the fixed-bucket histograms only survive bucket-wise.
+	// Mergeable quantile sketches of the assigned slack at every
+	// release, the lateness at span close (end - judging deadline) and
+	// the span duration; they survive the cross-replication merge
+	// losslessly.
 	slackSk    *SketchInstrument
 	latenessSk *SketchInstrument
 	latencySk  *SketchInstrument
@@ -171,7 +170,6 @@ type Telemetry struct {
 	dagShape map[*task.Task][2]int
 
 	sampler *Sampler
-	nodes   []*node.Node
 }
 
 var (
@@ -210,11 +208,6 @@ func New(o Options) *Telemetry {
 		edgeEvicted: reg.Counter("sda_edges_dropped_total", `reason="evicted"`,
 			"causal edges discarded by reason"),
 
-		slackHist: reg.Histogram("sda_assigned_slack", "",
-			"assigned slack at release: vdl - release - predicted work", -20, 80, 100),
-		latenessHist: reg.Histogram("sda_span_lateness", "",
-			"span end minus judging deadline (negative = early)", -50, 50, 100),
-
 		slackSk: reg.Sketch("sda_slack_quantiles", "",
 			"assigned slack at release (mergeable quantile sketch)"),
 		latenessSk: reg.Sketch("sda_lateness_quantiles", "",
@@ -246,7 +239,6 @@ func (t *Telemetry) Registry() *Registry { return t.reg }
 // Start.
 func (t *Telemetry) Bind(eng *des.Engine, nodes []*node.Node) {
 	t.eng = eng
-	t.nodes = nodes
 	probes := make([]Probe, 0, len(nodes)+3)
 	for _, n := range nodes {
 		n := n
@@ -332,7 +324,6 @@ func (t *Telemetry) RecordRelease(tk, root *task.Task, budget simtime.Time) {
 	now := t.now()
 	pex := float64(tk.PredictedCriticalPath()) // a walk of a composite: take it once
 	slack := float64(tk.VirtualDeadline) - now - pex
-	t.slackHist.Observe(slack)
 	t.slackSk.Observe(slack)
 
 	// A still-open span of tk is a failed trial: a re-release after a
@@ -470,9 +461,6 @@ func (t *Telemetry) addEdge(kind string, from, to, root uint64, at float64, labe
 	}
 }
 
-// Edges returns the retained causal-edge records, oldest first.
-func (t *Telemetry) Edges() []Record { return t.edgesTail(0) }
-
 // edgesTail returns the last n retained causal-edge records, oldest
 // first (n <= 0 returns them all).
 func (t *Telemetry) edgesTail(n int) []Record {
@@ -575,7 +563,6 @@ func (t *Telemetry) finishSpan(sp *span, end float64, missed, aborted bool) {
 	if sp.hasRDL {
 		judge = sp.realDL
 	}
-	t.latenessHist.Observe(end - judge)
 	t.latenessSk.Observe(end - judge)
 	t.latencySk.Observe(end - sp.start)
 	t.ex.observeClose(sp)
@@ -630,7 +617,6 @@ func (t *Telemetry) RecordLocal(tk *task.Task, missed bool) {
 	}
 	end := t.endOf(tk)
 	slack := float64(tk.RealDeadline) - float64(tk.Arrival) - float64(tk.Exec)
-	t.latenessHist.Observe(end - float64(tk.RealDeadline))
 	t.latenessSk.Observe(end - float64(tk.RealDeadline))
 	t.latencySk.Observe(end - float64(tk.Arrival))
 	sp := span{
@@ -697,52 +683,4 @@ func (t *Telemetry) RecordGlobal(root *task.Task, missed bool) {
 		}
 		t.finishSpan(sp, end, m, root.Aborted)
 	})
-}
-
-// --- exports ----------------------------------------------------------------
-
-// WritePrometheus writes the full instrument catalog in the Prometheus
-// text exposition format.
-func (t *Telemetry) WritePrometheus(w io.Writer) error {
-	return t.reg.WritePrometheus(w)
-}
-
-// WriteCSV writes the sampler's retained time series as CSV.
-func (t *Telemetry) WriteCSV(w io.Writer) error {
-	if t.sampler == nil {
-		return fmt.Errorf("obs: WriteCSV before Bind")
-	}
-	return t.sampler.WriteCSV(w)
-}
-
-// Summary renders a human-readable digest of the run's telemetry, using
-// the histogram quantile helpers for the p50/p95/p99 triples.
-func (t *Telemetry) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "scheduling   enqueue %d  start %d  finish %d  abort %d  preempt %d\n",
-		t.enqueues.Value(), t.starts.Value(), t.finishes.Value(), t.aborts.Value(), t.preempts.Value())
-	fmt.Fprintf(&b, "releases     %d (%d resubmits), %g global task(s) in flight at end\n",
-		t.releases.Value(), t.resubmits.Value(), t.inflight)
-	fmt.Fprintf(&b, "outcomes     local %d (missed %d)  global %d (missed %d)  subtask %d (missed %d)\n",
-		t.doneLocal.Value(), t.missedLocal.Value(),
-		t.doneGlobal.Value(), t.missedGlobal.Value(),
-		t.doneSubtask.Value(), t.missedSubtask.Value())
-	fmt.Fprintf(&b, "spans        %d recorded, %d retained, %d dropped, %d open at horizon\n",
-		t.nextID, t.spans.n, t.droppedSpans.Value(), t.openSpans-len(t.evicted))
-	fmt.Fprintf(&b, "edges        %d retained, %d dropped\n", t.edges.n, t.DroppedEdges())
-	if t.slackHist.Count() > 0 {
-		q := t.slackHist.Quantiles(0.5, 0.95, 0.99)
-		fmt.Fprintf(&b, "slack        mean %.3f  p50 %.3f  p95 %.3f  p99 %.3f (assigned, per release)\n",
-			t.slackHist.Mean(), q[0], q[1], q[2])
-	}
-	if t.latenessHist.Count() > 0 {
-		q := t.latenessHist.Quantiles(0.5, 0.95, 0.99)
-		fmt.Fprintf(&b, "lateness     mean %.3f  p50 %.3f  p95 %.3f  p99 %.3f (per resolved span)\n",
-			t.latenessHist.Mean(), q[0], q[1], q[2])
-	}
-	if t.sampler != nil {
-		fmt.Fprintf(&b, "samples      %d ticks, %d retained x %d series (every %g time units)\n",
-			t.sampler.Ticks(), t.sampler.Len(), len(t.sampler.probes), float64(t.opts.SampleEvery))
-	}
-	return b.String()
 }

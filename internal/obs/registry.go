@@ -5,8 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-
-	"repro/internal/stats"
 )
 
 // Counter is a monotonically increasing instrument. Counters are written
@@ -32,70 +30,26 @@ func (c *Counter) Value() uint64 { return c.v }
 // Name returns the instrument name.
 func (c *Counter) Name() string { return c.name }
 
-// Gauge is an instantaneous value. A gauge is either settable (Set) or
-// func-backed (registered via GaugeFunc), in which case Value reads the
-// live model state — the sampler and the exporters always observe the
-// current truth without the model having to push updates.
+// Gauge is an instantaneous value read live from the model state
+// (registered via GaugeFunc), so the sampler and the exporters always
+// observe the current truth without the model having to push updates.
 type Gauge struct {
 	name   string
 	labels string
 	help   string
 	read   func() float64
-	v      float64
-}
-
-// Set stores v. Calling Set on a func-backed gauge is a programming
-// error and panics.
-func (g *Gauge) Set(v float64) {
-	if g.read != nil {
-		panic(fmt.Sprintf("obs: Set on func-backed gauge %s", g.name))
-	}
-	g.v = v
 }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g.read != nil {
-		return g.read()
-	}
-	return g.v
-}
+func (g *Gauge) Value() float64 { return g.read() }
 
 // Name returns the instrument name.
 func (g *Gauge) Name() string { return g.name }
 
-// Histogram is a fixed-bucket distribution instrument wrapping
-// stats.Histogram, so summaries get Quantile/Mean for free and the
-// Prometheus exposition gets cumulative buckets.
-type Histogram struct {
-	name   string
-	labels string
-	help   string
-	h      *stats.Histogram
-}
-
-// Observe records one observation.
-func (h *Histogram) Observe(x float64) { h.h.Add(x) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.h.Count() }
-
-// Mean returns the mean observation.
-func (h *Histogram) Mean() float64 { return h.h.Mean() }
-
-// Quantile returns the approximate q-quantile (see stats.Histogram).
-func (h *Histogram) Quantile(q float64) float64 { return h.h.Quantile(q) }
-
-// Quantiles evaluates several quantiles at once.
-func (h *Histogram) Quantiles(qs ...float64) []float64 { return h.h.Quantiles(qs...) }
-
-// Name returns the instrument name.
-func (h *Histogram) Name() string { return h.name }
-
 // SketchInstrument is a log-bucketed quantile distribution instrument
-// wrapping Sketch; unlike Histogram its buckets are geometric, so the
-// relative error of any quantile is bounded regardless of range, and two
-// shards' sketches merge losslessly (see Sketch).
+// wrapping Sketch: its buckets are geometric, so the relative error of
+// any quantile is bounded regardless of range, and two shards' sketches
+// merge losslessly (see Sketch).
 type SketchInstrument struct {
 	name   string
 	labels string
@@ -128,7 +82,6 @@ func (k *SketchInstrument) Name() string { return k.name }
 type Registry struct {
 	counters []*Counter
 	gauges   []*Gauge
-	hists    []*Histogram
 	sketches []*SketchInstrument
 	seen     map[string]struct{}
 }
@@ -156,33 +109,12 @@ func (r *Registry) Counter(name, labels, help string) *Counter {
 	return c
 }
 
-// Gauge registers a settable gauge.
-func (r *Registry) Gauge(name, labels, help string) *Gauge {
-	r.claim(name, labels)
-	g := &Gauge{name: name, labels: labels, help: help}
-	r.gauges = append(r.gauges, g)
-	return g
-}
-
 // GaugeFunc registers a gauge whose value is read live from fn.
 func (r *Registry) GaugeFunc(name, labels, help string, fn func() float64) *Gauge {
 	r.claim(name, labels)
 	g := &Gauge{name: name, labels: labels, help: help, read: fn}
 	r.gauges = append(r.gauges, g)
 	return g
-}
-
-// Histogram registers a fixed-bucket histogram of n equal buckets over
-// [lo, hi). Invalid bounds panic (a wiring error, caught at setup).
-func (r *Registry) Histogram(name, labels, help string, lo, hi float64, n int) *Histogram {
-	r.claim(name, labels)
-	sh, err := stats.NewHistogram(lo, hi, n)
-	if err != nil {
-		panic(fmt.Sprintf("obs: histogram %s: %v", name, err))
-	}
-	h := &Histogram{name: name, labels: labels, help: help, h: sh}
-	r.hists = append(r.hists, h)
-	return h
 }
 
 // Sketch registers a log-bucketed quantile sketch instrument.
@@ -207,16 +139,6 @@ type GaugeSnap struct {
 	V                  float64
 }
 
-// HistSnap is one fixed-bucket histogram's full state.
-type HistSnap struct {
-	Name, Labels, Help string
-	Lo, Width          float64
-	Buckets            []int64
-	Under, Over        int64
-	Count              int64
-	Sum                float64
-}
-
 // SketchBucket is one (key, count) pair of a sketch snapshot.
 type SketchBucket struct {
 	Key   int32
@@ -236,13 +158,11 @@ type SketchSnap struct {
 // RegistrySnapshot is an immutable copy of a registry's instrument
 // values, in registration order. It is the mergeable unit of the
 // cross-replication telemetry path: Merge folds another shard's snapshot
-// in (counters and buckets add, gauges-at-end add, sketches merge), and
-// WritePrometheus renders the same byte format as Registry.WritePrometheus,
-// so per-shard and merged expositions are directly comparable.
+// in (counters add, gauges-at-end add, sketches merge), and
+// WritePrometheus renders it.
 type RegistrySnapshot struct {
 	Counters []CounterSnap
 	Gauges   []GaugeSnap
-	Hists    []HistSnap
 	Sketches []SketchSnap
 }
 
@@ -252,7 +172,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	rs := RegistrySnapshot{
 		Counters: make([]CounterSnap, len(r.counters)),
 		Gauges:   make([]GaugeSnap, len(r.gauges)),
-		Hists:    make([]HistSnap, len(r.hists)),
 		Sketches: make([]SketchSnap, len(r.sketches)),
 	}
 	for i, c := range r.counters {
@@ -260,15 +179,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	}
 	for i, g := range r.gauges {
 		rs.Gauges[i] = GaugeSnap{Name: g.name, Labels: g.labels, Help: g.help, V: g.Value()}
-	}
-	for i, h := range r.hists {
-		under, over := h.h.OutOfRange()
-		rs.Hists[i] = HistSnap{
-			Name: h.name, Labels: h.labels, Help: h.help,
-			Lo: h.h.Lo(), Width: h.h.BucketWidth(),
-			Buckets: h.h.Buckets(), Under: under, Over: over,
-			Count: h.h.Count(), Sum: h.h.Sum(),
-		}
 	}
 	for i, k := range r.sketches {
 		neg, pos, zero := k.s.buckets()
@@ -287,11 +197,7 @@ func (rs RegistrySnapshot) clone() RegistrySnapshot {
 	cp := RegistrySnapshot{
 		Counters: append([]CounterSnap(nil), rs.Counters...),
 		Gauges:   append([]GaugeSnap(nil), rs.Gauges...),
-		Hists:    append([]HistSnap(nil), rs.Hists...),
 		Sketches: append([]SketchSnap(nil), rs.Sketches...),
-	}
-	for i := range cp.Hists {
-		cp.Hists[i].Buckets = append([]int64(nil), cp.Hists[i].Buckets...)
 	}
 	for i := range cp.Sketches {
 		cp.Sketches[i].Neg = append([]SketchBucket(nil), cp.Sketches[i].Neg...)
@@ -303,12 +209,12 @@ func (rs RegistrySnapshot) clone() RegistrySnapshot {
 // Merge folds other into rs. Both snapshots must come from identically
 // wired registries (same instruments in the same order — true for the
 // replication shards of one sim.Config); a mismatch is a wiring error and
-// is reported rather than silently misattributed. Counters, histogram
-// buckets and sketches add losslessly; gauges-at-end add too, so per-node
-// depth gauges and the in-flight gauge become fleet totals.
+// is reported rather than silently misattributed. Counters and sketches
+// add losslessly; gauges-at-end add too, so per-node depth gauges and the
+// in-flight gauge become fleet totals.
 func (rs *RegistrySnapshot) Merge(other RegistrySnapshot) error {
 	if len(rs.Counters) != len(other.Counters) || len(rs.Gauges) != len(other.Gauges) ||
-		len(rs.Hists) != len(other.Hists) || len(rs.Sketches) != len(other.Sketches) {
+		len(rs.Sketches) != len(other.Sketches) {
 		return fmt.Errorf("obs: merge snapshots from differently wired registries")
 	}
 	for i := range rs.Counters {
@@ -324,20 +230,6 @@ func (rs *RegistrySnapshot) Merge(other RegistrySnapshot) error {
 				rs.Gauges[i].Name, rs.Gauges[i].Labels, other.Gauges[i].Name, other.Gauges[i].Labels)
 		}
 		rs.Gauges[i].V += other.Gauges[i].V
-	}
-	for i := range rs.Hists {
-		a, b := &rs.Hists[i], &other.Hists[i]
-		if a.Name != b.Name || a.Labels != b.Labels || a.Lo != b.Lo || a.Width != b.Width || len(a.Buckets) != len(b.Buckets) {
-			return fmt.Errorf("obs: merge histogram %d: %s{%s} geometry mismatch", i, a.Name, a.Labels)
-		}
-		// Buckets was copied by Snapshot, so adding in place is safe.
-		for j := range a.Buckets {
-			a.Buckets[j] += b.Buckets[j]
-		}
-		a.Under += b.Under
-		a.Over += b.Over
-		a.Count += b.Count
-		a.Sum += b.Sum
 	}
 	for i := range rs.Sketches {
 		a, b := &rs.Sketches[i], &other.Sketches[i]
@@ -397,12 +289,6 @@ type family struct {
 	lines            []string
 }
 
-// WritePrometheus writes the registry in the Prometheus text exposition
-// format; see RegistrySnapshot.WritePrometheus for the format contract.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.Snapshot().WritePrometheus(w)
-}
-
 // WritePrometheus writes the snapshot in the Prometheus text exposition
 // format (version 0.0.4): families sorted by name, one HELP/TYPE header
 // per family, samples sorted by label set. Sketches render as summaries
@@ -425,19 +311,6 @@ func (rs RegistrySnapshot) WritePrometheus(w io.Writer) error {
 	for _, g := range rs.Gauges {
 		add(g.Name, g.Help, "gauge", sample(g.Name, g.Labels, g.V))
 	}
-	for _, h := range rs.Hists {
-		cum := h.Under
-		for i, b := range h.Buckets {
-			cum += b
-			le := h.Lo + float64(i+1)*h.Width
-			add(h.Name, h.Help, "histogram",
-				sample(h.Name+"_bucket", joinLabels(h.Labels, fmt.Sprintf(`le="%g"`, le)), float64(cum)))
-		}
-		add(h.Name, h.Help, "histogram",
-			sample(h.Name+"_bucket", joinLabels(h.Labels, `le="+Inf"`), float64(cum+h.Over)))
-		add(h.Name, h.Help, "histogram", sample(h.Name+"_sum", h.Labels, h.Sum))
-		add(h.Name, h.Help, "histogram", sample(h.Name+"_count", h.Labels, float64(h.Count)))
-	}
 	for _, sk := range rs.Sketches {
 		s := restoreSketch(sk)
 		for _, q := range sketchQuantiles {
@@ -459,8 +332,8 @@ func (rs RegistrySnapshot) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
 		// Samples stay in registration order within a family: per-node
-		// label sets register in ascending node order and histogram
-		// buckets in ascending le order, so the output is already in the
+		// label sets register in ascending node order and sketch
+		// quantiles in ascending order, so the output is already in the
 		// natural reading order — and deterministic.
 		for _, line := range f.lines {
 			b.WriteString(line)

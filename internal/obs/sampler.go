@@ -115,38 +115,6 @@ func (s *Sampler) at(i int) (float64, int) {
 	return s.times[idx], idx
 }
 
-// Series returns the retained time axis and the values of the named
-// probe, oldest first. It returns nil slices for an unknown name.
-func (s *Sampler) Series(name string) (times, values []float64) {
-	pi := -1
-	for i, p := range s.probes {
-		if p.Name == name {
-			pi = i
-			break
-		}
-	}
-	if pi < 0 {
-		return nil, nil
-	}
-	times = make([]float64, s.n)
-	values = make([]float64, s.n)
-	for i := 0; i < s.n; i++ {
-		t, idx := s.at(i)
-		times[i] = t
-		values[i] = s.vals[pi][idx]
-	}
-	return times, values
-}
-
-// ProbeNames returns the sampled series names in registration order.
-func (s *Sampler) ProbeNames() []string {
-	names := make([]string, len(s.probes))
-	for i, p := range s.probes {
-		names[i] = p.Name
-	}
-	return names
-}
-
 // WriteCSV writes the retained samples as CSV: a "time,<probe>,..."
 // header followed by one row per tick, oldest first, full float64
 // precision (%g) for bit-stable goldens.

@@ -30,8 +30,8 @@ const (
 )
 
 // Record is one line of the JSONL telemetry log — the schema shared by
-// task-lifecycle spans (Type "span", written by Telemetry.WriteSpans) and
-// point scheduling events (Type "event", written by trace.WriteJSONL).
+// task-lifecycle spans (Type "span", written by Merged.WriteSpans) and
+// point scheduling events (Type "event", written by sdatrace -jsonl).
 // All times are simulated instants in abstract time units; wall clock
 // never appears, so two identical runs serialize to identical bytes.
 //
@@ -357,41 +357,6 @@ func (s *span) lateness() (float64, bool) {
 		judge = s.realDL
 	}
 	return s.end - judge, true
-}
-
-// WriteSpans writes every retained span, in release order, as JSONL.
-// Spans still open at export time (tasks in flight at the horizon) are
-// written without End/Lateness. When the ring has wrapped, only the
-// latest MaxSpans spans remain; DroppedSpans counts the evicted ones.
-// The lines are encoded on every core and written in order.
-func (t *Telemetry) WriteSpans(w io.Writer) error {
-	return encodeLines(w, t.spans.n, "span", func(dst []byte, lo, hi int) ([]byte, error) {
-		var v spanFloats
-		for i := lo; i < hi; i++ {
-			rec := t.spans.get(i).recordIn(&v)
-			var err error
-			if dst, err = appendLine(dst, &rec, "span", i); err != nil {
-				return dst, err
-			}
-		}
-		return dst, nil
-	})
-}
-
-// WriteEdges writes the retained causal-edge log, oldest first, as
-// JSONL, encoded like WriteSpans.
-func (t *Telemetry) WriteEdges(w io.Writer) error {
-	return encodeLines(w, t.edges.n, "edge", func(dst []byte, lo, hi int) ([]byte, error) {
-		var at float64
-		for i := lo; i < hi; i++ {
-			rec := t.edges.get(i).record(t.rep, &at)
-			var err error
-			if dst, err = appendLine(dst, &rec, "edge", i); err != nil {
-				return dst, err
-			}
-		}
-		return dst, nil
-	})
 }
 
 // encodeLines writes n JSONL records through par.Encode: enc appends

@@ -100,8 +100,11 @@ func runRecycling(t *testing.T, cfg Config, seed uint64, recycle bool) recycleRu
 		t.Fatal(err)
 	}
 	rep := sys.Finish(sys.Horizon())
-	dir := t.TempDir()
-	paths, err := sys.Telemetry().ExportDir(dir)
+	fold := obs.NewMerged()
+	if err := sys.Telemetry().MergeInto(fold); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := obs.ExportBundle(t.TempDir(), fold, sys.Telemetry().Sampler())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,17 +172,18 @@ func TestHistogramBasic(t *testing.T) {
 	}
 	h.Add(-1)
 	h.Add(100)
-	if h.Count() != 12 {
-		t.Errorf("Count = %d, want 12", h.Count())
+	if h.count != 12 {
+		t.Errorf("count = %d, want 12", h.count)
 	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 1 {
-		t.Errorf("out of range = %d/%d, want 1/1", under, over)
-	}
-	for i, b := range h.Buckets() {
+	inRange := int64(0)
+	for i, b := range h.buckets {
 		if b != 1 {
 			t.Errorf("bucket %d = %d, want 1", i, b)
 		}
+		inRange += b
+	}
+	if over := h.count - h.underflow - inRange; h.underflow != 1 || over != 1 {
+		t.Errorf("out of range = %d/%d, want 1/1", h.underflow, over)
 	}
 }
 
@@ -205,9 +206,9 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantilesP50P95P99 pins the p50/p95/p99 triple the obs
-// summaries report: with a uniform fill of [0, 100) the q-quantile of the
-// bucket-interpolated estimator must land within one bucket of 100q.
+// TestHistogramQuantilesP50P95P99 pins the p50/p95/p99 triple: with a
+// uniform fill of [0, 100) the q-quantile of the bucket-interpolated
+// estimator must land within one bucket of 100q.
 func TestHistogramQuantilesP50P95P99(t *testing.T) {
 	h, err := NewHistogram(0, 100, 100)
 	if err != nil {
@@ -216,11 +217,9 @@ func TestHistogramQuantilesP50P95P99(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		h.Add(float64(i % 100))
 	}
-	qs := h.Quantiles(0.5, 0.95, 0.99)
-	want := []float64{50, 95, 99}
-	for i, got := range qs {
-		if math.Abs(got-want[i]) > 1.5 {
-			t.Errorf("quantile %d = %v, want ~%v", i, got, want[i])
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		if got := h.Quantile(q); math.Abs(got-100*q) > 1.5 {
+			t.Errorf("quantile %g = %v, want ~%v", q, got, 100*q)
 		}
 	}
 	// A skewed distribution: 99 observations at 10, one at 90. The p50
@@ -243,11 +242,14 @@ func TestHistogramSum(t *testing.T) {
 	h.Add(1)
 	h.Add(2.5)
 	h.Add(100) // overflow still contributes to the sum
-	if got := h.Sum(); math.Abs(got-103.5) > 1e-12 {
+	if got := h.sum; math.Abs(got-103.5) > 1e-12 {
 		t.Errorf("sum = %v, want 103.5", got)
 	}
-	if h.Lo() != 0 || h.Hi() != 10 || h.BucketWidth() != 1 {
-		t.Errorf("bounds = [%v, %v) width %v, want [0, 10) width 1", h.Lo(), h.Hi(), h.BucketWidth())
+	if got := h.Mean(); math.Abs(got-34.5) > 1e-12 {
+		t.Errorf("mean = %v, want 34.5", got)
+	}
+	if h.lo != 0 || h.hi != 10 || h.width != 1 {
+		t.Errorf("bounds = [%v, %v) width %v, want [0, 10) width 1", h.lo, h.hi, h.width)
 	}
 }
 
