@@ -144,7 +144,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil || p.list {
 			return
 		}
-		if err := cli.Bounded(p.observed); err != nil {
+		if err := cli.Bounded(p.observed, false); err != nil {
 			t.Fatalf("accepted an unbounded plan: %v", err)
 		}
 		if !p.observed.Obs.Enabled {

@@ -99,7 +99,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := cli.Bounded(exp.BaselineConfig(p.opts)); err != nil {
+		if err := cli.Bounded(exp.BaselineConfig(p.opts), false); err != nil {
 			t.Fatalf("accepted an unbounded plan: %v", err)
 		}
 	})

@@ -69,10 +69,13 @@ func TestSimFlagErrors(t *testing.T) {
 // until killed, so the check runs under a deadline instead of hanging
 // the suite.
 func TestSimTaskCap(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.txt")
 	cases := [][]string{
 		{"-load", "1e300"},
 		{"-duration", "1e300"},
 		{"-k", "1000000", "-duration", "1000000"},
+		// Recording comes first and synthesizes the workload.
+		{"-duration", "1e300", "-record-trace", trace, "-replay-trace", trace},
 	}
 	for _, args := range cases {
 		done := make(chan error, 1)
@@ -141,6 +144,11 @@ func TestSimRecordAndReplay(t *testing.T) {
 	if !strings.Contains(out.String(), "telemetry exported: "+filepath.Join(obsDir, obs.SpansFile)) {
 		t.Errorf("observed replay exported no bundle:\n%s", out.String())
 	}
+	// The replay built one system, so its sampled time series is
+	// written beside the bundle.
+	if csv, err := os.ReadFile(filepath.Join(obsDir, obs.TimeSeriesFile)); err != nil || !strings.HasPrefix(string(csv), "time,queue_node0,") {
+		t.Errorf("observed replay wrote no time series: %v", err)
+	}
 	if err := run([]string{"-replay-trace", filepath.Join(dir, "missing.txt")}, io.Discard); err == nil {
 		t.Error("missing trace file should error")
 	}
@@ -206,6 +214,23 @@ func TestSimReplayFarArrival(t *testing.T) {
 	}
 }
 
+// TestSimReplayLongHorizon: a replay's trace is its workload, so a
+// horizon whose synthetic rates would pass sim.MaxTasks expected tasks
+// replays its one arrival instead of failing the task cap.
+func TestSimReplayLongHorizon(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "one.trace")
+	if err := os.WriteFile(trace, []byte("10 15 _@1:1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{"-replay-trace", trace, "-duration", "1e9"}, &out); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if !strings.Contains(out.String(), "replayed 1 arrivals") {
+		t.Errorf("output does not report the one arrival:\n%s", out.String())
+	}
+}
+
 // TestSimTelemetryOutput pins what an observed run prints: the merged
 // summary whenever -obs or -serve is set, and the exported files only
 // with -obs.
@@ -247,7 +272,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := cli.Bounded(p.cfg); err != nil {
+		if err := cli.Bounded(p.cfg, p.replays()); err != nil {
 			t.Fatalf("accepted an unbounded plan: %v", err)
 		}
 	})

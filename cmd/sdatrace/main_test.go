@@ -94,7 +94,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := cli.Bounded(p.cfg); err != nil || p.width < 1 || p.width > maxWidth {
+		if err := cli.Bounded(p.cfg, false); err != nil || p.width < 1 || p.width > maxWidth {
 			t.Fatalf("accepted an unbounded plan (width %d): %v", p.width, err)
 		}
 	})

@@ -43,10 +43,15 @@ func Argv(fs *flag.FlagSet, data []byte) []string {
 	return args
 }
 
-// Bounded returns why a parse stage must not have accepted cfg: it fails
-// Validate, or its replications or span budget pass the flag caps.
-func Bounded(cfg sim.Config) error {
-	if err := cfg.Validate(); err != nil {
+// Bounded returns why a parse stage must not accept cfg: it fails
+// Validate (ValidateReplay for a trace replay, whose trace is its
+// workload), or its replications or span budget pass the flag caps.
+func Bounded(cfg sim.Config, replay bool) error {
+	validate := cfg.Validate
+	if replay {
+		validate = cfg.ValidateReplay
+	}
+	if err := validate(); err != nil {
 		return err
 	}
 	if cfg.Replications > MaxReps || cfg.Obs.MaxSpans > MaxSpans {
