@@ -515,7 +515,7 @@ func compareSnapshots(out io.Writer, prev, cur *Snapshot, prevPath string, maxRe
 			n, nOK := curM.Metrics[g.unit]
 			switch {
 			case !oOK || !nOK:
-			case n > o*(1+maxAllocRegress/100)+g.slack:
+			case n > float64(o*(1+maxAllocRegress/100))+g.slack:
 				memRegressed = true
 				line += fmt.Sprintf("  %s REGRESSED (%s %g -> %g)", g.label, g.unit, o, n)
 			case math.Abs(n-o) >= g.slack:

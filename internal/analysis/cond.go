@@ -48,8 +48,8 @@ func SummarizeCond(cd *task.CondDag, limit int) (*CondSummary, error) {
 	for _, r := range reals {
 		m := DagMetrics(r.Dag)
 		s.Realizations = append(s.Realizations, CondRealization{Dag: r.Dag, Prob: r.Prob, Metrics: m})
-		s.ExpVolume += r.Prob * float64(m.Volume)
-		s.ExpCritical += r.Prob * float64(m.Critical)
+		s.ExpVolume += float64(r.Prob * float64(m.Volume))
+		s.ExpCritical += float64(r.Prob * float64(m.Critical))
 		s.MinCritical = s.MinCritical.Min(m.Critical)
 		s.MaxCritical = s.MaxCritical.Max(m.Critical)
 		s.MaxVolume = s.MaxVolume.Max(m.Volume)

@@ -297,7 +297,7 @@ type Node struct {
 // into the integral. Call it BEFORE any change to len(n.queue).
 func (n *Node) noteQueueChange() {
 	now := n.eng.Now()
-	n.qlenIntegral += float64(len(n.queue)) * float64(now.Sub(n.qlenSince))
+	n.qlenIntegral += float64(float64(len(n.queue)) * float64(now.Sub(n.qlenSince)))
 	n.qlenSince = now
 }
 
@@ -308,7 +308,7 @@ func (n *Node) MeanQueueLength() float64 {
 	if now <= 0 {
 		return 0
 	}
-	total := n.qlenIntegral + float64(len(n.queue))*float64(now.Sub(n.qlenSince))
+	total := n.qlenIntegral + float64(float64(len(n.queue))*float64(now.Sub(n.qlenSince)))
 	return total / float64(now)
 }
 

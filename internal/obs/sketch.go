@@ -88,8 +88,8 @@ func (s *Sketch) key(mag float64) int32 {
 	if e := int64(b>>52) - 1; uint64(e) < 0x7fe { // positive, normal, finite
 		c := &sketchKeyTable[b>>(52-sketchKeyBits)&(1<<sketchKeyBits-1)]
 		r := float64(b&(1<<(52-sketchKeyBits)-1)) * c.inv
-		t := float64(e-1022)*sketchKeyLn2 + c.key +
-			r*(sketchKeyC1+r*(sketchKeyC2+r*sketchKeyC3))
+		t := float64(float64(e-1022)*sketchKeyLn2) + c.key +
+			float64(r*(sketchKeyC1+float64(r*(sketchKeyC2+float64(r*sketchKeyC3)))))
 		// t+sketchKeyShift is positive for every normal magnitude, so
 		// converting it to an integer floors it.
 		u := t + sketchKeyShift
@@ -135,7 +135,7 @@ var (
 // 2^-52/c, which turns the low mantissa bits into r.
 var sketchKeyTable = func() (tab [1 << sketchKeyBits]struct{ key, inv float64 }) {
 	for i := range tab {
-		c := 1 + float64(i)/(1<<sketchKeyBits)
+		c := 1 + float64(float64(i)/(1<<sketchKeyBits))
 		tab[i].key = math.Log(c) / sketchLogGamma
 		tab[i].inv = 0x1p-52 / c
 	}

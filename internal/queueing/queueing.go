@@ -158,10 +158,10 @@ func (q MMC) ErlangC() (float64, error) {
 	// probability, then the standard B -> C conversion.
 	b := 1.0
 	for k := 1; k <= c; k++ {
-		b = a * b / (float64(k) + a*b)
+		b = a * b / (float64(k) + float64(a*b))
 	}
 	rho := q.Rho()
-	return b / (1 - rho*(1-b)), nil
+	return b / (1 - float64(rho*(1-b))), nil
 }
 
 // MeanWait returns E[W] = C(c, a) / (c·μ - λ), the mean time in queue.
@@ -170,7 +170,7 @@ func (q MMC) MeanWait() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return pc / (float64(q.Servers)*q.Mu - q.Lambda), nil
+	return pc / (float64(float64(q.Servers)*q.Mu) - q.Lambda), nil
 }
 
 // MeanResponse returns E[T] = E[W] + 1/μ.

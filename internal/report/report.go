@@ -189,7 +189,7 @@ func Relations() []Relation {
 	}
 }
 
-func pow4(x float64) float64 { return x * x * x * x }
+func pow4(x float64) float64 { return float64(x * x * x * x) }
 
 // Results bundles the outcome of a full check run.
 type Results struct {

@@ -297,7 +297,7 @@ func (s *Stream) Uniform(lo, hi float64) float64 {
 	if !(0 <= u && u < 1) {
 		u = s.Float64()
 	}
-	return lo + (hi-lo)*u
+	return lo + float64((hi-lo)*u)
 }
 
 // LogUniform returns a draw whose logarithm is uniform on

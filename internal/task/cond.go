@@ -387,7 +387,7 @@ func (cd *CondDag) ExpectedWork(limit int) (float64, error) {
 	}
 	var sum float64
 	for id, p := range probs {
-		sum += p * float64(cd.dag.nodes[id].Task.Exec)
+		sum += float64(p * float64(cd.dag.nodes[id].Task.Exec))
 	}
 	return sum, nil
 }

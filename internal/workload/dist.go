@@ -100,7 +100,7 @@ func (h HyperExp) params(mean float64) (p, m1, m2 float64) {
 	}
 	// Balanced means: p*m1 = (1-p)*m2 = mean/2, with
 	// p = (1 + sqrt((cv2-1)/(cv2+1))) / 2.
-	p = (1 + math.Sqrt((cv2-1)/(cv2+1))) / 2
+	p = float64((1 + math.Sqrt((cv2-1)/(cv2+1))) / 2)
 	return p, mean / (2 * p), mean / (2 * (1 - p))
 }
 

@@ -160,7 +160,7 @@ func (f SerialParallel) ExpectedWork(meanExec float64) float64 {
 			n++
 		}
 	}
-	return float64(n) * meanExec
+	return float64(float64(n) * meanExec)
 }
 
 // Validate implements Factory.

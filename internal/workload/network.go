@@ -75,7 +75,7 @@ func (f NetworkPipeline) New(stream *rng.Stream, slab *task.Slab, k int, draw Ex
 // ExpectedWork implements Factory.
 func (f NetworkPipeline) ExpectedWork(meanExec float64) float64 {
 	compute := SerialParallel{Stages: f.Stages, Fanout: f.Fanout}.ExpectedWork(meanExec)
-	hops := float64(f.Stages-1) * f.HopMean
+	hops := float64(float64(f.Stages-1) * f.HopMean)
 	return compute + hops
 }
 
