@@ -313,7 +313,7 @@ func observedShards(b *testing.B) []*obs.Telemetry {
 			b.Fatal(err)
 		}
 		sys.Finish(sys.Horizon())
-		if n := sys.Telemetry().SpanCount(); n != 1<<16 {
+		if n := sys.Telemetry().Snapshot(1).Retained; n != 1<<16 {
 			b.Fatalf("replication %d retains %d spans, want a full 65536-span ring", rep, n)
 		}
 		tels[rep] = sys.Telemetry()
@@ -323,14 +323,22 @@ func observedShards(b *testing.B) []*obs.Telemetry {
 
 // BenchmarkObsMerge measures the cross-replication merge: folding four
 // full 65,536-span shards, each handed over with Telemetry.MergeInto
-// (sim.Run's path), and taking one Snapshot of the result.
+// (sim.Run's path), and taking one Snapshot of the result. MergeInto
+// hands a telemetry's logs over once, so each op folds clones of the
+// shards, made outside the timer.
 func BenchmarkObsMerge(b *testing.B) {
 	tels := observedShards(b)
 	b.Run("handoff", func(b *testing.B) {
 		b.ReportAllocs()
+		shards := make([]*obs.Telemetry, len(tels))
 		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for r, tel := range tels {
+				shards[r] = tel.Clone()
+			}
+			b.StartTimer()
 			m := obs.NewMerged()
-			for _, tel := range tels {
+			for _, tel := range shards {
 				if err := tel.MergeInto(m); err != nil {
 					b.Fatal(err)
 				}
@@ -340,6 +348,34 @@ func BenchmarkObsMerge(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkObsSpanClose measures the span layer alone at steady state:
+// per op, a subtask span released (RecordRelease) and closed
+// (RecordSubtask) and a local span recorded at its resolution
+// (RecordLocal), on a span ring already full, so every push evicts the
+// oldest span into the slot it reuses. It allocates nothing.
+func BenchmarkObsSpanClose(b *testing.B) {
+	const budget = 1 << 12
+	tel := obs.New(obs.Options{Enabled: true, MaxSpans: budget})
+	sub := task.MustSimple("", 1, 2)
+	root := task.MustParallel("", sub)
+	sub.VirtualDeadline, sub.Finish = 8, 5
+	local := task.MustSimple("", 0, 3)
+	local.RealDeadline, local.VirtualDeadline, local.Finish = 6, 6, 4
+	op := func() {
+		tel.RecordRelease(sub, root, 8)
+		tel.RecordSubtask(sub, false)
+		tel.RecordLocal(local, false)
+	}
+	for i := 0; i < budget; i++ {
+		op()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
 }
 
 // BenchmarkObsMergedExport measures Merged.ExportDir of a 4-replication

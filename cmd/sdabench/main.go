@@ -62,7 +62,7 @@ import (
 // throughput, and the strategy/parse/plan micro-benchmarks. The
 // per-figure experiment benchmarks are excluded to keep the smoke run
 // short; pass -bench '.' for everything.
-const defaultBench = "BenchmarkEngineEventChurn|BenchmarkNodeQueueChurn|BenchmarkBurstArrival|BenchmarkChecker|BenchmarkRNG|BenchmarkDagBuild|BenchmarkDagSubmit|BenchmarkSubmitGlobal|BenchmarkObsMerge|BenchmarkTracetree|BenchmarkAttribAnalyze|BenchmarkSketchAdd|BenchmarkSimulation|BenchmarkStrategyAssignment|BenchmarkEQFAssignment|BenchmarkTaskParse|BenchmarkTaskBuild|BenchmarkPlan"
+const defaultBench = "BenchmarkEngineEventChurn|BenchmarkNodeQueueChurn|BenchmarkBurstArrival|BenchmarkChecker|BenchmarkRNG|BenchmarkDagBuild|BenchmarkDagSubmit|BenchmarkSubmitGlobal|BenchmarkObsMerge|BenchmarkObsSpanClose|BenchmarkTracetree|BenchmarkAttribAnalyze|BenchmarkSketchAdd|BenchmarkSimulation|BenchmarkStrategyAssignment|BenchmarkEQFAssignment|BenchmarkTaskParse|BenchmarkTaskBuild|BenchmarkPlan"
 
 // Measurement is one benchmark's recorded metrics, keyed the way `go test
 // -bench` prints them ("ns/op", "B/op", "allocs/op", "events/op", ...).

@@ -247,16 +247,33 @@ func exemplarDigest(t *testing.T, path string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fold := obs.NewMerged()
+	if err := tel.MergeInto(fold); err != nil {
+		t.Fatal(err)
+	}
+	snap := fold.Snapshot()
 	var buf bytes.Buffer
-	for _, rec := range tel.Exemplars() {
+	for _, rec := range snap.Exemplars.Records() {
 		if err := obs.WriteRecord(&buf, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap := tel.Snapshot(0)
 	fmt.Fprintf(&buf, "open %d retained %d total %d dropped %d edges-dropped %d\n",
-		snap.OpenSpans, snap.Retained, snap.TotalSpans, tel.DroppedSpans(), tel.DroppedEdges())
+		snap.OpenSpans, snap.Retained, snap.TotalSpans,
+		counterTotal(snap, "sda_spans_dropped_total"), counterTotal(snap, "sda_edges_dropped_total"))
 	return sha256Hex(buf.Bytes())
+}
+
+// counterTotal sums the counters named name in snap over every label
+// set.
+func counterTotal(snap *obs.Snapshot, name string) uint64 {
+	var n uint64
+	for _, c := range snap.Registry.Counters {
+		if c.Name == name {
+			n += c.V
+		}
+	}
+	return n
 }
 
 func sha256Hex(b []byte) string {

@@ -173,8 +173,8 @@ func TestSpanLogShape(t *testing.T) {
 			t.Fatalf("no %q spans in a mixed workload (kinds: %v)", k, kinds)
 		}
 	}
-	if got := len(tel.Spans()); got != n {
-		t.Fatalf("Spans() returned %d records, JSONL had %d", got, n)
+	if got := len(m.Snapshot().Spans); got != n {
+		t.Fatalf("the fold's snapshot holds %d spans, JSONL had %d", got, n)
 	}
 	if !strings.Contains(m.Summary(), "slack") {
 		t.Fatalf("summary missing slack line:\n%s", m.Summary())
@@ -189,7 +189,7 @@ func TestDagRootSpansCarryShape(t *testing.T) {
 	_, tel := runObserved(t, cfg, 5)
 
 	globals := 0
-	for _, rec := range tel.Spans() {
+	for _, rec := range obs.Spans(tel) {
 		if rec.Kind == "global" {
 			globals++
 			// A layered DAG's longest chain threads every layer, so the
@@ -216,10 +216,10 @@ func TestSpanCapDropsAndCounts(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Obs = obs.Options{Enabled: true, MaxSpans: 8}
 	_, tel := runObserved(t, cfg, 3)
-	if got := len(tel.Spans()); got > 8 {
+	if got := len(obs.Spans(tel)); got > 8 {
 		t.Fatalf("span store exceeded cap: %d > 8", got)
 	}
-	if tel.DroppedSpans() == 0 {
+	if obs.DroppedSpans(tel) == 0 {
 		t.Fatalf("expected dropped spans with an 8-span cap on a 3100-unit run")
 	}
 }

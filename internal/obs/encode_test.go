@@ -150,9 +150,9 @@ func TestSameRecordCoversEveryField(t *testing.T) {
 // TestWriteRecordMatchesMarshal checks the line writer end to end:
 // the stamped schema, the encoding and the trailing newline.
 func TestWriteRecordMatchesMarshal(t *testing.T) {
-	sp := span{id: 7, root: 3, rep: 2, kind: kindSubtask, task: "G<1>", node: 2, start: 1e-7, end: 1e21,
+	sp := span{id: 7, root: 3, kind: kindSubtask, task: 1, node: 2, start: 1e-7, end: 1e21,
 		vdl: 20, realDL: 25, hasRDL: true, slack: math.Copysign(0, -1), exec: 6, pex: 5e-324, missed: true, boost: true}
-	rec := sp.record()
+	rec := sp.record(2, []string{"", "G<1>"})
 	want, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)

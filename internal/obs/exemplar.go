@@ -24,6 +24,7 @@ var spanKinds = spanKindNames[:kindInject]
 type exemplarStore struct {
 	k    int
 	seed uint64
+	rep  int // replication index of every span fed in
 
 	latest [numSpanKinds]exemplarList // per kind, in latestLess order
 	worst  [numSpanKinds]exemplarList // per kind, in worstLess order
@@ -120,15 +121,13 @@ func insertBounded(list []Record, rec Record, k int, less func(a, b *Record) boo
 	return list
 }
 
-// tieSpanLess is tieLess on the in-memory span form, so the live
-// selection and the merge-time re-selection break ties alike.
-func tieSpanLess(seed uint64, a, b *span) bool {
-	ra, rb := exemplarRank(seed, int(a.rep), a.id), exemplarRank(seed, int(b.rep), b.id)
+// tieSpanLess is tieLess on the in-memory form of two spans of
+// replication rep, so the live selection and the merge-time
+// re-selection break ties alike.
+func tieSpanLess(seed uint64, rep int, a, b *span) bool {
+	ra, rb := exemplarRank(seed, rep, a.id), exemplarRank(seed, rep, b.id)
 	if ra != rb {
 		return ra < rb
-	}
-	if a.rep != b.rep {
-		return a.rep < b.rep
 	}
 	return a.id < b.id
 }
@@ -136,11 +135,11 @@ func tieSpanLess(seed uint64, a, b *span) bool {
 // beats reports whether *sp, whose class key is key, ranks before the
 // span in slot s: the class order of latestLess and worstLess, a larger
 // key first and then the seeded tie-break, read off the stored key.
-func (l *exemplarList) beats(sp *span, key float64, s int32, seed uint64) bool {
+func (l *exemplarList) beats(sp *span, key float64, s int32, seed uint64, rep int) bool {
 	if k := l.keys[s]; key != k {
 		return key > k
 	}
-	return tieSpanLess(seed, sp, &l.slots[s])
+	return tieSpanLess(seed, rep, sp, &l.slots[s])
 }
 
 // insert places *sp, whose class key is key, into the list, keeping the
@@ -148,13 +147,13 @@ func (l *exemplarList) beats(sp *span, key float64, s int32, seed uint64) bool {
 // comparison; otherwise the indexes below its rank shift down one, the
 // K-th drops out, and sp is copied into the freed slot. The call never
 // allocates.
-func (l *exemplarList) insert(sp *span, key float64, seed uint64) {
+func (l *exemplarList) insert(sp *span, key float64, seed uint64, rep int) {
 	n, k := len(l.order), len(l.slots)
-	if n == k && !l.beats(sp, key, l.order[k-1], seed) {
+	if n == k && !l.beats(sp, key, l.order[k-1], seed, rep) {
 		return // worse than everything retained at budget
 	}
 	i := 0
-	for i < n && !l.beats(sp, key, l.order[i], seed) {
+	for i < n && !l.beats(sp, key, l.order[i], seed, rep) {
 		i++
 	}
 	slot := int32(n)
@@ -168,11 +167,12 @@ func (l *exemplarList) insert(sp *span, key float64, seed uint64) {
 	l.slots[slot], l.keys[slot] = *sp, key
 }
 
-// records converts the list to Records, best first.
-func (l *exemplarList) records() []Record {
+// records converts the list of spans of replication rep, whose names
+// index list, to Records, best first.
+func (l *exemplarList) records(rep int, list []string) []Record {
 	recs := make([]Record, len(l.order))
 	for i, slot := range l.order {
-		recs[i] = l.slots[slot].record()
+		recs[i] = l.slots[slot].record(rep, list)
 	}
 	return recs
 }
@@ -180,15 +180,15 @@ func (l *exemplarList) records() []Record {
 // observeClose feeds one just-closed span into both exemplar classes.
 // The span is copied by value, so later ring eviction cannot disturb it.
 func (e *exemplarStore) observeClose(sp *span) {
-	e.latest[sp.kind].insert(sp, sp.start, e.seed)
+	e.latest[sp.kind].insert(sp, sp.start, e.seed, e.rep)
 	if late, ok := sp.lateness(); ok {
-		e.worst[sp.kind].insert(sp, late, e.seed)
+		e.worst[sp.kind].insert(sp, late, e.seed, e.rep)
 	}
 }
 
-// snapshot converts the store into its serializable, mergeable form;
-// kinds with no candidates are omitted.
-func (e *exemplarStore) snapshot() ExemplarSet {
+// snapshot converts the store, whose span names index list, into its
+// serializable, mergeable form; kinds with no candidates are omitted.
+func (e *exemplarStore) snapshot(list []string) ExemplarSet {
 	s := ExemplarSet{
 		K:      e.k,
 		Seed:   e.seed,
@@ -197,10 +197,10 @@ func (e *exemplarStore) snapshot() ExemplarSet {
 	}
 	for kind := range e.latest {
 		if l := &e.latest[kind]; len(l.order) > 0 {
-			s.Latest[spanKindNames[kind]] = l.records()
+			s.Latest[spanKindNames[kind]] = l.records(e.rep, list)
 		}
 		if l := &e.worst[kind]; len(l.order) > 0 {
-			s.Worst[spanKindNames[kind]] = l.records()
+			s.Worst[spanKindNames[kind]] = l.records(e.rep, list)
 		}
 	}
 	return s

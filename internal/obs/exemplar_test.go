@@ -10,17 +10,18 @@ import (
 // exemplar store and checks every (kind, class) list against a
 // sort-all-then-take-K reference over the spans fed so far. Starts and
 // latenesses are drawn from a handful of values, so most comparisons
-// tie and fall through to the seeded hash and the (rep, id) fallback.
+// tie and fall through to the seeded hash and the id fallback. A store
+// holds one replication's spans; each K runs as another replication.
 func TestExemplarStoreMatchesSortReference(t *testing.T) {
 	for _, k := range []int{1, 2, 8} {
 		rnd := rand.New(rand.NewSource(int64(k)))
 		e := newExemplarStore(k, 0x5eed)
+		e.rep = k
 		var fed []span
 		for id := uint64(1); id <= 600; id++ {
 			judge := float64(rnd.Intn(3))
 			sp := span{
 				id:     id,
-				rep:    int32(rnd.Intn(3)),
 				kind:   spanKind(rnd.Intn(int(numSpanKinds))),
 				start:  float64(rnd.Intn(4)),
 				vdl:    judge,
@@ -55,7 +56,7 @@ func checkExemplarStore(t *testing.T, e *exemplarStore, fed []span) {
 			var want []Record
 			for _, sp := range fed {
 				if _, late := sp.lateness(); sp.kind == kind && (!worst || late) {
-					want = append(want, sp.record())
+					want = append(want, sp.record(e.rep, nil))
 				}
 			}
 			sort.Slice(want, func(i, j int) bool { return less(e.seed, &want[i], &want[j]) })
@@ -69,7 +70,7 @@ func checkExemplarStore(t *testing.T, e *exemplarStore, fed []span) {
 					e.k, spanKindNames[kind], worst, len(l.order), len(want))
 			}
 			for i, slot := range l.order {
-				if got := l.slots[slot].record(); !sameRecord(&got, &want[i]) {
+				if got := l.slots[slot].record(e.rep, nil); !sameRecord(&got, &want[i]) {
 					t.Fatalf("K=%d kind %s worst=%t: rank %d is span (%d,%d), reference (%d,%d)",
 						e.k, spanKindNames[kind], worst, i, got.Rep, got.ID, want[i].Rep, want[i].ID)
 				}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/par"
 )
@@ -21,10 +22,12 @@ import (
 func shardOf(rep, n int) *Telemetry {
 	tel := New(Options{Enabled: true, MaxSpans: 1 << 16})
 	tel.SetReplication(rep)
+	name := tel.names.id("G.a")
 	for i := 0; i < n; i++ {
 		at := float64(i)
-		tel.pushSpan(nil, &span{kind: kindSubtask, task: "G.a", start: at, end: at + 1.5, vdl: at + 2, node: int32(i % 3)})
-		tel.addEdge("parent", uint64(i), uint64(i+1), 1, at, "G.a")
+		sp := tel.pushSpan(nil, false)
+		sp.kind, sp.task, sp.start, sp.end, sp.vdl, sp.node = kindSubtask, name, at, at+1.5, at+2, int32(i%3)
+		tel.addEdge(edgeParent, uint64(i), uint64(i+1), 1, at, name)
 	}
 	return tel
 }
@@ -170,4 +173,82 @@ func TestExportDirFailingFile(t *testing.T) {
 	if wantLeft := []string{EdgesFile, ExemplarsFile, SpansFile}; !slices.Equal(left, wantLeft) {
 		t.Fatalf("ExportDir left %v in the directory, want %v: the files past the failing one removed", left, wantLeft)
 	}
+}
+
+// The helpers below read a telemetry that has not been handed to a fold
+// yet, for the tests of package obs_test. After MergeInto its span and
+// edge logs read empty; read the fold's Snapshot instead.
+
+// Spans returns tel's retained span log, oldest first.
+func Spans(tel *Telemetry) []Record { return tel.SpansTail(0) }
+
+// Exemplars returns tel's exemplar selection in its deterministic
+// order.
+func Exemplars(tel *Telemetry) []Record { return tel.ex.snapshot(tel.names.list).Records() }
+
+// SpanCount returns how many spans tel's ring retains.
+func SpanCount(tel *Telemetry) int { return tel.spans.n }
+
+// TotalSpans returns how many spans tel ever recorded.
+func TotalSpans(tel *Telemetry) uint64 { return tel.nextID }
+
+// DroppedSpans returns how many spans tel's ring evicted.
+func DroppedSpans(tel *Telemetry) uint64 { return tel.droppedSpans.Value() }
+
+// GlobalCounts returns how many global spans of tel resolved and how
+// many of those missed, from its outcome counters.
+func GlobalCounts(tel *Telemetry) (resolved, missed int) {
+	return int(tel.doneGlobal.Value()), int(tel.missedGlobal.Value())
+}
+
+// RingBytes returns the bytes of a full span ring and a full edge ring
+// at the budget maxSpans.
+func RingBytes(maxSpans int) int {
+	return maxSpans * int(unsafe.Sizeof(span{})+unsafe.Sizeof(edge{}))
+}
+
+// FreshChunkBytes returns the bytes of the ring chunks that telemetry
+// drawing from m allocated because m's free lists were empty.
+func FreshChunkBytes(m *Merged) int {
+	m.freeSpans.mu.Lock()
+	defer m.freeSpans.mu.Unlock()
+	m.freeEdges.mu.Lock()
+	defer m.freeEdges.mu.Unlock()
+	return m.freeSpans.fresh*int(unsafe.Sizeof(span{})) + m.freeEdges.fresh*int(unsafe.Sizeof(edge{}))
+}
+
+// FreeChunks returns how many chunks m's free lists hold.
+func FreeChunks(m *Merged) int {
+	m.freeSpans.mu.Lock()
+	defer m.freeSpans.mu.Unlock()
+	m.freeEdges.mu.Lock()
+	defer m.freeEdges.mu.Unlock()
+	return len(m.freeSpans.chunks) + len(m.freeEdges.chunks)
+}
+
+// IdleChunks returns how many ring chunks m's logs hold that back no
+// kept value, and how many they hold in all.
+func IdleChunks(m *Merged) (idle, held int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i, h := idleChunks(&m.spans)
+	j, k := idleChunks(&m.edges)
+	return i + j, h + k
+}
+
+func idleChunks[T any](f *foldLog[T]) (idle, held int) {
+	for _, l := range f.logs {
+		if l.ring == nil {
+			continue
+		}
+		for c, chunk := range l.ring.chunks {
+			if chunk != nil {
+				held++
+				if !l.ring.keeps(c, l.lo) {
+					idle++
+				}
+			}
+		}
+	}
+	return idle, held
 }

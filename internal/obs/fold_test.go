@@ -11,10 +11,12 @@ import (
 func fullShard(rep, max int) *Telemetry {
 	tel := New(Options{Enabled: true, MaxSpans: max})
 	tel.SetReplication(rep)
+	name := tel.names.id("L")
 	for i := 0; i < max; i++ {
 		at := float64(i)
-		tel.pushSpan(nil, &span{kind: kindLocal, task: "L", start: at, end: at + 1, vdl: at + 2})
-		tel.addEdge("pred", uint64(i), uint64(i+1), 0, at, "L")
+		sp := tel.pushSpan(nil, false)
+		sp.kind, sp.task, sp.start, sp.end, sp.vdl = kindLocal, name, at, at+1, at+2
+		tel.addEdge(edgePred, uint64(i), uint64(i+1), 0, at, name)
 	}
 	return tel
 }
@@ -70,11 +72,11 @@ func TestFoldTrimBoundary(t *testing.T) {
 		}
 		return f
 	}
-	if cut := fold(3, 3).trim(6, 3); cut != 0 {
+	if cut := fold(3, 3).trim(6, 3, nil); cut != 0 {
 		t.Fatalf("trimmed %d values of a log at its budget", cut)
 	}
 	f := fold(4, 3)
-	if cut := f.trim(6, 3); cut != 1 || f.n != 6 || f.logs[0].len() != 3 {
+	if cut := f.trim(6, 3, nil); cut != 1 || f.n != 6 || f.logs[0].len() != 3 {
 		t.Fatalf("over budget by one: cut %d, kept %d, first shard keeps %d; want 1, 6, 3", cut, f.n, f.logs[0].len())
 	}
 }

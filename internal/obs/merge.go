@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -67,7 +68,7 @@ func (t *Telemetry) head() *Snapshot {
 	return &Snapshot{
 		Rep:          t.rep,
 		Registry:     t.reg.Snapshot(),
-		Exemplars:    t.ex.snapshot(),
+		Exemplars:    t.ex.snapshot(t.names.list),
 		OpenSpans:    t.openSpans,
 		Retained:     t.spans.n,
 		TotalSpans:   t.nextID,
@@ -78,17 +79,25 @@ func (t *Telemetry) head() *Snapshot {
 
 // MergeInto hands the finished replication's telemetry to m as one
 // shard: its instrument values and exemplars, and its span and edge
-// rings as they are, with no Record built. The merge reads the rings
-// until its budget trim releases them, so the telemetry must record
-// nothing after the call. Like Snapshot it must run on the goroutine
-// driving the simulation.
+// rings themselves, with no Record built and no value copied. The
+// handover is one-shot: the telemetry keeps its instruments and
+// exemplars, its span and edge logs read empty afterwards, and a second
+// MergeInto fails. The telemetry must record nothing after the call.
+// Like Snapshot it must run on the goroutine driving the simulation.
 func (t *Telemetry) MergeInto(m *Merged) error {
+	if t.merged {
+		return fmt.Errorf("obs: replication %d telemetry already merged", t.rep)
+	}
 	spans, edges := t.spans, t.edges
-	return m.add(&shard{
+	sh := &shard{
 		head:  t.head(),
+		names: t.names.list,
 		spans: shardLog[span]{ring: &spans},
 		edges: shardLog[edge]{ring: &edges},
-	})
+	}
+	t.merged = true
+	t.spans, t.edges = newRing[span](t.opts.MaxSpans), newRing[edge](t.opts.MaxSpans)
+	return m.add(sh)
 }
 
 // cloneHead deep-copies the snapshot without its span and edge logs, as
@@ -132,11 +141,17 @@ func (a *Snapshot) mergeHead(s *Snapshot) error {
 // how many workers produced the shards.
 //
 // The fold keeps each shard's spans and edges in their compact in-memory
-// form, trims them to the global budget by dropping each shard's oldest
-// values, and builds Records only when a caller asks for them, after
-// the trim. Memory is bounded: at most one pending shard per
-// outstanding replication plus merged span and edge logs trimmed to the
-// shards' MaxSpans budget.
+// form, in the rings the telemetry handed over, trims them to the global
+// budget by dropping each shard's oldest values, and builds Records only
+// when a caller asks for them, after the trim. Memory is bounded: at
+// most one pending shard per outstanding replication plus merged span
+// and edge logs trimmed to the shards' MaxSpans budget.
+//
+// The trim releases every ring chunk that holds no kept value. While a
+// telemetry draws from the fold (Telemetry.DrawFrom, as sim.Run does
+// for each replication), the fold keeps the released chunks on free
+// lists for later replications' rings, until DropFree; otherwise they
+// go to the collector.
 type Merged struct {
 	mu      sync.Mutex
 	next    int            // next replication index to fold
@@ -149,12 +164,23 @@ type Merged struct {
 	spans   foldLog[span]
 	edges   foldLog[edge]
 	trimmed uint64 // merged spans dropped by the global budget trim
+
+	// tables holds the distinct name tables of the folded shards: shard
+	// i's spans and edges index tables[table[i]]. The replications of a
+	// run mostly use the same names, so most shards share one table.
+	tables [][]string
+	table  []uint32
+
+	freeSpans freeChunks[span]
+	freeEdges freeChunks[edge]
 }
 
 // shard is one replication's telemetry as the merge holds it: the
-// snapshot head (Spans and Edges nil) and the compact logs.
+// snapshot head (Spans and Edges nil), the name table its spans and
+// edges index, and the compact logs.
 type shard struct {
 	head  *Snapshot
+	names []string
 	spans shardLog[span]
 	edges shardLog[edge]
 }
@@ -202,13 +228,29 @@ func (m *Merged) fold(sh *shard) error {
 	} else if err := m.agg.mergeHead(sh.head); err != nil {
 		return err
 	}
+	if n := len(m.tables); n == 0 || !slices.Equal(m.tables[n-1], sh.names) {
+		m.tables = append(m.tables, sh.names)
+	}
+	m.table = append(m.table, uint32(len(m.tables)-1))
 	m.spans.add(sh.spans)
 	m.edges.add(sh.edges)
 	if budget, shards := m.agg.MaxSpans, len(m.spans.logs); budget > 0 {
 		share := (budget + shards - 1) / shards
-		m.trimmed += m.spans.trim(budget, share) + m.edges.trim(budget, share)
+		m.trimmed += m.spans.trim(budget, share, &m.freeSpans) + m.edges.trim(budget, share, &m.freeEdges)
 	}
 	return nil
+}
+
+// names returns the name table of folded shard rep.
+func (m *Merged) names(rep int) []string { return m.tables[m.table[rep]] }
+
+// DropFree drops the chunks on the fold's free lists and stops keeping
+// the ones later trims release, so nothing but the kept values stays
+// reachable through the fold. sim.Run calls it when its last
+// replication has folded.
+func (m *Merged) DropFree() {
+	m.freeSpans.setKeep(false)
+	m.freeEdges.setKeep(false)
 }
 
 // shardLog is the kept part of one shard's span or edge log: the values
@@ -220,8 +262,8 @@ type shardLog[T any] struct {
 	lo   int // first kept value
 }
 
-// held returns how many values the log's storage holds, kept or not.
-func (l *shardLog[T]) held() int {
+// count returns how many values the log's storage holds, kept or not.
+func (l *shardLog[T]) count() int {
 	if l.ring != nil {
 		return l.ring.n
 	}
@@ -229,7 +271,7 @@ func (l *shardLog[T]) held() int {
 }
 
 // len returns how many values the log keeps.
-func (l *shardLog[T]) len() int { return l.held() - l.lo }
+func (l *shardLog[T]) len() int { return l.count() - l.lo }
 
 // get returns the i-th oldest kept value.
 func (l *shardLog[T]) get(i int) *T {
@@ -239,22 +281,42 @@ func (l *shardLog[T]) get(i int) *T {
 	return &l.flat[l.lo+i]
 }
 
+// held returns how many slots the log's storage holds alive.
+func (l *shardLog[T]) held() int {
+	if l.ring == nil {
+		return len(l.flat)
+	}
+	n := 0
+	for _, c := range l.ring.chunks {
+		n += len(c)
+	}
+	return n
+}
+
 // keepLatest trims the log to its latest k values and returns how many
-// it dropped. A trim that leaves at most half of the storage in use
-// copies the kept values into a right-sized slice, so a trimmed shard
-// stops holding its whole ring alive.
-func (l *shardLog[T]) keepLatest(k int) uint64 {
+// it dropped. The trim advances the kept tail and hands every ring
+// chunk that holds no kept value to free: no value moves. Only a share
+// below one chunk that leaves at most half of the slots the log holds
+// in use is copied out, into a right-sized slice, so a trimmed shard
+// holds no chunk alive for a few values; all its chunks go to free.
+func (l *shardLog[T]) keepLatest(k int, free *freeChunks[T]) uint64 {
 	n := l.len()
 	if n <= k {
 		return 0
 	}
 	l.lo += n - k
-	if 2*k <= l.held() {
+	switch {
+	case k < ringChunk && 2*k <= l.held():
 		kept := make([]T, k)
 		for i := range kept {
 			kept[i] = *l.get(i)
 		}
+		if l.ring != nil {
+			l.ring.release(l.ring.n, free)
+		}
 		l.ring, l.flat, l.lo = nil, kept, 0
+	case l.ring != nil:
+		l.ring.release(l.lo, free)
 	}
 	return uint64(n - k)
 }
@@ -275,14 +337,15 @@ func (f *foldLog[T]) add(l shardLog[T]) {
 }
 
 // trim keeps every log's latest share values once more than budget
-// values are kept in all, returning how many it dropped.
-func (f *foldLog[T]) trim(budget, share int) uint64 {
+// values are kept in all, handing released chunks to free and
+// returning how many values it dropped.
+func (f *foldLog[T]) trim(budget, share int, free *freeChunks[T]) uint64 {
 	if f.n <= budget || f.widest <= share {
 		return 0
 	}
 	var cut uint64
 	for i := range f.logs {
-		cut += f.logs[i].keepLatest(share)
+		cut += f.logs[i].keepLatest(share, free)
 	}
 	f.n -= int(cut)
 	f.widest = share
@@ -339,14 +402,14 @@ func (m *Merged) Snapshot() *Snapshot {
 	par.Map(0, spanChunks+chunks(ne), func(c int) error {
 		if c < spanChunks {
 			lo := c * par.EncodeChunk
-			return m.spans.each(lo, min(lo+par.EncodeChunk, ns), func(sp *span, _, i int) error {
-				s.Spans[i] = sp.recordIn(&vs[i])
+			return m.spans.each(lo, min(lo+par.EncodeChunk, ns), func(sp *span, rep, i int) error {
+				s.Spans[i] = sp.recordIn(&vs[i], rep, m.names(rep))
 				return nil
 			})
 		}
 		lo := (c - spanChunks) * par.EncodeChunk
 		return m.edges.each(lo, min(lo+par.EncodeChunk, ne), func(e *edge, rep, i int) error {
-			s.Edges[i] = e.record(rep, &ats[i])
+			s.Edges[i] = e.record(rep, m.names(rep), &ats[i])
 			return nil
 		})
 	})
@@ -411,9 +474,13 @@ func (m *Merged) View(live []*Snapshot, tail int) (*Snapshot, int, error) {
 		return nil, folded, nil
 	}
 	vs := make([]spanFloats, min(tail, m.spans.n))
-	v.Spans = logTail(&m.spans, spans, tail, func(sp *span, _, i int) Record { return sp.recordIn(&vs[i]) })
+	v.Spans = logTail(&m.spans, spans, tail, func(sp *span, rep, i int) Record {
+		return sp.recordIn(&vs[i], rep, m.names(rep))
+	})
 	ats := make([]float64, min(tail, m.edges.n))
-	v.Edges = logTail(&m.edges, edges, tail, func(e *edge, rep, i int) Record { return e.record(rep, &ats[i]) })
+	v.Edges = logTail(&m.edges, edges, tail, func(e *edge, rep, i int) Record {
+		return e.record(rep, m.names(rep), &ats[i])
+	})
 	return v, folded, nil
 }
 
@@ -488,8 +555,8 @@ func (m *Merged) WriteExemplars(w io.Writer) error {
 func (m *Merged) writeSpans(w io.Writer) error {
 	return encodeLines(w, m.spans.n, "merged span", func(dst []byte, lo, hi int) ([]byte, error) {
 		var v spanFloats
-		err := m.spans.each(lo, hi, func(sp *span, _, i int) error {
-			rec := sp.recordIn(&v)
+		err := m.spans.each(lo, hi, func(sp *span, rep, i int) error {
+			rec := sp.recordIn(&v, rep, m.names(rep))
 			var err error
 			dst, err = appendLine(dst, &rec, "merged span", i)
 			return err
@@ -504,7 +571,7 @@ func (m *Merged) writeEdges(w io.Writer) error {
 	return encodeLines(w, m.edges.n, "merged edge", func(dst []byte, lo, hi int) ([]byte, error) {
 		var at float64
 		err := m.edges.each(lo, hi, func(e *edge, rep, i int) error {
-			rec := e.record(rep, &at)
+			rec := e.record(rep, m.names(rep), &at)
 			var err error
 			dst, err = appendLine(dst, &rec, "merged edge", i)
 			return err

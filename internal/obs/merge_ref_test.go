@@ -176,8 +176,8 @@ func RefSpansForAnalysis(s *Snapshot) []Record {
 // back, and reports the first that does not come back unchanged.
 func CheckRoundTrip(t *Telemetry) error {
 	check := func(sp *span, where string) error {
-		rec := sp.record()
-		back, ok := spanOfRecord(&rec)
+		rec := sp.record(t.rep, t.names.list)
+		back, ok := spanOfRecord(&rec, &t.names)
 		if !ok || back != *sp {
 			return fmt.Errorf("%s span %d does not round-trip: %+v -> %+v", where, sp.id, *sp, back)
 		}
@@ -205,36 +205,45 @@ func CheckRoundTrip(t *Telemetry) error {
 	var at float64
 	for i := 0; i < t.edges.n; i++ {
 		e := t.edges.get(i)
-		rec := e.record(t.rep, &at)
-		if back, ok := edgeOfRecord(&rec, t.rep); !ok || back != *e {
+		rec := e.record(t.rep, t.names.list, &at)
+		if back, ok := edgeOfRecord(&rec, &t.names); !ok || back != *e {
 			return fmt.Errorf("edge %d does not round-trip: %+v -> %+v", i, *e, back)
 		}
 	}
 	return nil
 }
 
+// lookup returns the index of name in the table without adding it.
+func (n *names) lookup(name string) (uint32, bool) {
+	if name == "" {
+		return 0, true
+	}
+	i, ok := n.index[name]
+	return i, ok
+}
+
 // spanOfRecord is the inverse of recordIn: it rebuilds the span a span
-// Record was rendered from, reporting false when rec is not one recordIn
-// renders.
-func spanOfRecord(rec *Record) (span, bool) {
+// Record was rendered from with the name table tab, reporting false when
+// rec is not one recordIn renders.
+func spanOfRecord(rec *Record, tab *names) (span, bool) {
 	kind := spanKind(0)
 	for kind < numSpanKinds && spanKindNames[kind] != rec.Kind {
 		kind++
 	}
-	if kind == numSpanKinds || rec.Start == nil || rec.VDL == nil || rec.Slack == nil ||
+	task, named := tab.lookup(rec.Task)
+	if kind == numSpanKinds || !named || rec.Start == nil || rec.VDL == nil || rec.Slack == nil ||
 		rec.Exec == nil || rec.Pex == nil {
 		return span{}, false
 	}
 	sp := span{
 		id:     rec.ID,
 		root:   rec.Root,
-		task:   rec.Task,
+		task:   task,
 		start:  *rec.Start,
 		vdl:    *rec.VDL,
 		slack:  *rec.Slack,
 		exec:   *rec.Exec,
 		pex:    *rec.Pex,
-		rep:    int32(rec.Rep),
 		node:   int32(rec.Node),
 		depth:  int32(rec.Depth),
 		width:  int32(rec.Width),
@@ -252,19 +261,25 @@ func spanOfRecord(rec *Record) (span, bool) {
 		sp.end = *rec.End
 	}
 	var v spanFloats
-	back := sp.recordIn(&v)
+	back := sp.recordIn(&v, rec.Rep, tab.list)
 	return sp, sameRecord(&back, rec)
 }
 
-// edgeOfRecord is the inverse of edge.record for replication rep,
-// reporting false when rec is not one edge.record renders.
-func edgeOfRecord(rec *Record, rep int) (edge, bool) {
-	if rec.At == nil {
+// edgeOfRecord is the inverse of edge.record: it rebuilds the edge an
+// edge Record was rendered from with the name table tab, reporting
+// false when rec is not one edge.record renders.
+func edgeOfRecord(rec *Record, tab *names) (edge, bool) {
+	kind := edgeKind(0)
+	for kind < numEdgeKinds && edgeKindNames[kind] != rec.Kind {
+		kind++
+	}
+	label, named := tab.lookup(rec.Task)
+	if kind == numEdgeKinds || !named || rec.At == nil {
 		return edge{}, false
 	}
-	e := edge{kind: rec.Kind, label: rec.Task, from: rec.From, to: rec.ID, root: rec.Root, at: *rec.At}
+	e := edge{kind: kind, label: label, from: rec.From, to: rec.ID, root: rec.Root, at: *rec.At}
 	var at float64
-	back := e.record(rep, &at)
+	back := e.record(rec.Rep, tab.list, &at)
 	return e, sameRecord(&back, rec)
 }
 

@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -30,11 +31,14 @@ func shardTelemetry(t *testing.T, n int, maxSpans int) []*obs.Telemetry {
 	return shards
 }
 
+// mergeOrder folds clones of the shards in the given arrival order, so
+// a test may fold the same shards again or read them afterwards:
+// MergeInto hands a telemetry's span and edge logs over once.
 func mergeOrder(t *testing.T, shards []*obs.Telemetry, order []int) *obs.Merged {
 	t.Helper()
 	m := obs.NewMerged()
 	for _, i := range order {
-		if err := shards[i].MergeInto(m); err != nil {
+		if err := shards[i].Clone().MergeInto(m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +99,7 @@ func TestMergedGlobalSpanBudget(t *testing.T) {
 	shards := shardTelemetry(t, 4, budget)
 	perShard := 0
 	for _, s := range shards {
-		perShard += s.SpanCount()
+		perShard += obs.SpanCount(s)
 	}
 	if perShard <= budget {
 		t.Fatalf("run too small: %d spans across shards", perShard)
@@ -176,5 +180,47 @@ func TestMergedSnapshotIsolatedFromLaterFolds(t *testing.T) {
 	}
 	if m.Shards() != 4 {
 		t.Fatalf("folded %d shards, want 4", m.Shards())
+	}
+}
+
+// TestMergeIntoOnce pins the one-shot handover: MergeInto hands the
+// span and edge logs over, so they read empty afterwards while the
+// instruments and exemplars stay, and a second MergeInto fails, into
+// the same fold or another, leaving both folds as they were.
+func TestMergeIntoOnce(t *testing.T) {
+	tel := shardTelemetry(t, 1, 1<<16)[0]
+	spans, exemplars := obs.Spans(tel), obs.Exemplars(tel)
+	resolved, missed := obs.GlobalCounts(tel)
+	if len(spans) == 0 || len(exemplars) == 0 {
+		t.Fatalf("run too small: %d spans, %d exemplars", len(spans), len(exemplars))
+	}
+	m := obs.NewMerged()
+	if err := tel.MergeInto(m); err != nil {
+		t.Fatal(err)
+	}
+	if n := obs.SpanCount(tel); n != 0 {
+		t.Errorf("the telemetry retains %d spans after the handover", n)
+	}
+	if s := tel.Snapshot(0); len(s.Spans) != 0 || len(s.Edges) != 0 || s.Retained != 0 {
+		t.Errorf("snapshot after the handover holds %d spans, %d edges, %d retained", len(s.Spans), len(s.Edges), s.Retained)
+	}
+	if got := obs.Exemplars(tel); !reflect.DeepEqual(got, exemplars) {
+		t.Errorf("the handover changed the exemplars")
+	}
+	if r, ms := obs.GlobalCounts(tel); r != resolved || ms != missed {
+		t.Errorf("the handover changed the outcome counters: (%d,%d), want (%d,%d)", r, ms, resolved, missed)
+	}
+	if got := m.Snapshot().Spans; !reflect.DeepEqual(got, spans) {
+		t.Fatalf("the fold holds %d spans, the telemetry held %d", len(got), len(spans))
+	}
+	other := obs.NewMerged()
+	for name, fold := range map[string]*obs.Merged{"same": m, "other": other} {
+		err := tel.MergeInto(fold)
+		if want := "obs: replication 0 telemetry already merged"; err == nil || err.Error() != want {
+			t.Errorf("second MergeInto into the %s fold: err = %v, want %q", name, err, want)
+		}
+	}
+	if m.Shards() != 1 || other.Shards() != 0 || other.Snapshot() != nil {
+		t.Errorf("a refused MergeInto folded: %d and %d shards", m.Shards(), other.Shards())
 	}
 }

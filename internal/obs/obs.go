@@ -134,10 +134,16 @@ type Telemetry struct {
 	// The span store is a ring of at most MaxSpans spans. Span ids are
 	// consecutive, so it holds ids nextID-spans.n+1 .. nextID in order
 	// and a retained span's position follows from its id (see
-	// retained).
+	// retained). MergeInto hands the ring to a fold and leaves an empty
+	// one.
 	spans  ring[span]
 	nextID uint64 // last span id == total spans ever recorded
-	rep    int    // replication index stamped on spans
+	rep    int    // replication index of every span
+	merged bool   // MergeInto has handed the span and edge logs over
+
+	// names interns the task names and burst labels spans and edges
+	// refer to.
+	names names
 
 	// latest maps a task to its most recent span: the one a later close
 	// resolves while it is open, and the causal-edge endpoint (see
@@ -225,13 +231,35 @@ func New(o Options) *Telemetry {
 	return t
 }
 
-// SetReplication stamps rep (0-based replication index) on every span the
-// telemetry records from now on. The simulator calls it before the run
+// SetReplication sets the 0-based replication index of the telemetry's
+// spans, edges and exemplars. The simulator calls it before the run
 // starts; standalone uses default to rep 0.
-func (t *Telemetry) SetReplication(rep int) { t.rep = rep }
+func (t *Telemetry) SetReplication(rep int) {
+	t.rep = rep
+	t.ex.rep = rep
+}
 
-// Registry exposes the metrics registry (for tests and custom exports).
-func (t *Telemetry) Registry() *Registry { return t.reg }
+// DrawFrom makes the telemetry take the chunks of its span and edge
+// rings from m's free lists, which hold the chunks m's budget trim
+// released from the logs of earlier replications, and makes m keep
+// such chunks until DropFree. sim.Run draws every replication's
+// telemetry from the run's fold. Call before the run starts.
+func (t *Telemetry) DrawFrom(m *Merged) {
+	m.freeSpans.setKeep(true)
+	m.freeEdges.setKeep(true)
+	t.spans.free, t.edges.free = &m.freeSpans, &m.freeEdges
+}
+
+// Clone returns a copy of the finished telemetry that owns copies of
+// its span and edge logs and shares everything else, so one finished
+// replication can be handed to more than one fold: MergeInto hands the
+// copy's logs over and leaves t's. Benchmarks and differential tests
+// fold the same replications repeatedly through it.
+func (t *Telemetry) Clone() *Telemetry {
+	cp := *t
+	cp.spans, cp.edges = t.spans.clone(), t.edges.clone()
+	return &cp
+}
 
 // Bind attaches the telemetry to a wired system: it registers the
 // per-node queue-depth gauges, the in-flight and calendar gauges, and
@@ -361,19 +389,18 @@ func (t *Telemetry) RecordRelease(tk, root *task.Task, budget simtime.Time) {
 		kind = kindSubtask
 		nodeID = tk.Node
 	}
-	sp := span{
-		kind:  kind,
-		task:  tk.Name,
-		node:  int32(nodeID),
-		root:  rootID,
-		start: now,
-		open:  true,
-		vdl:   float64(tk.VirtualDeadline),
-		slack: slack,
-		exec:  float64(tk.CriticalPath()),
-		pex:   pex,
-		boost: tk.PriorityBoost,
-	}
+	name := t.names.id(tk.Name)
+	sp := t.pushSpan(tk, true)
+	sp.kind = kind
+	sp.task = name
+	sp.node = int32(nodeID)
+	sp.root = rootID
+	sp.start = now
+	sp.vdl = float64(tk.VirtualDeadline)
+	sp.slack = slack
+	sp.exec = float64(tk.CriticalPath())
+	sp.pex = pex
+	sp.boost = tk.PriorityBoost
 	if tk == root {
 		sp.realDL = float64(root.RealDeadline)
 		sp.hasRDL = true
@@ -381,13 +408,12 @@ func (t *Telemetry) RecordRelease(tk, root *task.Task, budget simtime.Time) {
 			sp.depth, sp.width = int32(shape[0]), int32(shape[1])
 		}
 	}
-	t.pushSpan(tk, &sp)
 	newID := t.nextID
 	if retry && retryFrom != 0 {
-		t.addEdge("retry", retryFrom, newID, t.lastSpan(root), now, tk.Name)
+		t.addEdge(edgeRetry, retryFrom, newID, t.lastSpan(root), now, name)
 	}
 	if tk == root && t.injectID != 0 {
-		t.addEdge("inject", t.injectID, newID, newID, now, tk.Name)
+		t.addEdge(edgeInject, t.injectID, newID, newID, now, name)
 	}
 }
 
@@ -398,7 +424,10 @@ func (t *Telemetry) RecordRelease(tk, root *task.Task, budget simtime.Time) {
 // Begin wins.
 func (t *Telemetry) BeginInject(label string) {
 	now := t.now()
-	t.pushSpan(nil, &span{kind: kindInject, task: label, node: -1, start: now, end: now, vdl: now})
+	name := t.names.id(label)
+	sp := t.pushSpan(nil, false)
+	sp.kind, sp.task, sp.node = kindInject, name, -1
+	sp.start, sp.end, sp.vdl = now, now, now
 	t.injectID = t.nextID
 }
 
@@ -412,6 +441,7 @@ func (t *Telemetry) EndInject() { t.injectID = 0 }
 // saw the task) are dropped and counted — the surviving stream stays
 // deterministic because span ids outlive ring eviction.
 func (t *Telemetry) RecordCause(kind string, from, to, root *task.Task) {
+	code := edgeKindOf(kind)
 	fid := t.lastSpan(from)
 	if fid == 0 {
 		t.edgeUnspan.Inc()
@@ -422,26 +452,60 @@ func (t *Telemetry) RecordCause(kind string, from, to, root *task.Task) {
 		t.edgeUnspan.Inc()
 		return
 	}
-	t.addEdge(kind, fid, tid, t.lastSpan(root), t.now(), to.Name)
+	t.addEdge(code, fid, tid, t.lastSpan(root), t.now(), t.names.id(to.Name))
 }
 
 // edge is the in-memory form of one causal edge: the span ids it links
-// and the instant it fired. It becomes an edge Record only on export.
+// and the instant it fired. It holds no pointer (40 bytes): the kind is
+// a code into edgeKindNames and the label, the effect task's name, an
+// index into the telemetry's name table. It becomes an edge Record only
+// on export.
 type edge struct {
-	kind, label    string
 	from, to, root uint64
 	at             float64
+	label          uint32
+	kind           edgeKind
 }
 
-// record converts the edge to its serialized form for replication rep,
-// storing the firing instant in *at.
-func (e *edge) record(rep int, at *float64) Record {
+// edgeKind codes an edge's kind; edgeKindNames holds the exported names.
+type edgeKind uint8
+
+const (
+	edgeParent edgeKind = iota
+	edgePred
+	edgeAbort
+	edgeRetry
+	edgeInject
+	numEdgeKinds
+)
+
+// edgeKindNames maps an edgeKind to its Record.Kind string.
+var edgeKindNames = [numEdgeKinds]string{"parent", "pred", "abort", "retry", "inject"}
+
+// edgeKindOf returns the code of a kind the process manager reports. Its
+// vocabulary is closed (see procmgr.Listener.RecordCause), so any other
+// kind is a programming error.
+func edgeKindOf(kind string) edgeKind {
+	switch kind {
+	case "parent":
+		return edgeParent
+	case "pred":
+		return edgePred
+	case "abort":
+		return edgeAbort
+	}
+	panic(fmt.Sprintf("obs: unknown causal edge kind %q", kind))
+}
+
+// record converts the edge of replication rep, whose label indexes
+// list, to its serialized form, storing the firing instant in *at.
+func (e *edge) record(rep int, list []string, at *float64) Record {
 	*at = e.at
 	return Record{
 		Schema: SchemaVersion,
 		Type:   "edge",
-		Kind:   e.kind,
-		Task:   e.label,
+		Kind:   edgeKindNames[e.kind],
+		Task:   nameAt(list, e.label),
 		Node:   -1,
 		ID:     e.to,
 		Root:   e.root,
@@ -453,9 +517,9 @@ func (e *edge) record(rep int, at *float64) Record {
 
 // addEdge records one edge in the bounded edge ring, evicting the
 // oldest edge once the MaxSpans budget is reached.
-func (t *Telemetry) addEdge(kind string, from, to, root uint64, at float64, label string) {
+func (t *Telemetry) addEdge(kind edgeKind, from, to, root uint64, at float64, label uint32) {
 	slot, evicted := t.edges.push()
-	*slot = edge{kind: kind, label: label, from: from, to: to, root: root, at: at}
+	*slot = edge{from: from, to: to, root: root, at: at, label: label, kind: kind}
 	if evicted {
 		t.edgeEvicted.Inc()
 	}
@@ -471,15 +535,9 @@ func (t *Telemetry) edgesTail(n int) []Record {
 	out := make([]Record, t.edges.n-start)
 	ats := make([]float64, len(out))
 	for i := range out {
-		out[i] = t.edges.get(start+i).record(t.rep, &ats[i])
+		out[i] = t.edges.get(start+i).record(t.rep, t.names.list, &ats[i])
 	}
 	return out
-}
-
-// DroppedEdges returns how many causal edges were discarded, for any
-// reason.
-func (t *Telemetry) DroppedEdges() uint64 {
-	return t.edgeUnspan.Value() + t.edgeEvicted.Value()
 }
 
 // retained returns span id, or nil when the ring no longer holds it.
@@ -519,19 +577,18 @@ func (t *Telemetry) takeOpen(id uint64) *span {
 	return &t.closing
 }
 
-// pushSpan records a span in the ring and returns where it is stored,
-// evicting the oldest retained span when the ring is at the MaxSpans
-// budget. A span with an owner becomes the owner's latest; an evicted
-// open span moves to the evicted set so its close still counts. *sp is
-// stamped with its id and replication, then copied into the ring.
-func (t *Telemetry) pushSpan(owner *task.Task, sp *span) *span {
+// pushSpan claims the ring slot of a new span and returns it, evicting
+// the oldest retained span when the ring is at the MaxSpans budget. A
+// span with an owner becomes the owner's latest; an evicted open span
+// moves to the evicted set so its close still counts. The slot comes
+// back zeroed but for its id and open flag; the caller fills in the
+// rest in place.
+func (t *Telemetry) pushSpan(owner *task.Task, open bool) *span {
 	t.nextID++
-	sp.id = t.nextID
-	sp.rep = int32(t.rep)
 	if owner != nil {
-		t.latest[owner] = sp.id
+		t.latest[owner] = t.nextID
 	}
-	if sp.open {
+	if open {
 		t.openSpans++
 	}
 	slot, evicted := t.spans.push()
@@ -544,7 +601,8 @@ func (t *Telemetry) pushSpan(owner *task.Task, sp *span) *span {
 		}
 		t.droppedSpans.Inc()
 	}
-	*slot = *sp
+	*slot = span{}
+	slot.id, slot.open = t.nextID, open
 	return slot
 }
 
@@ -619,23 +677,23 @@ func (t *Telemetry) RecordLocal(tk *task.Task, missed bool) {
 	slack := float64(tk.RealDeadline) - float64(tk.Arrival) - float64(tk.Exec)
 	t.latenessSk.Observe(end - float64(tk.RealDeadline))
 	t.latencySk.Observe(end - float64(tk.Arrival))
-	sp := span{
-		kind:   kindLocal,
-		task:   tk.Name,
-		node:   int32(tk.Node),
-		start:  float64(tk.Arrival),
-		end:    end,
-		vdl:    float64(tk.VirtualDeadline),
-		realDL: float64(tk.RealDeadline),
-		hasRDL: true,
-		slack:  slack,
-		exec:   float64(tk.Exec),
-		pex:    float64(tk.Pex),
-		missed: missed,
-		abort:  tk.Aborted,
-		boost:  tk.PriorityBoost,
-	}
-	t.ex.observeClose(t.pushSpan(nil, &sp))
+	name := t.names.id(tk.Name)
+	sp := t.pushSpan(nil, false)
+	sp.kind = kindLocal
+	sp.task = name
+	sp.node = int32(tk.Node)
+	sp.start = float64(tk.Arrival)
+	sp.end = end
+	sp.vdl = float64(tk.VirtualDeadline)
+	sp.realDL = float64(tk.RealDeadline)
+	sp.hasRDL = true
+	sp.slack = slack
+	sp.exec = float64(tk.Exec)
+	sp.pex = float64(tk.Pex)
+	sp.missed = missed
+	sp.abort = tk.Aborted
+	sp.boost = tk.PriorityBoost
+	t.ex.observeClose(sp)
 }
 
 // RecordSubtask implements procmgr.Recorder: it closes the subtask's

@@ -17,15 +17,15 @@ func TestRingKeepsLatestSpans(t *testing.T) {
 	cfg.Obs = obs.Options{Enabled: true, MaxSpans: 16}
 	_, tel := runObserved(t, cfg, 3)
 
-	spans := tel.Spans()
+	spans := obs.Spans(tel)
 	if len(spans) > 16 {
 		t.Fatalf("retained %d spans, budget 16", len(spans))
 	}
-	total := tel.TotalSpans()
+	total := obs.TotalSpans(tel)
 	if total <= 16 {
 		t.Fatalf("run too small to exercise eviction: %d spans", total)
 	}
-	if got := tel.DroppedSpans(); got != total-uint64(len(spans)) {
+	if got := obs.DroppedSpans(tel); got != total-uint64(len(spans)) {
 		t.Fatalf("dropped %d, want total-retained = %d", got, total-uint64(len(spans)))
 	}
 	// Keep-latest: retained ids are exactly the top of the id space, in
@@ -46,7 +46,7 @@ func TestGlobalCountsSurviveEviction(t *testing.T) {
 		cfg := smallConfig()
 		cfg.Obs = obs.Options{Enabled: true, MaxSpans: maxSpans}
 		_, tel := runObserved(t, cfg, 9)
-		return tel.GlobalCounts()
+		return obs.GlobalCounts(tel)
 	}
 	rBig, mBig := run(1 << 16)
 	rTiny, mTiny := run(8)
@@ -67,7 +67,7 @@ func TestExemplarsSurviveEviction(t *testing.T) {
 		cfg := smallConfig()
 		cfg.Obs = obs.Options{Enabled: true, MaxSpans: maxSpans, ExemplarK: 4}
 		_, tel := runObserved(t, cfg, 3)
-		return tel, tel.Exemplars()
+		return tel, obs.Exemplars(tel)
 	}
 	_, tight := run(8)
 	_, loose := run(1 << 16)
@@ -105,7 +105,7 @@ func TestExemplarSeedChangesOnlyTies(t *testing.T) {
 		cfg := smallConfig()
 		cfg.Obs = obs.Options{Enabled: true, ExemplarSeed: seed, ExemplarK: 4}
 		_, tel := runObserved(t, cfg, 3)
-		return tel.Exemplars()
+		return obs.Exemplars(tel)
 	}
 	a1, a2 := run(1), run(1)
 	if !reflect.DeepEqual(a1, a2) {

@@ -254,14 +254,15 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 }
 
 // span is the in-memory form of one lifecycle span; it converts to a
-// Record at export time. The layout is compact (112 bytes) and the task
-// name is its only pointer, so the span ring is cheap to grow and to
-// scan for the garbage collector: the kind is a code into spanKindNames
-// and the small integers are int32.
+// Record at export time. The layout is compact (96 bytes) and holds no
+// pointer, so a span chunk is memory the garbage collector never scans:
+// the kind is a code into spanKindNames, the task name an index into
+// the telemetry's name table, and the small integers are int32. The
+// replication index is not stored: every span of a telemetry, and of
+// the shard it hands to a fold, belongs to one replication.
 type span struct {
 	id     uint64
 	root   uint64
-	task   string
 	start  float64
 	end    float64
 	vdl    float64
@@ -269,7 +270,7 @@ type span struct {
 	slack  float64
 	exec   float64 // realized critical-path work at release
 	pex    float64 // predicted critical-path work at release
-	rep    int32   // replication index, stamped at record time
+	task   uint32  // name-table index of the task name
 	node   int32
 	depth  int32 // DAG root spans only
 	width  int32 // DAG root spans only
@@ -296,29 +297,68 @@ const (
 // spanKindNames maps a spanKind to its Record.Kind string.
 var spanKindNames = [numSpanKinds]string{"global", "local", "stage", "subtask", "inject"}
 
+// names interns the task names and burst labels of one telemetry, so
+// spans and edges hold a uint32 index instead of a string. Index 0 is
+// "" and is never looked up: the unnamed tasks of tree workloads cost
+// nothing. The table grows with the distinct names a run uses, not
+// with its length.
+type names struct {
+	list  []string // list[i] is the name of index i; list[0] is ""
+	index map[string]uint32
+}
+
+// id returns the index of name, adding it on first use.
+func (n *names) id(name string) uint32 {
+	if name == "" {
+		return 0
+	}
+	if i, ok := n.index[name]; ok {
+		return i
+	}
+	if n.index == nil {
+		n.index = make(map[string]uint32)
+		n.list = append(n.list, "")
+	}
+	i := uint32(len(n.list))
+	n.list = append(n.list, name)
+	n.index[name] = i
+	return i
+}
+
+// nameAt resolves index i of the name list list.
+func nameAt(list []string, i uint32) string {
+	if i == 0 {
+		return ""
+	}
+	return list[i]
+}
+
 // spanFloats backs the optional float fields of one span Record:
 // start, vdl, slack, exec, pex, real_dl, end, lateness.
 type spanFloats [8]float64
 
-// record converts the span to its serialized form. Still-open spans omit
-// End and Lateness; aborted spans keep End (the abort instant) but omit
-// Lateness, because a withdrawal has no completion to judge.
-func (s *span) record() Record { return s.recordIn(new(spanFloats)) }
+// record converts the span of replication rep, whose names index list,
+// to its serialized form. Still-open spans omit End and Lateness;
+// aborted spans keep End (the abort instant) but omit Lateness, because
+// a withdrawal has no completion to judge.
+func (s *span) record(rep int, list []string) Record {
+	return s.recordIn(new(spanFloats), rep, list)
+}
 
 // recordIn is record with the float fields stored in *v — one
 // allocation per Record instead of one per field, or none when the
 // caller encodes the Record at once and keeps v on its stack.
-func (s *span) recordIn(v *spanFloats) Record {
+func (s *span) recordIn(v *spanFloats, rep int, list []string) Record {
 	v[0], v[1], v[2], v[3], v[4] = s.start, s.vdl, s.slack, s.exec, s.pex
 	rec := Record{
 		Schema:  SchemaVersion,
 		Type:    "span",
 		Kind:    spanKindNames[s.kind],
-		Task:    s.task,
+		Task:    nameAt(list, s.task),
 		Node:    int(s.node),
 		ID:      s.id,
 		Root:    s.root,
-		Rep:     int(s.rep),
+		Rep:     rep,
 		Start:   &v[0],
 		VDL:     &v[1],
 		Slack:   &v[2],
@@ -383,20 +423,8 @@ func appendLine(dst []byte, rec *Record, what string, i int) ([]byte, error) {
 	return append(dst, '\n'), nil
 }
 
-// Spans returns the retained span log (for tests and summaries), oldest
-// first.
-func (t *Telemetry) Spans() []Record {
-	return t.SpansTail(0)
-}
-
-// SpanCount returns how many spans are currently retained in the ring.
-func (t *Telemetry) SpanCount() int { return t.spans.n }
-
-// TotalSpans returns how many spans were ever recorded, retained or not.
-func (t *Telemetry) TotalSpans() uint64 { return t.nextID }
-
 // SpansTail materializes the most recent n retained spans, in release
-// order (all of them when n <= 0 or n >= SpanCount). The live
+// order (all of them when n <= 0 or n >= the retained count). The live
 // observability hub uses it so a per-tick snapshot costs O(n) in the
 // ring size rather than O(total spans recorded).
 func (t *Telemetry) SpansTail(n int) []Record {
@@ -407,27 +435,7 @@ func (t *Telemetry) SpansTail(n int) []Record {
 	out := make([]Record, t.spans.n-start)
 	vs := make([]spanFloats, len(out))
 	for i := range out {
-		out[i] = t.spans.get(start + i).recordIn(&vs[i])
+		out[i] = t.spans.get(start+i).recordIn(&vs[i], t.rep, t.names.list)
 	}
 	return out
 }
-
-// Exemplars returns the retained exemplar spans — for each span kind the
-// K latest-released and K worst-lateness closed spans — in a
-// deterministic order. Exemplars survive ring eviction, so they remain
-// representative under tight MaxSpans budgets.
-func (t *Telemetry) Exemplars() []Record {
-	return t.ex.snapshot().Records()
-}
-
-// GlobalCounts returns how many global spans have resolved (finished or
-// aborted) and how many of those missed. It reads the outcome counters,
-// so it is exact even when the span ring has evicted the spans
-// themselves.
-func (t *Telemetry) GlobalCounts() (resolved, missed int) {
-	return int(t.doneGlobal.Value()), int(t.missedGlobal.Value())
-}
-
-// DroppedSpans returns how many spans were discarded because the span
-// store hit Options.MaxSpans.
-func (t *Telemetry) DroppedSpans() uint64 { return t.droppedSpans.Value() }

@@ -6,30 +6,67 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"repro/internal/task"
 )
 
-// TestSpanLayout pins the compact span record: 112 bytes on 64-bit
-// hosts, with the task name its only pointer, so the span ring stays
-// small and cheap for the garbage collector to scan. A new field belongs
-// in the padding or needs a reason to grow the ring.
+// TestSpanLayout pins the compact span and edge records: no pointer
+// anywhere in either, so their ring chunks are memory the garbage
+// collector never scans, and 96 and 40 bytes on 64-bit hosts, so the
+// rings stay small. A new field belongs in the padding or needs a
+// reason to grow the rings.
 func TestSpanLayout(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeOf(span{}), reflect.TypeOf(edge{})} {
+		if path, ok := pointerFree(typ, typ.Name()); !ok {
+			t.Errorf("%s holds a pointer at %s", typ.Name(), path)
+		}
+	}
 	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("layout pinned for 64-bit hosts")
+		t.Skip("sizes pinned for 64-bit hosts")
 	}
-	if got := unsafe.Sizeof(span{}); got != 112 {
-		t.Errorf("span is %d bytes, want 112", got)
+	if got := unsafe.Sizeof(span{}); got != 96 {
+		t.Errorf("span is %d bytes, want 96", got)
 	}
-	typ := reflect.TypeOf(span{})
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
-		switch f.Type.Kind() {
-		case reflect.Ptr, reflect.Map, reflect.Slice, reflect.Interface, reflect.Func, reflect.Chan:
-			t.Errorf("span field %s is a pointer type %s", f.Name, f.Type)
-		case reflect.String:
-			if f.Name != "task" {
-				t.Errorf("span field %s is a string; only the task name may be", f.Name)
+	if got := unsafe.Sizeof(edge{}); got != 40 {
+		t.Errorf("edge is %d bytes, want 40", got)
+	}
+}
+
+// pointerFree walks typ, reporting false and the path of the first
+// field that is or holds a pointer (a string, slice, map, interface,
+// func, chan or pointer).
+func pointerFree(typ reflect.Type, path string) (string, bool) {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p, ok := pointerFree(f.Type, path+"."+f.Name); !ok {
+				return p, false
 			}
 		}
+		return "", true
+	case reflect.Array:
+		return pointerFree(typ.Elem(), path+"[]")
+	case reflect.String, reflect.Slice, reflect.Map, reflect.Interface, reflect.Func,
+		reflect.Chan, reflect.Pointer, reflect.UnsafePointer:
+		return path, false
+	}
+	return "", true
+}
+
+// TestPointerFreeWalk checks the walk TestSpanLayout relies on: a
+// pointer nested in an array of structs is found.
+func TestPointerFreeWalk(t *testing.T) {
+	type inner struct {
+		a int
+		b *int
+	}
+	type outer struct {
+		x  float64
+		in [2]inner
+	}
+	if path, ok := pointerFree(reflect.TypeOf(outer{}), "outer"); ok || path != "outer.in[].b" {
+		t.Errorf("pointerFree = %q, %v; want outer.in[].b, false", path, ok)
 	}
 }
 
@@ -48,7 +85,7 @@ func TestSpanRecordEncoding(t *testing.T) {
 		{
 			name: "aborted",
 			sp: span{
-				id: 7, root: 3, kind: kindSubtask, task: "G1.s2", node: 2,
+				id: 7, root: 3, kind: kindSubtask, task: 2, node: 2,
 				start: 10, end: 15, open: false,
 				vdl: 20, slack: 4, exec: 6, pex: 6,
 				missed: true, abort: true,
@@ -58,7 +95,7 @@ func TestSpanRecordEncoding(t *testing.T) {
 		{
 			name: "still-open-at-horizon",
 			sp: span{
-				id: 3, kind: kindGlobal, task: "G1", node: -1,
+				id: 3, kind: kindGlobal, task: 1, node: -1,
 				start: 10, open: true,
 				vdl: 30, realDL: 32, hasRDL: true, slack: 4, exec: 6, pex: 6,
 			},
@@ -67,7 +104,7 @@ func TestSpanRecordEncoding(t *testing.T) {
 		{
 			name: "finished",
 			sp: span{
-				id: 7, root: 3, kind: kindSubtask, task: "G1.s2", node: 2,
+				id: 7, root: 3, kind: kindSubtask, task: 2, node: 2,
 				start: 10, end: 22.5, open: false,
 				vdl: 20, slack: 4, exec: 6, pex: 6,
 				missed: true,
@@ -77,7 +114,7 @@ func TestSpanRecordEncoding(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := tc.sp.record()
+			rec := tc.sp.record(0, []string{"", "G1", "G1.s2"})
 			b, err := json.Marshal(rec)
 			if err != nil {
 				t.Fatal(err)
@@ -239,5 +276,32 @@ func TestReadRecords(t *testing.T) {
 	}
 	if _, err := ReadRecords(strings.NewReader("{}\nbroken\n")); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("bad line not located: %v", err)
+	}
+}
+
+// TestSpanCloseAllocs: at steady state on a full ring, releasing and
+// closing a subtask span and recording a local span allocate nothing
+// (BenchmarkObsSpanClose times the same operations).
+func TestSpanCloseAllocs(t *testing.T) {
+	const budget = 1 << 11
+	tel := New(Options{Enabled: true, MaxSpans: budget})
+	sub := task.MustSimple("", 1, 2)
+	root := task.MustParallel("", sub)
+	sub.VirtualDeadline, sub.Finish = 8, 5
+	local := task.MustSimple("L", 0, 3)
+	local.RealDeadline, local.VirtualDeadline, local.Finish = 6, 6, 4
+	op := func() {
+		tel.RecordRelease(sub, root, 8)
+		tel.RecordSubtask(sub, false)
+		tel.RecordLocal(local, false)
+	}
+	for i := 0; i < budget; i++ {
+		op()
+	}
+	if n := testing.AllocsPerRun(1000, op); n != 0 {
+		t.Errorf("a span release and close and a local span allocate %v times", n)
+	}
+	if tel.spans.n != budget {
+		t.Fatalf("ring holds %d spans, want a full %d", tel.spans.n, budget)
 	}
 }

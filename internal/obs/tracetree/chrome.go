@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -198,13 +199,15 @@ func (f *Forest) layout() chromeLayout {
 	// the process list is sorted by pid), so a counting sort over node
 	// numbers dense in order of first appearance groups them in linear
 	// time whatever the node ids. Until the lanes are assigned, l.lane[i]
-	// holds span i's dense node number. The globals process of a
-	// replication is used when any of its spans off the nodes is drawn.
+	// holds span i's dense node number, or -1 when span i is not drawn.
+	// The globals process of a replication is used when any of its spans
+	// off the nodes is drawn.
 	dense := make(map[int]int32)
-	order := make([]int32, 0, len(f.all))
 	lastGlobals := 0
+	drawn := 0
 	for i := range f.all {
 		sp := &f.all[i].Span
+		l.lane[i] = -1
 		switch {
 		case sp.Node >= 0 && sp.Start != nil:
 			d, ok := dense[sp.Node]
@@ -212,85 +215,121 @@ func (f *Forest) layout() chromeLayout {
 				d = int32(len(dense))
 				dense[sp.Node] = d
 			}
-			order = append(order, int32(i))
 			l.lane[i] = d
+			drawn++
 		case sp.Start != nil && (len(l.procs) == 0 || sp.Rep != lastGlobals):
 			l.procs = append(l.procs, chromeProc{pid: l.pid(sp.Rep, -1), rep: sp.Rep, node: -1})
 			lastGlobals = sp.Rep
 		}
 	}
 	at := make([]int32, len(dense)+1)
-	for _, i := range order {
-		at[l.lane[i]+1]++
+	for _, d := range l.lane {
+		if d >= 0 {
+			at[d+1]++
+		}
 	}
 	for d := 1; d < len(at); d++ {
 		at[d] += at[d-1]
 	}
-	byNode := make([]int32, len(order))
-	for _, i := range order {
-		byNode[at[l.lane[i]]] = i
-		at[l.lane[i]]++
+	order := make([]int32, drawn)
+	for i, d := range l.lane {
+		if d < 0 {
+			l.lane[i] = 0 // not drawn: no lane
+			continue
+		}
+		order[at[d]] = int32(i)
+		at[d]++
 	}
-	order = byNode
 	var bounds []int // group g is order[bounds[g]:bounds[g+1]]
+	widest := 0      // the most spans in one group
 	for k, i := range order {
 		sp := &f.all[i].Span
 		if k > 0 {
 			if prev := &f.all[order[k-1]].Span; prev.Node == sp.Node && prev.Rep == sp.Rep {
 				continue
 			}
+			widest = max(widest, k-bounds[len(bounds)-1])
 		}
 		bounds = append(bounds, k)
 		l.procs = append(l.procs, chromeProc{pid: l.pid(sp.Rep, sp.Node), rep: sp.Rep, node: sp.Node})
+	}
+	if len(bounds) > 0 {
+		widest = max(widest, len(order)-bounds[len(bounds)-1])
 	}
 	bounds = append(bounds, len(order))
 	slices.SortFunc(l.procs, func(a, b chromeProc) int { return cmp.Compare(a.pid, b.pid) })
 
 	// Occupancy lanes per group: spans sorted by (start, id), each taking
-	// the lowest lane free at its start.
-	par.Map(0, len(bounds)-1, func(g int) error {
-		byStart := &laneOrder{all: f.all, g: order[bounds[g]:bounds[g+1]]}
-		sort.Sort(byStart)
+	// the lowest lane free at its start. Worker w lays out groups w,
+	// w+workers, ..., sorting each group's keys in one buffer of the
+	// widest group's size.
+	groups := len(bounds) - 1
+	workers := min(runtime.GOMAXPROCS(0), groups)
+	par.Map(0, workers, func(w int) error {
+		keys := make(laneKeys, 0, widest)
 		var lanes []float64 // end time of the last span on each lane
-		for _, i := range byStart.g {
-			sp := &f.all[i].Span
-			end := *sp.Start
-			if sp.End != nil {
-				end = *sp.End
-			}
-			placed := -1
-			for j := range lanes {
-				if lanes[j] <= *sp.Start {
-					placed = j
-					break
+		for g := w; g < groups; g += workers {
+			keys = keys.of(f.all, order[bounds[g]:bounds[g+1]])
+			sort.Sort(keys)
+			lanes = lanes[:0]
+			for _, k := range keys {
+				end := k.start
+				if e := f.all[k.i].Span.End; e != nil {
+					end = *e
 				}
+				placed := -1
+				for j := range lanes {
+					if lanes[j] <= k.start {
+						placed = j
+						break
+					}
+				}
+				if placed < 0 {
+					placed = len(lanes)
+					lanes = append(lanes, 0)
+				}
+				lanes[placed] = end
+				l.lane[k.i] = int32(placed)
 			}
-			if placed < 0 {
-				placed = len(lanes)
-				lanes = append(lanes, 0)
-			}
-			lanes[placed] = end
-			l.lane[i] = int32(placed)
 		}
 		return nil
 	})
 	return l
 }
 
-// laneOrder sorts a group's span indices by (start, id).
-type laneOrder struct {
-	all []Node
-	g   []int32
+// laneKey is the sort key of one drawn span: its start, its id and its
+// index in Forest.all. Sorting keys copied out of the records keeps the
+// comparisons off the records themselves.
+type laneKey struct {
+	start float64
+	id    uint64
+	i     int32
 }
 
-func (o *laneOrder) Len() int      { return len(o.g) }
-func (o *laneOrder) Swap(i, j int) { o.g[i], o.g[j] = o.g[j], o.g[i] }
-func (o *laneOrder) Less(i, j int) bool {
-	a, b := &o.all[o.g[i]].Span, &o.all[o.g[j]].Span
-	if *a.Start != *b.Start {
-		return *a.Start < *b.Start
+// laneKeys sorts a group's spans by (start, id). Its Less reads the
+// values the records hold, so sort.Sort makes the same comparisons and
+// swaps, and leaves the same order, as over the records themselves,
+// ties and NaN starts included.
+type laneKeys []laneKey
+
+// of refills the keys with those of the spans all[i] for i in g, in g's
+// order, reusing their storage.
+func (k laneKeys) of(all []Node, g []int32) laneKeys {
+	k = k[:0]
+	for _, i := range g {
+		sp := &all[i].Span
+		k = append(k, laneKey{start: *sp.Start, id: sp.ID, i: i})
 	}
-	return a.ID < b.ID
+	return k
+}
+
+func (k laneKeys) Len() int      { return len(k) }
+func (k laneKeys) Swap(i, j int) { k[i], k[j] = k[j], k[i] }
+func (k laneKeys) Less(i, j int) bool {
+	if k[i].start != k[j].start {
+		return k[i].start < k[j].start
+	}
+	return k[i].id < k[j].id
 }
 
 // pid returns the Chrome process id for a replication/node pair; node -1

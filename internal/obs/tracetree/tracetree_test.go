@@ -3,6 +3,9 @@ package tracetree
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -283,5 +286,78 @@ func TestChromeOccupancyLanes(t *testing.T) {
 	}
 	if tid["G.a"] != 0 || tid["G.b"] != 1 || tid["G.c"] != 1 {
 		t.Errorf("lanes = %v, want G.a:0 G.b:1 G.c:1", tid)
+	}
+}
+
+// refLaneOrder is the group sort layout used before it sorted keys:
+// span indices compared through the records.
+type refLaneOrder struct {
+	all []Node
+	g   []int32
+}
+
+func (o *refLaneOrder) Len() int      { return len(o.g) }
+func (o *refLaneOrder) Swap(i, j int) { o.g[i], o.g[j] = o.g[j], o.g[i] }
+func (o *refLaneOrder) Less(i, j int) bool {
+	a, b := &o.all[o.g[i]].Span, &o.all[o.g[j]].Span
+	if *a.Start != *b.Start {
+		return *a.Start < *b.Start
+	}
+	return a.ID < b.ID
+}
+
+// TestChromeLanesWithNaNStarts pins the lanes of one node's spans when
+// some starts are NaN, which no order ranks: the key sort must leave the
+// spans in the order the record sort left them, and so draw every span
+// on the same lane. Forty spans take the sort past its insertion-sort
+// cutoff.
+func TestChromeLanesWithNaNStarts(t *testing.T) {
+	recs := []obs.Record{span(0, 1, 0, "global", "G", -1, 0, 100)}
+	for id := uint64(2); id < 42; id++ {
+		start := float64((id * 7) % 13)
+		if id%5 == 0 {
+			start = math.NaN()
+		}
+		rec := span(0, id, 1, "subtask", fmt.Sprintf("G.%d", id), 0, start, start+float64(id%4))
+		if id%6 == 0 {
+			rec.End = nil // open at the horizon
+		}
+		recs = append(recs, rec)
+	}
+	f := Build(recs)
+	got := f.layout().lane
+
+	var g []int32 // the drawn leaf spans, in Forest.all order
+	for i := range f.all {
+		if f.all[i].Span.Node >= 0 {
+			g = append(g, int32(i))
+		}
+	}
+	sort.Sort(&refLaneOrder{all: f.all, g: g})
+	var lanes []float64
+	for _, i := range g {
+		sp := &f.all[i].Span
+		end := *sp.Start
+		if sp.End != nil {
+			end = *sp.End
+		}
+		placed := -1
+		for j := range lanes {
+			if lanes[j] <= *sp.Start {
+				placed = j
+				break
+			}
+		}
+		if placed < 0 {
+			placed = len(lanes)
+			lanes = append(lanes, 0)
+		}
+		lanes[placed] = end
+		if got[i] != int32(placed) {
+			t.Errorf("span %d (start %v): lane %d, the record sort gives %d", sp.ID, *sp.Start, got[i], placed)
+		}
+	}
+	if len(g) != 40 {
+		t.Fatalf("%d drawn spans, want 40", len(g))
 	}
 }

@@ -59,11 +59,11 @@ func TestServeAndAttributionDoNotPerturb(t *testing.T) {
 			// The hub's live report must equal an offline analysis of the
 			// same spans — /blame and the bundle's blame report agree by
 			// construction.
-			offline, err := attrib.Analyze(tel.Spans()).JSON()
-			if err != nil {
+			if err := tel.MergeInto(fold); err != nil {
 				t.Fatal(err)
 			}
-			if err := tel.MergeInto(fold); err != nil {
+			offline, err := attrib.Analyze(fold.Snapshot().Spans).JSON()
+			if err != nil {
 				t.Fatal(err)
 			}
 			hub.Finalize(fold, info)
@@ -90,7 +90,7 @@ func TestDagForkjoinBlameGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rpt := attrib.Analyze(tel.Spans())
+	rpt := attrib.Analyze(foldSpans(t, tel))
 
 	// Acceptance criteria: every missed global has a primary cause and a
 	// decomposition summing to its lateness within float tolerance.
@@ -142,7 +142,7 @@ func TestCondDagBlameGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rpt := attrib.Analyze(tel.Spans())
+	rpt := attrib.Analyze(foldSpans(t, tel))
 
 	if rpt.MissedGlobals == 0 {
 		t.Fatalf("cond-dag produced no missed globals; the golden is vacuous")
@@ -186,4 +186,15 @@ func TestCondDagBlameGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("attribution report drifted from golden %s;\nregenerate with BLESS_BLAME=1 if the change is deliberate", goldenPath)
 	}
+}
+
+// foldSpans hands tel to a fresh fold, as every bundle writer does, and
+// returns the fold's span log.
+func foldSpans(t *testing.T, tel *obs.Telemetry) []obs.Record {
+	t.Helper()
+	fold := obs.NewMerged()
+	if err := tel.MergeInto(fold); err != nil {
+		t.Fatal(err)
+	}
+	return fold.Snapshot().Spans
 }

@@ -44,7 +44,11 @@ func TestObservedRunsMatchGolden(t *testing.T) {
 			if out.TraceEvents != plain.TraceEvents {
 				t.Errorf("observed trace has %d events, plain %d", out.TraceEvents, plain.TraceEvents)
 			}
-			if tel.Registry() == nil || tel.Ticks() == 0 {
+			fold := obs.NewMerged()
+			if err := tel.MergeInto(fold); err != nil {
+				t.Fatal(err)
+			}
+			if fold.Snapshot().Registry.Counters == nil || tel.Ticks() == 0 {
 				t.Errorf("telemetry collected nothing (ticks=%d)", tel.Ticks())
 			}
 		})

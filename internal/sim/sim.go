@@ -445,6 +445,9 @@ func Run(cfg Config) (Result, error) {
 	var merged *obs.Merged
 	if cfg.Obs.Enabled {
 		merged = obs.NewMerged()
+		// The replications recycle ring chunks through the fold's free
+		// lists; none outlives the run.
+		defer merged.DropFree()
 	}
 	var flights []*des.Flight
 	if cfg.Flight {
@@ -459,6 +462,7 @@ func Run(cfg Config) (Result, error) {
 		sys.Replication, sys.Replications = r, cfg.Replications
 		if sys.tel != nil {
 			sys.tel.SetReplication(r)
+			sys.tel.DrawFrom(merged)
 			sys.fold = merged
 		}
 		if cfg.OnReplication != nil {
