@@ -11,6 +11,10 @@ import (
 	"repro/internal/sim"
 )
 
+// baselineStrategies are the PSP strategies the blame and oracle sections
+// compare on the Table 1 baseline cell.
+var baselineStrategies = []sda.PSP{sda.UD{}, sda.MustDiv(1)}
+
 // BlameCell is one strategy's miss-cause attribution at the Table 1
 // baseline cell.
 type BlameCell struct {
@@ -25,31 +29,19 @@ type BlameCell struct {
 // this says *why* — the paper's argument that DIV-1 trades local
 // interference for tighter stage budgets becomes directly inspectable.
 func BlameCheck(o exp.Options) ([]BlameCell, error) {
-	cells := []struct {
-		name string
-		psp  sda.PSP
-	}{
-		{"UD", sda.UD{}},
-		{"DIV-1", sda.MustDiv(1)},
-	}
-	out := make([]BlameCell, len(cells))
-	for i, c := range cells {
-		cfg := sim.Default()
-		cfg.Duration = o.Duration
-		cfg.Warmup = o.Warmup
-		cfg.Replications = o.Replications
-		cfg.Workers = o.Workers
-		cfg.Seed = o.Seed
-		cfg.PSP = c.psp
+	out := make([]BlameCell, len(baselineStrategies))
+	for i, psp := range baselineStrategies {
+		cfg := exp.BaselineConfig(o)
+		cfg.PSP = psp
 		cfg.Obs = obs.Options{Enabled: true}
 		res, err := sim.Run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("blame %s: %w", c.name, err)
+			return nil, fmt.Errorf("blame %s: %w", psp.Name(), err)
 		}
 		// Retained spans plus exemplars across every replication, merged
 		// deterministically — the same input an offline sdaobs -from pass
 		// over the run's exported bundle would analyze.
-		out[i] = BlameCell{Strategy: c.name, Report: attrib.Analyze(res.Obs.Snapshot().SpansForAnalysis())}
+		out[i] = BlameCell{Strategy: psp.Name(), Report: attrib.Analyze(res.Obs.Snapshot().SpansForAnalysis())}
 	}
 	return out, nil
 }

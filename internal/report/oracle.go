@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/exp"
-	"repro/internal/sda"
 	"repro/internal/sim"
 )
 
@@ -32,33 +31,23 @@ func (c OracleCell) Passed() bool { return c.ViolationCount == 0 }
 // simulator bug, not a workload property — so any non-zero count fails
 // the reproduction report.
 func OracleCheck(o exp.Options) ([]OracleCell, error) {
-	cells := []struct {
-		name string
-		psp  sda.PSP
-	}{
-		{"UD", sda.UD{}},
-		{"DIV-1", sda.MustDiv(1)},
-	}
-	out := make([]OracleCell, len(cells))
-	for i, c := range cells {
-		cfg := sim.Default()
-		cfg.Duration = o.Duration
-		cfg.Warmup = o.Warmup
+	out := make([]OracleCell, len(baselineStrategies))
+	for i, psp := range baselineStrategies {
+		cfg := exp.BaselineConfig(o)
 		cfg.Replications = 1
-		cfg.Seed = o.Seed
-		cfg.PSP = c.psp
+		cfg.PSP = psp
 		oracle := analysis.NewOracle()
 		cfg.Recorder = oracle
 		sys, err := sim.NewSystem(cfg, cfg.Seed)
 		if err != nil {
-			return nil, fmt.Errorf("oracle %s: %w", c.name, err)
+			return nil, fmt.Errorf("oracle %s: %w", psp.Name(), err)
 		}
 		if err := sys.Start(); err != nil {
-			return nil, fmt.Errorf("oracle %s: %w", c.name, err)
+			return nil, fmt.Errorf("oracle %s: %w", psp.Name(), err)
 		}
 		sys.Finish(sys.Horizon())
 		out[i] = OracleCell{
-			Strategy:       c.name,
+			Strategy:       psp.Name(),
 			Checks:         oracle.Checks(),
 			Skipped:        oracle.Skipped(),
 			Violations:     oracle.Violations(),

@@ -14,14 +14,43 @@ import (
 	"repro/internal/sim"
 )
 
-// Anchor is one quantitative claim from the paper's text with a measuring
-// procedure and an acceptance tolerance (absolute, on the fraction).
+// Cell is one configuration the report simulates: the Table 1 baseline
+// at a load, under a PSP strategy and an abort policy. Anchors and
+// relations name the cells they read, and Check simulates each distinct
+// cell once.
+type Cell struct {
+	Load  float64
+	PSP   sda.PSP
+	Abort sim.AbortMode
+}
+
+// config returns the cell's simulation config at fidelity o.
+func (c Cell) config(o exp.Options) sim.Config {
+	cfg := exp.BaselineConfig(o)
+	cfg.Spec.Load, cfg.PSP, cfg.Abort = c.Load, c.PSP, c.Abort
+	return cfg
+}
+
+// The cells the anchors and relations read.
+var (
+	udCell        = Cell{0.5, sda.UD{}, sim.AbortNone}
+	div1Cell      = Cell{0.5, sda.MustDiv(1), sim.AbortNone}
+	udAbortCell   = Cell{0.5, sda.UD{}, sim.AbortProcessManager}
+	div1AbortCell = Cell{0.5, sda.MustDiv(1), sim.AbortProcessManager}
+	div1HighCell  = Cell{0.7, sda.MustDiv(1), sim.AbortNone}
+	gfHighCell    = Cell{0.7, sda.GF{}, sim.AbortNone}
+)
+
+// Anchor is one quantitative claim from the paper's text: the cell it is
+// measured at, the quantity picked from that cell's result, and an
+// acceptance tolerance (absolute, on the fraction).
 type Anchor struct {
 	ID          string
 	Description string
 	Paper       float64 // value stated in the paper
 	Tolerance   float64 // acceptable |measured - paper| at default fidelity
-	Measure     func(o exp.Options) (float64, error)
+	Cell        Cell
+	Pick        func(sim.Result) float64
 }
 
 // Outcome is an anchor with its measurement.
@@ -31,84 +60,38 @@ type Outcome struct {
 	Pass     bool
 }
 
-// measureCfg builds the baseline config at the given fidelity and applies
-// a mutation.
-func measureCfg(o exp.Options, mutate func(*sim.Config)) (sim.Result, error) {
-	cfg := sim.Default()
-	cfg.Duration = o.Duration
-	cfg.Warmup = o.Warmup
-	cfg.Replications = o.Replications
-	cfg.Seed = o.Seed
-	mutate(&cfg)
-	return sim.Run(cfg)
-}
+func local(r sim.Result) float64   { return r.MDLocal.Mean }
+func subtask(r sim.Result) float64 { return r.MDSubtask.Mean }
+func global(r sim.Result) float64  { return r.MDGlobal.Mean }
 
 // Anchors returns the paper's quantitative anchors (all at the Table 1
-// baseline, load 0.5, unless stated otherwise).
+// baseline, load 0.5).
 func Anchors() []Anchor {
-	md := func(mutate func(*sim.Config), pick func(sim.Result) float64) func(exp.Options) (float64, error) {
-		return func(o exp.Options) (float64, error) {
-			res, err := measureCfg(o, mutate)
-			if err != nil {
-				return 0, err
-			}
-			return pick(res), nil
-		}
-	}
-	local := func(r sim.Result) float64 { return r.MDLocal.Mean }
-	subtask := func(r sim.Result) float64 { return r.MDSubtask.Mean }
-	global := func(r sim.Result) float64 { return r.MDGlobal.Mean }
-
 	return []Anchor{
-		{
-			ID: "ud-local", Description: "MD_local under UD @ load 0.5 (Fig. 5)",
-			Paper: 0.089, Tolerance: 0.015,
-			Measure: md(func(c *sim.Config) { c.PSP = sda.UD{} }, local),
-		},
-		{
-			ID: "ud-subtask", Description: "MD_subtask under UD @ load 0.5 (Fig. 5)",
-			Paper: 0.071, Tolerance: 0.015,
-			Measure: md(func(c *sim.Config) { c.PSP = sda.UD{} }, subtask),
-		},
-		{
-			ID: "ud-global", Description: "MD_global under UD @ load 0.5 (Fig. 5)",
-			Paper: 0.25, Tolerance: 0.035,
-			Measure: md(func(c *sim.Config) { c.PSP = sda.UD{} }, global),
-		},
-		{
-			ID: "div1-local", Description: "MD_local under DIV-1 @ load 0.5 (Fig. 6)",
-			Paper: 0.117, Tolerance: 0.02,
-			Measure: md(func(c *sim.Config) { c.PSP = sda.MustDiv(1) }, local),
-		},
-		{
-			ID: "div1-global", Description: "MD_global under DIV-1 @ load 0.5 (Fig. 6)",
-			Paper: 0.13, Tolerance: 0.025,
-			Measure: md(func(c *sim.Config) { c.PSP = sda.MustDiv(1) }, global),
-		},
-		{
-			ID: "abort-ud-global", Description: "MD_global under UD with PM abortion @ load 0.5 (Fig. 11)",
-			Paper: 0.15, Tolerance: 0.025,
-			Measure: md(func(c *sim.Config) {
-				c.PSP = sda.UD{}
-				c.Abort = sim.AbortProcessManager
-			}, global),
-		},
-		{
-			ID: "abort-div1-global", Description: "MD_global under DIV-1 with PM abortion @ load 0.5 (Fig. 11)",
-			Paper: 0.078, Tolerance: 0.02,
-			Measure: md(func(c *sim.Config) {
-				c.PSP = sda.MustDiv(1)
-				c.Abort = sim.AbortProcessManager
-			}, global),
-		},
+		{ID: "ud-local", Description: "MD_local under UD @ load 0.5 (Fig. 5)",
+			Paper: 0.089, Tolerance: 0.015, Cell: udCell, Pick: local},
+		{ID: "ud-subtask", Description: "MD_subtask under UD @ load 0.5 (Fig. 5)",
+			Paper: 0.071, Tolerance: 0.015, Cell: udCell, Pick: subtask},
+		{ID: "ud-global", Description: "MD_global under UD @ load 0.5 (Fig. 5)",
+			Paper: 0.25, Tolerance: 0.035, Cell: udCell, Pick: global},
+		{ID: "div1-local", Description: "MD_local under DIV-1 @ load 0.5 (Fig. 6)",
+			Paper: 0.117, Tolerance: 0.02, Cell: div1Cell, Pick: local},
+		{ID: "div1-global", Description: "MD_global under DIV-1 @ load 0.5 (Fig. 6)",
+			Paper: 0.13, Tolerance: 0.025, Cell: div1Cell, Pick: global},
+		{ID: "abort-ud-global", Description: "MD_global under UD with PM abortion @ load 0.5 (Fig. 11)",
+			Paper: 0.15, Tolerance: 0.025, Cell: udAbortCell, Pick: global},
+		{ID: "abort-div1-global", Description: "MD_global under DIV-1 with PM abortion @ load 0.5 (Fig. 11)",
+			Paper: 0.078, Tolerance: 0.02, Cell: div1AbortCell, Pick: global},
 	}
 }
 
-// Relation is a qualitative (ordering) claim from the paper.
+// Relation is a qualitative (ordering) claim from the paper, judged on
+// the results of the cells it names.
 type Relation struct {
 	ID          string
 	Description string
-	Check       func(o exp.Options) (pass bool, detail string, err error)
+	Cells       []Cell
+	Check       func(r map[Cell]sim.Result) (pass bool, detail string)
 }
 
 // Relations returns the paper's qualitative claims checked by the report.
@@ -117,73 +100,40 @@ func Relations() []Relation {
 		{
 			ID:          "gf-beats-div1",
 			Description: "GF misses fewer globals than DIV-1 at high load (Fig. 7)",
-			Check: func(o exp.Options) (bool, string, error) {
-				div, err := measureCfg(o, func(c *sim.Config) {
-					c.Spec.Load = 0.7
-					c.PSP = sda.MustDiv(1)
-				})
-				if err != nil {
-					return false, "", err
-				}
-				gf, err := measureCfg(o, func(c *sim.Config) {
-					c.Spec.Load = 0.7
-					c.PSP = sda.GF{}
-				})
-				if err != nil {
-					return false, "", err
-				}
-				detail := fmt.Sprintf("MD_global: GF %.4f vs DIV-1 %.4f",
-					gf.MDGlobal.Mean, div.MDGlobal.Mean)
-				return gf.MDGlobal.Mean < div.MDGlobal.Mean, detail, nil
+			Cells:       []Cell{div1HighCell, gfHighCell},
+			Check: func(r map[Cell]sim.Result) (bool, string) {
+				gf, div := r[gfHighCell].MDGlobal.Mean, r[div1HighCell].MDGlobal.Mean
+				return gf < div, fmt.Sprintf("MD_global: GF %.4f vs DIV-1 %.4f", gf, div)
 			},
 		},
 		{
 			ID:          "amplification",
 			Description: "MD_global ≈ 1-(1-MD_subtask)^4 under UD (Sec. 4 arithmetic)",
-			Check: func(o exp.Options) (bool, string, error) {
-				res, err := measureCfg(o, func(c *sim.Config) { c.PSP = sda.UD{} })
-				if err != nil {
-					return false, "", err
-				}
+			Cells:       []Cell{udCell},
+			Check: func(r map[Cell]sim.Result) (bool, string) {
+				res := r[udCell]
 				predicted := 1 - pow4(1-res.MDSubtask.Mean)
 				diff := res.MDGlobal.Mean - predicted
-				detail := fmt.Sprintf("observed %.4f vs predicted %.4f",
-					res.MDGlobal.Mean, predicted)
-				return diff > -0.05 && diff < 0.05, detail, nil
+				return diff > -0.05 && diff < 0.05,
+					fmt.Sprintf("observed %.4f vs predicted %.4f", res.MDGlobal.Mean, predicted)
 			},
 		},
 		{
 			ID:          "div1-costs-locals",
 			Description: "DIV-1 raises MD_local relative to UD (locals pay, Fig. 6)",
-			Check: func(o exp.Options) (bool, string, error) {
-				ud, err := measureCfg(o, func(c *sim.Config) { c.PSP = sda.UD{} })
-				if err != nil {
-					return false, "", err
-				}
-				div, err := measureCfg(o, func(c *sim.Config) { c.PSP = sda.MustDiv(1) })
-				if err != nil {
-					return false, "", err
-				}
-				detail := fmt.Sprintf("MD_local: DIV-1 %.4f vs UD %.4f",
-					div.MDLocal.Mean, ud.MDLocal.Mean)
-				return div.MDLocal.Mean > ud.MDLocal.Mean, detail, nil
+			Cells:       []Cell{udCell, div1Cell},
+			Check: func(r map[Cell]sim.Result) (bool, string) {
+				div, ud := r[div1Cell].MDLocal.Mean, r[udCell].MDLocal.Mean
+				return div > ud, fmt.Sprintf("MD_local: DIV-1 %.4f vs UD %.4f", div, ud)
 			},
 		},
 		{
 			ID:          "missed-work-improves",
 			Description: "DIV-1 reduces the missed-work fraction vs UD (Sec. 6.1)",
-			Check: func(o exp.Options) (bool, string, error) {
-				ud, err := measureCfg(o, func(c *sim.Config) { c.PSP = sda.UD{} })
-				if err != nil {
-					return false, "", err
-				}
-				div, err := measureCfg(o, func(c *sim.Config) { c.PSP = sda.MustDiv(1) })
-				if err != nil {
-					return false, "", err
-				}
-				detail := fmt.Sprintf("missed work: DIV-1 %.4f vs UD %.4f",
-					div.MissedWork.Mean, ud.MissedWork.Mean)
-				return div.MissedWork.Mean < ud.MissedWork.Mean, detail, nil
+			Cells:       []Cell{udCell, div1Cell},
+			Check: func(r map[Cell]sim.Result) (bool, string) {
+				div, ud := r[div1Cell].MissedWork.Mean, r[udCell].MissedWork.Mean
+				return div < ud, fmt.Sprintf("missed work: DIV-1 %.4f vs UD %.4f", div, ud)
 			},
 		},
 	}
@@ -219,38 +169,63 @@ func (r Results) Passed() bool {
 	return true
 }
 
-// Check measures every anchor and relation at the given fidelity. The
-// independent measurements run in parallel.
-func Check(o exp.Options) (Results, error) {
-	anchors := Anchors()
-	relations := Relations()
-	out := Results{
-		Anchors:   make([]Outcome, len(anchors)),
-		Relations: make([]RelationOutcome, len(relations)),
+// cells returns the distinct cells the anchors and relations name, in
+// order of first mention.
+func cells(anchors []Anchor, relations []Relation) []Cell {
+	var out []Cell
+	seen := map[Cell]bool{}
+	add := func(c Cell) {
+		if !seen[c] {
+			seen[c] = true
+			out = append(out, c)
+		}
 	}
-	err := par.Map(0, len(anchors)+len(relations), func(i int) error {
-		if i < len(anchors) {
-			a := anchors[i]
-			v, err := a.Measure(o)
-			if err != nil {
-				return fmt.Errorf("anchor %s: %w", a.ID, err)
-			}
-			out.Anchors[i] = Outcome{
-				Anchor:   a,
-				Measured: v,
-				Pass:     v >= a.Paper-a.Tolerance && v <= a.Paper+a.Tolerance,
-			}
-			return nil
+	for _, a := range anchors {
+		add(a.Cell)
+	}
+	for _, r := range relations {
+		for _, c := range r.Cells {
+			add(c)
 		}
-		r := relations[i-len(anchors)]
-		pass, detail, err := r.Check(o)
+	}
+	return out
+}
+
+// Check simulates each distinct cell once, in parallel, and judges every
+// anchor and relation on the results.
+func Check(o exp.Options) (Results, error) {
+	anchors, relations := Anchors(), Relations()
+	cs := cells(anchors, relations)
+	results := make([]sim.Result, len(cs))
+	err := par.Map(o.Workers, len(cs), func(i int) error {
+		res, err := sim.Run(cs[i].config(o))
 		if err != nil {
-			return fmt.Errorf("relation %s: %w", r.ID, err)
+			return fmt.Errorf("%s at load %v (abort %v): %w", cs[i].PSP.Name(), cs[i].Load, cs[i].Abort, err)
 		}
-		out.Relations[i-len(anchors)] = RelationOutcome{Relation: r, Detail: detail, Pass: pass}
+		results[i] = res
 		return nil
 	})
-	return out, err
+	if err != nil {
+		return Results{}, err
+	}
+	measured := make(map[Cell]sim.Result, len(cs))
+	for i, c := range cs {
+		measured[c] = results[i]
+	}
+	var out Results
+	for _, a := range anchors {
+		v := a.Pick(measured[a.Cell])
+		out.Anchors = append(out.Anchors, Outcome{
+			Anchor:   a,
+			Measured: v,
+			Pass:     v >= a.Paper-a.Tolerance && v <= a.Paper+a.Tolerance,
+		})
+	}
+	for _, r := range relations {
+		pass, detail := r.Check(measured)
+		out.Relations = append(out.Relations, RelationOutcome{Relation: r, Detail: detail, Pass: pass})
+	}
+	return out, nil
 }
 
 // Markdown renders the results as a markdown reproduction report.

@@ -10,7 +10,7 @@ import (
 func TestAnchorsWellFormed(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range Anchors() {
-		if a.ID == "" || a.Description == "" || a.Measure == nil {
+		if a.ID == "" || a.Description == "" || a.Pick == nil || a.Cell.PSP == nil {
 			t.Errorf("anchor %+v incomplete", a.ID)
 		}
 		if a.Paper <= 0 || a.Paper >= 1 {
@@ -31,9 +31,26 @@ func TestAnchorsWellFormed(t *testing.T) {
 
 func TestRelationsWellFormed(t *testing.T) {
 	for _, r := range Relations() {
-		if r.ID == "" || r.Description == "" || r.Check == nil {
+		if r.ID == "" || r.Description == "" || r.Check == nil || len(r.Cells) == 0 {
 			t.Errorf("relation %+v incomplete", r.ID)
 		}
+	}
+}
+
+// TestCellsSimulatedOnce pins how many simulations a report costs: the
+// anchors and relations share six distinct cells, and Check runs each
+// once.
+func TestCellsSimulatedOnce(t *testing.T) {
+	cs := cells(Anchors(), Relations())
+	if len(cs) != 6 {
+		t.Fatalf("distinct cells = %d, want 6: %v", len(cs), cs)
+	}
+	seen := map[Cell]bool{}
+	for _, c := range cs {
+		if seen[c] {
+			t.Errorf("cell %v listed twice", c)
+		}
+		seen[c] = true
 	}
 }
 
