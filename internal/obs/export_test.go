@@ -252,3 +252,29 @@ func idleChunks[T any](f *foldLog[T]) (idle, held int) {
 	}
 	return idle, held
 }
+
+// SketchBucket is one (key, count) pair of a sketch's buckets.
+type SketchBucket struct {
+	Key   int32
+	Count uint64
+}
+
+// buckets returns the sketch's nonzero buckets of each sign in ascending
+// key order, and the zero band's count.
+func (s *Sketch) buckets() (neg, pos []SketchBucket, zero uint64) {
+	return s.neg.list(), s.pos.list(), s.zero
+}
+
+// list returns the nonzero buckets in ascending key order.
+func (d *denseBuckets) list() []SketchBucket {
+	out := []SketchBucket{}
+	for i, c := range d.counts {
+		if c != 0 {
+			out = append(out, SketchBucket{Key: d.lo + int32(i), Count: c})
+		}
+	}
+	if d.inf != 0 {
+		out = append(out, SketchBucket{Key: sketchKeyInf, Count: d.inf})
+	}
+	return out
+}

@@ -139,20 +139,14 @@ type GaugeSnap struct {
 	V                  float64
 }
 
-// SketchBucket is one (key, count) pair of a sketch snapshot.
-type SketchBucket struct {
-	Key   int32
-	Count uint64
-}
-
-// SketchSnap is one quantile sketch's full state, buckets in ascending
-// key order so two snapshots of the same state are deeply equal.
+// SketchSnap is one quantile sketch's state: its count, sum and extremes,
+// and a private clone of the sketch that only this snapshot reads and
+// merges into.
 type SketchSnap struct {
 	Name, Labels, Help string
-	Neg, Pos           []SketchBucket
-	Zero               uint64
 	Count              uint64
 	Sum, Min, Max      float64
+	s                  *Sketch
 }
 
 // RegistrySnapshot is an immutable copy of a registry's instrument
@@ -181,11 +175,10 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		rs.Gauges[i] = GaugeSnap{Name: g.name, Labels: g.labels, Help: g.help, V: g.Value()}
 	}
 	for i, k := range r.sketches {
-		neg, pos, zero := k.s.buckets()
 		rs.Sketches[i] = SketchSnap{
 			Name: k.name, Labels: k.labels, Help: k.help,
-			Neg: neg, Pos: pos, Zero: zero,
 			Count: k.s.Count(), Sum: k.s.Sum(), Min: k.s.Min(), Max: k.s.Max(),
+			s: k.s.clone(),
 		}
 	}
 	return rs
@@ -200,8 +193,7 @@ func (rs RegistrySnapshot) clone() RegistrySnapshot {
 		Sketches: append([]SketchSnap(nil), rs.Sketches...),
 	}
 	for i := range cp.Sketches {
-		cp.Sketches[i].Neg = append([]SketchBucket(nil), cp.Sketches[i].Neg...)
-		cp.Sketches[i].Pos = append([]SketchBucket(nil), cp.Sketches[i].Pos...)
+		cp.Sketches[i].s = cp.Sketches[i].s.clone()
 	}
 	return cp
 }
@@ -236,13 +228,8 @@ func (rs *RegistrySnapshot) Merge(other RegistrySnapshot) error {
 		if a.Name != b.Name || a.Labels != b.Labels {
 			return fmt.Errorf("obs: merge sketch %d: %s{%s} vs %s{%s}", i, a.Name, a.Labels, b.Name, b.Labels)
 		}
-		merged := restoreSketch(*a)
-		merged.Merge(restoreSketch(*b))
-		neg, pos, zero := merged.buckets()
-		a.Neg, a.Pos, a.Zero = neg, pos, zero
-		a.Count = merged.Count()
-		a.Sum = merged.Sum()
-		a.Min, a.Max = merged.Min(), merged.Max()
+		a.s.Merge(b.s)
+		a.Count, a.Sum, a.Min, a.Max = a.s.Count(), a.s.Sum(), a.s.Min(), a.s.Max()
 	}
 	return nil
 }
@@ -269,11 +256,12 @@ func (rs RegistrySnapshot) gauge(name, labels string) float64 {
 	return 0
 }
 
-// sketch returns the named sketch restored to a queryable form, or nil.
+// sketch returns the snapshot's clone of the named sketch, or nil. The
+// caller only reads it.
 func (rs RegistrySnapshot) sketch(name string) *Sketch {
 	for i := range rs.Sketches {
 		if rs.Sketches[i].Name == name {
-			return restoreSketch(rs.Sketches[i])
+			return rs.Sketches[i].s
 		}
 	}
 	return nil
@@ -312,10 +300,9 @@ func (rs RegistrySnapshot) WritePrometheus(w io.Writer) error {
 		add(g.Name, g.Help, "gauge", sample(g.Name, g.Labels, g.V))
 	}
 	for _, sk := range rs.Sketches {
-		s := restoreSketch(sk)
 		for _, q := range sketchQuantiles {
 			add(sk.Name, sk.Help, "summary",
-				sample(sk.Name, joinLabels(sk.Labels, fmt.Sprintf(`quantile="%g"`, q)), s.Quantile(q)))
+				sample(sk.Name, joinLabels(sk.Labels, fmt.Sprintf(`quantile="%g"`, q)), sk.s.Quantile(q)))
 		}
 		add(sk.Name, sk.Help, "summary", sample(sk.Name+"_sum", sk.Labels, sk.Sum))
 		add(sk.Name, sk.Help, "summary", sample(sk.Name+"_count", sk.Labels, float64(sk.Count)))

@@ -2,7 +2,7 @@ package obs
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Sketch is a mergeable log-bucketed quantile sketch in the DDSketch
@@ -241,22 +241,15 @@ func (s *Sketch) Quantile(q float64) float64 {
 	// negative magnitude down, the zero band, then positive buckets up.
 	rank := q * float64(s.count-1)
 	cum := float64(0)
-	neg := s.neg.appendTo(nil)
-	for i := len(neg) - 1; i >= 0; i-- {
-		cum += float64(neg[i].Count)
-		if rank < cum {
-			return -s.valueOf(neg[i].Key)
-		}
+	if k, ok := s.neg.rankKey(&cum, rank, true); ok {
+		return -s.valueOf(k)
 	}
 	cum += float64(s.zero)
 	if rank < cum {
 		return 0
 	}
-	for _, b := range s.pos.appendTo(neg[:0]) {
-		cum += float64(b.Count)
-		if rank < cum {
-			return s.valueOf(b.Key)
-		}
+	if k, ok := s.pos.rankKey(&cum, rank, false); ok {
+		return s.valueOf(k)
 	}
 	return s.Max()
 }
@@ -270,51 +263,32 @@ func (s *Sketch) Quantiles(qs ...float64) []float64 {
 	return out
 }
 
-// buckets returns the sketch's bucket contents in deterministic key
-// order, for snapshots: negative keys first (value-axis order), then the
-// zero band via the separate return, then positive keys.
-func (s *Sketch) buckets() (neg, pos []SketchBucket, zero uint64) {
-	return s.neg.appendTo([]SketchBucket{}), s.pos.appendTo([]SketchBucket{}), s.zero
-}
-
-// restore rebuilds a sketch from snapshot bucket lists.
-func restoreSketch(snap SketchSnap) *Sketch {
-	s := NewSketch()
-	for _, b := range snap.Neg {
-		s.neg.add(b.Key, b.Count)
-	}
-	for _, b := range snap.Pos {
-		s.pos.add(b.Key, b.Count)
-	}
-	s.zero = snap.Zero
-	s.count = snap.Count
-	s.sum = snap.Sum
-	if s.count > 0 {
-		s.min = snap.Min
-		s.max = snap.Max
-	}
-	return s
+// clone returns a deep copy of s that shares no state with it.
+func (s *Sketch) clone() *Sketch {
+	cp := *s
+	cp.pos.counts = slices.Clone(s.pos.counts)
+	cp.neg.counts = slices.Clone(s.neg.counts)
+	return &cp
 }
 
 // denseBuckets holds one sign's bucket counts: counts[i] counts key
 // lo+i, over a contiguous key range that grows geometrically toward new
 // keys and never past [sketchKeyMin, sketchKeyMax]. Adding to a bucket
-// inside the range is an index and an increment, with no hashing. The
-// keys of non-finite magnitudes, which fall outside the window, are
-// counted in far. Walking lo upward (far keys below the window first,
-// those above it last) visits the buckets in key order.
+// inside the range is an index and an increment, with no hashing. An
+// infinite magnitude, the only one keyed outside the window, is counted
+// in inf, the bucket of sketchKeyInf above every finite key.
 type denseBuckets struct {
 	lo     int32
 	counts []uint64
-	far    map[int32]uint64 // keys outside the window; nil until needed
+	inf    uint64
 }
 
 // denseBucketsPad is the initial range of a bucket run, in keys.
 const denseBucketsPad = 32
 
-// add adds c observations to bucket k. Inside the current range that is
-// an index and an increment; a key outside it grows the range when it
-// is a finite magnitude's and lands in far otherwise.
+// add adds c observations to bucket k, which is sketchKeyInf or lies in
+// the window. Inside the current range that is an index and an
+// increment; a finite key outside it grows the range.
 func (d *denseBuckets) add(k int32, c uint64) {
 	if i := int(k) - int(d.lo); uint(i) < uint(len(d.counts)) {
 		d.counts[i] += c
@@ -323,11 +297,8 @@ func (d *denseBuckets) add(k int32, c uint64) {
 	if c == 0 {
 		return
 	}
-	if k < sketchKeyMin || k > sketchKeyMax {
-		if d.far == nil {
-			d.far = make(map[int32]uint64, 1)
-		}
-		d.far[k] += c
+	if k == sketchKeyInf {
+		d.inf += c
 		return
 	}
 	d.counts[d.grow(k)] += c
@@ -362,32 +333,31 @@ func (d *denseBuckets) merge(o *denseBuckets) {
 	for i, c := range o.counts {
 		d.add(o.lo+int32(i), c)
 	}
-	for k, c := range o.far {
-		d.add(k, c)
-	}
+	d.inf += o.inf
 }
 
-// appendTo appends the nonzero buckets to dst in ascending key order.
-func (d *denseBuckets) appendTo(dst []SketchBucket) []SketchBucket {
-	dst = d.appendFar(dst, func(k int32) bool { return k < sketchKeyMin })
+// rankKey adds the bucket counts to *cum in key order, descending when
+// down is set, and returns the key of the first bucket that lifts *cum
+// above rank.
+func (d *denseBuckets) rankKey(cum *float64, rank float64, down bool) (int32, bool) {
+	if down {
+		if *cum += float64(d.inf); rank < *cum {
+			return sketchKeyInf, true
+		}
+		for i := len(d.counts) - 1; i >= 0; i-- {
+			if *cum += float64(d.counts[i]); rank < *cum {
+				return d.lo + int32(i), true
+			}
+		}
+		return 0, false
+	}
 	for i, c := range d.counts {
-		if c != 0 {
-			dst = append(dst, SketchBucket{Key: d.lo + int32(i), Count: c})
+		if *cum += float64(c); rank < *cum {
+			return d.lo + int32(i), true
 		}
 	}
-	return d.appendFar(dst, func(k int32) bool { return k > sketchKeyMax })
-}
-
-// appendFar appends the far buckets whose key satisfies keep, in
-// ascending key order.
-func (d *denseBuckets) appendFar(dst []SketchBucket, keep func(int32) bool) []SketchBucket {
-	mark := len(dst)
-	for k, c := range d.far {
-		if keep(k) {
-			dst = append(dst, SketchBucket{Key: k, Count: c})
-		}
+	if *cum += float64(d.inf); rank < *cum {
+		return sketchKeyInf, true
 	}
-	tail := dst[mark:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i].Key < tail[j].Key })
-	return dst
+	return 0, false
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -131,22 +132,42 @@ func TestSketchMergeMatchesUnion(t *testing.T) {
 	}
 }
 
+// TestSketchSnapshotRoundTrip: a registry snapshot holds a private clone
+// of each sketch. It reports what the live sketch did when the snapshot
+// was taken, later observations do not reach it, and merging into a
+// clone of the snapshot leaves the snapshot as it was.
 func TestSketchSnapshotRoundTrip(t *testing.T) {
-	s := NewSketch()
-	for _, v := range []float64{-3, -0.5, 0, 1e-12, 2, 2, 40, 1e6} {
-		s.Add(v)
+	r := NewRegistry()
+	k := r.Sketch("sda_w", "", "w")
+	for _, v := range []float64{-3, -0.5, 0, 1e-12, 2, 2, 40, 1e6, math.Inf(1)} {
+		k.Observe(v)
 	}
-	neg, pos, zero := s.buckets()
-	snap := SketchSnap{Neg: neg, Pos: pos, Zero: zero, Count: s.Count(), Sum: s.Sum(), Min: s.Min(), Max: s.Max()}
-	r := restoreSketch(snap)
-	for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		if r.Quantile(q) != s.Quantile(q) {
-			t.Errorf("q=%g: restored %g != original %g", q, r.Quantile(q), s.Quantile(q))
+	qs := []float64{0, 0.25, 0.5, 0.75, 0.9, 1}
+	want := k.Quantiles(qs...)
+	snap := r.Snapshot()
+	check := func(what string) {
+		t.Helper()
+		s := snap.sketch("sda_w")
+		if got := s.Quantiles(qs...); !slices.Equal(got, want) {
+			t.Errorf("%s: quantiles %v, want %v", what, got, want)
+		}
+		if sk := snap.Sketches[0]; sk.Count != 9 || s.Count() != 9 || sk.Sum != s.Sum() {
+			t.Errorf("%s: count %d/%d sum %g/%g, want 9", what, sk.Count, s.Count(), sk.Sum, s.Sum())
 		}
 	}
-	if r.Count() != s.Count() || r.Sum() != s.Sum() {
-		t.Errorf("restored count/sum diverge")
+	check("snapshot")
+	for i := 0; i < 100; i++ {
+		k.Observe(-7)
 	}
+	check("after live observations")
+	agg := snap.clone()
+	if err := agg.Merge(r.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if agg.Sketches[0].Count != 109+9 {
+		t.Errorf("merged count %d, want %d", agg.Sketches[0].Count, 109+9)
+	}
+	check("after a merge into its clone")
 }
 
 func TestRegistrySnapshotMerge(t *testing.T) {
