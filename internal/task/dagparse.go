@@ -23,31 +23,8 @@ import (
 // round-trips with Dag.String, which emits the same notation with edges
 // sorted by (from, to) vertex id.
 func ParseDag(input string) (*Dag, error) {
-	p := &parser{src: input}
-	d, byName, err := p.parseDagNodes()
-	if err != nil {
-		return nil, err
-	}
-	if p.peek() == ';' {
-		p.pos++
-		for {
-			p.skipSpace()
-			if p.pos >= len(p.src) {
-				break
-			}
-			if _, _, err := p.parseDagEdge(d, byName); err != nil {
-				return nil, err
-			}
-		}
-	}
-	p.skipSpace()
-	if p.pos != len(p.src) {
-		return nil, fmt.Errorf("task: trailing input at offset %d: %q", p.pos, p.src[p.pos:])
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	d, _, err := parseDagSpec(input, false)
+	return d, err
 }
 
 // MustParseDag is ParseDag, panicking on error; for tests and examples.
@@ -59,16 +36,16 @@ func MustParseDag(input string) *Dag {
 	return d
 }
 
-// parseDagNodes parses the leaf list of the DAG notation up to the ';'
-// that starts the edge list, or the end of input.
-func (p *parser) parseDagNodes() (*Dag, map[string]*DagNode, error) {
-	d := NewDag("")
+// parseDagSpec parses the DAG notation shared by ParseDag and
+// ParseCondDag: the leaves, then after ';' the edges. Only withProbs
+// accepts a ":prob" annotation on an edge; probs[id] then lists the
+// annotation of each out-edge of vertex id in succs order, -1 where an
+// edge carries none, so the caller can check the all-or-none rule.
+func parseDagSpec(input string, withProbs bool) (d *Dag, probs [][]float64, err error) {
+	p := &parser{src: input}
+	d = NewDag("")
 	byName := make(map[string]*DagNode)
-	for {
-		p.skipSpace()
-		if p.pos >= len(p.src) || p.peek() == ';' {
-			return d, byName, nil
-		}
+	for p.skipSpace(); p.pos < len(p.src) && p.peek() != ';'; p.skipSpace() {
 		t, err := p.parseLeaf()
 		if err != nil {
 			return nil, nil, err
@@ -82,21 +59,50 @@ func (p *parser) parseDagNodes() (*Dag, map[string]*DagNode, error) {
 		}
 		byName[t.Name] = n
 	}
-}
-
-// parseDagEdge parses one "from>to" edge and adds it to d.
-func (p *parser) parseDagEdge(d *Dag, byName map[string]*DagNode) (from, to *DagNode, err error) {
-	if from, err = p.parseEdgeName(byName); err != nil {
+	if withProbs {
+		probs = make([][]float64, len(d.nodes))
+	}
+	if p.peek() == ';' {
+		p.pos++
+		for p.skipSpace(); p.pos < len(p.src); p.skipSpace() {
+			from, err := p.parseEdgeName(byName)
+			if err != nil {
+				return nil, nil, err
+			}
+			if p.peek() != '>' {
+				return nil, nil, p.errf("expected '>' in edge")
+			}
+			p.pos++
+			to, err := p.parseEdgeName(byName)
+			if err != nil {
+				return nil, nil, err
+			}
+			if err := d.AddEdge(from, to); err != nil {
+				return nil, nil, err
+			}
+			if !withProbs {
+				continue
+			}
+			pr := -1.0
+			if p.peek() == ':' {
+				p.pos++
+				f, err := p.parseFloat()
+				if err != nil {
+					return nil, nil, err
+				}
+				if f <= 0 || f > 1 {
+					return nil, nil, fmt.Errorf("%w: %q -> %q has probability %v (offset %d)",
+						ErrBranchProb, from.Task.Name, to.Task.Name, f, p.pos)
+				}
+				pr = f
+			}
+			probs[from.id] = append(probs[from.id], pr)
+		}
+	}
+	if err := d.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if p.peek() != '>' {
-		return nil, nil, p.errf("expected '>' in edge")
-	}
-	p.pos++
-	if to, err = p.parseEdgeName(byName); err != nil {
-		return nil, nil, err
-	}
-	return from, to, d.AddEdge(from, to)
+	return d, probs, nil
 }
 
 // parseEdgeName scans a node name and resolves it against the DAG.
@@ -119,7 +125,13 @@ func (p *parser) parseEdgeName(byName map[string]*DagNode) (*DagNode, error) {
 // String renders the DAG in the ParseDag notation: leaves in id order,
 // then "; " and the edges sorted by (from, to) id. The output re-parses
 // to an identical DAG when node names are unique.
-func (d *Dag) String() string {
+func (d *Dag) String() string { return d.render(func(int) []float64 { return nil }) }
+
+// render writes the DAG in the ParseCondDag notation: leaves in id order,
+// then "; " and the edges sorted by (from, to) id. probs returns the
+// branch probabilities of vertex id's out-edges in succs order, appended
+// as ":prob", or nil for an unconditional vertex.
+func (d *Dag) render(probs func(id int) []float64) string {
 	var b strings.Builder
 	for i, n := range d.nodes {
 		if i > 0 {
@@ -128,11 +140,19 @@ func (d *Dag) String() string {
 		n.Task.format(&b)
 	}
 	if d.edges > 0 {
-		type edge struct{ from, to *DagNode }
+		type edge struct {
+			from, to *DagNode
+			prob     float64 // < 0 for unconditional edges
+		}
 		edges := make([]edge, 0, d.edges)
 		for _, n := range d.nodes {
-			for _, s := range n.succs {
-				edges = append(edges, edge{n, s})
+			ps := probs(n.id)
+			for si, s := range n.succs {
+				pr := -1.0
+				if ps != nil {
+					pr = ps[si]
+				}
+				edges = append(edges, edge{n, s, pr})
 			}
 		}
 		sort.Slice(edges, func(i, j int) bool {
@@ -144,6 +164,9 @@ func (d *Dag) String() string {
 		b.WriteString(" ;")
 		for _, e := range edges {
 			fmt.Fprintf(&b, " %s>%s", e.from.Task.Name, e.to.Task.Name)
+			if e.prob >= 0 {
+				fmt.Fprintf(&b, ":%g", e.prob)
+			}
 		}
 	}
 	return b.String()
