@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race scenarios report-drift bless bench bench-record bench-compare bench-e2e-test profile obs blame stress stress-smoke trace flight
+.PHONY: check fmt vet build test race scenarios report-drift results-drift bless bench bench-record bench-compare bench-e2e-test profile obs blame stress stress-smoke trace flight
 
 # check runs the local steps of CI's test job: gofmt, vet, build, the
 # root module's tests, the bench/ module's vet and tests, the scenario
@@ -35,6 +35,12 @@ scenarios:
 # the code prints.
 report-drift:
 	$(GO) run ./cmd/sdareport -duration 100000 -reps 2 | cmp - results/reproduction_report.md
+
+# results-drift fails when the committed full experiment output is not
+# what `sdaexp -exp all` prints at default fidelity (about 2 minutes on
+# 2 vCPUs, so check leaves it out).
+results-drift:
+	$(GO) run ./cmd/sdaexp -exp all | cmp - results/full_results.txt
 
 # stress runs the full-size stress scenarios (10k/5k/1k-node fleets
 # under seeded chaos) with per-replication metrics. No golden hashes:

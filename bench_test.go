@@ -238,7 +238,7 @@ func benchSimulationBlame(b *testing.B, withHub bool) {
 		cfg.Obs = obs.Options{Enabled: true}
 		if withHub {
 			hub := serve.NewHub(0)
-			cfg.OnSystem = func(sys *sim.System) {
+			cfg.OnReplication = func(sys *sim.System) {
 				hub.Attach(sys.Telemetry(), obs.NewMerged(), serve.RunInfo{
 					Label:   "bench",
 					Horizon: float64(sys.Horizon()),

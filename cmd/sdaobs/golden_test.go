@@ -243,7 +243,7 @@ func exemplarDigest(t *testing.T, path string) string {
 	}
 	_, tel, err := scenario.RunObserved(sc, obs.Options{
 		Enabled: true, SampleEvery: 50, MaxSamples: 4096, MaxSpans: goldenMaxSpans,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

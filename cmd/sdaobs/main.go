@@ -129,7 +129,7 @@ func (p *plan) Execute(w io.Writer) error {
 	)
 	switch {
 	case p.sc != nil:
-		out, scTel, err := scenario.RunObserved(p.sc, cfg.Obs)
+		out, scTel, err := scenario.RunObserved(p.sc, cfg.Obs, nil)
 		if err != nil {
 			return err
 		}

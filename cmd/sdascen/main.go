@@ -220,7 +220,7 @@ func (p *plan) Execute(w io.Writer) error {
 			// the golden checks below still apply unchanged.
 			info := serve.RunInfo{Label: fmt.Sprintf("%s (%d/%d)", sc.Name, i+1, len(scs)), Replications: 1}
 			fold = obs.NewMerged()
-			out, tel, err = scenario.RunObservedWith(sc, p.tel.Options(), func(sys *sim.System) {
+			out, tel, err = scenario.RunObserved(sc, p.tel.Options(), func(sys *sim.System) {
 				if p.flightDir != "" {
 					fl = des.NewFlight()
 					sys.Eng.AttachFlight(fl)

@@ -183,13 +183,13 @@ func (p *plan) Execute(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// Replay builds one system directly, so the live hub attaches via
-		// OnSystem to a fold of its own, which the telemetry joins after
-		// the replay and which is then exported as a run's merge is, with
-		// the system's sampled time series beside it.
+		// Replay builds one system outside Run, so the live hub attaches
+		// via OnReplication to a fold of its own, which the telemetry joins
+		// after the replay and which is then exported as a run's merge is,
+		// with the system's sampled time series beside it.
 		var replayTel *obs.Telemetry
 		fold := obs.NewMerged()
-		cfg.OnSystem = func(sys *sim.System) {
+		cfg.OnReplication = func(sys *sim.System) {
 			replayTel = sys.Telemetry()
 			p.tel.Attach(replayTel, fold, info)
 		}

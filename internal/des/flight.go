@@ -102,6 +102,16 @@ func (f *Flight) Merge(o *Flight) error {
 	return nil
 }
 
+// MergeFlights folds per-replication recorders, skipping nil ones, into
+// a new recorder, bit-identical in any order.
+func MergeFlights(flights []*Flight) *Flight {
+	agg := NewFlight()
+	for _, f := range flights {
+		agg.Merge(f)
+	}
+	return agg
+}
+
 // Scheduled returns the number of accepted schedules.
 func (f *Flight) Scheduled() uint64 { return f.scheduled }
 

@@ -37,12 +37,12 @@ func TestServeAndAttributionDoNotPerturb(t *testing.T) {
 			hub := serve.NewHub(0)
 			fold := obs.NewMerged()
 			info := serve.RunInfo{Label: sc.Name}
-			out, tel, err := RunObservedWith(sc, obs.Options{SampleEvery: 25}, func(sys *sim.System) {
+			out, tel, err := RunObserved(sc, obs.Options{SampleEvery: 25}, func(sys *sim.System) {
 				info.Horizon = float64(sys.Horizon())
 				hub.Attach(sys.Telemetry(), fold, info, 1)
 			})
 			if err != nil {
-				t.Fatalf("RunObservedWith: %v", err)
+				t.Fatalf("RunObserved: %v", err)
 			}
 			if want := golden[sc.Name]; out.TraceHash != want {
 				t.Errorf("served trace hash %s differs from golden %s", out.TraceHash, want)
@@ -86,7 +86,7 @@ func TestDagForkjoinBlameGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tel, err := RunObserved(sc, obs.Options{})
+	_, tel, err := RunObserved(sc, obs.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestCondDagBlameGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tel, err := RunObserved(sc, obs.Options{})
+	_, tel, err := RunObserved(sc, obs.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,14 @@ import (
 // rejects a scenario past any cap and names the field: a typo such as
 // "mean_between": 1e-300 is an error, not an out-of-memory crash or a run
 // that never ends. The largest shipped scenario, stress-fleet-10k, uses
-// about 4% of the timeline cap and 2% of the task cap; fleet-wide servers
-// are capped at sim.MaxServers, as sim.Config.Validate caps them.
+// about 4% of the timeline cap and, over its two replications, 3% of the
+// task cap; fleet-wide servers are capped at sim.MaxServers, as
+// sim.Config.Validate caps them.
 const (
 	maxTimelineEvents = 1 << 20 // expected compiled timeline events
 	maxTasks          = 1e7     // expected tasks over the horizon, bursts included
 	maxBurstCount     = 1 << 16 // tasks in one burst
+	maxReplications   = 1 << 16 // stress replications, as cli.MaxReps caps -reps
 )
 
 // workBudget accumulates the expected timeline events and tasks of a

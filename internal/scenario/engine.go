@@ -7,6 +7,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/procmgr"
 	"repro/internal/rng"
 	"repro/internal/sda"
@@ -34,7 +35,9 @@ type Outcome struct {
 	// a stress run; nil for regular scenarios.
 	Stress *StressInfo
 
-	Violations []string // invariant violations (always part of Failures)
+	// Violations lists the invariant violations, each as it appears in
+	// Failures ("invariant: ..." with any "rep N: " prefix).
+	Violations []string
 	Failures   []string // failed assertions; empty = scenario passed
 
 	// OracleChecks counts the analytic response-time lower-bound checks the
@@ -45,99 +48,190 @@ type Outcome struct {
 // Passed reports whether every invariant and assertion held.
 func (o *Outcome) Passed() bool { return len(o.Failures) == 0 }
 
-// Run executes the scenario once: it wires a full simulated system, arms
-// the injection timeline, runs to the horizon with the invariant checker
-// and tracer attached, drains, and evaluates the assertions. The run is
+// Run executes the scenario: a regular scenario once at its seed with
+// the event trace recorded, a stress scenario with its replications run
+// one after another (RunStress runs them on parallel workers). The run is
 // deterministic: the same scenario produces the same Outcome (including
-// TraceHash) on every call. Stress scenarios are dispatched to RunStress
-// with sequential replications; call RunStress directly for parallel
-// replication workers.
+// TraceHash) on every call.
 func Run(sc *Scenario) (*Outcome, error) {
-	if sc.IsStress() {
-		return RunStress(sc, 1)
-	}
-	out, _, err := runWith(sc, obs.Options{}, nil)
+	out, _, err := run(sc, 1, nil)
 	return out, err
 }
 
-// RunObserved is Run with the telemetry layer enabled: it returns the
-// run's Telemetry alongside the outcome so callers can export spans,
-// metrics, time series and the dashboard. Telemetry never mutates model
+// RunObserved is Run with the telemetry layer enabled on a regular
+// scenario; it returns the run's Telemetry for export. onRep, when
+// non-nil, becomes the system's sim.Config.OnReplication hook; the live
+// observability server attaches its hub there. Neither may mutate model
 // state, so the Outcome — including TraceHash — is identical to Run's.
-func RunObserved(sc *Scenario, o obs.Options) (*Outcome, *obs.Telemetry, error) {
-	o.Enabled = true
-	return runWith(sc, o, nil)
-}
-
-// RunObservedWith is RunObserved with a system hook: onSystem runs once
-// after the system is wired (telemetry bound, sampler built) and before
-// any event fires. The live observability server uses it to attach its
-// snapshot hub; the callback must not mutate model state, so the Outcome
-// — including TraceHash — stays identical to Run's.
-func RunObservedWith(sc *Scenario, o obs.Options, onSystem func(*sim.System)) (*Outcome, *obs.Telemetry, error) {
-	o.Enabled = true
-	return runWith(sc, o, onSystem)
-}
-
-// runWith is the shared engine behind Run and RunObserved.
-func runWith(sc *Scenario, o obs.Options, onSystem func(*sim.System)) (*Outcome, *obs.Telemetry, error) {
+func RunObserved(sc *Scenario, o obs.Options, onRep func(*sim.System)) (*Outcome, *obs.Telemetry, error) {
 	if sc.IsStress() {
 		return nil, nil, fmt.Errorf("%w: %s: stress scenarios have no telemetry/trace path; use RunStress", ErrBadScenario, sc.Name)
 	}
-	if err := sc.Validate(); err != nil {
-		return nil, nil, err
-	}
-	cfg, err := sc.Config()
+	o.Enabled = true
+	out, reps, err := run(sc, 1, func(cfg *sim.Config) {
+		cfg.Obs = o
+		cfg.OnReplication = onRep
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	chk := NewChecker(sc.Assert.AllowEarlyVDL)
-	var events node.Log
-	cfg.Observer = node.CombineObservers(&events, chk)
-	cfg.Obs = o
-	cfg.OnSystem = onSystem
+	return out, reps[0].tel, nil
+}
+
+// plan is what every replication of a scenario run shares. A regular
+// scenario is one replication at its seed with the node.Log trace
+// recorded; a stress scenario expands its fleet and compiles its chaos
+// profile into the timeline, and runs at sim.RepSeeds seeds.
+type plan struct {
+	sc      *Scenario
+	cfg     sim.Config
+	events  []Event
+	maxRate float64 // the oracle's fastest node rate
+	seeds   []uint64
+	stress  *StressInfo // nil for regular scenarios
+}
+
+// replica is what one replication leaves for the Outcome; its first
+// invariants failures are the invariant violations.
+type replica struct {
+	rep        sim.RepResult
+	failures   []string
+	invariants int
+	checks     int64          // oracle checks
+	trace      *node.Log      // nil on stress runs
+	tel        *obs.Telemetry // nil unless telemetry is enabled
+	flight     *des.Flight    // nil unless a flight recorder is attached
+}
+
+// run executes every replication of sc on up to workers goroutines and
+// assembles the Outcome in replication order, so it is bit-identical at
+// every worker count. tune, when non-nil, adjusts the shared config.
+func run(sc *Scenario, workers int, tune func(*sim.Config)) (*Outcome, []replica, error) {
+	p, err := newPlan(sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	if tune != nil {
+		tune(&p.cfg)
+	}
+	reps := make([]replica, len(p.seeds))
+	err = par.Map(workers, len(reps), func(r int) error {
+		var err error
+		if reps[r], err = p.replicate(r); err != nil {
+			return fmt.Errorf("replication %d: %w", r, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	out := &Outcome{Scenario: sc, Rep: reps[0].rep, Stress: p.stress}
+	if t := reps[0].trace; t != nil {
+		out.TraceHash, out.TraceEvents = t.Hash(), t.Len()
+	}
+	for _, x := range reps {
+		if p.stress != nil {
+			out.Reps = append(out.Reps, x.rep)
+		}
+		out.OracleChecks += x.checks
+		out.Violations = append(out.Violations, x.failures[:x.invariants]...)
+		out.Failures = append(out.Failures, x.failures...)
+	}
+	return out, reps, nil
+}
+
+// newPlan validates sc and builds its plan.
+func newPlan(sc *Scenario) (*plan, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	cfg, err := sc.Config()
+	if err != nil {
+		return nil, err
+	}
+	p := &plan{sc: sc, cfg: cfg, events: sc.Events, seeds: []uint64{sc.Seed}}
+	baseRates := cfg.NodeRates
+	if st := sc.Stress; st != nil {
+		fleet := st.Fleet.expand(sc.Seed)
+		p.cfg.NodeRates = fleet.initial // t=0 rates; cold starts ramp up from here
+		p.cfg.NodeServers = fleet.servers
+		chaos, stats := st.Chaos.compile(fleet, st.Fleet.zones(), sc.Horizon(), sc.Seed)
+		p.events = mergeTimelines(fleet.events, chaos, sc.Events)
+		baseRates = fleet.base
+		p.seeds = sim.RepSeeds(sc.Seed, st.replications())
+		p.stress = &StressInfo{
+			Nodes:        st.Fleet.Nodes,
+			ScaledFrom:   st.scaledFrom,
+			Zones:        st.Fleet.zones(),
+			TotalServers: fleet.totalServers(),
+			Templates:    fleet.counts,
+			Replications: len(p.seeds),
+			Timeline:     len(p.events),
+			Chaos:        stats,
+		}
+	}
 	// Always-on analytic oracle: every completion is checked against the
 	// response-time lower bound R >= len(G)/maxRate, which holds on every
 	// sample path. Baseline node rates and set_rate events can both put
 	// nodes above rate 1, so the oracle gets the fastest rate any node
 	// can ever reach.
+	p.maxRate = oracleMaxRate(baseRates, p.events)
+	return p, nil
+}
+
+// replicate runs replication r with its own invariant checker and
+// oracle and lists its failures, prefixed with r when the run has several.
+func (p *plan) replicate(r int) (replica, error) {
+	cfg := p.cfg // by value: each replication owns its hooks
+	chk := NewChecker(p.sc.Assert.AllowEarlyVDL)
 	oracle := analysis.NewOracle()
-	oracle.SetMaxRate(oracleMaxRate(cfg.NodeRates, sc.Events))
+	oracle.SetMaxRate(p.maxRate)
+	var x replica
+	cfg.Observer = chk
+	if p.stress == nil {
+		x.trace = new(node.Log)
+		cfg.Observer = node.CombineObservers(x.trace, chk)
+	}
 	cfg.Recorder = procmgr.Recorders(chk, oracle)
 
-	sys, err := sim.NewSystem(cfg, sc.Seed)
+	seed := p.seeds[r]
+	sys, err := sim.NewSystem(cfg, seed)
 	if err != nil {
-		return nil, nil, err
+		return replica{}, err
 	}
 	chk.Bind(sys.Nodes)
-	if err := armTimeline(sys, sc.Name, sc.Seed, sc.Events, cfg.Spec); err != nil {
-		return nil, nil, err
+	if err := armTimeline(sys, p.sc.Name, seed, p.events, cfg.Spec); err != nil {
+		return replica{}, err
 	}
 	if err := sys.Start(); err != nil {
-		return nil, nil, err
+		return replica{}, err
 	}
-	rep := sys.Finish(sys.Horizon())
+	x.rep = sys.Finish(sys.Horizon())
+	x.tel, x.flight = sys.Telemetry(), sys.Eng.Flight()
 	chk.Finish()
 
-	out := &Outcome{
-		Scenario:     sc,
-		Rep:          rep,
-		TraceHash:    events.Hash(),
-		TraceEvents:  events.Len(),
-		Violations:   chk.Violations(),
-		OracleChecks: oracle.Checks(),
+	prefix := ""
+	if len(p.seeds) > 1 {
+		prefix = fmt.Sprintf("rep %d: ", r)
 	}
-	for _, v := range out.Violations {
-		out.Failures = append(out.Failures, "invariant: "+v)
+	fail := func(format string, args ...any) { x.failures = append(x.failures, prefix+fmt.Sprintf(format, args...)) }
+	for _, v := range chk.Violations() {
+		fail("invariant: %s", v)
 	}
+	x.invariants = len(x.failures)
 	for _, v := range oracle.Violations() {
-		out.Failures = append(out.Failures, "oracle: "+v)
+		fail("oracle: %s", v)
 	}
 	if extra := oracle.ViolationCount() - int64(len(oracle.Violations())); extra > 0 {
-		out.Failures = append(out.Failures, fmt.Sprintf("oracle: %d further violations suppressed", extra))
+		fail("oracle: %d further violations suppressed", extra)
 	}
-	out.Failures = append(out.Failures, sc.Assert.evaluate(rep)...)
-	return out, sys.Telemetry(), nil
+	if p.stress == nil || p.stress.ScaledFrom == 0 {
+		for _, f := range p.sc.Assert.evaluate(x.rep) {
+			fail("%s", f)
+		}
+	}
+	x.checks = oracle.Checks()
+	return x, nil
 }
 
 // oracleMaxRate derives the fastest service rate any node can ever run

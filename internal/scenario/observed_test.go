@@ -28,7 +28,7 @@ func TestObservedRunsMatchGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			out, tel, err := RunObserved(sc, obs.Options{SampleEvery: 25})
+			out, tel, err := RunObserved(sc, obs.Options{SampleEvery: 25}, nil)
 			if err != nil {
 				t.Fatalf("RunObserved: %v", err)
 			}

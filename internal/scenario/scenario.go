@@ -338,6 +338,12 @@ func (s *Scenario) Validate() error {
 			return err
 		}
 	}
+	// Every stress replication runs the whole task stream again.
+	if st := s.Stress; st != nil {
+		if err := b.charge(s.Name, "replications", 0, float64(st.replications()-1)*b.tasks); err != nil {
+			return err
+		}
+	}
 	cfg, err := s.Config()
 	if err != nil {
 		return err

@@ -409,6 +409,7 @@ func FuzzScenarioValidate(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	f.Add([]byte(unboundedReplications(f, "1000000000")))
 	path := filepath.Join(f.TempDir(), "fuzz.json")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {

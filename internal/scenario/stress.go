@@ -2,13 +2,11 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
-	"repro/internal/analysis"
 	"repro/internal/des"
-	"repro/internal/par"
-	"repro/internal/procmgr"
 	"repro/internal/sim"
 )
 
@@ -26,7 +24,7 @@ type Stress struct {
 	// exactly like sim.Run derives them (sim.RepSeed); every replication
 	// gets its own checker and oracle, so replications can run on
 	// parallel workers with bit-identical results at any worker count.
-	// Default 1.
+	// Default 1, at most maxReplications.
 	Replications int `json:"replications,omitempty"`
 
 	// scaledFrom records the original fleet size after ApplyStressScale
@@ -55,8 +53,8 @@ func (st *Stress) validate(sc *Scenario, b *workBudget) error {
 		return fmt.Errorf("%w: %s: workload k %d contradicts fleet nodes %d (leave k at 0 to derive it)",
 			ErrBadScenario, sc.Name, sc.Workload.K, st.Fleet.Nodes)
 	}
-	if st.Replications < 0 {
-		return fmt.Errorf("%w: %s: negative replications %d", ErrBadScenario, sc.Name, st.Replications)
+	if st.Replications < 0 || st.Replications > maxReplications {
+		return fmt.Errorf("%w: %s: replications %d outside [0, %d]", ErrBadScenario, sc.Name, st.Replications, maxReplications)
 	}
 	zoneSize := (st.Fleet.Nodes + st.Fleet.zones() - 1) / st.Fleet.zones()
 	return st.Chaos.validate(sc.Name, sc.Horizon(), sc.Workload.FracLocal, b, zoneSize)
@@ -104,145 +102,34 @@ type StressInfo struct {
 	Chaos        chaosStats
 }
 
-// RunStress executes a stress scenario: the fleet template generator
-// expands the fleet, the chaos engine compiles its profile into the
-// timeline, and every replication runs with its own invariant checker
-// and analytic oracle attached. Replications execute on up to workers
-// goroutines; seeds and result order are fixed up front, so the Outcome
-// — and its Summary — are bit-identical at every worker count.
+// RunStress executes a stress scenario's replications on up to workers
+// goroutines; the Outcome and its Summary are bit-identical at every
+// worker count.
 func RunStress(s *Scenario, workers int) (*Outcome, error) {
-	out, _, err := runStress(s, workers, false)
+	if !s.IsStress() {
+		return nil, fmt.Errorf("%w: %s: not a stress scenario", ErrBadScenario, s.Name)
+	}
+	out, _, err := run(s, workers, nil)
 	return out, err
 }
 
 // RunStressFlight is RunStress with the kernel flight recorder attached
-// to every replication's engine. The returned Flight is the cross-
-// replication merge — order-independent, so it is bit-identical at every
-// worker count — and feeds the flight report (des.Flight.Report). The
-// tap is allocation-free and does not perturb the model: the Outcome
-// matches RunStress exactly.
+// to every replication's engine; it returns their merge, which feeds the
+// flight report (des.Flight.Report). The tap does not perturb the model:
+// the Outcome matches RunStress exactly.
 func RunStressFlight(s *Scenario, workers int) (*Outcome, *des.Flight, error) {
-	return runStress(s, workers, true)
-}
-
-func runStress(s *Scenario, workers int, flight bool) (*Outcome, *des.Flight, error) {
 	if !s.IsStress() {
 		return nil, nil, fmt.Errorf("%w: %s: not a stress scenario", ErrBadScenario, s.Name)
 	}
-	if err := s.Validate(); err != nil {
-		return nil, nil, err
-	}
-	cfg, err := s.Config()
+	out, reps, err := run(s, workers, func(cfg *sim.Config) { cfg.Flight = true })
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg.Flight = flight
-	st := s.Stress
-	plan := st.Fleet.expand(s.Seed)
-	cfg.NodeRates = plan.initial // t=0 rates; cold starts ramp up from here
-	cfg.NodeServers = plan.servers
-
-	chaosEvents, stats := st.Chaos.compile(plan, st.Fleet.zones(), s.Horizon(), s.Seed)
-	events := mergeTimelines(plan.events, chaosEvents, s.Events)
-	maxRate := oracleMaxRate(plan.base, events)
-
-	reps := st.replications()
-	results := make([]sim.RepResult, reps)
-	perRep := make([][]string, reps)  // failures per replication
-	perViol := make([][]string, reps) // invariant violations per replication
-	checks := make([]int64, reps)
-	var flights []*des.Flight
-	if flight {
-		flights = make([]*des.Flight, reps)
+	flights := make([]*des.Flight, len(reps))
+	for r, x := range reps {
+		flights[r] = x.flight
 	}
-	seeds := make([]uint64, reps)
-	for r := range seeds {
-		seeds[r] = sim.RepSeed(s.Seed, r)
-	}
-	err = par.Map(workers, reps, func(r int) error {
-		repCfg := cfg // by value: each replication owns its hooks
-		chk := NewChecker(s.Assert.AllowEarlyVDL)
-		oracle := analysis.NewOracle()
-		oracle.SetMaxRate(maxRate)
-		repCfg.Observer = chk
-		repCfg.Recorder = procmgr.Recorders(chk, oracle)
-
-		sys, err := sim.NewSystem(repCfg, seeds[r])
-		if err != nil {
-			return fmt.Errorf("replication %d: %w", r, err)
-		}
-		chk.Bind(sys.Nodes)
-		if err := armTimeline(sys, s.Name, seeds[r], events, repCfg.Spec); err != nil {
-			return fmt.Errorf("replication %d: %w", r, err)
-		}
-		if err := sys.Start(); err != nil {
-			return fmt.Errorf("replication %d: %w", r, err)
-		}
-		results[r] = sys.Finish(sys.Horizon())
-		chk.Finish()
-		if flights != nil {
-			flights[r] = sys.Eng.Flight()
-		}
-
-		perViol[r] = chk.Violations()
-		var fails []string
-		for _, v := range perViol[r] {
-			fails = append(fails, "invariant: "+v)
-		}
-		for _, v := range oracle.Violations() {
-			fails = append(fails, "oracle: "+v)
-		}
-		if extra := oracle.ViolationCount() - int64(len(oracle.Violations())); extra > 0 {
-			fails = append(fails, fmt.Sprintf("oracle: %d further violations suppressed", extra))
-		}
-		if st.scaledFrom == 0 {
-			fails = append(fails, s.Assert.evaluate(results[r])...)
-		}
-		perRep[r] = fails
-		checks[r] = oracle.Checks()
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var agg *des.Flight
-	if flights != nil {
-		// Merge never fails and skips nil recorders.
-		agg = des.NewFlight()
-		for _, fl := range flights {
-			agg.Merge(fl)
-		}
-	}
-
-	out := &Outcome{
-		Scenario: s,
-		Rep:      results[0],
-		Reps:     results,
-		Stress: &StressInfo{
-			Nodes:        st.Fleet.Nodes,
-			ScaledFrom:   st.scaledFrom,
-			Zones:        st.Fleet.zones(),
-			TotalServers: plan.totalServers(),
-			Templates:    plan.counts,
-			Replications: reps,
-			Timeline:     len(events),
-			Chaos:        stats,
-		},
-	}
-	for r := range perRep {
-		out.OracleChecks += checks[r]
-		prefix := ""
-		if reps > 1 {
-			prefix = fmt.Sprintf("rep %d: ", r)
-		}
-		for _, v := range perViol[r] {
-			out.Violations = append(out.Violations, prefix+"invariant: "+v)
-		}
-		for _, f := range perRep[r] {
-			out.Failures = append(out.Failures, prefix+f)
-		}
-	}
-	return out, agg, nil
+	return out, des.MergeFlights(flights), nil
 }
 
 // mergeTimelines folds the cold-start ramps, the compiled chaos events
@@ -252,14 +139,7 @@ func runStress(s *Scenario, workers int, flight bool) (*Outcome, *des.Flight, er
 // same-instant crash of a later occurrence — then explicit events in
 // declaration order), which ScheduleBatch preserves at runtime.
 func mergeTimelines(groups ...[]Event) []Event {
-	total := 0
-	for _, g := range groups {
-		total += len(g)
-	}
-	merged := make([]Event, 0, total)
-	for _, g := range groups {
-		merged = append(merged, g...)
-	}
+	merged := slices.Concat(groups...)
 	sort.SliceStable(merged, func(i, j int) bool { return merged[i].At < merged[j].At })
 	return merged
 }

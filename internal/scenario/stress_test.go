@@ -1,13 +1,16 @@
 package scenario
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // smallStress builds an in-memory stress scenario sized for unit tests:
@@ -137,11 +140,12 @@ func TestRunDispatchesStress(t *testing.T) {
 // TestRunObservedRejectsStress: the telemetry/trace path has no stress
 // support and must say so instead of silently running something else.
 func TestRunObservedRejectsStress(t *testing.T) {
-	if _, _, err := RunObserved(smallStress(), obs.Options{}); err == nil {
+	if _, _, err := RunObserved(smallStress(), obs.Options{}, nil); err == nil {
 		t.Fatal("RunObserved accepted a stress scenario")
 	}
-	if _, _, err := RunObservedWith(smallStress(), obs.Options{}, nil); err == nil {
-		t.Fatal("RunObservedWith accepted a stress scenario")
+	hooked := false
+	if _, _, err := RunObserved(smallStress(), obs.Options{}, func(*sim.System) { hooked = true }); err == nil || hooked {
+		t.Fatalf("RunObserved with a hook on a stress scenario: err %v, hook ran %v", err, hooked)
 	}
 }
 
@@ -389,6 +393,41 @@ func TestValidateBoundsExpandedWork(t *testing.T) {
 			t.Errorf("%s: Validate = %v, want an ErrBadScenario naming the field", tc.field, err)
 		}
 	}
+}
+
+// TestLoadRejectsUnboundedReplications: a stress file asking for a
+// billion replications fails Load before anything is allocated for them.
+// Each replication repeats the whole task stream, so a count under the
+// cap still fails once the tasks it multiplies pass the task cap.
+func TestLoadRejectsUnboundedReplications(t *testing.T) {
+	for _, tc := range []struct{ reps, want string }{
+		{"1000000000", "replications 1000000000 outside [0, 65536]"},
+		{"100", "replications brings the expected task count"},
+	} {
+		path := writeScenario(t, unboundedReplications(t, tc.reps))
+		start := time.Now()
+		_, err := Load(path)
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("replications %s: Load took %v", tc.reps, elapsed)
+		}
+		if !errors.Is(err, ErrBadScenario) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("replications %s: Load = %v, want an ErrBadScenario containing %q", tc.reps, err, tc.want)
+		}
+	}
+}
+
+// unboundedReplications returns stress-fleet-10k's JSON with its
+// replication count replaced by reps.
+func unboundedReplications(t testing.TB, reps string) string {
+	data, err := os.ReadFile(filepath.Join(scenarioDir, "stress_fleet_10k.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const field = `"replications": 2,`
+	if !bytes.Contains(data, []byte(field)) {
+		t.Fatalf("stress_fleet_10k.json has no %s", field)
+	}
+	return strings.Replace(string(data), field, `"replications": `+reps+`,`, 1)
 }
 
 // TestShippedStressScenarios runs every stress scenario file in the suite

@@ -148,7 +148,8 @@ func TestOnReplicationHookRunsPerShard(t *testing.T) {
 	}
 }
 
-// TestRepSeedMatchesRunDerivation pins RepSeed to the sequence Run uses.
+// TestRepSeedMatchesRunDerivation pins RepSeed and RepSeeds to the
+// sequence Run uses.
 func TestRepSeedMatchesRunDerivation(t *testing.T) {
 	cfg := sim.Default()
 	cfg.Duration = 500
@@ -158,7 +159,11 @@ func TestRepSeedMatchesRunDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	seeds := sim.RepSeeds(cfg.Seed, 3)
 	for r := 0; r < 3; r++ {
+		if seeds[r] != sim.RepSeed(cfg.Seed, r) {
+			t.Fatalf("RepSeeds[%d] = %d, RepSeed = %d", r, seeds[r], sim.RepSeed(cfg.Seed, r))
+		}
 		rep, err := sim.RunOne(cfg, sim.RepSeed(cfg.Seed, r))
 		if err != nil {
 			t.Fatal(err)

@@ -118,22 +118,14 @@ type Config struct {
 	// Result.Flight.
 	Flight bool
 
-	// OnSystem, when non-nil, runs once per wired system after nodes,
-	// manager, and telemetry exist but before any event fires. The
-	// callback must not mutate model state; like Observer/ReleaseHook it
-	// forces replications sequential, because it receives systems with
-	// no synchronization between them. Prefer OnReplication for hooks
-	// that are safe to call concurrently.
-	OnSystem func(*System)
-
-	// OnReplication, when non-nil, runs once per wired replication —
-	// after nodes, manager, telemetry, and the replication index
-	// (System.Replication) exist, before any event fires. Unlike
-	// OnSystem it does NOT force the run sequential: with Workers > 1 it
-	// is invoked concurrently from several goroutines, so the callback
-	// must be safe for concurrent use and must not mutate model state.
-	// The live observability server attaches its per-shard publisher
-	// here, reading the run's fold through System.Fold.
+	// OnReplication, when non-nil, runs once for every system sim wires:
+	// the one of NewSystem, RunOne and ReplayTrace, and each replication
+	// of Run. It runs after nodes, manager, telemetry and the replication
+	// index (System.Replication, and under Run System.Fold) exist, and
+	// before any event fires. It does not force the run sequential: with
+	// Workers > 1 Run invokes it concurrently from several goroutines, so
+	// the callback must be safe for concurrent use and must not mutate
+	// model state. The live observability server attaches its hub here.
 	OnReplication func(*System)
 
 	// OnReplicationDone, when non-nil, runs once per replication right
@@ -156,8 +148,8 @@ type Config struct {
 	// internal/par), so sweeps can enable both without multiplying
 	// goroutines. Telemetry (Obs) runs on all workers — each replication
 	// owns a private shard and the shards merge deterministically. Only
-	// the unsynchronized callbacks (Observer, ReleaseHook, Recorder,
-	// OnSystem) force the run sequential.
+	// the unsynchronized callbacks (Observer, ReleaseHook, Recorder) force
+	// the run sequential.
 	Workers int
 }
 
@@ -423,6 +415,17 @@ func RepSeed(master uint64, rep int) uint64 {
 	return s
 }
 
+// RepSeeds returns the seeds of replications 0..n-1 under the given
+// master seed, derived in one pass.
+func RepSeeds(master uint64, n int) []uint64 {
+	sp := rng.NewSplitter(master)
+	seeds := make([]uint64, n)
+	for r := range seeds {
+		seeds[r] = sp.Seed()
+	}
+	return seeds
+}
+
 // Run executes the configured number of replications and aggregates them.
 // Replications run on up to cfg.Workers goroutines; seeds are derived from
 // the master seed before any replication starts (preserving the sequential
@@ -433,13 +436,9 @@ func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	sp := rng.NewSplitter(cfg.Seed)
-	seeds := make([]uint64, cfg.Replications)
-	for r := range seeds {
-		seeds[r] = sp.Seed()
-	}
+	seeds := RepSeeds(cfg.Seed, cfg.Replications)
 	workers := cfg.Workers
-	if cfg.Observer != nil || cfg.ReleaseHook != nil || cfg.OnSystem != nil || cfg.Recorder != nil {
+	if cfg.Observer != nil || cfg.ReleaseHook != nil || cfg.Recorder != nil {
 		workers = 1 // callbacks are not synchronized across replications
 	}
 	var merged *obs.Merged
@@ -455,18 +454,9 @@ func Run(cfg Config) (Result, error) {
 	}
 	reps := make([]RepResult, cfg.Replications)
 	err := par.Map(workers, cfg.Replications, func(r int) error {
-		sys, err := NewSystem(cfg, seeds[r])
+		sys, err := newSystem(cfg, seeds[r], r, cfg.Replications, merged)
 		if err != nil {
 			return fmt.Errorf("replication %d: %w", r, err)
-		}
-		sys.Replication, sys.Replications = r, cfg.Replications
-		if sys.tel != nil {
-			sys.tel.SetReplication(r)
-			sys.tel.DrawFrom(merged)
-			sys.fold = merged
-		}
-		if cfg.OnReplication != nil {
-			cfg.OnReplication(sys)
 		}
 		if err := sys.Start(); err != nil {
 			return fmt.Errorf("replication %d: %w", r, err)
@@ -495,14 +485,7 @@ func Run(cfg Config) (Result, error) {
 
 	res := Result{Config: cfg, Reps: reps, Obs: merged}
 	if flights != nil {
-		// The flight merge is commutative, but folding in replication order
-		// keeps the aggregation path identical at every worker count. Merge
-		// never fails and skips nil recorders.
-		agg := des.NewFlight()
-		for _, fl := range flights {
-			agg.Merge(fl)
-		}
-		res.Flight = agg
+		res.Flight = des.MergeFlights(flights)
 	}
 	var (
 		mdLocal, mdSub, mdGlob, missedWork, util []float64
@@ -641,6 +624,21 @@ func build(cfg Config) *System {
 	return &System{Eng: eng, Nodes: nodes, Mgr: mgr, cfg: cfg, rec: rec, tel: tel}
 }
 
+// wired places a system that has fired no event as replication r of
+// reps, hands its telemetry shard to fold (Run's merge, nil elsewhere),
+// and runs the OnReplication hook.
+func (s *System) wired(r, reps int, fold *obs.Merged) {
+	s.Replication, s.Replications = r, reps
+	if fold != nil {
+		s.tel.SetReplication(r)
+		s.tel.DrawFrom(fold)
+		s.fold = fold
+	}
+	if s.cfg.OnReplication != nil {
+		s.cfg.OnReplication(s)
+	}
+}
+
 // releaseHook adapts the deprecated Config.ReleaseHook to a
 // procmgr.Listener; delete both together.
 type releaseHook struct {
@@ -651,23 +649,27 @@ type releaseHook struct {
 func (h releaseHook) RecordRelease(t, root *task.Task, budget simtime.Time) { h.fn(t, root, budget) }
 
 // NewSystem validates cfg and wires a single replication with a live
-// workload driver seeded with seed. Call Start to schedule arrivals, then
-// Finish to run to the horizon, drain, and collect the result.
+// workload driver seeded with seed, then runs the OnReplication hook.
+// Call Start to schedule arrivals, then Finish to run to the horizon,
+// drain, and collect the result.
 func NewSystem(cfg Config, seed uint64) (*System, error) {
 	cfg = cfg.normalized()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newSystem(cfg, seed, 0, 1, nil)
+}
+
+// newSystem wires a normalized, validated configuration with a live
+// workload driver seeded with seed, as replication r of reps (see wired).
+func newSystem(cfg Config, seed uint64, r, reps int, fold *obs.Merged) (*System, error) {
 	sys := build(cfg)
-	sys.Replications = 1
 	driver, err := workload.NewDriver(sys.Eng, sys.Mgr, cfg.Spec, seed)
 	if err != nil {
 		return nil, err
 	}
 	sys.Driver = driver
-	if cfg.OnSystem != nil {
-		cfg.OnSystem(sys)
-	}
+	sys.wired(r, reps, fold)
 	return sys, nil
 }
 
@@ -897,8 +899,6 @@ func ReplayTrace(cfg Config, arrivals []workload.Arrival) (RepResult, error) {
 	if err := workload.Replay(sys.Eng, sys.Mgr, arrivals); err != nil {
 		return RepResult{}, err
 	}
-	if cfg.OnSystem != nil {
-		cfg.OnSystem(sys)
-	}
+	sys.wired(0, 1, nil)
 	return sys.Finish(horizon), nil
 }
