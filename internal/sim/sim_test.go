@@ -414,19 +414,33 @@ func TestMultiServerValidation(t *testing.T) {
 // format: for each tree factory, at warmup 0 and 500, the arrivals a
 // live run would draw go through WriteTrace and ReadTrace, and replaying
 // them yields the live run's RepResult field for field — counts, miss
-// rates, response times, utilization, queue length and event count.
+// rates, response times, utilization, queue length and event count. The
+// last case draws non-exponential local and subtask service times and
+// noisy pex estimates.
 func TestReplayTraceMatchesLiveRun(t *testing.T) {
-	factories := []workload.Factory{
-		workload.FixedParallel{N: 4},
-		workload.UniformParallel{Min: 2, Max: 6},
-		workload.SerialParallel{Stages: 3, Fanout: 3},
-		workload.NetworkPipeline{Stages: 3, Fanout: 3, NetNodes: 2, HopMean: 0.5},
+	type replayCase struct {
+		f        workload.Factory
+		local    workload.Dist
+		subtask  workload.Dist
+		estimate workload.Estimator
 	}
-	for _, f := range factories {
+	cases := []replayCase{
+		{f: workload.FixedParallel{N: 4}},
+		{f: workload.UniformParallel{Min: 2, Max: 6}},
+		{f: workload.SerialParallel{Stages: 3, Fanout: 3}},
+		{f: workload.NetworkPipeline{Stages: 3, Fanout: 3, NetNodes: 2, HopMean: 0.5}},
+		{f: workload.SerialParallel{Stages: 3, Fanout: 3}, local: workload.HyperExp{CV2: 4},
+			subtask: workload.ErlangK{K: 3}, estimate: workload.Noisy{Factor: 2}},
+	}
+	for _, c := range cases {
+		f := c.f
 		for _, warmup := range []simtime.Duration{0, 500} {
 			cfg := quickCfg()
 			cfg.Spec = workload.Baseline(f)
 			cfg.Spec.K = 8
+			cfg.Spec.LocalService = c.local
+			cfg.Spec.SubtaskService = c.subtask
+			cfg.Spec.Estimator = c.estimate
 			cfg.Duration = 2000
 			cfg.Warmup = warmup
 			cfg.Replications = 1
@@ -452,8 +466,8 @@ func TestReplayTraceMatchesLiveRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(replayed, live) {
-				t.Errorf("%s, warmup %v: replay differs from the live run:\nreplay %+v\nlive   %+v",
-					f.Name(), warmup, replayed, live)
+				t.Errorf("%s (%v, %v, %v), warmup %v: replay differs from the live run:\nreplay %+v\nlive   %+v",
+					f.Name(), c.local, c.subtask, c.estimate, warmup, replayed, live)
 			}
 		}
 	}
