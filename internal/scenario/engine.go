@@ -318,22 +318,8 @@ func armTimeline(sys *sim.System, name string, seed uint64, events []Event, spec
 							panic(fmt.Sprintf("scenario: burst local: %v", err))
 						}
 					case "global":
-						if spec.DagFactory != nil {
-							g, err := spec.NewGlobalDag(stream, nil, now)
-							if err != nil {
-								panic(fmt.Sprintf("scenario: burst global DAG: %v", err))
-							}
-							if err := sys.Mgr.SubmitDag(g); err != nil {
-								panic(fmt.Sprintf("scenario: burst global DAG submit: %v", err))
-							}
-							continue
-						}
-						root, err := spec.NewGlobal(stream, nil, now)
-						if err != nil {
+						if err := spec.SubmitGlobal(sys.Mgr, stream, nil, now); err != nil {
 							panic(fmt.Sprintf("scenario: burst global: %v", err))
-						}
-						if err := sys.Mgr.SubmitGlobal(root); err != nil {
-							panic(fmt.Sprintf("scenario: burst global submit: %v", err))
 						}
 					}
 				}

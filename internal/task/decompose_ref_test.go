@@ -479,16 +479,24 @@ func diffCluster(got *task.Structure, at string) string {
 	return ""
 }
 
+// smallInts draws the execution times 0, 1 and 2 with equal probability,
+// whatever the mean, so down-weights tie.
+type smallInts struct{}
+
+func (smallInts) Sample(_ float64, s *rng.Stream) float64 { return float64(s.IntN(3)) }
+func (smallInts) SCV() float64                            { return 2.0 / 3 }
+func (smallInts) Name() string                            { return "int3" }
+
 // randomTree draws a serial-parallel tree of at most the given depth with
 // uniquely named leaves.
-func randomTree(s *rng.Stream, depth int, next *int, draw workload.ExecSampler) *task.Task {
+func randomTree(s *rng.Stream, depth int, next *int, svc workload.Service) *task.Task {
 	if depth == 0 || s.Float64() < 0.3 {
 		*next++
-		return task.MustSimple(fmt.Sprintf("t%d", *next), s.IntN(6), draw(s))
+		return task.MustSimple(fmt.Sprintf("t%d", *next), s.IntN(6), svc.Draw(s))
 	}
 	children := make([]*task.Task, s.IntRange(2, 4))
 	for i := range children {
-		children[i] = randomTree(s, depth-1, next, draw)
+		children[i] = randomTree(s, depth-1, next, svc)
 	}
 	if s.Float64() < 0.5 {
 		return task.MustSerial("", children...)
@@ -513,16 +521,16 @@ func TestDecomposeMatchesReference(t *testing.T) {
 		workload.ConditionalDag{Stages: 5, Branches: 3, Width: 2},
 		workload.ConditionalDag{Stages: 3, Branches: 2, Width: 4, Probs: []float64{0.7, 0.3}},
 	}
-	draws := []workload.ExecSampler{
-		func(s *rng.Stream) simtime.Duration { return simtime.Duration(s.Exp(1)) },
-		func(s *rng.Stream) simtime.Duration { return simtime.Duration(s.IntN(3)) },
+	laws := []workload.Service{
+		{Dist: workload.Exponential{}, Mean: 1},
+		{Dist: smallInts{}},
 	}
 	clusters := 0
 	for seed := uint64(1); seed <= 150; seed++ {
 		s := rng.NewStream(seed)
-		draw := draws[seed%2]
+		svc := laws[seed%2]
 		for _, f := range factories {
-			d, err := f.NewDag(s, nil, 6, draw)
+			d, err := f.NewDag(s, nil, 6, svc)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", f.Name(), seed, err)
 			}
@@ -534,7 +542,7 @@ func TestDecomposeMatchesReference(t *testing.T) {
 			}
 		}
 		next := 0
-		d, err := task.FromTree(randomTree(s, 4, &next, draw))
+		d, err := task.FromTree(randomTree(s, 4, &next, svc))
 		if err != nil {
 			t.Fatalf("FromTree seed %d: %v", seed, err)
 		}

@@ -7,11 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/rng"
-	"repro/internal/simtime"
 	"repro/internal/task"
 )
 
-func unitDraw(_ *rng.Stream) simtime.Duration { return 1 }
+// unitDet is the law every vertex takes exactly 1 under.
+var unitDet = Service{Dist: Deterministic{}, Mean: 1}
 
 func TestConditionalDagValidate(t *testing.T) {
 	ok := ConditionalDag{Stages: 3, Branches: 2, Width: 2}
@@ -61,7 +61,7 @@ func TestConditionalDagValidate(t *testing.T) {
 func TestConditionalDagTemplate(t *testing.T) {
 	f := ConditionalDag{Stages: 3, Branches: 3, Width: 2, Probs: []float64{0.5, 0.25, 0.25}}
 	stream := rng.NewSplitter(1).Stream()
-	cd, err := f.Template(stream, nil, 6, unitDraw)
+	cd, err := f.Template(stream, nil, 6, unitDet)
 	if err != nil {
 		t.Fatalf("Template: %v", err)
 	}
@@ -114,7 +114,7 @@ func TestConditionalDagNewDag(t *testing.T) {
 	f := ConditionalDag{Stages: 5, Branches: 2, Width: 3}
 	stream := rng.NewSplitter(2).Stream()
 	for i := 0; i < 50; i++ {
-		d, err := f.NewDag(stream, nil, 6, unitDraw)
+		d, err := f.NewDag(stream, nil, 6, unitDet)
 		if err != nil {
 			t.Fatalf("NewDag: %v", err)
 		}
@@ -154,7 +154,7 @@ func TestConditionalDagGateFrequencies(t *testing.T) {
 	stream := rng.NewSplitter(11).Stream()
 	counts := make([]int, 3)
 	for i := 0; i < n; i++ {
-		d, err := f.NewDag(stream, nil, 6, unitDraw)
+		d, err := f.NewDag(stream, nil, 6, unitDet)
 		if err != nil {
 			t.Fatalf("NewDag: %v", err)
 		}
@@ -178,14 +178,14 @@ func TestConditionalDagGateFrequencies(t *testing.T) {
 }
 
 func TestConditionalDagDistAware(t *testing.T) {
-	// Deterministic relays, exponential branch vertices: with NewDagDist
-	// the two relay vertices must take exactly the mean.
+	// Deterministic relays, exponential branch vertices: the two relay
+	// vertices must take exactly the mean.
 	f := ConditionalDag{Stages: 3, Branches: 2, Width: 1,
 		RelayDist: Deterministic{}, BranchDist: Exponential{}}
 	stream := rng.NewSplitter(3).Stream()
-	d, err := f.NewDagDist(stream, nil, 4, 2.0, Exponential{})
+	d, err := f.NewDag(stream, nil, 4, Service{Mean: 2.0})
 	if err != nil {
-		t.Fatalf("NewDagDist: %v", err)
+		t.Fatalf("NewDag: %v", err)
 	}
 	relays := 0
 	for _, n := range d.Nodes() {
@@ -199,7 +199,7 @@ func TestConditionalDagDistAware(t *testing.T) {
 	if relays != 2 {
 		t.Errorf("found %d relays, want 2", relays)
 	}
-	// The spec path routes through NewDagDist for dist-aware factories.
+	// The spec path substitutes the per-role families too.
 	spec := Baseline(nil)
 	spec.Factory = nil
 	spec.DagFactory = f
@@ -224,9 +224,7 @@ func TestConditionalDagDeterministicStream(t *testing.T) {
 		stream := rng.NewSplitter(9).Stream()
 		var out []string
 		for i := 0; i < 10; i++ {
-			d, err := f.NewDag(stream, nil, 6, func(s *rng.Stream) simtime.Duration {
-				return simtime.Duration(s.Exp(1))
-			})
+			d, err := f.NewDag(stream, nil, 6, Service{Dist: Exponential{}, Mean: 1})
 			if err != nil {
 				t.Fatalf("NewDag: %v", err)
 			}
@@ -263,7 +261,7 @@ func TestConditionalDagNamesConcurrent(t *testing.T) {
 			stream, slab := rng.NewStream(uint64(g)), new(task.Slab)
 			for i := range 20 {
 				f := shapes[(g+i)%len(shapes)]
-				cd, err := f.Template(stream, slab, 64, unitDraw)
+				cd, err := f.Template(stream, slab, 64, unitDet)
 				if err != nil {
 					t.Error(err)
 					return

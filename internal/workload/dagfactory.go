@@ -15,16 +15,10 @@ import (
 // one layer, or of one parallel stage).
 type DagFactory interface {
 	// NewDag draws one global DAG for a system of k nodes, drawing every
-	// vertex's execution time from draw, and the DAG and its vertex
+	// vertex's execution time from svc, and the DAG and its vertex
 	// tasks from slab (nil allocates each on its own).
-	NewDag(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Dag, error)
-	// ExpectedWork returns the expected total execution time per global
-	// task given the mean vertex execution time.
-	ExpectedWork(meanExec float64) float64
-	// Validate checks that the factory is realisable on k nodes.
-	Validate(k int) error
-	// Name identifies the factory in reports.
-	Name() string
+	NewDag(stream *rng.Stream, slab *task.Slab, k int, svc Service) (*task.Dag, error)
+	shape
 }
 
 // Compile-time interface checks.
@@ -66,7 +60,7 @@ type LayeredDag struct {
 }
 
 // NewDag implements DagFactory.
-func (f LayeredDag) NewDag(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Dag, error) {
+func (f LayeredDag) NewDag(stream *rng.Stream, slab *task.Slab, k int, svc Service) (*task.Dag, error) {
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
@@ -79,7 +73,7 @@ func (f LayeredDag) NewDag(stream *rng.Stream, slab *task.Slab, k int, draw Exec
 		nodes := stream.Choose(k, width)
 		start := d.Len()
 		for i := 0; i < width; i++ {
-			leaf, err := slab.Simple(vertexName(d.Len()), nodes[i], draw(stream))
+			leaf, err := slab.Simple(vertexName(d.Len()), nodes[i], svc.Draw(stream))
 			if err != nil {
 				return nil, err
 			}
@@ -149,7 +143,7 @@ type ForkJoinDag struct {
 }
 
 // NewDag implements DagFactory.
-func (f ForkJoinDag) NewDag(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Dag, error) {
+func (f ForkJoinDag) NewDag(stream *rng.Stream, slab *task.Slab, k int, svc Service) (*task.Dag, error) {
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
@@ -158,7 +152,7 @@ func (f ForkJoinDag) NewDag(stream *rng.Stream, slab *task.Slab, k int, draw Exe
 	for i := 0; i < f.Stages; i++ {
 		nodes := stream.Choose(k, f.width(i))
 		for _, nd := range nodes {
-			leaf, err := slab.Simple(vertexName(d.Len()), nd, draw(stream))
+			leaf, err := slab.Simple(vertexName(d.Len()), nd, svc.Draw(stream))
 			if err != nil {
 				return nil, err
 			}

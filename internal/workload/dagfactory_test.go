@@ -14,9 +14,9 @@ import (
 func TestLayeredDagShape(t *testing.T) {
 	f := LayeredDag{Layers: 4, MinWidth: 1, MaxWidth: 3, EdgeProb: 0.4}
 	s := rng.NewStream(7)
-	draw := func(st *rng.Stream) simtime.Duration { return simtime.Duration(st.Exp(1)) }
+	svc := Service{Dist: Exponential{}, Mean: 1}
 	for trial := 0; trial < 50; trial++ {
-		d, err := f.NewDag(s, nil, 5, draw)
+		d, err := f.NewDag(s, nil, 5, svc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,8 +44,8 @@ func TestLayeredDagShape(t *testing.T) {
 func TestLayeredDagDistinctNodesPerLayer(t *testing.T) {
 	f := LayeredDag{Layers: 3, MinWidth: 4, MaxWidth: 4, EdgeProb: 1}
 	s := rng.NewStream(11)
-	draw := func(st *rng.Stream) simtime.Duration { return 1 }
-	d, err := f.NewDag(s, nil, 4, draw)
+	svc := Service{Dist: Deterministic{}, Mean: 1}
+	d, err := f.NewDag(s, nil, 4, svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +89,8 @@ func TestLayeredDagValidate(t *testing.T) {
 func TestForkJoinDagReducesToTreeWithoutCrossEdges(t *testing.T) {
 	f := ForkJoinDag{Stages: 5, Fanout: 3, CrossProb: 0}
 	s := rng.NewStream(3)
-	draw := func(st *rng.Stream) simtime.Duration { return simtime.Duration(st.Exp(1)) }
-	d, err := f.NewDag(s, nil, 6, draw)
+	svc := Service{Dist: Exponential{}, Mean: 1}
+	d, err := f.NewDag(s, nil, 6, svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestForkJoinDagReducesToTreeWithoutCrossEdges(t *testing.T) {
 func TestForkJoinDagCrossEdgesBreakSeriesParallel(t *testing.T) {
 	f := ForkJoinDag{Stages: 3, Fanout: 2, CrossProb: 1}
 	s := rng.NewStream(5)
-	draw := func(st *rng.Stream) simtime.Duration { return 1 }
-	d, err := f.NewDag(s, nil, 4, draw)
+	svc := Service{Dist: Deterministic{}, Mean: 1}
+	d, err := f.NewDag(s, nil, 4, svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,9 +305,9 @@ func TestNetworkPipelineNodePlacement(t *testing.T) {
 	const k = 6
 	ck := k - f.NetNodes
 	s := rng.NewStream(21)
-	draw := func(st *rng.Stream) simtime.Duration { return simtime.Duration(st.Exp(1)) }
+	svc := Service{Dist: Exponential{}, Mean: 1}
 	for trial := 0; trial < 30; trial++ {
-		root, err := f.New(s, nil, k, draw)
+		root, err := f.New(s, nil, k, svc)
 		if err != nil {
 			t.Fatal(err)
 		}

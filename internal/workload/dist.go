@@ -5,7 +5,24 @@ import (
 	"math"
 
 	"repro/internal/rng"
+	"repro/internal/simtime"
 )
+
+// Service is one service-time law: a distribution family at a mean. Every
+// execution time the workload draws comes from one. A nil Dist is the
+// paper's exponential law.
+type Service struct {
+	Dist Dist
+	Mean float64
+}
+
+// Draw draws one execution time from the law.
+func (v Service) Draw(s *rng.Stream) simtime.Duration {
+	if v.Dist == nil {
+		return simtime.Duration(s.Exp(v.Mean))
+	}
+	return simtime.Duration(v.Dist.Sample(v.Mean, s))
+}
 
 // Dist is a family of positive service-time distributions parameterised
 // by their mean. The paper's model is exponential (SCV 1); the other

@@ -47,18 +47,21 @@ func NewDriver(eng *des.Engine, mgr *procmgr.Manager, spec Spec, seed uint64) (*
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	sp := rng.NewSplitter(seed)
-	d := &Driver{
-		eng:          eng,
-		mgr:          mgr,
-		spec:         spec,
-		localStreams: make([]*rng.Stream, spec.K),
-		globalStream: sp.Stream(),
-	}
-	for i := range d.localStreams {
-		d.localStreams[i] = sp.Stream()
-	}
+	d := &Driver{eng: eng, mgr: mgr, spec: spec}
+	d.globalStream, d.localStreams = streams(seed, spec.K)
 	return d, nil
+}
+
+// streams splits seed into the global-task stream and one local-task
+// stream per node, in that order, as every run of the seed draws them.
+func streams(seed uint64, k int) (global *rng.Stream, locals []*rng.Stream) {
+	sp := rng.NewSplitter(seed)
+	global = sp.Stream()
+	locals = make([]*rng.Stream, k)
+	for i := range locals {
+		locals[i] = sp.Stream()
+	}
+	return global, locals
 }
 
 // Locals returns the number of local tasks generated so far.
@@ -143,24 +146,9 @@ type globalArrival struct {
 func globalArrivalFired(x any) {
 	a := x.(*globalArrival)
 	d := a.d
-	s := d.globalStream
 	d.globals++
-	if d.spec.DagFactory != nil {
-		g, err := d.spec.NewGlobalDag(s, d.mgr.Tasks(), d.eng.Now())
-		if err != nil {
-			panic(fmt.Sprintf("workload: build global DAG: %v", err))
-		}
-		if err := d.mgr.SubmitDag(g); err != nil {
-			panic(fmt.Sprintf("workload: submit global DAG: %v", err))
-		}
-	} else {
-		root, err := d.spec.NewGlobal(s, d.mgr.Tasks(), d.eng.Now())
-		if err != nil {
-			panic(fmt.Sprintf("workload: build global: %v", err))
-		}
-		if err := d.mgr.SubmitGlobal(root); err != nil {
-			panic(fmt.Sprintf("workload: submit global: %v", err))
-		}
+	if err := d.spec.SubmitGlobal(d.mgr, d.globalStream, d.mgr.Tasks(), d.eng.Now()); err != nil {
+		panic(fmt.Sprintf("workload: global arrival: %v", err))
 	}
 	if err := d.scheduleGlobal(a); err != nil {
 		panic(fmt.Sprintf("workload: schedule global: %v", err))

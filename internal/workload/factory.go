@@ -4,23 +4,13 @@ import (
 	"fmt"
 
 	"repro/internal/rng"
-	"repro/internal/simtime"
 	"repro/internal/task"
 )
 
-// ExecSampler draws one subtask execution time. Spec builds it from the
-// configured service-time distribution and mean.
-type ExecSampler func(s *rng.Stream) simtime.Duration
-
-// Factory produces the tree shape of global tasks: structure, execution
-// times and node placement. Implementations must place the subtasks of a
-// parallel group at *distinct* nodes, per the paper's model ("n subtasks
-// to be executed in parallel at n different nodes").
-type Factory interface {
-	// New draws one global task for a system of k nodes, drawing every
-	// simple subtask's execution time from draw and every task of the
-	// tree from slab (nil allocates each on its own).
-	New(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Task, error)
+// shape is what tree and DAG factories share: the load equations, Validate
+// and reports read a Spec's global factory through it, whichever kind is
+// set.
+type shape interface {
 	// ExpectedWork returns the expected total execution time per global
 	// task given the mean subtask execution time; the load equations use
 	// it to derive λ_global.
@@ -31,6 +21,18 @@ type Factory interface {
 	Name() string
 }
 
+// Factory produces the tree shape of global tasks: structure, execution
+// times and node placement. Implementations must place the subtasks of a
+// parallel group at *distinct* nodes, per the paper's model ("n subtasks
+// to be executed in parallel at n different nodes").
+type Factory interface {
+	// New draws one global task for a system of k nodes, drawing every
+	// simple subtask's execution time from svc and every task of the
+	// tree from slab (nil allocates each on its own).
+	New(stream *rng.Stream, slab *task.Slab, k int, svc Service) (*task.Task, error)
+	shape
+}
+
 // Compile-time interface checks.
 var (
 	_ Factory = FixedParallel{}
@@ -39,18 +41,17 @@ var (
 )
 
 // FixedParallel builds the homogeneous global tasks of the baseline
-// experiment: N simple subtasks executed in parallel at N distinct nodes,
-// each with exponential execution time.
+// experiment: N simple subtasks executed in parallel at N distinct nodes.
 type FixedParallel struct {
 	N int // number of parallel subtasks (Table 1 baseline: 4)
 }
 
 // New implements Factory.
-func (f FixedParallel) New(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Task, error) {
+func (f FixedParallel) New(stream *rng.Stream, slab *task.Slab, k int, svc Service) (*task.Task, error) {
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
-	return parallelGroup(stream, slab, f.N, k, draw)
+	return parallelGroup(stream, slab, f.N, k, svc)
 }
 
 // ExpectedWork implements Factory.
@@ -81,12 +82,12 @@ type UniformParallel struct {
 }
 
 // New implements Factory.
-func (f UniformParallel) New(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Task, error) {
+func (f UniformParallel) New(stream *rng.Stream, slab *task.Slab, k int, svc Service) (*task.Task, error) {
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
 	n := stream.IntRange(f.Min, f.Max)
-	return parallelGroup(stream, slab, n, k, draw)
+	return parallelGroup(stream, slab, n, k, svc)
 }
 
 // ExpectedWork implements Factory.
@@ -126,21 +127,21 @@ type SerialParallel struct {
 func (f SerialParallel) parallelStage(i int) bool { return i%2 == 1 }
 
 // New implements Factory.
-func (f SerialParallel) New(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Task, error) {
+func (f SerialParallel) New(stream *rng.Stream, slab *task.Slab, k int, svc Service) (*task.Task, error) {
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
 	if f.Stages == 1 {
-		return slab.Simple("", stream.IntN(k), draw(stream))
+		return slab.Simple("", stream.IntN(k), svc.Draw(stream))
 	}
 	root := slab.Composite("", task.KindSerial, f.Stages)
 	for i := range root.Children {
 		var stage *task.Task
 		var err error
 		if f.parallelStage(i) {
-			stage, err = parallelGroup(stream, slab, f.Fanout, k, draw)
+			stage, err = parallelGroup(stream, slab, f.Fanout, k, svc)
 		} else {
-			stage, err = slab.Simple("", stream.IntN(k), draw(stream))
+			stage, err = slab.Simple("", stream.IntN(k), svc.Draw(stream))
 		}
 		if err != nil {
 			return nil, err
@@ -187,18 +188,51 @@ func (f SerialParallel) Name() string {
 
 // parallelGroup draws n simple subtasks at n distinct nodes from slab,
 // and the group itself too. A group of one collapses to the bare subtask.
-func parallelGroup(stream *rng.Stream, slab *task.Slab, n, k int, draw ExecSampler) (*task.Task, error) {
+func parallelGroup(stream *rng.Stream, slab *task.Slab, n, k int, svc Service) (*task.Task, error) {
 	nodes := stream.Choose(k, n)
 	if n == 1 {
-		return slab.Simple("", nodes[0], draw(stream))
+		return slab.Simple("", nodes[0], svc.Draw(stream))
 	}
 	g := slab.Composite("", task.KindParallel, n)
 	for i := range g.Children {
-		leaf, err := slab.Simple("", nodes[i], draw(stream))
+		leaf, err := slab.Simple("", nodes[i], svc.Draw(stream))
 		if err != nil {
 			return nil, err
 		}
 		g.Children[i] = leaf
 	}
 	return g, nil
+}
+
+// FactoryParams are the shape parameters of a factory chosen by name
+// (ParseFactory); each factory reads the ones it needs.
+type FactoryParams struct {
+	N         int       // parallel width: group, layer or fork-member count
+	Stages    int       // serial stages, layers or conditional stages
+	EdgeProb  float64   // layered: extra-edge probability
+	CrossProb float64   // forkjoin: stage-skip edge probability
+	Branches  int       // cond: gates per fork
+	Probs     []float64 // cond: branch probabilities (nil = uniform)
+}
+
+// ParseFactory returns the factory name selects, built from p: a tree
+// factory for parallel, uniform and serial, a DAG factory for layered,
+// forkjoin and cond. ok is false for any other name.
+func ParseFactory(name string, p FactoryParams) (tree Factory, dag DagFactory, ok bool) {
+	switch name {
+	case "parallel":
+		return FixedParallel{N: p.N}, nil, true
+	case "uniform":
+		return UniformParallel{Min: 2, Max: p.N}, nil, true
+	case "serial":
+		return SerialParallel{Stages: p.Stages, Fanout: p.N}, nil, true
+	case "layered":
+		return nil, LayeredDag{Layers: p.Stages, MinWidth: 1, MaxWidth: p.N, EdgeProb: p.EdgeProb}, true
+	case "forkjoin":
+		return nil, ForkJoinDag{Stages: p.Stages, Fanout: p.N, CrossProb: p.CrossProb}, true
+	case "cond":
+		return nil, ConditionalDag{Stages: p.Stages, Branches: p.Branches, Width: p.N, Probs: p.Probs}, true
+	default:
+		return nil, nil, false
+	}
 }

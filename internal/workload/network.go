@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/rng"
-	"repro/internal/simtime"
 	"repro/internal/task"
 )
 
@@ -34,13 +33,13 @@ func (f NetworkPipeline) computeNodes(k int) int { return k - f.NetNodes }
 func (f NetworkPipeline) parallelStage(i int) bool { return i%2 == 1 }
 
 // New implements Factory.
-func (f NetworkPipeline) New(stream *rng.Stream, slab *task.Slab, k int, draw ExecSampler) (*task.Task, error) {
+func (f NetworkPipeline) New(stream *rng.Stream, slab *task.Slab, k int, svc Service) (*task.Task, error) {
 	if err := f.Validate(k); err != nil {
 		return nil, err
 	}
 	ck := f.computeNodes(k)
 	if f.Stages == 1 {
-		return slab.Simple("", stream.IntN(ck), draw(stream))
+		return slab.Simple("", stream.IntN(ck), svc.Draw(stream))
 	}
 	// Stages compute stages with a network hop between each pair.
 	root := slab.Composite("", task.KindSerial, 2*f.Stages-1)
@@ -48,8 +47,7 @@ func (f NetworkPipeline) New(stream *rng.Stream, slab *task.Slab, k int, draw Ex
 		if i > 0 {
 			// Network hop between consecutive compute stages.
 			hopNode := ck + stream.IntN(f.NetNodes)
-			hopEx := simtime.Duration(stream.Exp(f.HopMean))
-			hop, err := slab.Simple("", hopNode, hopEx)
+			hop, err := slab.Simple("", hopNode, Service{Mean: f.HopMean}.Draw(stream))
 			if err != nil {
 				return nil, err
 			}
@@ -60,9 +58,9 @@ func (f NetworkPipeline) New(stream *rng.Stream, slab *task.Slab, k int, draw Ex
 		if f.parallelStage(i) {
 			// Parallel compute groups draw from the compute nodes only (the
 			// first ck node IDs); hops own the trailing network nodes.
-			stage, err = parallelGroup(stream, slab, f.Fanout, ck, draw)
+			stage, err = parallelGroup(stream, slab, f.Fanout, ck, svc)
 		} else {
-			stage, err = slab.Simple("", stream.IntN(ck), draw(stream))
+			stage, err = slab.Simple("", stream.IntN(ck), svc.Draw(stream))
 		}
 		if err != nil {
 			return nil, err

@@ -13,7 +13,7 @@ func TestNetworkPipelineShape(t *testing.T) {
 	f := NetworkPipeline{Stages: 5, Fanout: 3, NetNodes: 2, HopMean: 0.25}
 	const k = 8 // 6 compute + 2 network
 	stream := rng.NewStream(1)
-	g, err := f.New(stream, nil, k, expDraw(1.0))
+	g, err := f.New(stream, nil, k, unitExp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestNetworkPipelineExpectedWork(t *testing.T) {
 	var sum float64
 	const n = 20000
 	for i := 0; i < n; i++ {
-		g, err := f.New(stream, nil, 8, expDraw(1.0))
+		g, err := f.New(stream, nil, 8, unitExp)
 		if err != nil {
 			t.Fatal(err)
 		}

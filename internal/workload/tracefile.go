@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/procmgr"
-	"repro/internal/rng"
 	"repro/internal/simtime"
 	"repro/internal/task"
 )
@@ -119,12 +118,7 @@ func Synthesize(spec Spec, seed uint64, horizon simtime.Time) ([]Arrival, error)
 		return nil, fmt.Errorf("%w: DAG workloads (%s) cannot be serialised to a trace",
 			ErrBadTrace, spec.DagFactory.Name())
 	}
-	sp := rng.NewSplitter(seed)
-	globalStream := sp.Stream()
-	localStreams := make([]*rng.Stream, spec.K)
-	for i := range localStreams {
-		localStreams[i] = sp.Stream()
-	}
+	globalStream, localStreams := streams(seed, spec.K)
 
 	var out []Arrival
 	if rate := spec.LocalRate(); rate > 0 {

@@ -174,18 +174,15 @@ func TestGlobalSlackOverride(t *testing.T) {
 	}
 }
 
-// expDraw is the default exponential sampler used by factory tests.
-func expDraw(mean float64) ExecSampler {
-	return func(s *rng.Stream) simtime.Duration {
-		return simtime.Duration(s.Exp(mean))
-	}
-}
+// unitExp is the exponential service law of mean 1 the factory tests
+// draw from.
+var unitExp = Service{Dist: Exponential{}, Mean: 1}
 
 func TestFixedParallelShape(t *testing.T) {
 	f := FixedParallel{N: 4}
 	stream := rng.NewStream(5)
 	for i := 0; i < 200; i++ {
-		g, err := f.New(stream, nil, 6, expDraw(1.0))
+		g, err := f.New(stream, nil, 6, unitExp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +214,7 @@ func TestFixedParallelExpectedWork(t *testing.T) {
 	var sum float64
 	const n = 20000
 	for i := 0; i < n; i++ {
-		g, err := f.New(stream, nil, 6, expDraw(1.0))
+		g, err := f.New(stream, nil, 6, unitExp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +233,7 @@ func TestUniformParallelClasses(t *testing.T) {
 	stream := rng.NewStream(7)
 	counts := map[int]int{}
 	for i := 0; i < 5000; i++ {
-		g, err := f.New(stream, nil, 6, expDraw(1.0))
+		g, err := f.New(stream, nil, 6, unitExp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +253,7 @@ func TestSerialParallelShape(t *testing.T) {
 		t.Errorf("ExpectedWork = %v, want 11 (3 simple + 2x4 parallel)", got)
 	}
 	stream := rng.NewStream(8)
-	g, err := f.New(stream, nil, 6, expDraw(1.0))
+	g, err := f.New(stream, nil, 6, unitExp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +292,7 @@ func TestFactoryValidation(t *testing.T) {
 		if err := c.f.Validate(c.k); !errors.Is(err, ErrBadSpec) {
 			t.Errorf("case %d (%s): err = %v, want ErrBadSpec", i, c.f.Name(), err)
 		}
-		if _, err := c.f.New(rng.NewStream(1), nil, c.k, expDraw(1.0)); err == nil {
+		if _, err := c.f.New(rng.NewStream(1), nil, c.k, unitExp); err == nil {
 			t.Errorf("case %d: New succeeded on invalid factory", i)
 		}
 	}
@@ -356,5 +353,41 @@ func TestFactoryNames(t *testing.T) {
 	}
 	if (SerialParallel{Stages: 5, Fanout: 4}).Name() != "serial5-fan4" {
 		t.Error("SerialParallel name")
+	}
+}
+
+// TestSpecDrawsItsCurrentLaw: a Spec that has drawn a global task draws
+// the next one from its subtask law as it is then, and so does a copy of
+// it. A sampler cached on the first draw once kept the first law: a
+// deterministic FixedParallel{N: 4} drew work 4 after the mean became 5.
+func TestSpecDrawsItsCurrentLaw(t *testing.T) {
+	work := func(s *Spec) simtime.Duration {
+		t.Helper()
+		g, err := s.NewGlobal(rng.NewStream(7), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.TotalWork()
+	}
+	spec := Baseline(FixedParallel{N: 4})
+	spec.SubtaskService = Deterministic{}
+	if got := work(&spec); got != 4 {
+		t.Fatalf("first draw: work %v, want 4", got)
+	}
+	copied := spec
+	for _, c := range []struct {
+		name string
+		s    *Spec
+	}{{"same spec", &spec}, {"copy", &copied}} {
+		c.s.MeanSubtaskExec = 5
+		if got := work(c.s); got != 20 {
+			t.Errorf("%s, mean 5: work %v, want 20", c.name, got)
+		}
+		c.s.SubtaskService = Exponential{}
+		want := Baseline(FixedParallel{N: 4})
+		want.MeanSubtaskExec = 5
+		if got, w := work(c.s), work(&want); got != w {
+			t.Errorf("%s, exponential: work %v, want %v as a new Spec draws", c.name, got, w)
+		}
 	}
 }
