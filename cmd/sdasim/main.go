@@ -81,27 +81,20 @@ func parse(fs *flag.FlagSet, args []string) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := wl.N
-	switch *factory {
-	case "parallel":
-	case "uniform":
-		cfg.Spec.Factory = workload.UniformParallel{Min: 2, Max: n}
-	case "serial":
-		cfg.Spec.Factory = workload.SerialParallel{Stages: *stages, Fanout: n}
-	case "layered":
-		cfg.Spec.Factory = nil
-		cfg.Spec.DagFactory = workload.LayeredDag{Layers: *stages, MinWidth: 1, MaxWidth: n, EdgeProb: *edgeProb}
-	case "forkjoin":
-		cfg.Spec.Factory = nil
-		cfg.Spec.DagFactory = workload.ForkJoinDag{Stages: *stages, Fanout: n, CrossProb: *crossProb}
-	case "cond":
-		probs, err := parseProbs(*probsFlag)
-		if err != nil {
+	params := workload.FactoryParams{
+		N:         wl.N,
+		Stages:    *stages,
+		EdgeProb:  *edgeProb,
+		CrossProb: *crossProb,
+		Branches:  *branches,
+	}
+	if *factory == "cond" {
+		if params.Probs, err = parseProbs(*probsFlag); err != nil {
 			return nil, err
 		}
-		cfg.Spec.Factory = nil
-		cfg.Spec.DagFactory = workload.ConditionalDag{Stages: *stages, Branches: *branches, Width: n, Probs: probs}
-	default:
+	}
+	var ok bool
+	if cfg.Spec.Factory, cfg.Spec.DagFactory, ok = workload.ParseFactory(*factory, params); !ok {
 		return nil, fmt.Errorf("flag -factory: unknown factory %q", *factory)
 	}
 
@@ -109,14 +102,7 @@ func parse(fs *flag.FlagSet, args []string) (*plan, error) {
 		return nil, err
 	}
 
-	switch *abort {
-	case "none":
-		cfg.Abort = sim.AbortNone
-	case "pm":
-		cfg.Abort = sim.AbortProcessManager
-	case "local":
-		cfg.Abort = sim.AbortLocalScheduler
-	default:
+	if cfg.Abort, ok = sim.ParseAbort(*abort); !ok {
 		return nil, fmt.Errorf("flag -abort: unknown abort mode %q", *abort)
 	}
 

@@ -6,12 +6,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cli"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -60,6 +62,45 @@ func TestSimFlagErrors(t *testing.T) {
 	for i, args := range cases {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("case %d: expected error for %v", i, args)
+		}
+	}
+}
+
+// TestNamesMatchScenario: for every factory and abort name, the -factory
+// and -abort flags and a scenario's workload.factory and abort fields,
+// given the same shape parameters, build the same workload.Spec and
+// abort mode. sdasim always sets an estimator and a scenario never does,
+// so the flag side's is cleared first.
+func TestNamesMatchScenario(t *testing.T) {
+	for _, factory := range []string{"parallel", "uniform", "serial", "layered", "forkjoin", "cond"} {
+		for _, abort := range []string{"none", "pm", "local"} {
+			fs := flag.NewFlagSet("sdasim", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			p, err := parse(fs, []string{"-factory", factory, "-abort", abort, "-n", "3", "-stages", "3",
+				"-edge-prob", "0.2", "-cross-prob", "0.4", "-branches", "3", "-branch-probs", "0.2,0.3,0.5"})
+			if err != nil {
+				t.Fatalf("%s/%s: sdasim: %v", factory, abort, err)
+			}
+			sc := scenario.Scenario{
+				Name:     "names",
+				Duration: 100,
+				Abort:    abort,
+				Workload: scenario.Workload{K: 6, Load: 0.5, FracLocal: 0.75, Factory: factory,
+					N: 3, Stages: 3, EdgeProb: 0.2, CrossProb: 0.4, Branches: 3,
+					BranchProbs: []float64{0.2, 0.3, 0.5}},
+			}
+			cfg, err := sc.Config()
+			if err != nil {
+				t.Fatalf("%s/%s: scenario: %v", factory, abort, err)
+			}
+			flags := p.cfg.Spec
+			flags.Estimator = nil
+			if !reflect.DeepEqual(flags, cfg.Spec) {
+				t.Errorf("%s/%s: specs differ:\nsdasim   %+v\nscenario %+v", factory, abort, flags, cfg.Spec)
+			}
+			if p.cfg.Abort != cfg.Abort {
+				t.Errorf("%s/%s: abort %v, scenario %v", factory, abort, p.cfg.Abort, cfg.Abort)
+			}
 		}
 	}
 }

@@ -214,27 +214,18 @@ func (w Workload) factories() (workload.Factory, workload.DagFactory, error) {
 	if w.FracLocal >= 1 {
 		return nil, nil, nil
 	}
-	switch w.Factory {
-	case "parallel":
-		return workload.FixedParallel{N: w.N}, nil, nil
-	case "uniform":
-		return workload.UniformParallel{Min: 2, Max: w.N}, nil, nil
-	case "serial":
-		return workload.SerialParallel{Stages: w.Stages, Fanout: w.N}, nil, nil
-	case "layered":
-		return nil, workload.LayeredDag{Layers: w.Stages, MinWidth: 1, MaxWidth: w.N, EdgeProb: w.EdgeProb}, nil
-	case "forkjoin":
-		return nil, workload.ForkJoinDag{Stages: w.Stages, Fanout: w.N, CrossProb: w.CrossProb}, nil
-	case "cond":
-		return nil, workload.ConditionalDag{
-			Stages:   w.Stages,
-			Branches: w.Branches,
-			Width:    w.N,
-			Probs:    w.BranchProbs,
-		}, nil
-	default:
+	tree, dag, ok := workload.ParseFactory(w.Factory, workload.FactoryParams{
+		N:         w.N,
+		Stages:    w.Stages,
+		EdgeProb:  w.EdgeProb,
+		CrossProb: w.CrossProb,
+		Branches:  w.Branches,
+		Probs:     w.BranchProbs,
+	})
+	if !ok {
 		return nil, nil, fmt.Errorf("%w: unknown factory %q", ErrBadScenario, w.Factory)
 	}
+	return tree, dag, nil
 }
 
 // Config translates the scenario into a one-replication sim.Config
@@ -257,15 +248,8 @@ func (s *Scenario) Config() (sim.Config, error) {
 	if !ok {
 		return sim.Config{}, fmt.Errorf("%w: unknown policy %q", ErrBadScenario, sc.Policy)
 	}
-	var abort sim.AbortMode
-	switch sc.Abort {
-	case "none":
-		abort = sim.AbortNone
-	case "pm":
-		abort = sim.AbortProcessManager
-	case "local":
-		abort = sim.AbortLocalScheduler
-	default:
+	abort, ok := sim.ParseAbort(sc.Abort)
+	if !ok {
 		return sim.Config{}, fmt.Errorf("%w: unknown abort mode %q", ErrBadScenario, sc.Abort)
 	}
 	cfg := sim.Config{

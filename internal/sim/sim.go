@@ -42,6 +42,22 @@ const (
 	AbortLocalScheduler
 )
 
+// ParseAbort returns the abortion policy a name selects: "none", "pm"
+// (process manager) or "local" (local scheduler). ok is false for any
+// other name.
+func ParseAbort(name string) (AbortMode, bool) {
+	switch name {
+	case "none":
+		return AbortNone, true
+	case "pm":
+		return AbortProcessManager, true
+	case "local":
+		return AbortLocalScheduler, true
+	default:
+		return 0, false
+	}
+}
+
 // String returns the mode name.
 func (m AbortMode) String() string {
 	switch m {
