@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race scenarios report-drift results-drift bless bench bench-record bench-compare bench-e2e-test profile obs blame stress stress-smoke trace flight
+.PHONY: check fmt vet build test examples race scenarios report-drift results-drift bless bench bench-record bench-compare bench-e2e-test profile obs blame stress stress-smoke trace flight
 
 # check runs the local steps of CI's test job: gofmt, vet, build, the
-# root module's tests, the bench/ module's vet and tests, the scenario
-# golden suite and the reproduction-report drift guard. It leaves out
-# that job's fuzz smokes and staticcheck, and CI's other jobs: the race
-# detector (make race), the 386 leg, the merged-telemetry guards, the
-# blame, stress and trace smokes, and the benchmark smoke.
+# root module's tests, the example programs, the bench/ module's vet and
+# tests, the scenario golden suite and the reproduction-report drift
+# guard. It leaves out that job's fuzz smokes and staticcheck, and CI's
+# other jobs: the race detector (make race), the 386 leg, the
+# merged-telemetry guards, the blame, stress and trace smokes, and the
+# benchmark smoke.
 DERIVED = blame.md blame.json tracetree.jsonl trace.chrome.json
 
-check: fmt vet build test bench-e2e-test scenarios report-drift
+check: fmt vet build test examples bench-e2e-test scenarios report-drift
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
@@ -23,6 +24,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# examples builds and runs every program under examples/, the only
+# programs built on the root sda facade; each must exit 0.
+examples:
+	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 race:
 	$(GO) test -race ./...
