@@ -23,8 +23,6 @@ import (
 // Finish carries no response time. All callbacks run on the simulation
 // goroutine; the Oracle is not safe for concurrent use across engines.
 type Oracle struct {
-	procmgr.NopRecorder // releases and causal edges carry no bound
-
 	maxRate float64
 	tol     float64
 
@@ -32,10 +30,6 @@ type Oracle struct {
 	skipped    int64
 	violations []string
 	overflow   int64 // violations dropped past the message cap
-
-	// Realized DAG critical paths keyed by accounting root, registered at
-	// submission and consumed (and deleted) at outcome.
-	dags map[*task.Task]simtime.Duration
 }
 
 // DefaultOracleTol is the relative tolerance applied to bound
@@ -47,14 +41,13 @@ const DefaultOracleTol = 1e-6
 // keeps incrementing past the cap.
 const maxOracleViolations = 32
 
-// The Oracle subscribes to plain outcomes, DAG submissions and DAG
-// outcomes.
-var _ procmgr.Listener = (*Oracle)(nil)
+// The Oracle subscribes to outcomes only.
+var _ procmgr.Recorder = (*Oracle)(nil)
 
 // NewOracle returns an oracle assuming nominal service rates (max rate 1)
 // and the default tolerance.
 func NewOracle() *Oracle {
-	return &Oracle{maxRate: 1, tol: DefaultOracleTol, dags: make(map[*task.Task]simtime.Duration)}
+	return &Oracle{maxRate: 1, tol: DefaultOracleTol}
 }
 
 // SetMaxRate declares the fastest service rate any node reaches during
@@ -130,30 +123,13 @@ func (o *Oracle) RecordSubtask(t *task.Task, _ bool) {
 }
 
 // RecordGlobal implements procmgr.Recorder: a global task cannot respond
-// faster than its critical path. For DAG-shaped tasks the accounting
-// root's CriticalPath is only max-over-vertices; the tighter realized
-// critical path is checked by RecordDagOutcome instead, so roots
-// registered via RecordDagSubmit are skipped here.
-func (o *Oracle) RecordGlobal(root *task.Task, _ bool) {
-	if _, isDag := o.dags[root]; isDag {
+// faster than its critical path. For a DAG the accounting root's
+// CriticalPath is only max-over-vertices, so the response is judged
+// against the DAG's realized critical path instead.
+func (o *Oracle) RecordGlobal(root *task.Task, d *task.Dag, _ bool) {
+	if d != nil {
+		o.check("dag", d.Name, root, d.CriticalPath().Scale(1/o.maxRate))
 		return
 	}
 	o.check("global", root.Name, root, root.CriticalPath().Scale(1/o.maxRate))
-}
-
-// RecordDagSubmit implements procmgr.Listener: remember the realized
-// DAG's critical path so the outcome can be judged against it.
-func (o *Oracle) RecordDagSubmit(d *task.Dag, root *task.Task) {
-	o.dags[root] = d.CriticalPath()
-}
-
-// RecordDagOutcome implements procmgr.Listener: check the DAG
-// response against the realized critical path registered at submission.
-func (o *Oracle) RecordDagOutcome(d *task.Dag, root *task.Task, _ bool) {
-	cp, ok := o.dags[root]
-	if !ok {
-		cp = d.CriticalPath()
-	}
-	delete(o.dags, root)
-	o.check("dag", d.Name, root, cp.Scale(1/o.maxRate))
 }

@@ -594,7 +594,7 @@ type hooks struct {
 func (h hooks) OnEnqueue(_ *node.Node, it *node.Item, _ simtime.Time) { h.o.enqueued(it) }
 func (h hooks) OnStart(_ *node.Node, it *node.Item, _ simtime.Time)   { h.o.start(it) }
 func (h hooks) OnAbort(_ *node.Node, it *node.Item, _ simtime.Time)   { h.o.withdrawn(it) }
-func (h hooks) RecordGlobal(root *task.Task, _ bool)                  { h.o.finished(root) }
+func (h hooks) RecordGlobal(root *task.Task, _ *task.Dag, _ bool)     { h.o.finished(root) }
 func (hooks) OnFinish(*node.Node, *node.Item, simtime.Time)           {}
 func (hooks) OnPreempt(*node.Node, *node.Item, simtime.Time)          {}
 

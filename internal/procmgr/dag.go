@@ -22,10 +22,10 @@ import (
 // finishes; because group mates share their predecessors, the whole group
 // becomes ready atomically in a single completion callback. Aborting a DAG
 // run also marks its not-yet-released vertices aborted without recording
-// them (see run.abortAll). RecordDagOutcome is the run's final callback:
-// right after it returns, the DAG, its accounting root and its vertex
-// tasks go back to the manager's slab, as a tree does after its
-// RecordGlobal (see Recorder), and the decomposition goes with them.
+// them (see run.abortAll). RecordGlobal, which carries the DAG, is the
+// run's final callback: right after it returns, the DAG, its accounting
+// root and its vertex tasks go back to the manager's slab, as a tree does
+// (see Recorder), and the decomposition goes with them.
 
 // SubmitDag submits a global task expressed as a precedence DAG. The
 // accounting root's RealDeadline must be set (d.Root().RealDeadline); the
@@ -49,9 +49,6 @@ func (m *Manager) SubmitDag(d *task.Dag) error {
 		}
 	}
 
-	if m.lis != nil {
-		m.lis.RecordDagSubmit(d, root)
-	}
 	r := m.acquireRun(root, d, ctrlCount(st))
 	if !m.arm(r) {
 		return nil
@@ -61,6 +58,7 @@ func (m *Manager) SubmitDag(d *task.Dag) error {
 	root.VirtualDeadline = root.RealDeadline
 	if m.lis != nil {
 		m.lis.RecordRelease(root, root, root.RealDeadline)
+		m.lis.RecordDagSubmit(d, root)
 	}
 	r.release(r.newCtrl(nil, 0, nil, st), now, root.RealDeadline, root.RealDeadline, false, nil)
 	return nil

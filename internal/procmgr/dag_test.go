@@ -13,11 +13,10 @@ import (
 )
 
 // dagRecorder extends testRecorder into a Listener that logs DAG
-// submissions and outcomes.
+// submissions.
 type dagRecorder struct {
 	testRecorder
-	submits  []string
-	outcomes []record
+	submits []string
 }
 
 var _ Listener = (*dagRecorder)(nil)
@@ -26,11 +25,8 @@ func (r *dagRecorder) RecordDagSubmit(d *task.Dag, root *task.Task) {
 	r.submits = append(r.submits, d.Name)
 }
 
-func (*dagRecorder) RecordRelease(*task.Task, *task.Task, simtime.Time)     {}
-func (*dagRecorder) RecordCause(string, *task.Task, *task.Task, *task.Task) {}
-func (r *dagRecorder) RecordDagOutcome(d *task.Dag, root *task.Task, missed bool) {
-	r.outcomes = append(r.outcomes, record{d.Name, "dag", missed, root.Finish})
-}
+func (*dagRecorder) RecordRelease(*task.Task, *task.Task, simtime.Time)    {}
+func (*dagRecorder) RecordCause(Cause, *task.Task, *task.Task, *task.Task) {}
 
 func TestSubmitDagSerialChain(t *testing.T) {
 	// a -> b -> c on one node: each vertex must be released exactly when

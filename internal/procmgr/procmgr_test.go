@@ -24,6 +24,7 @@ type record struct {
 // testRecorder accumulates outcomes for assertions.
 type testRecorder struct {
 	records []record
+	dags    []string // names of the DAGs RecordGlobal carried
 }
 
 var _ Recorder = (*testRecorder)(nil)
@@ -36,8 +37,11 @@ func (r *testRecorder) RecordSubtask(t *task.Task, missed bool) {
 	r.records = append(r.records, record{t.Name, "subtask", missed, t.Finish})
 }
 
-func (r *testRecorder) RecordGlobal(t *task.Task, missed bool) {
+func (r *testRecorder) RecordGlobal(t *task.Task, d *task.Dag, missed bool) {
 	r.records = append(r.records, record{t.Name, "global", missed, t.Finish})
+	if d != nil {
+		r.dags = append(r.dags, d.Name)
+	}
 }
 
 func (r *testRecorder) find(kind, name string) (record, bool) {
@@ -707,8 +711,8 @@ func TestAbortRun(t *testing.T) {
 		if got, ok := rec.find("global", d.Name); !ok || !got.missed || rec.count("global") != 1 {
 			t.Errorf("global records %+v (%d), want one missed", got, rec.count("global"))
 		}
-		if len(rec.outcomes) != 1 || !rec.outcomes[0].missed {
-			t.Errorf("DAG outcomes %+v, want one missed", rec.outcomes)
+		if len(rec.dags) != 1 || rec.dags[0] != d.Name {
+			t.Errorf("RecordGlobal carried DAGs %v, want %q", rec.dags, d.Name)
 		}
 		for _, n := range d.Nodes() {
 			if !n.Task.Aborted {

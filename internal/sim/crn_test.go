@@ -35,7 +35,7 @@ func (l *drawLog) RecordLocal(t *task.Task, _ bool) {
 	l.locals = append(l.locals, localDraw{t.Arrival, t.Exec})
 }
 
-func (l *drawLog) RecordGlobal(root *task.Task, _ bool) {
+func (l *drawLog) RecordGlobal(root *task.Task, _ *task.Dag, _ bool) {
 	l.globals = append(l.globals, globalDraw{root.Arrival, root.TotalWork(), root.CountSimple()})
 }
 

@@ -72,13 +72,16 @@ type recycleRun struct {
 	exports map[string][]byte
 }
 
-// outcomeLog is a callbackLog that also logs, at a DAG's outcome, every
-// vertex's task: the outcome is the DAG's final callback, so a DAG handed
-// back before it shows in the digest.
+// outcomeLog is a callbackLog that also logs, at a DAG run's
+// RecordGlobal, every vertex's task: RecordGlobal is the run's final
+// callback, so a DAG handed back before it shows in the digest.
 type outcomeLog struct{ *callbackLog }
 
-func (l outcomeLog) RecordDagOutcome(d *task.Dag, root *task.Task, missed bool) {
-	l.callbackLog.RecordDagOutcome(d, root, missed)
+func (l outcomeLog) RecordGlobal(root *task.Task, d *task.Dag, missed bool) {
+	l.callbackLog.RecordGlobal(root, d, missed)
+	if d == nil {
+		return
+	}
 	for _, n := range d.Nodes() {
 		l.line("vertex", "%s %d %v %v %t", n.Task.Name, n.Task.Node, float64(n.Task.Arrival), float64(n.Task.Finish), n.Task.Aborted)
 	}

@@ -837,7 +837,7 @@ func (c *collector) RecordSubtask(t *task.Task, missed bool) {
 }
 
 // RecordGlobal implements procmgr.Recorder.
-func (c *collector) RecordGlobal(root *task.Task, missed bool) {
+func (c *collector) RecordGlobal(root *task.Task, _ *task.Dag, missed bool) {
 	if !c.counted(root) {
 		return
 	}

@@ -27,7 +27,7 @@ func (r *countingRecorder) RecordLocal(_ *task.Task, missed bool) {
 
 func (r *countingRecorder) RecordSubtask(*task.Task, bool) { r.subtasks++ }
 
-func (r *countingRecorder) RecordGlobal(_ *task.Task, missed bool) {
+func (r *countingRecorder) RecordGlobal(_ *task.Task, _ *task.Dag, missed bool) {
 	r.globals++
 	if missed {
 		r.globalMiss++
@@ -244,7 +244,7 @@ func (r *missRecorder) RecordSubtask(_ *task.Task, missed bool) {
 	}
 }
 
-func (r *missRecorder) RecordGlobal(_ *task.Task, missed bool) {
+func (r *missRecorder) RecordGlobal(_ *task.Task, _ *task.Dag, missed bool) {
 	r.globs++
 	if missed {
 		r.globMiss++
