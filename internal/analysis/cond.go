@@ -18,8 +18,7 @@ type CondRealization struct {
 type CondSummary struct {
 	Realizations []CondRealization
 
-	// ExpVolume is the expected total work, sum of p_i * vol(G_i). It
-	// equals CondDag.ExpectedWork and drives the load equations.
+	// ExpVolume is the expected total work, sum of p_i * vol(G_i).
 	ExpVolume float64
 	// ExpCritical is sum of p_i * len(G_i) — by the per-realization lower
 	// bound, E[R] >= ExpCritical/rmax under any schedule.

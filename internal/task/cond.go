@@ -359,35 +359,3 @@ func (cd *CondDag) Realizations(limit int) ([]Realization, error) {
 // is far beyond any workload template this repository generates, while
 // still failing fast on adversarial parser inputs.
 const DefaultRealizationLimit = 4096
-
-// ActivationProbs returns the exact activation probability of every
-// vertex (indexed by vertex id), computed by realization enumeration.
-func (cd *CondDag) ActivationProbs(limit int) ([]float64, error) {
-	reals, err := cd.Realizations(limit)
-	if err != nil {
-		return nil, err
-	}
-	probs := make([]float64, len(cd.dag.nodes))
-	for _, r := range reals {
-		for id, on := range r.Active {
-			if on {
-				probs[id] += r.Prob
-			}
-		}
-	}
-	return probs, nil
-}
-
-// ExpectedWork returns the expected total execution time over the branch
-// distribution: sum over vertices of activation probability times Exec.
-func (cd *CondDag) ExpectedWork(limit int) (float64, error) {
-	probs, err := cd.ActivationProbs(limit)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for id, p := range probs {
-		sum += float64(p * float64(cd.dag.nodes[id].Task.Exec))
-	}
-	return sum, nil
-}

@@ -170,28 +170,6 @@ func TestRealizationsDiamond(t *testing.T) {
 	}
 }
 
-func TestActivationProbsAndExpectedWork(t *testing.T) {
-	cd := condDiamond(t, 0.3)
-	probs, err := cd.ActivationProbs(0)
-	if err != nil {
-		t.Fatalf("ActivationProbs: %v", err)
-	}
-	want := []float64{1, 0.3, 0.7, 1} // s, a, b, t
-	for i, w := range want {
-		if math.Abs(probs[i]-w) > 1e-12 {
-			t.Errorf("activation[%d] = %v, want %v", i, probs[i], w)
-		}
-	}
-	// E[work] = 1 + 0.3*2 + 0.7*4 + 1 = 5.4
-	work, err := cd.ExpectedWork(0)
-	if err != nil {
-		t.Fatalf("ExpectedWork: %v", err)
-	}
-	if math.Abs(work-5.4) > 1e-12 {
-		t.Errorf("ExpectedWork = %v, want 5.4", work)
-	}
-}
-
 // TestRealizeFrequencies draws many realizations and checks the empirical
 // branch frequencies converge to the configured probabilities — the
 // satellite "activation frequencies converge to branch probabilities"
@@ -271,17 +249,6 @@ func TestRealizeNestedConditionals(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("probabilities sum to %v", sum)
-	}
-	probs, err := cd.ActivationProbs(0)
-	if err != nil {
-		t.Fatalf("ActivationProbs: %v", err)
-	}
-	// ids: s=0 a=1 b=2 c=3 d=4 t=5
-	want := []float64{1, 0.5, 0.5, 0.125, 0.375, 1}
-	for i, w := range want {
-		if math.Abs(probs[i]-w) > 1e-12 {
-			t.Errorf("activation[%d] = %v, want %v", i, probs[i], w)
-		}
 	}
 }
 
