@@ -89,9 +89,12 @@ func (p *parity) uniform(lo, hi float64) {
 	p.check(fmt.Sprintf("Uniform(%v, %v)", lo, hi), p.s.Uniform(lo, hi), lo+(hi-lo)*p.r.Float64())
 }
 
+// logUniform's reference exponentiates with rng's own exp, which
+// LogUniform uses in place of math.Exp (see exp.go); the draw it
+// exponentiates is math/rand's.
 func (p *parity) logUniform(lo, hi float64) {
 	llo, lhi := math.Log(lo), math.Log(hi)
-	want := math.Exp(llo + (lhi-llo)*p.r.Float64())
+	want := exp(llo + (lhi-llo)*p.r.Float64())
 	p.check(fmt.Sprintf("LogUniform(%v, %v)", lo, hi), p.s.LogUniform(lo, hi), want)
 }
 

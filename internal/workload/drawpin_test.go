@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash"
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -14,35 +13,21 @@ import (
 )
 
 // drawPins are the digests of every global task TestGlobalDrawPins draws,
-// one per factory over all service laws and estimators, by GOARCH. A
-// change to how the workload draws a global task — which RNG calls, in
-// which order, how a service time or pex is derived — moves them. The
-// Noisy estimator's log-uniform factor goes through math.Exp, which is
-// assembly on amd64 and pure Go on 386, and the two differ in the last
-// bit of some pex values; every other value is the same on both.
-var drawPins = map[string]map[string]string{
-	"amd64": {
-		"parallel-4":          "a7e094004e4ce4e2cab2759f",
-		"parallel-u2-6":       "8c39384ec3fc5f6482c6d2d2",
-		"serial5-fan4":        "0df8c55a3c7ec2b6267807cd",
-		"net2-serial5-fan3":   "e7de89d933e5ade843e5a46a",
-		"layered4-w1-4-p0.3":  "83b624ab33372694ae6be7bb",
-		"forkjoin5-fan3-x0.3": "eb13dd32865e1acbf2def521",
-		"cond5-b3-w2":         "b4f75ffc8681d7210bad69a4",
-		"cond5-b2-w3":         "2085f2bf45307027b9be1a60",
-		"cond3-b2-w2":         "b00829db5ce8143c43a7bf15",
-	},
-	"386": {
-		"parallel-4":          "fe1edeafed5bbe137d06310c",
-		"parallel-u2-6":       "c222c3486d86ae4c8a8e5625",
-		"serial5-fan4":        "36d7c316b7eaa92a6b6f6594",
-		"net2-serial5-fan3":   "9e3f07c1f313bc5aef512675",
-		"layered4-w1-4-p0.3":  "7745f2d65ae53a4df50bca72",
-		"forkjoin5-fan3-x0.3": "54d0a80d1636749a217c1f25",
-		"cond5-b3-w2":         "b794b0e662bd59237ced4144",
-		"cond5-b2-w3":         "8f1b773f931e869e396def40",
-		"cond3-b2-w2":         "3ba2aed940bda2253faeb7f9",
-	},
+// one per factory over all service laws and estimators. A change to how
+// the workload draws a global task — which RNG calls, in which order,
+// how a service time or pex is derived — moves them. They are the same
+// on every GOARCH: the Noisy estimator's log-uniform factor goes through
+// rng's own exponential, not math.Exp.
+var drawPins = map[string]string{
+	"parallel-4":          "fe1edeafed5bbe137d06310c",
+	"parallel-u2-6":       "c222c3486d86ae4c8a8e5625",
+	"serial5-fan4":        "36d7c316b7eaa92a6b6f6594",
+	"net2-serial5-fan3":   "9e3f07c1f313bc5aef512675",
+	"layered4-w1-4-p0.3":  "7745f2d65ae53a4df50bca72",
+	"forkjoin5-fan3-x0.3": "54d0a80d1636749a217c1f25",
+	"cond5-b3-w2":         "b794b0e662bd59237ced4144",
+	"cond5-b2-w3":         "8f1b773f931e869e396def40",
+	"cond3-b2-w2":         "3ba2aed940bda2253faeb7f9",
 }
 
 // pinFactories are the factories TestGlobalDrawPins draws from: every
@@ -82,10 +67,6 @@ func hashDuration(h hash.Hash, d simtime.Duration) {
 func TestGlobalDrawPins(t *testing.T) {
 	dists := []Dist{Exponential{}, Deterministic{}, ErlangK{K: 4}, HyperExp{CV2: 4}}
 	ests := []Estimator{Exact{}, Mean{}, Noisy{Factor: 2}}
-	pins, ok := drawPins[runtime.GOARCH]
-	if !ok {
-		t.Skipf("no draw pins for GOARCH=%s", runtime.GOARCH)
-	}
 	for _, f := range pinFactories() {
 		var name string
 		h := sha256.New()
@@ -130,8 +111,8 @@ func TestGlobalDrawPins(t *testing.T) {
 				fmt.Fprintf(h, "next %016x\n", math.Float64bits(stream.Float64()))
 			}
 		}
-		if got := fmt.Sprintf("%x", h.Sum(nil)[:12]); got != pins[name] {
-			t.Errorf("%s: draw digest %s, pinned %s", name, got, pins[name])
+		if got := fmt.Sprintf("%x", h.Sum(nil)[:12]); got != drawPins[name] {
+			t.Errorf("%s: draw digest %s, pinned %s", name, got, drawPins[name])
 		}
 	}
 }
