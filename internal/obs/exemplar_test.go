@@ -15,7 +15,7 @@ import (
 func TestExemplarStoreMatchesSortReference(t *testing.T) {
 	for _, k := range []int{1, 2, 8} {
 		rnd := rand.New(rand.NewSource(int64(k)))
-		e := newExemplarStore(k, 0x5eed)
+		e := newExemplarStore(k)
 		e.rep = k
 		var fed []span
 		for id := uint64(1); id <= 600; id++ {
@@ -59,7 +59,7 @@ func checkExemplarStore(t *testing.T, e *exemplarStore, fed []span) {
 					want = append(want, sp.record(e.rep, nil))
 				}
 			}
-			sort.Slice(want, func(i, j int) bool { return less(e.seed, &want[i], &want[j]) })
+			sort.Slice(want, func(i, j int) bool { return less(&want[i], &want[j]) })
 			want = want[:min(len(want), e.k)]
 			l := &e.latest[kind]
 			if worst {
