@@ -96,17 +96,20 @@ const (
 
 // record holds the mutable state of one scheduled event. Records are
 // pooled and recycled; gen disambiguates incarnations for stale handles.
-// A record carries either a plain callback (fn) or an argument-carrying
-// one (fnc + ctx); the latter lets hot model code schedule a shared
-// package-level function with a pointer argument instead of allocating a
-// fresh closure per event.
+// Every event is a function and its argument: AtCall stores them as
+// given, which lets hot model code schedule a shared package-level
+// function with a pointer argument instead of allocating a fresh closure
+// per event, and At stores its closure as the argument of callClosure.
 type record struct {
-	fn    func()
-	fnc   func(any)
+	fn    func(any)
 	ctx   any
 	gen   uint32
 	state uint8
 }
+
+// callClosure fires a closure event: the closure rides in the record's
+// ctx (a func value converts to any without allocating).
+func callClosure(x any) { x.(func())() }
 
 // slot is one calendar entry: the ordering key plus the record index. Keys
 // are stored inline so heap sifts never chase record pointers.
@@ -190,7 +193,6 @@ func (e *Engine) alloc() int32 {
 func (e *Engine) release(idx int32) {
 	r := &e.pool[idx]
 	r.fn = nil
-	r.fnc = nil
 	r.ctx = nil
 	r.state = stateFree
 	e.free = append(e.free, idx)
@@ -206,22 +208,7 @@ func (e *Engine) past(at simtime.Time) bool { return !(at >= e.now) }
 // cancel it. Scheduling in the past or at a NaN instant returns
 // ErrPastEvent.
 func (e *Engine) At(at simtime.Time, fn func()) (Event, error) {
-	if e.past(at) {
-		return Event{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now)
-	}
-	idx := e.alloc()
-	r := &e.pool[idx]
-	r.fn = fn
-	r.state = statePending
-	if e.flight != nil {
-		e.flight.closures++
-		e.flight.onSchedule(false)
-	}
-	s := slot{at: at, seq: e.seq, idx: idx}
-	e.seq++
-	e.live++
-	e.push(s)
-	return Event{eng: e, idx: idx, gen: r.gen, at: at}, nil
+	return e.schedule(at, callClosure, fn, true)
 }
 
 // After schedules fn to run d time units from now.
@@ -238,23 +225,7 @@ func (e *Engine) After(d simtime.Duration, fn func()) (Event, error) {
 // no closure allocation. Firing order relative to At events is by
 // scheduling order, exactly as for At.
 func (e *Engine) AtCall(at simtime.Time, fn func(any), ctx any) (Event, error) {
-	if e.past(at) {
-		return Event{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now)
-	}
-	idx := e.alloc()
-	r := &e.pool[idx]
-	r.fnc = fn
-	r.ctx = ctx
-	r.state = statePending
-	if e.flight != nil {
-		e.flight.calls++
-		e.flight.onSchedule(false)
-	}
-	s := slot{at: at, seq: e.seq, idx: idx}
-	e.seq++
-	e.live++
-	e.push(s)
-	return Event{eng: e, idx: idx, gen: r.gen, at: at}, nil
+	return e.schedule(at, fn, ctx, false)
 }
 
 // AfterCall schedules fn(ctx) to run d time units from now (see AtCall).
@@ -263,6 +234,40 @@ func (e *Engine) AfterCall(d simtime.Duration, fn func(any), ctx any) (Event, er
 		return Event{}, fmt.Errorf("%w: delay=%v", ErrPastEvent, d)
 	}
 	return e.AtCall(e.now.Add(d), fn, ctx)
+}
+
+// schedule checks the instant and sifts one event into the calendar.
+func (e *Engine) schedule(at simtime.Time, fn func(any), ctx any, closure bool) (Event, error) {
+	if e.past(at) {
+		return Event{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now)
+	}
+	s := e.place(at, fn, ctx, closure)
+	e.push(s)
+	return Event{eng: e, idx: s.idx, gen: e.pool[s.idx].gen, at: at}, nil
+}
+
+// place is the one path by which an event enters the engine: it fills a
+// recycled record with fn(ctx), counts it on the flight recorder (closure
+// marks an At or batch Fn event) and returns its slot under the next
+// sequence number. The caller puts the slot into the heap.
+func (e *Engine) place(at simtime.Time, fn func(any), ctx any, closure bool) slot {
+	idx := e.alloc()
+	r := &e.pool[idx]
+	r.fn = fn
+	r.ctx = ctx
+	r.state = statePending
+	if f := e.flight; f != nil {
+		f.scheduled++
+		if closure {
+			f.closures++
+		} else {
+			f.calls++
+		}
+	}
+	s := slot{at: at, seq: e.seq, idx: idx}
+	e.seq++
+	e.live++
+	return s
 }
 
 // BatchEntry describes one event of a ScheduleBatch call. Exactly one of
@@ -300,28 +305,19 @@ func (e *Engine) ScheduleBatch(entries []BatchEntry) error {
 	bulk := k >= 8 && k >= len(e.heap)/4
 	for i := range entries {
 		ent := &entries[i]
-		idx := e.alloc()
-		r := &e.pool[idx]
-		r.fn = ent.Fn
-		r.fnc = ent.Call
-		r.ctx = ent.Ctx
-		r.state = statePending
-		if e.flight != nil {
-			if ent.Fn != nil {
-				e.flight.closures++
-			} else {
-				e.flight.calls++
-			}
-			e.flight.onSchedule(true)
+		fn, ctx, closure := ent.Call, ent.Ctx, ent.Fn != nil
+		if closure {
+			fn, ctx = callClosure, ent.Fn
 		}
-		s := slot{at: ent.At, seq: e.seq, idx: idx}
-		e.seq++
-		e.live++
+		s := e.place(ent.At, fn, ctx, closure)
 		if bulk {
 			e.heap = append(e.heap, s)
 		} else {
 			e.push(s)
 		}
+	}
+	if e.flight != nil {
+		e.flight.batched += uint64(k)
 	}
 	if bulk {
 		e.heapify()
@@ -378,7 +374,6 @@ func (e *Engine) Cancel(ev Event) bool {
 		return false
 	}
 	r.state = stateCancelled
-	r.fn = nil
 	e.live--
 	if e.flight != nil {
 		e.flight.cancelled++
@@ -409,7 +404,7 @@ func (e *Engine) Step() bool {
 	s := e.heap[0]
 	e.popMin()
 	r := &e.pool[s.idx]
-	fn, fnc, ctx := r.fn, r.fnc, r.ctx
+	fn, ctx := r.fn, r.ctx
 	// Recycle before firing so the callback's own scheduling can reuse the
 	// record: a steady schedule-fire loop then touches no allocator at all.
 	e.release(s.idx)
@@ -419,11 +414,7 @@ func (e *Engine) Step() bool {
 	e.now = s.at
 	e.live--
 	e.fired++
-	if fn != nil {
-		fn()
-	} else {
-		fnc(ctx)
-	}
+	fn(ctx)
 	return true
 }
 

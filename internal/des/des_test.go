@@ -541,11 +541,11 @@ func TestNext(t *testing.T) {
 	}
 }
 
-// TestRecordSize pins the pooled event record at four pointer words
-// (fn, fnc, ctx's two) plus 8 bytes for the generation and state: 40
-// bytes on 64-bit targets, 24 on 32-bit ones.
+// TestRecordSize pins the pooled event record at three pointer words
+// (fn, ctx's two) plus 8 bytes for the generation and state: 32 bytes on
+// 64-bit targets, 20 on 32-bit ones.
 func TestRecordSize(t *testing.T) {
-	want := 4*unsafe.Sizeof(uintptr(0)) + 8
+	want := 3*unsafe.Sizeof(uintptr(0)) + 8
 	if got := unsafe.Sizeof(record{}); got != want {
 		t.Fatalf("unsafe.Sizeof(record{}) = %d, want %d", got, want)
 	}

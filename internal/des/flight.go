@@ -51,15 +51,6 @@ func (e *Engine) AttachFlight(f *Flight) { e.flight = f }
 // Flight returns the attached recorder (nil when detached).
 func (e *Engine) Flight() *Flight { return e.flight }
 
-// onSchedule records one accepted schedule; batch marks ScheduleBatch
-// entries.
-func (f *Flight) onSchedule(batch bool) {
-	f.scheduled++
-	if batch {
-		f.batched++
-	}
-}
-
 // onFire records one fired event; live is the calendar population before
 // the fire.
 func (f *Flight) onFire(live int) {
