@@ -24,7 +24,6 @@ import (
 // goroutine; the Oracle is not safe for concurrent use across engines.
 type Oracle struct {
 	maxRate float64
-	tol     float64
 
 	checks     int64
 	skipped    int64
@@ -44,10 +43,9 @@ const maxOracleViolations = 32
 // The Oracle subscribes to outcomes only.
 var _ procmgr.Recorder = (*Oracle)(nil)
 
-// NewOracle returns an oracle assuming nominal service rates (max rate 1)
-// and the default tolerance.
+// NewOracle returns an oracle assuming nominal service rates (max rate 1).
 func NewOracle() *Oracle {
-	return &Oracle{maxRate: 1, tol: DefaultOracleTol}
+	return &Oracle{maxRate: 1}
 }
 
 // SetMaxRate declares the fastest service rate any node reaches during
@@ -58,13 +56,6 @@ func (o *Oracle) SetMaxRate(r float64) {
 		o.maxRate = r
 	} else {
 		o.maxRate = 1
-	}
-}
-
-// SetTol overrides the relative comparison tolerance.
-func (o *Oracle) SetTol(tol float64) {
-	if tol > 0 {
-		o.tol = tol
 	}
 }
 
@@ -85,8 +76,8 @@ func (o *Oracle) ViolationCount() int64 {
 // maxOracleViolations; further violations only increment the count).
 func (o *Oracle) Violations() []string { return o.violations }
 
-// check verifies finish - arrival >= want (within the relative
-// tolerance), recording a violation otherwise.
+// check verifies finish - arrival >= want (within DefaultOracleTol,
+// relative), recording a violation otherwise.
 func (o *Oracle) check(kind, name string, t *task.Task, want simtime.Duration) {
 	if t.Aborted || !t.Finished() || t.Arrival.IsNever() {
 		o.skipped++
@@ -94,7 +85,7 @@ func (o *Oracle) check(kind, name string, t *task.Task, want simtime.Duration) {
 	}
 	o.checks++
 	resp := t.Finish.Sub(t.Arrival)
-	slackTol := o.tol * (1 + float64(want))
+	slackTol := DefaultOracleTol * (1 + float64(want))
 	if float64(want)-float64(resp) > slackTol {
 		o.violate("%s %q: response %v below analytic lower bound %v (arrival %v, finish %v)",
 			kind, name, resp, want, t.Arrival, t.Finish)

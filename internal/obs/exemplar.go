@@ -6,13 +6,21 @@ import "sort"
 // exemplar exports use.
 var spanKinds = spanKindNames[:kindInject]
 
+// exemplarK bounds the per-kind exemplar sets of every run: for each span
+// kind the telemetry keeps the exemplarK latest-released and the
+// exemplarK worst-lateness closed spans independently of ring eviction,
+// so cause analysis has representative spans even when the ring has
+// wrapped many times.
+const exemplarK = 8
+
 // exemplarStore keeps a bounded, deterministic selection of closed spans
 // that survives span-ring eviction: for each span kind, the K spans with
 // the latest release instants ("latest") and the K finished spans with
-// the largest lateness ("worst"). Selection is a pure function of the
-// observed span set, the budget K and the tie-break seed — feeding the
-// same spans in any order yields the same exemplars, which is what makes
-// the cross-replication merge order-independent.
+// the largest lateness ("worst"); K is exemplarK outside tests.
+// Selection is a pure function of the observed span set, the budget K
+// and the tie-break seed — feeding the same spans in any order yields
+// the same exemplars, which is what makes the cross-replication merge
+// order-independent.
 //
 // Ties (equal start instant, equal lateness) are broken by a seeded hash
 // of (rep, id) so the choice is arbitrary but reproducible, then by
@@ -22,7 +30,6 @@ var spanKinds = spanKindNames[:kindInject]
 // snapshot time: observeClose sits on the per-task-resolution hot path
 // and must neither hash nor allocate.
 type exemplarStore struct {
-	k   int
 	rep int // replication index of every span fed in
 
 	latest [numSpanKinds]exemplarList // per kind, in latestLess order
@@ -46,7 +53,7 @@ type exemplarList struct {
 const exemplarSeed = 1
 
 func newExemplarStore(k int) *exemplarStore {
-	e := &exemplarStore{k: k}
+	e := &exemplarStore{}
 	n := 2 * int(numSpanKinds) * k
 	slots, keys, order := make([]span, n), make([]float64, n), make([]int32, n)
 	i := 0
@@ -194,7 +201,6 @@ func (e *exemplarStore) observeClose(sp *span) {
 // serializable, mergeable form; kinds with no candidates are omitted.
 func (e *exemplarStore) snapshot(list []string) ExemplarSet {
 	s := ExemplarSet{
-		K:      e.k,
 		Latest: make(map[string][]Record, len(e.latest)),
 		Worst:  make(map[string][]Record, len(e.worst)),
 	}
@@ -210,12 +216,11 @@ func (e *exemplarStore) snapshot(list []string) ExemplarSet {
 }
 
 // ExemplarSet is a shard's exemplar selection in mergeable form: per
-// span kind, the K latest-released and K worst-lateness closed spans in
-// their class sort order. Merging re-selects the top K over the union
-// with the same comparators, so the merged set equals what one store fed
+// span kind, the exemplarK latest-released and exemplarK worst-lateness
+// closed spans in their class sort order. Merging re-selects the top
+// exemplarK over the union with the same comparators, so the merged set equals what one store fed
 // every shard's spans would have kept — independent of merge order.
 type ExemplarSet struct {
-	K      int
 	Latest map[string][]Record
 	Worst  map[string][]Record
 }
@@ -224,7 +229,6 @@ type ExemplarSet struct {
 // original's maps or lists.
 func (s ExemplarSet) clone() ExemplarSet {
 	cp := ExemplarSet{
-		K:      s.K,
 		Latest: make(map[string][]Record, len(s.Latest)),
 		Worst:  make(map[string][]Record, len(s.Worst)),
 	}
@@ -242,7 +246,7 @@ func (s *ExemplarSet) Merge(other ExemplarSet) {
 	mergeClass := func(dst map[string][]Record, src map[string][]Record, less func(a, b *Record) bool) {
 		for kind, list := range src {
 			for _, rec := range list {
-				dst[kind] = insertBounded(dst[kind], rec, s.K, less)
+				dst[kind] = insertBounded(dst[kind], rec, exemplarK, less)
 			}
 		}
 	}

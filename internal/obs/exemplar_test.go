@@ -47,6 +47,7 @@ func TestExemplarStoreMatchesSortReference(t *testing.T) {
 // with (latestLess, worstLess).
 func checkExemplarStore(t *testing.T, e *exemplarStore, fed []span) {
 	t.Helper()
+	k := len(e.latest[0].slots)
 	for kind := spanKind(0); kind < numSpanKinds; kind++ {
 		for _, worst := range []bool{false, true} {
 			less := latestLess
@@ -60,19 +61,19 @@ func checkExemplarStore(t *testing.T, e *exemplarStore, fed []span) {
 				}
 			}
 			sort.Slice(want, func(i, j int) bool { return less(&want[i], &want[j]) })
-			want = want[:min(len(want), e.k)]
+			want = want[:min(len(want), k)]
 			l := &e.latest[kind]
 			if worst {
 				l = &e.worst[kind]
 			}
 			if len(l.order) != len(want) {
 				t.Fatalf("K=%d kind %s worst=%t: %d exemplars, reference keeps %d",
-					e.k, spanKindNames[kind], worst, len(l.order), len(want))
+					k, spanKindNames[kind], worst, len(l.order), len(want))
 			}
 			for i, slot := range l.order {
 				if got := l.slots[slot].record(e.rep, nil); !sameRecord(&got, &want[i]) {
 					t.Fatalf("K=%d kind %s worst=%t: rank %d is span (%d,%d), reference (%d,%d)",
-						e.k, spanKindNames[kind], worst, i, got.Rep, got.ID, want[i].Rep, want[i].ID)
+						k, spanKindNames[kind], worst, i, got.Rep, got.ID, want[i].Rep, want[i].ID)
 				}
 			}
 		}

@@ -17,6 +17,9 @@ import (
 	"repro/internal/par"
 )
 
+// ExemplarK is the per-kind exemplar budget of every run.
+const ExemplarK = exemplarK
+
 // shardOf returns replication rep's telemetry holding n spans and n
 // edges under a budget no fold of a few such shards reaches.
 func shardOf(rep, n int) *Telemetry {

@@ -65,7 +65,7 @@ func TestGlobalCountsSurviveEviction(t *testing.T) {
 func TestExemplarsSurviveEviction(t *testing.T) {
 	run := func(maxSpans int) (*obs.Telemetry, []obs.Record) {
 		cfg := smallConfig()
-		cfg.Obs = obs.Options{Enabled: true, MaxSpans: maxSpans, ExemplarK: 4}
+		cfg.Obs = obs.Options{Enabled: true, MaxSpans: maxSpans}
 		_, tel := runObserved(t, cfg, 3)
 		return tel, obs.Exemplars(tel)
 	}
@@ -80,7 +80,7 @@ func TestExemplarsSurviveEviction(t *testing.T) {
 		t.Fatalf("exemplar selection depends on the ring budget:\ntight: %v\nloose: %v", tight, loose)
 	}
 	// Bounded: at most 4 kinds x 2 classes x K.
-	if len(tight) > 4*2*4 {
+	if len(tight) > 4*2*obs.ExemplarK {
 		t.Fatalf("exemplar set exceeds budget: %d records", len(tight))
 	}
 	// Exemplars must be closed spans and duplicate-free within a class
@@ -102,7 +102,7 @@ func TestExemplarsSurviveEviction(t *testing.T) {
 func TestExemplarSelectionDeterministic(t *testing.T) {
 	run := func() []obs.Record {
 		cfg := smallConfig()
-		cfg.Obs = obs.Options{Enabled: true, ExemplarK: 4}
+		cfg.Obs = obs.Options{Enabled: true}
 		_, tel := runObserved(t, cfg, 3)
 		return obs.Exemplars(tel)
 	}
