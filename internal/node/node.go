@@ -669,16 +669,6 @@ func (n *Node) Remove(it *Item) bool {
 	}
 }
 
-// RemoveRef is Remove through a generation-tagged handle: a stale handle
-// (the item was recycled since the handle was taken) is a safe no-op.
-func (n *Node) RemoveRef(r ItemRef) bool {
-	it := r.Item()
-	if it == nil {
-		return false
-	}
-	return n.Remove(it)
-}
-
 // serviceDone is the shared completion callback scheduled for every
 // service: a package-level function plus the item as argument, so
 // dispatch never allocates a closure.

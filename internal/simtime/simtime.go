@@ -91,17 +91,6 @@ func (d Duration) Max(e Duration) Duration {
 	return e
 }
 
-// Clamp restricts d to the closed interval [lo, hi].
-func (d Duration) Clamp(lo, hi Duration) Duration {
-	if d < lo {
-		return lo
-	}
-	if d > hi {
-		return hi
-	}
-	return d
-}
-
 // String formats the span.
 func (d Duration) String() string {
 	if d == Forever {

@@ -77,22 +77,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	tests := []struct {
-		d, lo, hi, want Duration
-	}{
-		{5, 0, 10, 5},
-		{-1, 0, 10, 0},
-		{11, 0, 10, 10},
-		{0, 0, 0, 0},
-	}
-	for _, tt := range tests {
-		if got := tt.d.Clamp(tt.lo, tt.hi); got != tt.want {
-			t.Errorf("%v.Clamp(%v,%v) = %v, want %v", tt.d, tt.lo, tt.hi, got, tt.want)
-		}
-	}
-}
-
 func TestSentinels(t *testing.T) {
 	if !Never.IsNever() {
 		t.Error("Never.IsNever() = false")
