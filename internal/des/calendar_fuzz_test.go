@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/rng"
@@ -17,12 +18,15 @@ import (
 // Flight. Batches range from one entry to past the bulk-heapify
 // threshold and mix Fn and Call entries; some fired events schedule a
 // follow-up from inside their callback, so records recycled before the
-// fire are reused at once.
+// fire are reused at once. Some instants are the edges of the calendar's
+// key (see edgeInstants), and rejected instants lie one ulp before Now.
 func FuzzCalendarOrder(f *testing.F) {
 	f.Add([]byte{1, 0, 3, 2, 5, 4, 40, 6, 0, 7, 16})
 	f.Add([]byte{1, 4, 30, 1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31,
 		2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 5, 3, 5, 9, 7, 255})
 	f.Add([]byte{0, 0, 241, 1, 250, 4, 3, 1, 2, 254, 6, 6})
+	f.Add([]byte{0, 0, 224, 0, 225, 2, 226, 0, 224, 3, 6, 6, 0, 228, 2, 230, 0, 229,
+		4, 9, 2, 0, 226, 229, 231, 232, 233, 228, 230, 6, 6, 6, 6})
 	s := rng.NewStream(7)
 	for i := 0; i < 8; i++ {
 		prog := make([]byte, 600)
@@ -89,6 +93,38 @@ func (p *program) done() bool { return p.i >= len(p.b) }
 // delay maps a byte onto a grid of half-unit steps, so ties are common.
 func delay(b int) simtime.Duration { return simtime.Duration(b%16) / 2 }
 
+// edgeInstants are the ends of the calendar's ordering key: both zeros
+// (which must tie by schedule order), the smallest subnormal, a huge
+// finite instant, Never (the largest finite one) and +Inf.
+var edgeInstants = []simtime.Time{
+	simtime.Time(math.Copysign(0, -1)), 0, math.SmallestNonzeroFloat64,
+	1e300, simtime.Never, simtime.Time(math.Inf(1)),
+}
+
+// instant maps a schedule byte to an instant no earlier than now: bytes
+// 224-239 pick an edge instant (now plus a step once the edge is past),
+// every other byte now plus a delay step.
+func instant(now simtime.Time, b int) simtime.Time {
+	if b >= 224 && b < 240 {
+		if at := edgeInstants[(b-224)%len(edgeInstants)]; at >= now {
+			return at
+		}
+	}
+	return now.Add(delay(b))
+}
+
+// pastInstant is the latest instant before now, which every entry point
+// must reject (now−1 would round back to now once the clock is huge).
+func pastInstant(now simtime.Time) simtime.Time {
+	return simtime.Time(math.Nextafter(float64(now), math.Inf(-1)))
+}
+
+// same reports whether two instants are the same float64, so −0 and +0
+// differ.
+func same(a, b simtime.Time) bool {
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+}
+
 func runCalendarProgram(t *testing.T, prog []byte) {
 	p := &program{b: prog}
 	r := &calendarRef{t: t, eng: New(), handles: []refHandle{{id: -1}}}
@@ -133,10 +169,17 @@ func childOf(c int) int {
 // AfterCall (3); a b of 240 or more asks for an instant in the past.
 func (r *calendarRef) single(op, b, c int) {
 	past := b >= 240
-	at := r.now.Add(delay(b))
-	d := delay(b)
+	at := instant(r.now, b)
+	d := at.Sub(r.now)
+	if math.IsNaN(float64(d)) {
+		d = 0 // at and now are both +Inf
+	}
+	if op == 1 || op == 3 {
+		// After adds d back to Now, which need not give at exactly.
+		at = r.now.Add(d)
+	}
 	if past {
-		at = r.now.Add(-1)
+		at = pastInstant(r.now)
 		d = -1
 	}
 	id := len(r.evs)
@@ -163,14 +206,15 @@ func (r *calendarRef) single(op, b, c int) {
 	}
 	r.add(at, op >= 2, childOf(c), false)
 	r.handles = append(r.handles, refHandle{ev: ev, id: id})
-	if ev.Time() != at {
+	if !same(ev.Time(), at) {
 		r.t.Fatalf("handle time %v, want %v", ev.Time(), at)
 	}
 }
 
 // batch schedules one ScheduleBatch of 0-39 entries. Entry bytes 252-255
 // make the whole batch invalid (past instant, or no or both callbacks),
-// which must leave the calendar untouched.
+// which must leave the calendar untouched; bytes 224-251 pick edge
+// instants.
 func (r *calendarRef) batch(p *program) {
 	k := p.next() % 40
 	entries := make([]BatchEntry, k)
@@ -181,9 +225,12 @@ func (r *calendarRef) batch(p *program) {
 		kinds[i] = b
 		id := len(r.evs) + i
 		ent := BatchEntry{At: r.now.Add(delay(b >> 1))}
+		if b >= 224 {
+			ent.At = instant(r.now, 224+(b-224)%16)
+		}
 		switch {
 		case b == 252:
-			ent.At = r.now.Add(-0.5)
+			ent.At = pastInstant(r.now)
 			ent.Fn = r.closure(id)
 		case b == 253:
 			// Neither callback.
@@ -351,7 +398,7 @@ func (r *calendarRef) check() {
 			live++
 		}
 	}
-	if e.Now() != r.now || e.Fired() != r.fired || e.Pending() != live || e.CalendarLen() != len(r.cal) {
+	if !same(e.Now(), r.now) || e.Fired() != r.fired || e.Pending() != live || e.CalendarLen() != len(r.cal) {
 		t.Fatalf("engine now %v fired %d pending %d calendar %d; model %v %d %d %d",
 			e.Now(), e.Fired(), e.Pending(), e.CalendarLen(), r.now, r.fired, live, len(r.cal))
 	}

@@ -550,3 +550,66 @@ func TestRecordSize(t *testing.T) {
 		t.Fatalf("unsafe.Sizeof(record{}) = %d, want %d", got, want)
 	}
 }
+
+// TestCalendarKeyEdges schedules instants at the ends of the calendar's
+// ordering key, one by one and as one bulk ScheduleBatch, and checks the
+// fire order and the clock: −0 and +0 tie by schedule order, the
+// smallest subnormal follows them and 1e300 precedes Never, Never
+// (the largest finite instant) and +Inf events fire last in schedule
+// order, and Now reads exactly the instant fired, −0 included.
+func TestCalendarKeyEdges(t *testing.T) {
+	negZero := simtime.Time(math.Copysign(0, -1))
+	inf := simtime.Time(math.Inf(1))
+	sub := simtime.Time(math.SmallestNonzeroFloat64)
+	ats := []simtime.Time{
+		inf, simtime.Never, 0, negZero, 1e300, sub, inf, 1, negZero,
+		simtime.Never, 0, sub, 1e300, 0.5, negZero, 0,
+	}
+	// Fire order by (instant, schedule order), as indexes into ats.
+	want := []int{2, 3, 8, 10, 14, 15, 5, 11, 13, 7, 4, 12, 1, 9, 0, 6}
+	schedules := []struct {
+		name     string
+		schedule func(e *Engine, fire func(int)) error
+	}{
+		{"At", func(e *Engine, fire func(int)) error {
+			for i, at := range ats {
+				if _, err := e.At(at, func() { fire(i) }); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"ScheduleBatch", func(e *Engine, fire func(int)) error {
+			entries := make([]BatchEntry, len(ats))
+			for i, at := range ats {
+				entries[i] = BatchEntry{At: at, Call: func(x any) { fire(x.(int)) }, Ctx: i}
+			}
+			return e.ScheduleBatch(entries)
+		}},
+	}
+	for _, s := range schedules {
+		t.Run(s.name, func(t *testing.T) {
+			e := New()
+			var got []int
+			err := s.schedule(e, func(i int) {
+				got = append(got, i)
+				if now := e.Now(); math.Float64bits(float64(now)) != math.Float64bits(float64(ats[i])) {
+					t.Errorf("event %d: Now() = %v (signbit %v), want %v (signbit %v)",
+						i, now, math.Signbit(float64(now)), ats[i], math.Signbit(float64(ats[i])))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Run()
+			if len(got) != len(want) {
+				t.Fatalf("fired %v, want %v", got, want)
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("fired %v, want %v", got, want)
+				}
+			}
+		})
+	}
+}
