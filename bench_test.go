@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"strconv"
 	"testing"
 
 	sda "repro"
@@ -504,6 +505,41 @@ func BenchmarkEngineEventChurn(b *testing.B) {
 	}
 	b.ResetTimer()
 	eng.Run()
+}
+
+// BenchmarkEngineHold runs the classic hold model on the DES calendar:
+// each op fires the earliest event, which schedules one more after an
+// exponential delay, so the calendar stays at its depth. The delays come
+// from a fixed table, so child comparisons are as unpredictable as a
+// model's; the depths are those of Table 1 (12), dag-abort (32) and the
+// 5k-node fleet (9000). Every row must report 0 allocs/op.
+func BenchmarkEngineHold(b *testing.B) {
+	var delays [1024]simtime.Duration
+	s := rng.NewStream(1)
+	for i := range delays {
+		delays[i] = simtime.Duration(s.Exp(1))
+	}
+	for _, depth := range []int{12, 32, 9000} {
+		b.Run("depth="+strconv.Itoa(depth), func(b *testing.B) {
+			b.ReportAllocs()
+			eng := des.New()
+			k := 0
+			var hold func(any)
+			hold = func(any) {
+				if _, err := eng.AfterCall(delays[k%len(delays)], hold, nil); err != nil {
+					b.Fatal(err)
+				}
+				k++
+			}
+			for i := 0; i < depth; i++ {
+				hold(nil)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Step()
+			}
+		})
+	}
 }
 
 // benchNodeQueueChurn measures the node waiting queue in isolation: one

@@ -53,7 +53,8 @@ import (
 )
 
 // defaultBench selects the benchmarks that guard the hot paths: the DES
-// kernel (event churn, batch bursts), the node queue, the invariant
+// kernel (event churn, the hold model at three calendar depths, batch
+// bursts), the node queue, the invariant
 // checker, the random-number streams, task construction through a slab
 // (locals, trees and DAGs), DAG task construction and submission, tree
 // submission, the telemetry layers (cross-replication merge, merged
@@ -62,7 +63,7 @@ import (
 // throughput, and the strategy/parse/plan micro-benchmarks. The
 // per-figure experiment benchmarks are excluded to keep the smoke run
 // short; pass -bench '.' for everything.
-const defaultBench = "BenchmarkEngineEventChurn|BenchmarkNodeQueueChurn|BenchmarkBurstArrival|BenchmarkChecker|BenchmarkRNG|BenchmarkDagBuild|BenchmarkDagSubmit|BenchmarkSubmitGlobal|BenchmarkObsMerge|BenchmarkObsSpanClose|BenchmarkTracetree|BenchmarkAttribAnalyze|BenchmarkSketchAdd|BenchmarkSimulation|BenchmarkStrategyAssignment|BenchmarkEQFAssignment|BenchmarkTaskParse|BenchmarkTaskBuild|BenchmarkPlan"
+const defaultBench = "BenchmarkEngineEventChurn|BenchmarkEngineHold|BenchmarkNodeQueueChurn|BenchmarkBurstArrival|BenchmarkChecker|BenchmarkRNG|BenchmarkDagBuild|BenchmarkDagSubmit|BenchmarkSubmitGlobal|BenchmarkObsMerge|BenchmarkObsSpanClose|BenchmarkTracetree|BenchmarkAttribAnalyze|BenchmarkSketchAdd|BenchmarkSimulation|BenchmarkStrategyAssignment|BenchmarkEQFAssignment|BenchmarkTaskParse|BenchmarkTaskBuild|BenchmarkPlan"
 
 // Measurement is one benchmark's recorded metrics, keyed the way `go test
 // -bench` prints them ("ns/op", "B/op", "allocs/op", "events/op", ...).

@@ -17,9 +17,11 @@
 //
 // The calendar is a specialized inline 4-ary min-heap of small value slots
 // (time, sequence, record index) — no container/heap interface calls, no
-// per-entry pointers. Event state lives in an engine-local pool of records
-// recycled through a free list, so steady-state schedule/fire/cancel cycles
-// perform no heap allocation. Cancel does not restructure the heap: it
+// per-entry pointers. Slots compare as one 128-bit unsigned key (the
+// instant's bits above the sequence number), and a sift picks the least
+// of four children without a data-dependent branch. Event state lives in
+// an engine-local pool of records recycled through a free list, so
+// steady-state schedule/fire/cancel cycles perform no heap allocation. Cancel does not restructure the heap: it
 // tombstones the record in O(1) and the dead slot is skipped (and its
 // record recycled) when it reaches the top. Models with abort timers cancel
 // far more often than they fire, which makes lazy deletion the cheaper
@@ -33,6 +35,8 @@ package des
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/simtime"
 )
@@ -119,13 +123,29 @@ type slot struct {
 	idx int32
 }
 
-// before is the strict (time, seq) order; seq is unique, so this is a
-// total order and FIFO tie-break at equal instants is exact.
-func (s slot) before(t slot) bool {
-	if s.at != t.at {
-		return s.at.Before(t.at)
-	}
-	return s.seq < t.seq
+// signBit is the sign bit of a float64's IEEE representation.
+const signBit = 1 << 63
+
+// timeKey is the high word of a slot's ordering key: the instant's IEEE
+// bits with the sign cleared. past admits only +0 through +Inf and −0
+// (it rejects NaN and everything before now ≥ 0), and over those
+// instants the bits of a non-negative float64 grow with its value, while
+// −0 folds onto +0 so the two still tie.
+func timeKey(at simtime.Time) uint64 { return math.Float64bits(float64(at)) &^ signBit }
+
+// keyLess is 1 when the 128-bit key (shi, slo) is below (thi, tlo) and 0
+// otherwise: the borrow out of their subtraction.
+func keyLess(shi, slo, thi, tlo uint64) uint64 {
+	_, b := bits.Sub64(slo, tlo, 0)
+	_, b = bits.Sub64(shi, thi, b)
+	return b
+}
+
+// less is 1 when s orders strictly before t and 0 otherwise, comparing
+// the keys (timeKey(at), seq). That is the (time, seq) order; seq is
+// unique, so it is total and FIFO tie-break at equal instants is exact.
+func less(s, t *slot) uint64 {
+	return keyLess(timeKey(s.at), s.seq, timeKey(t.at), t.seq)
 }
 
 // Engine is the simulation kernel. Create one with New, schedule events,
@@ -336,30 +356,44 @@ func (e *Engine) heapify() {
 }
 
 // siftDown sinks the slot at index i to its place in the 4-ary heap.
+// While the children form a full group of four, the least of them is
+// chosen by a two-round tournament whose winners are selected with the
+// compare's borrow as a mask, so the only branch per level is the one
+// that stops the sift. A partial last group is scanned.
 func (e *Engine) siftDown(i int) {
 	h := e.heap
 	n := len(h)
 	s := h[i]
+	sk := timeKey(s.at)
 	for {
 		c := i<<2 + 1
-		if c >= n {
+		if c+4 > n {
 			break
 		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
+		g := (*[4]slot)(h[c : c+4])
+		a := less(&g[1], &g[0])
+		b := 2 + less(&g[3], &g[2])
+		m := a ^ (a^b)&-less(&g[b&3], &g[a&3])
+		w := &g[m&3]
+		if keyLess(timeKey(w.at), w.seq, sk, s.seq) == 0 {
+			h[i] = s
+			return
 		}
-		for j := c + 1; j < end; j++ {
-			if h[j].before(h[m]) {
+		h[i] = *w
+		i = c + int(m)
+	}
+	// Fewer than four children: their own children lie past the end.
+	if c := i<<2 + 1; c < n {
+		m := c
+		for j := c + 1; j < n; j++ {
+			if less(&h[j], &h[m]) != 0 {
 				m = j
 			}
 		}
-		if !h[m].before(s) {
-			break
+		if less(&h[m], &s) != 0 {
+			h[i] = h[m]
+			i = m
 		}
-		h[i] = h[m]
-		i = m
 	}
 	h[i] = s
 }
@@ -401,6 +435,12 @@ func (e *Engine) Step() bool {
 	if !e.prune() {
 		return false
 	}
+	e.fire()
+	return true
+}
+
+// fire pops the live slot on top of the calendar and runs its event.
+func (e *Engine) fire() {
 	s := e.heap[0]
 	e.popMin()
 	r := &e.pool[s.idx]
@@ -415,7 +455,6 @@ func (e *Engine) Step() bool {
 	e.live--
 	e.fired++
 	fn(ctx)
-	return true
 }
 
 // Next returns the instant of the earliest pending event; ok is false when
@@ -433,7 +472,7 @@ func (e *Engine) Next() (at simtime.Time, ok bool) {
 // horizon (or at the last event if the calendar drains first).
 func (e *Engine) RunUntil(horizon simtime.Time) {
 	for e.prune() && !e.heap[0].at.After(horizon) {
-		e.Step()
+		e.fire()
 	}
 	if e.now.Before(horizon) {
 		e.now = horizon
@@ -451,9 +490,10 @@ func (e *Engine) Run() {
 func (e *Engine) push(s slot) {
 	h := append(e.heap, s)
 	i := len(h) - 1
+	sk := timeKey(s.at)
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !s.before(h[p]) {
+		if keyLess(sk, s.seq, timeKey(h[p].at), h[p].seq) == 0 {
 			break
 		}
 		h[i] = h[p]
