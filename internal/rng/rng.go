@@ -356,7 +356,9 @@ func (s *Stream) Perm(n int) []int {
 //
 //   - Positions ≥ k of the inside-out shuffle never flow back into
 //     positions < k, so only a k-long prefix is kept: after the first k
-//     steps, step i just records i at position j when j < k.
+//     steps, in a loop of their own, step i just records i at position
+//     j when j < k, which a one-multiply necessary test rules out for
+//     most draws before j is computed.
 //   - Int31n(i+1)'s rejection bound and modulus come from Lemire's
 //     fastmod with a per-stream multiplier table instead of two
 //     hardware divides per draw.
@@ -399,7 +401,8 @@ func (s *Stream) Choose(n, k int) []int {
 		ts := s.vec[tap-seg : tap]
 		tap -= seg
 		feed -= seg
-		for q := seg - 1; q >= 0; q-- {
+		q := seg - 1
+		for ; q >= 0 && i < k; q-- {
 			x := fs[q] + ts[q]
 			fs[q] = x
 			v := uint64(x) << 1 >> 33 // Int31: bits 32..62
@@ -409,12 +412,31 @@ func (s *Stream) Choose(n, k int) []int {
 			if v > 1<<31-d && v > int32max-fastmod(1<<31, mul[i], d) {
 				continue
 			}
-			j := int(fastmod(v, mul[i], d))
-			if i < k {
-				m[i] = m[j]
-				m[j] = i
-			} else if j < k {
-				m[j] = i
+			j := fastmod(v, mul[i], d)
+			m[i] = m[j]
+			m[j] = i
+			i++
+		}
+		// From step k on, d = i+1 > k and a step only records i at a
+		// position j = v mod d below k. fastmod's j is ⌊lo·d / 2⁶⁴⌋ for
+		// lo = mul·v mod 2⁶⁴, so j < k exactly when lo·d < k·2⁶⁴, which
+		// needs lo < k·mul since mul ≥ 2⁶⁴/d. That test takes a 64-bit
+		// multiply where fastmod takes a 128-bit one, and k·mul < 2⁶⁴
+		// because k < d < 2³². Only its rare passes take the exact
+		// product.
+		k64 := uint64(k)
+		for ; q >= 0; q-- {
+			x := fs[q] + ts[q]
+			fs[q] = x
+			v := uint64(x) << 1 >> 33
+			d := uint64(i + 1)
+			if v > 1<<31-d && v > int32max-fastmod(1<<31, mul[i], d) {
+				continue
+			}
+			if lo := mul[i] * v; lo < k64*mul[i] {
+				if j, _ := bits.Mul64(lo, d); j < k64 {
+					m[j] = i
+				}
 			}
 			i++
 		}
