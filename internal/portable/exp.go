@@ -2,12 +2,12 @@
 // Use of this source code is governed by a BSD-style
 // license that can be found in the LICENSE file.
 //
-// exp below is math's pure-Go exponential (src/math/exp.go, go1.24.0),
+// Exp below is math's pure-Go exponential (src/math/exp.go, go1.24.0),
 // copied so that every GOARCH computes it the same way: math.Exp is
 // assembly on amd64 and arm64, and amd64's takes a different path on
-// CPUs with FMA. The only change is that every product feeding an add
-// is wrapped in float64(...), so no compiler fuses it. The Go license
-// follows.
+// CPUs with FMA. The only changes are the exported name and that every
+// product feeding an add is wrapped in float64(...), so no compiler
+// fuses it. The Go license follows.
 //
 // Redistribution and use in source and binary forms, with or without
 // modification, are permitted provided that the following conditions are
@@ -35,7 +35,11 @@
 // (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
 // OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 
-package rng
+// Package portable holds floating-point routines that return the same
+// bits on every GOARCH and CPU, for results that must not move with the
+// host: random draws (rng) and the closed forms tests compare against
+// (queueing).
+package portable
 
 import "math"
 
@@ -55,9 +59,9 @@ import "math"
 // rational function of r*r, and scale back by 2**k. The error is below
 // 1 ulp.
 
-// exp returns e**x, exactly as math.Exp does on GOARCHes without an
+// Exp returns e**x, exactly as math.Exp does on GOARCHes without an
 // assembly implementation.
-func exp(x float64) float64 {
+func Exp(x float64) float64 {
 	const (
 		Ln2Hi = 6.93147180369123816490e-01
 		Ln2Lo = 1.90821492927058770002e-10

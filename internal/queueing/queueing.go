@@ -11,6 +11,8 @@ package queueing
 import (
 	"errors"
 	"math"
+
+	"repro/internal/portable"
 )
 
 // ErrUnstable is returned when the offered load is >= 1 (or invalid), so
@@ -89,7 +91,7 @@ func (q MM1) ProbResponseExceeds(t float64) (float64, error) {
 	if t < 0 {
 		return 1, nil
 	}
-	return math.Exp(-(q.Mu - q.Lambda) * t), nil
+	return portable.Exp(-(q.Mu - q.Lambda) * t), nil
 }
 
 // MissProbUniformSlack returns the steady-state probability that a task
@@ -117,10 +119,10 @@ func (q MM1) MissProbUniformSlack(a, b float64) (float64, error) {
 	// its waiting time exceeds its slack.
 	rho := q.Rho()
 	if b == a {
-		return rho * math.Exp(-nu*a), nil
+		return rho * portable.Exp(-nu*a), nil
 	}
 	// Average rho*exp(-nu*s) over s ~ U[a, b].
-	integral := (math.Exp(-nu*a) - math.Exp(-nu*b)) / (nu * (b - a))
+	integral := (portable.Exp(-nu*a) - portable.Exp(-nu*b)) / (nu * (b - a))
 	return rho * integral, nil
 }
 

@@ -258,3 +258,45 @@ func TestMG1Relations(t *testing.T) {
 		t.Errorf("Nq (%v) != lambda*W (%v)", nq, LittlesLaw(q.Lambda, w))
 	}
 }
+
+// TestOutputDigest pins the exact bits of every formula over a grid of
+// loads, times, slack ranges, server counts and service variabilities.
+// The exponentials run through portable.Exp, so every GOARCH and CPU
+// must reproduce the digest; with math.Exp, amd64's assembly moved it.
+func TestOutputDigest(t *testing.T) {
+	var digest uint64
+	fold := func(v float64, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest = digest*1099511628211 ^ math.Float64bits(v)
+	}
+	for i := 1; i < 20; i++ {
+		rho := float64(i) * 0.05
+		q := MM1{Lambda: rho, Mu: 1}
+		fold(q.MeanResponse())
+		fold(q.MeanWait())
+		fold(q.MeanNumber())
+		fold(q.MeanQueueLength())
+		fold(q.ResponseQuantile(rho))
+		for x := 0.0; x < 14000; x += 0.37 {
+			fold(q.ProbResponseExceeds(x))
+			fold(q.MissProbUniformSlack(x, x*1.5))
+		}
+		for c := 1; c <= 8; c++ {
+			m := MMC{Lambda: rho * float64(c), Mu: 1, Servers: c}
+			fold(m.ErlangC())
+			fold(m.MeanResponse())
+			fold(m.MeanQueueLength())
+		}
+		for _, scv := range []float64{0, 0.25, 1, 4} {
+			g := MG1{Lambda: rho, Mu: 1, SCV: scv}
+			fold(g.MeanResponse())
+			fold(g.MeanQueueLength())
+		}
+		fold(LittlesLaw(rho, 1/(1-rho)), nil)
+	}
+	if want := uint64(0xc1cf7b1ef6dc1f39); digest != want {
+		t.Errorf("queueing digest = %#x, want %#x", digest, want)
+	}
+}

@@ -21,6 +21,8 @@ package rng
 import (
 	"math"
 	"math/bits"
+
+	"repro/internal/portable"
 )
 
 // Parameters of math/rand's generator (src/math/rand/rng.go).
@@ -303,13 +305,13 @@ func (s *Stream) Uniform(lo, hi float64) float64 {
 // LogUniform returns a draw whose logarithm is uniform on
 // [log(lo), log(hi)]. It is used to model multiplicative execution-time
 // estimation error ("off by a factor of f" in either direction).
-// Both bounds must be positive. The exponential is rng's own (exp.go),
-// so a draw is the same on every GOARCH and CPU.
+// Both bounds must be positive. The exponential is portable.Exp, so a
+// draw is the same on every GOARCH and CPU.
 func (s *Stream) LogUniform(lo, hi float64) float64 {
 	if lo <= 0 || hi <= 0 || lo > hi {
 		panic("rng: log-uniform bounds must be positive and ordered")
 	}
-	return exp(s.Uniform(math.Log(lo), math.Log(hi)))
+	return portable.Exp(s.Uniform(math.Log(lo), math.Log(hi)))
 }
 
 // IntN returns a uniform integer in [0, n). n must be positive.

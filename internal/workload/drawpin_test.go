@@ -17,7 +17,7 @@ import (
 // the workload draws a global task — which RNG calls, in which order,
 // how a service time or pex is derived — moves them. They are the same
 // on every GOARCH: the Noisy estimator's log-uniform factor goes through
-// rng's own exponential, not math.Exp.
+// portable.Exp, not math.Exp.
 var drawPins = map[string]string{
 	"parallel-4":          "fe1edeafed5bbe137d06310c",
 	"parallel-u2-6":       "c222c3486d86ae4c8a8e5625",
