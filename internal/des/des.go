@@ -21,11 +21,11 @@
 // instant's bits above the sequence number), and a sift picks the least
 // of four children without a data-dependent branch. Event state lives in
 // an engine-local pool of records recycled through a free list, so
-// steady-state schedule/fire/cancel cycles perform no heap allocation. Cancel does not restructure the heap: it
-// tombstones the record in O(1) and the dead slot is skipped (and its
-// record recycled) when it reaches the top. Models with abort timers cancel
-// far more often than they fire, which makes lazy deletion the cheaper
-// trade on both sides.
+// steady-state schedule/fire/cancel cycles perform no heap allocation.
+// Cancel does not restructure the heap: it tombstones the record in O(1)
+// and the dead slot is skipped (and its record recycled) when it reaches
+// the top. Models with abort timers cancel far more often than they fire,
+// which makes lazy deletion the cheaper trade on both sides.
 //
 // Because records are recycled, an Event handle is a value carrying a
 // generation tag: any operation through a stale handle (after the event
@@ -359,7 +359,8 @@ func (e *Engine) heapify() {
 // While the children form a full group of four, the least of them is
 // chosen by a two-round tournament whose winners are selected with the
 // compare's borrow as a mask, so the only branch per level is the one
-// that stops the sift. A partial last group is scanned.
+// that stops the sift. A partial last group is scanned, each compare
+// selecting the running least with the same mask.
 func (e *Engine) siftDown(i int) {
 	h := e.heap
 	n := len(h)
@@ -386,9 +387,7 @@ func (e *Engine) siftDown(i int) {
 	if c := i<<2 + 1; c < n {
 		m := c
 		for j := c + 1; j < n; j++ {
-			if less(&h[j], &h[m]) != 0 {
-				m = j
-			}
+			m += (j - m) & -int(less(&h[j], &h[m]))
 		}
 		if less(&h[m], &s) != 0 {
 			h[i] = h[m]
