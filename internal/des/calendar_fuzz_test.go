@@ -16,23 +16,16 @@ import (
 // fire order, Now, Fired, Pending, CalendarLen (tombstones included),
 // every handle's Pending and Cancelled, and the counters of the attached
 // Flight. Batches range from one entry to past the bulk-heapify
-// threshold and mix Fn and Call entries; some fired events schedule a
-// follow-up from inside their callback, so records recycled before the
-// fire are reused at once. Some instants are the edges of the calendar's
-// key (see edgeInstants), and rejected instants lie one ulp before Now.
+// threshold and mix Fn and Call entries. Some fired events schedule a
+// follow-up fixed when they were scheduled, and while the program lasts
+// every callback also runs operations of its own (see callback): 0, 1 or
+// 2 more schedules, Cancel, Next, small and bulk batches, and nested
+// Step and RunUntil calls, so every entry point meets the fired event's
+// slot held open at the root. Some instants are the edges of the
+// calendar's key (see edgeInstants), and rejected instants lie one ulp
+// before Now.
 func FuzzCalendarOrder(f *testing.F) {
-	f.Add([]byte{1, 0, 3, 2, 5, 4, 40, 6, 0, 7, 16})
-	f.Add([]byte{1, 4, 30, 1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31,
-		2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 5, 3, 5, 9, 7, 255})
-	f.Add([]byte{0, 0, 241, 1, 250, 4, 3, 1, 2, 254, 6, 6})
-	f.Add([]byte{0, 0, 224, 0, 225, 2, 226, 0, 224, 3, 6, 6, 0, 228, 2, 230, 0, 229,
-		4, 9, 2, 0, 226, 229, 231, 232, 233, 228, 230, 6, 6, 6, 6})
-	s := rng.NewStream(7)
-	for i := 0; i < 8; i++ {
-		prog := make([]byte, 600)
-		for j := range prog {
-			prog[j] = byte(s.IntN(256))
-		}
+	for _, prog := range calendarSeeds() {
 		f.Add(prog)
 	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
@@ -41,6 +34,40 @@ func FuzzCalendarOrder(f *testing.F) {
 		}
 		runCalendarProgram(t, prog)
 	})
+}
+
+// calendarSeeds returns FuzzCalendarOrder's seed programs;
+// TestCalendarSeedsReach checks that they reach every callback operation.
+func calendarSeeds() [][]byte {
+	seeds := [][]byte{
+		{1, 0, 3, 2, 5, 4, 40, 6, 0, 7, 16},
+		{1, 4, 30, 1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31,
+			2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 5, 3, 5, 9, 7, 255},
+		{0, 0, 241, 1, 250, 4, 3, 1, 2, 254, 6, 6},
+		{0, 0, 224, 0, 225, 2, 226, 0, 224, 3, 6, 6, 0, 228, 2, 230, 0, 229,
+			4, 9, 2, 0, 226, 229, 231, 232, 233, 228, 230, 6, 6, 6, 6},
+	}
+	s := rng.NewStream(7)
+	for i := 0; i < 8; i++ {
+		prog := make([]byte, 600)
+		for j := range prog {
+			prog[j] = byte(s.IntN(256))
+		}
+		seeds = append(seeds, prog)
+	}
+	// Four events, then Steps whose callbacks schedule two follow-ups
+	// and cancel; schedule one through After, then AfterCall; call
+	// Next, a small batch and a nested Step (whose callback does
+	// nothing); a bulk batch and a nested RunUntil.
+	seeds = append(seeds, []byte{1,
+		2, 2, 0, 2, 4, 0, 2, 6, 0, 0, 10, 0,
+		6, 3, 0, 2, 0, 2, 8, 0, 5, 2,
+		6, 1, 1, 2, 0, 6, 1, 3, 4, 0,
+		6, 3, 8, 4, 3, 2, 4, 6, 6, 0,
+		6, 2, 4, 12, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 7, 4,
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		6, 0})
+	return seeds
 }
 
 // refEvent is one scheduled event in the reference model.
@@ -60,6 +87,7 @@ type refHandle struct {
 // calendarRef drives an engine and the reference model side by side.
 type calendarRef struct {
 	t   *testing.T
+	p   *program
 	eng *Engine
 	fl  *Flight
 
@@ -68,10 +96,22 @@ type calendarRef struct {
 	handles []refHandle
 	now     simtime.Time
 	fired   uint64
-	calls   int // callbacks run, for Step and RunUntil accounting
+	calls   int // callbacks run at this nesting level, for Step accounting
 
 	scheduled, batched, closures, callbacks, cancelled uint64
 	maxCal                                             int
+
+	singles int     // schedules through single, for reach
+	reach   reached // what the callbacks' own operations reached
+}
+
+// reached records which operations ran inside a callback, for
+// TestCalendarSeedsReach.
+type reached struct {
+	schedules    [3]bool // a callback made 0, 1, or 2 or more single schedules
+	op           [9]bool // callback operations by code (see op)
+	small, bulk  bool    // a callback's valid batch sifted in, or was heapified
+	nested, next bool    // a nested Step or RunUntil fired an event; Next saw one
 }
 
 // program reads successive bytes, returning 0 past the end.
@@ -125,27 +165,15 @@ func same(a, b simtime.Time) bool {
 	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
 }
 
-func runCalendarProgram(t *testing.T, prog []byte) {
+func runCalendarProgram(t *testing.T, prog []byte) *calendarRef {
 	p := &program{b: prog}
-	r := &calendarRef{t: t, eng: New(), handles: []refHandle{{id: -1}}}
+	r := &calendarRef{t: t, p: p, eng: New(), handles: []refHandle{{id: -1}}}
 	if p.next()&1 == 1 {
 		r.fl = NewFlight()
 		r.eng.AttachFlight(r.fl)
 	}
 	for !p.done() {
-		switch op := p.next() % 8; op {
-		case 0, 1, 2, 3:
-			b, c := p.next(), p.next()
-			r.single(op, b, c)
-		case 4:
-			r.batch(p)
-		case 5:
-			r.cancel(p.next())
-		case 6:
-			r.step()
-		case 7:
-			r.runUntil(r.now.Add(delay(p.next()) * 3))
-		}
+		r.op(p.next() % 8)
 		r.check()
 	}
 	// Drain: every pending event fires in model order.
@@ -155,6 +183,67 @@ func runCalendarProgram(t *testing.T, prog []byte) {
 	}
 	r.step()
 	r.check()
+	return r
+}
+
+// op runs one operation read from the program: single (0-3), a batch (4),
+// Cancel (5), Step (6), RunUntil (7) or, inside a callback, Next (8).
+func (r *calendarRef) op(code int) {
+	p := r.p
+	switch code {
+	case 0, 1, 2, 3:
+		b, c := p.next(), p.next()
+		r.single(code, b, c)
+	case 4:
+		r.batch(p)
+	case 5:
+		r.cancel(p.next())
+	case 6:
+		r.step()
+	case 7:
+		r.runUntil(r.now.Add(delay(p.next()) * 3))
+	case 8:
+		r.next()
+	}
+}
+
+// callback runs a firing event's own operations while the program lasts:
+// a count byte, then count%4 operations (see op), each checked against
+// the model. Nested Step and RunUntil calls fire further callbacks, which
+// read on, so every callback program ends once the bytes run out.
+func (r *calendarRef) callback() {
+	before := r.singles
+	for n := r.p.next() % 4; n > 0; n-- {
+		code := r.p.next() % 9
+		r.reach.op[code] = true
+		fired := r.fired
+		if code == 4 {
+			r.reachBatch()
+		}
+		r.op(code)
+		if (code == 6 || code == 7) && r.fired > fired {
+			r.reach.nested = true
+		}
+		r.check()
+	}
+	r.reach.schedules[min(r.singles-before, 2)] = true
+}
+
+// reachBatch notes whether the batch the program holds next is valid and
+// small or bulk, reading ahead without consuming (see batch).
+func (r *calendarRef) reachBatch() {
+	p := *r.p
+	k := p.next() % 40
+	for i := 0; i < k; i++ {
+		if p.next() >= 252 {
+			return
+		}
+	}
+	if k >= 8 && k >= r.eng.CalendarLen()/4 {
+		r.reach.bulk = true
+	} else if k > 0 {
+		r.reach.small = true
+	}
 }
 
 // childOf decodes a follow-up spec: odd bytes schedule one on firing.
@@ -205,6 +294,7 @@ func (r *calendarRef) single(op, b, c int) {
 		r.t.Fatalf("op %d at %v: %v", op, at, err)
 	}
 	r.add(at, op >= 2, childOf(c), false)
+	r.singles++
 	r.handles = append(r.handles, refHandle{ev: ev, id: id})
 	if !same(ev.Time(), at) {
 		r.t.Fatalf("handle time %v, want %v", ev.Time(), at)
@@ -348,6 +438,27 @@ func (r *calendarRef) fire(id int) {
 		}
 		r.add(at, ev.child&1 == 1, -1, false)
 		r.handles = append(r.handles, refHandle{ev: h, id: cid})
+		r.check()
+	}
+	if !r.p.done() {
+		// Callbacks fired by nested calls do not count for the Step that
+		// fired this one.
+		calls := r.calls
+		r.callback()
+		r.calls = calls
+	}
+}
+
+// next checks Next against the earliest live model event.
+func (r *calendarRef) next() {
+	at, ok := r.eng.Next()
+	r.prune()
+	i := r.top()
+	if ok != (i >= 0) || ok && !same(at, r.evs[r.cal[i]].at) {
+		r.t.Fatalf("Next = %v, %v; model top %d", at, ok, i)
+	}
+	if ok {
+		r.reach.next = true
 	}
 }
 
@@ -427,5 +538,33 @@ func (r *calendarRef) check() {
 			t.Fatalf("flight pool growth %d hits %d; model max calendar %d of %d scheduled",
 				f.poolGrowth, f.poolHits, r.maxCal, r.scheduled)
 		}
+	}
+}
+
+// TestCalendarSeedsReach checks that FuzzCalendarOrder's seeds, between
+// them, make callbacks schedule 0, 1 and 2 more events, run every
+// operation (a small and a bulk batch included), fire events from nested
+// Step and RunUntil calls and see an event through Next.
+func TestCalendarSeedsReach(t *testing.T) {
+	var got reached
+	for _, prog := range calendarSeeds() {
+		r := runCalendarProgram(t, prog).reach
+		for i, ok := range r.schedules {
+			got.schedules[i] = got.schedules[i] || ok
+		}
+		for i, ok := range r.op {
+			got.op[i] = got.op[i] || ok
+		}
+		got.small = got.small || r.small
+		got.bulk = got.bulk || r.bulk
+		got.nested = got.nested || r.nested
+		got.next = got.next || r.next
+	}
+	want := reached{schedules: [3]bool{true, true, true}, small: true, bulk: true, nested: true, next: true}
+	for i := range want.op {
+		want.op[i] = true
+	}
+	if got != want {
+		t.Errorf("seeds reached %+v, want %+v", got, want)
 	}
 }

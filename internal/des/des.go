@@ -27,6 +27,18 @@
 // the top. Models with abort timers cancel far more often than they fire,
 // which makes lazy deletion the cheaper trade on both sides.
 //
+// Firing an event does not pop its slot before the callback runs: the
+// root is held as a hole while the callback runs, and the callback's first
+// schedule fills the hole and sinks once, instead of a sift-down to pop
+// followed by a sift-up to push. Later schedules in the same callback push
+// as usual, and a callback that schedules nothing has its hole closed by
+// an ordinary pop when it returns. While a callback runs, heap[0] may be a
+// hole, and every reader treats it as absent: the entry points that look
+// at the top (Step, Next, RunUntil, ScheduleBatch) close it first, and
+// CalendarLen leaves it out. The pop sequence is fixed by the total
+// (instant, sequence) order, so only the heap's internal layout differs
+// from popping first.
+//
 // Because records are recycled, an Event handle is a value carrying a
 // generation tag: any operation through a stale handle (after the event
 // fired or was cancelled and its record reused) is a safe no-op.
@@ -159,6 +171,7 @@ type Engine struct {
 	heap []slot   // inline 4-ary min-heap of calendar slots
 	pool []record // event records addressed by slot.idx
 	free []int32  // recycled record indexes
+	hole bool     // heap[0] is the fired event's slot, held for the callback's first schedule
 
 	// Optional flight recorder (see flight.go); a detached recorder costs
 	// one nil check per schedule, fire and cancel.
@@ -184,8 +197,14 @@ func (e *Engine) Pending() int { return e.live }
 // CalendarLen returns the number of calendar slots, including lazy-cancel
 // tombstones that have not yet surfaced. CalendarLen() - Pending() is the
 // tombstone backlog — an observability signal for abort-heavy models,
-// where cancellations far outnumber firings.
-func (e *Engine) CalendarLen() int { return len(e.heap) }
+// where cancellations far outnumber firings. The hole a running callback
+// holds at the root is not a slot.
+func (e *Engine) CalendarLen() int {
+	if e.hole {
+		return len(e.heap) - 1
+	}
+	return len(e.heap)
+}
 
 // alloc returns a record index from the free list, growing the pool only
 // when the list is empty, and bumps the record's generation so handles to
@@ -262,8 +281,20 @@ func (e *Engine) schedule(at simtime.Time, fn func(any), ctx any, closure bool) 
 		return Event{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now)
 	}
 	s := e.place(at, fn, ctx, closure)
-	e.push(s)
+	e.insert(s)
 	return Event{eng: e, idx: s.idx, gen: e.pool[s.idx].gen, at: at}, nil
+}
+
+// insert puts s into the heap: into the root's hole while a callback holds
+// one, else one past the last slot. It stays small enough to inline into
+// schedule (make inline checks), so an event costs one call to sift.
+func (e *Engine) insert(s slot) {
+	i := len(e.heap)
+	if e.hole {
+		i = 0
+		e.hole = false
+	}
+	e.sift(i, s)
 }
 
 // place is the one path by which an event enters the engine: it fills a
@@ -319,6 +350,7 @@ func (e *Engine) ScheduleBatch(entries []BatchEntry) error {
 			return fmt.Errorf("des: batch entry %d: exactly one of Fn and Call must be set", i)
 		}
 	}
+	e.closeHole()
 	k := len(entries)
 	// Small batches relative to the calendar sift in one by one; large
 	// ones append all slots and rebuild the heap bottom-up.
@@ -333,7 +365,7 @@ func (e *Engine) ScheduleBatch(entries []BatchEntry) error {
 		if bulk {
 			e.heap = append(e.heap, s)
 		} else {
-			e.push(s)
+			e.insert(s)
 		}
 	}
 	if e.flight != nil {
@@ -349,23 +381,40 @@ func (e *Engine) ScheduleBatch(entries []BatchEntry) error {
 // (Floyd's bottom-up construction).
 func (e *Engine) heapify() {
 	h := e.heap
-	n := len(h)
-	for i := (n - 2) >> 2; i >= 0; i-- {
-		e.siftDown(i)
+	for i := (len(h) - 2) >> 2; i >= 0; i-- {
+		e.sift(i, h[i])
 	}
 }
 
-// siftDown sinks the slot at index i to its place in the 4-ary heap.
-// While the children form a full group of four, the least of them is
-// chosen by a two-round tournament whose winners are selected with the
-// compare's borrow as a mask, so the only branch per level is the one
-// that stops the sift. A partial last group is scanned, each compare
-// selecting the running least with the same mask.
-func (e *Engine) siftDown(i int) {
+// sift writes s, whose vacancy is index i, to its place in the 4-ary
+// heap, moving one slot per level into the vacancy; i == len(heap) is the
+// vacancy one past the last slot, which the heap grows to take. A vacancy
+// with children (the root, or a parent during heapify) sinks; one without
+// (the last slot) rises. While the children form a full group of four, the
+// least of them is chosen by a two-round tournament whose winners are
+// selected with the compare's borrow as a mask, so the only branch per
+// level is the one that stops the sift. A partial last group is scanned,
+// each compare selecting the running least with the same mask.
+func (e *Engine) sift(i int, s slot) {
 	h := e.heap
+	if i == len(h) {
+		h = append(h, s)
+		e.heap = h
+	}
 	n := len(h)
-	s := h[i]
 	sk := timeKey(s.at)
+	if i<<2+1 >= n {
+		for i > 0 {
+			p := (i - 1) >> 2
+			if keyLess(sk, s.seq, timeKey(h[p].at), h[p].seq) == 0 {
+				break
+			}
+			h[i] = h[p]
+			i = p
+		}
+		h[i] = s
+		return
+	}
 	for {
 		c := i<<2 + 1
 		if c+4 > n {
@@ -414,9 +463,11 @@ func (e *Engine) Cancel(ev Event) bool {
 	return true
 }
 
-// prune discards tombstoned slots from the top of the heap, recycling
-// their records, and reports whether a live slot remains on top.
+// prune closes a hole left open by the running callback, discards
+// tombstoned slots from the top of the heap, recycling their records, and
+// reports whether a live slot remains on top.
 func (e *Engine) prune() bool {
+	e.closeHole()
 	for len(e.heap) > 0 {
 		idx := e.heap[0].idx
 		if e.pool[idx].state != stateCancelled {
@@ -438,10 +489,11 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// fire pops the live slot on top of the calendar and runs its event.
+// fire runs the event of the live slot on top of the calendar, holding
+// its slot as a hole for the callback's first schedule, and pops the slot
+// if the callback leaves the hole open.
 func (e *Engine) fire() {
 	s := e.heap[0]
-	e.popMin()
 	r := &e.pool[s.idx]
 	fn, ctx := r.fn, r.ctx
 	// Recycle before firing so the callback's own scheduling can reuse the
@@ -453,7 +505,17 @@ func (e *Engine) fire() {
 	e.now = s.at
 	e.live--
 	e.fired++
+	e.hole = true
 	fn(ctx)
+	e.closeHole()
+}
+
+// closeHole pops the root when it is a hole.
+func (e *Engine) closeHole() {
+	if e.hole {
+		e.hole = false
+		e.popMin()
+	}
 }
 
 // Next returns the instant of the earliest pending event; ok is false when
@@ -484,34 +546,13 @@ func (e *Engine) Run() {
 	}
 }
 
-// push inserts s into the 4-ary heap (sift-up with a hole, one write per
-// level).
-func (e *Engine) push(s slot) {
-	h := append(e.heap, s)
-	i := len(h) - 1
-	sk := timeKey(s.at)
-	for i > 0 {
-		p := (i - 1) >> 2
-		if keyLess(sk, s.seq, timeKey(h[p].at), h[p].seq) == 0 {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = s
-	e.heap = h
-}
-
-// popMin removes the minimum slot (h[0]) from the 4-ary heap: the last
-// slot takes the root's place and sinks to its position.
+// popMin removes the root slot from the 4-ary heap: the last slot takes
+// its place and sinks to its position.
 func (e *Engine) popMin() {
 	h := e.heap
 	n := len(h) - 1
-	s := h[n]
 	e.heap = h[:n]
-	if n == 0 {
-		return
+	if n > 0 {
+		e.sift(0, h[n])
 	}
-	e.heap[0] = s
-	e.siftDown(0)
 }
