@@ -553,9 +553,12 @@ func (m *Manager) releaseRun(r *run) {
 
 // newCtrl allocates a control block from the run's slab: for tree node t,
 // or for decomposition node s (a leaf's vertex task becomes its t). idx is
-// the block's index within its parent.
+// the block's index within its parent. The block is set field by field in
+// its slab entry, which may hold a previous run's block, rather than
+// copied in from a composite literal.
 func (r *run) newCtrl(parent *ctrl, idx int, t *task.Task, s *task.Structure) *ctrl {
-	if len(r.ctrls) == cap(r.ctrls) {
+	n := len(r.ctrls)
+	if n == cap(r.ctrls) {
 		// The slab is sized to the task at submission and each node is
 		// released at most once; overflow is a bug.
 		panic("procmgr: ctrl slab overflow")
@@ -563,8 +566,12 @@ func (r *run) newCtrl(parent *ctrl, idx int, t *task.Task, s *task.Structure) *c
 	if s != nil && s.Kind == task.StructLeaf {
 		t = s.Node.Task
 	}
-	r.ctrls = append(r.ctrls, ctrl{run: r, t: t, s: s, parent: parent, stageIdx: idx})
-	return &r.ctrls[len(r.ctrls)-1]
+	r.ctrls = r.ctrls[:n+1]
+	c := &r.ctrls[n]
+	c.run, c.t, c.s, c.parent, c.stageIdx = r, t, s, parent, idx
+	c.remaining, c.vdl, c.boost = 0, 0, false
+	c.down, c.groups, c.pending, c.member = nil, nil, nil, nil
+	return c
 }
 
 // child returns a fresh ctrl for the i-th child of composite p.

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/des"
 	"repro/internal/node"
@@ -726,4 +728,46 @@ func TestAbortRun(t *testing.T) {
 			t.Error("AbortRun of a finished DAG run reported true")
 		}
 	})
+}
+
+// TestNewCtrlResetsReusedEntry checks that newCtrl, which sets a control
+// block field by field in a slab entry that a previous run may have used,
+// leaves nothing of the old block behind: with every field of the entry
+// set first, cluster state included, the new block must equal the
+// composite literal of newCtrl's arguments.
+func TestNewCtrlResetsReusedEntry(t *testing.T) {
+	r := &run{ctrls: make([]ctrl, 1, 2)}
+	v := reflect.ValueOf(&r.ctrls[0]).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		// The fields are unexported; reach them through their address.
+		f := v.Field(i)
+		f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		switch f.Kind() {
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		case reflect.Int:
+			f.SetInt(7)
+		case reflect.Float64:
+			f.SetFloat(7)
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("field %s is a %v: teach this test to set it", name, f.Kind())
+		}
+		if f.IsZero() {
+			t.Fatalf("field %s still zero", name)
+		}
+	}
+	r.ctrls = r.ctrls[:0]
+	parent, leaf := new(ctrl), task.MustSimple("x", 0, 1)
+	c := r.newCtrl(parent, 3, leaf, nil)
+	if c != &r.ctrls[0] {
+		t.Fatal("newCtrl did not use the slab's first entry")
+	}
+	if want := (ctrl{run: r, t: leaf, parent: parent, stageIdx: 3}); !reflect.DeepEqual(*c, want) {
+		t.Errorf("reused entry %+v, want %+v", *c, want)
+	}
 }

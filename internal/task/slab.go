@@ -57,6 +57,10 @@ type Slab struct {
 
 // leaf returns a pristine leaf, a reclaimed one when there is one, else the
 // next task of the current chunk. A nil slab allocates the task alone.
+//
+// Each of those is zero apart from Node and pooled (Reclaim zeroes a leaf
+// it takes back), so leaf sets pristine's fields in place instead of
+// copying a whole Task; TestLeafMatchesPristine holds the two together.
 func (s *Slab) leaf(name string, kind Kind, node int, ex, pex simtime.Duration) *Task {
 	var t *Task
 	switch {
@@ -74,7 +78,8 @@ func (s *Slab) leaf(name string, kind Kind, node int, ex, pex simtime.Duration) 
 		t = &s.free[0]
 		s.free = s.free[1:]
 	}
-	*t = pristine(name, kind, node, ex, pex)
+	t.Name, t.Kind, t.Node, t.Exec, t.Pex = name, kind, node, ex, pex
+	t.Finish, t.RealDeadline, t.VirtualDeadline = simtime.Never, simtime.Never, simtime.Never
 	t.pooled = s != nil
 	return t
 }

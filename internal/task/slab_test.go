@@ -2,9 +2,12 @@ package task
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
+
+	"repro/internal/simtime"
 )
 
 // TestTaskSize pins the Task layout: 104 bytes on 64-bit hosts, so a
@@ -136,6 +139,69 @@ func TestReclaimPoison(t *testing.T) {
 	if heap.Kind != KindSimple || heap.Node != 3 {
 		t.Errorf("heap task reclaimed")
 	}
+}
+
+// TestLeafMatchesPristine holds Slab.leaf, which resets a task in place,
+// to pristine, which builds one whole: a leaf drawn from a nil slab, from
+// a fresh chunk and from a reclaimed task must each equal pristine's task
+// field for field. The reclaimed task first has every field a leaf can
+// carry set by reflection (all but Children), so a field added to Task
+// that neither Reclaim nor leaf resets fails here.
+func TestLeafMatchesPristine(t *testing.T) {
+	const name, node = "leaf", 2
+	const ex, pex simtime.Duration = 3, 4
+	check := func(from string, s *Slab, got *Task) {
+		t.Helper()
+		want := pristine(name, KindSimple, node, ex, pex)
+		want.pooled = s != nil
+		if reflect.DeepEqual(*got, want) {
+			return
+		}
+		gv, wv := reflect.ValueOf(*got), reflect.ValueOf(want)
+		for i := 0; i < gv.NumField(); i++ {
+			if g, w := fmt.Sprintf("%#v", gv.Field(i)), fmt.Sprintf("%#v", wv.Field(i)); g != w {
+				t.Errorf("%s: %s = %s, want %s", from, gv.Type().Field(i).Name, g, w)
+			}
+		}
+		t.Errorf("%s: leaf %+v, want %+v", from, *got, want)
+	}
+	check("nil slab", nil, (*Slab)(nil).leaf(name, KindSimple, node, ex, pex))
+
+	slab := new(Slab)
+	l := slab.leaf(name, KindSimple, node, ex, pex)
+	check("fresh chunk", slab, l)
+
+	// Kind stays simple and Children nil, or Reclaim would take the task
+	// back as a composite; pooled is already set on a slab task.
+	v := reflect.ValueOf(l).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, fname := v.Field(i), v.Type().Field(i).Name
+		if fname == "Kind" || fname == "Children" || !f.CanSet() {
+			continue
+		}
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString("stale")
+		case reflect.Int:
+			f.SetInt(7)
+		case reflect.Float64:
+			f.SetFloat(7)
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("field %s is a %v: teach this test to set it", fname, f.Kind())
+		}
+	}
+	for i := 0; i < v.NumField(); i++ {
+		if fname := v.Type().Field(i).Name; fname != "Children" && v.Field(i).IsZero() {
+			t.Fatalf("field %s still zero: set it before reclaiming", fname)
+		}
+	}
+	slab.Reclaim(l)
+	if again := slab.leaf(name, KindSimple, node, ex, pex); again != l {
+		t.Fatal("slab drew a new task, not the reclaimed one")
+	}
+	check("reclaimed", slab, l)
 }
 
 // TestSlabReuseAllocs checks that a build → reclaim loop through a slab
