@@ -1,17 +1,17 @@
 GO ?= go
 
-.PHONY: check fmt vet build test examples race scenarios report-drift results-drift bless bench bench-record bench-compare bench-e2e-test profile obs blame stress stress-smoke trace flight
+.PHONY: check fmt vet build test inline examples race scenarios report-drift results-drift bless bench bench-record bench-compare bench-e2e-test profile obs blame stress stress-smoke trace flight
 
 # check runs the local steps of CI's test job: gofmt, vet, build, the
-# root module's tests, the example programs, the bench/ module's vet and
-# tests, the scenario golden suite and the reproduction-report drift
-# guard. It leaves out that job's fuzz smokes and staticcheck, and CI's
-# other jobs: the race detector (make race), the 386 leg, the
-# merged-telemetry guards, the blame, stress and trace smokes, and the
-# benchmark smoke.
+# root module's tests, the calendar inline guard, the example programs,
+# the bench/ module's vet and tests, the scenario golden suite and the
+# reproduction-report drift guard. It leaves out that job's fuzz smokes
+# and staticcheck, and CI's other jobs: the race detector (make race),
+# the 386 leg, the merged-telemetry guards, the blame, stress and trace
+# smokes, and the benchmark smoke.
 DERIVED = blame.md blame.json tracetree.jsonl trace.chrome.json
 
-check: fmt vet build test examples bench-e2e-test scenarios report-drift
+check: fmt vet build test inline examples bench-e2e-test scenarios report-drift
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
@@ -24,6 +24,21 @@ build:
 
 test:
 	$(GO) test ./...
+
+# inline checks that the DES calendar's hot-path helpers still inline:
+# insert into schedule, and the record pool and the slot key compare
+# wherever they are called. It prints the compiler's reason for each one
+# that no longer does.
+INLINE_FUNCS = timeKey keyLess less '(*Engine).insert' '(*Engine).alloc' '(*Engine).release'
+inline:
+	@out="$$($(GO) build -gcflags=-m ./internal/des 2>&1)" || { echo "$$out"; exit 1; }; \
+	ok=$$(printf '%s\n' "$$out" | awk '/: can inline /{print $$NF}'); fail=0; \
+	for f in $(INLINE_FUNCS); do \
+		printf '%s\n' "$$ok" | grep -qxF "$$f" && continue; \
+		$(GO) build -gcflags=-m=2 ./internal/des 2>&1 | grep -F "inline $$f:"; \
+		echo "internal/des: $$f no longer inlines"; fail=1; \
+	done; \
+	exit $$fail
 
 # examples builds and runs every program under examples/, the only
 # programs built on the root sda facade; each must exit 0.

@@ -512,12 +512,26 @@ func BenchmarkEngineEventChurn(b *testing.B) {
 // exponential delay, so the calendar stays at its depth. The delays come
 // from a fixed table, so child comparisons are as unpredictable as a
 // model's; the depths are those of Table 1 (12), dag-abort (32) and the
-// 5k-node fleet (9000). Every row must report 0 allocs/op.
+// 5k-node fleet (9000). In the mix row a fired event schedules 0, 1 or 2
+// more, as the Table 1 system's completions and arrivals do; the counts
+// come in pairs (0, 2), (2, 0) or (1, 1) from a fixed table, so the
+// calendar holds 11 to 13 events. Every row must report 0 allocs/op.
 func BenchmarkEngineHold(b *testing.B) {
 	var delays [1024]simtime.Duration
 	s := rng.NewStream(1)
 	for i := range delays {
 		delays[i] = simtime.Duration(s.Exp(1))
+	}
+	var fanout [1024]int
+	for i := 0; i < len(fanout); i += 2 {
+		switch s.IntN(3) {
+		case 0:
+			fanout[i+1] = 2
+		case 1:
+			fanout[i] = 2
+		default:
+			fanout[i], fanout[i+1] = 1, 1
+		}
 	}
 	for _, depth := range []int{12, 32, 9000} {
 		b.Run("depth="+strconv.Itoa(depth), func(b *testing.B) {
@@ -540,6 +554,33 @@ func BenchmarkEngineHold(b *testing.B) {
 			}
 		})
 	}
+	b.Run("mix", func(b *testing.B) {
+		b.ReportAllocs()
+		eng := des.New()
+		k, f := 0, 0
+		var hold func(any)
+		schedule := func() {
+			if _, err := eng.AfterCall(delays[k%len(delays)], hold, nil); err != nil {
+				b.Fatal(err)
+			}
+			k++
+		}
+		hold = func(any) {
+			for n := fanout[f%len(fanout)]; n > 0; n-- {
+				schedule()
+			}
+			f++
+		}
+		for i := 0; i < 12; i++ {
+			schedule()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !eng.Step() {
+				b.Fatal("calendar drained")
+			}
+		}
+	})
 }
 
 // benchNodeQueueChurn measures the node waiting queue in isolation: one
